@@ -20,6 +20,8 @@ class RadialGrid:
     """Strictly increasing nodes spanning [0,1], both endpoints included."""
 
     nodes: np.ndarray
+    is_uniform: bool = field(init=False, repr=False, compare=False)
+    _spacing: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -28,9 +30,14 @@ class RadialGrid:
             raise ValueError("grid needs at least 3 one-dimensional nodes")
         if nodes[0] != 0.0 or nodes[-1] != 1.0:
             raise ValueError("grid must include both endpoints 0 and 1")
-        if np.any(np.diff(nodes) <= 0):
+        h = np.diff(nodes)
+        if np.any(h <= 0):
             raise ValueError("grid nodes must be strictly increasing")
         nodes.setflags(write=False)
+        # set once: the solvers read both on every call
+        uniform = np.allclose(h, h[0], rtol=1e-12, atol=1e-15)
+        object.__setattr__(self, "is_uniform", uniform)
+        object.__setattr__(self, "_spacing", (nodes[-1] - nodes[0]) / (nodes.size - 1))
 
     @classmethod
     def uniform(cls, size=801):
@@ -41,16 +48,11 @@ class RadialGrid:
         return self.nodes.size
 
     @property
-    def is_uniform(self):
-        h = np.diff(self.nodes)
-        return np.allclose(h, h[0], rtol=1e-12, atol=1e-15)
-
-    @property
     def spacing(self):
         """Uniform spacing h; raises for non-uniform grids."""
         if not self.is_uniform:
             raise ValueError("spacing is only defined for uniform grids")
-        return (self.nodes[-1] - self.nodes[0]) / (self.size - 1)
+        return self._spacing
 
     def __eq__(self, other):
         return isinstance(other, RadialGrid) and np.array_equal(self.nodes, other.nodes)

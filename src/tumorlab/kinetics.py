@@ -122,6 +122,22 @@ def eval_rates(spec, c):
     )
 
 
+def scalar_rates(spec, c):
+    """Plain-float (kp, kd, km, kn) at one nutrient level c in [0,1].
+
+    The same operations in the same order as eval_rates, so the values are
+    bit-identical, but without the domain check, the arrays and the
+    RateValues record: the shooting right-hand side calls this once per
+    evaluation.  The consumption law F does not enter, so every family
+    shares it.
+    """
+    kb = spec.b_rate * c
+    kd = spec.d_rate * (1.0 - c)
+    kp = spec.p_rate * c
+    kq = spec.q_rate * (1.0 - c)
+    return kp, kd, kb + kd, kp + kq
+
+
 def reaction_f(spec, c, p):
     """Reaction term f(c, p) = K_P + (K_M - K_N) p - K_M p^2.
 

@@ -277,7 +277,14 @@ class LinearPropagator:
         every = max(1, int(round(output_every / dt)))
         phi = np.atleast_2d(np.asarray(phi0, dtype=float)).copy()
         zeta = np.atleast_1d(np.asarray(zeta0, dtype=float)).copy()
-        times, phis, zetas = [t0], [phi.copy()], [zeta.copy()]
+        # snapshots go straight into arrays sized up front: the initial
+        # state, every `every`-th step and the last step
+        n_out = 1 + -(-n_steps // every)
+        times = np.empty(n_out)
+        phis = np.empty((n_out,) + phi.shape)
+        zetas = np.empty((n_out,) + zeta.shape)
+        times[0], phis[0], zetas[0] = t0, phi, zeta
+        j = 1
         k_cycle = 0
         for k in range(n_steps):
             step = self.steps[k_cycle]
@@ -296,13 +303,13 @@ class LinearPropagator:
                 end_pos = self.nodes
             if (k + 1) % every == 0 or k == n_steps - 1:
                 if end_pos is self.nodes:
-                    snap = phi.copy()
+                    phis[j] = phi
                 else:
-                    snap = PchipInterpolator(end_pos, phi, axis=1)(self.nodes)
-                times.append(t0 + (k + 1) * dt)
-                phis.append(snap)
-                zetas.append(zeta.copy())
-        return np.array(times), np.array(phis), np.array(zetas)
+                    phis[j] = PchipInterpolator(end_pos, phi, axis=1)(self.nodes)
+                times[j] = t0 + (k + 1) * dt
+                zetas[j] = zeta
+                j += 1
+        return times, phis, zetas
 
 
 def solve_linearized(ops, init, t_end, dt, output_every=0.1,

@@ -19,6 +19,8 @@ endpoint data (the quadratic root p_0 of f(0, p, z)=0 and the Frobenius
 exponent of p - p_0) are kept as diagnostics.
 """
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +29,8 @@ from scipy.optimize import brentq
 
 from .errors import SolverError
 from .grid import RadialField, derivative_values
-from .kinetics import eval_rates, reaction_f, reaction_f_dc, reaction_f_dp
+from .kinetics import (eval_rates, reaction_f, reaction_f_dc, reaction_f_dp,
+                       scalar_rates)
 from .nutrient import solve_nutrient, solve_sensitivity
 from .velocity import radial_velocity
 
@@ -98,6 +101,49 @@ def _boundary_series(spec, nutrient):
     return p_init, J_init, p1_prime
 
 
+def _scalar_pchip(radial_field):
+    """Plain-float evaluator of a RadialField's PCHIP at one radius.
+
+    Gives the same floats as radial_field(r): the interval is the one
+    scipy's PPoly picks (half-open on the right, the last one closed) and
+    the cubic is summed in PPoly's order.  The coefficient tables are
+    array('d') rather than lists: a closure handed to solve_ivp lives in a
+    reference cycle with the solver until the garbage collector runs.
+    """
+    interp = radial_field.interpolator()
+    xs = array("d", interp.x)
+    k0, k1, k2, k3 = (array("d", row) for row in interp.c)
+    last = len(xs) - 2
+
+    def value(r):
+        i = min(max(bisect_right(xs, r) - 1, 0), last)
+        s = r - xs[i]
+        ss = s * s
+        return ((k3[i] + k2[i] * s) + k1[i] * ss) + k0[i] * (ss * s)
+
+    return value
+
+
+def _shooting_rhs(spec, nutrient):
+    """Right-hand side (p, J)' of the shooting ODE on plain floats.
+
+    Gives the same floats as evaluating nutrient.c, eval_rates and
+    reaction_f on numpy scalars (scalar_rates repeats eval_rates'
+    operations); the clamp of c to [0,1] stands in for eval_rates' domain
+    check.
+    """
+    c_at = _scalar_pchip(nutrient.c)
+
+    def rhs(r, y):
+        p, J = y.tolist()
+        c = min(max(c_at(r), 0.0), 1.0)
+        kp, kd, km, kn = scalar_rates(spec, c)
+        f = kp + (km - kn) * p - km * p * p
+        return [f * r * r / J, (-kd + km * p) * r * r]
+
+    return rhs
+
+
 def integrate_profile(spec, z, grid, r_start=R_START_DEFAULT, dense=False):
     """Integrate the stationary (p, u) pair at a trial log radius z.
 
@@ -113,13 +159,7 @@ def integrate_profile(spec, z, grid, r_start=R_START_DEFAULT, dense=False):
     nutrient = solve_nutrient(spec, z, grid)
     cf = nutrient.c
     p_init, J_init, p1_prime = _boundary_series(spec, nutrient)
-
-    def rhs(r, y):
-        p, J = y
-        c = min(max(float(cf(r)), 0.0), 1.0)
-        rv = eval_rates(spec, c)
-        f = float(rv.kp + (rv.km - rv.kn) * p - rv.km * p * p)
-        return [f * r * r / J, float(-rv.kd + rv.km * p) * r * r]
+    rhs = _shooting_rhs(spec, nutrient)
 
     def u_zero(r, y):
         return y[1]  # J crossing 0 means u >= 0 in the interior

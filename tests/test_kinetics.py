@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tumorlab.kinetics import (FAMILIES, KineticsSpec, eval_rates,
-                               reaction_f, reaction_f_dp,
+                               reaction_f, reaction_f_dp, scalar_rates,
                                validate_hypotheses)
 
 
@@ -34,6 +36,25 @@ def test_km_kn_composition():
     np.testing.assert_allclose(rv.km, rv.kb + rv.kd, rtol=0, atol=0)
     np.testing.assert_allclose(rv.kn, rv.kp + rv.kq, rtol=0, atol=0)
     np.testing.assert_allclose(rv.km_d, rv.kb_d + rv.kd_d, rtol=0, atol=0)
+
+
+_rate = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=_rate, d_rate=_rate, b_gap=_rate, p_rate=_rate, q_rate=_rate,
+       family=st.sampled_from(FAMILIES),
+       c=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+def test_scalar_rates_match_eval_rates(lam, d_rate, b_gap, p_rate, q_rate,
+                                       family, c):
+    # the shooting path's plain-float rates must stay bit-identical to
+    # eval_rates for every family and parameter set
+    spec = KineticsSpec(lam=lam, b_rate=d_rate + b_gap, d_rate=d_rate,
+                        p_rate=p_rate, q_rate=q_rate, family=family)
+    rv = eval_rates(spec, c)
+    kp, kd, km, kn = scalar_rates(spec, c)
+    assert (kp, kd, km, kn) == (rv.kp, rv.kd, rv.km, rv.kn)
+    assert all(type(k) is float for k in (kp, kd, km, kn))
 
 
 def test_reaction_roots_bracket_unit_interval():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from tumorlab.kinetics import KineticsSpec
+from tumorlab.kinetics import FAMILIES, KineticsSpec, eval_rates
 from tumorlab.grid import RadialGrid
-from tumorlab.stationary import boundary_root, solve_stationary
+from tumorlab.nutrient import solve_nutrient
+from tumorlab.stationary import (BOUNDARY_OFFSET, R_START_DEFAULT,
+                                 _scalar_pchip, _shooting_rhs, boundary_root,
+                                 solve_stationary)
 
 
 def test_center_root_balances_reaction(default_spec):
@@ -65,3 +68,33 @@ def test_saturating_family_also_has_stationary_state(grid201):
     sol = solve_stationary(KineticsSpec(family="saturating"), grid201)
     assert abs(sol.u_star.values[-1]) <= 5e-8
     assert sol.residual_report["lemma_checks_pass"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_shooting_rhs_bit_identical(family, grid801):
+    # the plain-float right-hand side against the field / eval_rates /
+    # reaction_f formula on numpy scalars, compared with == (no tolerance):
+    # Brent's path, and so z_*, depends on every bit
+    spec = KineticsSpec(family=family)
+    nutrient = solve_nutrient(spec, 2.9, grid801)
+    cf = nutrient.c
+    rhs = _shooting_rhs(spec, nutrient)
+    c_at = _scalar_pchip(cf)
+
+    def reference(r, y):
+        p, J = y
+        c = min(max(float(cf(r)), 0.0), 1.0)
+        rv = eval_rates(spec, c)
+        f = float(rv.kp + (rv.km - rv.kn) * p - rv.km * p * p)
+        return [f * r * r / J, float(-rv.kd + rv.km * p) * r * r]
+
+    nodes = grid801.nodes
+    rng = np.random.default_rng(7)
+    radii = np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1]),
+                            [1.0 - BOUNDARY_OFFSET, R_START_DEFAULT],
+                            rng.uniform(0.0, 1.0, 300)])
+    states = np.column_stack([rng.uniform(0.0, 1.0, radii.size),
+                              -rng.uniform(1e-9, 0.5, radii.size)])
+    for r, y in zip(radii.tolist(), states):
+        assert c_at(r) == float(cf(r)), r
+        assert rhs(r, y) == reference(r, y), (r, y)
