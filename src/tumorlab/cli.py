@@ -159,7 +159,7 @@ def cmd_sweep(args):
     shapes = args.shapes.split(",") if args.shapes else [cfg.shape]
     configs = [replace(cfg, epsilon=e, shape=s, out_dir="")
                for e in epsilons for s in shapes]
-    summary = sweep(configs, threads=args.threads or 1)
+    summary = sweep(configs)
     _write_or_print(args, "sweep.csv", summary.to_table())
     print(f"basin edge: {summary.basin_edge}")
     ok = all(row["passed"] or row["error"] for row in summary.rows)
@@ -184,7 +184,6 @@ def build_parser():
     common.add_argument("--config", help="path to a run-config file")
     common.add_argument("--out", help="output directory")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--threads", type=int, default=None)
 
     parser = argparse.ArgumentParser(
         prog="tumorlab",

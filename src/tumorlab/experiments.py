@@ -12,7 +12,6 @@ a manifest, the trajectory table and a plot-ready decay table.
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -295,7 +294,7 @@ class SweepSummary:
         return "\n".join(lines) + "\n"
 
 
-def sweep(configs, threads=1, linear_response=False):
+def sweep(configs, linear_response=False):
     """Run a batch of configs, aggregating fits and the stability-basin edge.
 
     Per-run solver failures are recorded in the row and the sweep continues.
@@ -305,8 +304,9 @@ def sweep(configs, threads=1, linear_response=False):
     if not configs:
         raise ConfigError("sweep needs at least one config")
 
-    def one(config):
-        base = {
+    rows = []
+    for config in configs:
+        row = {
             "epsilon": config.epsilon, "shape": config.shape,
             "solver": config.solver, "grid_size": config.grid_size,
             "mu_fit_x": np.nan, "K_fit_x": np.nan,
@@ -317,22 +317,14 @@ def sweep(configs, threads=1, linear_response=False):
             rep = run_stability_experiment(config,
                                            linear_response=linear_response)
         except (SolverError, ConfigError) as exc:
-            base["error"] = f"{type(exc).__name__}: {exc}"
-            return base, None
-        base.update(
-            mu_fit_x=rep.fit_x.mu_fit, K_fit_x=rep.fit_x.K_fit,
-            mu_fit_x0=rep.fit_x0.mu_fit, K_fit_x0=rep.fit_x0.K_fit,
-            passed=rep.passed,
-        )
-        return base, rep
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, configs))
-    else:
-        results = [one(c) for c in configs]
-
-    rows = [r for r, _ in results]
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            row.update(
+                mu_fit_x=rep.fit_x.mu_fit, K_fit_x=rep.fit_x.K_fit,
+                mu_fit_x0=rep.fit_x0.mu_fit, K_fit_x0=rep.fit_x0.K_fit,
+                passed=rep.passed,
+            )
+        rows.append(row)
     passing = [r["epsilon"] for r in rows if r["passed"]]
     return SweepSummary(rows=rows, basin_edge=max(passing) if passing else np.nan)
 

@@ -67,7 +67,6 @@ class RadialField:
 
     grid: RadialGrid
     values: np.ndarray
-    interpolation: str = "pchip"
     _interp: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -95,7 +94,7 @@ class RadialField:
         return self.interpolator().derivative()(r)
 
     def with_values(self, values):
-        return RadialField(self.grid, values, self.interpolation)
+        return RadialField(self.grid, values)
 
 
 def require_same_grid(*fields):

@@ -26,8 +26,8 @@ from .grid import (RadialField, cumulative_integral, derivative_values,
                    radial_average, require_same_grid, third_moment)
 from .kinetics import eval_rates
 from .simmaps import build_fstar
-from .transport import (REGRID_MAX_FACTOR, REGRID_MIN_FACTOR, Trajectory,
-                        TumorState)
+from .transport import (Trajectory, TumorState, _needs_regrid, _pinned_velocity,
+                        _reference_spacing, on_grid, rk4)
 
 RESOLVENT_DS = 5e-4
 FIT_WINDOW_FRACTION = 0.7
@@ -215,11 +215,9 @@ class LinearPropagator:
         self.ops = ops
         self.dt = dt
         grid = ops.grid
-        nodes = grid.nodes
-        self.nodes = nodes
-        h_ref = (grid.spacing if grid.is_uniform
-                 else float(np.min(np.diff(nodes))))
-        uf = ops.u_star.interpolator()
+        self.nodes = grid.nodes
+        h_ref = _reference_spacing(grid)
+        velocity = _pinned_velocity(ops.u_star)
         interp = {
             "a": ops.a.interpolator(),
             "b": ops.b.interpolator(),
@@ -227,33 +225,18 @@ class LinearPropagator:
             "rp": ops.rp_prime.interpolator(),
         }
 
-        def vel(r):
-            v = uf(r)
-            v[0] = 0.0
-            v[-1] = 0.0
-            return v
+        def rates(i, y):
+            stages.append(_StageOps(y[0], interp))
+            return velocity(i, y)
 
+        # one (stage ops, end positions) pair per step of the cycle
         self.steps = []
-        pos = nodes.copy()
+        pos = self.nodes
         while True:
-            k1 = vel(pos)
-            p2 = pos + 0.5 * dt * k1
-            k2 = vel(p2)
-            p3 = pos + 0.5 * dt * k2
-            k3 = vel(p3)
-            p4 = pos + dt * k3
-            k4 = vel(p4)
-            new = pos + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            new[0], new[-1] = 0.0, 1.0
-            self.steps.append({
-                "stages": [_StageOps(pos, interp), _StageOps(p2, interp),
-                           _StageOps(p3, interp), _StageOps(p4, interp)],
-                "end": new,
-            })
-            gaps = np.diff(new)
-            pos = new
-            if (gaps.min() < REGRID_MIN_FACTOR * h_ref
-                    or gaps.max() > REGRID_MAX_FACTOR * h_ref):
+            stages = []
+            (pos,) = rk4(rates, (pos,), dt)
+            self.steps.append((stages, pos))
+            if _needs_regrid(pos, h_ref):
                 break
         self.cycle_len = len(self.steps)
 
@@ -286,26 +269,20 @@ class LinearPropagator:
         times[0], phis[0], zetas[0] = t0, phi, zeta
         j = 1
         k_cycle = 0
+
+        def rates(i, y):
+            return self._stage_rate(stages[i], *y)
+
         for k in range(n_steps):
-            step = self.steps[k_cycle]
-            s1, s2, s3, s4 = step["stages"]
-            d1, z1 = self._stage_rate(s1, phi, zeta)
-            d2, z2 = self._stage_rate(s2, phi + 0.5 * dt * d1, zeta + 0.5 * dt * z1)
-            d3, z3 = self._stage_rate(s3, phi + 0.5 * dt * d2, zeta + 0.5 * dt * z2)
-            d4, z4 = self._stage_rate(s4, phi + dt * d3, zeta + dt * z3)
-            phi = phi + dt / 6.0 * (d1 + 2 * d2 + 2 * d3 + d4)
-            zeta = zeta + dt / 6.0 * (z1 + 2 * z2 + 2 * z3 + z4)
+            stages, end_pos = self.steps[k_cycle]
+            phi, zeta = rk4(rates, (phi, zeta), dt)
             k_cycle += 1
-            end_pos = step["end"]
             if k_cycle == self.cycle_len:
                 phi = PchipInterpolator(end_pos, phi, axis=1)(self.nodes)
                 k_cycle = 0
                 end_pos = self.nodes
             if (k + 1) % every == 0 or k == n_steps - 1:
-                if end_pos is self.nodes:
-                    phis[j] = phi
-                else:
-                    phis[j] = PchipInterpolator(end_pos, phi, axis=1)(self.nodes)
+                phis[j] = on_grid(end_pos, phi, self.nodes)
                 times[j] = t0 + (k + 1) * dt
                 zetas[j] = zeta
                 j += 1

@@ -8,8 +8,8 @@ c_z'(0)=0, c_z(1)=0.
 On uniform grids the substitution v = r c turns the operator into a plain
 second derivative, v'' = r e^{2z} F(v/r), v(0)=0, v(1)=1, which a Numerov
 discretization solves to fourth order; a damped Newton iteration handles the
-nonlinearity.  Non-uniform grids use second-order central differences on c
-directly with the symmetry closure 3 c''(0) = e^{2z} F(c(0)) at the origin.
+nonlinearity.  Both solvers need a uniform grid and raise ValueError on any
+other.
 """
 
 from dataclasses import dataclass
@@ -116,72 +116,6 @@ def _solve_numerov(source, source_jac, nodes, v_left, v_right, v_init):
     return v, rmax
 
 
-def _solve_fd2(spec, z, nodes, c_init):
-    """Second-order scheme on c directly, for non-uniform grids."""
-    m = nodes.size
-    c = c_init.copy()
-    c[-1] = 1.0
-    e2z = np.exp(2.0 * z)
-    hl = np.diff(nodes)  # hl[i] = r_{i+1} - r_i
-
-    def residual(c):
-        rv = eval_rates(spec, np.clip(c, 0.0, 1.0))
-        res = np.empty(m - 1)
-        # origin closure: 3 c''(0) = e^{2z} F(c0) with c''(0) = 2(c1-c0)/h^2
-        res[0] = 6.0 * (c[1] - c[0]) / hl[0] ** 2 - e2z * rv.f_val[0]
-        a = hl[:-1]
-        b = hl[1:]
-        r = nodes[1:-1]
-        cpp = 2.0 * (a * c[2:] - (a + b) * c[1:-1] + b * c[:-2]) / (a * b * (a + b))
-        cp = (
-            a * a * c[2:] + (b * b - a * a) * c[1:-1] - b * b * c[:-2]
-        ) / (a * b * (a + b))
-        res[1:] = cpp + 2.0 / r * cp - e2z * rv.f_val[1:-1]
-        return res
-
-    last = np.inf
-    for _ in range(MAX_NEWTON_ITERS):
-        res = residual(c)
-        rmax = np.max(np.abs(res))
-        if rmax <= 1e-9:
-            return c, rmax
-        rv = eval_rates(spec, np.clip(c, 0.0, 1.0))
-        fd = e2z * rv.f_d
-        n = m - 1
-        ab = np.zeros((3, n))
-        a = hl[:-1]
-        b = hl[1:]
-        r = nodes[1:-1]
-        denom = a * b * (a + b)
-        # row 0: origin closure in unknowns c0, c1
-        ab[1, 0] = -6.0 / hl[0] ** 2 - fd[0]
-        ab[0, 1] = 6.0 / hl[0] ** 2
-        # rows i=1..n-1 for interior nodes; unknown c_{m-1} is fixed at 1
-        ab[1, 1:] = (-2.0 * (a + b) + 2.0 / r * (b * b - a * a)) / denom - fd[1:-1]
-        sup = (2.0 * a + 2.0 / r * a * a) / denom  # coefficient of c_{i+1}
-        ab[0, 2:] = sup[:-1]
-        ab[2, :-1] = (2.0 * b - 2.0 / r * b * b) / denom  # coefficient of c_{i-1}
-        delta = solve_banded((1, 1), ab, -res)
-        step = 1.0
-        for _ in range(8):
-            trial = c.copy()
-            trial[:-1] += step * delta
-            tmax = np.max(np.abs(residual(trial)))
-            if tmax < rmax or tmax < 1e-9:
-                break
-            step *= 0.5
-        c = trial
-        if tmax >= last and tmax > 1e-9:
-            break
-        last = tmax
-    rmax = np.max(np.abs(residual(c)))
-    if rmax > 1e-6:
-        raise SolverError(
-            f"nutrient FD iteration stalled at residual {rmax:.3e}", residual=rmax
-        )
-    return c, rmax
-
-
 def solve_nutrient(spec, z, grid, c_init=None):
     """Solve the nutrient boundary-value problem at log-radius z.
 
@@ -202,34 +136,38 @@ def solve_nutrient(spec, z, grid, c_init=None):
     return sol
 
 
+def _require_uniform(grid):
+    if not grid.is_uniform:
+        raise ValueError("the nutrient solvers need a uniform grid")
+
+
 def _solve_at(spec, z, grid, c_init=None):
+    _require_uniform(grid)
     nodes = grid.nodes
     e2z = np.exp(2.0 * z)
     if c_init is None:
         c_init = np.ones_like(nodes)
-    if grid.is_uniform:
-        def source(v):
-            c = np.empty_like(v)
-            c[1:] = v[1:] / nodes[1:]
-            c[0] = 0.0  # r * F(c) vanishes at the origin regardless of c(0)
-            g = np.empty_like(v)
-            g[1:] = nodes[1:] * e2z * eval_rates(spec, np.clip(c[1:], 0.0, 1.0)).f_val
-            g[0] = 0.0
-            return g
 
-        def source_jac(v):
-            c = np.ones_like(v)
-            c[1:] = v[1:] / nodes[1:]
-            gj = e2z * eval_rates(spec, np.clip(c, 0.0, 1.0)).f_d
-            gj[0] = e2z * eval_rates(spec, 1.0).f_d  # unused row, keep finite
-            return gj
-
-        v, rmax = _solve_numerov(source, source_jac, nodes, 0.0, 1.0, c_init * nodes)
+    def source(v):
         c = np.empty_like(v)
         c[1:] = v[1:] / nodes[1:]
-        c[0] = _extrapolate_center(nodes, c)
-    else:
-        c, rmax = _solve_fd2(spec, z, nodes, c_init)
+        c[0] = 0.0  # r * F(c) vanishes at the origin regardless of c(0)
+        g = np.empty_like(v)
+        g[1:] = nodes[1:] * e2z * eval_rates(spec, np.clip(c[1:], 0.0, 1.0)).f_val
+        g[0] = 0.0
+        return g
+
+    def source_jac(v):
+        c = np.ones_like(v)
+        c[1:] = v[1:] / nodes[1:]
+        gj = e2z * eval_rates(spec, np.clip(c, 0.0, 1.0)).f_d
+        gj[0] = e2z * eval_rates(spec, 1.0).f_d  # unused row, keep finite
+        return gj
+
+    v, rmax = _solve_numerov(source, source_jac, nodes, 0.0, 1.0, c_init * nodes)
+    c = np.empty_like(v)
+    c[1:] = v[1:] / nodes[1:]
+    c[0] = _extrapolate_center(nodes, c)
     cp = derivative_values(c, nodes)
     cp[0] = 0.0  # symmetry boundary condition, exact
     return NutrientSolution(
@@ -248,53 +186,30 @@ def solve_sensitivity(spec, sol):
     banded solve suffices.
     """
     grid = sol.grid
+    _require_uniform(grid)
     nodes = grid.nodes
     z = sol.z
     e2z = np.exp(2.0 * z)
     c = sol.c.values
     rv = eval_rates(spec, np.clip(c, 0.0, 1.0))
-    if grid.is_uniform:
-        # Numerov on s = r * c_z: s'' = e^{2z} (F'(c) s + 2 r F(c)),
-        # s(0) = 0, s(1) = 0.
-        m = nodes.size
-        h = nodes[1] - nodes[0]
-        c12 = h * h / 12.0
-        gj = e2z * rv.f_d  # coefficient of s
-        rhs_part = 2.0 * e2z * nodes * rv.f_val  # s-independent part
-        rhs_part[0] = 0.0
-        n = m - 2
-        ab = np.zeros((3, n))
-        ab[1, :] = -2.0 - 10.0 * c12 * gj[1:-1]
-        ab[0, 1:] = 1.0 - c12 * gj[2:-1]
-        ab[2, :-1] = 1.0 - c12 * gj[1:-2]
-        rhs = c12 * (rhs_part[2:] + 10.0 * rhs_part[1:-1] + rhs_part[:-2])
-        s = np.zeros(m)
-        s[1:-1] = solve_banded((1, 1), ab, rhs)
-        cz = np.empty(m)
-        cz[1:] = s[1:] / nodes[1:]
-        cz[0] = _extrapolate_center(nodes, cz)
-        cz[-1] = 0.0
-    else:
-        # second-order scheme on c_z directly
-        m = nodes.size
-        hl = np.diff(nodes)
-        fd = e2z * rv.f_d
-        src = 2.0 * e2z * rv.f_val
-        n = m - 1
-        ab = np.zeros((3, n))
-        rhs = np.empty(n)
-        ab[1, 0] = -6.0 / hl[0] ** 2 - fd[0]
-        ab[0, 1] = 6.0 / hl[0] ** 2
-        rhs[0] = src[0]
-        a = hl[:-1]
-        b = hl[1:]
-        r = nodes[1:-1]
-        denom = a * b * (a + b)
-        ab[1, 1:] = (-2.0 * (a + b) + 2.0 / r * (b * b - a * a)) / denom - fd[1:-1]
-        sup = (2.0 * a + 2.0 / r * a * a) / denom
-        ab[0, 2:] = sup[:-1]
-        ab[2, :-1] = (2.0 * b - 2.0 / r * b * b) / denom
-        rhs[1:] = src[1:-1]
-        cz = np.zeros(m)
-        cz[:-1] = solve_banded((1, 1), ab, rhs)
+    # Numerov on s = r * c_z: s'' = e^{2z} (F'(c) s + 2 r F(c)),
+    # s(0) = 0, s(1) = 0.
+    m = nodes.size
+    h = nodes[1] - nodes[0]
+    c12 = h * h / 12.0
+    gj = e2z * rv.f_d  # coefficient of s
+    rhs_part = 2.0 * e2z * nodes * rv.f_val  # s-independent part
+    rhs_part[0] = 0.0
+    n = m - 2
+    ab = np.zeros((3, n))
+    ab[1, :] = -2.0 - 10.0 * c12 * gj[1:-1]
+    ab[0, 1:] = 1.0 - c12 * gj[2:-1]
+    ab[2, :-1] = 1.0 - c12 * gj[1:-2]
+    rhs = c12 * (rhs_part[2:] + 10.0 * rhs_part[1:-1] + rhs_part[:-2])
+    s = np.zeros(m)
+    s[1:-1] = solve_banded((1, 1), ab, rhs)
+    cz = np.empty(m)
+    cz[1:] = s[1:] / nodes[1:]
+    cz[0] = _extrapolate_center(nodes, cz)
+    cz[-1] = 0.0
     return sol.with_sensitivity(RadialField(grid, cz))

@@ -2,10 +2,18 @@
 
 The state is U = (p, z): the proliferating fraction on [0,1] and the log
 tumor radius.  Along characteristics dr/dt = w(r,t) the p-equation becomes
-dp/dt = f(r, p, z), and dz/dt = u(1, t).  Particles are advanced with a
-classical 4-stage Runge-Kutta step; the nutrient problem and the velocity
-quadrature are re-evaluated at every stage (warm-started, z moves slowly).
-The endpoints r=0 and r=1 are characteristic lines and stay pinned.
+dp/dt = f(r, p, z), and dz/dt = u(1, t).  The endpoints r=0 and r=1 are
+characteristic lines and stay pinned.
+
+Every characteristics integrator takes the same classical 4-stage
+Runge-Kutta step, rk4(rates, y, dt), with its own state tuple y and stage
+rates.  The direct step _rk4 (step, simulate) and picard_solve advance
+(positions, p, z) and re-evaluate the nutrient problem and the velocity
+quadrature at every stage (warm-started, z moves slowly); Picard takes the
+velocity from the previous iterate's frozen path.  pure_transport and
+linearized.LinearPropagator advance (positions,) in a fixed velocity field,
+and the propagator then steps (phi, zeta) along the stage positions it
+recorded.
 
 Particles drift toward the origin (w < 0 in the interior), so the bundle is
 resampled onto the reference grid with a monotone cubic whenever spacing
@@ -13,7 +21,7 @@ degrades.  Norms: normX = sup|p - p_*| + |z - z_*|; normX0 adds the weighted
 derivative sup r(1-r)|d(p - p_*)/dr|.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -22,6 +30,7 @@ from .errors import GridMismatchError, SolverError
 from .grid import RadialField, derivative_values, radial_average
 from .kinetics import eval_rates
 from .nutrient import solve_nutrient
+from .velocity import frame_velocity
 
 DT_MAX_DEFAULT = 1e-2
 REGRID_MIN_FACTOR = 0.2
@@ -39,17 +48,6 @@ class TumorState:
     def q(self):
         """Quiescent fraction, derived: q = 1 - p identically."""
         return self.p.with_values(1.0 - self.p.values)
-
-
-@dataclass(frozen=True)
-class CharacteristicBundle:
-    positions: np.ndarray
-    values: np.ndarray
-    ref_grid: object
-
-    def __post_init__(self):
-        if np.any(np.diff(self.positions) < -1e-12):
-            raise SolverError("characteristic crossing in bundle")
 
 
 @dataclass
@@ -89,51 +87,80 @@ def _stage_rates(spec, cache, positions, values, z):
     rv = eval_rates(spec, c)
     g = -rv.kd + rv.km * values
     u = radial_average(g, positions)
-    u1 = u[-1]
-    w = u - positions * u1
-    w[0] = 0.0
-    w[-1] = 0.0
     f = rv.kp + (rv.km - rv.kn) * values - rv.km * values * values
-    return w, f, u1
+    return frame_velocity(u, positions), f, u[-1]
+
+
+def rk4(rates, y, dt):
+    """One classical Runge-Kutta step of y' = rates(i, y).
+
+    y is a tuple of arrays and scalars; rates(i, y) returns the tuple of
+    their derivatives at stage i = 0..3 for the stage state y it is given.
+    Returns the new tuple and leaves y unchanged.
+    """
+    k1 = rates(0, y)
+    k2 = rates(1, tuple(a + 0.5 * dt * k for a, k in zip(y, k1)))
+    k3 = rates(2, tuple(a + 0.5 * dt * k for a, k in zip(y, k2)))
+    k4 = rates(3, tuple(a + dt * k for a, k in zip(y, k3)))
+    return tuple(a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+
+
+def _guarded(positions, values, z):
+    """Pin the endpoints, reject crossing characteristics and p escaping
+    [0,1], then clip p; positions and values are changed in place."""
+    positions[0] = 0.0
+    positions[-1] = 1.0
+    if np.any(np.diff(positions) < -1e-12):
+        raise SolverError("characteristic crossing during step")
+    if np.any(values < -P_ESCAPE_TOL) or np.any(values > 1.0 + P_ESCAPE_TOL):
+        raise SolverError(
+            f"p escaped [0,1]: range [{values.min():.3e}, {values.max():.3e}]"
+        )
+    np.clip(values, 0.0, 1.0, out=values)
+    return positions, values, z
 
 
 def _rk4(spec, cache, positions, values, z, dt):
     """One Runge-Kutta step of the full particle system."""
-    k1w, k1f, k1u = _stage_rates(spec, cache, positions, values, z)
-    k2w, k2f, k2u = _stage_rates(
-        spec, cache, positions + 0.5 * dt * k1w, values + 0.5 * dt * k1f,
-        z + 0.5 * dt * k1u)
-    k3w, k3f, k3u = _stage_rates(
-        spec, cache, positions + 0.5 * dt * k2w, values + 0.5 * dt * k2f,
-        z + 0.5 * dt * k2u)
-    k4w, k4f, k4u = _stage_rates(
-        spec, cache, positions + dt * k3w, values + dt * k3f, z + dt * k3u)
-    new_r = positions + dt / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
-    new_p = values + dt / 6.0 * (k1f + 2 * k2f + 2 * k3f + k4f)
-    new_z = z + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-    new_r[0] = 0.0
-    new_r[-1] = 1.0
-    if np.any(np.diff(new_r) < -1e-12):
-        raise SolverError("characteristic crossing during step")
-    if np.any(new_p < -P_ESCAPE_TOL) or np.any(new_p > 1.0 + P_ESCAPE_TOL):
-        raise SolverError(
-            f"p escaped [0,1]: range [{new_p.min():.3e}, {new_p.max():.3e}]"
-        )
-    np.clip(new_p, 0.0, 1.0, out=new_p)
-    return new_r, new_p, new_z
+    def rates(i, y):
+        return _stage_rates(spec, cache, *y)
+
+    return _guarded(*rk4(rates, (positions, values, z), dt))
 
 
-def regrid(bundle):
-    """Resample bundle values back onto the reference grid (monotone cubic)."""
-    if np.any(np.diff(bundle.positions) <= 0):
+def _pinned_velocity(w_field):
+    """Stage rates of particles (positions,) in the frozen velocity field
+    w_field; the rate is zero at both endpoints, so they stay in place."""
+    wf = w_field.interpolator()
+
+    def rates(i, y):
+        v = wf(y[0])
+        v[0] = 0.0
+        v[-1] = 0.0
+        return (v,)
+
+    return rates
+
+
+def regrid(positions, values, nodes):
+    """Resample particle values onto the nodes (monotone cubic)."""
+    if np.any(np.diff(positions) <= 0):
         raise SolverError("non-monotone particle positions in regrid")
-    interp = PchipInterpolator(bundle.positions, bundle.values)
-    vals = interp(bundle.ref_grid.nodes)
-    return CharacteristicBundle(
-        positions=bundle.ref_grid.nodes.copy(),
-        values=vals,
-        ref_grid=bundle.ref_grid,
-    )
+    return PchipInterpolator(positions, values)(nodes)
+
+
+def on_grid(positions, values, nodes):
+    """Particle values (along the last axis) at the nodes: as they are when
+    the particles sit on the nodes, otherwise by the monotone cubic."""
+    if np.array_equal(positions, nodes):
+        return values
+    return PchipInterpolator(positions, values, axis=-1)(nodes)
+
+
+def _reference_spacing(grid):
+    """The node spacing that particle gaps are compared with."""
+    return grid.spacing if grid.is_uniform else float(np.min(np.diff(grid.nodes)))
 
 
 def _needs_regrid(positions, h_ref):
@@ -148,10 +175,8 @@ def step(state, dt, spec, cache=None, dt_max=DT_MAX_DEFAULT):
     grid = state.p.grid
     if cache is None:
         cache = NutrientCache(spec, grid)
-    r, p, z = _rk4(spec, cache, grid.nodes.copy(), state.p.values.copy(), state.z, dt)
-    bundle = CharacteristicBundle(r, p, grid)
-    bundle = regrid(bundle)
-    return TumorState(t=state.t + dt, p=RadialField(grid, bundle.values), z=z)
+    r, p, z = _rk4(spec, cache, grid.nodes, state.p.values, state.z, dt)
+    return TumorState(t=state.t + dt, p=RadialField(grid, regrid(r, p, grid.nodes)), z=z)
 
 
 def norm_X(state, ref):
@@ -197,24 +222,22 @@ def simulate(initial, t_end, dt, spec, reference, output_every=0.1,
     if dt > dt_max * (1 + 1e-12):
         raise ValueError(f"dt={dt} exceeds dt_max={dt_max}")
     grid = initial.p.grid
+    nodes = grid.nodes
     cache = NutrientCache(spec, grid)
-    h_ref = grid.spacing if grid.is_uniform else float(np.min(np.diff(grid.nodes)))
+    h_ref = _reference_spacing(grid)
     n_steps = int(round(t_end / dt))
     every = max(1, int(round(output_every / dt)))
 
-    positions = grid.nodes.copy()
-    values = initial.p.values.copy()
+    positions = nodes
+    values = initial.p.values
     z = initial.z
     t = initial.t
 
     times, states, nx, nx0, mres = [], [], [], [], []
 
     def record(t, positions, values, z):
-        if np.array_equal(positions, grid.nodes):
-            vals = values
-        else:
-            vals = PchipInterpolator(positions, values)(grid.nodes)
-        st = TumorState(t=t, p=RadialField(grid, np.clip(vals, 0.0, 1.0)), z=z)
+        vals = np.clip(on_grid(positions, values, nodes), 0.0, 1.0)
+        st = TumorState(t=t, p=RadialField(grid, vals), z=z)
         times.append(t)
         states.append(st)
         nx.append(norm_X(st, reference))
@@ -226,8 +249,8 @@ def simulate(initial, t_end, dt, spec, reference, output_every=0.1,
         positions, values, z = _rk4(spec, cache, positions, values, z, dt)
         t = initial.t + (k + 1) * dt
         if _needs_regrid(positions, h_ref):
-            b = regrid(CharacteristicBundle(positions, values, grid))
-            positions, values = b.positions.copy(), np.clip(b.values, 0.0, 1.0)
+            values = np.clip(regrid(positions, values, nodes), 0.0, 1.0)
+            positions = nodes
         if (k + 1) % every == 0 or k == n_steps - 1:
             record(t, positions, values, z)
     return Trajectory(
@@ -248,42 +271,24 @@ def pure_transport(w_field, q0_field, t_end, dt):
     exponentially.
     """
     grid = q0_field.grid
-    h_ref = grid.spacing if grid.is_uniform else float(np.min(np.diff(grid.nodes)))
-    positions = grid.nodes.copy()
-    values = q0_field.values.copy()
+    nodes = grid.nodes
+    h_ref = _reference_spacing(grid)
+    positions = nodes
+    values = q0_field.values
     n_steps = int(round(t_end / dt))
-    sup_series = [float(np.max(np.abs(values)))]
-    weighted_series = []
+    rates = _pinned_velocity(w_field)
 
     def weighted(positions, values):
-        vals = (
-            values
-            if np.array_equal(positions, grid.nodes)
-            else PchipInterpolator(positions, values)(grid.nodes)
-        )
-        d = derivative_values(vals, grid.nodes)
-        r = grid.nodes
-        return float(np.max(r * (1.0 - r) * np.abs(d)))
+        d = derivative_values(on_grid(positions, values, nodes), nodes)
+        return float(np.max(nodes * (1.0 - nodes) * np.abs(d)))
 
-    weighted_series.append(weighted(positions, values))
-    wf = w_field.interpolator()
-
-    def vel(r):
-        v = wf(r)
-        v[0] = 0.0
-        v[-1] = 0.0
-        return v
-
+    sup_series = [float(np.max(np.abs(values)))]
+    weighted_series = [weighted(positions, values)]
     for _ in range(n_steps):
-        k1 = vel(positions)
-        k2 = vel(positions + 0.5 * dt * k1)
-        k3 = vel(positions + 0.5 * dt * k2)
-        k4 = vel(positions + dt * k3)
-        positions = positions + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        positions[0], positions[-1] = 0.0, 1.0
+        (positions,) = rk4(rates, (positions,), dt)
         if _needs_regrid(positions, h_ref):
-            b = regrid(CharacteristicBundle(positions, values, grid))
-            positions, values = b.positions.copy(), b.values
+            values = regrid(positions, values, nodes)
+            positions = nodes
         sup_series.append(float(np.max(np.abs(values))))
         weighted_series.append(weighted(positions, values))
     return np.array(sup_series), np.array(weighted_series)
@@ -310,8 +315,9 @@ def picard_solve(initial, t_end, dt, spec, reference, mu, max_iters=12,
     Raises SolverError if the distances increase twice in a row.
     """
     grid = initial.p.grid
+    nodes = grid.nodes
     cache = NutrientCache(spec, grid)
-    h_ref = grid.spacing if grid.is_uniform else float(np.min(np.diff(grid.nodes)))
+    h_ref = _reference_spacing(grid)
     n_steps = int(round(t_end / dt))
     path_times = initial.t + dt * np.arange(n_steps + 1)
 
@@ -321,69 +327,32 @@ def picard_solve(initial, t_end, dt, spec, reference, mu, max_iters=12,
     decay = np.exp(-mu * (path_times - initial.t))
     path_p = [reference.p_star.values + d * dp0 for d in decay]
     path_z = [reference.z_star + d * dz0 for d in decay]
+    stage_dt = (0.0, 0.5 * dt, 0.5 * dt, dt)
 
-    def frozen_velocity(positions, t):
-        pv, zv = _interp_path(path_times, path_p, path_z, t)
-        ns = cache.solve(zv)
-        c = np.clip(ns.c(positions), 0.0, 1.0)
-        rv = eval_rates(spec, c)
-        pvals = PchipInterpolator(grid.nodes, pv)(positions)
-        g = -rv.kd + rv.km * pvals
-        u = radial_average(g, positions)
-        w = u - positions * u[-1]
-        w[0] = 0.0
-        w[-1] = 0.0
-        return w
-
-    def own_rates(positions, values, z):
-        ns = cache.solve(z)
-        c = np.clip(ns.c(positions), 0.0, 1.0)
-        rv = eval_rates(spec, c)
-        g = -rv.kd + rv.km * values
-        u = radial_average(g, positions)
-        f = rv.kp + (rv.km - rv.kn) * values - rv.km * values * values
-        return f, u[-1]
+    def rates(i, y):
+        # w from the frozen path V^n at the stage time (t is the start of
+        # the current step); f and u(1) from the current unknown
+        pv, zv = _interp_path(path_times, path_p, path_z, t + stage_dt[i])
+        path_values = PchipInterpolator(nodes, pv)(y[0])
+        w = _stage_rates(spec, cache, y[0], path_values, zv)[0]
+        _, f, u1 = _stage_rates(spec, cache, *y)
+        return w, f, u1
 
     distances = []
     increases = 0
-    traj = None
     for _ in range(max_iters):
-        positions = grid.nodes.copy()
-        values = initial.p.values.copy()
+        positions = nodes
+        values = initial.p.values
         z = initial.z
-        new_p = [values.copy()]
+        new_p = [values]
         new_z = [z]
         for k in range(n_steps):
             t = path_times[k]
-
-            def rates(rr, vv, zz, tt):
-                w = frozen_velocity(rr, tt)
-                f, u1 = own_rates(rr, vv, zz)
-                return w, f, u1
-
-            k1w, k1f, k1u = rates(positions, values, z, t)
-            k2w, k2f, k2u = rates(positions + 0.5 * dt * k1w,
-                                  values + 0.5 * dt * k1f, z + 0.5 * dt * k1u,
-                                  t + 0.5 * dt)
-            k3w, k3f, k3u = rates(positions + 0.5 * dt * k2w,
-                                  values + 0.5 * dt * k2f, z + 0.5 * dt * k2u,
-                                  t + 0.5 * dt)
-            k4w, k4f, k4u = rates(positions + dt * k3w,
-                                  values + dt * k3f, z + dt * k3u, t + dt)
-            positions = positions + dt / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
-            values = values + dt / 6.0 * (k1f + 2 * k2f + 2 * k3f + k4f)
-            z = z + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-            positions[0], positions[-1] = 0.0, 1.0
-            np.clip(values, 0.0, 1.0, out=values)
+            positions, values, z = _guarded(*rk4(rates, (positions, values, z), dt))
             if _needs_regrid(positions, h_ref):
-                b = regrid(CharacteristicBundle(positions, values, grid))
-                positions, values = b.positions.copy(), np.clip(b.values, 0.0, 1.0)
-                on_grid = values
-            if np.array_equal(positions, grid.nodes):
-                on_grid = values
-            else:
-                on_grid = PchipInterpolator(positions, values)(grid.nodes)
-            new_p.append(np.clip(on_grid, 0.0, 1.0))
+                values = np.clip(regrid(positions, values, nodes), 0.0, 1.0)
+                positions = nodes
+            new_p.append(np.clip(on_grid(positions, values, nodes), 0.0, 1.0))
             new_z.append(z)
         weights = np.exp(mu * (path_times - initial.t))
         d = max(

@@ -35,14 +35,20 @@ def velocity_from_integrand(integrand, grid):
     return radial_average(np.asarray(integrand, dtype=float), grid.nodes)
 
 
+def frame_velocity(u, r):
+    """w = u - r u(1) at the points r (r[0] = 0, r[-1] = 1)."""
+    w = u - r * u[-1]
+    # w(0)=w(1)=0 are algebraic identities; enforce against rounding
+    w[0] = 0.0
+    w[-1] = 0.0
+    return w
+
+
 def _assemble(grid, g, u_vals):
     """Build the VelocityField from the integrand density g and u values."""
     nodes = grid.nodes
     u1 = float(u_vals[-1])
-    w_vals = u_vals - nodes * u1
-    # w(0)=w(1)=0 are algebraic identities; enforce against rounding
-    w_vals[0] = 0.0
-    w_vals[-1] = 0.0
+    w_vals = frame_velocity(u_vals, nodes)
     weight = nodes * (1.0 - nodes)
     q = np.empty_like(w_vals)
     q[1:-1] = w_vals[1:-1] / weight[1:-1]

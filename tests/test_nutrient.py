@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from tumorlab.grid import RadialGrid
+from tumorlab.grid import RadialField, RadialGrid
 from tumorlab.kinetics import KineticsSpec
-from tumorlab.nutrient import solve_nutrient, solve_sensitivity
+from tumorlab.nutrient import (NutrientSolution, solve_nutrient,
+                               solve_sensitivity)
 
 
 def sinh_solution(lam, z, r):
@@ -59,3 +60,13 @@ def test_larger_radius_depletes_center(grid801):
     small = solve_nutrient(spec, -1.0, grid801)
     large = solve_nutrient(spec, 1.5, grid801)
     assert large.c.values[0] < small.c.values[0]
+
+
+def test_non_uniform_grid_rejected():
+    grid = RadialGrid(np.array([0.0, 0.1, 0.25, 0.45, 0.7, 1.0]))
+    with pytest.raises(ValueError, match="uniform grid"):
+        solve_nutrient(KineticsSpec(), 0.0, grid)
+    ones = RadialField(grid, np.ones(grid.size))
+    sol = NutrientSolution(z=0.0, c=ones, c_prime=ones.with_values(np.zeros(grid.size)))
+    with pytest.raises(ValueError, match="uniform grid"):
+        solve_sensitivity(KineticsSpec(), sol)

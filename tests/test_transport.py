@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from tumorlab.grid import RadialField
-from tumorlab.transport import (TumorState, norm_X, norm_X0, pure_transport,
-                                simulate, step)
+from tumorlab.linearized import (build_operators, decay_ensemble,
+                                 solve_linearized)
+from tumorlab.transport import (TumorState, norm_X, norm_X0, picard_solve,
+                                pure_transport, simulate, step)
 
 
 def make_negative_velocity(grid, rng):
@@ -67,3 +71,78 @@ def test_quiescent_fraction_complements(stationary201):
     state = TumorState(t=0.0, p=stationary201.p_star, z=stationary201.z_star)
     np.testing.assert_allclose(state.q.values, 1.0 - state.p.values,
                                rtol=0, atol=0)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def _trajectory_arrays(traj):
+    return [traj.times, traj.norm_x, traj.norm_x0, traj.mass_residual,
+            [s.z for s in traj.states]] + [s.p.values for s in traj.states]
+
+
+def _integrator_outputs(sol, spec):
+    """Short runs of the six characteristics integrators on a 201-node
+    stationary state, each reduced to the list of its output arrays.
+
+    The horizons are chosen so that simulate, pure_transport and
+    LinearPropagator each regrid at least once.
+    """
+    grid = sol.grid
+    r = grid.nodes
+    p0 = np.clip(sol.p_star.values + 1e-2 * np.sin(np.pi * r), 0.0, 1.0)
+    init = TumorState(t=0.0, p=RadialField(grid, p0), z=sol.z_star + 1e-3)
+    ops = build_operators(sol, spec)
+    after = step(init, 1e-2, spec)
+    traj, distances = picard_solve(init, 1.0, 1e-2, spec, sol, mu=0.07)
+    sup, weighted = pure_transport(
+        sol.u_star, RadialField(grid, np.sin(3 * r) + 0.2), 3.0, 1e-2)
+    linear = solve_linearized(
+        ops, (RadialField(grid, 1e-2 * np.sin(np.pi * r)), 1e-3), 2.0, 1e-2)
+    fits = decay_ensemble(ops, n_runs=3, t_end=5.0, seed=0)
+    return {
+        "step": [after.p.values, [after.z]],
+        "simulate": _trajectory_arrays(simulate(init, 1.0, 1e-2, spec, sol)),
+        "picard_solve": _trajectory_arrays(traj) + [distances],
+        "pure_transport": [sup, weighted],
+        "solve_linearized": _trajectory_arrays(linear),
+        "decay_ensemble": [[(f.mu_fit, f.K_fit, f.r2, f.decades)
+                            for pair in fits for f in pair]],
+    }
+
+
+# SHA-256 of each integrator's output arrays (float64 bytes), recorded with
+# numpy 2.4.6 and scipy 1.17.1 on x86-64.
+INTEGRATOR_DIGESTS = {
+    "step":
+        "41e4d02cbb95f002a34ba6f63968257df98af55a36c66337d21975c2843daf05",
+    "simulate":
+        "79f39ee6560f6f2b2ffb2df1ccbf131a8c4c3da8ca6f5db6097249a1d80994c9",
+    "picard_solve":
+        "490194ec181dfe700bc31be7db808a1647fd26fd5cef905fc8e6ddf494bf97af",
+    "pure_transport":
+        "408312c574fda8fe0efe0b2f46029301ed5e0836d298e6dc077ffdfe6d3d5e6c",
+    "solve_linearized":
+        "fe18b9f30de3fad23d5e94919829c5bbce8251818bee1ab5de1f88b28422d138",
+    "decay_ensemble":
+        "d278e371d72a2d34d314a9fe23923c632caf317f5de5c6499808b180707c7a85",
+}
+
+
+def test_integrators_bit_identical(stationary201, default_spec):
+    """Every characteristics integrator reproduces its recorded output bytes.
+
+    All six share one Runge-Kutta step, so a change to that step, to the
+    stage rates, to the post-step guard or to regridding shows here as a
+    changed digest.  Refactoring must leave every digest as it is.  A
+    deliberate numerical change must re-record the digests and say so in
+    CHANGES.md.  Another numpy or scipy build may round differently and
+    change them too.
+    """
+    outputs = _integrator_outputs(stationary201, default_spec)
+    got = {name: _digest(*arrays) for name, arrays in outputs.items()}
+    assert got == INTEGRATOR_DIGESTS
