@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .grid import RadialGrid, RadialField, derivative_values
+from .grid import RadialGrid, RadialField
 from .kinetics import KineticsSpec
 from .linearized import DecayReport, fit_decay
 from .stationary import solve_stationary
@@ -180,20 +180,6 @@ def _run_trajectory(config, reference):
                     output_every=config.output_every)
 
 
-def _component_series(traj, reference):
-    """Deviation series (sup_p, weighted derivative, |z - z_*|) over time."""
-    nodes = reference.grid.nodes
-    weight = nodes * (1.0 - nodes)
-    sup_p, wder, zdev = [], [], []
-    for st in traj.states:
-        diff = st.p.values - reference.p_star.values
-        sup_p.append(float(np.max(np.abs(diff))))
-        d = derivative_values(diff, nodes)
-        wder.append(float(np.max(weight * np.abs(d))))
-        zdev.append(abs(st.z - reference.z_star))
-    return np.array(sup_p), np.array(wder), np.array(zdev)
-
-
 def _envelope_ok(times, series, mu, K, window):
     mask = times >= window[0]
     bound = ENVELOPE_SLACK * K * np.exp(-mu * times[mask])
@@ -204,12 +190,12 @@ def run_stability_experiment(config, reference=None, linear_response=True):
     """Run one perturbed trajectory and evaluate the stability inequalities.
 
     The five checks are: sup deviation of the proliferating fraction p, the
-    same for the quiescent fraction q = 1 - p (identical by construction,
-    asserted rather than recomputed blindly), the weighted derivative
-    deviation for each, and the radius deviation through R = e^z.  Each is
-    required to stay below its fitted envelope K eps e^{-mu t} with 5% slack
-    after the transient window (the first 20% of the horizon), with mu > 0
-    and r2 >= 0.98 on the norm fits.  Solver failures are re-raised after
+    same for the quiescent fraction q = 1 - p, the weighted derivative
+    deviation for each, and the radius deviation through R = e^z.  The q
+    checks are not computed: q - q_* = -(p - p_*), so they are copies of the
+    p checks.  Each is required to stay below its fitted envelope
+    K eps e^{-mu t} with 5% slack after the transient window (the first 20%
+    of the horizon), with mu > 0 and r2 >= 0.98 on the norm fits.  Solver failures are re-raised after
     persisting the manifest when an output directory is configured.
     """
     if reference is None:
@@ -223,7 +209,6 @@ def run_stability_experiment(config, reference=None, linear_response=True):
 
     eps = config.epsilon
     window = (TRANSIENT_FRACTION * config.t_end, config.t_end)
-    sup_p, wder, zdev = _component_series(traj, reference)
     times = traj.times
 
     if eps == 0.0:
@@ -245,10 +230,10 @@ def run_stability_experiment(config, reference=None, linear_response=True):
 
     fits_ok = (fit_x.mu_fit > 0 and fit_x0.mu_fit > 0
                and fit_x.r2 >= 0.98 and fit_x0.r2 >= 0.98)
-    p_sup_ok = fits_ok and _envelope_ok(times, sup_p, fit_x.mu_fit, kx, window)
-    wder_ok = fits_ok and _envelope_ok(times, wder, fit_x0.mu_fit, kx0, window)
+    p_sup_ok = fits_ok and _envelope_ok(times, traj.p_dev, fit_x.mu_fit, kx, window)
+    wder_ok = fits_ok and _envelope_ok(times, traj.dp_dev, fit_x0.mu_fit, kx0, window)
     # R = e^z is monotone, so the radius envelope is checked on |z - z_*|
-    radius_ok = fits_ok and _envelope_ok(times, zdev, fit_x.mu_fit, kx, window)
+    radius_ok = fits_ok and _envelope_ok(times, traj.z_dev, fit_x.mu_fit, kx, window)
     checks = {
         "p_sup": p_sup_ok,
         "q_sup": p_sup_ok,
@@ -386,13 +371,11 @@ def emit_report(report, out_dir=None):
     manifest_path = out / "manifest.txt"
     manifest_path.write_text("\n".join(manifest) + "\n")
 
-    sup_p, wder, zdev = _component_series(traj, reference)
     traj_path = out / "trajectory.csv"
     lines = ["t,norm_x,norm_x0,p_sup_dev,weighted_derivative_dev,z_dev,mass_residual"]
-    for i, t in enumerate(traj.times):
-        lines.append(",".join(_fmt(v) for v in (
-            t, traj.norm_x[i], traj.norm_x0[i], sup_p[i], wder[i], zdev[i],
-            traj.mass_residual[i])))
+    for row in zip(traj.times, traj.norm_x, traj.norm_x0, traj.p_dev,
+                   traj.dp_dev, traj.z_dev, traj.mass_residual):
+        lines.append(",".join(_fmt(v) for v in row))
     traj_path.write_text("\n".join(lines) + "\n")
 
     decay_path = out / "decay.csv"
@@ -401,9 +384,8 @@ def emit_report(report, out_dir=None):
     logk = (np.log(fit.K_fit * max(report.epsilon, 1.0e-300))
             if np.isfinite(fit.K_fit) else np.nan)
     with np.errstate(divide="ignore"):
-        for i, t in enumerate(traj.times):
+        for t, nx in zip(traj.times, traj.norm_x):
             lines.append(",".join(_fmt(v) for v in (
-                t, np.log(traj.norm_x[i]) if traj.norm_x[i] > 0 else np.nan,
-                logk - fit.mu_fit * t)))
+                t, np.log(nx) if nx > 0 else np.nan, logk - fit.mu_fit * t)))
     decay_path.write_text("\n".join(lines) + "\n")
     return [manifest_path, traj_path, decay_path]

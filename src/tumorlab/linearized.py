@@ -25,9 +25,9 @@ from scipy.linalg import solve_banded
 from .grid import (RadialField, cumulative_integral, derivative_values,
                    radial_average, require_same_grid, third_moment)
 from .kinetics import eval_rates
-from .simmaps import build_fstar
-from .transport import (Trajectory, TumorState, _needs_regrid, _pinned_velocity,
-                        _reference_spacing, on_grid, rk4)
+from .simmaps import _random_smooth, build_fstar
+from .transport import (_needs_regrid, _pinned_velocity, _reference_spacing,
+                        on_grid, output_steps, rk4, trajectory)
 
 RESOLVENT_DS = 5e-4
 FIT_WINDOW_FRACTION = 0.7
@@ -38,18 +38,15 @@ FIT_R2_MIN = 0.98
 class LinearizedOperators:
     """Coefficients of the linearized evolution on the stationary grid.
 
-    g_c_cz is the product g_c * c_z whose moments feed b and kappa;
-    rp_prime = r p_*'(r) is the prefactor shared by b and the nonlocal
-    operator; cum_gc_cz is the tabulated r^-3 cumulative moment of g_c_cz.
+    kappa and b take their moments from g_c * c_z; rp_prime = r p_*'(r) is
+    the prefactor shared by b and the nonlocal operator.
     """
 
     a: RadialField
     b: RadialField
     g_p: RadialField
-    g_c_cz: RadialField
     kappa: float
     rp_prime: RadialField
-    cum_gc_cz: RadialField
     u_star: RadialField
 
     @property
@@ -94,10 +91,8 @@ def build_operators(sol, spec, c_z=None):
         a=RadialField(grid, a_vals),
         b=RadialField(grid, b_vals),
         g_p=RadialField(grid, g_p_vals),
-        g_c_cz=RadialField(grid, g_c_cz),
         kappa=kappa,
         rp_prime=RadialField(grid, rp),
-        cum_gc_cz=RadialField(grid, cum),
         u_star=sol.u_star,
     )
 
@@ -256,24 +251,21 @@ class LinearPropagator:
         n_nodes) and zetas of shape (n_times, n_runs).
         """
         dt = self.dt
-        n_steps = int(round((t_end - t0) / dt))
-        every = max(1, int(round(output_every / dt)))
+        n_steps, recorded = output_steps(t_end - t0, dt, output_every)
         phi = np.atleast_2d(np.asarray(phi0, dtype=float)).copy()
         zeta = np.atleast_1d(np.asarray(zeta0, dtype=float)).copy()
-        # snapshots go straight into arrays sized up front: the initial
-        # state, every `every`-th step and the last step
-        n_out = 1 + -(-n_steps // every)
-        times = np.empty(n_out)
-        phis = np.empty((n_out,) + phi.shape)
-        zetas = np.empty((n_out,) + zeta.shape)
-        times[0], phis[0], zetas[0] = t0, phi, zeta
+        # snapshots go straight into arrays sized up front
+        times = t0 + dt * np.array(recorded)
+        phis = np.empty((len(recorded),) + phi.shape)
+        zetas = np.empty((len(recorded),) + zeta.shape)
+        phis[0], zetas[0] = phi, zeta
         j = 1
         k_cycle = 0
 
         def rates(i, y):
             return self._stage_rate(stages[i], *y)
 
-        for k in range(n_steps):
+        for k in range(1, n_steps + 1):
             stages, end_pos = self.steps[k_cycle]
             phi, zeta = rk4(rates, (phi, zeta), dt)
             k_cycle += 1
@@ -281,9 +273,8 @@ class LinearPropagator:
                 phi = PchipInterpolator(end_pos, phi, axis=1)(self.nodes)
                 k_cycle = 0
                 end_pos = self.nodes
-            if (k + 1) % every == 0 or k == n_steps - 1:
+            if k == recorded[j]:
                 phis[j] = on_grid(end_pos, phi, self.nodes)
-                times[j] = t0 + (k + 1) * dt
                 zetas[j] = zeta
                 j += 1
         return times, phis, zetas
@@ -305,27 +296,7 @@ def solve_linearized(ops, init, t_end, dt, output_every=0.1,
         propagator = LinearPropagator(ops, dt)
     times, phis, zetas = propagator.run(phi0.values[None, :], [zeta0], t_end,
                                         output_every=output_every)
-    return _deviation_trajectory(ops.grid, times, phis[:, 0, :], zetas[:, 0])
-
-
-def _deviation_trajectory(grid, times, phis, zetas):
-    nodes = grid.nodes
-    weight = nodes * (1.0 - nodes)
-    states, nx, nx0 = [], [], []
-    for t, ph, ze in zip(times, phis, zetas):
-        states.append(TumorState(t=float(t), p=RadialField(grid, ph), z=float(ze)))
-        sup = float(np.max(np.abs(ph)) + abs(ze))
-        nx.append(sup)
-        d = derivative_values(ph, nodes)
-        nx0.append(sup + float(np.max(weight * np.abs(d))))
-    return Trajectory(
-        times=times,
-        states=states,
-        norm_x=np.array(nx),
-        norm_x0=np.array(nx0),
-        mass_residual=np.full(len(times), np.nan),
-        reference=None,
-    )
+    return trajectory(ops.grid, times, phis[:, 0, :], zetas[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +365,7 @@ def fit_decay(traj, norm_kind="X", window=None):
 
 def random_smooth_field(grid, rng, amplitude=1.0, n_modes=6):
     """Random smooth field with decaying Fourier content, sup-norm <= amplitude."""
-    r = grid.nodes
-    vals = np.zeros_like(r)
-    for k in range(1, n_modes + 1):
-        vals += rng.normal() / k ** 2 * np.sin(np.pi * k * r)
-        vals += rng.normal() / k ** 2 * np.cos(np.pi * k * r)
+    vals = _random_smooth(rng, grid.nodes, n_modes)
     peak = np.max(np.abs(vals))
     if peak > 0:
         vals *= amplitude / peak
@@ -423,8 +390,7 @@ def decay_ensemble(ops, n_runs=20, t_end=100.0, dt=1e-2, seed=0,
                                   output_every=output_every)
     out = []
     for j in range(n_runs):
-        traj = _deviation_trajectory(ops.grid, times, phis[:, j, :],
-                                     zetas[:, j])
+        traj = trajectory(ops.grid, times, phis[:, j, :], zetas[:, j])
         out.append((fit_decay(traj, "X"), fit_decay(traj, "X0")))
     return out
 

@@ -254,22 +254,16 @@ class DiffeoMaps:
         return (self.w(r + h, t) - self.w(r - h, t)) / (2.0 * h)
 
 
-def make_perturbed_velocity(u_star, epsilon, mu, shape=None):
-    """Velocity family w(r,t) = u_*(r) [1 + eps e^{-mu t} shape(r)].
+def make_perturbed_velocity(u_star, epsilon, mu):
+    """Velocity family w(r,t) = u_*(r) [1 + eps e^{-mu t} cos(pi r)].
 
-    shape defaults to cos(pi r) (sign-changing, |shape| <= 1).  Returns
-    (w, w_dr) callables; w_dr uses the interpolated u_*' so it is consistent
-    with w to interpolation accuracy.
+    The shape cos(pi r) changes sign and |cos(pi r)| <= 1.  Returns (w, w_dr)
+    callables; w_dr uses the interpolated u_*' so it is consistent with w to
+    interpolation accuracy.
     """
-    if shape is None:
-        def sh(r):
-            return np.cos(np.pi * r)
+    def sh(r):
+        return np.cos(np.pi * r)
 
-        def sh_d(r):
-            return -np.pi * np.sin(np.pi * r)
-    else:
-        sh = shape
-        sh_d = None
     uf = u_star.interpolator()
     ud = uf.derivative()
 
@@ -278,12 +272,7 @@ def make_perturbed_velocity(u_star, epsilon, mu, shape=None):
 
     def w_dr(r, t):
         amp = epsilon * np.exp(-mu * t)
-        if sh_d is None:
-            h = 1e-6
-            shp = (sh(np.asarray(r) + h) - sh(np.asarray(r) - h)) / (2 * h)
-        else:
-            shp = sh_d(r)
-        return ud(r) * (1.0 + amp * sh(r)) + uf(r) * amp * shp
+        return ud(r) * (1.0 + amp * sh(r)) + uf(r) * amp * (-np.pi * np.sin(np.pi * r))
 
     return w, w_dr
 

@@ -17,8 +17,10 @@ recorded.
 
 Particles drift toward the origin (w < 0 in the interior), so the bundle is
 resampled onto the reference grid with a monotone cubic whenever spacing
-degrades.  Norms: normX = sup|p - p_*| + |z - z_*|; normX0 adds the weighted
-derivative sup r(1-r)|d(p - p_*)/dr|.
+degrades.  Every run records the same way: output_steps picks the recorded
+steps and trajectory builds the Trajectory.  Norms: deviation turns one
+state into (sup|p - p_*|, sup r(1-r)|d(p - p_*)/dr|, |z - z_*|);
+normX = sup|p - p_*| + |z - z_*| and normX0 adds the weighted derivative.
 """
 
 from dataclasses import dataclass
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import GridMismatchError, SolverError
-from .grid import RadialField, derivative_values, radial_average
+from .errors import SolverError
+from .grid import RadialField, derivative_values, radial_average, require_same_grid
 from .kinetics import eval_rates
 from .nutrient import solve_nutrient
 from .velocity import frame_velocity
@@ -52,12 +54,54 @@ class TumorState:
 
 @dataclass
 class Trajectory:
+    """Recorded states and, per state, the three terms of deviation."""
+
     times: np.ndarray
     states: list
-    norm_x: np.ndarray
-    norm_x0: np.ndarray
+    p_dev: np.ndarray
+    dp_dev: np.ndarray
+    z_dev: np.ndarray
     mass_residual: np.ndarray
-    reference: object = None
+
+    @property
+    def norm_x(self):
+        return self.p_dev + self.z_dev
+
+    @property
+    def norm_x0(self):
+        return self.norm_x + self.dp_dev
+
+
+def deviation(nodes, p, z, p_ref, z_ref):
+    """(sup|p - p_ref|, sup r(1-r)|(p - p_ref)'|, |z - z_ref|) of one state
+    with node values p on the nodes."""
+    diff = p - p_ref
+    d = derivative_values(diff, nodes)
+    return (float(np.max(np.abs(diff))),
+            float(np.max(nodes * (1.0 - nodes) * np.abs(d))),
+            float(abs(z - z_ref)))
+
+
+def trajectory(grid, times, ps, zs, p_ref=0.0, z_ref=0.0, mass_residual=None):
+    """The Trajectory of the states (ps, zs) on grid at times, with their
+    deviations from (p_ref, z_ref); mass_residual defaults to NaN."""
+    times = np.asarray(times, dtype=float)
+    states = [TumorState(t=float(t), p=RadialField(grid, p), z=float(z))
+              for t, p, z in zip(times, ps, zs)]
+    p_dev, dp_dev, z_dev = map(np.array, zip(*(
+        deviation(grid.nodes, st.p.values, st.z, p_ref, z_ref) for st in states)))
+    if mass_residual is None:
+        mass_residual = np.full(len(times), np.nan)
+    return Trajectory(times=times, states=states, p_dev=p_dev, dp_dev=dp_dev,
+                      z_dev=z_dev, mass_residual=np.asarray(mass_residual))
+
+
+def output_steps(t_span, dt, output_every):
+    """(n_steps, recorded steps) of a run of t_span in steps of dt: the
+    recorded step indices are 0, every output_every time units, and n_steps."""
+    n_steps = int(round(t_span / dt))
+    every = max(1, int(round(output_every / dt)))
+    return n_steps, sorted(set(range(0, n_steps + 1, every)) | {n_steps})
 
 
 class NutrientCache:
@@ -179,32 +223,28 @@ def step(state, dt, spec, cache=None, dt_max=DT_MAX_DEFAULT):
     return TumorState(t=state.t + dt, p=RadialField(grid, regrid(r, p, grid.nodes)), z=z)
 
 
+def _deviation_from(state, ref):
+    grid = require_same_grid(state.p, ref.p_star)
+    return deviation(grid.nodes, state.p.values, state.z, ref.p_star.values, ref.z_star)
+
+
 def norm_X(state, ref):
     """sup |p - p_*| + |z - z_*|."""
-    if state.p.grid != ref.p_star.grid:
-        raise GridMismatchError("state and reference live on different grids")
-    return float(
-        np.max(np.abs(state.p.values - ref.p_star.values)) + abs(state.z - ref.z_star)
-    )
+    p_dev, _, z_dev = _deviation_from(state, ref)
+    return p_dev + z_dev
 
 
 def norm_X0(state, ref):
     """normX plus the weighted derivative term sup r(1-r)|d(p - p_*)/dr|."""
-    if state.p.grid != ref.p_star.grid:
-        raise GridMismatchError("state and reference live on different grids")
-    r = state.p.grid.nodes
-    diff = state.p.values - ref.p_star.values
-    d = derivative_values(diff, r)
-    return norm_X(state, ref) + float(np.max(r * (1.0 - r) * np.abs(d)))
+    p_dev, dp_dev, z_dev = _deviation_from(state, ref)
+    return p_dev + z_dev + dp_dev
 
 
-def _mass_residual(spec, cache, state):
+def _mass_residual(spec, cache, r, p, z):
     """Residual of the velocity divergence identity u' + 2u/r = -K_D + K_M p."""
-    grid = state.p.grid
-    r = grid.nodes
-    ns = cache.solve(state.z)
+    ns = cache.solve(z)
     rv = eval_rates(spec, np.clip(ns.c.values, 0.0, 1.0))
-    g = -rv.kd + rv.km * state.p.values
+    g = -rv.kd + rv.km * p
     u = radial_average(g, r)
     du = derivative_values(u, r)
     # interior nodes only: the one-sided endpoint stencils dominate the error
@@ -221,46 +261,33 @@ def simulate(initial, t_end, dt, spec, reference, output_every=0.1,
     """
     if dt > dt_max * (1 + 1e-12):
         raise ValueError(f"dt={dt} exceeds dt_max={dt_max}")
-    grid = initial.p.grid
+    grid = require_same_grid(initial.p, reference.p_star)
     nodes = grid.nodes
     cache = NutrientCache(spec, grid)
     h_ref = _reference_spacing(grid)
-    n_steps = int(round(t_end / dt))
-    every = max(1, int(round(output_every / dt)))
+    n_steps, recorded = output_steps(t_end, dt, output_every)
 
     positions = nodes
     values = initial.p.values
     z = initial.z
-    t = initial.t
+    ps, zs, mres = [], [], []
 
-    times, states, nx, nx0, mres = [], [], [], [], []
+    def record(positions, values, z):
+        p = np.clip(on_grid(positions, values, nodes), 0.0, 1.0)
+        ps.append(p)
+        zs.append(z)
+        mres.append(_mass_residual(spec, cache, nodes, p, z))
 
-    def record(t, positions, values, z):
-        vals = np.clip(on_grid(positions, values, nodes), 0.0, 1.0)
-        st = TumorState(t=t, p=RadialField(grid, vals), z=z)
-        times.append(t)
-        states.append(st)
-        nx.append(norm_X(st, reference))
-        nx0.append(norm_X0(st, reference))
-        mres.append(_mass_residual(spec, cache, st))
-
-    record(t, positions, values, z)
-    for k in range(n_steps):
+    record(positions, values, z)
+    for k in range(1, n_steps + 1):
         positions, values, z = _rk4(spec, cache, positions, values, z, dt)
-        t = initial.t + (k + 1) * dt
         if _needs_regrid(positions, h_ref):
             values = np.clip(regrid(positions, values, nodes), 0.0, 1.0)
             positions = nodes
-        if (k + 1) % every == 0 or k == n_steps - 1:
-            record(t, positions, values, z)
-    return Trajectory(
-        times=np.array(times),
-        states=states,
-        norm_x=np.array(nx),
-        norm_x0=np.array(nx0),
-        mass_residual=np.array(mres),
-        reference=reference,
-    )
+        if k == recorded[len(zs)]:  # the next step to record
+            record(positions, values, z)
+    return trajectory(grid, initial.t + dt * np.array(recorded), ps, zs,
+                      reference.p_star.values, reference.z_star, mres)
 
 
 def pure_transport(w_field, q0_field, t_end, dt):
@@ -277,20 +304,21 @@ def pure_transport(w_field, q0_field, t_end, dt):
     values = q0_field.values
     n_steps = int(round(t_end / dt))
     rates = _pinned_velocity(w_field)
+    sup_series, weighted_series = [], []
 
-    def weighted(positions, values):
-        d = derivative_values(on_grid(positions, values, nodes), nodes)
-        return float(np.max(nodes * (1.0 - nodes) * np.abs(d)))
+    def record(positions, values):
+        # the sup of the particle values, the weighted derivative on the nodes
+        sup_series.append(float(np.max(np.abs(values))))
+        weighted_series.append(
+            deviation(nodes, on_grid(positions, values, nodes), 0.0, 0.0, 0.0)[1])
 
-    sup_series = [float(np.max(np.abs(values)))]
-    weighted_series = [weighted(positions, values)]
+    record(positions, values)
     for _ in range(n_steps):
         (positions,) = rk4(rates, (positions,), dt)
         if _needs_regrid(positions, h_ref):
             values = regrid(positions, values, nodes)
             positions = nodes
-        sup_series.append(float(np.max(np.abs(values))))
-        weighted_series.append(weighted(positions, values))
+        record(positions, values)
     return np.array(sup_series), np.array(weighted_series)
 
 
@@ -314,11 +342,11 @@ def picard_solve(initial, t_end, dt, spec, reference, mu, max_iters=12,
 
     Raises SolverError if the distances increase twice in a row.
     """
-    grid = initial.p.grid
+    grid = require_same_grid(initial.p, reference.p_star)
     nodes = grid.nodes
     cache = NutrientCache(spec, grid)
     h_ref = _reference_spacing(grid)
-    n_steps = int(round(t_end / dt))
+    n_steps, recorded = output_steps(t_end, dt, output_every)
     path_times = initial.t + dt * np.arange(n_steps + 1)
 
     # V^0: frozen initial perturbation decayed at rate mu
@@ -372,21 +400,7 @@ def picard_solve(initial, t_end, dt, spec, reference, mu, max_iters=12,
         if d < tol:
             break
 
-    every = max(1, int(round(output_every / dt)))
-    idx = sorted(set(list(range(0, n_steps + 1, every)) + [n_steps]))
-    times, states, nx, nx0 = [], [], [], []
-    for i in idx:
-        st = TumorState(t=path_times[i], p=RadialField(grid, path_p[i]), z=path_z[i])
-        times.append(path_times[i])
-        states.append(st)
-        nx.append(norm_X(st, reference))
-        nx0.append(norm_X0(st, reference))
-    traj = Trajectory(
-        times=np.array(times),
-        states=states,
-        norm_x=np.array(nx),
-        norm_x0=np.array(nx0),
-        mass_residual=np.full(len(idx), np.nan),
-        reference=reference,
-    )
+    traj = trajectory(grid, path_times[recorded], [path_p[i] for i in recorded],
+                      [path_z[i] for i in recorded], reference.p_star.values,
+                      reference.z_star)
     return traj, np.array(distances)

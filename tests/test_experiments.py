@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,44 @@ def test_determinism_bit_identical(tmp_path, stationary201):
                      for name in ("manifest.txt", "trajectory.csv",
                                   "decay.csv")})
     assert outs[0] == outs[1]
+
+
+# SHA-256 of the report files of a short 201-node run per solver, recorded
+# with numpy 2.4.6 and scipy 1.17.1 on x86-64; the manifest also holds the
+# package versions, so a version change moves its digest.
+REPORT_DIGESTS = {
+    "direct": {
+        "manifest.txt":
+            "0d3c2d94142212c512fe455fe9baa0347c0308f4d05a82e7117b16e55fa71faf",
+        "trajectory.csv":
+            "a070fe836562bbfa64c4b4e773f8f4b84949e6ecc13b2d6651dcda60d03314a5",
+        "decay.csv":
+            "1cb082bf119db4ed61dff630fbdaa0b64b8de6d7198655d9bbf77bfa7ffe6865",
+    },
+    "picard": {
+        "manifest.txt":
+            "15459ca7a865221abbecf74e43e3a0b84cc3e74deb721ecc702a3f81451380a6",
+        "trajectory.csv":
+            "5277c0c23d01df047b9ccaf880b917d253ab2b23a3a710bb27694dadc3d45d1c",
+        "decay.csv":
+            "f1efd3d8852b378caa740f68cfb0c2c0a948124e95e5dcf12d4f4e392bc31cc1",
+    },
+}
+
+
+def test_emit_report_bytes_recorded(tmp_path, stationary201):
+    """The report files of both solvers reproduce their recorded bytes: a
+    change to the recorded states, their deviation series, the fits or the
+    formatting shows here."""
+    digests = {}
+    for solver in REPORT_DIGESTS:
+        cfg = RunConfig(grid_size=201, t_end=1.0, epsilon=1e-2, solver=solver)
+        emit_report(run_stability_experiment(cfg, linear_response=False),
+                    out_dir=tmp_path / solver)
+        digests[solver] = {
+            name: hashlib.sha256((tmp_path / solver / name).read_bytes()).hexdigest()
+            for name in REPORT_DIGESTS[solver]}
+    assert digests == REPORT_DIGESTS
 
 
 def test_sweep_aggregates_and_flags_failures(stationary201):
