@@ -143,6 +143,7 @@ class StabilityReport:
     checks: dict
     linear_response_ratio: float
     trajectory: object = field(default=None, repr=False)
+    reference: object = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self):
@@ -221,7 +222,8 @@ def run_stability_experiment(config, reference=None, linear_response=True):
         return StabilityReport(config=config, epsilon=0.0, fit_x=nanfit,
                                fit_x0=nanfit, max_ratio_x=np.nan,
                                max_ratio_x0=np.nan, checks=checks,
-                               linear_response_ratio=np.nan, trajectory=traj)
+                               linear_response_ratio=np.nan, trajectory=traj,
+                               reference=reference)
 
     fit_x = fit_decay(traj, "X", window=window)
     fit_x0 = fit_decay(traj, "X0", window=window)
@@ -260,6 +262,7 @@ def run_stability_experiment(config, reference=None, linear_response=True):
         checks=checks,
         linear_response_ratio=ratio,
         trajectory=traj,
+        reference=reference,
     )
 
 
@@ -332,7 +335,8 @@ def emit_report(report, out_dir=None):
     """Persist a StabilityReport: manifest, trajectory table, decay table.
 
     Returns the written paths.  The manifest holds the config, its hash,
-    package versions, the stationary residuals and the fitted envelopes; the
+    package versions, the residuals of the stationary state the run was
+    measured against (report.reference) and the fitted envelopes; the
     trajectory table has one row per recorded time; the decay table carries
     (t, log normX, fitted line) for plotting.
     """
@@ -345,9 +349,9 @@ def emit_report(report, out_dir=None):
         raise ConfigError("emit_report needs an output directory")
     out.mkdir(parents=True, exist_ok=True)
     traj = report.trajectory
-    if traj is None:
-        raise ConfigError("report carries no trajectory to persist")
-    reference = stationary_for(report.config.spec, report.config.grid_size)
+    reference = report.reference
+    if traj is None or reference is None:
+        raise ConfigError("report carries no trajectory or reference to persist")
 
     manifest = [config_to_text(report.config).rstrip("\n")]
     manifest.append(f"config_hash = {json.dumps(config_hash(report.config))}")

@@ -5,13 +5,17 @@ the log tumor radius, plus the z-sensitivity field c_z obtained from the
 differentiated problem c_z'' + (2/r) c_z' = e^{2z} [F'(c) c_z + 2 F(c)],
 c_z'(0)=0, c_z(1)=0.
 
-On uniform grids the substitution v = r c turns the operator into a plain
-second derivative, v'' = r e^{2z} F(v/r), v(0)=0, v(1)=1, which a Numerov
-discretization solves to fourth order; a damped Newton iteration handles the
-nonlinearity.  Both solvers need a uniform grid and raise ValueError on any
-other.
+For the affine law F(c) = lam c the problem is linear and its solution is
+exact: c = sinh(kr) / (r sinh k) with k = sqrt(lam) e^z (affine_profile, and
+the plain-float affine_value for one radius at a time).  Every other law is
+solved numerically: on uniform grids the substitution v = r c turns the
+operator into a plain second derivative, v'' = r e^{2z} F(v/r), v(0)=0,
+v(1)=1, which a Numerov discretization solves to fourth order; a damped
+Newton iteration handles the nonlinearity.  Both solvers need a uniform grid
+and raise ValueError on any other.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +48,51 @@ class NutrientSolution:
 
     def with_sensitivity(self, c_z):
         return NutrientSolution(self.z, self.c, self.c_prime, c_z, self.residual)
+
+
+def _affine_k(spec, z):
+    """k = sqrt(lam) e^z of the affine law at log-radius z."""
+    return math.sqrt(spec.lam) * math.exp(z)
+
+
+def affine_profile(spec, z, r):
+    """Exact (c, c') of the affine law F(c) = lam c at the radii r in [0,1].
+
+    c = sinh(kr) / (r sinh k) with k = sqrt(lam) e^z, evaluated through
+    sinh(kr) / sinh k = e^{k(r-1)} expm1(-2kr) / expm1(-2k) and
+    cosh(kr) / sinh k = -e^{k(r-1)} (2 + expm1(-2kr)) / expm1(-2k), which
+    stay finite at any k (sinh itself overflows above k ~ 710).  At r = 0,
+    c = k / sinh k from the same form and c' = 0 exactly.
+    """
+    k = _affine_k(spec, z)
+    m2k = -2.0 * k
+    em_k = np.expm1(m2k)  # numpy's, like em below, so that c(1) = 1 exactly
+    r = np.asarray(r, dtype=float)
+    ex = np.exp(k * (r - 1.0))
+    em = np.expm1(m2k * r)
+    inner = r > 0.0
+    rr = np.where(inner, r, 1.0)
+    c = np.where(inner, ex * em / (em_k * rr), ex * (m2k / em_k))
+    cosh_ratio = -ex * ((2.0 + em) / em_k)
+    cp = np.where(inner, (k * cosh_ratio - c) / rr, 0.0)
+    return c, cp
+
+
+def affine_value(spec, z):
+    """Plain-float twin of affine_profile's c at log-radius z: returns c(r)
+    for one radius r, in the same operations (math's exp and expm1 may
+    round a few ulp away from numpy's)."""
+    k = _affine_k(spec, z)
+    m2k = -2.0 * k
+    em_k = math.expm1(m2k)
+    exp, expm1 = math.exp, math.expm1
+
+    def value(r):
+        if r > 0.0:
+            return exp(k * (r - 1.0)) * expm1(m2k * r) / (em_k * r)
+        return exp(k * (r - 1.0)) * (m2k / em_k)
+
+    return value
 
 
 def _extrapolate_center(nodes, vals):
@@ -119,11 +168,18 @@ def _solve_numerov(source, source_jac, nodes, v_left, v_right, v_init):
 def solve_nutrient(spec, z, grid, c_init=None):
     """Solve the nutrient boundary-value problem at log-radius z.
 
-    Returns a NutrientSolution with c and c' fields (c_z left unset).
-    c_init optionally warm-starts the Newton iteration with node values of c.
-    If the Newton iteration stalls (steep depletion layers at large radius),
-    the solve is retried by continuation in z from a milder radius.
+    Returns a NutrientSolution with c and c' fields (c_z left unset).  The
+    affine law takes the exact profile (residual 0.0, c_init unused).  For
+    the others c_init optionally warm-starts the Newton iteration with node
+    values of c; if the Newton iteration stalls (steep depletion layers at
+    large radius), the solve is retried by continuation in z from a milder
+    radius.
     """
+    if spec.family == "affine":
+        _require_uniform(grid)
+        c, cp = affine_profile(spec, z, grid.nodes)
+        return NutrientSolution(z=z, c=RadialField(grid, c),
+                                c_prime=RadialField(grid, cp))
     try:
         return _solve_at(spec, z, grid, c_init)
     except SolverError:
@@ -181,15 +237,30 @@ def _solve_at(spec, z, grid, c_init=None):
 def solve_sensitivity(spec, sol):
     """Solve the linear problem for c_z = dc/dz at the solution's z.
 
-    Returns a new NutrientSolution carrying the c_z field.  The equation is
-    the z-derivative of the nutrient problem; it is linear in c_z so a single
-    banded solve suffices.
+    Returns a new NutrientSolution carrying the c_z field.  For the affine
+    law c_z is exact: k (cosh(kr)/sinh k - c coth k) = r c' - c'(1) c, which
+    is k (1 - k coth k) / sinh k at r = 0 and 0 at r = 1.  Other laws solve
+    the z-derivative of the nutrient problem (_numerov_sensitivity).
     """
     grid = sol.grid
     _require_uniform(grid)
     nodes = grid.nodes
-    z = sol.z
-    e2z = np.exp(2.0 * z)
+    if spec.family == "affine":
+        c, cp = affine_profile(spec, sol.z, nodes)
+        cz = nodes * cp - cp[-1] * c
+    else:
+        cz = _numerov_sensitivity(spec, sol)
+    return sol.with_sensitivity(RadialField(grid, cz))
+
+
+def _numerov_sensitivity(spec, sol):
+    """Node values of c_z from the z-derivative of the nutrient problem.
+
+    The equation is linear in c_z, so a single banded Numerov solve
+    suffices.
+    """
+    nodes = sol.grid.nodes
+    e2z = np.exp(2.0 * sol.z)
     c = sol.c.values
     rv = eval_rates(spec, np.clip(c, 0.0, 1.0))
     # Numerov on s = r * c_z: s'' = e^{2z} (F'(c) s + 2 r F(c)),
@@ -212,4 +283,4 @@ def solve_sensitivity(spec, sol):
     cz[1:] = s[1:] / nodes[1:]
     cz[0] = _extrapolate_center(nodes, cz)
     cz[-1] = 0.0
-    return sol.with_sensitivity(RadialField(grid, cz))
+    return cz

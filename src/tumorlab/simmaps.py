@@ -398,20 +398,14 @@ def map_T(maps, r, t, s, method="compose"):
     return out if np.ndim(r) else float(out[0])
 
 
-def map_S(maps, rbar, t, s, method="compose"):
-    """Inverse conjugating map S: compose = Phi o Psi_*; integral form as map_T."""
+def map_S(maps, rbar, t, s):
+    """Inverse conjugating map S = Phi o Psi_*."""
     _check_order(t, s)
     r_arr, interior = _split_endpoints(rbar)
     out = r_arr.copy()
     if np.any(interior):
         xi = psi_star(maps.table, r_arr[interior], t, s)
-        if method == "compose":
-            out[interior] = phi(maps, xi, t, s)
-        elif method == "integral":
-            z = _gap_time_integral(maps, xi, t, s)
-            out[interior] = maps.table.finv(maps.table.fstar(r_arr[interior]) - z)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        out[interior] = phi(maps, xi, t, s)
     return out if np.ndim(rbar) else float(out[0])
 
 

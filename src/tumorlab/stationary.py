@@ -10,7 +10,8 @@ with c_* the nutrient profile at z_*.  Both endpoints of the p equation are
 singular: u_* has simple zeros there.  The profile is found by shooting on the
 log radius z: for each z the (p, u) pair is integrated from r=1 toward r=0,
 and the leftover mass-balance defect (equivalently u(1) of the forward form)
-drives a Brent root-find.
+drives a Brent root-find.  The shooting reads the exact c for the affine law
+and the PCHIP of the numerical nutrient solve for the other laws.
 
 Integration runs from r=1 inward because the p=1 endpoint is the attracting
 one in that direction; integrating outward from r=0 the deviation modes grow
@@ -31,7 +32,7 @@ from .errors import SolverError
 from .grid import RadialField, derivative_values
 from .kinetics import (eval_rates, reaction_f, reaction_f_dc, reaction_f_dp,
                        scalar_rates)
-from .nutrient import solve_nutrient, solve_sensitivity
+from .nutrient import affine_value, solve_nutrient, solve_sensitivity
 from .velocity import radial_velocity
 
 DEFAULT_BRACKET = (-2.0, 3.5)
@@ -127,12 +128,17 @@ def _scalar_pchip(radial_field):
 def _shooting_rhs(spec, nutrient):
     """Right-hand side (p, J)' of the shooting ODE on plain floats.
 
-    Gives the same floats as evaluating nutrient.c, eval_rates and
+    c is the exact profile for the affine law (affine_value) and the
+    nutrient PCHIP otherwise (_scalar_pchip, the same floats as
+    nutrient.c).  The rest gives the same floats as eval_rates and
     reaction_f on numpy scalars (scalar_rates repeats eval_rates'
     operations); the clamp of c to [0,1] stands in for eval_rates' domain
     check.
     """
-    c_at = _scalar_pchip(nutrient.c)
+    if spec.family == "affine":
+        c_at = affine_value(spec, nutrient.z)
+    else:
+        c_at = _scalar_pchip(nutrient.c)
 
     def rhs(r, y):
         p, J = y.tolist()

@@ -8,9 +8,10 @@ characteristic lines and stay pinned.
 Every characteristics integrator takes the same classical 4-stage
 Runge-Kutta step, rk4(rates, y, dt), with its own state tuple y and stage
 rates.  The direct step _rk4 (step, simulate) and picard_solve advance
-(positions, p, z) and re-evaluate the nutrient problem and the velocity
-quadrature at every stage (warm-started, z moves slowly); Picard takes the
-velocity from the previous iterate's frozen path.  pure_transport and
+(positions, p, z) and re-evaluate the nutrient profile and the velocity
+quadrature at every stage (exact for the affine law, otherwise a
+warm-started solve, z moves slowly); Picard takes the velocity from the
+previous iterate's frozen path.  pure_transport and
 linearized.LinearPropagator advance (positions,) in a fixed velocity field,
 and the propagator then steps (phi, zeta) along the stage positions it
 recorded.
@@ -31,7 +32,7 @@ from scipy.interpolate import PchipInterpolator
 from .errors import SolverError
 from .grid import RadialField, derivative_values, radial_average, require_same_grid
 from .kinetics import eval_rates
-from .nutrient import solve_nutrient
+from .nutrient import affine_profile, solve_nutrient
 from .velocity import frame_velocity
 
 DT_MAX_DEFAULT = 1e-2
@@ -125,9 +126,16 @@ class NutrientCache:
 
 
 def _stage_rates(spec, cache, positions, values, z):
-    """w, f and u(1) at the particle positions for the current state."""
-    ns = cache.solve(z)
-    c = np.clip(ns.c(positions), 0.0, 1.0)
+    """w, f and u(1) at the particle positions for the current state.
+
+    The affine law reads the exact c at the positions; the others
+    interpolate the cached nutrient solve.
+    """
+    if spec.family == "affine":
+        c = affine_profile(spec, z, positions)[0]
+    else:
+        c = cache.solve(z).c(positions)
+    c = np.clip(c, 0.0, 1.0)
     rv = eval_rates(spec, c)
     g = -rv.kd + rv.km * values
     u = radial_average(g, positions)

@@ -3,12 +3,15 @@ import hashlib
 import numpy as np
 import pytest
 
+from tumorlab import experiments
 from tumorlab.errors import ConfigError
 from tumorlab.experiments import (RunConfig, config_from_text, config_hash,
                                   config_to_text, emit_report,
                                   perturbation_shape,
                                   run_stability_experiment, sweep)
+from tumorlab.grid import RadialGrid
 from tumorlab.kinetics import KineticsSpec
+from tumorlab.stationary import solve_stationary
 
 
 def small_config(**overrides):
@@ -93,24 +96,25 @@ def test_determinism_bit_identical(tmp_path, stationary201):
 
 
 # SHA-256 of the report files of a short 201-node run per solver, recorded
-# with numpy 2.4.6 and scipy 1.17.1 on x86-64; the manifest also holds the
-# package versions, so a version change moves its digest.
+# with numpy 2.4.6 and scipy 1.17.1 on x86-64 after the switch to the exact
+# affine nutrient profile; the manifest also holds the package versions, so
+# a version change moves its digest.
 REPORT_DIGESTS = {
     "direct": {
         "manifest.txt":
-            "0d3c2d94142212c512fe455fe9baa0347c0308f4d05a82e7117b16e55fa71faf",
+            "e5d4ba6a3bb18b5836b077b9a0d55411f6d8d4141e64777fc04ee594046b7f75",
         "trajectory.csv":
-            "a070fe836562bbfa64c4b4e773f8f4b84949e6ecc13b2d6651dcda60d03314a5",
+            "fbe813f9caac153d7350068c6407319435584758a6359019a43aec6a24bea40b",
         "decay.csv":
-            "1cb082bf119db4ed61dff630fbdaa0b64b8de6d7198655d9bbf77bfa7ffe6865",
+            "916f83f2bcb43623d98aa5feb75c7afebe0bd1bb16b3299f07df4a443c382a8c",
     },
     "picard": {
         "manifest.txt":
-            "15459ca7a865221abbecf74e43e3a0b84cc3e74deb721ecc702a3f81451380a6",
+            "9606cba4ded98b35022249780372c9b0d4840ca0a803ec6cbe15668beee948fe",
         "trajectory.csv":
-            "5277c0c23d01df047b9ccaf880b917d253ab2b23a3a710bb27694dadc3d45d1c",
+            "8ebcbb0908712bcfeb46c1b706d95cf30d2b3b43eed33524c7f96f630eb26fc6",
         "decay.csv":
-            "f1efd3d8852b378caa740f68cfb0c2c0a948124e95e5dcf12d4f4e392bc31cc1",
+            "1a7c78c49da2089b855daf834f58a7b4d356e945a5d8e9bcb08d244edf84d0a7",
     },
 }
 
@@ -128,6 +132,24 @@ def test_emit_report_bytes_recorded(tmp_path, stationary201):
             name: hashlib.sha256((tmp_path / solver / name).read_bytes()).hexdigest()
             for name in REPORT_DIGESTS[solver]}
     assert digests == REPORT_DIGESTS
+
+
+def test_emit_report_uses_the_run_reference(tmp_path, monkeypatch, default_spec):
+    # a reference the experiments cache does not hold: emit_report must
+    # describe it, not solve the stationary state again
+    monkeypatch.setattr(experiments, "_STATIONARY_CACHE", {})
+    ref = solve_stationary(default_spec, RadialGrid.uniform(101))
+    cfg = RunConfig(grid_size=101, t_end=1.0, epsilon=1e-2)
+    rep = run_stability_experiment(cfg, reference=ref, linear_response=False)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("emit_report solved the stationary state again")
+
+    monkeypatch.setattr(experiments, "solve_stationary", no_solve)
+    emit_report(rep, out_dir=tmp_path)
+    manifest = dict(line.split(" = ", 1) for line in
+                    (tmp_path / "manifest.txt").read_text().splitlines())
+    assert float(manifest["stationary.z_star"]) == ref.z_star
 
 
 def test_sweep_aggregates_and_flags_failures(stationary201):

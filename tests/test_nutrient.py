@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tumorlab import nutrient
 from tumorlab.grid import RadialField, RadialGrid
 from tumorlab.kinetics import KineticsSpec
-from tumorlab.nutrient import (NutrientSolution, solve_nutrient,
-                               solve_sensitivity)
+from tumorlab.nutrient import (NutrientSolution, affine_profile,
+                               solve_nutrient, solve_sensitivity)
 
 
 def sinh_solution(lam, z, r):
@@ -70,3 +73,37 @@ def test_non_uniform_grid_rejected():
     sol = NutrientSolution(z=0.0, c=ones, c_prime=ones.with_values(np.zeros(grid.size)))
     with pytest.raises(ValueError, match="uniform grid"):
         solve_sensitivity(KineticsSpec(), sol)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("z", [-1.0, 0.0, 1.0, 2.8159])
+def test_numerov_matches_affine_closed_form(lam, z, grid801):
+    # solve_nutrient takes the exact profile for the affine law, so the
+    # Numerov solvers the other laws use are checked against it directly
+    spec = KineticsSpec(lam=lam)
+    num = nutrient._solve_at(spec, z, grid801)
+    c, _ = affine_profile(spec, z, grid801.nodes)
+    assert np.max(np.abs(num.c.values - c)) <= 1e-8
+    exact_cz = solve_sensitivity(spec, num).c_z.values
+    numerov_cz = nutrient._numerov_sensitivity(spec, num)
+    assert np.max(np.abs(numerov_cz - exact_cz)) <= 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(0.1, 10.0), z=st.floats(-3.0, 9.0))
+def test_affine_profile_properties(lam, z):
+    spec = KineticsSpec(lam=lam)
+    k = np.sqrt(lam) * np.exp(z)
+    r = np.linspace(0.0, 1.0, 801)
+    c, cp = affine_profile(spec, z, r)
+    assert np.all(np.isfinite(c)) and np.all(np.isfinite(cp))
+    assert c[-1] == 1.0
+    assert cp[0] == 0.0
+    assert np.all((c >= 0.0) & (c <= 1.0))
+    # c ~ e^{-k(1-r)} falls below the normal doubles deep inside a large
+    # tumor (k(1-r) > 700); elsewhere it is positive and strictly increasing
+    normal = k * (1.0 - r) < 700.0
+    assert np.all(c[~normal] < 1e-290)
+    assert np.all(c[normal] > 0.0)
+    assert np.all(np.diff(c[normal]) > 0.0)
+    assert cp[-1] == pytest.approx(k / np.tanh(k) - 1.0, rel=1e-9, abs=1e-12)

@@ -3,7 +3,7 @@ import pytest
 
 from tumorlab.kinetics import FAMILIES, KineticsSpec, eval_rates
 from tumorlab.grid import RadialGrid
-from tumorlab.nutrient import solve_nutrient
+from tumorlab.nutrient import affine_profile, affine_value, solve_nutrient
 from tumorlab.stationary import (BOUNDARY_OFFSET, R_START_DEFAULT,
                                  _scalar_pchip, _shooting_rhs, boundary_root,
                                  solve_stationary)
@@ -72,18 +72,24 @@ def test_saturating_family_also_has_stationary_state(grid201):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_shooting_rhs_bit_identical(family, grid801):
-    # the plain-float right-hand side against the field / eval_rates /
-    # reaction_f formula on numpy scalars, compared with == (no tolerance):
-    # Brent's path, and so z_*, depends on every bit
+    # the plain-float right-hand side against the eval_rates / reaction_f
+    # formula on numpy scalars, compared with == (no tolerance): Brent's
+    # path, and so z_*, depends on every bit.  c comes from the nutrient
+    # field for the saturating law and from the scalar closed form for the
+    # affine law, which is checked against the vector closed form below.
     spec = KineticsSpec(family=family)
     nutrient = solve_nutrient(spec, 2.9, grid801)
     cf = nutrient.c
     rhs = _shooting_rhs(spec, nutrient)
-    c_at = _scalar_pchip(cf)
+    if family == "affine":
+        c_ref = affine_value(spec, 2.9)
+    else:
+        def c_ref(r):
+            return float(cf(r))
 
     def reference(r, y):
         p, J = y
-        c = min(max(float(cf(r)), 0.0), 1.0)
+        c = min(max(c_ref(r), 0.0), 1.0)
         rv = eval_rates(spec, c)
         f = float(rv.kp + (rv.km - rv.kn) * p - rv.km * p * p)
         return [f * r * r / J, float(-rv.kd + rv.km * p) * r * r]
@@ -95,6 +101,15 @@ def test_shooting_rhs_bit_identical(family, grid801):
                             rng.uniform(0.0, 1.0, 300)])
     states = np.column_stack([rng.uniform(0.0, 1.0, radii.size),
                               -rng.uniform(1e-9, 0.5, radii.size)])
+    if family == "affine":
+        # math and numpy round exp and expm1 differently (each within an
+        # ulp of the exact value), so the two forms agree to a few ulp
+        exact = affine_profile(spec, 2.9, radii)[0]
+        scalar = np.array([c_ref(r) for r in radii.tolist()])
+        assert np.all(np.abs(scalar - exact) <= 4 * np.spacing(exact))
+    else:
+        c_at = _scalar_pchip(cf)
+        for r in radii.tolist():
+            assert c_at(r) == c_ref(r), r
     for r, y in zip(radii.tolist(), states):
-        assert c_at(r) == float(cf(r)), r
         assert rhs(r, y) == reference(r, y), (r, y)

@@ -116,20 +116,21 @@ def _integrator_outputs(sol, spec):
 
 
 # SHA-256 of each integrator's output arrays (float64 bytes), recorded with
-# numpy 2.4.6 and scipy 1.17.1 on x86-64.
+# numpy 2.4.6 and scipy 1.17.1 on x86-64 after the switch to the exact
+# affine nutrient profile.
 INTEGRATOR_DIGESTS = {
     "step":
-        "41e4d02cbb95f002a34ba6f63968257df98af55a36c66337d21975c2843daf05",
+        "2b8b1a43067a75f82672f2af00ca2af866da4f52d1c19837a70a262e7ff8e8d5",
     "simulate":
-        "79f39ee6560f6f2b2ffb2df1ccbf131a8c4c3da8ca6f5db6097249a1d80994c9",
+        "3e98ac6070cf82fa5b891379cd61d26237cc9694949d820a1d1bb7802a0adede",
     "picard_solve":
-        "490194ec181dfe700bc31be7db808a1647fd26fd5cef905fc8e6ddf494bf97af",
+        "08a5b53b9e6cbdb2183d6f17b8084d68bd710020c574fe9c50d751a4e6d520af",
     "pure_transport":
-        "408312c574fda8fe0efe0b2f46029301ed5e0836d298e6dc077ffdfe6d3d5e6c",
+        "34bc1f054a5bda423183f058721beb1a766bf87a748f225235d733522f07fe67",
     "solve_linearized":
-        "fe18b9f30de3fad23d5e94919829c5bbce8251818bee1ab5de1f88b28422d138",
+        "5bf84c848f87b34c6ed36f4ea2c72b36708c1614e4b8a7466d89e831c012e454",
     "decay_ensemble":
-        "d278e371d72a2d34d314a9fe23923c632caf317f5de5c6499808b180707c7a85",
+        "9b87f71d339d7a75fe5a5cde5196034b489b765d599931d173a53a2909eab2c3",
 }
 
 
