@@ -142,15 +142,14 @@ def third_moment(values, nodes):
     return out
 
 
-def derivative_values(values, nodes):
-    """Node derivatives: 4th-order central stencils on uniform grids
-    (one-sided 5-point at the edges), np.gradient otherwise.
+def derivative_values(values, grid):
+    """Node derivatives on a RadialGrid: 4th-order central stencils on
+    uniform grids (one-sided 5-point at the edges), np.gradient otherwise.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    h = np.diff(nodes)
-    if not np.allclose(h, h[0], rtol=1e-12, atol=1e-15):
+    nodes = grid.nodes
+    if not grid.is_uniform:
         return np.gradient(values, nodes, edge_order=2)
-    h = h[0]
+    h = nodes[1] - nodes[0]
     v = np.asarray(values, dtype=float)
     d = np.empty_like(v)
     d[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)

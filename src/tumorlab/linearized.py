@@ -26,8 +26,9 @@ from .grid import (RadialField, cumulative_integral, derivative_values,
                    radial_average, require_same_grid, third_moment)
 from .kinetics import eval_rates
 from .simmaps import _random_smooth, build_fstar
-from .transport import (_needs_regrid, _pinned_velocity, _reference_spacing,
-                        on_grid, output_steps, rk4, trajectory)
+from .transport import (Trajectory, _needs_regrid, _pinned_velocity,
+                        _reference_spacing, deviation, on_grid, output_steps,
+                        rk4, trajectory)
 
 RESOLVENT_DS = 5e-4
 FIT_WINDOW_FRACTION = 0.7
@@ -81,7 +82,7 @@ def build_operators(sol, spec, c_z=None):
 
     kappa = float(radial_average(g_c_cz, nodes)[-1])
     cum = third_moment(g_c_cz, nodes)
-    rp = nodes * derivative_values(p, nodes)
+    rp = nodes * derivative_values(p, grid)
     rp[0] = 0.0
 
     f_c = rv.kp_d + (rv.km_d - rv.kn_d) * p - rv.km_d * p * p
@@ -162,17 +163,24 @@ def _start_matrix(x, k):
 
 
 class _StageOps:
-    """Frozen per-stage data: particle positions, coefficient values and
-    precomputed moment-quadrature weights, shared across steps and runs."""
+    """Frozen per-stage data: coefficient values at the particle positions
+    and precomputed moment-quadrature weights, shared across steps and runs.
+
+    Interval 0 integrates over nodes 0, 1, 2 and every later interval j over
+    j-1, j, j+1, so the moment stencil reads contiguous column slices of v:
+    w holds the (3, n-2) weights of intervals 1.. and w_first those of
+    interval 0.
+    """
 
     def __init__(self, x, interp, k=5):
-        self.x = x
         self.a = interp["a"](x)
         self.b = interp["b"](x)
         self.gp = interp["gp"](x)
         self.rp = interp["rp"](x)
         self.k = k
-        self.idx, self.wts = _moment_weights(x)
+        wts = _moment_weights(x)[1]
+        self.w = np.ascontiguousarray(wts[1:].T)
+        self.w_first = wts[0].copy()
         self.start = _start_matrix(x, k)
         self.inv_x3 = np.zeros_like(x)
         self.inv_x3[1:] = 1.0 / x[1:] ** 3
@@ -181,29 +189,39 @@ class _StageOps:
         """(full, third) with full = integral_0^1 v rho^2 and third the
         r^-3 cumulative moment, batched over the leading axis of v."""
         k = self.k
-        d = (v[:, self.idx[:, 0]] * self.wts[:, 0]
-             + v[:, self.idx[:, 1]] * self.wts[:, 1]
-             + v[:, self.idx[:, 2]] * self.wts[:, 2])
+        w0, w1, w2 = self.w
         moment = np.empty_like(v)
+        # per-interval integrals in moment[:, 1:], then summed in place
+        d = moment[:, 1:]
+        inner = d[:, 1:]
+        np.multiply(v[:, :-2], w0, out=inner)
+        tmp = v[:, 1:-1] * w1
+        inner += tmp
+        np.multiply(v[:, 2:], w2, out=tmp)
+        inner += tmp
+        wa, wb, wc = self.w_first
+        d[:, 0] = v[:, 0] * wa + v[:, 1] * wb + v[:, 2] * wc
         moment[:, 0] = 0.0
-        np.cumsum(d, axis=1, out=moment[:, 1:])
+        np.cumsum(d, axis=1, out=d)
         head = v[:, :k] @ self.start.T
         moment[:, k:] += head[:, k - 1:k] - moment[:, k - 1:k]
         moment[:, :k] = head
         full = moment[:, -1].copy()
-        third = moment * self.inv_x3
-        third[:, 0] = v[:, 0] / 3.0
-        return full, third
+        moment *= self.inv_x3
+        moment[:, 0] = v[:, 0] / 3.0
+        return full, moment
 
 
 class LinearPropagator:
     """Characteristics integrator for the linearized system at fixed dt.
 
     The advecting field u_* is frozen, so the particle positions repeat the
-    same cycle between regrids; the cycle of stage positions, coefficient
-    values (a, b, g_p, r p_*') and moment-quadrature weights is precomputed
-    once and reused across steps and ensemble members, which are advanced
-    together as rows of a matrix.
+    same cycle between regrids; the cycle of stage coefficient values
+    (a, b, g_p, r p_*') and moment-quadrature weights is precomputed once
+    and reused across steps and ensemble members, which are advanced
+    together as rows of a matrix.  records streams the recorded states, so
+    a caller that reduces each one (decay_ensemble) never holds the whole
+    run; run collects them into arrays.
     """
 
     def __init__(self, ops, dt):
@@ -236,29 +254,33 @@ class LinearPropagator:
         self.cycle_len = len(self.steps)
 
     def _stage_rate(self, st, phi, zeta):
-        full, third = st.moments(st.gp * phi)
-        b_op = st.rp * (full[:, None] - third)
+        gp_phi = st.gp * phi
+        full, b_op = st.moments(gp_phi)
+        # b_op = rp * (full - third), then dphi = a phi + b_op + b zeta
+        np.subtract(full[:, None], b_op, out=b_op)
+        b_op *= st.rp
         b_op[:, 0] = 0.0
-        dphi = st.a * phi + b_op + st.b * zeta[:, None]
+        dphi = np.multiply(st.a, phi, out=gp_phi)
+        dphi += b_op
+        dphi += np.multiply(st.b, zeta[:, None], out=b_op)
         dzeta = full + self.ops.kappa * zeta
         return dphi, dzeta
 
-    def run(self, phi0, zeta0, t_end, output_every=0.1, t0=0.0):
-        """Integrate a batch of initial data (rows of phi0) and record
-        snapshots resampled onto the reference grid.
+    def record_times(self, t_end, output_every=0.1, t0=0.0):
+        """The times of the states records yields."""
+        recorded = output_steps(t_end - t0, self.dt, output_every)[1]
+        return t0 + self.dt * np.array(recorded)
 
-        Returns (times, phis, zetas) with phis of shape (n_times, n_runs,
-        n_nodes) and zetas of shape (n_times, n_runs).
+    def records(self, phi0, zeta0, t_end, output_every=0.1, t0=0.0):
+        """Integrate a batch of initial data (rows of phi0) and yield
+        (j, phi, zeta) at the j-th recorded step, phi resampled onto the
+        reference grid; the times are record_times(t_end, output_every, t0).
         """
         dt = self.dt
         n_steps, recorded = output_steps(t_end - t0, dt, output_every)
         phi = np.atleast_2d(np.asarray(phi0, dtype=float)).copy()
         zeta = np.atleast_1d(np.asarray(zeta0, dtype=float)).copy()
-        # snapshots go straight into arrays sized up front
-        times = t0 + dt * np.array(recorded)
-        phis = np.empty((len(recorded),) + phi.shape)
-        zetas = np.empty((len(recorded),) + zeta.shape)
-        phis[0], zetas[0] = phi, zeta
+        yield 0, phi, zeta
         j = 1
         k_cycle = 0
 
@@ -274,9 +296,23 @@ class LinearPropagator:
                 k_cycle = 0
                 end_pos = self.nodes
             if k == recorded[j]:
-                phis[j] = on_grid(end_pos, phi, self.nodes)
-                zetas[j] = zeta
+                yield j, on_grid(end_pos, phi, self.nodes), zeta
                 j += 1
+
+    def run(self, phi0, zeta0, t_end, output_every=0.1, t0=0.0):
+        """The recorded states of records collected into arrays.
+
+        Returns (times, phis, zetas) with phis of shape (n_times, n_runs,
+        n_nodes) and zetas of shape (n_times, n_runs).
+        """
+        times = self.record_times(t_end, output_every, t0)
+        phi0 = np.atleast_2d(np.asarray(phi0, dtype=float))
+        zeta0 = np.atleast_1d(np.asarray(zeta0, dtype=float))
+        # snapshots go straight into arrays sized up front
+        phis = np.empty((times.size,) + phi0.shape)
+        zetas = np.empty((times.size,) + zeta0.shape)
+        for j, phi, zeta in self.records(phi0, zeta0, t_end, output_every, t0):
+            phis[j], zetas[j] = phi, zeta
         return times, phis, zetas
 
 
@@ -292,7 +328,7 @@ def solve_linearized(ops, init, t_end, dt, output_every=0.1,
     """
     phi0, zeta0 = init
     require_same_grid(ops.a, phi0)
-    if propagator is None or propagator.dt != dt:
+    if propagator is None or propagator.dt != dt or propagator.ops is not ops:
         propagator = LinearPropagator(ops, dt)
     times, phis, zetas = propagator.run(phi0.values[None, :], [zeta0], t_end,
                                         output_every=output_every)
@@ -376,8 +412,11 @@ def decay_ensemble(ops, n_runs=20, t_end=100.0, dt=1e-2, seed=0,
                    amplitude=1e-2, output_every=0.1):
     """Fitted decay rates for an ensemble of random initial perturbations.
 
-    Returns a list of (DecayReport_X, DecayReport_X0) pairs, one per run;
-    the empirical rate estimate is the ensemble minimum of the fitted rates.
+    The members are advanced together and streamed: each recorded state is
+    reduced to its deviation terms as it is produced, so only the
+    (n_times, n_runs) series are held, never the states.  Returns a list of
+    (DecayReport_X, DecayReport_X0) pairs, one per run; the empirical rate
+    estimate is the ensemble minimum of the fitted rates.
     """
     rng = np.random.default_rng(seed)
     prop = LinearPropagator(ops, dt)
@@ -386,11 +425,20 @@ def decay_ensemble(ops, n_runs=20, t_end=100.0, dt=1e-2, seed=0,
         for _ in range(n_runs)
     ])
     zeta0 = amplitude * rng.uniform(-1.0, 1.0, size=n_runs)
-    times, phis, zetas = prop.run(phi0, zeta0, t_end,
-                                  output_every=output_every)
+    times = prop.record_times(t_end, output_every)
+    p_dev, dp_dev, z_dev = (np.empty((times.size, n_runs)) for _ in range(3))
+    for j, phi, zeta in prop.records(phi0, zeta0, t_end, output_every):
+        if not np.all(np.isfinite(phi)):
+            raise ValueError("field values must be finite")
+        for m in range(n_runs):
+            p_dev[j, m], dp_dev[j, m], z_dev[j, m] = deviation(
+                ops.grid, phi[m], zeta[m], 0.0, 0.0)
+    no_mass = np.full(times.size, np.nan)
     out = []
-    for j in range(n_runs):
-        traj = trajectory(ops.grid, times, phis[:, j, :], zetas[:, j])
+    for m in range(n_runs):
+        traj = Trajectory(times=times, states=[], p_dev=p_dev[:, m],
+                          dp_dev=dp_dev[:, m], z_dev=z_dev[:, m],
+                          mass_residual=no_mass)
         out.append((fit_decay(traj, "X"), fit_decay(traj, "X0")))
     return out
 

@@ -224,7 +224,7 @@ def _solve_at(spec, z, grid, c_init=None):
     c = np.empty_like(v)
     c[1:] = v[1:] / nodes[1:]
     c[0] = _extrapolate_center(nodes, c)
-    cp = derivative_values(c, nodes)
+    cp = derivative_values(c, grid)
     cp[0] = 0.0  # symmetry boundary condition, exact
     return NutrientSolution(
         z=z,

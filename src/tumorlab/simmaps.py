@@ -121,7 +121,7 @@ def build_fstar(u_star, u_prime0=None, u_prime1=None, points_per_unit=50,
     vals = u_star.values
     if np.any(vals[1:-1] >= 0.0):
         raise ValueError("velocity must be strictly negative on the interior")
-    dv = derivative_values(vals, nodes)
+    dv = derivative_values(vals, u_star.grid)
     if u_prime0 is None:
         u_prime0 = float(dv[0])
     if u_prime1 is None:

@@ -321,7 +321,7 @@ def _consistency_report(spec, sol, nutrient, diag):
     c = np.clip(sol.c_star.values, 0.0, 1.0)
     p = sol.p_star.values
     u = sol.u_star.values
-    pp = derivative_values(p, r)
+    pp = derivative_values(p, grid)
     f = reaction_f(spec, c, p)
     transport_residual = float(np.max(np.abs(u[1:-1] * pp[1:-1] - f[1:-1])))
     vel = radial_velocity(sol.p_star, nutrient, spec)
@@ -382,7 +382,7 @@ def singular_exponent(sol):
     -1 < alpha_hat < 0, and "inconclusive" when the log-log fit is poor.
     """
     r = sol.grid.nodes
-    pp = derivative_values(sol.p_star.values, r)
+    pp = derivative_values(sol.p_star.values, sol.grid)
     alpha_hat, resid = _fit_singular_exponent(r, pp)
     if resid > 0.1:
         label = "inconclusive"

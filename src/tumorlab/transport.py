@@ -73,11 +73,12 @@ class Trajectory:
         return self.norm_x + self.dp_dev
 
 
-def deviation(nodes, p, z, p_ref, z_ref):
+def deviation(grid, p, z, p_ref, z_ref):
     """(sup|p - p_ref|, sup r(1-r)|(p - p_ref)'|, |z - z_ref|) of one state
-    with node values p on the nodes."""
+    with node values p on the grid."""
+    nodes = grid.nodes
     diff = p - p_ref
-    d = derivative_values(diff, nodes)
+    d = derivative_values(diff, grid)
     return (float(np.max(np.abs(diff))),
             float(np.max(nodes * (1.0 - nodes) * np.abs(d))),
             float(abs(z - z_ref)))
@@ -90,7 +91,7 @@ def trajectory(grid, times, ps, zs, p_ref=0.0, z_ref=0.0, mass_residual=None):
     states = [TumorState(t=float(t), p=RadialField(grid, p), z=float(z))
               for t, p, z in zip(times, ps, zs)]
     p_dev, dp_dev, z_dev = map(np.array, zip(*(
-        deviation(grid.nodes, st.p.values, st.z, p_ref, z_ref) for st in states)))
+        deviation(grid, st.p.values, st.z, p_ref, z_ref) for st in states)))
     if mass_residual is None:
         mass_residual = np.full(len(times), np.nan)
     return Trajectory(times=times, states=states, p_dev=p_dev, dp_dev=dp_dev,
@@ -233,7 +234,7 @@ def step(state, dt, spec, cache=None, dt_max=DT_MAX_DEFAULT):
 
 def _deviation_from(state, ref):
     grid = require_same_grid(state.p, ref.p_star)
-    return deviation(grid.nodes, state.p.values, state.z, ref.p_star.values, ref.z_star)
+    return deviation(grid, state.p.values, state.z, ref.p_star.values, ref.z_star)
 
 
 def norm_X(state, ref):
@@ -248,13 +249,14 @@ def norm_X0(state, ref):
     return p_dev + z_dev + dp_dev
 
 
-def _mass_residual(spec, cache, r, p, z):
+def _mass_residual(spec, cache, grid, p, z):
     """Residual of the velocity divergence identity u' + 2u/r = -K_D + K_M p."""
     ns = cache.solve(z)
     rv = eval_rates(spec, np.clip(ns.c.values, 0.0, 1.0))
     g = -rv.kd + rv.km * p
+    r = grid.nodes
     u = radial_average(g, r)
-    du = derivative_values(u, r)
+    du = derivative_values(u, grid)
     # interior nodes only: the one-sided endpoint stencils dominate the error
     res = du[1:-1] + 2.0 * u[1:-1] / r[1:-1] - g[1:-1]
     return float(np.max(np.abs(res)))
@@ -284,7 +286,7 @@ def simulate(initial, t_end, dt, spec, reference, output_every=0.1,
         p = np.clip(on_grid(positions, values, nodes), 0.0, 1.0)
         ps.append(p)
         zs.append(z)
-        mres.append(_mass_residual(spec, cache, nodes, p, z))
+        mres.append(_mass_residual(spec, cache, grid, p, z))
 
     record(positions, values, z)
     for k in range(1, n_steps + 1):
@@ -318,7 +320,7 @@ def pure_transport(w_field, q0_field, t_end, dt):
         # the sup of the particle values, the weighted derivative on the nodes
         sup_series.append(float(np.max(np.abs(values))))
         weighted_series.append(
-            deviation(nodes, on_grid(positions, values, nodes), 0.0, 0.0, 0.0)[1])
+            deviation(grid, on_grid(positions, values, nodes), 0.0, 0.0, 0.0)[1])
 
     record(positions, values)
     for _ in range(n_steps):

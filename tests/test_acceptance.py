@@ -66,7 +66,7 @@ def test_02_stationary_fixed_point(default_spec, stationary801):
     dt = 1e-2
     rate = norm_X(step(state, dt, default_spec), sol) / dt
     u1 = abs(sol.u_star.values[-1])
-    pp = derivative_values(sol.p_star.values, sol.grid.nodes)
+    pp = derivative_values(sol.p_star.values, sol.grid)
     monotone = bool(np.all(np.diff(sol.p_star.values) > 0)
                     and np.all(pp[1:] > 0))
     u_vals = sol.u_star.values

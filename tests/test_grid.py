@@ -61,6 +61,6 @@ def test_third_moment_constant_limit():
 
 def test_derivative_fourth_order():
     g = RadialGrid.uniform(101)
-    d = derivative_values(np.exp(g.nodes), g.nodes)
+    d = derivative_values(np.exp(g.nodes), g)
     err = np.max(np.abs(d - np.exp(g.nodes)))
     assert err <= 1e-8

@@ -1,11 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import tumorlab.linearized as linearized
 from tumorlab.grid import RadialField
-from tumorlab.linearized import (LinearPropagator, apply_B, apply_F,
+from tumorlab.linearized import (LinearPropagator, _moment_weights,
+                                 _start_matrix, apply_B, apply_F,
                                  build_operators, decay_ensemble, fit_decay,
                                  laplace_consistency, random_smooth_field,
                                  resolvent_apply, solve_linearized)
+from tumorlab.transport import output_steps
+
+
+@pytest.fixture(scope="module")
+def operators201(stationary201, default_spec):
+    return build_operators(stationary201, default_spec)
 
 
 def test_growth_bound_negative(operators801):
@@ -49,6 +59,88 @@ def test_solver_is_linear_in_initial_data(operators801, rng):
     gap = np.max(np.abs(t2.states[-1].p.values - 2 * t1.states[-1].p.values))
     assert gap <= 1e-13
     assert abs(t2.states[-1].z - 2 * t1.states[-1].z) <= 1e-13
+
+
+def test_propagator_rebuilt_for_other_operators(operators201, stationary201,
+                                                 default_spec, rng):
+    # same grid and dt, different operators: the passed propagator must not
+    # be reused
+    zero = RadialField(stationary201.grid, np.zeros(stationary201.grid.size))
+    other = build_operators(stationary201, default_spec, c_z=zero)
+    prop = LinearPropagator(operators201, 1e-2)
+    init = (random_smooth_field(other.grid, rng, amplitude=1e-2), 1e-3)
+    given = solve_linearized(other, init, 1.0, 1e-2, propagator=prop)
+    fresh = solve_linearized(other, init, 1.0, 1e-2)
+    assert np.array_equal(given.p_dev, fresh.p_dev)
+    assert np.array_equal(given.z_dev, fresh.z_dev)
+
+
+def _gather_moments(x, v, k=5):
+    """The moment quadrature in its (idx, wts) gather form."""
+    idx, wts = _moment_weights(x)
+    d = (v[:, idx[:, 0]] * wts[:, 0]
+         + v[:, idx[:, 1]] * wts[:, 1]
+         + v[:, idx[:, 2]] * wts[:, 2])
+    moment = np.empty_like(v)
+    moment[:, 0] = 0.0
+    np.cumsum(d, axis=1, out=moment[:, 1:])
+    head = v[:, :k] @ _start_matrix(x, k).T
+    moment[:, k:] += head[:, k - 1:k] - moment[:, k - 1:k]
+    moment[:, :k] = head
+    full = moment[:, -1].copy()
+    inv_x3 = np.zeros_like(x)
+    inv_x3[1:] = 1.0 / x[1:] ** 3
+    third = moment * inv_x3
+    third[:, 0] = v[:, 0] / 3.0
+    return full, third
+
+
+def test_moment_stencil_matches_gather(operators201, monkeypatch):
+    # the slice stencil and the in-place stage rate reproduce the gather
+    # quadrature and the plain formulas bit for bit at every stage of a cycle
+    built = []
+
+    class Recorded(linearized._StageOps):
+        def __init__(self, x, interp, k=5):
+            super().__init__(x, interp, k)
+            built.append((self, x))
+
+    monkeypatch.setattr(linearized, "_StageOps", Recorded)
+    prop = LinearPropagator(operators201, 1e-2)
+    assert len(built) == 4 * prop.cycle_len
+    rng = np.random.default_rng(11)
+    kappa = operators201.kappa
+    for st, x in built:
+        v = rng.standard_normal((3, x.size))
+        full, third = st.moments(v)
+        ref_full, ref_third = _gather_moments(x, v)
+        assert np.array_equal(full, ref_full)
+        assert np.array_equal(third, ref_third)
+
+        phi = rng.standard_normal((3, x.size))
+        zeta = rng.standard_normal(3)
+        dphi, dzeta = prop._stage_rate(st, phi, zeta)
+        f, t = _gather_moments(x, st.gp * phi)
+        b_op = st.rp * (f[:, None] - t)
+        b_op[:, 0] = 0.0
+        assert np.array_equal(dphi, st.a * phi + b_op + st.b * zeta[:, None])
+        assert np.array_equal(dzeta, f + kappa * zeta)
+
+
+def test_ensemble_memory_does_not_grow_with_horizon(operators201):
+    # the ensemble streams its states: a four times longer run holds only
+    # a few more series samples, not one more snapshot per recorded step
+    def peak(t_end):
+        tracemalloc.start()
+        try:
+            decay_ensemble(operators201, n_runs=3, t_end=t_end, seed=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n_out = {t: len(output_steps(t, 1e-2, 0.1)[1]) for t in (10.0, 40.0)}
+    snapshot_bytes = (n_out[40.0] - n_out[10.0]) * 3 * operators201.grid.size * 8
+    assert peak(40.0) - peak(10.0) < 0.1 * snapshot_bytes
 
 
 def test_perturbations_decay(operators801, rng):
