@@ -11,7 +11,7 @@ singular: u_* has simple zeros there.  The profile is found by shooting on the
 log radius z: for each z the (p, u) pair is integrated from r=1 toward r=0,
 and the leftover mass-balance defect (equivalently u(1) of the forward form)
 drives a Brent root-find.  The shooting reads the exact c for the affine law
-and the PCHIP of the numerical nutrient solve for the other laws.
+and a C2 cubic spline of the numerical nutrient solve for the other laws.
 
 Integration runs from r=1 inward because the p=1 endpoint is the attracting
 one in that direction; integrating outward from r=0 the deviation modes grow
@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .errors import SolverError
@@ -102,43 +103,62 @@ def _boundary_series(spec, nutrient):
     return p_init, J_init, p1_prime
 
 
-def _scalar_pchip(radial_field):
-    """Plain-float evaluator of a RadialField's PCHIP at one radius.
+def _scalar_ppoly(ppoly):
+    """Plain-float evaluator of a scipy PPoly at one radius.
 
-    Gives the same floats as radial_field(r): the interval is the one
-    scipy's PPoly picks (half-open on the right, the last one closed) and
-    the cubic is summed in PPoly's order.  The coefficient tables are
-    array('d') rather than lists: a closure handed to solve_ivp lives in a
-    reference cycle with the solver until the garbage collector runs.
+    Gives the same floats as ppoly(r): the interval is the one PPoly picks
+    (half-open on the right, the last one closed, the end intervals
+    extended outside the breakpoints) and the polynomial is summed in
+    PPoly's order, constant term first with the powers of s built up by
+    repeated multiplication.  The coefficient tables are array('d') rather
+    than lists: a closure handed to solve_ivp lives in a reference cycle
+    with the solver until the garbage collector runs.
     """
-    interp = radial_field.interpolator()
-    xs = array("d", interp.x)
-    k0, k1, k2, k3 = (array("d", row) for row in interp.c)
+    xs = array("d", ppoly.x)
+    rows = [array("d", row) for row in ppoly.c[::-1]]  # constant term first
     last = len(xs) - 2
 
     def value(r):
         i = min(max(bisect_right(xs, r) - 1, 0), last)
         s = r - xs[i]
-        ss = s * s
-        return ((k3[i] + k2[i] * s) + k1[i] * ss) + k0[i] * (ss * s)
+        total = 0.0
+        power = 1.0
+        for row in rows:
+            total = total + row[i] * power
+            power *= s
+        return total
 
     return value
+
+
+def _nutrient_spline(nutrient):
+    """C2 cubic spline of the nutrient node values for the shooting ODE.
+
+    The PCHIP of nutrient.c is only C1, and DOP853 at SHOOT_RTOL resolves
+    every one of its kinks; the spline's jumps sit in the third derivative,
+    which the step-size control hardly sees.  Clamped with c'(0) = 0 (the
+    symmetry condition); at r = 1 the not-a-knot condition keeps the spline
+    on the node values alone, with the O(h^4) accuracy of the Numerov
+    solve.
+    """
+    return CubicSpline(nutrient.grid.nodes, nutrient.c.values,
+                       bc_type=((1, 0.0), "not-a-knot"))
 
 
 def _shooting_rhs(spec, nutrient):
     """Right-hand side (p, J)' of the shooting ODE on plain floats.
 
-    c is the exact profile for the affine law (affine_value) and the
-    nutrient PCHIP otherwise (_scalar_pchip, the same floats as
-    nutrient.c).  The rest gives the same floats as eval_rates and
-    reaction_f on numpy scalars (scalar_rates repeats eval_rates'
-    operations); the clamp of c to [0,1] stands in for eval_rates' domain
-    check.
+    c is the exact profile for the affine law (affine_value) and the C2
+    nutrient spline otherwise (_nutrient_spline read by _scalar_ppoly, the
+    same floats as the spline itself).  The rest gives the same floats as
+    eval_rates and reaction_f on numpy scalars (scalar_rates repeats
+    eval_rates' operations); the clamp of c to [0,1] stands in for
+    eval_rates' domain check.
     """
     if spec.family == "affine":
         c_at = affine_value(spec, nutrient.z)
     else:
-        c_at = _scalar_pchip(nutrient.c)
+        c_at = _scalar_ppoly(_nutrient_spline(nutrient))
 
     def rhs(r, y):
         p, J = y.tolist()

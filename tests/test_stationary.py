@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from tumorlab.kinetics import FAMILIES, KineticsSpec, eval_rates
 from tumorlab.grid import RadialGrid
 from tumorlab.nutrient import affine_profile, affine_value, solve_nutrient
 from tumorlab.stationary import (BOUNDARY_OFFSET, R_START_DEFAULT,
-                                 _scalar_pchip, _shooting_rhs, boundary_root,
+                                 _scalar_ppoly, _shooting_rhs, boundary_root,
                                  solve_stationary)
 
 
@@ -74,18 +75,21 @@ def test_saturating_family_also_has_stationary_state(grid201):
 def test_shooting_rhs_bit_identical(family, grid801):
     # the plain-float right-hand side against the eval_rates / reaction_f
     # formula on numpy scalars, compared with == (no tolerance): Brent's
-    # path, and so z_*, depends on every bit.  c comes from the nutrient
-    # field for the saturating law and from the scalar closed form for the
+    # path, and so z_*, depends on every bit.  c comes from scipy's C2
+    # spline of the nutrient node values (clamped c'(0) = 0, not-a-knot at
+    # r = 1) for the saturating law and from the scalar closed form for the
     # affine law, which is checked against the vector closed form below.
     spec = KineticsSpec(family=family)
     nutrient = solve_nutrient(spec, 2.9, grid801)
-    cf = nutrient.c
     rhs = _shooting_rhs(spec, nutrient)
     if family == "affine":
         c_ref = affine_value(spec, 2.9)
     else:
+        spline = CubicSpline(grid801.nodes, nutrient.c.values,
+                             bc_type=((1, 0.0), "not-a-knot"))
+
         def c_ref(r):
-            return float(cf(r))
+            return float(spline(r))
 
     def reference(r, y):
         p, J = y
@@ -108,8 +112,11 @@ def test_shooting_rhs_bit_identical(family, grid801):
         scalar = np.array([c_ref(r) for r in radii.tolist()])
         assert np.all(np.abs(scalar - exact) <= 4 * np.spacing(exact))
     else:
-        c_at = _scalar_pchip(cf)
+        # any PPoly: the spline the shooting reads, and the field's PCHIP
+        pchip = nutrient.c.interpolator()
+        c_at, pchip_at = _scalar_ppoly(spline), _scalar_ppoly(pchip)
         for r in radii.tolist():
             assert c_at(r) == c_ref(r), r
+            assert pchip_at(r) == float(pchip(r)), r
     for r, y in zip(radii.tolist(), states):
         assert rhs(r, y) == reference(r, y), (r, y)
