@@ -238,43 +238,53 @@ def integrate_profile(spec, z, grid, r_start=R_START_DEFAULT, dense=False):
 
 
 def _shoot_residual(spec, z, grid, r_start):
-    """Signed shooting residual for the Brent iteration.
+    """Signed shooting defect for the Brent iteration, and whether the
+    integration completed.
 
-    Positive for z below the equilibrium, negative above; early termination
-    from u reaching 0 in the interior is mapped to a negative surrogate so
-    the bracket logic still sees the correct sign.
+    Positive for z below the equilibrium, negative above.  When u reaches 0
+    at a radius r_e in the interior, the defect is continued by
+    -|u'(0)| r_e^3, the leftover J ~ u'(0) r^3 the integration would have
+    carried to the origin: r_e shrinks to 0 as z decreases to z_*, so the
+    continuation meets the completed defect there without a jump.  A
+    SolverError (p leaving [0,1], no attracting center root, a stalled
+    nutrient solve: all on the large-z side) leaves no defect and returns
+    its sign, -1.0; a magnitude above any defect near z_* keeps Brent from
+    taking that point for its best iterate.
     """
     try:
         sol, _, diag = integrate_profile(spec, z, grid, r_start=r_start)
     except SolverError:
-        return -1.0
+        return -1.0, False
     if sol is None:
-        return -(1.0 + (1.0 - diag.get("u_zero_radius", 1.0)))
-    return diag["u1_defect"]
+        return -abs(diag["u_prime0"]) * diag["u_zero_radius"] ** 3, False
+    return diag["u1_defect"], True
 
 
-def solve_stationary(spec, grid, z_bracket=DEFAULT_BRACKET, r_start=R_START_DEFAULT,
-                     n_scan=12):
+def solve_stationary(spec, grid, z_bracket=DEFAULT_BRACKET, r_start=R_START_DEFAULT):
     """Find z_* by Brent on the shooting defect and assemble all fields.
 
-    The bracket is first scanned for a sign change (the defect is positive
-    below z_* and negative above); SolverError if none is found.
+    Brent starts on the bracket ends (the defect is positive below z_* and
+    negative above; SolverError if both ends have the same sign) and
+    evaluates no z twice.  It ends on a z whose integration completed: if
+    its best z is an early exit, the completed evaluation with the smallest
+    |defect| is taken instead, so the final dense integration cannot fail.
     """
+    evals = {}
+
+    def residual(z):
+        if z not in evals:
+            evals[z] = _shoot_residual(spec, z, grid, r_start)
+        return evals[z][0]
+
     z_lo, z_hi = z_bracket
-    zs = np.linspace(z_lo, z_hi, n_scan)
-    vals = [_shoot_residual(spec, z, grid, r_start) for z in zs]
-    pair = None
-    for i in range(len(zs) - 1):
-        if vals[i] > 0 > vals[i + 1] or vals[i] < 0 < vals[i + 1]:
-            pair = (zs[i], zs[i + 1])
-            break
-    if pair is None:
-        sampled = ", ".join(f"u1({z:.2f})={v:.3e}" for z, v in zip(zs, vals))
-        raise SolverError(f"no sign change of the shooting defect on bracket: {sampled}")
-    z_star = brentq(
-        lambda z: _shoot_residual(spec, z, grid, r_start),
-        pair[0], pair[1], xtol=1e-13, rtol=8.9e-16,
-    )
+    f_lo, f_hi = residual(z_lo), residual(z_hi)
+    if np.sign(f_lo) * np.sign(f_hi) > 0:
+        raise SolverError("no sign change of the shooting defect on bracket: "
+                          f"u1({z_lo:.2f})={f_lo:.3e}, u1({z_hi:.2f})={f_hi:.3e}")
+    z_star = brentq(residual, z_lo, z_hi, xtol=1e-13, rtol=8.9e-16)
+    if not evals[z_star][1]:
+        z_star = min((z for z, (_, done) in evals.items() if done),
+                     key=lambda z: abs(evals[z][0]))
     sol, nutrient, diag = integrate_profile(spec, z_star, grid, r_start=r_start, dense=True)
     if sol is None:
         raise SolverError(f"converged z={z_star} fails to integrate (unexpected)")

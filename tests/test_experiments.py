@@ -96,25 +96,25 @@ def test_determinism_bit_identical(tmp_path, stationary201):
 
 
 # SHA-256 of the report files of a short 201-node run per solver, recorded
-# with numpy 2.4.6 and scipy 1.17.1 on x86-64 after the switch to the exact
-# affine nutrient profile; the manifest also holds the package versions, so
-# a version change moves its digest.
+# with numpy 2.4.6 and scipy 1.17.1 on x86-64 after the switch to the
+# continuous shooting defect; the manifest also holds the package versions,
+# so a version change moves its digest.
 REPORT_DIGESTS = {
     "direct": {
         "manifest.txt":
-            "e5d4ba6a3bb18b5836b077b9a0d55411f6d8d4141e64777fc04ee594046b7f75",
+            "2abc40d69189d549ac6b2cea133de6e33ce231862ef47a4284818216967e1aef",
         "trajectory.csv":
-            "fbe813f9caac153d7350068c6407319435584758a6359019a43aec6a24bea40b",
+            "bd3278feb5d92f3dfbbab9e583c9b194fbb8ad0339b3409ad3ed7b3b75df3c85",
         "decay.csv":
-            "916f83f2bcb43623d98aa5feb75c7afebe0bd1bb16b3299f07df4a443c382a8c",
+            "13710769fd4bb4c275cf3481fe7477dbf542af72f04cfb35c1c086144f00616b",
     },
     "picard": {
         "manifest.txt":
-            "9606cba4ded98b35022249780372c9b0d4840ca0a803ec6cbe15668beee948fe",
+            "c1a63fb31a267dfeb1f36abbdf5fa3629b9427a63b2bb9eac30bcea5fbb7d1a1",
         "trajectory.csv":
-            "8ebcbb0908712bcfeb46c1b706d95cf30d2b3b43eed33524c7f96f630eb26fc6",
+            "c3d595de29a53555c3596543e0fd08e10960a024837f6693ae4d94acd1b9ec60",
         "decay.csv":
-            "1a7c78c49da2089b855daf834f58a7b4d356e945a5d8e9bcb08d244edf84d0a7",
+            "d10b243cf35cedc95230beb6bfa48db00fe4c184f483a470ebd7a70551691d3b",
     },
 }
 

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from tumorlab import stationary
 from tumorlab.kinetics import FAMILIES, KineticsSpec, eval_rates
-from tumorlab.grid import RadialGrid
 from tumorlab.nutrient import affine_profile, affine_value, solve_nutrient
 from tumorlab.stationary import (BOUNDARY_OFFSET, R_START_DEFAULT,
-                                 _scalar_ppoly, _shooting_rhs, boundary_root,
-                                 solve_stationary)
+                                 _scalar_ppoly, _shoot_residual, _shooting_rhs,
+                                 boundary_root, solve_stationary)
 
 
 def test_center_root_balances_reaction(default_spec):
@@ -69,6 +69,41 @@ def test_saturating_family_also_has_stationary_state(grid201):
     sol = solve_stationary(KineticsSpec(family="saturating"), grid201)
     assert abs(sol.u_star.values[-1]) <= 5e-8
     assert sol.residual_report["lemma_checks_pass"]
+
+
+def test_saturating_stationary_state_at_801_nodes(grid801):
+    # the benchmark's bound on the quadrature u(1) at the benchmark's size
+    sol = solve_stationary(KineticsSpec(family="saturating"), grid801)
+    assert abs(sol.u_star.values[-1]) <= 1e-10
+    assert sol.residual_report["lemma_checks_pass"]
+
+
+def test_shooting_defect_is_continuous_at_z_star(default_spec, grid201,
+                                                 stationary201):
+    # below z_* the integration completes, above it u reaches 0 early and
+    # the defect is continued by -|u'(0)| r_e^3: no jump across z_*
+    below, done_below = _shoot_residual(default_spec, stationary201.z_star - 1e-3,
+                                        grid201, R_START_DEFAULT)
+    above, done_above = _shoot_residual(default_spec, stationary201.z_star + 1e-3,
+                                        grid201, R_START_DEFAULT)
+    assert done_below and not done_above
+    assert below > 0 > above
+    assert max(below, -above) <= 1.5 * min(below, -above)
+
+
+def test_affine_solve_integration_budget(monkeypatch, default_spec, grid201):
+    calls = []
+    integrate = stationary.integrate_profile
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(stationary, "integrate_profile", counted)
+    sol = solve_stationary(default_spec, grid201)
+    assert len(calls) <= 12
+    # the final (dense) integration is at z_* and completed
+    assert calls[-1] == sol.z_star
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -116,21 +116,21 @@ def _integrator_outputs(sol, spec):
 
 
 # SHA-256 of each integrator's output arrays (float64 bytes), recorded with
-# numpy 2.4.6 and scipy 1.17.1 on x86-64 after the switch to the exact
-# affine nutrient profile.
+# numpy 2.4.6 and scipy 1.17.1 on x86-64 after the switch to the continuous
+# shooting defect, which moved z_* of the 201-node reference.
 INTEGRATOR_DIGESTS = {
     "step":
-        "2b8b1a43067a75f82672f2af00ca2af866da4f52d1c19837a70a262e7ff8e8d5",
+        "84afe25a0ddae86755fa9aa647a42de5432a129a0455fc922e33a6a9ad0d5cf3",
     "simulate":
-        "3e98ac6070cf82fa5b891379cd61d26237cc9694949d820a1d1bb7802a0adede",
+        "2ececd85b8e8fe8e8067fa596aa94b75df191874ae92e0a79ee3b5e075472716",
     "picard_solve":
-        "08a5b53b9e6cbdb2183d6f17b8084d68bd710020c574fe9c50d751a4e6d520af",
+        "b82d7db1190a59f5796d80854ebb7912c11dd0c2afffa9fbf74cc7bf7545ea6f",
     "pure_transport":
-        "34bc1f054a5bda423183f058721beb1a766bf87a748f225235d733522f07fe67",
+        "172afba1c6a590d49bec869b924559d1db1c5e8b88f60150face4b7537787f5c",
     "solve_linearized":
-        "5bf84c848f87b34c6ed36f4ea2c72b36708c1614e4b8a7466d89e831c012e454",
+        "cff8104b32272b4b7b53cfaa096683d49192ea6c5a025ff696edd4a3d4b2ddc9",
     "decay_ensemble":
-        "9b87f71d339d7a75fe5a5cde5196034b489b765d599931d173a53a2909eab2c3",
+        "dfbe3a39a500d470927695d9c14ffad6de63cde509e3272e0ac8b988040246d9",
 }
 
 
