@@ -10,8 +10,12 @@ with c_* the nutrient profile at z_*.  Both endpoints of the p equation are
 singular: u_* has simple zeros there.  The profile is found by shooting on the
 log radius z: for each z the (p, u) pair is integrated from r=1 toward r=0,
 and the leftover mass-balance defect (equivalently u(1) of the forward form)
-drives a Brent root-find.  The shooting reads the exact c for the affine law
-and a C2 cubic spline of the numerical nutrient solve for the other laws.
+drives a Brent root-find.  Above z_* u reaches 0 before the origin, at a
+radius r_e that shrinks to 0 as z falls to z_*; the defect is continued
+there by -|u'(0)| r_e^3, so it is continuous across z_* and Brent converges
+in a handful of integrations (10 for the default affine spec).  The
+shooting reads the exact c for the affine law and a C2 cubic spline of the
+numerical nutrient solve for the other laws.
 
 Integration runs from r=1 inward because the p=1 endpoint is the attracting
 one in that direction; integrating outward from r=0 the deviation modes grow
@@ -268,6 +272,9 @@ def solve_stationary(spec, grid, z_bracket=DEFAULT_BRACKET, r_start=R_START_DEFA
     evaluates no z twice.  It ends on a z whose integration completed: if
     its best z is an early exit, the completed evaluation with the smallest
     |defect| is taken instead, so the final dense integration cannot fail.
+    The residual report counts the integrations (shoot_integrations, the
+    final one included) and the evaluations that exited early or raised
+    (shoot_fallbacks).
     """
     evals = {}
 
@@ -314,63 +321,55 @@ def solve_stationary(spec, grid, z_bracket=DEFAULT_BRACKET, r_start=R_START_DEFA
     u_ode[1:] = J_vals[1:] / nodes[1:] ** 2
     u_ode[-1] = 0.0
     vel = radial_velocity(p_field, nutrient, spec)
-    u_field = vel.u
-    result = StationarySolution(
-        z_star=z_star,
-        c_star=nutrient.c,
-        c_z=nutrient.c_z,
-        p_star=p_field,
-        u_star=u_field,
-        p0=diag["p0"],
-        residual_report={},
-    )
-    report = _consistency_report(spec, result, nutrient, diag)
+    report = _consistency_report(spec, p_field, vel, nutrient, diag)
     # ODE-integrated u against the quadrature u, away from the origin where
     # the shooting leftover divided by r^2 dominates
     off_origin = nodes >= 0.05
     report["ode_quadrature_gap"] = float(
-        np.max(np.abs(u_ode[off_origin] - u_field.values[off_origin]))
+        np.max(np.abs(u_ode[off_origin] - vel.u.values[off_origin]))
     )
-    result = StationarySolution(
+    report["shoot_integrations"] = len(evals) + 1
+    report["shoot_fallbacks"] = sum(not done for _, done in evals.values())
+    return StationarySolution(
         z_star=z_star,
         c_star=nutrient.c,
         c_z=nutrient.c_z,
         p_star=p_field,
-        u_star=u_field,
+        u_star=vel.u,
         p0=diag["p0"],
         alpha_hat=report["alpha_hat"],
         residual_report=report,
     )
-    return result
 
 
-def _consistency_report(spec, sol, nutrient, diag):
-    """Residuals and sign/monotonicity checks on the assembled fields."""
-    grid = sol.grid
+def _consistency_report(spec, p_field, vel, nutrient, diag):
+    """Residuals and sign/monotonicity checks on the assembled fields.
+
+    vel is the quadrature velocity of p_field; its u(1) is the independent
+    check of the shooting defect.
+    """
+    grid = p_field.grid
     r = grid.nodes
-    c = np.clip(sol.c_star.values, 0.0, 1.0)
-    p = sol.p_star.values
-    u = sol.u_star.values
+    c_vals = nutrient.c.values
+    c = np.clip(c_vals, 0.0, 1.0)
+    p = p_field.values
+    u = vel.u.values
     pp = derivative_values(p, grid)
     f = reaction_f(spec, c, p)
     transport_residual = float(np.max(np.abs(u[1:-1] * pp[1:-1] - f[1:-1])))
-    vel = radial_velocity(sol.p_star, nutrient, spec)
     alpha_hat, alpha_fit_residual = _fit_singular_exponent(r, pp)
     weight = r[1:-1] * (1.0 - r[1:-1])
     uq = u[1:-1] / weight
     report = {
-        "z_star": sol.z_star,
+        "z_star": diag["z"],
         "u1_defect": diag["u1_defect"],
         "u1_quadrature": vel.u_boundary,
         "transport_residual": transport_residual,
-        "velocity_consistency": float(np.max(np.abs(vel.u.values - u))),
         "p0_gap": float(p[0] - diag["p0"]),
         "p_monotone": bool(np.all(np.diff(p) > -1e-12)),
         "p_in_unit_interval": bool(np.all((p >= 0.0) & (p <= 1.0 + 1e-12))),
-        "c_monotone": bool(np.all(np.diff(sol.c_star.values) > 0)),
-        "c_in_bounds": bool(
-            sol.c_star.values[0] > 0 and np.all(sol.c_star.values <= 1.0 + 1e-12)
-        ),
+        "c_monotone": bool(np.all(np.diff(c_vals) > 0)),
+        "c_in_bounds": bool(c_vals[0] > 0 and np.all(c_vals <= 1.0 + 1e-12)),
         "u_negative_interior": bool(np.all(u[1:-1] < 0)),
         "u_weight_lower": float(np.min(-uq)),  # C2 of the two-sided bound
         "u_weight_upper": float(np.max(-uq)),  # C1 of the two-sided bound

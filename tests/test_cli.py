@@ -43,9 +43,14 @@ def test_malformed_config_exits_3(tmp_path):
     assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG_ERROR
 
 
-def test_stationary_and_simulate(tmp_path, small_config_file, stationary201):
+def test_stationary_and_simulate(tmp_path, small_config_file, stationary201,
+                                 capsys):
     assert main(["stationary", "--config", small_config_file,
                  "--out", str(tmp_path / "s")]) == EXIT_PASS
+    out = capsys.readouterr().out.splitlines()
+    rep = stationary201.residual_report
+    assert f"shoot_integrations = {rep['shoot_integrations']}" in out
+    assert f"shoot_fallbacks = {rep['shoot_fallbacks']}" in out
     assert main(["simulate", "--config", small_config_file,
                  "--out", str(tmp_path / "r")]) == EXIT_PASS
     rows = (tmp_path / "r" / "simulate.csv").read_text().splitlines()
@@ -64,6 +69,9 @@ def test_stability_emits_report(tmp_path, small_config_file, stationary201):
     code = main(["stability", "--config", small_config_file,
                  "--out", str(tmp_path / "st")])
     assert code == EXIT_PASS
-    assert (tmp_path / "st" / "manifest.txt").exists()
+    manifest = (tmp_path / "st" / "manifest.txt").read_text().splitlines()
+    rep = stationary201.residual_report
+    assert f"stationary.shoot_integrations = {rep['shoot_integrations']}" in manifest
+    assert f"stationary.shoot_fallbacks = {rep['shoot_fallbacks']}" in manifest
     assert (tmp_path / "st" / "trajectory.csv").exists()
     assert (tmp_path / "st" / "decay.csv").exists()

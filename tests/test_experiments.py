@@ -97,12 +97,13 @@ def test_determinism_bit_identical(tmp_path, stationary201):
 
 # SHA-256 of the report files of a short 201-node run per solver, recorded
 # with numpy 2.4.6 and scipy 1.17.1 on x86-64 after the switch to the
-# continuous shooting defect; the manifest also holds the package versions,
-# so a version change moves its digest.
+# continuous shooting defect and the shooting counts in the stationary
+# report; the manifest also holds the package versions, so a version change
+# moves its digest.
 REPORT_DIGESTS = {
     "direct": {
         "manifest.txt":
-            "2abc40d69189d549ac6b2cea133de6e33ce231862ef47a4284818216967e1aef",
+            "0e9ebc3c6d3089bc8b2a1170ed5d3a74142daad9962bc07c7f8f5735c93090a1",
         "trajectory.csv":
             "bd3278feb5d92f3dfbbab9e583c9b194fbb8ad0339b3409ad3ed7b3b75df3c85",
         "decay.csv":
@@ -110,7 +111,7 @@ REPORT_DIGESTS = {
     },
     "picard": {
         "manifest.txt":
-            "c1a63fb31a267dfeb1f36abbdf5fa3629b9427a63b2bb9eac30bcea5fbb7d1a1",
+            "2daee259424a754f96ac105c725597b46cb1769ecc51f0bf02e1760fb1066507",
         "trajectory.csv":
             "c3d595de29a53555c3596543e0fd08e10960a024837f6693ae4d94acd1b9ec60",
         "decay.csv":

@@ -102,8 +102,10 @@ def test_affine_solve_integration_budget(monkeypatch, default_spec, grid201):
     monkeypatch.setattr(stationary, "integrate_profile", counted)
     sol = solve_stationary(default_spec, grid201)
     assert len(calls) <= 12
+    assert sol.residual_report["shoot_integrations"] == len(calls)
     # the final (dense) integration is at z_* and completed
     assert calls[-1] == sol.z_star
+    assert 0 < sol.residual_report["shoot_fallbacks"] < len(calls)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
