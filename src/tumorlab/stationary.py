@@ -135,34 +135,25 @@ def _scalar_ppoly(ppoly):
     return value
 
 
-def _nutrient_spline(nutrient):
-    """C2 cubic spline of the nutrient node values for the shooting ODE.
-
-    The PCHIP of nutrient.c is only C1, and DOP853 at SHOOT_RTOL resolves
-    every one of its kinks; the spline's jumps sit in the third derivative,
-    which the step-size control hardly sees.  Clamped with c'(0) = 0 (the
-    symmetry condition); at r = 1 the not-a-knot condition keeps the spline
-    on the node values alone, with the O(h^4) accuracy of the Numerov
-    solve.
-    """
-    return CubicSpline(nutrient.grid.nodes, nutrient.c.values,
-                       bc_type=((1, 0.0), "not-a-knot"))
-
-
 def _shooting_rhs(spec, nutrient):
     """Right-hand side (p, J)' of the shooting ODE on plain floats.
 
-    c is the exact profile for the affine law (affine_value) and the C2
-    nutrient spline otherwise (_nutrient_spline read by _scalar_ppoly, the
-    same floats as the spline itself).  The rest gives the same floats as
-    eval_rates and reaction_f on numpy scalars (scalar_rates repeats
-    eval_rates' operations); the clamp of c to [0,1] stands in for
-    eval_rates' domain check.
+    c is the exact profile for the affine law (affine_value).  Other laws
+    read a C2 cubic spline of the nutrient node values through
+    _scalar_ppoly (the same floats as the spline): the PCHIP of nutrient.c
+    is only C1, and DOP853 at SHOOT_RTOL resolves every one of its kinks,
+    while the spline's jumps sit in the third derivative.  The spline is
+    clamped with the symmetry condition c'(0) = 0 and takes the not-a-knot
+    condition at r = 1, which keeps it on the node values alone.  The rest
+    gives the same floats as eval_rates and reaction_f on numpy scalars
+    (scalar_rates repeats eval_rates' operations); the clamp of c to [0,1]
+    stands in for eval_rates' domain check.
     """
     if spec.family == "affine":
         c_at = affine_value(spec, nutrient.z)
     else:
-        c_at = _scalar_ppoly(_nutrient_spline(nutrient))
+        c_at = _scalar_ppoly(CubicSpline(nutrient.grid.nodes, nutrient.c.values,
+                                         bc_type=((1, 0.0), "not-a-knot")))
 
     def rhs(r, y):
         p, J = y.tolist()
