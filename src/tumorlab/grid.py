@@ -1,15 +1,19 @@
-"""Radial grids on [0,1] and fields living on them.
+"""Radial grids on [0,1], fields living on them, and the radial moment.
 
 Everything downstream (nutrient, velocity, transport, linearization) stores
 functions of r as node values on a shared RadialGrid and interpolates with a
 monotone piecewise cubic (PCHIP), which preserves monotone profiles during
 particle regridding.
+
+Every radial moment integral_0^r v rho^2 drho, in the velocity u and in
+the linearized operators B and F alike, is taken by one operator,
+RadialMoments, built once per set of positions and applied to rows of
+values; radial_average and third_moment are thin functions over it.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 from scipy.interpolate import PchipInterpolator
 
 from .errors import GridMismatchError
@@ -105,57 +109,141 @@ def require_same_grid(*fields):
     return g0
 
 
+def _interval_weights(a, b):
+    """Node weights (near, middle, far) of the integral, over an interval of
+    width a, of the quadratic through its ends and a node b beyond them,
+    formed from the widths alone (Cartwright's eqn (8), as scipy does), so
+    each keeps full relative precision."""
+    r = a / (a + b)
+    rq = r * (a / b)
+    a6 = a / 6.0
+    return a6 * (3.0 - r), a6 * (3.0 + rq + r), -a6 * rq
+
+
+def _simpson_weights(x):
+    """Composite-Simpson interval weights, paired as scipy's cumulative
+    Simpson rule pairs them: intervals 2m and 2m+1 both integrate the
+    quadratic through nodes 2m, 2m+1 and 2m+2, and an odd last interval
+    reads the last three nodes.
+
+    Returns (pairs, last): pairs[j, s, m] weighs node 2m+j in interval 2m+s;
+    last weighs the last three nodes in an odd last interval, else None.
+    """
+    h = np.diff(x)
+    h1, h2 = h[0:-1:2], h[1::2]  # widths of the first and second intervals
+    pairs = np.empty((3, 2, h2.size))
+    pairs[:, 0] = _interval_weights(h1, h2)
+    pairs[::-1, 1] = _interval_weights(h2, h1)
+    last = np.array(_interval_weights(h[-1], h[-2])[::-1]) if h.size % 2 else None
+    return pairs, last
+
+
+def _interval_integrals(v, pairs, last, out):
+    """The integral of v (last axis) over interval i into out[..., i + 1].
+
+    Both intervals of a pair read the same three strided column slices of
+    v, so the stencil needs no index gathers."""
+    n2 = 2 * pairs.shape[-1]
+    # pair[..., s, m]: the integral over interval 2m+s
+    pair = np.multiply(v[..., None, 0:n2:2], pairs[0])
+    tmp = np.multiply(v[..., None, 1:n2:2], pairs[1])
+    pair += tmp
+    pair += np.multiply(v[..., None, 2:n2 + 1:2], pairs[2], out=tmp)
+    d = out[..., 1:]
+    d[..., 0:n2:2] = pair[..., 0, :]
+    d[..., 1:n2:2] = pair[..., 1, :]
+    if last is not None:
+        d[..., -1] = v[..., -3:] @ last
+    return out
+
+
 def cumulative_integral(values, nodes):
     """Cumulative integral of node values from nodes[0], composite Simpson."""
-    return cumulative_simpson(values, x=nodes, initial=0.0)
+    values = np.asarray(values, dtype=float)
+    out = _interval_integrals(values, *_simpson_weights(nodes), np.empty_like(values))
+    out[..., 0] = 0.0
+    return np.cumsum(out, axis=-1, out=out)
+
+
+class RadialMoments:
+    """M(x_i) = integral_0^{x_i} v(rho) rho^2 drho for rows of node values v
+    (last axis) at the positions x, x[0] = 0.
+
+    Composite Simpson with rho^2 folded into the interval weights.  The r^-2
+    and r^-3 prefactors of the velocity and of the linearized operators
+    amplify the Simpson error near the origin, so the first five moments
+    are exact for the least-squares cubic through the first five values and
+    the Simpson sums continue from the fifth.
+    """
+
+    def __init__(self, x):
+        x = np.asarray(x, dtype=float)
+        pairs, last = _simpson_weights(x)
+        n2 = 2 * pairs.shape[-1]
+        for j in range(3):
+            pairs[j] *= x[j:n2 + j:2] ** 2
+        self.pairs = pairs
+        self.last = None if last is None else last * x[-3:] ** 2
+        self.k = k = min(5, x.size)
+        # exact moments x_i^(j+3) / (j+3) of the fitted cubic's monomials
+        powers = np.arange(min(3, k - 1) + 1)
+        fit = np.linalg.pinv(np.vander(x[:k], powers.size, increasing=True))
+        self.start = (x[:k, None] ** (powers + 3) / (powers + 3)) @ fit
+        self.inv_x3 = np.zeros_like(x)
+        self.inv_x3[1:] = 1.0 / x[1:] ** 3
+
+    def cumulative(self, v):
+        """M at every position, a new array shaped like v."""
+        v = np.asarray(v, dtype=float)
+        k = self.k
+        moment = _interval_integrals(v, self.pairs, self.last, np.empty_like(v))
+        # the exact start up to x[k-1], then the Simpson sums from there
+        moment[..., :k] = v[..., :k] @ self.start.T
+        np.cumsum(moment[..., k - 1:], axis=-1, out=moment[..., k - 1:])
+        return moment
+
+    def full_and_third(self, v):
+        """(M(1), r^-3 M) from one pass, r^-3 M with its origin limit v(0)/3."""
+        v = np.asarray(v, dtype=float)
+        moment = self.cumulative(v)
+        full = moment[..., -1].copy()
+        moment *= self.inv_x3
+        moment[..., 0] = v[..., 0] / 3.0
+        return full, moment
 
 
 def radial_average(integrand, nodes):
-    """u(r) = r^-2 * integral_0^r integrand(rho) rho^2 drho on the nodes.
-
-    The 0/0 at the origin is removed by the series u(r) = g(0) r / 3 + O(r^3),
-    which gives u(0) = 0 exactly.  Near the origin the Simpson error is
-    amplified by the 1/r^2 prefactor, so the first few panels are integrated
-    exactly against a cubic fit of the integrand instead.
-    """
-    integrand = np.asarray(integrand, dtype=float)
-    moment = cumulative_integral(integrand * nodes * nodes, nodes)
-    k = min(5, nodes.size)
-    coef = np.polynomial.polynomial.polyfit(nodes[:k], integrand[:k], min(3, k - 1))
-    start = np.zeros(k)
-    for j, cj in enumerate(coef):
-        start += cj / (j + 3) * nodes[:k] ** (j + 3)
-    moment[k:] += start[k - 1] - moment[k - 1]
-    moment[:k] = start
-    u = np.empty_like(moment)
-    u[1:] = moment[1:] / (nodes[1:] * nodes[1:])
-    u[0] = 0.0
+    """u(r) = r^-2 * integral_0^r integrand(rho) rho^2 drho on the nodes,
+    with u(0) = 0 (the series u(r) = g(0) r / 3 + O(r^3))."""
+    u = RadialMoments(nodes).cumulative(integrand)
+    u[..., 1:] /= nodes[1:] * nodes[1:]
+    u[..., 0] = 0.0
     return u
 
 
 def third_moment(values, nodes):
     """r^-3 * integral_0^r values(rho) rho^2 drho with exact origin limit v(0)/3."""
-    avg = radial_average(values, nodes)
-    out = np.empty_like(avg)
-    out[1:] = avg[1:] / nodes[1:]
-    out[0] = values[0] / 3.0
-    return out
+    return RadialMoments(nodes).full_and_third(values)[1]
 
 
 def derivative_values(values, grid):
-    """Node derivatives on a RadialGrid: 4th-order central stencils on
-    uniform grids (one-sided 5-point at the edges), np.gradient otherwise.
+    """Node derivatives on a RadialGrid along the last axis: 4th-order
+    central stencils on uniform grids (one-sided 5-point at the edges),
+    np.gradient otherwise.
     """
     nodes = grid.nodes
     if not grid.is_uniform:
-        return np.gradient(values, nodes, edge_order=2)
+        return np.gradient(values, nodes, edge_order=2, axis=-1)
     h = nodes[1] - nodes[0]
     v = np.asarray(values, dtype=float)
     d = np.empty_like(v)
-    d[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
+    # index the node axis first: v[i] is a scalar for one state, a column
+    # of values for a batch
+    v, dv = v.T, d.T
+    dv[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
     # one-sided / skewed 5-point stencils, also 4th order
-    d[0] = (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12 * h)
-    d[1] = (-3 * v[0] - 10 * v[1] + 18 * v[2] - 6 * v[3] + v[4]) / (12 * h)
-    d[-2] = (3 * v[-1] + 10 * v[-2] - 18 * v[-3] + 6 * v[-4] - v[-5]) / (12 * h)
-    d[-1] = (25 * v[-1] - 48 * v[-2] + 36 * v[-3] - 16 * v[-4] + 3 * v[-5]) / (12 * h)
+    dv[0] = (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12 * h)
+    dv[1] = (-3 * v[0] - 10 * v[1] + 18 * v[2] - 6 * v[3] + v[4]) / (12 * h)
+    dv[-2] = (3 * v[-1] + 10 * v[-2] - 18 * v[-3] + 6 * v[-4] - v[-5]) / (12 * h)
+    dv[-1] = (25 * v[-1] - 48 * v[-2] + 36 * v[-3] - 16 * v[-4] + 3 * v[-5]) / (12 * h)
     return d

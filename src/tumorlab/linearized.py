@@ -22,8 +22,8 @@ from scipy.integrate import simpson
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg import solve_banded
 
-from .grid import (RadialField, cumulative_integral, derivative_values,
-                   radial_average, require_same_grid, third_moment)
+from .grid import (RadialField, RadialMoments, cumulative_integral,
+                   derivative_values, radial_average, require_same_grid)
 from .kinetics import eval_rates
 from .simmaps import _random_smooth, build_fstar
 from .transport import (Trajectory, _needs_regrid, _pinned_velocity,
@@ -80,8 +80,8 @@ def build_operators(sol, spec, c_z=None):
     g_c_vals = -rv.kd_d + rv.km_d * p
     g_c_cz = g_c_vals * c_z.values
 
-    kappa = float(radial_average(g_c_cz, nodes)[-1])
-    cum = third_moment(g_c_cz, nodes)
+    full, cum = RadialMoments(nodes).full_and_third(g_c_cz)
+    kappa = float(full)
     rp = nodes * derivative_values(p, grid)
     rp[0] = 0.0
 
@@ -106,10 +106,8 @@ def apply_B(ops, q):
     bounded).
     """
     require_same_grid(ops.g_p, q)
-    nodes = ops.grid.nodes
-    gq = ops.g_p.values * q.values
-    full = float(radial_average(gq, nodes)[-1])
-    partial = third_moment(gq, nodes)
+    full, partial = RadialMoments(ops.grid.nodes).full_and_third(
+        ops.g_p.values * q.values)
     vals = ops.rp_prime.values * (full - partial)
     vals[0] = 0.0
     return q.with_values(vals)
@@ -121,95 +119,17 @@ def apply_F(ops, q):
     return float(radial_average(ops.g_p.values * q.values, ops.grid.nodes)[-1])
 
 
-def _moment_weights(x):
-    """Per-interval quadrature weights for cumulative integrals of v(rho) rho^2.
-
-    For the interval [x_i, x_{i+1}] the integrand v is replaced by its
-    interpolating quadratic through three neighboring nodes and integrated in
-    closed form, matching composite-Simpson accuracy on nonuniform nodes.
-    Returns (idx, wts) with idx the (n-1, 3) neighbor columns and wts the
-    matching weights, the rho^2 factor folded in.
-    """
-    n = x.size
-    ia = np.arange(n - 1) - 1
-    ia[0] = 0
-    idx = np.stack([ia, ia + 1, ia + 2], axis=1)
-    xa, xb, xc = x[idx[:, 0]], x[idx[:, 1]], x[idx[:, 2]]
-    s, t = x[:-1], x[1:]
-
-    def int_pair(p, q):
-        def anti(y):
-            return y ** 3 / 3.0 - 0.5 * (p + q) * y * y + p * q * y
-        return anti(t) - anti(s)
-
-    wa = int_pair(xb, xc) / ((xa - xb) * (xa - xc))
-    wb = int_pair(xa, xc) / ((xb - xa) * (xb - xc))
-    wc = int_pair(xa, xb) / ((xc - xa) * (xc - xb))
-    wts = np.stack([wa * xa * xa, wb * xb * xb, wc * xc * xc], axis=1)
-    return idx, wts
-
-
-def _start_matrix(x, k):
-    """Matrix mapping the first k node values of v to the exact moments
-    integral_0^{x_i} (cubic fit of v) rho^2 drho at those nodes, the same
-    origin treatment as grid.radial_average.
-    """
-    deg = min(3, k - 1)
-    vand = np.vander(x[:k], deg + 1, increasing=True)
-    proj = np.linalg.pinv(vand)
-    powers = np.arange(deg + 1)
-    mom = x[:k, None] ** (powers[None, :] + 3) / (powers[None, :] + 3)
-    return mom @ proj
-
-
 class _StageOps:
-    """Frozen per-stage data: coefficient values at the particle positions
-    and precomputed moment-quadrature weights, shared across steps and runs.
+    """Frozen per-stage data, shared across steps and runs: the coefficient
+    values at the particle positions and the radial-moment operator built
+    on them."""
 
-    Interval 0 integrates over nodes 0, 1, 2 and every later interval j over
-    j-1, j, j+1, so the moment stencil reads contiguous column slices of v:
-    w holds the (3, n-2) weights of intervals 1.. and w_first those of
-    interval 0.
-    """
-
-    def __init__(self, x, interp, k=5):
+    def __init__(self, x, interp):
         self.a = interp["a"](x)
         self.b = interp["b"](x)
         self.gp = interp["gp"](x)
         self.rp = interp["rp"](x)
-        self.k = k
-        wts = _moment_weights(x)[1]
-        self.w = np.ascontiguousarray(wts[1:].T)
-        self.w_first = wts[0].copy()
-        self.start = _start_matrix(x, k)
-        self.inv_x3 = np.zeros_like(x)
-        self.inv_x3[1:] = 1.0 / x[1:] ** 3
-
-    def moments(self, v):
-        """(full, third) with full = integral_0^1 v rho^2 and third the
-        r^-3 cumulative moment, batched over the leading axis of v."""
-        k = self.k
-        w0, w1, w2 = self.w
-        moment = np.empty_like(v)
-        # per-interval integrals in moment[:, 1:], then summed in place
-        d = moment[:, 1:]
-        inner = d[:, 1:]
-        np.multiply(v[:, :-2], w0, out=inner)
-        tmp = v[:, 1:-1] * w1
-        inner += tmp
-        np.multiply(v[:, 2:], w2, out=tmp)
-        inner += tmp
-        wa, wb, wc = self.w_first
-        d[:, 0] = v[:, 0] * wa + v[:, 1] * wb + v[:, 2] * wc
-        moment[:, 0] = 0.0
-        np.cumsum(d, axis=1, out=d)
-        head = v[:, :k] @ self.start.T
-        moment[:, k:] += head[:, k - 1:k] - moment[:, k - 1:k]
-        moment[:, :k] = head
-        full = moment[:, -1].copy()
-        moment *= self.inv_x3
-        moment[:, 0] = v[:, 0] / 3.0
-        return full, moment
+        self.radial = RadialMoments(x)
 
 
 class LinearPropagator:
@@ -217,8 +137,9 @@ class LinearPropagator:
 
     The advecting field u_* is frozen, so the particle positions repeat the
     same cycle between regrids; the cycle of stage coefficient values
-    (a, b, g_p, r p_*') and moment-quadrature weights is precomputed once
-    and reused across steps and ensemble members, which are advanced
+    (a, b, g_p, r p_*') and radial-moment operators (grid.RadialMoments,
+    the quadrature of the nonlinear velocity too) is precomputed once and
+    reused across steps and ensemble members, which are advanced
     together as rows of a matrix.  records streams the recorded states, so
     a caller that reduces each one (decay_ensemble) never holds the whole
     run; run collects them into arrays.
@@ -255,7 +176,7 @@ class LinearPropagator:
 
     def _stage_rate(self, st, phi, zeta):
         gp_phi = st.gp * phi
-        full, b_op = st.moments(gp_phi)
+        full, b_op = st.radial.full_and_third(gp_phi)
         # b_op = rp * (full - third), then dphi = a phi + b_op + b zeta
         np.subtract(full[:, None], b_op, out=b_op)
         b_op *= st.rp
@@ -430,9 +351,7 @@ def decay_ensemble(ops, n_runs=20, t_end=100.0, dt=1e-2, seed=0,
     for j, phi, zeta in prop.records(phi0, zeta0, t_end, output_every):
         if not np.all(np.isfinite(phi)):
             raise ValueError("field values must be finite")
-        for m in range(n_runs):
-            p_dev[j, m], dp_dev[j, m], z_dev[j, m] = deviation(
-                ops.grid, phi[m], zeta[m], 0.0, 0.0)
+        p_dev[j], dp_dev[j], z_dev[j] = deviation(ops.grid, phi, zeta, 0.0, 0.0)
     no_mass = np.full(times.size, np.nan)
     out = []
     for m in range(n_runs):

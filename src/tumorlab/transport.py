@@ -19,9 +19,10 @@ recorded.
 Particles drift toward the origin (w < 0 in the interior), so the bundle is
 resampled onto the reference grid with a monotone cubic whenever spacing
 degrades.  Every run records the same way: output_steps picks the recorded
-steps and trajectory builds the Trajectory.  Norms: deviation turns one
-state into (sup|p - p_*|, sup r(1-r)|d(p - p_*)/dr|, |z - z_*|);
-normX = sup|p - p_*| + |z - z_*| and normX0 adds the weighted derivative.
+steps and trajectory builds the Trajectory.  Norms: deviation turns a
+state, or a batch of them, into (sup|p - p_*|, sup r(1-r)|d(p - p_*)/dr|,
+|z - z_*|); normX = sup|p - p_*| + |z - z_*| and normX0 adds the weighted
+derivative.
 """
 
 from dataclasses import dataclass
@@ -75,13 +76,15 @@ class Trajectory:
 
 def deviation(grid, p, z, p_ref, z_ref):
     """(sup|p - p_ref|, sup r(1-r)|(p - p_ref)'|, |z - z_ref|) of one state
-    with node values p on the grid."""
+    with node values p on the grid, as floats; for a batch of states (one
+    per row of p, one z each) each term is an array over the rows."""
     nodes = grid.nodes
     diff = p - p_ref
     d = derivative_values(diff, grid)
-    return (float(np.max(np.abs(diff))),
-            float(np.max(nodes * (1.0 - nodes) * np.abs(d))),
-            float(abs(z - z_ref)))
+    terms = (np.max(np.abs(diff), axis=-1),
+             np.max(nodes * (1.0 - nodes) * np.abs(d), axis=-1),
+             np.abs(z - z_ref))
+    return tuple(map(float, terms)) if np.ndim(diff) == 1 else terms
 
 
 def trajectory(grid, times, ps, zs, p_ref=0.0, z_ref=0.0, mass_residual=None):

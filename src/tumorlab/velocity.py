@@ -30,11 +30,6 @@ class VelocityField:
         return self.u.grid
 
 
-def velocity_from_integrand(integrand, grid):
-    """u(r) = r^-2 * integral of integrand * rho^2; exposed as a test hook."""
-    return radial_average(np.asarray(integrand, dtype=float), grid.nodes)
-
-
 def frame_velocity(u, r):
     """w = u - r u(1) at the points r (r[0] = 0, r[-1] = 1)."""
     w = u - r * u[-1]
@@ -44,9 +39,18 @@ def frame_velocity(u, r):
     return w
 
 
-def _assemble(grid, g, u_vals):
-    """Build the VelocityField from the integrand density g and u values."""
+def radial_velocity(p, nutrient, spec):
+    """Velocity field for a cell-fraction field and nutrient solution."""
+    grid = require_same_grid(p, nutrient.c)
+    rv = eval_rates(spec, np.clip(nutrient.c.values, 0.0, 1.0))
+    return velocity_from_density(-rv.kd + rv.km * p.values, grid)
+
+
+def velocity_from_density(g, grid):
+    """VelocityField of the integrand density g = -K_D + K_M p on the grid."""
+    g = np.asarray(g, dtype=float)
     nodes = grid.nodes
+    u_vals = radial_average(g, nodes)
     u1 = float(u_vals[-1])
     w_vals = frame_velocity(u_vals, nodes)
     weight = nodes * (1.0 - nodes)
@@ -62,19 +66,3 @@ def _assemble(grid, g, u_vals):
         u_boundary=u1,
         w_over_weight=RadialField(grid, q),
     )
-
-
-def radial_velocity(p, nutrient, spec):
-    """Velocity field for a cell-fraction field and nutrient solution."""
-    grid = require_same_grid(p, nutrient.c)
-    rv = eval_rates(spec, np.clip(nutrient.c.values, 0.0, 1.0))
-    g = -rv.kd + rv.km * p.values
-    u_vals = radial_average(g, grid.nodes)
-    return _assemble(grid, g, u_vals)
-
-
-def velocity_from_density(g, grid):
-    """VelocityField from a raw integrand density (test/construction hook)."""
-    g = np.asarray(g, dtype=float)
-    u_vals = radial_average(g, grid.nodes)
-    return _assemble(grid, g, u_vals)

@@ -96,22 +96,21 @@ def test_determinism_bit_identical(tmp_path, stationary201):
 
 
 # SHA-256 of the report files of a short 201-node run per solver, recorded
-# with numpy 2.4.6 and scipy 1.17.1 on x86-64 after the switch to the
-# continuous shooting defect and the shooting counts in the stationary
-# report; the manifest also holds the package versions, so a version change
-# moves its digest.
+# with numpy 2.4.6 and scipy 1.17.1 on x86-64 after the merge of the two
+# radial moment quadratures into grid.RadialMoments; the manifest also holds
+# the package versions, so a version change moves its digest.
 REPORT_DIGESTS = {
     "direct": {
         "manifest.txt":
-            "0e9ebc3c6d3089bc8b2a1170ed5d3a74142daad9962bc07c7f8f5735c93090a1",
+            "62bf1e07269838d4a071d94ab82cc3c5e2faa39069f4b833f5cf20c73d0e0b45",
         "trajectory.csv":
-            "bd3278feb5d92f3dfbbab9e583c9b194fbb8ad0339b3409ad3ed7b3b75df3c85",
+            "a7cbb08835f4edc375deb5ae2d9d8eafe6562d2659b3767d4d052f0fed5dd9bd",
         "decay.csv":
             "13710769fd4bb4c275cf3481fe7477dbf542af72f04cfb35c1c086144f00616b",
     },
     "picard": {
         "manifest.txt":
-            "2daee259424a754f96ac105c725597b46cb1769ecc51f0bf02e1760fb1066507",
+            "6a928d6152a6c98f1703d09d0503ddb96d6e2a7d1f676ebc7b92be5d7bfebd36",
         "trajectory.csv":
             "c3d595de29a53555c3596543e0fd08e10960a024837f6693ae4d94acd1b9ec60",
         "decay.csv":

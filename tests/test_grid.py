@@ -1,10 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
 from tumorlab.errors import GridMismatchError
-from tumorlab.grid import (RadialField, RadialGrid, cumulative_integral,
-                           derivative_values, radial_average,
-                           require_same_grid, third_moment)
+from tumorlab.grid import (RadialField, RadialGrid, RadialMoments,
+                           cumulative_integral, derivative_values,
+                           radial_average, require_same_grid, third_moment)
 
 
 def test_grid_requires_endpoints():
@@ -64,3 +67,79 @@ def test_derivative_fourth_order():
     d = derivative_values(np.exp(g.nodes), g)
     err = np.max(np.abs(d - np.exp(g.nodes)))
     assert err <= 1e-8
+
+
+def _node_sets():
+    rng = np.random.default_rng(3)
+    jittered = np.linspace(0.0, 1.0, 801)
+    jittered[1:-1] += rng.uniform(-0.3, 0.3, 799) / 800
+    odd = np.linspace(0.0, 1.0, 200)
+    odd[1:-1] += rng.uniform(-0.3, 0.3, 198) / 199
+    return {"uniform": np.linspace(0.0, 1.0, 801), "jittered": jittered,
+            "odd_intervals": odd}
+
+
+def _operator_weights(op, i, n):
+    """The operator's weights of the three nodes interval i reads."""
+    if op.last is not None and i == n - 2:
+        return op.last
+    return op.pairs[:, i % 2, i // 2]
+
+
+def _exact_weights(x, i):
+    """x_j^2 times the integral over [x_i, x_{i+1}] of the Lagrange basis
+    quadratics of the Simpson triple interval i reads, in exact arithmetic."""
+    n = x.size
+    first = n - 3 if (n - 1) % 2 and i == n - 2 else 2 * (i // 2)
+    xs = [Fraction(float(x[first + j])) for j in range(3)]
+    s, t = Fraction(float(x[i])), Fraction(float(x[i + 1]))
+    out = []
+    for j in range(3):
+        a, b = (xs[l] for l in range(3) if l != j)
+        # (rho - a)(rho - b) = rho^2 - (a + b) rho + a b, integrated over [s, t]
+        integral = ((t ** 3 - s ** 3) / 3 - (a + b) * (t * t - s * s) / 2
+                    + a * b * (t - s))
+        out.append(xs[j] ** 2 * integral / ((xs[j] - a) * (xs[j] - b)))
+    return out
+
+
+@pytest.mark.parametrize("name,intervals", [("uniform", (1, 400, 799)),
+                                            ("odd_intervals", (1, 100, 198))])
+def test_moment_weights_match_exact_arithmetic(name, intervals):
+    # each weight is formed without cancellation, so it keeps full relative
+    # precision at every interval, the odd last one included
+    x = _node_sets()[name]
+    op = RadialMoments(x)
+    for i in intervals:
+        got = _operator_weights(op, i, x.size)
+        for w, exact in zip(got, _exact_weights(x, i)):
+            assert abs(Fraction(float(w)) - exact) <= 1e-13 * abs(exact)
+
+
+@pytest.mark.parametrize("name", ["uniform", "jittered", "odd_intervals"])
+def test_moments_match_cumulative_simpson(name):
+    # away from the exact cubic start the operator is composite Simpson on
+    # v rho^2, row by row
+    x = _node_sets()[name]
+    v = np.random.default_rng(5).standard_normal((4, x.size))
+    op = RadialMoments(x)
+    k = op.k
+    got = op.cumulative(v)
+    ref = cumulative_simpson(v * x * x, x=x, initial=0.0)
+    got_inc = got[:, k - 1:] - got[:, k - 1:k]
+    ref_inc = ref[:, k - 1:] - ref[:, k - 1:k]
+    assert np.max(np.abs(got_inc - ref_inc)) <= 1e-13 * np.max(np.abs(ref_inc))
+    full, third = op.full_and_third(v)
+    assert np.array_equal(full, got[:, -1])
+    assert np.array_equal(third[:, 1:], got[:, 1:] * (1.0 / x[1:] ** 3))
+    assert np.array_equal(third[:, 0], v[:, 0] / 3.0)
+    np.testing.assert_allclose(op.cumulative(v[2]), got[2], rtol=1e-14)
+
+
+def test_moment_start_exact_for_cubics():
+    # the origin start integrates a cubic integrand exactly
+    x = _node_sets()["jittered"]
+    v = 1.0 - 2.0 * x + 3.0 * x ** 2 - 4.0 * x ** 3
+    exact = x ** 3 / 3 - 2.0 * x ** 4 / 4 + 3.0 * x ** 5 / 5 - 4.0 * x ** 6 / 6
+    got = RadialMoments(x).cumulative(v)
+    np.testing.assert_allclose(got[:5], exact[:5], rtol=1e-12, atol=0)

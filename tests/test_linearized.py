@@ -2,11 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
 import tumorlab.linearized as linearized
 from tumorlab.grid import RadialField
-from tumorlab.linearized import (LinearPropagator, _moment_weights,
-                                 _start_matrix, apply_B, apply_F,
+from tumorlab.linearized import (LinearPropagator, apply_B, apply_F,
                                  build_operators, decay_ensemble, fit_decay,
                                  laplace_consistency, random_smooth_field,
                                  resolvent_apply, solve_linearized)
@@ -75,34 +75,15 @@ def test_propagator_rebuilt_for_other_operators(operators201, stationary201,
     assert np.array_equal(given.z_dev, fresh.z_dev)
 
 
-def _gather_moments(x, v, k=5):
-    """The moment quadrature in its (idx, wts) gather form."""
-    idx, wts = _moment_weights(x)
-    d = (v[:, idx[:, 0]] * wts[:, 0]
-         + v[:, idx[:, 1]] * wts[:, 1]
-         + v[:, idx[:, 2]] * wts[:, 2])
-    moment = np.empty_like(v)
-    moment[:, 0] = 0.0
-    np.cumsum(d, axis=1, out=moment[:, 1:])
-    head = v[:, :k] @ _start_matrix(x, k).T
-    moment[:, k:] += head[:, k - 1:k] - moment[:, k - 1:k]
-    moment[:, :k] = head
-    full = moment[:, -1].copy()
-    inv_x3 = np.zeros_like(x)
-    inv_x3[1:] = 1.0 / x[1:] ** 3
-    third = moment * inv_x3
-    third[:, 0] = v[:, 0] / 3.0
-    return full, third
-
-
-def test_moment_stencil_matches_gather(operators201, monkeypatch):
-    # the slice stencil and the in-place stage rate reproduce the gather
-    # quadrature and the plain formulas bit for bit at every stage of a cycle
+def test_stage_moments_match_simpson(operators201, monkeypatch):
+    # every stage's moment operator is composite Simpson on v rho^2 away from
+    # the origin start, and the in-place stage rate reproduces the plain
+    # formulas bit for bit at every stage of a cycle
     built = []
 
     class Recorded(linearized._StageOps):
-        def __init__(self, x, interp, k=5):
-            super().__init__(x, interp, k)
+        def __init__(self, x, interp):
+            super().__init__(x, interp)
             built.append((self, x))
 
     monkeypatch.setattr(linearized, "_StageOps", Recorded)
@@ -112,15 +93,17 @@ def test_moment_stencil_matches_gather(operators201, monkeypatch):
     kappa = operators201.kappa
     for st, x in built:
         v = rng.standard_normal((3, x.size))
-        full, third = st.moments(v)
-        ref_full, ref_third = _gather_moments(x, v)
-        assert np.array_equal(full, ref_full)
-        assert np.array_equal(third, ref_third)
+        moment = st.radial.cumulative(v)
+        ref = cumulative_simpson(v * x * x, x=x, initial=0.0)
+        k = st.radial.k
+        inc = moment[:, k - 1:] - moment[:, k - 1:k]
+        ref_inc = ref[:, k - 1:] - ref[:, k - 1:k]
+        assert np.max(np.abs(inc - ref_inc)) <= 1e-13 * np.max(np.abs(ref_inc))
 
         phi = rng.standard_normal((3, x.size))
         zeta = rng.standard_normal(3)
         dphi, dzeta = prop._stage_rate(st, phi, zeta)
-        f, t = _gather_moments(x, st.gp * phi)
+        f, t = st.radial.full_and_third(st.gp * phi)
         b_op = st.rp * (f[:, None] - t)
         b_op[:, 0] = 0.0
         assert np.array_equal(dphi, st.a * phi + b_op + st.b * zeta[:, None])

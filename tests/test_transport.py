@@ -3,11 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from tumorlab.grid import RadialField
+from tumorlab.grid import RadialField, RadialGrid
 from tumorlab.linearized import (build_operators, decay_ensemble,
                                  solve_linearized)
-from tumorlab.transport import (TumorState, norm_X, norm_X0, picard_solve,
-                                pure_transport, simulate, step)
+from tumorlab.transport import (TumorState, deviation, norm_X, norm_X0,
+                                picard_solve, pure_transport, simulate, step)
 
 
 def make_negative_velocity(grid, rng):
@@ -43,6 +43,20 @@ def test_norm_x0_dominates_norm_x(stationary801, rng):
     state = TumorState(t=0.0, p=stationary801.p_star.with_values(vals),
                        z=stationary801.z_star + 1e-3)
     assert norm_X0(state, stationary801) >= norm_X(state, stationary801)
+
+
+@pytest.mark.parametrize("grid", [RadialGrid.uniform(101),
+                                  RadialGrid(np.linspace(0.0, 1.0, 101) ** 1.5)])
+def test_deviation_batch_matches_rows(grid, rng):
+    # a batch of states gives, row by row, the floats of one call per state
+    ps = rng.standard_normal((5, grid.size))
+    zs = rng.standard_normal(5)
+    p_ref = np.sin(grid.nodes)
+    batch = deviation(grid, ps, zs, p_ref, 0.25)
+    for m in range(5):
+        one = deviation(grid, ps[m], zs[m], p_ref, 0.25)
+        assert all(type(term) is float for term in one)
+        assert one == tuple(term[m] for term in batch)
 
 
 def test_simulate_records_expected_rows(stationary201, default_spec):
@@ -116,21 +130,22 @@ def _integrator_outputs(sol, spec):
 
 
 # SHA-256 of each integrator's output arrays (float64 bytes), recorded with
-# numpy 2.4.6 and scipy 1.17.1 on x86-64 after the switch to the continuous
-# shooting defect, which moved z_* of the 201-node reference.
+# numpy 2.4.6 and scipy 1.17.1 on x86-64 after the merge of the two radial
+# moment quadratures into grid.RadialMoments, which moved u_* and the
+# linearized stage moments.
 INTEGRATOR_DIGESTS = {
     "step":
         "84afe25a0ddae86755fa9aa647a42de5432a129a0455fc922e33a6a9ad0d5cf3",
     "simulate":
-        "2ececd85b8e8fe8e8067fa596aa94b75df191874ae92e0a79ee3b5e075472716",
+        "72402390ade4fef43efadf00d3cc015908638c496581005ad74dde2b6b390f6d",
     "picard_solve":
-        "b82d7db1190a59f5796d80854ebb7912c11dd0c2afffa9fbf74cc7bf7545ea6f",
+        "eef9ad822f58e489d71ac7c5ca8c56507d2d08978d25e3a20952a6ca226780a0",
     "pure_transport":
-        "172afba1c6a590d49bec869b924559d1db1c5e8b88f60150face4b7537787f5c",
+        "1a469bd05d749c60864608d35acfe36b51a254b86bab2067e3612c3137e26aaf",
     "solve_linearized":
-        "cff8104b32272b4b7b53cfaa096683d49192ea6c5a025ff696edd4a3d4b2ddc9",
+        "be161d620999ef20ef61048e1350f1dc5cdb1f4a38643f214bbbfc0ed5d30090",
     "decay_ensemble":
-        "dfbe3a39a500d470927695d9c14ffad6de63cde509e3272e0ac8b988040246d9",
+        "b1a1446df2876ff14aa88f6dc3e00fa8397e2e7f7970993964b998add1efc326",
 }
 
 

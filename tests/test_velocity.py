@@ -1,23 +1,22 @@
 import numpy as np
 import pytest
 
-from tumorlab.grid import RadialField, RadialGrid
+from tumorlab.grid import RadialField, RadialGrid, radial_average
 from tumorlab.kinetics import KineticsSpec
 from tumorlab.nutrient import solve_nutrient
-from tumorlab.velocity import (radial_velocity, velocity_from_density,
-                               velocity_from_integrand)
+from tumorlab.velocity import radial_velocity, velocity_from_density
 
 
 def test_constant_density_gives_linear_velocity(grid801):
     # g = 3 gives u(r) = r exactly
-    u = velocity_from_integrand(3.0 * np.ones(grid801.size), grid801)
+    u = radial_average(3.0 * np.ones(grid801.size), grid801.nodes)
     assert np.max(np.abs(u - grid801.nodes)) <= 1e-12
 
 
 def test_polynomial_density_quadrature_accuracy(grid801):
     # g = 5 r^2 gives u(r) = r^3
     r = grid801.nodes
-    u = velocity_from_integrand(5.0 * r * r, grid801)
+    u = radial_average(5.0 * r * r, grid801.nodes)
     # the quartic moment integrand is beyond Simpson exactness; the 1/r^2
     # prefactor amplifies the panel error near the origin
     assert np.max(np.abs(u - r ** 3)) <= 1e-8
