@@ -40,20 +40,6 @@ class KineticsSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown rate family {self.family!r}; choose from {FAMILIES}")
 
-    def to_dict(self):
-        return {
-            "lam": self.lam,
-            "b_rate": self.b_rate,
-            "d_rate": self.d_rate,
-            "p_rate": self.p_rate,
-            "q_rate": self.q_rate,
-            "family": self.family,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class RateValues:

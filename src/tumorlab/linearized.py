@@ -366,17 +366,15 @@ def decay_ensemble(ops, n_runs=20, t_end=100.0, dt=1e-2, seed=0,
 # resolvent of the scalar transport operator
 
 
-def _resolvent_grid(w, a, lam, margin_rate):
+def _resolvent_grid(w, ds, *margins):
+    """Travel-time table of w and the coordinates of its interior nodes, with
+    a uniform coordinate grid of step at most ds (and its radii) that runs
+    from the first node to the last one plus the margins, added in order."""
     table = build_fstar(w)
-    nodes = w.grid.nodes
-    s_nodes = table.fstar(nodes[1:-1])
-    margin = min(40.0 / margin_rate, 400.0)
-    s_lo = s_nodes[0]
-    s_hi = s_nodes[-1] + margin
-    n = int(np.ceil((s_hi - s_lo) / RESOLVENT_DS)) + 1
-    s_grid = np.linspace(s_lo, s_hi, n)
-    r_s = table.finv(s_grid)
-    return table, s_nodes, s_grid, r_s
+    s_nodes = table.fstar(w.grid.nodes[1:-1])
+    s_lo, s_hi = s_nodes[0], sum(margins, s_nodes[-1])
+    s_grid = np.linspace(s_lo, s_hi, int(np.ceil((s_hi - s_lo) / ds)) + 1)
+    return table, s_nodes, s_grid, table.finv(s_grid)
 
 
 def resolvent_apply(w, a, lam, f, return_residual=False):
@@ -397,7 +395,8 @@ def resolvent_apply(w, a, lam, f, return_residual=False):
     if lam.real <= omega0:
         raise ValueError(
             f"resolvent needs Re(lambda) > max a = {omega0}, got {lam}")
-    table, s_nodes, s_grid, r_s = _resolvent_grid(w, a, lam, lam.real - omega0)
+    _, s_nodes, s_grid, r_s = _resolvent_grid(
+        w, RESOLVENT_DS, min(40.0 / (lam.real - omega0), 400.0))
     a_s = a(r_s)
     f_s = f(r_s)
     ds = s_grid[1] - s_grid[0]
@@ -458,18 +457,10 @@ def laplace_consistency(w, a, lam, q0, horizon=None, dt_quad=5e-3):
             f"horizon {horizon} leaves truncation tail {tail:.2e} above the "
             "1e-4 consistency scale")
 
-    table = build_fstar(w)
-    nodes = w.grid.nodes
-    s_nodes = table.fstar(nodes[1:-1])
-
     # accumulated-multiplier table A(s) = int a(r(sigma)) dsigma on a fine
     # grid long enough to cover every shifted evaluation point
-    ds = 1e-3
-    s_lo = s_nodes[0]
-    s_hi = s_nodes[-1] + horizon + 1.0
-    s_fine = np.linspace(s_lo, s_hi, int(np.ceil((s_hi - s_lo) / ds)) + 1)
-    a_fine = a(table.finv(s_fine))
-    a_big = cumulative_integral(a_fine, s_fine)
+    table, s_nodes, s_fine, r_fine = _resolvent_grid(w, 1e-3, horizon, 1.0)
+    a_big = cumulative_integral(a(r_fine), s_fine)
 
     n_t = 2 * int(np.ceil(horizon / (2.0 * dt_quad))) + 1
     t_grid = np.linspace(0.0, horizon, n_t)

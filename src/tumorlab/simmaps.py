@@ -19,6 +19,11 @@ check_map_bounds measures the comparison inequalities these maps satisfy
 (weight equivalences, shift bounds linear in the perturbation size, spatial
 derivative bounds, and the induced distance between cumulative-moment
 operators) on a randomized sample plan.
+
+Every map takes points of [0,1] and times t >= s (a point outside [0,1] or
+t < s raises ValueError).  The maps act on the interior points only: each
+endpoint is a zero of the velocity and maps to itself (dT_dr is 1.0 there).
+A scalar point gives a float, an array an array.
 """
 
 from dataclasses import dataclass, field
@@ -56,8 +61,12 @@ class FStarTable:
     f_table: np.ndarray
     u_prime0: float
     u_prime1: float
-    _fwd: object = field(default=None, repr=False, compare=False)
-    _inv: object = field(default=None, repr=False, compare=False)
+    _fwd: object = field(init=False, repr=False, compare=False)
+    _inv: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_fwd", CubicSpline(self.r_table, self.f_table))
+        object.__setattr__(self, "_inv", CubicSpline(self.f_table, self.r_table))
 
     @property
     def slope0(self):
@@ -69,14 +78,7 @@ class FStarTable:
         """-d F_* / d log(1-r) near 1 (= 1/u'(1))."""
         return 1.0 / self.u_prime1
 
-    def _splines(self):
-        if self._fwd is None:
-            object.__setattr__(self, "_fwd", CubicSpline(self.r_table, self.f_table))
-            object.__setattr__(self, "_inv", CubicSpline(self.f_table, self.r_table))
-        return self._fwd, self._inv
-
     def fstar(self, r):
-        fwd, _ = self._splines()
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.empty_like(r_arr)
         r0, r1 = self.r_table[0], self.r_table[-1]
@@ -84,14 +86,13 @@ class FStarTable:
         lo = r_arr < r0
         hi = r_arr > r1
         mid = ~(lo | hi)
-        out[mid] = fwd(r_arr[mid])
+        out[mid] = self._fwd(r_arr[mid])
         with np.errstate(divide="ignore"):
             out[lo] = f0 + self.slope0 * np.log(r_arr[lo] / r0)
             out[hi] = f1 - self.slope1 * np.log((1.0 - r_arr[hi]) / (1.0 - r1))
         return out if np.ndim(r) else float(out[0])
 
     def finv(self, x):
-        _, inv = self._splines()
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty_like(x_arr)
         r0, r1 = self.r_table[0], self.r_table[-1]
@@ -99,7 +100,7 @@ class FStarTable:
         lo = x_arr < f0
         hi = x_arr > f1
         mid = ~(lo | hi)
-        out[mid] = inv(x_arr[mid])
+        out[mid] = self._inv(x_arr[mid])
         out[lo] = r0 * np.exp((x_arr[lo] - f0) / self.slope0)
         out[hi] = 1.0 - (1.0 - r1) * np.exp(-(x_arr[hi] - f1) / self.slope1)
         return out if np.ndim(x) else float(out[0])
@@ -193,24 +194,37 @@ def build_fstar(u_star, u_prime0=None, u_prime1=None, points_per_unit=50,
     )
 
 
-def _check_order(t, s):
+def _on_interior(fn, x, t, s, endpoint=None):
+    """Apply a map from time s to time t to the interior points of x.
+
+    fn takes the array of interior points.  Each endpoint maps to itself, or
+    to `endpoint` when given; a scalar x gives a float.
+    """
     if t < s - 1e-12:
         raise ValueError(f"flow maps need t >= s, got t={t}, s={s}")
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any((x_arr < 0.0) | (x_arr > 1.0)):
+        raise ValueError("space argument outside [0,1]")
+    interior = (x_arr > 0.0) & (x_arr < 1.0)
+    out = x_arr.copy() if endpoint is None else np.full_like(x_arr, endpoint)
+    if np.any(interior):
+        out[interior] = fn(x_arr[interior])
+    return out if np.ndim(x) else float(out[0])
+
+
+def _shift(table, r, d):
+    """Translate r by d in the travel-time coordinate."""
+    return table.finv(table.fstar(r) + d)
 
 
 def phi_star(table, xi, t, s):
     """Stationary flow map: position at time t of a particle at xi at time s."""
-    _check_order(t, s)
-    with np.errstate(invalid="ignore"):
-        out = table.finv(table.fstar(xi) - (t - s))
-    return out
+    return _on_interior(lambda x: _shift(table, x, -(t - s)), xi, t, s)
 
 
 def psi_star(table, r, t, s):
     """Inverse stationary flow map: label at time s of the position r at t."""
-    _check_order(t, s)
-    with np.errstate(invalid="ignore"):
-        return table.finv(table.fstar(r) + (t - s))
+    return _on_interior(lambda x: _shift(table, x, t - s), r, t, s)
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +235,16 @@ def psi_star(table, r, t, s):
 class DiffeoMaps:
     """Flow maps of a time-dependent velocity w(r,t) close to u_*.
 
-    w is a vectorized callable (r_array, t) -> values; w_dr optionally gives
-    its analytic radial derivative (finite differences otherwise).  epsilon
-    and mu record the perturbation amplitude and decay rate of w - u_* for
-    reporting; they do not enter the map evaluation itself.
+    w is a vectorized callable (r_array, t) -> values and w_dr gives its
+    radial derivative the same way.  epsilon and mu record the perturbation
+    amplitude and decay rate of w - u_* for reporting; they do not enter the
+    map evaluation itself.
     """
 
     table: FStarTable
     u_star: object
     w: object
-    w_dr: object = None
+    w_dr: object
     epsilon: float = 0.0
     mu: float = 0.0
 
@@ -245,13 +259,6 @@ class DiffeoMaps:
         out = np.zeros_like(uv)
         out[inner] = wv[inner] / uv[inner] - 1.0
         return out
-
-    def w_gradient(self, r, t):
-        if self.w_dr is not None:
-            return self.w_dr(r, t)
-        r = np.asarray(r, dtype=float)
-        h = np.minimum(1e-6, 0.5 * np.minimum(np.maximum(r, 1e-6), np.maximum(1.0 - r, 1e-6)))
-        return (self.w(r + h, t) - self.w(r - h, t)) / (2.0 * h)
 
 
 def make_perturbed_velocity(u_star, epsilon, mu):
@@ -282,9 +289,8 @@ def build_maps(u_star, w=None, w_dr=None, epsilon=0.0, mu=0.0, table=None):
     if table is None:
         table = build_fstar(u_star)
     if w is None:
-        uf = u_star.interpolator()
-        w = lambda r, t: uf(r)
-        w_dr = lambda r, t: uf.derivative()(r)
+        # the factor 1 + 0 e^{-mu t} cos(pi r) is exactly 1, so w = u_*
+        w, w_dr = make_perturbed_velocity(u_star, 0.0, mu)
         epsilon = 0.0
     return DiffeoMaps(table=table, u_star=u_star.interpolator(), w=w, w_dr=w_dr,
                       epsilon=epsilon, mu=mu)
@@ -294,13 +300,11 @@ def _phi_in_coordinate(maps, x0, t, s, t_eval=None):
     """Integrate dx/dtau = -1 - gap(finv(x), tau) for a batch of labels.
 
     x0 are travel-time coordinates of the starting labels.  Returns either
-    the final coordinates or, with t_eval, the (len(t_eval), len(x0)) matrix
-    of coordinates along the path.
+    the final coordinates or, with t_eval (and t > s), the
+    (len(t_eval), len(x0)) matrix of coordinates along the path.
     """
     if t == s:
-        if t_eval is None:
-            return np.asarray(x0, dtype=float)
-        return np.tile(np.asarray(x0, dtype=float), (len(t_eval), 1))
+        return np.asarray(x0, dtype=float)
 
     table = maps.table
 
@@ -317,23 +321,23 @@ def _phi_in_coordinate(maps, x0, t, s, t_eval=None):
     return sol.y.T
 
 
-def _split_endpoints(x):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    interior = (x > 0.0) & (x < 1.0)
-    if np.any((x < 0.0) | (x > 1.0)):
-        raise ValueError("space argument outside [0,1]")
-    return x, interior
+def _path(maps, xi, t, s):
+    """Sample the perturbed characteristics from the labels xi over [s, t].
+
+    Returns the sample times (at least 41, at most 0.025 apart), the
+    starting coordinates F_*(xi) and the (len(taus), len(xi)) coordinates
+    along the path.  Needs t > s.
+    """
+    taus = np.linspace(s, t, max(41, 2 * int(np.ceil((t - s) / 0.05)) + 1))
+    x0 = maps.table.fstar(xi)
+    return taus, x0, _phi_in_coordinate(maps, x0, t, s, t_eval=taus)
 
 
 def phi(maps, xi, t, s):
     """Perturbed flow map: position at t of the particle at xi at time s."""
-    _check_order(t, s)
-    xi_arr, interior = _split_endpoints(xi)
-    out = xi_arr.copy()
-    if np.any(interior):
-        x0 = maps.table.fstar(xi_arr[interior])
-        out[interior] = maps.table.finv(_phi_in_coordinate(maps, x0, t, s))
-    return out if np.ndim(xi) else float(out[0])
+    table = maps.table
+    return _on_interior(
+        lambda x: table.finv(_phi_in_coordinate(maps, table.fstar(x), t, s)), xi, t, s)
 
 
 def psi(maps, r, t, s):
@@ -343,103 +347,71 @@ def psi(maps, r, t, s):
     (t-s) minus a small accumulated perturbation; the fixed-point update
     contracts at the perturbation rate.
     """
-    _check_order(t, s)
-    r_arr, interior = _split_endpoints(r)
-    out = r_arr.copy()
-    if np.any(interior):
-        x_target = maps.table.fstar(r_arr[interior])
+    def invert(x):
+        x_target = maps.table.fstar(x)
         y = x_target + (t - s)  # stationary-flow initial guess
         for _ in range(PSI_MAX_ITERS):
             x_end = _phi_in_coordinate(maps, y, t, s)
             delta = x_target - x_end
             y = y + delta
             if np.max(np.abs(delta)) < PSI_TOL:
-                break
-        else:
-            raise SolverError("inverse flow map iteration did not converge")
-        out[interior] = maps.table.finv(y)
-    return out if np.ndim(r) else float(out[0])
+                return maps.table.finv(y)
+        raise SolverError("inverse flow map iteration did not converge")
 
-
-def _gap_time_integral(maps, xi, t, s, n_eval=None):
-    """integral_s^t gap(Phi(xi,tau,s), tau) dtau for a batch of labels."""
-    if t == s:
-        return np.zeros_like(np.atleast_1d(np.asarray(xi, dtype=float)))
-    if n_eval is None:
-        n_eval = max(41, 2 * int(np.ceil((t - s) / 0.05)) + 1)
-    taus = np.linspace(s, t, n_eval)
-    x0 = maps.table.fstar(np.atleast_1d(np.asarray(xi, dtype=float)))
-    path = _phi_in_coordinate(maps, x0, t, s, t_eval=taus)
-    gaps = np.empty_like(path)
-    for j, tau in enumerate(taus):
-        gaps[j] = maps.relative_gap(maps.table.finv(path[j]), tau)
-    return simpson(gaps, x=taus, axis=0)
+    return _on_interior(invert, r, t, s)
 
 
 def map_T(maps, r, t, s, method="compose"):
     """Conjugating map T: compose = Phi_* o Psi; integral = coordinate shift.
 
     The integral form translates the travel-time coordinate of r by the
-    accumulated relative perturbation along the inverse characteristic, an
-    independent computation used for cross-validation.
+    accumulated relative perturbation integral_s^t gap(Phi(xi,tau,s), tau)
+    dtau along the inverse characteristic, an independent computation used
+    for cross-validation.
     """
-    _check_order(t, s)
-    r_arr, interior = _split_endpoints(r)
-    out = r_arr.copy()
-    if np.any(interior):
-        xi = psi(maps, r_arr[interior], t, s)
+    def conjugate(x):
+        xi = psi(maps, x, t, s)
         if method == "compose":
-            out[interior] = phi_star(maps.table, xi, t, s)
-        elif method == "integral":
-            z = _gap_time_integral(maps, xi, t, s)
-            out[interior] = maps.table.finv(maps.table.fstar(r_arr[interior]) + z)
-        else:
+            return phi_star(maps.table, xi, t, s)
+        if method != "integral":
             raise ValueError(f"unknown method {method!r}")
-    return out if np.ndim(r) else float(out[0])
+        if t == s:
+            return _shift(maps.table, x, 0.0)
+        taus, _, path = _path(maps, xi, t, s)
+        for j, tau in enumerate(taus):  # each row of the path becomes its gap
+            path[j] = maps.relative_gap(maps.table.finv(path[j]), tau)
+        return _shift(maps.table, x, simpson(path, x=taus, axis=0))
+
+    return _on_interior(conjugate, r, t, s)
 
 
 def map_S(maps, rbar, t, s):
     """Inverse conjugating map S = Phi o Psi_*."""
-    _check_order(t, s)
-    r_arr, interior = _split_endpoints(rbar)
-    out = r_arr.copy()
-    if np.any(interior):
-        xi = psi_star(maps.table, r_arr[interior], t, s)
-        out[interior] = phi(maps, xi, t, s)
-    return out if np.ndim(rbar) else float(out[0])
+    return _on_interior(lambda x: phi(maps, psi_star(maps.table, x, t, s), t, s),
+                        rbar, t, s)
 
 
-def _flow_derivative_ratio(maps, xi, t, s, n_eval=None):
+def _flow_derivative_ratio(maps, xi, t, s):
     """exp(int_s^t [u_*'(Phi_*(xi,tau,s)) - dw/dr(Phi(xi,tau,s),tau)] dtau).
 
     This is dPhi_*/dxi divided by dPhi/dxi; evaluated at xi = Psi(r,t,s) it
     equals dT/dr, and its reciprocal at xi = Psi_*(rbar,t,s) equals dS/drbar.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if t == s:
         return np.ones_like(xi)
-    if n_eval is None:
-        n_eval = max(41, 2 * int(np.ceil((t - s) / 0.05)) + 1)
-    taus = np.linspace(s, t, n_eval)
-    x0 = maps.table.fstar(xi)
-    path = _phi_in_coordinate(maps, x0, t, s, t_eval=taus)
+    taus, x0, path = _path(maps, xi, t, s)
     ud = maps.u_star.derivative()
-    integrand = np.empty_like(path)
-    for j, tau in enumerate(taus):
-        r_pert = maps.table.finv(path[j])
-        r_stat = maps.table.finv(x0 - (tau - s))
-        integrand[j] = ud(r_stat) - maps.w_gradient(r_pert, tau)
-    return np.exp(simpson(integrand, x=taus, axis=0))
+    finv = maps.table.finv
+    for j, tau in enumerate(taus):  # each row of the path becomes the integrand
+        path[j] = ud(finv(x0 - (tau - s))) - maps.w_dr(finv(path[j]), tau)
+    return np.exp(simpson(path, x=taus, axis=0))
 
 
 def dT_dr(maps, r, t, s):
     """Spatial derivative of T by the flow-derivative formula."""
-    r_arr, interior = _split_endpoints(r)
-    out = np.ones_like(r_arr)
-    if np.any(interior):
-        xi = psi(maps, r_arr[interior], t, s)
-        out[interior] = _flow_derivative_ratio(maps, xi, t, s)
-    return out if np.ndim(r) else float(out[0])
+    return _on_interior(
+        lambda x: _flow_derivative_ratio(maps, psi(maps, x, t, s), t, s),
+        r, t, s, endpoint=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -489,25 +461,13 @@ class BoundsReport:
     def all_passed(self):
         return all(e.passed or e.skipped for e in self.entries)
 
-    def entry(self, name):
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-    def to_rows(self):
-        rows = []
-        for e in self.entries:
-            worst = max(e.constants.values()) if e.constants else float("nan")
-            rows.append((e.name, e.n_samples, worst,
-                         e.ratio if e.ratio is not None else float("nan"),
-                         "skip" if e.skipped else ("pass" if e.passed else "FAIL")))
-        return rows
-
     def __str__(self):
         lines = ["inequality,samples,constant,halving_ratio,status"]
-        for name, n, c, ratio, status in self.to_rows():
-            lines.append(f"{name},{n},{c:.6e},{ratio:.3f},{status}")
+        for e in self.entries:
+            worst = max(e.constants.values()) if e.constants else float("nan")
+            ratio = e.ratio if e.ratio is not None else float("nan")
+            status = "skip" if e.skipped else ("pass" if e.passed else "FAIL")
+            lines.append(f"{e.name},{e.n_samples},{worst:.6e},{ratio:.3f},{status}")
         return "\n".join(lines)
 
 
@@ -553,26 +513,23 @@ def check_map_bounds(make_maps, plan=None, raise_on_fail=True):
     a_dd = lambda r: -4.0 * np.cos(2.0 * r) + 1.0
 
     weight = r_samples * (1.0 - r_samples)
+    rfine = np.linspace(1e-4, 1.0 - 1e-4, 400)
     names_ratio = ["T_shift", "S_shift", "phi_shift", "psi_shift",
                    "dT_bound", "dS_bound", "coeff_shift_sup",
                    "coeff_shift_weighted", "cumulative_op_distance"]
-    names_equiv = ["T_weight_equiv_lo", "T_weight_equiv_hi",
-                   "S_weight_equiv_lo", "S_weight_equiv_hi",
-                   "psi_weight_equiv_lo", "psi_weight_equiv_hi",
-                   "phi_weight_equiv_lo", "phi_weight_equiv_hi"]
+    names_equiv = [f"{m}_weight_equiv_{side}" for m in ("T", "S", "psi", "phi")
+                   for side in ("lo", "hi")]
     constants = {n: {} for n in names_ratio + names_equiv + ["w_gradient_hypothesis"]}
-    gradient_ok = {}
 
     all_eps = []
     for eps in plan.epsilons:
         all_eps.extend([eps, 0.5 * eps])
 
-    table = None
     for eps in all_eps:
         maps = make_maps(eps)
         table = maps.table
+        ud_fine = maps.u_star.derivative()(rfine)
         acc = {n: [] for n in constants}
-        grad_consts = []
         for tp, sp in zip(t_vals, s_vals):
             envelope = eps * (np.exp(-mu * sp) - np.exp(-mu * tp))
 
@@ -582,36 +539,22 @@ def check_map_bounds(make_maps, plan=None, raise_on_fail=True):
             s_comp = phi(maps, xi_ps, tp, sp)
             phi_vals = phi(maps, r_samples, tp, sp)
             phistar_vals = phi_star(table, r_samples, tp, sp)
-            psistar_vals = xi_ps
 
-            # weight equivalences
-            tw = t_comp * (1.0 - t_comp) / weight
-            sw = s_comp * (1.0 - s_comp) / weight
-            pw = (xi_psi * (1.0 - xi_psi)) / (psistar_vals * (1.0 - psistar_vals))
-            fw = (phi_vals * (1.0 - phi_vals)) / (phistar_vals * (1.0 - phistar_vals))
-            acc["T_weight_equiv_lo"].append(tw.min())
-            acc["T_weight_equiv_hi"].append(tw.max())
-            acc["S_weight_equiv_lo"].append(sw.min())
-            acc["S_weight_equiv_hi"].append(sw.max())
-            acc["psi_weight_equiv_lo"].append(pw.min())
-            acc["psi_weight_equiv_hi"].append(pw.max())
-            acc["phi_weight_equiv_lo"].append(fw.min())
-            acc["phi_weight_equiv_hi"].append(fw.max())
-
-            # amplitude-linear shift bounds
-            acc["T_shift"].append(np.max(np.abs(t_comp - r_samples) / (envelope * weight)))
-            acc["S_shift"].append(np.max(np.abs(s_comp - r_samples) / (envelope * weight)))
-            pden = phistar_vals * (1.0 - phistar_vals)
-            acc["phi_shift"].append(np.max(np.abs(phi_vals - phistar_vals) / (envelope * pden)))
-            qden = psistar_vals * (1.0 - psistar_vals)
-            acc["psi_shift"].append(np.max(np.abs(xi_psi - psistar_vals) / (envelope * qden)))
+            # weight equivalences and amplitude-linear shift bounds, each map
+            # against its reference: T and S against the identity, Psi
+            # against Psi_*, Phi against Phi_*
+            for m, x, ref in (("T", t_comp, r_samples), ("S", s_comp, r_samples),
+                              ("psi", xi_psi, xi_ps), ("phi", phi_vals, phistar_vals)):
+                ref_weight = ref * (1.0 - ref)
+                equiv = x * (1.0 - x) / ref_weight
+                acc[m + "_weight_equiv_lo"].append(equiv.min())
+                acc[m + "_weight_equiv_hi"].append(equiv.max())
+                acc[m + "_shift"].append(np.max(np.abs(x - ref) / (envelope * ref_weight)))
 
             # velocity-gradient hypothesis, measured on a fine grid
-            rfine = np.linspace(1e-4, 1.0 - 1e-4, 400)
-            ud = maps.u_star.derivative()
             for tau in (sp, 0.5 * (sp + tp), tp):
-                dev = np.max(np.abs(maps.w_gradient(rfine, tau) - ud(rfine)))
-                grad_consts.append(dev / (eps * np.exp(-mu * tau)))
+                dev = np.max(np.abs(maps.w_dr(rfine, tau) - ud_fine))
+                acc["w_gradient_hypothesis"].append(dev / (eps * np.exp(-mu * tau)))
 
             # spatial derivative bounds via the flow-derivative formula
             dT = _flow_derivative_ratio(maps, xi_psi, tp, sp)
@@ -641,27 +584,17 @@ def check_map_bounds(make_maps, plan=None, raise_on_fail=True):
                 worst = max(worst, gap)
             acc["cumulative_op_distance"].append(worst / envelope)
 
-        for n in acc:
-            if n == "w_gradient_hypothesis":
-                continue
-            vals = np.asarray(acc[n], dtype=float)
-            if n.endswith("_lo"):
-                constants[n][eps] = float(vals.min())
-            else:
-                constants[n][eps] = float(vals.max())
-        gmax = float(np.max(grad_consts))
-        constants["w_gradient_hypothesis"][eps] = gmax
-        gradient_ok[eps] = np.isfinite(gmax) and gmax <= GRADIENT_HYPOTHESIS_CAP
+        for n, vals in acc.items():
+            constants[n][eps] = float(np.min(vals) if n.endswith("_lo") else np.max(vals))
 
     n_per_eps = plan.n_pairs * plan.n_r
-    entries = []
-    grad_all_ok = all(gradient_ok.values())
-
     gvals = constants["w_gradient_hypothesis"]
-    entries.append(BoundEntry(
-        name="w_gradient_hypothesis", n_samples=plan.n_pairs * 3 * 400 * len(all_eps),
+    grad_all_ok = all(np.isfinite(g) and g <= GRADIENT_HYPOTHESIS_CAP
+                      for g in gvals.values())
+    entries = [BoundEntry(
+        name="w_gradient_hypothesis", n_samples=plan.n_pairs * 3 * rfine.size * len(all_eps),
         constants=gvals, passed=grad_all_ok,
-        note="" if grad_all_ok else "gradient hypothesis fails; derivative bounds skipped"))
+        note="" if grad_all_ok else "gradient hypothesis fails; derivative bounds skipped")]
 
     for n in names_equiv:
         cv = constants[n]

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from tumorlab.experiments import _STATIONARY_CACHE
+from tumorlab.experiments import stationary_for
 from tumorlab.grid import RadialGrid
 from tumorlab.kinetics import KineticsSpec
 from tumorlab.linearized import build_operators
-from tumorlab.stationary import solve_stationary
 
 
 @pytest.fixture(scope="session")
@@ -23,19 +22,15 @@ def grid201():
     return RadialGrid.uniform(201)
 
 
+# through the experiments-level cache, so orchestrated runs reuse the solve
 @pytest.fixture(scope="session")
-def stationary801(default_spec, grid801):
-    sol = solve_stationary(default_spec, grid801)
-    # share with the experiments-level cache so orchestrated runs reuse it
-    _STATIONARY_CACHE[(default_spec, 801)] = sol
-    return sol
+def stationary801(default_spec):
+    return stationary_for(default_spec, 801)
 
 
 @pytest.fixture(scope="session")
-def stationary201(default_spec, grid201):
-    sol = solve_stationary(default_spec, grid201)
-    _STATIONARY_CACHE[(default_spec, 201)] = sol
-    return sol
+def stationary201(default_spec):
+    return stationary_for(default_spec, 201)
 
 
 @pytest.fixture(scope="session")

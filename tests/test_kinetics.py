@@ -75,10 +75,5 @@ def test_reaction_dp_matches_difference_quotient():
     np.testing.assert_allclose(reaction_f_dp(spec, c, p), fd, atol=1e-8)
 
 
-def test_spec_roundtrip_dict():
-    spec = KineticsSpec(lam=2.0, b_rate=1.5, family="saturating")
-    assert KineticsSpec.from_dict(spec.to_dict()) == spec
-
-
 def test_families_enumerated():
     assert set(FAMILIES) == {"affine", "saturating"}

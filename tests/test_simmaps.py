@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -109,7 +111,8 @@ def test_flow_derivative_matches_difference_quotient(perturbed_maps):
     assert np.max(np.abs(d - fd)) <= 1e-4
 
 
-def test_bounds_report_small_plan(logistic_table):
+@pytest.fixture(scope="module")
+def small_plan_report(logistic_table):
     _, u = logistic_table
     plan = SamplePlan(epsilons=(1e-2,), n_pairs=3, n_r=40, n_test_funcs=5)
 
@@ -117,10 +120,13 @@ def test_bounds_report_small_plan(logistic_table):
         w, w_dr = make_perturbed_velocity(u, eps, plan.mu)
         return build_maps(u, w, w_dr, epsilon=eps, mu=plan.mu)
 
-    report = check_map_bounds(make_maps, plan)
-    assert report.all_passed
+    return check_map_bounds(make_maps, plan)
+
+
+def test_bounds_report_small_plan(small_plan_report):
+    assert small_plan_report.all_passed
     # amplitude-linear bounds keep their constants under eps-halving
-    for entry in report.entries:
+    for entry in small_plan_report.entries:
         if entry.ratio is not None and not entry.skipped:
             assert 0.3 <= entry.ratio <= 3.0
 
@@ -139,3 +145,78 @@ def test_bounds_failure_raises(logistic_table):
 
     with pytest.raises(ExperimentFailure):
         check_map_bounds(make_maps, plan)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of every map's output on the logistic table (endpoints included)
+# and of the small-plan bound constants, recorded with numpy 2.4.6 and
+# scipy 1.17.1 on x86-64.
+MAP_DIGESTS = {
+    "phi_star":
+        "1f3bf6c0da1ec7ba2580f8b48ae6fa67bf7db5a343a1acfb90f4cead4acfde1c",
+    "psi_star":
+        "574856bfe718227d9f567870a4d99a8fb0b19d9d7191bf99188acfedce6a8d9a",
+    "phi":
+        "1dfc9978c2c18b9858d4989522914412094c3363f930a0589a26aaf288307979",
+    "psi":
+        "f0290e67278884c6a112a276a220e11eaf66b8be2c75effd2931aacb7e8c1820",
+    "map_T_compose":
+        "247b55ef4dd8651263d50c941005dca960b89cd3518f1bb0d29623466b8c4882",
+    "map_T_integral":
+        "45f83c5215e24ec657e7388f08d353b64edf605e613e50b9fb038e71e909765a",
+    "map_S":
+        "87f64998c61dbca89b96a865947ad777fd047f4ed447bef78053891fc5a5b9dc",
+    "dT_dr":
+        "e11b811d4334fbcbda67f4eb86e1c8f617afd5a2b98734438e04a599cbbec58c",
+    "bound_constants":
+        "c9e72a7221b22650f85e82356a61c852c905cc82c3df21bba9d68654944c2c3c",
+}
+
+
+def test_map_outputs_bit_identical(logistic_table, perturbed_maps,
+                                   small_plan_report):
+    """Every flow map and the bound constants reproduce their recorded bytes.
+
+    A refactoring must leave every digest as it is; a deliberate numerical
+    change must re-record them and say so in CHANGES.md.  Another numpy or
+    scipy build may round differently and change them too.
+    """
+    table, _ = logistic_table
+    maps = perturbed_maps
+    r = np.linspace(0.0, 1.0, 41)
+    t, s = 3.0, 1.0
+    outputs = {
+        "phi_star": phi_star(table, r, t, s),
+        "psi_star": psi_star(table, r, t, s),
+        "phi": phi(maps, r, t, s),
+        "psi": psi(maps, r, t, s),
+        "map_T_compose": map_T(maps, r, t, s),
+        "map_T_integral": map_T(maps, r, t, s, method="integral"),
+        "map_S": map_S(maps, r, t, s),
+        "dT_dr": dT_dr(maps, r, t, s),
+    }
+    got = {name: _digest(out) for name, out in outputs.items()}
+    got["bound_constants"] = _digest(*(list(e.constants.items())
+                                       for e in small_plan_report.entries))
+    assert got == MAP_DIGESTS
+
+
+def test_map_points_endpoints_and_scalars(logistic_table, perturbed_maps):
+    table, _ = logistic_table
+    maps = perturbed_maps
+    t, s = 2.0, 0.5
+    for fn in (phi_star, psi_star):
+        for bad in (-0.1, np.array([0.5, 1.5])):
+            with pytest.raises(ValueError):
+                fn(table, bad, t, s)
+        assert fn(table, np.array([0.0, 1.0]), t, s).tolist() == [0.0, 1.0]
+        assert isinstance(fn(table, 0.4, t, s), float)
+    for fn in (phi, psi, map_T, map_S, dT_dr):
+        assert isinstance(fn(maps, 0.4, t, s), float)
+    assert dT_dr(maps, np.array([0.0, 0.5, 1.0]), t, s)[[0, -1]].tolist() == [1.0, 1.0]
