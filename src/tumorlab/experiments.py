@@ -10,6 +10,7 @@ configs and reports the empirical stability-basin edge; emit_report persists
 a manifest, the trajectory table and a plot-ready decay table.
 """
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
@@ -138,8 +139,6 @@ class StabilityReport:
     epsilon: float
     fit_x: DecayReport
     fit_x0: DecayReport
-    max_ratio_x: float
-    max_ratio_x0: float
     checks: dict
     linear_response_ratio: float
     trajectory: object = field(default=None, repr=False)
@@ -150,16 +149,10 @@ class StabilityReport:
         return all(self.checks.values())
 
 
-_STATIONARY_CACHE = {}
-
-
+@functools.cache
 def stationary_for(spec, grid_size):
     """Cached stationary solve keyed by kinetics and grid size."""
-    key = (spec, grid_size)
-    if key not in _STATIONARY_CACHE:
-        grid = RadialGrid.uniform(grid_size)
-        _STATIONARY_CACHE[key] = solve_stationary(spec, grid)
-    return _STATIONARY_CACHE[key]
+    return solve_stationary(spec, RadialGrid.uniform(grid_size))
 
 
 def initial_state(config, reference):
@@ -220,8 +213,7 @@ def run_stability_experiment(config, reference=None, linear_response=True):
         nanfit = DecayReport(np.nan, np.nan, window, "X", 0.0, 0.0, False,
                              "unperturbed run, nothing to fit")
         return StabilityReport(config=config, epsilon=0.0, fit_x=nanfit,
-                               fit_x0=nanfit, max_ratio_x=np.nan,
-                               max_ratio_x0=np.nan, checks=checks,
+                               fit_x0=nanfit, checks=checks,
                                linear_response_ratio=np.nan, trajectory=traj,
                                reference=reference)
 
@@ -257,8 +249,6 @@ def run_stability_experiment(config, reference=None, linear_response=True):
         epsilon=eps,
         fit_x=replace(fit_x, K_fit=kx / eps),
         fit_x0=replace(fit_x0, K_fit=kx0 / eps),
-        max_ratio_x=float(np.max(traj.norm_x)) / eps,
-        max_ratio_x0=float(np.max(traj.norm_x0)) / eps,
         checks=checks,
         linear_response_ratio=ratio,
         trajectory=traj,
@@ -282,12 +272,12 @@ class SweepSummary:
         return "\n".join(lines) + "\n"
 
 
-def sweep(configs, linear_response=False):
+def sweep(configs):
     """Run a batch of configs, aggregating fits and the stability-basin edge.
 
-    Per-run solver failures are recorded in the row and the sweep continues.
-    The basin edge is the largest epsilon among passing runs (nan if none
-    pass).
+    The runs skip the linear-response companion run.  Per-run solver
+    failures are recorded in the row and the sweep continues.  The basin
+    edge is the largest epsilon among passing runs (nan if none pass).
     """
     if not configs:
         raise ConfigError("sweep needs at least one config")
@@ -302,8 +292,7 @@ def sweep(configs, linear_response=False):
             "passed": False, "error": "",
         }
         try:
-            rep = run_stability_experiment(config,
-                                           linear_response=linear_response)
+            rep = run_stability_experiment(config, linear_response=False)
         except (SolverError, ConfigError) as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         else:

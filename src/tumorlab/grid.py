@@ -94,9 +94,6 @@ class RadialField:
     def __call__(self, r):
         return self.interpolator()(r)
 
-    def derivative(self, r):
-        return self.interpolator().derivative()(r)
-
     def with_values(self, values):
         return RadialField(self.grid, values)
 

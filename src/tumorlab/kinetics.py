@@ -167,13 +167,6 @@ class ValidationReport:
     def failed_names(self):
         return [ch.name for ch in self.checks if not ch.passed]
 
-    def __str__(self):
-        lines = []
-        for ch in self.checks:
-            status = "pass" if ch.passed else "FAIL"
-            lines.append(f"{status}  {ch.name:16s} worst margin {ch.margin:+.3e}")
-        return "\n".join(lines)
-
 
 def validate_hypotheses(spec):
     """Check the structural hypotheses on a 1001-point sample of [0,1].

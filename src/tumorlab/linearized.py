@@ -31,6 +31,8 @@ from .transport import (Trajectory, _needs_regrid, _pinned_velocity,
                         rk4, trajectory)
 
 RESOLVENT_DS = 5e-4
+LAPLACE_DT = 5e-3  # time step of the Laplace-transform quadrature
+ENSEMBLE_AMPLITUDE = 1e-2
 FIT_WINDOW_FRACTION = 0.7
 FIT_R2_MIN = 0.98
 
@@ -187,18 +189,18 @@ class LinearPropagator:
         dzeta = full + self.ops.kappa * zeta
         return dphi, dzeta
 
-    def record_times(self, t_end, output_every=0.1, t0=0.0):
-        """The times of the states records yields."""
-        recorded = output_steps(t_end - t0, self.dt, output_every)[1]
-        return t0 + self.dt * np.array(recorded)
+    def record_times(self, t_end, output_every=0.1):
+        """The times of the states records yields, from t = 0."""
+        recorded = output_steps(t_end, self.dt, output_every)[1]
+        return self.dt * np.array(recorded)
 
-    def records(self, phi0, zeta0, t_end, output_every=0.1, t0=0.0):
+    def records(self, phi0, zeta0, t_end, output_every=0.1):
         """Integrate a batch of initial data (rows of phi0) and yield
         (j, phi, zeta) at the j-th recorded step, phi resampled onto the
-        reference grid; the times are record_times(t_end, output_every, t0).
+        reference grid; the times are record_times(t_end, output_every).
         """
         dt = self.dt
-        n_steps, recorded = output_steps(t_end - t0, dt, output_every)
+        n_steps, recorded = output_steps(t_end, dt, output_every)
         phi = np.atleast_2d(np.asarray(phi0, dtype=float)).copy()
         zeta = np.atleast_1d(np.asarray(zeta0, dtype=float)).copy()
         yield 0, phi, zeta
@@ -220,19 +222,19 @@ class LinearPropagator:
                 yield j, on_grid(end_pos, phi, self.nodes), zeta
                 j += 1
 
-    def run(self, phi0, zeta0, t_end, output_every=0.1, t0=0.0):
+    def run(self, phi0, zeta0, t_end, output_every=0.1):
         """The recorded states of records collected into arrays.
 
         Returns (times, phis, zetas) with phis of shape (n_times, n_runs,
         n_nodes) and zetas of shape (n_times, n_runs).
         """
-        times = self.record_times(t_end, output_every, t0)
+        times = self.record_times(t_end, output_every)
         phi0 = np.atleast_2d(np.asarray(phi0, dtype=float))
         zeta0 = np.atleast_1d(np.asarray(zeta0, dtype=float))
         # snapshots go straight into arrays sized up front
         phis = np.empty((times.size,) + phi0.shape)
         zetas = np.empty((times.size,) + zeta0.shape)
-        for j, phi, zeta in self.records(phi0, zeta0, t_end, output_every, t0):
+        for j, phi, zeta in self.records(phi0, zeta0, t_end, output_every):
             phis[j], zetas[j] = phi, zeta
         return times, phis, zetas
 
@@ -320,21 +322,22 @@ def fit_decay(traj, norm_kind="X", window=None):
     )
 
 
-def random_smooth_field(grid, rng, amplitude=1.0, n_modes=6):
+def random_smooth_field(grid, rng, amplitude=1.0):
     """Random smooth field with decaying Fourier content, sup-norm <= amplitude."""
-    vals = _random_smooth(rng, grid.nodes, n_modes)
+    vals = _random_smooth(rng, grid.nodes)
     peak = np.max(np.abs(vals))
     if peak > 0:
         vals *= amplitude / peak
     return RadialField(grid, vals)
 
 
-def decay_ensemble(ops, n_runs=20, t_end=100.0, dt=1e-2, seed=0,
-                   amplitude=1e-2, output_every=0.1):
+def decay_ensemble(ops, n_runs=20, t_end=100.0, dt=1e-2, seed=0):
     """Fitted decay rates for an ensemble of random initial perturbations.
 
-    The members are advanced together and streamed: each recorded state is
-    reduced to its deviation terms as it is produced, so only the
+    Each member starts from a random smooth phi and a uniform zeta, both of
+    sup-norm at most ENSEMBLE_AMPLITUDE, and is recorded every 0.1 time
+    units.  The members are advanced together and streamed: each recorded
+    state is reduced to its deviation terms as it is produced, so only the
     (n_times, n_runs) series are held, never the states.  Returns a list of
     (DecayReport_X, DecayReport_X0) pairs, one per run; the empirical rate
     estimate is the ensemble minimum of the fitted rates.
@@ -342,13 +345,13 @@ def decay_ensemble(ops, n_runs=20, t_end=100.0, dt=1e-2, seed=0,
     rng = np.random.default_rng(seed)
     prop = LinearPropagator(ops, dt)
     phi0 = np.stack([
-        random_smooth_field(ops.grid, rng, amplitude=amplitude).values
+        random_smooth_field(ops.grid, rng, amplitude=ENSEMBLE_AMPLITUDE).values
         for _ in range(n_runs)
     ])
-    zeta0 = amplitude * rng.uniform(-1.0, 1.0, size=n_runs)
-    times = prop.record_times(t_end, output_every)
+    zeta0 = ENSEMBLE_AMPLITUDE * rng.uniform(-1.0, 1.0, size=n_runs)
+    times = prop.record_times(t_end)
     p_dev, dp_dev, z_dev = (np.empty((times.size, n_runs)) for _ in range(3))
-    for j, phi, zeta in prop.records(phi0, zeta0, t_end, output_every):
+    for j, phi, zeta in prop.records(phi0, zeta0, t_end):
         if not np.all(np.isfinite(phi)):
             raise ValueError("field values must be finite")
         p_dev[j], dp_dev[j], z_dev[j] = deviation(ops.grid, phi, zeta, 0.0, 0.0)
@@ -366,15 +369,14 @@ def decay_ensemble(ops, n_runs=20, t_end=100.0, dt=1e-2, seed=0,
 # resolvent of the scalar transport operator
 
 
-def _resolvent_grid(w, ds, *margins):
-    """Travel-time table of w and the coordinates of its interior nodes, with
-    a uniform coordinate grid of step at most ds (and its radii) that runs
-    from the first node to the last one plus the margins, added in order."""
-    table = build_fstar(w)
-    s_nodes = table.fstar(w.grid.nodes[1:-1])
+def _coordinate_grid(table, nodes, ds, *margins):
+    """Travel-time coordinates of the interior nodes, with a uniform
+    coordinate grid of step at most ds (and its radii) that runs from the
+    first node to the last one plus the margins, added in order."""
+    s_nodes = table.fstar(nodes[1:-1])
     s_lo, s_hi = s_nodes[0], sum(margins, s_nodes[-1])
     s_grid = np.linspace(s_lo, s_hi, int(np.ceil((s_hi - s_lo) / ds)) + 1)
-    return table, s_nodes, s_grid, table.finv(s_grid)
+    return s_nodes, s_grid, table.finv(s_grid)
 
 
 def resolvent_apply(w, a, lam, f, return_residual=False):
@@ -390,13 +392,26 @@ def resolvent_apply(w, a, lam, f, return_residual=False):
     on the internal coordinate grid by 4th-order differences.
     """
     require_same_grid(w, a, f)
+    vals, res = _resolvent(build_fstar(w), a, lam, f)
+    grid = w.grid
+    if complex(lam).imag == 0.0 and np.max(np.abs(vals.imag)) < 1e-12:
+        result = RadialField(grid, vals.real)
+    else:
+        result = (RadialField(grid, vals.real), RadialField(grid, vals.imag))
+    return (result, res) if return_residual else result
+
+
+def _resolvent(table, a, lam, f):
+    """The complex node values of resolvent_apply and its residual, in the
+    travel-time coordinate given by table."""
     lam = complex(lam)
     omega0 = float(np.max(a.values))
     if lam.real <= omega0:
         raise ValueError(
             f"resolvent needs Re(lambda) > max a = {omega0}, got {lam}")
-    _, s_nodes, s_grid, r_s = _resolvent_grid(
-        w, RESOLVENT_DS, min(40.0 / (lam.real - omega0), 400.0))
+    grid = a.grid
+    s_nodes, s_grid, r_s = _coordinate_grid(
+        table, grid.nodes, RESOLVENT_DS, min(40.0 / (lam.real - omega0), 400.0))
     a_s = a(r_s)
     f_s = f(r_s)
     ds = s_grid[1] - s_grid[0]
@@ -413,33 +428,27 @@ def resolvent_apply(w, a, lam, f, return_residual=False):
     rhs[-1] = f_s[-1] / (a_s[-1] - lam)
     q_s = solve_banded((0, 1), ab, rhs)
 
-    grid = w.grid
     vals = np.empty(grid.size, dtype=complex)
     vals[1:-1] = np.interp(s_nodes, s_grid, q_s)
     vals[0] = f.values[0] / (a.values[0] - lam)
     vals[-1] = f.values[-1] / (a.values[-1] - lam)
 
-    if abs(lam.imag) == 0.0 and np.max(np.abs(vals.imag)) < 1e-12:
-        result = RadialField(grid, vals.real)
-    else:
-        result = (RadialField(grid, vals.real), RadialField(grid, vals.imag))
-    if not return_residual:
-        return result
     dq = np.empty_like(q_s)
     dq[2:-2] = (q_s[:-4] - 8 * q_s[1:-3] + 8 * q_s[3:-1] - q_s[4:]) / (12 * ds)
     res = dq[2:-2] + (a_s[2:-2] - lam) * q_s[2:-2] - f_s[2:-2]
-    return result, float(np.max(np.abs(res)))
+    return vals, float(np.max(np.abs(res)))
 
 
-def laplace_consistency(w, a, lam, q0, horizon=None, dt_quad=5e-3):
+def laplace_consistency(w, a, lam, q0):
     """Discrepancy between the resolvent and the Laplace-transformed semigroup.
 
     The transport-with-multiplier semigroup has a closed form in the
     travel-time coordinate (translation times an accumulated-multiplier
-    exponential); its time quadrature against e^{-lam t} must equal minus the
-    resolvent output.  Returns the sup discrepancy over the grid nodes.
-    Raises ValueError when the requested horizon leaves a truncation tail
-    above the 1e-4 consistency scale.
+    exponential); its time quadrature (step LAPLACE_DT up to the horizon
+    16 / (Re lam - max a)) against e^{-lam t} must equal minus the resolvent
+    output.  Returns the sup discrepancy over the grid nodes.  Raises
+    ValueError when the horizon leaves a truncation tail above the 1e-4
+    consistency scale.
     """
     require_same_grid(w, a, q0)
     lam = complex(lam)
@@ -448,8 +457,7 @@ def laplace_consistency(w, a, lam, q0, horizon=None, dt_quad=5e-3):
     if rate <= 0:
         raise ValueError(
             f"laplace check needs Re(lambda) > max a = {omega0}, got {lam}")
-    if horizon is None:
-        horizon = 16.0 / rate
+    horizon = 16.0 / rate
     q0_sup = float(np.max(np.abs(q0.values)))
     tail = q0_sup * np.exp(-rate * horizon) / rate
     if tail > 5e-5:
@@ -459,10 +467,12 @@ def laplace_consistency(w, a, lam, q0, horizon=None, dt_quad=5e-3):
 
     # accumulated-multiplier table A(s) = int a(r(sigma)) dsigma on a fine
     # grid long enough to cover every shifted evaluation point
-    table, s_nodes, s_fine, r_fine = _resolvent_grid(w, 1e-3, horizon, 1.0)
+    table = build_fstar(w)
+    s_nodes, s_fine, r_fine = _coordinate_grid(table, w.grid.nodes, 1e-3,
+                                               horizon, 1.0)
     a_big = cumulative_integral(a(r_fine), s_fine)
 
-    n_t = 2 * int(np.ceil(horizon / (2.0 * dt_quad))) + 1
+    n_t = 2 * int(np.ceil(horizon / (2.0 * LAPLACE_DT))) + 1
     t_grid = np.linspace(0.0, horizon, n_t)
     sigma = s_nodes[:, None] + t_grid[None, :]
     q0_sig = q0(table.finv(sigma))
@@ -470,9 +480,5 @@ def laplace_consistency(w, a, lam, q0, horizon=None, dt_quad=5e-3):
     integrand = q0_sig * np.exp(a_shift - lam * t_grid[None, :])
     laplace = simpson(integrand, x=t_grid, axis=1)
 
-    q = resolvent_apply(w, a, lam, q0)
-    if isinstance(q, tuple):
-        q_vals = q[0].values + 1j * q[1].values
-    else:
-        q_vals = q.values
+    q_vals, _ = _resolvent(table, a, lam, q0)
     return float(np.max(np.abs(laplace + q_vals[1:-1])))

@@ -39,6 +39,14 @@ FLOW_RTOL = 1e-10
 FLOW_ATOL = 1e-12
 PSI_TOL = 1e-12
 PSI_MAX_ITERS = 40
+#: travel-time table: nodes per unit of F_*, and its distance from the ends
+POINTS_PER_UNIT = 50
+R_MIN = 1e-6
+#: sample plan: the range of t - s and the largest s
+T_GAP_RANGE = (0.5, 8.0)
+S_MAX = 4.0
+#: Fourier modes of a random smooth test function
+N_MODES = 6
 #: hypothesis threshold for sup |dw/dr - u_*'| / (eps e^{-mu t})
 GRADIENT_HYPOTHESIS_CAP = 100.0
 
@@ -51,7 +59,7 @@ GRADIENT_HYPOTHESIS_CAP = 100.0
 class FStarTable:
     """Monotone table of the travel-time coordinate F_* and its inverse.
 
-    The table covers [r_min, 1-r_min]; beyond it the closed-form logarithmic
+    The table covers [R_MIN, 1-R_MIN]; beyond it the closed-form logarithmic
     asymptotics F_* ~ slope0*log r (near 0) and F_* ~ -slope1*log(1-r)
     (near 1) take over, so fstar/finv are defined on all of [0,1] / R with
     the conventions fstar(0) = -inf and fstar(1) = +inf.
@@ -106,15 +114,16 @@ class FStarTable:
         return out if np.ndim(x) else float(out[0])
 
 
-def build_fstar(u_star, u_prime0=None, u_prime1=None, points_per_unit=50,
-                r_min=1e-6):
+def build_fstar(u_star):
     """Tabulate the travel-time coordinate of a negative interior velocity.
 
     u_star is a RadialField, negative on (0,1) with simple zeros at both
-    endpoints.  The reciprocal integrand 1/u is split into the two endpoint
-    poles (integrated in closed form as logarithms) plus a bounded remainder
-    integrated by composite 8-point Gauss-Legendre on a grid graded so that
-    consecutive nodes are ~1/points_per_unit apart in the F_* coordinate.
+    endpoints; its endpoint slopes u'(0) and u'(1) are taken from the node
+    derivatives.  The reciprocal integrand 1/u is split into the two
+    endpoint poles (integrated in closed form as logarithms) plus a bounded
+    remainder integrated by composite 8-point Gauss-Legendre on a grid
+    graded so that consecutive nodes are ~1/POINTS_PER_UNIT apart in the
+    F_* coordinate.
     The remainder is evaluated through the smooth quotients u/r and u/(r-1),
     which avoids the catastrophic cancellation of subtracting two poles.
     """
@@ -123,10 +132,8 @@ def build_fstar(u_star, u_prime0=None, u_prime1=None, points_per_unit=50,
     if np.any(vals[1:-1] >= 0.0):
         raise ValueError("velocity must be strictly negative on the interior")
     dv = derivative_values(vals, u_star.grid)
-    if u_prime0 is None:
-        u_prime0 = float(dv[0])
-    if u_prime1 is None:
-        u_prime1 = float(dv[-1])
+    u_prime0 = float(dv[0])
+    u_prime1 = float(dv[-1])
     if u_prime0 >= 0 or u_prime1 <= 0:
         raise ValueError("velocity must have a negative slope at 0 and a positive slope at 1")
 
@@ -154,7 +161,7 @@ def build_fstar(u_star, u_prime0=None, u_prime1=None, points_per_unit=50,
         return out
 
     uf = u_star.interpolator()
-    delta = 1.0 / points_per_unit
+    delta = 1.0 / POINTS_PER_UNIT
 
     def march(a, b):
         pts = [a]
@@ -168,7 +175,7 @@ def build_fstar(u_star, u_prime0=None, u_prime1=None, points_per_unit=50,
         pts.append(b)
         return pts
 
-    r_nodes = np.array(march(r_min, 0.5) + march(0.5, 1.0 - r_min)[1:])
+    r_nodes = np.array(march(R_MIN, 0.5) + march(0.5, 1.0 - R_MIN)[1:])
     i_half = int(np.searchsorted(r_nodes, 0.5))
 
     # composite Gauss-Legendre for the bounded remainder
@@ -424,15 +431,14 @@ class SamplePlan:
 
     Each epsilon in `epsilons` is also run at half amplitude to measure the
     stability of the fitted constants, so the total sample count is
-    2 * len(epsilons) * n_pairs * n_r.
+    2 * len(epsilons) * n_pairs * n_r.  Each pair draws s from [0, S_MAX]
+    and t - s from T_GAP_RANGE.
     """
 
     epsilons: tuple = (1e-2, 1e-3)
     mu: float = 0.08
     n_pairs: int = 10
     n_r: int = 250
-    t_gap_range: tuple = (0.5, 8.0)
-    s_max: float = 4.0
     seed: int = 7
     n_test_funcs: int = 20
 
@@ -471,27 +477,25 @@ class BoundsReport:
         return "\n".join(lines)
 
 
-def _random_smooth(rng, nodes, n_modes=6):
+def _random_smooth(rng, nodes):
     """Random smooth test function on [0,1] with decaying Fourier content."""
     out = np.zeros_like(nodes)
-    for k in range(1, n_modes + 1):
+    for k in range(1, N_MODES + 1):
         out += rng.normal() / k ** 2 * np.sin(np.pi * k * nodes)
         out += rng.normal() / k ** 2 * np.cos(np.pi * k * nodes)
     return out
 
 
-def check_map_bounds(make_maps, plan=None, raise_on_fail=True):
+def check_map_bounds(make_maps, plan, raise_on_fail=True):
     """Measure the comparison inequalities of the conjugating maps.
 
     make_maps: callable(epsilon) -> DiffeoMaps for the perturbation family
-    under test (same mu as the plan).  For every inequality the smallest
-    admissible constant is fitted on the sample; amplitude-linear bounds are
+    under test (same mu as the SamplePlan plan).  For every inequality the
+    smallest admissible constant is fitted on the sample; amplitude-linear bounds are
     additionally checked for stability of the constant under eps-halving
     (ratio within [0.3, 3]).  Raises ExperimentFailure on any violated
     inequality unless raise_on_fail is False.
     """
-    if plan is None:
-        plan = SamplePlan()
     rng = np.random.default_rng(plan.seed)
     mu = plan.mu
 
@@ -502,8 +506,8 @@ def check_map_bounds(make_maps, plan=None, raise_on_fail=True):
         10.0 ** rng.uniform(-5, -1, n3),
         1.0 - 10.0 ** rng.uniform(-5, -1, n3),
     ]))
-    s_vals = rng.uniform(0.0, plan.s_max, plan.n_pairs)
-    t_vals = s_vals + rng.uniform(*plan.t_gap_range, plan.n_pairs)
+    s_vals = rng.uniform(0.0, S_MAX, plan.n_pairs)
+    t_vals = s_vals + rng.uniform(*T_GAP_RANGE, plan.n_pairs)
     rg = np.linspace(0.0, 1.0, 201)
     test_funcs = [_random_smooth(rng, rg) for _ in range(plan.n_test_funcs)]
 

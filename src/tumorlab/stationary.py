@@ -40,10 +40,10 @@ from .kinetics import (eval_rates, reaction_f, reaction_f_dc, reaction_f_dp,
 from .nutrient import affine_value, solve_nutrient, solve_sensitivity
 from .velocity import radial_velocity
 
-DEFAULT_BRACKET = (-2.0, 3.5)
+Z_BRACKET = (-2.0, 3.5)
 SHOOT_RTOL = 1e-12
 SHOOT_ATOL = 1e-14
-R_START_DEFAULT = 1e-4
+R_START = 1e-4  # the inner end of the shooting integration
 BOUNDARY_OFFSET = 1e-6  # series start distance from r=1
 
 
@@ -165,17 +165,18 @@ def _shooting_rhs(spec, nutrient):
     return rhs
 
 
-def integrate_profile(spec, z, grid, r_start=R_START_DEFAULT, dense=False):
+def integrate_profile(spec, z, grid, dense=False):
     """Integrate the stationary (p, u) pair at a trial log radius z.
 
-    Integration goes from r = 1 (series start, p(1)=1) down to r_start with
+    Integration goes from r = 1 (series start, p(1)=1) down to R_START with
     state (p, J), J(r) = -int_r^1 [-K_D + K_M p] rho^2 drho and u = J/r^2
     under the boundary condition u(1)=0.  The returned diagnostics carry the
-    shooting defect: u1_defect = -(J(r_start) - g(0) r_start^3 / 3), which is
+    shooting defect: u1_defect = -(J(R_START) - g(0) R_START^3 / 3), which is
     the u(1) value the forward form would report and vanishes at z_*.
 
-    Raises SolverError if u reaches 0 in the interior (invalid z regime) or
-    if p leaves [0,1]; diagnostics in the exception note the exit radius.
+    When u reaches 0 in the interior (z above z_*) the solution is None and
+    the diagnostics give that radius as u_zero_radius.  Raises SolverError
+    if p leaves [0,1].
     """
     nutrient = solve_nutrient(spec, z, grid)
     cf = nutrient.c
@@ -194,7 +195,7 @@ def integrate_profile(spec, z, grid, r_start=R_START_DEFAULT, dense=False):
 
     sol = solve_ivp(
         rhs,
-        (1.0 - BOUNDARY_OFFSET, r_start),
+        (1.0 - BOUNDARY_OFFSET, R_START),
         [p_init, J_init],
         method="DOP853",
         rtol=SHOOT_RTOL,
@@ -210,29 +211,24 @@ def integrate_profile(spec, z, grid, r_start=R_START_DEFAULT, dense=False):
     fp0 = float(reaction_f_dp(spec, c0, p0))
     diagnostics = {
         "z": z,
-        "c0": c0,
         "p0": p0,
         "u_prime0": u_prime0,
         "frobenius_beta": fp0 / u_prime0 if u_prime0 != 0.0 else np.inf,
         "p1_prime": p1_prime,
-        "completed": bool(sol.success and sol.t[-1] <= r_start * (1 + 1e-9)),
     }
-    if not diagnostics["completed"]:
-        exit_r = float(sol.t[-1]) if sol.t.size else 1.0
-        diagnostics["exit_radius"] = exit_r
+    if not (sol.success and sol.t[-1] <= R_START * (1 + 1e-9)):
         if sol.t_events[1].size:
             raise SolverError(
                 f"p left [0,1] at r={sol.t_events[1][0]:.4f} (z={z})"
             )
-        diagnostics["u_zero_radius"] = exit_r
+        diagnostics["u_zero_radius"] = float(sol.t[-1]) if sol.t.size else 1.0
         return None, nutrient, diagnostics
-    p_end, J_end = float(sol.y[0, -1]), float(sol.y[1, -1])
-    diagnostics["u1_defect"] = -(J_end - g0 * r_start**3 / 3.0)
-    diagnostics["p_end_gap"] = p_end - p0
+    J_end = float(sol.y[1, -1])
+    diagnostics["u1_defect"] = -(J_end - g0 * R_START**3 / 3.0)
     return sol, nutrient, diagnostics
 
 
-def _shoot_residual(spec, z, grid, r_start):
+def _shoot_residual(spec, z, grid):
     """Signed shooting defect for the Brent iteration, and whether the
     integration completed.
 
@@ -247,7 +243,7 @@ def _shoot_residual(spec, z, grid, r_start):
     taking that point for its best iterate.
     """
     try:
-        sol, _, diag = integrate_profile(spec, z, grid, r_start=r_start)
+        sol, _, diag = integrate_profile(spec, z, grid)
     except SolverError:
         return -1.0, False
     if sol is None:
@@ -255,10 +251,10 @@ def _shoot_residual(spec, z, grid, r_start):
     return diag["u1_defect"], True
 
 
-def solve_stationary(spec, grid, z_bracket=DEFAULT_BRACKET, r_start=R_START_DEFAULT):
+def solve_stationary(spec, grid):
     """Find z_* by Brent on the shooting defect and assemble all fields.
 
-    Brent starts on the bracket ends (the defect is positive below z_* and
+    Brent starts on the ends of Z_BRACKET (the defect is positive below z_* and
     negative above; SolverError if both ends have the same sign) and
     evaluates no z twice.  It ends on a z whose integration completed: if
     its best z is an early exit, the completed evaluation with the smallest
@@ -271,10 +267,10 @@ def solve_stationary(spec, grid, z_bracket=DEFAULT_BRACKET, r_start=R_START_DEFA
 
     def residual(z):
         if z not in evals:
-            evals[z] = _shoot_residual(spec, z, grid, r_start)
+            evals[z] = _shoot_residual(spec, z, grid)
         return evals[z][0]
 
-    z_lo, z_hi = z_bracket
+    z_lo, z_hi = Z_BRACKET
     f_lo, f_hi = residual(z_lo), residual(z_hi)
     if np.sign(f_lo) * np.sign(f_hi) > 0:
         raise SolverError("no sign change of the shooting defect on bracket: "
@@ -283,7 +279,7 @@ def solve_stationary(spec, grid, z_bracket=DEFAULT_BRACKET, r_start=R_START_DEFA
     if not evals[z_star][1]:
         z_star = min((z for z, (_, done) in evals.items() if done),
                      key=lambda z: abs(evals[z][0]))
-    sol, nutrient, diag = integrate_profile(spec, z_star, grid, r_start=r_start, dense=True)
+    sol, nutrient, diag = integrate_profile(spec, z_star, grid, dense=True)
     if sol is None:
         raise SolverError(f"converged z={z_star} fails to integrate (unexpected)")
     nutrient = solve_sensitivity(spec, nutrient)
@@ -392,22 +388,3 @@ def _fit_singular_exponent(r, pp):
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return float(slope), resid
-
-
-def singular_exponent(sol):
-    """Estimated exponent of p_*' ~ C r^alpha near r=0 with classification.
-
-    Returns (alpha_hat, fit_residual, label); label is "C1 at 0" when the
-    derivative stays bounded (alpha_hat >= 0), "singular derivative" when
-    -1 < alpha_hat < 0, and "inconclusive" when the log-log fit is poor.
-    """
-    r = sol.grid.nodes
-    pp = derivative_values(sol.p_star.values, sol.grid)
-    alpha_hat, resid = _fit_singular_exponent(r, pp)
-    if resid > 0.1:
-        label = "inconclusive"
-    elif alpha_hat >= 0.0:
-        label = "C1 at 0"
-    else:
-        label = "singular derivative"
-    return alpha_hat, resid, label

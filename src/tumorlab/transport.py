@@ -34,9 +34,10 @@ from .errors import SolverError
 from .grid import RadialField, derivative_values, radial_average, require_same_grid
 from .kinetics import eval_rates
 from .nutrient import affine_profile, solve_nutrient
-from .velocity import frame_velocity
+from .velocity import frame_velocity, radial_velocity
 
-DT_MAX_DEFAULT = 1e-2
+DT_MAX = 1e-2
+PICARD_MAX_ITERS = 12
 REGRID_MIN_FACTOR = 0.2
 REGRID_MAX_FACTOR = 2.5
 P_ESCAPE_TOL = 1e-9
@@ -224,13 +225,18 @@ def _needs_regrid(positions, h_ref):
     return gaps.min() < REGRID_MIN_FACTOR * h_ref or gaps.max() > REGRID_MAX_FACTOR * h_ref
 
 
-def step(state, dt, spec, cache=None, dt_max=DT_MAX_DEFAULT):
-    """Advance a grid state by one step and resample back to its grid."""
-    if dt > dt_max * (1 + 1e-12):
-        raise ValueError(f"dt={dt} exceeds dt_max={dt_max}")
+def _check_dt(dt):
+    """The one step bound of step, simulate and picard_solve."""
+    if dt > DT_MAX * (1 + 1e-12):
+        raise ValueError(f"dt={dt} exceeds DT_MAX={DT_MAX}")
+
+
+def step(state, dt, spec):
+    """Advance a grid state by one step (dt <= DT_MAX) and resample back to
+    its grid."""
+    _check_dt(dt)
     grid = state.p.grid
-    if cache is None:
-        cache = NutrientCache(spec, grid)
+    cache = NutrientCache(spec, grid)
     r, p, z = _rk4(spec, cache, grid.nodes, state.p.values, state.z, dt)
     return TumorState(t=state.t + dt, p=RadialField(grid, regrid(r, p, grid.nodes)), z=z)
 
@@ -254,26 +260,23 @@ def norm_X0(state, ref):
 
 def _mass_residual(spec, cache, grid, p, z):
     """Residual of the velocity divergence identity u' + 2u/r = -K_D + K_M p."""
-    ns = cache.solve(z)
-    rv = eval_rates(spec, np.clip(ns.c.values, 0.0, 1.0))
-    g = -rv.kd + rv.km * p
+    vel = radial_velocity(RadialField(grid, p), cache.solve(z), spec)
+    g = vel.g.values
+    u = vel.u.values
     r = grid.nodes
-    u = radial_average(g, r)
     du = derivative_values(u, grid)
     # interior nodes only: the one-sided endpoint stencils dominate the error
     res = du[1:-1] + 2.0 * u[1:-1] / r[1:-1] - g[1:-1]
     return float(np.max(np.abs(res)))
 
 
-def simulate(initial, t_end, dt, spec, reference, output_every=0.1,
-             dt_max=DT_MAX_DEFAULT):
+def simulate(initial, t_end, dt, spec, reference, output_every=0.1):
     """Integrate the nonlinear system and record norm series against reference.
 
     The trajectory is sampled every output_every time units (plus t=0 and
     t_end); between regrids the particle bundle evolves freely.
     """
-    if dt > dt_max * (1 + 1e-12):
-        raise ValueError(f"dt={dt} exceeds dt_max={dt_max}")
+    _check_dt(dt)
     grid = require_same_grid(initial.p, reference.p_star)
     nodes = grid.nodes
     cache = NutrientCache(spec, grid)
@@ -343,18 +346,20 @@ def _interp_path(path_times, path_p, path_z, t):
     return (1 - s) * path_p[i] + s * path_p[i + 1], (1 - s) * path_z[i] + s * path_z[i + 1]
 
 
-def picard_solve(initial, t_end, dt, spec, reference, mu, max_iters=12,
-                 tol=1e-10, output_every=0.1):
+def picard_solve(initial, t_end, dt, spec, reference, mu, tol=1e-10,
+                 output_every=0.1):
     """Iterated frozen-velocity solves converging to the nonlinear solution.
 
     Iterate n+1 solves the semi-linear system whose advection velocity is
     computed from the previous iterate's path V^n(t) (p and z frozen), while
     the reaction term and dz/dt use the current unknown.  V^0 is the initial
-    perturbation decayed at rate mu.  Returns the final trajectory and the
+    perturbation decayed at rate mu.  Stops when a distance falls below tol,
+    or after PICARD_MAX_ITERS iterates.  Returns the final trajectory and the
     weighted sup distances d(V^{n+1}, V^n) = sup_t e^{mu t} ||difference||_X.
 
     Raises SolverError if the distances increase twice in a row.
     """
+    _check_dt(dt)
     grid = require_same_grid(initial.p, reference.p_star)
     nodes = grid.nodes
     cache = NutrientCache(spec, grid)
@@ -381,7 +386,7 @@ def picard_solve(initial, t_end, dt, spec, reference, mu, max_iters=12,
 
     distances = []
     increases = 0
-    for _ in range(max_iters):
+    for _ in range(PICARD_MAX_ITERS):
         positions = nodes
         values = initial.p.values
         z = initial.z

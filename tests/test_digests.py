@@ -1,0 +1,65 @@
+import hashlib
+
+import numpy as np
+
+from tumorlab.kinetics import KineticsSpec
+from tumorlab.linearized import (build_operators, laplace_consistency,
+                                 random_smooth_field, resolvent_apply)
+from tumorlab.simmaps import build_fstar
+from tumorlab.stationary import solve_stationary
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def _solver_outputs(spec, grid, sol):
+    """The saturating stationary state, the travel-time table of the affine
+    u_* and the resolvent and Laplace check on its operators, at 201 nodes,
+    each reduced to the list of its output arrays."""
+    sat = solve_stationary(KineticsSpec(family="saturating"), grid)
+    table = build_fstar(sol.u_star)
+    ops = build_operators(sol, spec)
+    rng = np.random.default_rng(11)
+    f = random_smooth_field(grid, rng)
+    q0 = random_smooth_field(grid, rng)
+    lam = ops.omega0 + 1.0
+    q, res = resolvent_apply(sol.u_star, ops.a, lam, f, return_residual=True)
+    qr, qi = resolvent_apply(sol.u_star, ops.a, lam + 0.7j, f)
+    return {
+        "stationary_saturating": [[sat.z_star], sat.p_star.values,
+                                  sat.u_star.values],
+        "build_fstar": [table.r_table, table.f_table,
+                        [table.u_prime0, table.u_prime1]],
+        "resolvent_apply": [q.values, [res], qr.values, qi.values],
+        "laplace_consistency": [
+            [laplace_consistency(sol.u_star, ops.a, lam, q0),
+             laplace_consistency(sol.u_star, ops.a, lam + 0.7j, q0)]],
+    }
+
+
+# SHA-256 of each output's arrays (float64 bytes), recorded with numpy 2.4.6
+# and scipy 1.17.1 on x86-64.
+SOLVER_DIGESTS = {
+    "stationary_saturating":
+        "55dacf767c150291c94adff8602c6353484c446c7094345160328cd52ec8b9f7",
+    "build_fstar":
+        "323107162c8fe08275c9056bc8dae1f029beeffeebf9796742647396dc0d62dc",
+    "resolvent_apply":
+        "677b8b4ef15071ac3cfea5e1d7b54e5a2b7ac52c243e1d73979d4b98a9c9ef20",
+    "laplace_consistency":
+        "7477157024df512d2b386feb782a5b7747cb09ee3bdd0d7c3ddda8bbadd56c2c",
+}
+
+
+def test_solver_outputs_bit_identical(default_spec, grid201, stationary201):
+    """The saturating stationary solve, the travel-time table and the
+    resolvent with its Laplace check reproduce their recorded bytes.  A
+    refactoring must leave every digest as it is; a deliberate numerical
+    change re-records them and says so in CHANGES.md."""
+    outputs = _solver_outputs(default_spec, grid201, stationary201)
+    got = {name: _digest(*arrays) for name, arrays in outputs.items()}
+    assert got == SOLVER_DIGESTS

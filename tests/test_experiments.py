@@ -1,3 +1,4 @@
+import functools
 import hashlib
 
 import numpy as np
@@ -137,7 +138,8 @@ def test_emit_report_bytes_recorded(tmp_path, stationary201):
 def test_emit_report_uses_the_run_reference(tmp_path, monkeypatch, default_spec):
     # a reference the experiments cache does not hold: emit_report must
     # describe it, not solve the stationary state again
-    monkeypatch.setattr(experiments, "_STATIONARY_CACHE", {})
+    monkeypatch.setattr(experiments, "stationary_for",
+                        functools.cache(experiments.stationary_for.__wrapped__))
     ref = solve_stationary(default_spec, RadialGrid.uniform(101))
     cfg = RunConfig(grid_size=101, t_end=1.0, epsilon=1e-2)
     rep = run_stability_experiment(cfg, reference=ref, linear_response=False)

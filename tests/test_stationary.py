@@ -5,7 +5,7 @@ from scipy.interpolate import CubicSpline
 from tumorlab import stationary
 from tumorlab.kinetics import FAMILIES, KineticsSpec, eval_rates
 from tumorlab.nutrient import affine_profile, affine_value, solve_nutrient
-from tumorlab.stationary import (BOUNDARY_OFFSET, R_START_DEFAULT,
+from tumorlab.stationary import (BOUNDARY_OFFSET, R_START,
                                  _scalar_ppoly, _shoot_residual, _shooting_rhs,
                                  boundary_root, solve_stationary)
 
@@ -83,9 +83,9 @@ def test_shooting_defect_is_continuous_at_z_star(default_spec, grid201,
     # below z_* the integration completes, above it u reaches 0 early and
     # the defect is continued by -|u'(0)| r_e^3: no jump across z_*
     below, done_below = _shoot_residual(default_spec, stationary201.z_star - 1e-3,
-                                        grid201, R_START_DEFAULT)
+                                        grid201)
     above, done_above = _shoot_residual(default_spec, stationary201.z_star + 1e-3,
-                                        grid201, R_START_DEFAULT)
+                                        grid201)
     assert done_below and not done_above
     assert below > 0 > above
     assert max(below, -above) <= 1.5 * min(below, -above)
@@ -138,7 +138,7 @@ def test_shooting_rhs_bit_identical(family, grid801):
     nodes = grid801.nodes
     rng = np.random.default_rng(7)
     radii = np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1]),
-                            [1.0 - BOUNDARY_OFFSET, R_START_DEFAULT],
+                            [1.0 - BOUNDARY_OFFSET, R_START],
                             rng.uniform(0.0, 1.0, 300)])
     states = np.column_stack([rng.uniform(0.0, 1.0, radii.size),
                               -rng.uniform(1e-9, 0.5, radii.size)])

@@ -81,6 +81,15 @@ def test_perturbation_decays_toward_stationary(stationary201, default_spec):
     assert traj.norm_x[-1] < 0.6 * traj.norm_x[0]
 
 
+def test_picard_rejects_large_dt(stationary201, default_spec):
+    # the direct solver and Picard share one bound on the step
+    init = TumorState(t=0.0, p=stationary201.p_star, z=stationary201.z_star)
+    with pytest.raises(ValueError, match="DT_MAX"):
+        picard_solve(init, 0.04, 0.02, default_spec, stationary201, mu=0.07)
+    with pytest.raises(ValueError, match="DT_MAX"):
+        simulate(init, 0.04, 0.02, default_spec, stationary201)
+
+
 def test_quiescent_fraction_complements(stationary201):
     state = TumorState(t=0.0, p=stationary201.p_star, z=stationary201.z_star)
     np.testing.assert_allclose(state.q.values, 1.0 - state.p.values,

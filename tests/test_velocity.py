@@ -4,7 +4,7 @@ import pytest
 from tumorlab.grid import RadialField, RadialGrid, radial_average
 from tumorlab.kinetics import KineticsSpec
 from tumorlab.nutrient import solve_nutrient
-from tumorlab.velocity import radial_velocity, velocity_from_density
+from tumorlab.velocity import frame_velocity, radial_velocity
 
 
 def test_constant_density_gives_linear_velocity(grid801):
@@ -24,23 +24,11 @@ def test_polynomial_density_quadrature_accuracy(grid801):
 
 def test_frame_adjusted_velocity_vanishes_at_endpoints(grid801):
     r = grid801.nodes
-    field = velocity_from_density(np.cos(2 * r) - 0.4, grid801)
-    assert field.w.values[0] == 0.0
-    assert field.w.values[-1] == 0.0
-    assert field.u_boundary == pytest.approx(field.u.values[-1])
-
-
-def test_weighted_quotient_endpoint_limits(grid801):
-    r = grid801.nodes
-    g = 1.0 + r  # u = r/3 + r^2/4
-    field = velocity_from_density(g, grid801)
-    # w/(r(1-r)) -> w'(0) = u'(0) - u(1) and -w'(1) = -(u'(1) - u(1))
-    assert field.w_over_weight.values[0] == pytest.approx(1.0 / 3.0 - 7.0 / 12.0,
-                                                          abs=1e-10)
-    assert field.w_over_weight.values[-1] == pytest.approx(
-        -(1.0 / 3.0 + 0.5 - 7.0 / 12.0), abs=1e-10)
-    # interior quotient stays bounded by the endpoint data
-    assert np.all(np.isfinite(field.w_over_weight.values))
+    u = radial_average(np.cos(2 * r) - 0.4, r)
+    w = frame_velocity(u, r)
+    assert w[0] == 0.0
+    assert w[-1] == 0.0
+    np.testing.assert_array_equal(w[1:-1], u[1:-1] - r[1:-1] * u[-1])
 
 
 def test_velocity_from_state_negative_near_boundary(grid801, default_spec):
