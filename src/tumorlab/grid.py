@@ -3,7 +3,8 @@
 Everything downstream (nutrient, velocity, transport, linearization) stores
 functions of r as node values on a shared RadialGrid and interpolates with a
 monotone piecewise cubic (PCHIP), which preserves monotone profiles during
-particle regridding.
+particle regridding.  A RadialGrid is uniform by construction: the Numerov
+nutrient solver and the fourth-order derivative stencils need equal spacing.
 
 Every radial moment integral_0^r v rho^2 drho, in the velocity u and in
 the linearized operators B and F alike, is taken by one operator,
@@ -21,11 +22,9 @@ from .errors import GridMismatchError
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing nodes spanning [0,1], both endpoints included."""
+    """Equally spaced nodes spanning [0,1], both endpoints included."""
 
     nodes: np.ndarray
-    is_uniform: bool = field(init=False, repr=False, compare=False)
-    _spacing: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -37,11 +36,9 @@ class RadialGrid:
         h = np.diff(nodes)
         if np.any(h <= 0):
             raise ValueError("grid nodes must be strictly increasing")
+        if not np.allclose(h, h[0], rtol=1e-12, atol=1e-15):
+            raise ValueError("grid nodes must be uniformly spaced")
         nodes.setflags(write=False)
-        # set once: the solvers read both on every call
-        uniform = np.allclose(h, h[0], rtol=1e-12, atol=1e-15)
-        object.__setattr__(self, "is_uniform", uniform)
-        object.__setattr__(self, "_spacing", (nodes[-1] - nodes[0]) / (nodes.size - 1))
 
     @classmethod
     def uniform(cls, size=801):
@@ -53,10 +50,8 @@ class RadialGrid:
 
     @property
     def spacing(self):
-        """Uniform spacing h; raises for non-uniform grids."""
-        if not self.is_uniform:
-            raise ValueError("spacing is only defined for uniform grids")
-        return self._spacing
+        """The node spacing h."""
+        return (self.nodes[-1] - self.nodes[0]) / (self.nodes.size - 1)
 
     def __eq__(self, other):
         return isinstance(other, RadialGrid) and np.array_equal(self.nodes, other.nodes)
@@ -225,12 +220,9 @@ def third_moment(values, nodes):
 
 def derivative_values(values, grid):
     """Node derivatives on a RadialGrid along the last axis: 4th-order
-    central stencils on uniform grids (one-sided 5-point at the edges),
-    np.gradient otherwise.
+    central stencils (one-sided 5-point at the edges).
     """
     nodes = grid.nodes
-    if not grid.is_uniform:
-        return np.gradient(values, nodes, edge_order=2, axis=-1)
     h = nodes[1] - nodes[0]
     v = np.asarray(values, dtype=float)
     d = np.empty_like(v)

@@ -27,8 +27,7 @@ from .grid import (RadialField, RadialMoments, cumulative_integral,
 from .kinetics import eval_rates
 from .simmaps import _random_smooth, build_fstar
 from .transport import (Trajectory, _needs_regrid, _pinned_velocity,
-                        _reference_spacing, deviation, on_grid, output_steps,
-                        rk4, trajectory)
+                        deviation, on_grid, output_steps, rk4, trajectory)
 
 RESOLVENT_DS = 5e-4
 LAPLACE_DT = 5e-3  # time step of the Laplace-transform quadrature
@@ -152,7 +151,7 @@ class LinearPropagator:
         self.dt = dt
         grid = ops.grid
         self.nodes = grid.nodes
-        h_ref = _reference_spacing(grid)
+        h_ref = grid.spacing
         velocity = _pinned_velocity(ops.u_star)
         interp = {
             "a": ops.a.interpolator(),

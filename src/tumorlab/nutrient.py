@@ -8,11 +8,11 @@ c_z'(0)=0, c_z(1)=0.
 For the affine law F(c) = lam c the problem is linear and its solution is
 exact: c = sinh(kr) / (r sinh k) with k = sqrt(lam) e^z (affine_profile, and
 the plain-float affine_value for one radius at a time).  Every other law is
-solved numerically: on uniform grids the substitution v = r c turns the
-operator into a plain second derivative, v'' = r e^{2z} F(v/r), v(0)=0,
-v(1)=1, which a Numerov discretization solves to fourth order; a damped
-Newton iteration handles the nonlinearity.  Both solvers need a uniform grid
-and raise ValueError on any other.
+solved numerically: the substitution v = r c turns the operator into a plain
+second derivative, v'' = r e^{2z} F(v/r), v(0)=0, v(1)=1, which a Numerov
+discretization solves to fourth order; a damped Newton iteration handles the
+nonlinearity.  Numerov needs equal spacing, which every RadialGrid has by
+construction.
 """
 
 import math
@@ -176,7 +176,6 @@ def solve_nutrient(spec, z, grid, c_init=None):
     radius.
     """
     if spec.family == "affine":
-        _require_uniform(grid)
         c, cp = affine_profile(spec, z, grid.nodes)
         return NutrientSolution(z=z, c=RadialField(grid, c),
                                 c_prime=RadialField(grid, cp))
@@ -192,13 +191,7 @@ def solve_nutrient(spec, z, grid, c_init=None):
     return sol
 
 
-def _require_uniform(grid):
-    if not grid.is_uniform:
-        raise ValueError("the nutrient solvers need a uniform grid")
-
-
 def _solve_at(spec, z, grid, c_init=None):
-    _require_uniform(grid)
     nodes = grid.nodes
     e2z = np.exp(2.0 * z)
     if c_init is None:
@@ -243,7 +236,6 @@ def solve_sensitivity(spec, sol):
     the z-derivative of the nutrient problem (_numerov_sensitivity).
     """
     grid = sol.grid
-    _require_uniform(grid)
     nodes = grid.nodes
     if spec.family == "affine":
         c, cp = affine_profile(spec, sol.z, nodes)

@@ -15,6 +15,10 @@ conjugating diffeomorphisms
     T = Phi_* o Psi,    S = Phi o Psi_*,
 
 which transport the perturbed characteristics onto the stationary ones.
+In the travel-time coordinate the perturbed flow is one DOP853 solve,
+_flow: forward from s to t it gives Phi, backward from t to s it gives Psi
+(no iteration), and sampled along the way it gives the path from which
+dT/dr and the integral form of T are read.
 check_map_bounds measures the comparison inequalities these maps satisfy
 (weight equivalences, shift bounds linear in the perturbation size, spatial
 derivative bounds, and the induced distance between cumulative-moment
@@ -22,7 +26,8 @@ operators) on a randomized sample plan.
 
 Every map takes points of [0,1] and times t >= s (a point outside [0,1] or
 t < s raises ValueError).  The maps act on the interior points only: each
-endpoint is a zero of the velocity and maps to itself (dT_dr is 1.0 there).
+endpoint is a zero of the velocity and maps to itself (dT_dr is 1.0 there),
+and at t == s every point does.
 A scalar point gives a float, an array an array.
 """
 
@@ -37,8 +42,6 @@ from .grid import derivative_values, third_moment
 
 FLOW_RTOL = 1e-10
 FLOW_ATOL = 1e-12
-PSI_TOL = 1e-12
-PSI_MAX_ITERS = 40
 #: travel-time table: nodes per unit of F_*, and its distance from the ends
 POINTS_PER_UNIT = 50
 R_MIN = 1e-6
@@ -204,8 +207,9 @@ def build_fstar(u_star):
 def _on_interior(fn, x, t, s, endpoint=None):
     """Apply a map from time s to time t to the interior points of x.
 
-    fn takes the array of interior points.  Each endpoint maps to itself, or
-    to `endpoint` when given; a scalar x gives a float.
+    fn takes the array of interior points and is called only for t > s.
+    Each endpoint, and every point at t == s, maps to itself, or to
+    `endpoint` when given; a scalar x gives a float.
     """
     if t < s - 1e-12:
         raise ValueError(f"flow maps need t >= s, got t={t}, s={s}")
@@ -214,7 +218,7 @@ def _on_interior(fn, x, t, s, endpoint=None):
         raise ValueError("space argument outside [0,1]")
     interior = (x_arr > 0.0) & (x_arr < 1.0)
     out = x_arr.copy() if endpoint is None else np.full_like(x_arr, endpoint)
-    if np.any(interior):
+    if t > s and np.any(interior):
         out[interior] = fn(x_arr[interior])
     return out if np.ndim(x) else float(out[0])
 
@@ -303,69 +307,43 @@ def build_maps(u_star, w=None, w_dr=None, epsilon=0.0, mu=0.0, table=None):
                       epsilon=epsilon, mu=mu)
 
 
-def _phi_in_coordinate(maps, x0, t, s, t_eval=None):
-    """Integrate dx/dtau = -1 - gap(finv(x), tau) for a batch of labels.
+def _flow(maps, x, t0, t1, sampled=False):
+    """Integrate dx/dtau = -1 - gap(finv(x), tau) from t0 to t1, either way.
 
-    x0 are travel-time coordinates of the starting labels.  Returns either
-    the final coordinates or, with t_eval (and t > s), the
-    (len(t_eval), len(x0)) matrix of coordinates along the path.
+    x are travel-time coordinates at time t0: forward (t1 > t0) this is the
+    flow Phi, backward the inverse flow Psi.  Returns the coordinates at t1
+    or, sampled, the sample times from t0 to t1 (at least 41, at most 0.025
+    apart) and the (len(taus), len(x)) coordinates along the path.
     """
-    if t == s:
-        return np.asarray(x0, dtype=float)
-
     table = maps.table
 
-    def rhs(tau, x):
-        r = table.finv(x)
-        return -1.0 - maps.relative_gap(r, tau)
+    def rhs(tau, y):
+        return -1.0 - maps.relative_gap(table.finv(y), tau)
 
-    sol = solve_ivp(rhs, (s, t), np.asarray(x0, dtype=float), method="DOP853",
-                    rtol=FLOW_RTOL, atol=FLOW_ATOL, t_eval=t_eval)
+    taus = None
+    if sampled:
+        taus = np.linspace(t0, t1, max(41, 2 * int(np.ceil(abs(t1 - t0) / 0.05)) + 1))
+    sol = solve_ivp(rhs, (t0, t1), np.asarray(x, dtype=float), method="DOP853",
+                    rtol=FLOW_RTOL, atol=FLOW_ATOL, t_eval=taus)
     if not sol.success:
         raise SolverError(f"characteristic flow integration failed: {sol.message}")
-    if t_eval is None:
-        return sol.y[:, -1]
-    return sol.y.T
-
-
-def _path(maps, xi, t, s):
-    """Sample the perturbed characteristics from the labels xi over [s, t].
-
-    Returns the sample times (at least 41, at most 0.025 apart), the
-    starting coordinates F_*(xi) and the (len(taus), len(xi)) coordinates
-    along the path.  Needs t > s.
-    """
-    taus = np.linspace(s, t, max(41, 2 * int(np.ceil((t - s) / 0.05)) + 1))
-    x0 = maps.table.fstar(xi)
-    return taus, x0, _phi_in_coordinate(maps, x0, t, s, t_eval=taus)
+    return (taus, sol.y.T) if sampled else sol.y[:, -1]
 
 
 def phi(maps, xi, t, s):
     """Perturbed flow map: position at t of the particle at xi at time s."""
     table = maps.table
-    return _on_interior(
-        lambda x: table.finv(_phi_in_coordinate(maps, table.fstar(x), t, s)), xi, t, s)
+    return _on_interior(lambda x: table.finv(_flow(maps, table.fstar(x), s, t)), xi, t, s)
 
 
 def psi(maps, r, t, s):
-    """Inverse perturbed flow map, by monotone root-find on phi.
+    """Inverse perturbed flow map: label at time s of the position r at t.
 
-    Works in the travel-time coordinate, where phi is the identity minus
-    (t-s) minus a small accumulated perturbation; the fixed-point update
-    contracts at the perturbation rate.
+    The flow of a 1-D ODE is inverted by running the same ODE backward, in
+    the travel-time coordinate, from t to s.
     """
-    def invert(x):
-        x_target = maps.table.fstar(x)
-        y = x_target + (t - s)  # stationary-flow initial guess
-        for _ in range(PSI_MAX_ITERS):
-            x_end = _phi_in_coordinate(maps, y, t, s)
-            delta = x_target - x_end
-            y = y + delta
-            if np.max(np.abs(delta)) < PSI_TOL:
-                return maps.table.finv(y)
-        raise SolverError("inverse flow map iteration did not converge")
-
-    return _on_interior(invert, r, t, s)
+    table = maps.table
+    return _on_interior(lambda x: table.finv(_flow(maps, table.fstar(x), t, s)), r, t, s)
 
 
 def map_T(maps, r, t, s, method="compose"):
@@ -376,18 +354,17 @@ def map_T(maps, r, t, s, method="compose"):
     dtau along the inverse characteristic, an independent computation used
     for cross-validation.
     """
+    if method not in ("compose", "integral"):
+        raise ValueError(f"unknown method {method!r}")
+    table = maps.table
+
     def conjugate(x):
-        xi = psi(maps, x, t, s)
         if method == "compose":
-            return phi_star(maps.table, xi, t, s)
-        if method != "integral":
-            raise ValueError(f"unknown method {method!r}")
-        if t == s:
-            return _shift(maps.table, x, 0.0)
-        taus, _, path = _path(maps, xi, t, s)
-        for j, tau in enumerate(taus):  # each row of the path becomes its gap
-            path[j] = maps.relative_gap(maps.table.finv(path[j]), tau)
-        return _shift(maps.table, x, simpson(path, x=taus, axis=0))
+            return phi_star(table, psi(maps, x, t, s), t, s)
+        taus, path = _flow(maps, table.fstar(x), t, s, sampled=True)
+        gaps = [maps.relative_gap(table.finv(y), tau) for tau, y in zip(taus, path)]
+        # the path runs from t back to s, so simpson gives minus the integral
+        return _shift(table, x, -simpson(gaps, x=taus, axis=0))
 
     return _on_interior(conjugate, r, t, s)
 
@@ -398,26 +375,28 @@ def map_S(maps, rbar, t, s):
                         rbar, t, s)
 
 
-def _flow_derivative_ratio(maps, xi, t, s):
+def _flow_derivative_ratio(maps, taus, path):
     """exp(int_s^t [u_*'(Phi_*(xi,tau,s)) - dw/dr(Phi(xi,tau,s),tau)] dtau).
 
-    This is dPhi_*/dxi divided by dPhi/dxi; evaluated at xi = Psi(r,t,s) it
-    equals dT/dr, and its reciprocal at xi = Psi_*(rbar,t,s) equals dS/drbar.
+    taus and path are a sampled flow from _flow, in either direction, between
+    the times s < t; xi is where the path is at s.  The ratio is dPhi_*/dxi
+    divided by dPhi/dxi: on the backward path from r it equals dT/dr, and its
+    reciprocal on the forward path from Psi_*(rbar,t,s) equals dS/drbar.
     """
-    if t == s:
-        return np.ones_like(xi)
-    taus, x0, path = _path(maps, xi, t, s)
+    if taus[0] > taus[-1]:
+        taus, path = taus[::-1], path[::-1]
+    s, x0 = taus[0], path[0]
     ud = maps.u_star.derivative()
     finv = maps.table.finv
-    for j, tau in enumerate(taus):  # each row of the path becomes the integrand
-        path[j] = ud(finv(x0 - (tau - s))) - maps.w_dr(finv(path[j]), tau)
-    return np.exp(simpson(path, x=taus, axis=0))
+    rates = [ud(finv(x0 - (tau - s))) - maps.w_dr(finv(y), tau) for tau, y in zip(taus, path)]
+    return np.exp(simpson(rates, x=taus, axis=0))
 
 
 def dT_dr(maps, r, t, s):
     """Spatial derivative of T by the flow-derivative formula."""
+    table = maps.table
     return _on_interior(
-        lambda x: _flow_derivative_ratio(maps, psi(maps, x, t, s), t, s),
+        lambda x: _flow_derivative_ratio(maps, *_flow(maps, table.fstar(x), t, s, sampled=True)),
         r, t, s, endpoint=1.0)
 
 
@@ -537,10 +516,15 @@ def check_map_bounds(make_maps, plan, raise_on_fail=True):
         for tp, sp in zip(t_vals, s_vals):
             envelope = eps * (np.exp(-mu * sp) - np.exp(-mu * tp))
 
-            xi_psi = psi(maps, r_samples, tp, sp)
+            # one backward solve from r and one forward solve from Psi_*(r):
+            # the last row of each path gives Psi and S, the whole paths the
+            # derivatives of T and S
+            back = _flow(maps, table.fstar(r_samples), tp, sp, sampled=True)
+            xi_psi = table.finv(back[1][-1])
             t_comp = phi_star(table, xi_psi, tp, sp)
             xi_ps = psi_star(table, r_samples, tp, sp)
-            s_comp = phi(maps, xi_ps, tp, sp)
+            fwd = _flow(maps, table.fstar(xi_ps), sp, tp, sampled=True)
+            s_comp = table.finv(fwd[1][-1])
             phi_vals = phi(maps, r_samples, tp, sp)
             phistar_vals = phi_star(table, r_samples, tp, sp)
 
@@ -561,8 +545,8 @@ def check_map_bounds(make_maps, plan, raise_on_fail=True):
                 acc["w_gradient_hypothesis"].append(dev / (eps * np.exp(-mu * tau)))
 
             # spatial derivative bounds via the flow-derivative formula
-            dT = _flow_derivative_ratio(maps, xi_psi, tp, sp)
-            dS = 1.0 / _flow_derivative_ratio(maps, xi_ps, tp, sp)
+            dT = _flow_derivative_ratio(maps, *back)
+            dS = 1.0 / _flow_derivative_ratio(maps, *fwd)
             acc["dT_bound"].append(np.max(np.abs(np.log(dT))) / envelope)
             acc["dS_bound"].append(np.max(np.abs(np.log(dS))) / envelope)
 

@@ -215,11 +215,6 @@ def on_grid(positions, values, nodes):
     return PchipInterpolator(positions, values, axis=-1)(nodes)
 
 
-def _reference_spacing(grid):
-    """The node spacing that particle gaps are compared with."""
-    return grid.spacing if grid.is_uniform else float(np.min(np.diff(grid.nodes)))
-
-
 def _needs_regrid(positions, h_ref):
     gaps = np.diff(positions)
     return gaps.min() < REGRID_MIN_FACTOR * h_ref or gaps.max() > REGRID_MAX_FACTOR * h_ref
@@ -280,7 +275,7 @@ def simulate(initial, t_end, dt, spec, reference, output_every=0.1):
     grid = require_same_grid(initial.p, reference.p_star)
     nodes = grid.nodes
     cache = NutrientCache(spec, grid)
-    h_ref = _reference_spacing(grid)
+    h_ref = grid.spacing
     n_steps, recorded = output_steps(t_end, dt, output_every)
 
     positions = nodes
@@ -315,7 +310,7 @@ def pure_transport(w_field, q0_field, t_end, dt):
     """
     grid = q0_field.grid
     nodes = grid.nodes
-    h_ref = _reference_spacing(grid)
+    h_ref = grid.spacing
     positions = nodes
     values = q0_field.values
     n_steps = int(round(t_end / dt))
@@ -363,7 +358,7 @@ def picard_solve(initial, t_end, dt, spec, reference, mu, tol=1e-10,
     grid = require_same_grid(initial.p, reference.p_star)
     nodes = grid.nodes
     cache = NutrientCache(spec, grid)
-    h_ref = _reference_spacing(grid)
+    h_ref = grid.spacing
     n_steps, recorded = output_steps(t_end, dt, output_every)
     path_times = initial.t + dt * np.arange(n_steps + 1)
 

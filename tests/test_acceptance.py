@@ -11,12 +11,12 @@ import pytest
 
 from tumorlab.experiments import (PICARD_RATE, RunConfig, emit_report,
                                   initial_state, perturbation_shape,
-                                  run_stability_experiment, stationary_for)
+                                  run_stability_experiment)
 from tumorlab.grid import RadialField, derivative_values
 from tumorlab.kinetics import KineticsSpec
-from tumorlab.linearized import (build_operators, decay_ensemble,
-                                 laplace_consistency, random_smooth_field,
-                                 resolvent_apply, solve_linearized)
+from tumorlab.linearized import (decay_ensemble, laplace_consistency,
+                                 random_smooth_field, resolvent_apply,
+                                 solve_linearized)
 from tumorlab.nutrient import solve_nutrient
 from tumorlab.simmaps import (SamplePlan, build_fstar, build_maps,
                               check_map_bounds, make_perturbed_velocity,

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from tumorlab.cli import (EXIT_CONFIG_ERROR, EXIT_EXPERIMENT_FAIL, EXIT_PASS,

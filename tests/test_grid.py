@@ -19,7 +19,6 @@ def test_grid_requires_endpoints():
 
 def test_uniform_spacing():
     g = RadialGrid.uniform(101)
-    assert g.is_uniform
     assert g.spacing == pytest.approx(0.01)
 
 

@@ -1,8 +1,10 @@
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
 
+import tumorlab.simmaps as simmaps
 from tumorlab.errors import ExperimentFailure
 from tumorlab.grid import RadialField, RadialGrid
 from tumorlab.simmaps import (SamplePlan, build_fstar, build_maps,
@@ -111,16 +113,21 @@ def test_flow_derivative_matches_difference_quotient(perturbed_maps):
     assert np.max(np.abs(d - fd)) <= 1e-4
 
 
+SMALL_PLAN = SamplePlan(epsilons=(1e-2,), n_pairs=3, n_r=40, n_test_funcs=5)
+
+
+def _perturbed_family(u, mu):
+    def make_maps(eps):
+        w, w_dr = make_perturbed_velocity(u, eps, mu)
+        return build_maps(u, w, w_dr, epsilon=eps, mu=mu)
+
+    return make_maps
+
+
 @pytest.fixture(scope="module")
 def small_plan_report(logistic_table):
     _, u = logistic_table
-    plan = SamplePlan(epsilons=(1e-2,), n_pairs=3, n_r=40, n_test_funcs=5)
-
-    def make_maps(eps):
-        w, w_dr = make_perturbed_velocity(u, eps, plan.mu)
-        return build_maps(u, w, w_dr, epsilon=eps, mu=plan.mu)
-
-    return check_map_bounds(make_maps, plan)
+    return check_map_bounds(_perturbed_family(u, SMALL_PLAN.mu), SMALL_PLAN)
 
 
 def test_bounds_report_small_plan(small_plan_report):
@@ -129,6 +136,30 @@ def test_bounds_report_small_plan(small_plan_report):
     for entry in small_plan_report.entries:
         if entry.ratio is not None and not entry.skipped:
             assert 0.3 <= entry.ratio <= 3.0
+
+
+def test_flow_solve_budget(monkeypatch, logistic_table, perturbed_maps):
+    # one flow solve per map call on an array of interior points, and five
+    # per (pair, epsilon) in check_map_bounds: Psi and dT from one backward
+    # solve, S and dS from one forward solve, Phi, and one each in T and S
+    # on the test-function grid
+    solve = simmaps.solve_ivp
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(simmaps, "solve_ivp", counted)
+    r = np.linspace(0.05, 0.95, 31)
+    for fn, span in ((phi, (1.0, 3.0)), (psi, (3.0, 1.0)), (dT_dr, (3.0, 1.0))):
+        calls.clear()
+        fn(perturbed_maps, r, 3.0, 1.0)
+        assert calls == [span], fn.__name__
+    calls.clear()
+    _, u = logistic_table
+    check_map_bounds(_perturbed_family(u, SMALL_PLAN.mu), SMALL_PLAN)
+    assert len(calls) == 5 * SMALL_PLAN.n_pairs * 2 * len(SMALL_PLAN.epsilons)
 
 
 def test_bounds_failure_raises(logistic_table):
@@ -165,17 +196,17 @@ MAP_DIGESTS = {
     "phi":
         "1dfc9978c2c18b9858d4989522914412094c3363f930a0589a26aaf288307979",
     "psi":
-        "f0290e67278884c6a112a276a220e11eaf66b8be2c75effd2931aacb7e8c1820",
+        "efcf18c760936275eb327c0eaf95e3a19894c65e9d36b31aa069e11b7725a300",
     "map_T_compose":
-        "247b55ef4dd8651263d50c941005dca960b89cd3518f1bb0d29623466b8c4882",
+        "7c4d55023114aac4017756590dded94e00dbf4e5df86988f5e70810a7f071fa7",
     "map_T_integral":
-        "45f83c5215e24ec657e7388f08d353b64edf605e613e50b9fb038e71e909765a",
+        "fe95759e260e49b64e6a5f9bbb841867de4251d80d4e5f47c2a95fdc38f638ab",
     "map_S":
         "87f64998c61dbca89b96a865947ad777fd047f4ed447bef78053891fc5a5b9dc",
     "dT_dr":
-        "e11b811d4334fbcbda67f4eb86e1c8f617afd5a2b98734438e04a599cbbec58c",
+        "5401652978e596791453640500574ccaaafd6b2ed02a8ea2dd137611143a2c61",
     "bound_constants":
-        "c9e72a7221b22650f85e82356a61c852c905cc82c3df21bba9d68654944c2c3c",
+        "7730822c1d83540dec38444439d1a1b5d49f8ffb81274136c5ba58d378f6957d",
 }
 
 
@@ -220,3 +251,14 @@ def test_map_points_endpoints_and_scalars(logistic_table, perturbed_maps):
     for fn in (phi, psi, map_T, map_S, dT_dr):
         assert isinstance(fn(maps, 0.4, t, s), float)
     assert dT_dr(maps, np.array([0.0, 0.5, 1.0]), t, s)[[0, -1]].tolist() == [1.0, 1.0]
+    # the flow integrates in either direction, so only the t >= s check keeps
+    # a reversed time out of the maps; at t == s every map is the identity
+    r = np.array([0.0, 0.3, 0.7, 1.0])
+    for fn in (phi, psi, map_T, partial(map_T, method="integral"), map_S, dT_dr):
+        with pytest.raises(ValueError):
+            fn(maps, r, s, t)
+    for fn in (phi, psi, map_T, partial(map_T, method="integral"), map_S):
+        assert np.array_equal(fn(maps, r, s, s), r)
+    assert dT_dr(maps, r, s, s).tolist() == [1.0] * r.size
+    with pytest.raises(ValueError, match="unknown method"):
+        map_T(maps, r, s, s, method="midpoint")

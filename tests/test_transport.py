@@ -45,10 +45,9 @@ def test_norm_x0_dominates_norm_x(stationary801, rng):
     assert norm_X0(state, stationary801) >= norm_X(state, stationary801)
 
 
-@pytest.mark.parametrize("grid", [RadialGrid.uniform(101),
-                                  RadialGrid(np.linspace(0.0, 1.0, 101) ** 1.5)])
-def test_deviation_batch_matches_rows(grid, rng):
+def test_deviation_batch_matches_rows(rng):
     # a batch of states gives, row by row, the floats of one call per state
+    grid = RadialGrid.uniform(101)
     ps = rng.standard_normal((5, grid.size))
     zs = rng.standard_normal(5)
     p_ref = np.sin(grid.nodes)

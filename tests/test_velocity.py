@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from tumorlab.grid import RadialField, RadialGrid, radial_average
-from tumorlab.kinetics import KineticsSpec
+from tumorlab.grid import RadialField, radial_average
 from tumorlab.nutrient import solve_nutrient
 from tumorlab.velocity import frame_velocity, radial_velocity
 
