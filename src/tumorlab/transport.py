@@ -366,8 +366,8 @@ def picard_solve(initial, t_end, dt, spec, reference, mu, tol=1e-10,
     dp0 = initial.p.values - reference.p_star.values
     dz0 = initial.z - reference.z_star
     decay = np.exp(-mu * (path_times - initial.t))
-    path_p = [reference.p_star.values + d * dp0 for d in decay]
-    path_z = [reference.z_star + d * dz0 for d in decay]
+    path_p = reference.p_star.values + decay[:, None] * dp0
+    path_z = reference.z_star + decay * dz0
     stage_dt = (0.0, 0.5 * dt, 0.5 * dt, dt)
 
     def rates(i, y):
@@ -385,21 +385,19 @@ def picard_solve(initial, t_end, dt, spec, reference, mu, tol=1e-10,
         positions = nodes
         values = initial.p.values
         z = initial.z
-        new_p = [values]
-        new_z = [z]
+        new_p = np.empty_like(path_p)
+        new_z = np.empty_like(path_z)
+        new_p[0], new_z[0] = values, z
         for k in range(n_steps):
             t = path_times[k]
             positions, values, z = _guarded(*rk4(rates, (positions, values, z), dt))
             if _needs_regrid(positions, h_ref):
                 values = np.clip(regrid(positions, values, nodes), 0.0, 1.0)
                 positions = nodes
-            new_p.append(np.clip(on_grid(positions, values, nodes), 0.0, 1.0))
-            new_z.append(z)
-        weights = np.exp(mu * (path_times - initial.t))
-        d = max(
-            float(w * (np.max(np.abs(a - b)) + abs(za - zb)))
-            for w, a, b, za, zb in zip(weights, new_p, path_p, new_z, path_z)
-        )
+            new_p[k + 1] = np.clip(on_grid(positions, values, nodes), 0.0, 1.0)
+            new_z[k + 1] = z
+        p_dev, _, z_dev = deviation(grid, new_p, new_z, path_p, path_z)
+        d = float(np.max(np.exp(mu * (path_times - initial.t)) * (p_dev + z_dev)))
         distances.append(d)
         path_p, path_z = new_p, new_z
         if len(distances) >= 2 and distances[-1] > distances[-2]:
@@ -413,7 +411,6 @@ def picard_solve(initial, t_end, dt, spec, reference, mu, tol=1e-10,
         if d < tol:
             break
 
-    traj = trajectory(grid, path_times[recorded], [path_p[i] for i in recorded],
-                      [path_z[i] for i in recorded], reference.p_star.values,
-                      reference.z_star)
+    traj = trajectory(grid, path_times[recorded], path_p[recorded],
+                      path_z[recorded], reference.p_star.values, reference.z_star)
     return traj, np.array(distances)
