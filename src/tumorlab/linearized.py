@@ -61,25 +61,19 @@ class LinearizedOperators:
         return float(np.max(self.a.values))
 
 
-def build_operators(sol, spec, c_z=None):
-    """Assemble the linearization coefficients from a stationary solution.
-
-    c_z overrides the nutrient sensitivity field (test hook; forcing it to
-    zero must zero out b and kappa).
-    """
+def build_operators(sol, spec):
+    """Assemble the linearization coefficients from a stationary solution."""
     grid = sol.grid
     nodes = grid.nodes
     c = np.clip(sol.c_star.values, 0.0, 1.0)
     p = sol.p_star.values
     rv = eval_rates(spec, c)
-    if c_z is None:
-        c_z = sol.c_z
-    require_same_grid(sol.c_star, sol.p_star, c_z)
+    require_same_grid(sol.c_star, sol.p_star, sol.c_z)
 
     a_vals = (rv.km - rv.kn) - 2.0 * rv.km * p
     g_p_vals = rv.km
     g_c_vals = -rv.kd_d + rv.km_d * p
-    g_c_cz = g_c_vals * c_z.values
+    g_c_cz = g_c_vals * sol.c_z.values
 
     full, cum = RadialMoments(nodes).full_and_third(g_c_cz)
     kappa = float(full)
@@ -87,7 +81,7 @@ def build_operators(sol, spec, c_z=None):
     rp[0] = 0.0
 
     f_c = rv.kp_d + (rv.km_d - rv.kn_d) * p - rv.km_d * p * p
-    b_vals = f_c * c_z.values + rp * (kappa - cum)
+    b_vals = f_c * sol.c_z.values + rp * (kappa - cum)
 
     return LinearizedOperators(
         a=RadialField(grid, a_vals),
@@ -238,22 +232,17 @@ class LinearPropagator:
         return times, phis, zetas
 
 
-def solve_linearized(ops, init, t_end, dt, output_every=0.1,
-                     propagator=None):
+def solve_linearized(ops, init, t_end, dt, output_every=0.1):
     """Integrate the linearized system; returns a Trajectory of deviations.
 
     init is the pair (phi0: RadialField, zeta0: float).  The recorded states
     carry the deviation field in the p slot and zeta in the z slot; norms are
-    the deviation norms (the reference is the zero deviation).  A prebuilt
-    LinearPropagator can be passed to amortize the characteristic cycle over
-    ensemble runs.
+    the deviation norms (the reference is the zero deviation).
     """
     phi0, zeta0 = init
     require_same_grid(ops.a, phi0)
-    if propagator is None or propagator.dt != dt or propagator.ops is not ops:
-        propagator = LinearPropagator(ops, dt)
-    times, phis, zetas = propagator.run(phi0.values[None, :], [zeta0], t_end,
-                                        output_every=output_every)
+    times, phis, zetas = LinearPropagator(ops, dt).run(
+        phi0.values[None, :], [zeta0], t_end, output_every=output_every)
     return trajectory(ops.grid, times, phis[:, 0, :], zetas[:, 0])
 
 
