@@ -10,8 +10,9 @@ Runge-Kutta step, rk4(rates, y, dt), with its own state tuple y and stage
 rates.  The direct step _rk4 (step, simulate) and picard_solve advance
 (positions, p, z) and re-evaluate the nutrient profile and the velocity
 quadrature at every stage (exact for the affine law, otherwise a
-warm-started solve, z moves slowly); Picard takes the velocity from the
-previous iterate's frozen path.  pure_transport and
+warm-started solve, z moves slowly).  Picard takes only f and u(1) from
+these stages: it advects with the previous iterate's frame velocity,
+computed once per iteration on the nodes.  pure_transport and
 linearized.LinearPropagator advance (positions,) in a fixed velocity field,
 and the propagator then steps (phi, zeta) along the stage positions it
 recorded.
@@ -333,21 +334,16 @@ def pure_transport(w_field, q0_field, t_end, dt):
     return np.array(sup_series), np.array(weighted_series)
 
 
-def _interp_path(path_times, path_p, path_z, t):
-    """Piecewise-linear lookup of the frozen coefficient path at time t."""
-    t = min(max(t, path_times[0]), path_times[-1])
-    i = min(int(np.searchsorted(path_times, t, side="right")) - 1, len(path_times) - 2)
-    s = (t - path_times[i]) / (path_times[i + 1] - path_times[i])
-    return (1 - s) * path_p[i] + s * path_p[i + 1], (1 - s) * path_z[i] + s * path_z[i + 1]
-
-
 def picard_solve(initial, t_end, dt, spec, reference, mu, tol=1e-10,
                  output_every=0.1):
     """Iterated frozen-velocity solves converging to the nonlinear solution.
 
-    Iterate n+1 solves the semi-linear system whose advection velocity is
-    computed from the previous iterate's path V^n(t) (p and z frozen), while
-    the reaction term and dz/dt use the current unknown.  V^0 is the initial
+    Iterate n+1 is advected by the frame velocity w of the previous iterate's
+    path V^n, while the reaction term and dz/dt use the current unknown.  w
+    is computed once per iteration, on the nodes, for every state of V^n;
+    stage 0 of a step reads it at the step's start, stages 1 and 2 at the
+    mean of the step's two ends and stage 3 at its end, each through a
+    monotone cubic pinned to zero at both endpoints.  V^0 is the initial
     perturbation decayed at rate mu.  Stops when a distance falls below tol,
     or after PICARD_MAX_ITERS iterates.  Returns the final trajectory and the
     weighted sup distances d(V^{n+1}, V^n) = sup_t e^{mu t} ||difference||_X.
@@ -368,28 +364,32 @@ def picard_solve(initial, t_end, dt, spec, reference, mu, tol=1e-10,
     decay = np.exp(-mu * (path_times - initial.t))
     path_p = reference.p_star.values + decay[:, None] * dp0
     path_z = reference.z_star + decay * dz0
-    stage_dt = (0.0, 0.5 * dt, 0.5 * dt, dt)
+
+    def frozen(w):
+        return _pinned_velocity(RadialField(grid, w))
 
     def rates(i, y):
-        # w from the frozen path V^n at the stage time (t is the start of
-        # the current step); f and u(1) from the current unknown
-        pv, zv = _interp_path(path_times, path_p, path_z, t + stage_dt[i])
-        path_values = PchipInterpolator(nodes, pv)(y[0])
-        w = _stage_rates(spec, cache, y[0], path_values, zv)[0]
+        # w from V^n at stage i's point of the step (stage_w), f and u(1)
+        # from the current unknown
         _, f, u1 = _stage_rates(spec, cache, *y)
-        return w, f, u1
+        return stage_w[i](i, y)[0], f, u1
 
     distances = []
     increases = 0
     for _ in range(PICARD_MAX_ITERS):
+        path_w = [_stage_rates(spec, cache, nodes, p, z)[0]
+                  for p, z in zip(path_p, path_z)]
         positions = nodes
         values = initial.p.values
         z = initial.z
         new_p = np.empty_like(path_p)
         new_z = np.empty_like(path_z)
         new_p[0], new_z[0] = values, z
+        end = frozen(path_w[0])
         for k in range(n_steps):
-            t = path_times[k]
+            mid = frozen(0.5 * (path_w[k] + path_w[k + 1]))
+            start, end = end, frozen(path_w[k + 1])
+            stage_w = (start, mid, mid, end)
             positions, values, z = _guarded(*rk4(rates, (positions, values, z), dt))
             if _needs_regrid(positions, h_ref):
                 values = np.clip(regrid(positions, values, nodes), 0.0, 1.0)

@@ -98,8 +98,10 @@ def test_determinism_bit_identical(tmp_path, stationary201):
 
 # SHA-256 of the report files of a short 201-node run per solver, recorded
 # with numpy 2.4.6 and scipy 1.17.1 on x86-64 after the merge of the two
-# radial moment quadratures into grid.RadialMoments; the manifest also holds
-# the package versions, so a version change moves its digest.
+# radial moment quadratures into grid.RadialMoments (the picard files again
+# when Picard came to freeze the previous iterate's velocity on the nodes);
+# the manifest also holds the package versions, so a version change moves
+# its digest.
 REPORT_DIGESTS = {
     "direct": {
         "manifest.txt":
@@ -111,11 +113,11 @@ REPORT_DIGESTS = {
     },
     "picard": {
         "manifest.txt":
-            "6a928d6152a6c98f1703d09d0503ddb96d6e2a7d1f676ebc7b92be5d7bfebd36",
+            "021cd3955413658cfb012faaf851e9609ccc8a2c2ea73f28e555e2bbb8e1eab7",
         "trajectory.csv":
-            "c3d595de29a53555c3596543e0fd08e10960a024837f6693ae4d94acd1b9ec60",
+            "eb23bd13788f58b1dbaa0cadd4f20f9c8cd21c7ef796ac69b7ef97d2c8783fa2",
         "decay.csv":
-            "d10b243cf35cedc95230beb6bfa48db00fe4c184f483a470ebd7a70551691d3b",
+            "98c1d42d623fbbfe3b791c79a3e3a1537b1bf86c64c1e24541376248ac243d70",
     },
 }
 

@@ -3,7 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
+import tumorlab.transport as transport
+from tumorlab.experiments import (PICARD_RATE, RunConfig, initial_state,
+                                  stationary_for)
 from tumorlab.grid import RadialField, RadialGrid
+from tumorlab.kinetics import KineticsSpec
 from tumorlab.linearized import (build_operators, decay_ensemble,
                                  solve_linearized)
 from tumorlab.transport import (TumorState, deviation, norm_X, norm_X0,
@@ -89,6 +93,48 @@ def test_picard_rejects_large_dt(stationary201, default_spec):
         simulate(init, 0.04, 0.02, default_spec, stationary201)
 
 
+def test_picard_stage_budget(monkeypatch, stationary201, default_spec):
+    # one stage-rate call per Runge-Kutta stage, plus one per state of the
+    # frozen path for its velocity, in every iteration
+    calls = 0
+    stage_rates = transport._stage_rates
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return stage_rates(*args)
+
+    monkeypatch.setattr(transport, "_stage_rates", counted)
+    r = stationary201.grid.nodes
+    p0 = np.clip(stationary201.p_star.values + 1e-2 * np.sin(np.pi * r), 0, 1)
+    init = TumorState(t=0.0, p=RadialField(stationary201.grid, p0),
+                      z=stationary201.z_star + 1e-3)
+    n_steps = 10
+    _, distances = picard_solve(init, n_steps * 1e-2, 1e-2, default_spec,
+                                stationary201, mu=0.07)
+    assert calls == len(distances) * (5 * n_steps + 1)
+
+
+@pytest.mark.parametrize("family", ["affine", "saturating"])
+def test_picard_matches_direct(family):
+    # test_08's tolerances on a short 201-node run of each rate family
+    spec = KineticsSpec(family=family)
+    ref = stationary_for(spec, 201)
+    cfg = RunConfig(grid_size=201, epsilon=1e-3, t_end=1.0, spec=spec)
+    init = initial_state(cfg, ref)
+    traj, dists = picard_solve(init, cfg.t_end, cfg.dt, spec, ref,
+                               mu=PICARD_RATE, tol=1e-8)
+    direct = simulate(init, cfg.t_end, cfg.dt, spec, ref,
+                      output_every=cfg.output_every)
+    ratios = [dists[i + 1] / dists[i] for i in range(len(dists) - 1)
+              if dists[i] > 1e-8]
+    gap = max(float(np.max(np.abs(a.p.values - b.p.values))) + abs(a.z - b.z)
+              for a, b in zip(traj.states, direct.states))
+    assert len(traj.states) == len(direct.states)
+    assert gap <= 1e-4
+    assert max(ratios) <= 0.75
+
+
 def test_quiescent_fraction_complements(stationary201):
     state = TumorState(t=0.0, p=stationary201.p_star, z=stationary201.z_star)
     np.testing.assert_allclose(state.q.values, 1.0 - state.p.values,
@@ -140,14 +186,15 @@ def _integrator_outputs(sol, spec):
 # SHA-256 of each integrator's output arrays (float64 bytes), recorded with
 # numpy 2.4.6 and scipy 1.17.1 on x86-64 after the merge of the two radial
 # moment quadratures into grid.RadialMoments, which moved u_* and the
-# linearized stage moments.
+# linearized stage moments; picard_solve's was recorded again when Picard
+# came to freeze the previous iterate's velocity on the nodes.
 INTEGRATOR_DIGESTS = {
     "step":
         "84afe25a0ddae86755fa9aa647a42de5432a129a0455fc922e33a6a9ad0d5cf3",
     "simulate":
         "72402390ade4fef43efadf00d3cc015908638c496581005ad74dde2b6b390f6d",
     "picard_solve":
-        "eef9ad822f58e489d71ac7c5ca8c56507d2d08978d25e3a20952a6ca226780a0",
+        "8708b46e724946f3cdd81f9bfbd8d54aadce83fb582a2530f5cc1dfdfd014325",
     "pure_transport":
         "1a469bd05d749c60864608d35acfe36b51a254b86bab2067e3612c3137e26aaf",
     "solve_linearized":
