@@ -8,6 +8,11 @@ decreasing to 0 at c=1, and K_B'+K_D'>0.  The default family is affine in c,
 which satisfies all of them transparently whenever b_rate > d_rate; a second
 family with saturating consumption F(c) = lambda*c/(1+c) is provided to check
 that nothing downstream depends on affineness.
+
+The reaction term f = K_P + (K_M - K_N) p - K_M p^2 and the mass-balance
+density g = -K_D + K_M p are written once, as RateValues methods with their
+derivatives f_p, f_c and g_c, and every solver reads them there;
+scalar_reaction is their plain-float twin for the shooting right-hand side.
 """
 
 from dataclasses import dataclass, field
@@ -70,6 +75,36 @@ class RateValues:
         object.__setattr__(self, "km_d", self.kb_d + self.kd_d)
         object.__setattr__(self, "kn_d", self.kp_d + self.kq_d)
 
+    def f(self, p):
+        """Reaction term f = K_P + (K_M - K_N) p - K_M p^2 (dp/dt along
+        characteristics); p is unrestricted, root finders probe outside
+        [0,1]."""
+        return _reaction(self.kp, self.km, self.kn, p)
+
+    def f_p(self, p):
+        """df/dp = (K_M - K_N) - 2 K_M p."""
+        return (self.km - self.kn) - 2.0 * self.km * p
+
+    def f_c(self, p):
+        """df/dc: f is linear in the rates, so f of their c-derivatives."""
+        return _reaction(self.kp_d, self.km_d, self.kn_d, p)
+
+    def g(self, p):
+        """Mass-balance density g = -K_D + K_M p, the source of u."""
+        return _density(self.kd, self.km, p)
+
+    def g_c(self, p):
+        """dg/dc = -K_D' + K_M' p."""
+        return _density(self.kd_d, self.km_d, p)
+
+
+def _reaction(kp, km, kn, p):
+    return kp + (km - kn) * p - km * p * p
+
+
+def _density(kd, km, p):
+    return -kd + km * p
+
 
 def _check_domain(c):
     c = np.asarray(c, dtype=float)
@@ -108,45 +143,21 @@ def eval_rates(spec, c):
     )
 
 
-def scalar_rates(spec, c):
-    """Plain-float (kp, kd, km, kn) at one nutrient level c in [0,1].
+def scalar_reaction(spec, c, p):
+    """Plain-float (f, g) at one nutrient level c in [0,1] and fraction p.
 
-    The same operations in the same order as eval_rates, so the values are
-    bit-identical, but without the domain check, the arrays and the
-    RateValues record: the shooting right-hand side calls this once per
-    evaluation.  The consumption law F does not enter, so every family
-    shares it.
+    The same operations in the same order as eval_rates and the RateValues
+    methods, so the values are bit-identical, but without the domain check,
+    the arrays and the RateValues record: the shooting right-hand side calls
+    this once per evaluation.  The consumption law F does not enter, so
+    every family shares it.
     """
     kb = spec.b_rate * c
     kd = spec.d_rate * (1.0 - c)
     kp = spec.p_rate * c
     kq = spec.q_rate * (1.0 - c)
-    return kp, kd, kb + kd, kp + kq
-
-
-def reaction_f(spec, c, p):
-    """Reaction term f(c, p) = K_P + (K_M - K_N) p - K_M p^2.
-
-    Governs dp/dt along characteristics.  p is unrestricted (root finders
-    probe outside [0,1]); c must be a valid nutrient level.
-    """
-    rv = eval_rates(spec, c)
-    p = np.asarray(p, dtype=float)
-    return rv.kp + (rv.km - rv.kn) * p - rv.km * p * p
-
-
-def reaction_f_dp(spec, c, p):
-    """Partial derivative of reaction_f in p: (K_M - K_N) - 2 K_M p."""
-    rv = eval_rates(spec, c)
-    p = np.asarray(p, dtype=float)
-    return (rv.km - rv.kn) - 2.0 * rv.km * p
-
-
-def reaction_f_dc(spec, c, p):
-    """Partial derivative of reaction_f in c: K_P' + (K_M'-K_N') p - K_M' p^2."""
-    rv = eval_rates(spec, c)
-    p = np.asarray(p, dtype=float)
-    return rv.kp_d + (rv.km_d - rv.kn_d) * p - rv.km_d * p * p
+    km = kb + kd
+    return _reaction(kp, km, kp + kq, p), _density(kd, km, p)
 
 
 @dataclass(frozen=True)

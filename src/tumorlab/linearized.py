@@ -70,23 +70,16 @@ def build_operators(sol, spec):
     rv = eval_rates(spec, c)
     require_same_grid(sol.c_star, sol.p_star, sol.c_z)
 
-    a_vals = (rv.km - rv.kn) - 2.0 * rv.km * p
-    g_p_vals = rv.km
-    g_c_vals = -rv.kd_d + rv.km_d * p
-    g_c_cz = g_c_vals * sol.c_z.values
-
-    full, cum = RadialMoments(nodes).full_and_third(g_c_cz)
+    full, cum = RadialMoments(nodes).full_and_third(rv.g_c(p) * sol.c_z.values)
     kappa = float(full)
     rp = nodes * derivative_values(p, grid)
     rp[0] = 0.0
-
-    f_c = rv.kp_d + (rv.km_d - rv.kn_d) * p - rv.km_d * p * p
-    b_vals = f_c * sol.c_z.values + rp * (kappa - cum)
+    b_vals = rv.f_c(p) * sol.c_z.values + rp * (kappa - cum)
 
     return LinearizedOperators(
-        a=RadialField(grid, a_vals),
+        a=RadialField(grid, rv.f_p(p)),
         b=RadialField(grid, b_vals),
-        g_p=RadialField(grid, g_p_vals),
+        g_p=RadialField(grid, rv.km),  # dg/dp = K_M
         kappa=kappa,
         rp_prime=RadialField(grid, rp),
         u_star=sol.u_star,

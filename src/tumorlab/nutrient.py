@@ -110,13 +110,23 @@ def _extrapolate_center(nodes, vals):
     return coeff[0]
 
 
+def _numerov_matrix(gj, c12):
+    """Banded tridiagonal (solve_banded's layout) of the Numerov scheme for
+    the interior unknowns of v'' = g, with dg/dv = gj at all nodes and
+    c12 = h^2 / 12."""
+    ab = np.zeros((3, gj.size - 2))
+    ab[1, :] = -2.0 - 10.0 * c12 * gj[1:-1]
+    ab[0, 1:] = 1.0 - c12 * gj[2:-1]  # superdiagonal
+    ab[2, :-1] = 1.0 - c12 * gj[1:-2]  # subdiagonal
+    return ab
+
+
 def _solve_numerov(source, source_jac, nodes, v_left, v_right, v_init):
     """Damped Newton on the Numerov discretization of v'' = g(r, v).
 
     source(v) and source_jac(v) give g and dg/dv at all nodes.  Returns the
     solution and the scheme residual scaled to ODE units (divided by h^2).
     """
-    m = nodes.size
     h = nodes[1] - nodes[0]
     v = v_init.copy()
     v[0], v[-1] = v_left, v_right
@@ -136,13 +146,7 @@ def _solve_numerov(source, source_jac, nodes, v_left, v_right, v_init):
         rmax = np.max(np.abs(res)) / (h * h)
         if rmax <= tol:
             return v, rmax
-        gj = source_jac(v)
-        # tridiagonal Jacobian in banded form for the interior unknowns
-        n = m - 2
-        ab = np.zeros((3, n))
-        ab[1, :] = -2.0 - 10.0 * c12 * gj[1:-1]
-        ab[0, 1:] = 1.0 - c12 * gj[2:-1]  # superdiagonal
-        ab[2, :-1] = 1.0 - c12 * gj[1:-2]  # subdiagonal
+        ab = _numerov_matrix(source_jac(v), c12)
         delta = solve_banded((1, 1), ab, -res)
         # damping: halve the step until the residual stops growing
         step = 1.0
@@ -260,14 +264,9 @@ def _numerov_sensitivity(spec, sol):
     m = nodes.size
     h = nodes[1] - nodes[0]
     c12 = h * h / 12.0
-    gj = e2z * rv.f_d  # coefficient of s
+    ab = _numerov_matrix(e2z * rv.f_d, c12)  # e^{2z} F'(c), the coefficient of s
     rhs_part = 2.0 * e2z * nodes * rv.f_val  # s-independent part
     rhs_part[0] = 0.0
-    n = m - 2
-    ab = np.zeros((3, n))
-    ab[1, :] = -2.0 - 10.0 * c12 * gj[1:-1]
-    ab[0, 1:] = 1.0 - c12 * gj[2:-1]
-    ab[2, :-1] = 1.0 - c12 * gj[1:-2]
     rhs = c12 * (rhs_part[2:] + 10.0 * rhs_part[1:-1] + rhs_part[:-2])
     s = np.zeros(m)
     s[1:-1] = solve_banded((1, 1), ab, rhs)

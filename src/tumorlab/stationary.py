@@ -35,8 +35,7 @@ from scipy.optimize import brentq
 
 from .errors import SolverError
 from .grid import RadialField, derivative_values
-from .kinetics import (eval_rates, reaction_f, reaction_f_dc, reaction_f_dp,
-                       scalar_rates)
+from .kinetics import eval_rates, scalar_reaction
 from .nutrient import affine_value, solve_nutrient, solve_sensitivity
 from .velocity import radial_velocity
 
@@ -93,14 +92,12 @@ def _boundary_series(spec, nutrient):
     Returns (p_init, J_init, p1_prime) at r = 1 - BOUNDARY_OFFSET.
     """
     rv1 = eval_rates(spec, 1.0)
-    km1, kn1 = float(rv1.km), float(rv1.kn)
-    fp1 = (km1 - kn1) - 2.0 * km1
+    km1 = float(rv1.km)
     cp1 = float(nutrient.c_prime(1.0))
-    fc1 = float(reaction_f_dc(spec, 1.0, 1.0))
     # u'(1) = g(1) = K_M(1) since K_D(1)=0 and p(1)=1
-    p1_prime = fc1 * cp1 / (km1 - fp1)
+    p1_prime = float(rv1.f_c(1.0)) * cp1 / (km1 - float(rv1.f_p(1.0)))
     g1 = km1
-    g1_prime = float(-rv1.kd_d + rv1.km_d) * cp1 + km1 * p1_prime
+    g1_prime = float(rv1.g_c(1.0)) * cp1 + km1 * p1_prime
     d = BOUNDARY_OFFSET
     p_init = 1.0 - p1_prime * d
     J_init = -g1 * d + (g1_prime + 2.0 * g1) * d * d / 2.0
@@ -144,10 +141,10 @@ def _shooting_rhs(spec, nutrient):
     is only C1, and DOP853 at SHOOT_RTOL resolves every one of its kinks,
     while the spline's jumps sit in the third derivative.  The spline is
     clamped with the symmetry condition c'(0) = 0 and takes the not-a-knot
-    condition at r = 1, which keeps it on the node values alone.  The rest
-    gives the same floats as eval_rates and reaction_f on numpy scalars
-    (scalar_rates repeats eval_rates' operations); the clamp of c to [0,1]
-    stands in for eval_rates' domain check.
+    condition at r = 1, which keeps it on the node values alone.  f and g
+    come from kinetics.scalar_reaction, the same floats as eval_rates' f and
+    g methods on numpy scalars; the clamp of c to [0,1] stands in for
+    eval_rates' domain check.
     """
     if spec.family == "affine":
         c_at = affine_value(spec, nutrient.z)
@@ -158,15 +155,15 @@ def _shooting_rhs(spec, nutrient):
     def rhs(r, y):
         p, J = y.tolist()
         c = min(max(c_at(r), 0.0), 1.0)
-        kp, kd, km, kn = scalar_rates(spec, c)
-        f = kp + (km - kn) * p - km * p * p
-        return [f * r * r / J, (-kd + km * p) * r * r]
+        f, g = scalar_reaction(spec, c, p)
+        return [f * r * r / J, g * r * r]
 
     return rhs
 
 
-def integrate_profile(spec, z, grid, dense=False):
-    """Integrate the stationary (p, u) pair at a trial log radius z.
+def integrate_profile(spec, nutrient, dense=False):
+    """Integrate the stationary (p, u) pair against the nutrient solution at
+    a trial log radius z = nutrient.z.
 
     Integration goes from r = 1 (series start, p(1)=1) down to R_START with
     state (p, J), J(r) = -int_r^1 [-K_D + K_M p] rho^2 drho and u = J/r^2
@@ -174,12 +171,11 @@ def integrate_profile(spec, z, grid, dense=False):
     shooting defect: u1_defect = -(J(R_START) - g(0) R_START^3 / 3), which is
     the u(1) value the forward form would report and vanishes at z_*.
 
-    When u reaches 0 in the interior (z above z_*) the solution is None and
-    the diagnostics give that radius as u_zero_radius.  Raises SolverError
-    if p leaves [0,1].
+    Returns (solution, diagnostics).  When u reaches 0 in the interior (z
+    above z_*) the solution is None and the diagnostics give that radius as
+    u_zero_radius.  Raises SolverError if p leaves [0,1].
     """
-    nutrient = solve_nutrient(spec, z, grid)
-    cf = nutrient.c
+    z = nutrient.z
     p_init, J_init, p1_prime = _boundary_series(spec, nutrient)
     rhs = _shooting_rhs(spec, nutrient)
 
@@ -203,12 +199,12 @@ def integrate_profile(spec, z, grid, dense=False):
         dense_output=dense,
         events=[u_zero, p_exit],
     )
-    c0 = float(cf(0.0))
+    c0 = float(nutrient.c(0.0))
     p0 = boundary_root(spec, c0)
     rv0 = eval_rates(spec, c0)
-    g0 = float(-rv0.kd + rv0.km * p0)
+    g0 = float(rv0.g(p0))
     u_prime0 = g0 / 3.0
-    fp0 = float(reaction_f_dp(spec, c0, p0))
+    fp0 = float(rv0.f_p(p0))
     diagnostics = {
         "z": z,
         "p0": p0,
@@ -222,15 +218,15 @@ def integrate_profile(spec, z, grid, dense=False):
                 f"p left [0,1] at r={sol.t_events[1][0]:.4f} (z={z})"
             )
         diagnostics["u_zero_radius"] = float(sol.t[-1]) if sol.t.size else 1.0
-        return None, nutrient, diagnostics
+        return None, diagnostics
     J_end = float(sol.y[1, -1])
     diagnostics["u1_defect"] = -(J_end - g0 * R_START**3 / 3.0)
-    return sol, nutrient, diagnostics
+    return sol, diagnostics
 
 
 def _shoot_residual(spec, z, grid):
-    """Signed shooting defect for the Brent iteration, and whether the
-    integration completed.
+    """Signed shooting defect for the Brent iteration, and the nutrient
+    solution at z if the integration completed (None if it did not).
 
     Positive for z below the equilibrium, negative above.  When u reaches 0
     at a radius r_e in the interior, the defect is continued by
@@ -243,12 +239,13 @@ def _shoot_residual(spec, z, grid):
     taking that point for its best iterate.
     """
     try:
-        sol, _, diag = integrate_profile(spec, z, grid)
+        nutrient = solve_nutrient(spec, z, grid)
+        sol, diag = integrate_profile(spec, nutrient)
     except SolverError:
-        return -1.0, False
+        return -1.0, None
     if sol is None:
-        return -abs(diag["u_prime0"]) * diag["u_zero_radius"] ** 3, False
-    return diag["u1_defect"], True
+        return -abs(diag["u_prime0"]) * diag["u_zero_radius"] ** 3, None
+    return diag["u1_defect"], nutrient
 
 
 def solve_stationary(spec, grid):
@@ -258,10 +255,10 @@ def solve_stationary(spec, grid):
     negative above; SolverError if both ends have the same sign) and
     evaluates no z twice.  It ends on a z whose integration completed: if
     its best z is an early exit, the completed evaluation with the smallest
-    |defect| is taken instead, so the final dense integration cannot fail.
-    The residual report counts the integrations (shoot_integrations, the
-    final one included) and the evaluations that exited early or raised
-    (shoot_fallbacks).
+    |defect| is taken instead, so the final dense integration cannot fail;
+    it reuses that evaluation's nutrient solution.  The residual report
+    counts the integrations (shoot_integrations, the final one included)
+    and the evaluations that exited early or raised (shoot_fallbacks).
     """
     evals = {}
 
@@ -276,10 +273,11 @@ def solve_stationary(spec, grid):
         raise SolverError("no sign change of the shooting defect on bracket: "
                           f"u1({z_lo:.2f})={f_lo:.3e}, u1({z_hi:.2f})={f_hi:.3e}")
     z_star = brentq(residual, z_lo, z_hi, xtol=1e-13, rtol=8.9e-16)
-    if not evals[z_star][1]:
-        z_star = min((z for z, (_, done) in evals.items() if done),
+    if evals[z_star][1] is None:
+        z_star = min((z for z, (_, nut) in evals.items() if nut is not None),
                      key=lambda z: abs(evals[z][0]))
-    sol, nutrient, diag = integrate_profile(spec, z_star, grid, dense=True)
+    nutrient = evals[z_star][1]
+    sol, diag = integrate_profile(spec, nutrient, dense=True)
     if sol is None:
         raise SolverError(f"converged z={z_star} fails to integrate (unexpected)")
     nutrient = solve_sensitivity(spec, nutrient)
@@ -316,7 +314,7 @@ def solve_stationary(spec, grid):
         np.max(np.abs(u_ode[off_origin] - vel.u.values[off_origin]))
     )
     report["shoot_integrations"] = len(evals) + 1
-    report["shoot_fallbacks"] = sum(not done for _, done in evals.values())
+    report["shoot_fallbacks"] = sum(nut is None for _, nut in evals.values())
     return StationarySolution(
         z_star=z_star,
         c_star=nutrient.c,
@@ -342,7 +340,7 @@ def _consistency_report(spec, p_field, vel, nutrient, diag):
     p = p_field.values
     u = vel.u.values
     pp = derivative_values(p, grid)
-    f = reaction_f(spec, c, p)
+    f = eval_rates(spec, c).f(p)
     transport_residual = float(np.max(np.abs(u[1:-1] * pp[1:-1] - f[1:-1])))
     alpha_hat, alpha_fit_residual = _fit_singular_exponent(r, pp)
     weight = r[1:-1] * (1.0 - r[1:-1])

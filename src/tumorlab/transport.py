@@ -143,10 +143,8 @@ def _stage_rates(spec, cache, positions, values, z):
         c = cache.solve(z).c(positions)
     c = np.clip(c, 0.0, 1.0)
     rv = eval_rates(spec, c)
-    g = -rv.kd + rv.km * values
-    u = radial_average(g, positions)
-    f = rv.kp + (rv.km - rv.kn) * values - rv.km * values * values
-    return frame_velocity(u, positions), f, u[-1]
+    u = radial_average(rv.g(values), positions)
+    return frame_velocity(u, positions), rv.f(values), u[-1]
 
 
 def rk4(rates, y, dt):

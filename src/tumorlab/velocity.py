@@ -37,8 +37,7 @@ def frame_velocity(u, r):
 def radial_velocity(p, nutrient, spec):
     """Velocity field for a cell-fraction field and nutrient solution."""
     grid = require_same_grid(p, nutrient.c)
-    rv = eval_rates(spec, np.clip(nutrient.c.values, 0.0, 1.0))
-    g = -rv.kd + rv.km * p.values
+    g = eval_rates(spec, np.clip(nutrient.c.values, 0.0, 1.0)).g(p.values)
     u = radial_average(g, grid.nodes)
     return VelocityField(g=RadialField(grid, g), u=RadialField(grid, u),
                          u_boundary=float(u[-1]))

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tumorlab.kinetics import (FAMILIES, KineticsSpec, eval_rates,
-                               reaction_f, reaction_f_dp, scalar_rates,
-                               validate_hypotheses)
+                               scalar_reaction, validate_hypotheses)
 
 
 def test_default_family_satisfies_all_hypotheses():
@@ -39,40 +38,46 @@ def test_km_kn_composition():
 
 
 _rate = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
+_unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+_specs = st.builds(
+    lambda lam, d_rate, b_gap, p_rate, q_rate, family: KineticsSpec(
+        lam=lam, b_rate=d_rate + b_gap, d_rate=d_rate, p_rate=p_rate,
+        q_rate=q_rate, family=family),
+    _rate, _rate, _rate, _rate, _rate, st.sampled_from(FAMILIES))
 
 
 @settings(max_examples=300, deadline=None)
-@given(lam=_rate, d_rate=_rate, b_gap=_rate, p_rate=_rate, q_rate=_rate,
-       family=st.sampled_from(FAMILIES),
-       c=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-def test_scalar_rates_match_eval_rates(lam, d_rate, b_gap, p_rate, q_rate,
-                                       family, c):
-    # the shooting path's plain-float rates must stay bit-identical to
-    # eval_rates for every family and parameter set
-    spec = KineticsSpec(lam=lam, b_rate=d_rate + b_gap, d_rate=d_rate,
-                        p_rate=p_rate, q_rate=q_rate, family=family)
+@given(spec=_specs, c=_unit, p=_unit)
+def test_scalar_reaction_matches_rate_values(spec, c, p):
+    # the shooting path's plain-float (f, g) must stay bit-identical to the
+    # RateValues methods for every family and parameter set
     rv = eval_rates(spec, c)
-    kp, kd, km, kn = scalar_rates(spec, c)
-    assert (kp, kd, km, kn) == (rv.kp, rv.kd, rv.km, rv.kn)
-    assert all(type(k) is float for k in (kp, kd, km, kn))
+    f, g = scalar_reaction(spec, c, p)
+    assert (f, g) == (rv.f(p), rv.g(p))
+    assert type(f) is float and type(g) is float
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_specs, c=st.floats(min_value=0.01, max_value=0.99), p=_unit)
+def test_rate_derivatives_match_central_differences(spec, c, p):
+    # f and g are affine in c and quadratic in p, so central differences are
+    # exact up to the rounding of f and g, a few ulp of the largest rate
+    h = 1e-3
+    rv, lo, hi = eval_rates(spec, c), eval_rates(spec, c - h), eval_rates(spec, c + h)
+    scale = 1.0 + float(np.max(np.abs([rv.km, rv.kn, rv.kp, rv.kd])))
+    tol = 32 * np.finfo(float).eps * scale / h
+    assert rv.f_p(p) == pytest.approx((rv.f(p + h) - rv.f(p - h)) / (2 * h), abs=tol)
+    assert rv.f_c(p) == pytest.approx((hi.f(p) - lo.f(p)) / (2 * h), abs=tol)
+    assert rv.g_c(p) == pytest.approx((hi.g(p) - lo.g(p)) / (2 * h), abs=tol)
 
 
 def test_reaction_roots_bracket_unit_interval():
     # f(c, 0) = K_P > 0 for c > 0 and f(c, 1) = -K_Q - K_D < 0 for c < 1,
     # so the logistic-type reaction pushes p into (0, 1) from both sides
     c = np.linspace(0.05, 0.95, 19)
-    spec = KineticsSpec()
-    assert np.all(reaction_f(spec, c, np.zeros_like(c)) > 0)
-    assert np.all(reaction_f(spec, c, np.ones_like(c)) < 0)
-
-
-def test_reaction_dp_matches_difference_quotient():
-    spec = KineticsSpec()
-    c = np.linspace(0.1, 0.9, 9)
-    p = np.linspace(0.2, 0.8, 9)
-    h = 1e-6
-    fd = (reaction_f(spec, c, p + h) - reaction_f(spec, c, p - h)) / (2 * h)
-    np.testing.assert_allclose(reaction_f_dp(spec, c, p), fd, atol=1e-8)
+    rv = eval_rates(KineticsSpec(), c)
+    assert np.all(rv.f(np.zeros_like(c)) > 0)
+    assert np.all(rv.f(np.ones_like(c)) < 0)
 
 
 def test_families_enumerated():

@@ -12,11 +12,11 @@ from tumorlab.stationary import (BOUNDARY_OFFSET, R_START,
 
 def test_center_root_balances_reaction(default_spec):
     # the attracting root of the reaction quadratic at a given nutrient level
-    from tumorlab.kinetics import reaction_f, reaction_f_dp
     for c0 in (0.2, 0.5, 0.9):
         p0 = boundary_root(default_spec, c0)
-        assert reaction_f(default_spec, c0, p0) == pytest.approx(0.0, abs=1e-12)
-        assert reaction_f_dp(default_spec, c0, p0) < 0
+        rv = eval_rates(default_spec, c0)
+        assert rv.f(p0) == pytest.approx(0.0, abs=1e-12)
+        assert rv.f_p(p0) < 0
         assert 0.0 < p0 <= 1.0
 
 
@@ -96,7 +96,7 @@ def test_affine_solve_integration_budget(monkeypatch, default_spec, grid201):
     integrate = stationary.integrate_profile
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[1].z)
         return integrate(*args, **kwargs)
 
     monkeypatch.setattr(stationary, "integrate_profile", counted)
@@ -109,9 +109,26 @@ def test_affine_solve_integration_budget(monkeypatch, default_spec, grid201):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+def test_stationary_solves_each_nutrient_once(monkeypatch, family, grid201):
+    # each shooting evaluation solves its nutrient profile once, and the
+    # final dense integration at z_* reuses the solve of that evaluation
+    calls = []
+    solve = stationary.solve_nutrient
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(stationary, "solve_nutrient", counted)
+    sol = solve_stationary(KineticsSpec(family=family), grid201)
+    assert len(calls) == sol.residual_report["shoot_integrations"] - 1
+    assert sol.z_star in calls
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_shooting_rhs_bit_identical(family, grid801):
-    # the plain-float right-hand side against the eval_rates / reaction_f
-    # formula on numpy scalars, compared with == (no tolerance): Brent's
+    # the plain-float right-hand side against the eval_rates formula
+    # written out on numpy scalars, compared with == (no tolerance): Brent's
     # path, and so z_*, depends on every bit.  c comes from scipy's C2
     # spline of the nutrient node values (clamped c'(0) = 0, not-a-knot at
     # r = 1) for the saturating law and from the scalar closed form for the
