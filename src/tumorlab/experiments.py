@@ -3,9 +3,10 @@
 A RunConfig pins down one perturbed run of the nonlinear model: kinetics,
 grid, time stepping, the initial perturbation family and the solver choice.
 run_stability_experiment integrates it, fits exponential envelopes K e^{-mu t}
-to the deviation norms and evaluates the five stability inequalities (sup
-deviation of each species fraction, the weighted derivative deviation of
-each, and the free-boundary radius through R = e^z).  sweep runs a batch of
+to the deviation norms and evaluates the three stability inequalities (sup
+deviation of the proliferating fraction p, its weighted derivative
+deviation, and the free-boundary radius through R = e^z; the quiescent
+fraction q = 1 - p has the same deviations as p).  sweep runs a batch of
 configs and reports the empirical stability-basin edge; emit_report persists
 a manifest, the trajectory table and a plot-ready decay table.
 """
@@ -183,13 +184,13 @@ def _envelope_ok(times, series, mu, K, window):
 def run_stability_experiment(config, reference=None, linear_response=True):
     """Run one perturbed trajectory and evaluate the stability inequalities.
 
-    The five checks are: sup deviation of the proliferating fraction p, the
-    same for the quiescent fraction q = 1 - p, the weighted derivative
-    deviation for each, and the radius deviation through R = e^z.  The q
-    checks are not computed: q - q_* = -(p - p_*), so they are copies of the
-    p checks.  Each is required to stay below its fitted envelope
-    K eps e^{-mu t} with 5% slack after the transient window (the first 20%
-    of the horizon), with mu > 0 and r2 >= 0.98 on the norm fits.  Solver failures are re-raised after
+    The three checks are: sup deviation of the proliferating fraction p, its
+    weighted derivative deviation, and the radius deviation through R = e^z.
+    The quiescent fraction q = 1 - p has no checks of its own: q - q_* =
+    -(p - p_*), so its inequalities are the p ones.  Each is required to
+    stay below its fitted envelope K eps e^{-mu t} with 5% slack after the
+    transient window (the first 20% of the horizon), with mu > 0 and
+    r2 >= 0.98 on the norm fits.  Solver failures are re-raised after
     persisting the manifest when an output directory is configured.
     """
     if reference is None:
@@ -208,8 +209,7 @@ def run_stability_experiment(config, reference=None, linear_response=True):
     if eps == 0.0:
         quiet = bool(np.max(traj.norm_x0) <= ZERO_EPS_TOL)
         checks = {name: quiet for name in
-                  ("p_sup", "q_sup", "p_weighted_derivative",
-                   "q_weighted_derivative", "radius")}
+                  ("p_sup", "p_weighted_derivative", "radius")}
         nanfit = DecayReport(np.nan, np.nan, window, "X", 0.0, 0.0, False,
                              "unperturbed run, nothing to fit")
         return StabilityReport(config=config, epsilon=0.0, fit_x=nanfit,
@@ -230,9 +230,7 @@ def run_stability_experiment(config, reference=None, linear_response=True):
     radius_ok = fits_ok and _envelope_ok(times, traj.z_dev, fit_x.mu_fit, kx, window)
     checks = {
         "p_sup": p_sup_ok,
-        "q_sup": p_sup_ok,
         "p_weighted_derivative": wder_ok,
-        "q_weighted_derivative": wder_ok,
         "radius": radius_ok,
     }
 

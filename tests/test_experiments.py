@@ -99,13 +99,14 @@ def test_determinism_bit_identical(tmp_path, stationary201):
 # SHA-256 of the report files of a short 201-node run per solver, recorded
 # with numpy 2.4.6 and scipy 1.17.1 on x86-64 after the merge of the two
 # radial moment quadratures into grid.RadialMoments (the picard files again
-# when Picard came to freeze the previous iterate's velocity on the nodes);
-# the manifest also holds the package versions, so a version change moves
+# when Picard came to freeze the previous iterate's velocity on the nodes,
+# and both manifests when the q = 1 - p copies of the p checks went); the
+# manifest also holds the package versions, so a version change moves
 # its digest.
 REPORT_DIGESTS = {
     "direct": {
         "manifest.txt":
-            "62bf1e07269838d4a071d94ab82cc3c5e2faa39069f4b833f5cf20c73d0e0b45",
+            "de5c169b08bcd7119bcdfc57f0502ab869ff8395de4dda735be9ea846f1e04b3",
         "trajectory.csv":
             "a7cbb08835f4edc375deb5ae2d9d8eafe6562d2659b3767d4d052f0fed5dd9bd",
         "decay.csv":
@@ -113,7 +114,7 @@ REPORT_DIGESTS = {
     },
     "picard": {
         "manifest.txt":
-            "021cd3955413658cfb012faaf851e9609ccc8a2c2ea73f28e555e2bbb8e1eab7",
+            "5ac36b9eb81ec3462ec982d15923f700e3fd6eca39e60a23a38fb4f4631c2614",
         "trajectory.csv":
             "eb23bd13788f58b1dbaa0cadd4f20f9c8cd21c7ef796ac69b7ef97d2c8783fa2",
         "decay.csv":
