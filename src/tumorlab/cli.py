@@ -2,7 +2,7 @@
 
 Subcommands cover the individual solver stages (check-kinetics, nutrient,
 stationary), the dynamics (simulate, linearize), the flow-map inequality
-checks (maps) and the orchestrated experiments (stability, sweep, report).
+checks (maps) and the orchestrated experiments (stability, sweep).
 Exit codes: 0 pass, 1 experiment inequality violated, 2 solver error,
 3 configuration error.
 """
@@ -145,6 +145,7 @@ def cmd_stability(args):
     if cfg.out_dir:
         for path in emit_report(report):
             print(f"wrote {path}")
+        print(f"config hash: {config_hash(cfg)}")
     print(f"epsilon = {report.epsilon}  mu_x = {report.fit_x.mu_fit:.6f}  "
           f"mu_x0 = {report.fit_x0.mu_fit:.6f}  "
           f"linear response = {report.linear_response_ratio:.3f}")
@@ -164,19 +165,6 @@ def cmd_sweep(args):
     print(f"basin edge: {summary.basin_edge}")
     ok = all(row["passed"] or row["error"] for row in summary.rows)
     return EXIT_PASS if ok and not np.isnan(summary.basin_edge) else EXIT_EXPERIMENT_FAIL
-
-
-def cmd_report(args):
-    if not args.config:
-        raise ConfigError("report needs --config with a persisted run config")
-    if not args.out:
-        raise ConfigError("report needs --out")
-    cfg = _load_config(args)
-    report = run_stability_experiment(cfg)
-    for path in emit_report(report, out_dir=args.out):
-        print(f"wrote {path}")
-    print(f"config hash: {config_hash(cfg)}")
-    return EXIT_PASS if report.passed else EXIT_EXPERIMENT_FAIL
 
 
 def build_parser():
@@ -222,7 +210,6 @@ def build_parser():
     p.add_argument("--shapes", default="")
     p.set_defaults(func=cmd_sweep)
 
-    sub.add_parser("report", parents=[common]).set_defaults(func=cmd_report)
     return parser
 
 

@@ -4,11 +4,10 @@ A RunConfig pins down one perturbed run of the nonlinear model: kinetics,
 grid, time stepping, the initial perturbation family and the solver choice.
 run_stability_experiment integrates it, fits exponential envelopes K e^{-mu t}
 to the deviation norms and evaluates the three stability inequalities (sup
-deviation of the proliferating fraction p, its weighted derivative
-deviation, and the free-boundary radius through R = e^z; the quiescent
-fraction q = 1 - p has the same deviations as p).  sweep runs a batch of
-configs and reports the empirical stability-basin edge; emit_report persists
-a manifest, the trajectory table and a plot-ready decay table.
+and weighted derivative deviation of the proliferating fraction p, and the
+free-boundary radius through R = e^z).  sweep runs a batch of configs and
+reports the empirical stability-basin edge; emit_report persists a
+manifest, the trajectory table and a plot-ready decay table.
 """
 
 import functools
@@ -184,14 +183,13 @@ def _envelope_ok(times, series, mu, K, window):
 def run_stability_experiment(config, reference=None, linear_response=True):
     """Run one perturbed trajectory and evaluate the stability inequalities.
 
-    The three checks are: sup deviation of the proliferating fraction p, its
-    weighted derivative deviation, and the radius deviation through R = e^z.
-    The quiescent fraction q = 1 - p has no checks of its own: q - q_* =
-    -(p - p_*), so its inequalities are the p ones.  Each is required to
-    stay below its fitted envelope K eps e^{-mu t} with 5% slack after the
-    transient window (the first 20% of the horizon), with mu > 0 and
-    r2 >= 0.98 on the norm fits.  Solver failures are re-raised after
-    persisting the manifest when an output directory is configured.
+    The three checks are the sup and the weighted derivative deviation of
+    the proliferating fraction p and the radius deviation through R = e^z;
+    q = 1 - p has none of its own, as q - q_* = -(p - p_*).  Each is
+    required to stay below its fitted envelope K eps e^{-mu t} with 5%
+    slack after the transient window (the first 20% of the horizon), with
+    mu > 0 and r2 >= 0.98 on the norm fits.  Solver failures are re-raised
+    after persisting the manifest when an output directory is configured.
     """
     if reference is None:
         reference = stationary_for(config.spec, config.grid_size)

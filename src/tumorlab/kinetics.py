@@ -7,12 +7,9 @@ hypotheses are F(0)=0, F'>0, K_B and K_P increasing from 0, K_D and K_Q
 decreasing to 0 at c=1, and K_B'+K_D'>0.  The default family is affine in c,
 which satisfies all of them transparently whenever b_rate > d_rate; a second
 family with saturating consumption F(c) = lambda*c/(1+c) is provided to check
-that nothing downstream depends on affineness.
-
-The reaction term f = K_P + (K_M - K_N) p - K_M p^2 and the mass-balance
-density g = -K_D + K_M p are written once, as RateValues methods with their
-derivatives f_p, f_c and g_c, and every solver reads them there;
-scalar_reaction is their plain-float twin for the shooting right-hand side.
+that nothing downstream depends on affineness.  Every solver reads the
+reaction term f, the density g and their derivatives from the RateValues
+methods; scalar_reaction is their plain-float twin.
 """
 
 from dataclasses import dataclass, field
@@ -76,9 +73,8 @@ class RateValues:
         object.__setattr__(self, "kn_d", self.kp_d + self.kq_d)
 
     def f(self, p):
-        """Reaction term f = K_P + (K_M - K_N) p - K_M p^2 (dp/dt along
-        characteristics); p is unrestricted, root finders probe outside
-        [0,1]."""
+        """Reaction term f = K_P + (K_M - K_N) p - K_M p^2, dp/dt along
+        characteristics; p may leave [0,1] (root finders probe outside)."""
         return _reaction(self.kp, self.km, self.kn, p)
 
     def f_p(self, p):

@@ -175,7 +175,6 @@ def integrate_profile(spec, nutrient, dense=False):
     above z_*) the solution is None and the diagnostics give that radius as
     u_zero_radius.  Raises SolverError if p leaves [0,1].
     """
-    z = nutrient.z
     p_init, J_init, p1_prime = _boundary_series(spec, nutrient)
     rhs = _shooting_rhs(spec, nutrient)
 
@@ -206,7 +205,7 @@ def integrate_profile(spec, nutrient, dense=False):
     u_prime0 = g0 / 3.0
     fp0 = float(rv0.f_p(p0))
     diagnostics = {
-        "z": z,
+        "z": nutrient.z,
         "p0": p0,
         "u_prime0": u_prime0,
         "frobenius_beta": fp0 / u_prime0 if u_prime0 != 0.0 else np.inf,
@@ -215,7 +214,7 @@ def integrate_profile(spec, nutrient, dense=False):
     if not (sol.success and sol.t[-1] <= R_START * (1 + 1e-9)):
         if sol.t_events[1].size:
             raise SolverError(
-                f"p left [0,1] at r={sol.t_events[1][0]:.4f} (z={z})"
+                f"p left [0,1] at r={sol.t_events[1][0]:.4f} (z={nutrient.z})"
             )
         diagnostics["u_zero_radius"] = float(sol.t[-1]) if sol.t.size else 1.0
         return None, diagnostics
@@ -336,11 +335,10 @@ def _consistency_report(spec, p_field, vel, nutrient, diag):
     grid = p_field.grid
     r = grid.nodes
     c_vals = nutrient.c.values
-    c = np.clip(c_vals, 0.0, 1.0)
     p = p_field.values
     u = vel.u.values
     pp = derivative_values(p, grid)
-    f = eval_rates(spec, c).f(p)
+    f = eval_rates(spec, np.clip(c_vals, 0.0, 1.0)).f(p)
     transport_residual = float(np.max(np.abs(u[1:-1] * pp[1:-1] - f[1:-1])))
     alpha_hat, alpha_fit_residual = _fit_singular_exponent(r, pp)
     weight = r[1:-1] * (1.0 - r[1:-1])

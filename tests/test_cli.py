@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from tumorlab.cli import (EXIT_CONFIG_ERROR, EXIT_EXPERIMENT_FAIL, EXIT_PASS,
@@ -64,11 +66,15 @@ def test_linearize_reports_positive_rate(small_config_file, capsys,
     assert "ensemble rate estimate" in capsys.readouterr().out
 
 
-def test_stability_emits_report(tmp_path, small_config_file, stationary201):
+def test_stability_emits_report(tmp_path, small_config_file, stationary201,
+                                capsys):
     code = main(["stability", "--config", small_config_file,
                  "--out", str(tmp_path / "st")])
     assert code == EXIT_PASS
     manifest = (tmp_path / "st" / "manifest.txt").read_text().splitlines()
+    written_hash = json.loads(dict(line.split(" = ", 1) for line in manifest)
+                              ["config_hash"])
+    assert f"config hash: {written_hash}" in capsys.readouterr().out.splitlines()
     rep = stationary201.residual_report
     assert f"stationary.shoot_integrations = {rep['shoot_integrations']}" in manifest
     assert f"stationary.shoot_fallbacks = {rep['shoot_fallbacks']}" in manifest
