@@ -13,6 +13,7 @@ values; radial_average and third_moment are thin functions over it.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -121,11 +122,12 @@ def _simpson_weights(x):
     Returns (pairs, last): pairs[j, s, m] weighs node 2m+j in interval 2m+s;
     last weighs the last three nodes in an odd last interval, else None.
     """
-    h = np.diff(x)
-    h1, h2 = h[0:-1:2], h[1::2]  # widths of the first and second intervals
-    pairs = np.empty((3, 2, h2.size))
-    pairs[:, 0] = _interval_weights(h1, h2)
-    pairs[::-1, 1] = _interval_weights(h2, h1)
+    h = x[1:] - x[:-1]
+    m = h.size // 2
+    widths = np.array((h[0:2 * m:2], h[1:2 * m:2]))  # first and second intervals
+    near, middle, far = _interval_weights(widths, widths[::-1])
+    pairs = np.array((near, middle, far))
+    pairs[0, 1], pairs[2, 1] = far[1], near[1]  # interval 2m+1's near node is 2m+2
     last = np.array(_interval_weights(h[-1], h[-2])[::-1]) if h.size % 2 else None
     return pairs, last
 
@@ -172,17 +174,23 @@ class RadialMoments:
         x = np.asarray(x, dtype=float)
         pairs, last = _simpson_weights(x)
         n2 = 2 * pairs.shape[-1]
+        x2 = x * x
         for j in range(3):
-            pairs[j] *= x[j:n2 + j:2] ** 2
+            pairs[j] *= x2[j:n2 + j:2]
         self.pairs = pairs
-        self.last = None if last is None else last * x[-3:] ** 2
+        self.last = None if last is None else last * x2[-3:]
         self.k = k = min(5, x.size)
         # exact moments x_i^(j+3) / (j+3) of the fitted cubic's monomials
         powers = np.arange(min(3, k - 1) + 1)
         fit = np.linalg.pinv(np.vander(x[:k], powers.size, increasing=True))
         self.start = (x[:k, None] ** (powers + 3) / (powers + 3)) @ fit
-        self.inv_x3 = np.zeros_like(x)
-        self.inv_x3[1:] = 1.0 / x[1:] ** 3
+        self._x = x
+
+    @cached_property
+    def inv_x3(self):
+        """r^-3 at the positions, 0 at the origin; built on first use, it replaces them."""
+        x = vars(self).pop("_x")
+        return np.concatenate(([0.0], 1.0 / x[1:] ** 3))
 
     def cumulative(self, v):
         """M at every position, a new array shaped like v."""

@@ -13,6 +13,7 @@ methods; scalar_reaction is their plain-float twin.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,12 +46,15 @@ class KineticsSpec:
 
 @dataclass(frozen=True)
 class RateValues:
-    """All rate laws and their c-derivatives evaluated at one nutrient level.
+    """All rate laws at one nutrient level c and their c-derivatives.
 
-    km = kb + kd and kn = kp + kq hold by construction.  Fields may be scalars
-    or arrays depending on the input c.
+    km = kb + kd and kn = kp + kq hold by construction; the derivatives (f_d,
+    kb_d ... kn_d) are built on first read.  Fields may be scalars or arrays
+    depending on the input c.
     """
 
+    spec: KineticsSpec
+    c: object
     f_val: object
     kb: object
     kd: object
@@ -58,19 +62,23 @@ class RateValues:
     kq: object
     km: object = field(init=False)
     kn: object = field(init=False)
-    f_d: object = 0.0
-    kb_d: object = 0.0
-    kd_d: object = 0.0
-    kp_d: object = 0.0
-    kq_d: object = 0.0
-    km_d: object = field(init=False)
-    kn_d: object = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "km", self.kb + self.kd)
         object.__setattr__(self, "kn", self.kp + self.kq)
-        object.__setattr__(self, "km_d", self.kb_d + self.kd_d)
-        object.__setattr__(self, "kn_d", self.kp_d + self.kq_d)
+
+    @cached_property
+    def f_d(self):
+        if self.spec.family == "affine":
+            return self.spec.lam * np.ones_like(self.c)
+        return self.spec.lam / (1.0 + self.c) ** 2
+
+    kb_d = cached_property(lambda self: self.spec.b_rate * np.ones_like(self.c))
+    kd_d = cached_property(lambda self: -self.spec.d_rate * np.ones_like(self.c))
+    kp_d = cached_property(lambda self: self.spec.p_rate * np.ones_like(self.c))
+    kq_d = cached_property(lambda self: -self.spec.q_rate * np.ones_like(self.c))
+    km_d = cached_property(lambda self: self.kb_d + self.kd_d)
+    kn_d = cached_property(lambda self: self.kp_d + self.kq_d)
 
     def f(self, p):
         """Reaction term f = K_P + (K_M - K_N) p - K_M p^2, dp/dt along
@@ -104,39 +112,27 @@ def _density(kd, km, p):
 
 def _check_domain(c):
     c = np.asarray(c, dtype=float)
-    if np.any(c < -1e-12) or np.any(c > 1 + 1e-12):
-        raise ValueError(
-            f"nutrient level outside [0,1]: range [{np.min(c)}, {np.max(c)}]"
-        )
+    lo, hi = c.min(), c.max()
+    if not (lo >= -1e-12 and hi <= 1 + 1e-12):  # NaN fails both
+        raise ValueError(f"nutrient level outside [0,1]: range [{lo}, {hi}]")
     return c
 
 
 def eval_rates(spec, c):
-    """Evaluate every rate law and its derivative at nutrient level c.
+    """Evaluate every rate law at nutrient level c; RateValues computes the
+    derivatives when they are first read.
 
     c may be a scalar or an array; values are broadcast elementwise.
-    Raises ValueError if c leaves [0,1] by more than 1e-12.
+    Raises ValueError if c leaves [0,1] by more than 1e-12 or is NaN.
     """
     c = _check_domain(c)
     if spec.family == "affine":
         f_val = spec.lam * c
-        f_d = spec.lam * np.ones_like(c)
     else:  # saturating
         f_val = spec.lam * c / (1.0 + c)
-        f_d = spec.lam / (1.0 + c) ** 2
-    one = np.ones_like(c)
-    return RateValues(
-        f_val=f_val,
-        kb=spec.b_rate * c,
-        kd=spec.d_rate * (1.0 - c),
-        kp=spec.p_rate * c,
-        kq=spec.q_rate * (1.0 - c),
-        f_d=f_d,
-        kb_d=spec.b_rate * one,
-        kd_d=-spec.d_rate * one,
-        kp_d=spec.p_rate * one,
-        kq_d=-spec.q_rate * one,
-    )
+    return RateValues(spec, c, f_val=f_val, kb=spec.b_rate * c,
+                      kd=spec.d_rate * (1.0 - c), kp=spec.p_rate * c,
+                      kq=spec.q_rate * (1.0 - c))
 
 
 def scalar_reaction(spec, c, p):

@@ -6,13 +6,13 @@ differentiated problem c_z'' + (2/r) c_z' = e^{2z} [F'(c) c_z + 2 F(c)],
 c_z'(0)=0, c_z(1)=0.
 
 For the affine law F(c) = lam c the problem is linear and its solution is
-exact: c = sinh(kr) / (r sinh k) with k = sqrt(lam) e^z (affine_profile, and
-the plain-float affine_value for one radius at a time).  Every other law is
-solved numerically: the substitution v = r c turns the operator into a plain
-second derivative, v'' = r e^{2z} F(v/r), v(0)=0, v(1)=1, which a Numerov
-discretization solves to fourth order; a damped Newton iteration handles the
-nonlinearity.  Numerov needs equal spacing, which every RadialGrid has by
-construction.
+exact: c = sinh(kr) / (r sinh k) with k = sqrt(lam) e^z (affine_c, with c'
+in affine_profile, and the plain-float affine_value for one radius at a
+time).  Every other law is solved numerically: the substitution v = r c
+turns the operator into a plain second derivative, v'' = r e^{2z} F(v/r),
+v(0)=0, v(1)=1, which a Numerov discretization solves to fourth order; a
+damped Newton iteration handles the nonlinearity.  Numerov needs equal
+spacing, which every RadialGrid has by construction.
 """
 
 import math
@@ -55,14 +55,13 @@ def _affine_k(spec, z):
     return math.sqrt(spec.lam) * math.exp(z)
 
 
-def affine_profile(spec, z, r):
-    """Exact (c, c') of the affine law F(c) = lam c at the radii r in [0,1].
+def affine_c(spec, z, r):
+    """Exact c of the affine law F(c) = lam c at the radii r in [0,1].
 
     c = sinh(kr) / (r sinh k) with k = sqrt(lam) e^z, evaluated through
-    sinh(kr) / sinh k = e^{k(r-1)} expm1(-2kr) / expm1(-2k) and
-    cosh(kr) / sinh k = -e^{k(r-1)} (2 + expm1(-2kr)) / expm1(-2k), which
-    stay finite at any k (sinh itself overflows above k ~ 710).  At r = 0,
-    c = k / sinh k from the same form and c' = 0 exactly.
+    sinh(kr) / sinh k = e^{k(r-1)} expm1(-2kr) / expm1(-2k), which stays
+    finite at any k (sinh itself overflows above k ~ 710).  At r = 0,
+    c = k / sinh k from the same form.
     """
     k = _affine_k(spec, z)
     m2k = -2.0 * k
@@ -71,15 +70,20 @@ def affine_profile(spec, z, r):
     ex = np.exp(k * (r - 1.0))
     em = np.expm1(m2k * r)
     inner = r > 0.0
-    rr = np.where(inner, r, 1.0)
-    c = np.where(inner, ex * em / (em_k * rr), ex * (m2k / em_k))
-    cosh_ratio = -ex * ((2.0 + em) / em_k)
-    cp = np.where(inner, (k * cosh_ratio - c) / rr, 0.0)
-    return c, cp
+    return np.where(inner, ex * em / (em_k * np.where(inner, r, 1.0)), ex * (m2k / em_k))
+
+
+def affine_profile(spec, z, r):
+    """(c, c') of the affine law: c from affine_c, c' = (k cosh(kr) / sinh k - c) / r
+    with cosh(kr) / sinh k = -e^{k(r-1)} (2 + expm1(-2kr)) / expm1(-2k), and 0 at r = 0."""
+    k, r = _affine_k(spec, z), np.asarray(r, dtype=float)
+    c = affine_c(spec, z, r)
+    cosh_ratio = -np.exp(k * (r - 1.0)) * ((2.0 + np.expm1(-2.0 * k * r)) / np.expm1(-2.0 * k))
+    return c, np.where(r > 0.0, (k * cosh_ratio - c) / np.where(r > 0.0, r, 1.0), 0.0)
 
 
 def affine_value(spec, z):
-    """Plain-float twin of affine_profile's c at log-radius z: returns c(r)
+    """Plain-float twin of affine_c at log-radius z: returns c(r)
     for one radius r, in the same operations (math's exp and expm1 may
     round a few ulp away from numpy's)."""
     k = _affine_k(spec, z)

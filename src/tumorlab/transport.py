@@ -34,7 +34,7 @@ from scipy.interpolate import PchipInterpolator
 from .errors import SolverError
 from .grid import RadialField, derivative_values, radial_average, require_same_grid
 from .kinetics import eval_rates
-from .nutrient import affine_profile, solve_nutrient
+from .nutrient import affine_c, solve_nutrient
 from .velocity import frame_velocity, radial_velocity
 
 DT_MAX = 1e-2
@@ -138,7 +138,7 @@ def _stage_rates(spec, cache, positions, values, z):
     interpolate the cached nutrient solve.
     """
     if spec.family == "affine":
-        c = affine_profile(spec, z, positions)[0]
+        c = affine_c(spec, z, positions)
     else:
         c = cache.solve(z).c(positions)
     c = np.clip(c, 0.0, 1.0)
@@ -163,8 +163,12 @@ def rk4(rates, y, dt):
 
 
 def _guarded(positions, values, z):
-    """Pin the endpoints, reject crossing characteristics and p escaping
-    [0,1], then clip p; positions and values are changed in place."""
+    """Reject non-finite entries, pin the endpoints, reject crossing
+    characteristics and p escaping [0,1], then clip p (all in place)."""
+    for name, a in (("position", positions), ("p", values), ("z", np.atleast_1d(z))):
+        finite = np.isfinite(a)
+        if not finite.all():
+            raise SolverError(f"non-finite {name} at index {finite.argmin()} during step")
     positions[0] = 0.0
     positions[-1] = 1.0
     if np.any(np.diff(positions) < -1e-12):

@@ -71,6 +71,35 @@ def test_rate_derivatives_match_central_differences(spec, c, p):
     assert rv.g_c(p) == pytest.approx((hi.g(p) - lo.g(p)) / (2 * h), abs=tol)
 
 
+@settings(max_examples=300, deadline=None)
+@given(spec=_specs, cs=st.lists(_unit, min_size=1, max_size=6), scalar=st.booleans())
+def test_lazy_derivatives_match_eager_expressions(spec, cs, scalar):
+    # the c-derivatives are built on first read, from the same expressions
+    # eval_rates once evaluated eagerly, so they are the same bytes
+    c = cs[0] if scalar else np.array(cs)
+    rv = eval_rates(spec, c)
+    c = np.asarray(c, dtype=float)
+    one = np.ones_like(c)
+    eager = {"f_d": spec.lam * np.ones_like(c) if spec.family == "affine"
+             else spec.lam / (1.0 + c) ** 2,
+             "kb_d": spec.b_rate * one, "kd_d": -spec.d_rate * one,
+             "kp_d": spec.p_rate * one, "kq_d": -spec.q_rate * one}
+    eager["km_d"] = eager["kb_d"] + eager["kd_d"]
+    eager["kn_d"] = eager["kp_d"] + eager["kq_d"]
+    for name, want in eager.items():
+        got = getattr(rv, name)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want), name
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+        assert getattr(rv, name) is got  # computed once
+
+
+@pytest.mark.parametrize("c", [np.nan, [0.2, np.nan, 0.5], [np.nan, 2.0]])
+def test_eval_rates_rejects_nan(c):
+    # NaN compares false with both bounds of [0,1]
+    with pytest.raises(ValueError, match="outside"):
+        eval_rates(KineticsSpec(), c)
+
+
 def test_reaction_roots_bracket_unit_interval():
     # f(c, 0) = K_P > 0 for c > 0 and f(c, 1) = -K_Q - K_D < 0 for c < 1,
     # so the logistic-type reaction pushes p into (0, 1) from both sides

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from tumorlab import nutrient
 from tumorlab.grid import RadialGrid
 from tumorlab.kinetics import KineticsSpec
-from tumorlab.nutrient import affine_profile, solve_nutrient, solve_sensitivity
+from tumorlab.nutrient import (affine_c, affine_profile, solve_nutrient,
+                               solve_sensitivity)
 
 
 def sinh_solution(lam, z, r):
@@ -91,6 +92,7 @@ def test_affine_profile_properties(lam, z):
     k = np.sqrt(lam) * np.exp(z)
     r = np.linspace(0.0, 1.0, 801)
     c, cp = affine_profile(spec, z, r)
+    assert np.array_equal(affine_c(spec, z, r), c)  # the stages read c alone
     assert np.all(np.isfinite(c)) and np.all(np.isfinite(cp))
     assert c[-1] == 1.0
     assert cp[0] == 0.0

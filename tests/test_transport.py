@@ -7,7 +7,8 @@ import tumorlab.transport as transport
 from tumorlab.experiments import (PICARD_RATE, RunConfig, initial_state,
                                   stationary_for)
 from tumorlab.grid import RadialField, RadialGrid
-from tumorlab.kinetics import KineticsSpec
+from tumorlab.errors import SolverError
+from tumorlab.kinetics import RateValues, KineticsSpec
 from tumorlab.linearized import (build_operators, decay_ensemble,
                                  solve_linearized)
 from tumorlab.transport import (TumorState, deviation, norm_X, norm_X0,
@@ -113,6 +114,41 @@ def test_picard_stage_budget(monkeypatch, stationary201, default_spec):
     _, distances = picard_solve(init, n_steps * 1e-2, 1e-2, default_spec,
                                 stationary201, mu=0.07)
     assert calls == len(distances) * (5 * n_steps + 1)
+
+
+@pytest.mark.parametrize("family", ["affine", "saturating"])
+def test_stage_reads_no_rate_derivative(monkeypatch, family):
+    # a stage reads f and g of the rates only, so none of the lazily built
+    # c-derivatives may be computed on its behalf
+    spec = KineticsSpec(family=family)
+    ref = stationary_for(spec, 201)
+    cache = transport.NutrientCache(spec, ref.grid)
+    cache.solve(ref.z_star)  # the Newton solve itself reads F'(c)
+
+    def unread(self):
+        raise AssertionError("a stage read a rate derivative")
+
+    for name in ("f_d", "kb_d", "kd_d", "kp_d", "kq_d", "km_d", "kn_d"):
+        monkeypatch.setattr(RateValues, name, property(unread))
+    x = ref.grid.nodes + 0.1 * ref.grid.spacing * np.sin(np.arange(201))
+    x[0], x[-1] = 0.0, 1.0
+    w, f, u1 = transport._stage_rates(spec, cache, x, ref.p_star.values, ref.z_star)
+    assert w.shape == f.shape == x.shape and np.isfinite(u1)
+
+
+@pytest.mark.parametrize("entry,bad,fill", [("position", [7], np.nan),
+                                             ("p", [0, 200], np.inf),
+                                             ("p", [150], np.nan),
+                                             ("z", [0], np.nan)])
+def test_guard_names_first_non_finite_entry(stationary201, entry, bad, fill):
+    # NaN compares false with every bound, so it must be caught by name
+    positions = stationary201.grid.nodes.copy()
+    values = stationary201.p_star.values.copy()
+    z = fill if entry == "z" else stationary201.z_star
+    if entry != "z":
+        (positions if entry == "position" else values)[bad] = fill
+    with pytest.raises(SolverError, match=f"non-finite {entry} at index {bad[0]} "):
+        transport._guarded(positions, values, z)
 
 
 @pytest.mark.parametrize("family", ["affine", "saturating"])
