@@ -42,16 +42,17 @@ def _solver_outputs(spec, grid, sol):
 
 
 # SHA-256 of each output's arrays (float64 bytes), recorded with numpy 2.4.6
-# and scipy 1.17.1 on x86-64.
+# and scipy 1.17.1 on x86-64, again when the cubic start of
+# grid.RadialMoments came to be built in closed form.
 SOLVER_DIGESTS = {
     "stationary_saturating":
-        "55dacf767c150291c94adff8602c6353484c446c7094345160328cd52ec8b9f7",
+        "08f5d12da06770ba14ac8681f28d952c59ef9afef17b603df3eb11361cf43d00",
     "build_fstar":
-        "323107162c8fe08275c9056bc8dae1f029beeffeebf9796742647396dc0d62dc",
+        "db37a176454b42a94a901f2bce87bc4f968a837f68ac53453ffd7d561403700b",
     "resolvent_apply":
-        "677b8b4ef15071ac3cfea5e1d7b54e5a2b7ac52c243e1d73979d4b98a9c9ef20",
+        "3c790149ae72f60d736852128aa1278a7319efc9bf7392c3038cd2d35db538f7",
     "laplace_consistency":
-        "7477157024df512d2b386feb782a5b7747cb09ee3bdd0d7c3ddda8bbadd56c2c",
+        "e6d43a0da4afe1dfae6cd49171f8f252a7d38365b6db5a1d451ecfe462ea49d1",
 }
 
 

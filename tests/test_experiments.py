@@ -100,13 +100,14 @@ def test_determinism_bit_identical(tmp_path, stationary201):
 # with numpy 2.4.6 and scipy 1.17.1 on x86-64 after the merge of the two
 # radial moment quadratures into grid.RadialMoments (the picard files again
 # when Picard came to freeze the previous iterate's velocity on the nodes,
-# and both manifests when the q = 1 - p copies of the p checks went); the
+# both manifests when the q = 1 - p copies of the p checks went, and again
+# when the closed-form cubic start moved stationary.u_weight_lower); the
 # manifest also holds the package versions, so a version change moves
 # its digest.
 REPORT_DIGESTS = {
     "direct": {
         "manifest.txt":
-            "de5c169b08bcd7119bcdfc57f0502ab869ff8395de4dda735be9ea846f1e04b3",
+            "428dc6c66396a4065109f9017b0fb0c5bd7284ff28689231da56aa5dfd4f87e0",
         "trajectory.csv":
             "a7cbb08835f4edc375deb5ae2d9d8eafe6562d2659b3767d4d052f0fed5dd9bd",
         "decay.csv":
@@ -114,7 +115,7 @@ REPORT_DIGESTS = {
     },
     "picard": {
         "manifest.txt":
-            "5ac36b9eb81ec3462ec982d15923f700e3fd6eca39e60a23a38fb4f4631c2614",
+            "fc154b100afec197f9375803cb08948acfb0ff68ada91d2100311c51bf4b8c4f",
         "trajectory.csv":
             "eb23bd13788f58b1dbaa0cadd4f20f9c8cd21c7ef796ac69b7ef97d2c8783fa2",
         "decay.csv":

@@ -142,3 +142,56 @@ def test_moment_start_exact_for_cubics():
     exact = x ** 3 / 3 - 2.0 * x ** 4 / 4 + 3.0 * x ** 5 / 5 - 4.0 * x ** 6 / 6
     got = RadialMoments(x).cumulative(v)
     np.testing.assert_allclose(got[:5], exact[:5], rtol=1e-12, atol=0)
+
+
+def _exact_start(x):
+    """The cubic start in exact arithmetic: row i weighs the first k values
+    in the moment at x_i of their least-squares cubic, from the normal
+    equations solved by Gauss-Jordan elimination over the rationals."""
+    k = min(5, x.size)
+    n = min(4, k)
+    xs = [Fraction(float(v)) for v in x[:k]]
+    rows = [[sum(xi ** (a + b) for xi in xs) for b in range(n)]
+            + [xj ** a for xj in xs] for a in range(n)]
+    for col in range(n):
+        pivot = rows[col][col]
+        rows[col] = [e / pivot for e in rows[col]]
+        for r in range(n):
+            if r != col:
+                rows[r] = [e - rows[r][col] * p for e, p in zip(rows[r], rows[col])]
+    fit = [row[n:] for row in rows]  # (V^T V)^-1 V^T
+    return [[sum(xi ** (m + 3) / (m + 3) * fit[m][j] for m in range(n))
+             for j in range(k)] for xi in xs]
+
+
+def _start_node_sets():
+    """Uniform nodes and, at the same sizes, positions whose first five
+    spacings are drawn from [0.2, 2.5] h, the spacings regridding allows."""
+    rng = np.random.default_rng(15)
+    sets = [np.linspace(0.0, 1.0, n) for n in (3, 4, 201, 801)]
+    for n in (201, 801):
+        h = 1.0 / (n - 1)
+        gaps = [rng.uniform(0.2, 2.5, 5) for _ in range(12)]
+        gaps += [np.array(g) for g in ([2.5, 0.2, 0.2, 0.2, 1.0],
+                                       [0.2, 0.2, 0.2, 2.5, 1.0],
+                                       [0.2, 0.2, 2.5, 2.5, 1.0])]
+        for g in gaps:
+            head = np.concatenate([[0.0], np.cumsum(g * h)])
+            sets.append(np.concatenate([head, np.linspace(head[-1], 1.0, n - 5)[1:]]))
+    return sets
+
+
+def test_moment_start_matches_exact_least_squares(monkeypatch):
+    # the start is built in closed form, with no SVD, and each row is the
+    # exact least-squares row to 2e-13 of its largest weight
+    def banned(*args, **kwargs):
+        raise AssertionError("the cubic start must not need an SVD")
+
+    monkeypatch.setattr(np.linalg, "pinv", banned)
+    monkeypatch.setattr(np.linalg, "svd", banned)
+    for x in _start_node_sets():
+        start = RadialMoments(x).start
+        for got, exact in zip(start, _exact_start(x)):
+            scale = max(abs(e) for e in exact)
+            err = max(abs(Fraction(float(g)) - e) for g, e in zip(got, exact))
+            assert err <= 2e-13 * scale, (x[:5], float(err / scale) if scale else err)

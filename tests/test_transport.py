@@ -223,18 +223,20 @@ def _integrator_outputs(sol, spec):
 # numpy 2.4.6 and scipy 1.17.1 on x86-64 after the merge of the two radial
 # moment quadratures into grid.RadialMoments, which moved u_* and the
 # linearized stage moments; picard_solve's was recorded again when Picard
-# came to freeze the previous iterate's velocity on the nodes.
+# came to freeze the previous iterate's velocity on the nodes, and simulate,
+# picard_solve and solve_linearized when the cubic start of RadialMoments
+# came to be built in closed form.
 INTEGRATOR_DIGESTS = {
     "step":
         "84afe25a0ddae86755fa9aa647a42de5432a129a0455fc922e33a6a9ad0d5cf3",
     "simulate":
-        "72402390ade4fef43efadf00d3cc015908638c496581005ad74dde2b6b390f6d",
+        "d91201757c59b3ef81aff0bff8b74ecd2f35907908f3740e305fe922867a3eb2",
     "picard_solve":
-        "8708b46e724946f3cdd81f9bfbd8d54aadce83fb582a2530f5cc1dfdfd014325",
+        "b1ca57c20d22ed371b3920be7c664282716ddcc993159cc2fce6c8c009ce2993",
     "pure_transport":
         "1a469bd05d749c60864608d35acfe36b51a254b86bab2067e3612c3137e26aaf",
     "solve_linearized":
-        "be161d620999ef20ef61048e1350f1dc5cdb1f4a38643f214bbbfc0ed5d30090",
+        "c0f30427a3d4e7c12d1afdd0a1238d0436ece738dd208589c625cc75ad15d7ee",
     "decay_ensemble":
         "b1a1446df2876ff14aa88f6dc3e00fa8397e2e7f7970993964b998add1efc326",
 }
