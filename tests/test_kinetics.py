@@ -80,7 +80,7 @@ def test_lazy_derivatives_match_eager_expressions(spec, cs, scalar):
     rv = eval_rates(spec, c)
     c = np.asarray(c, dtype=float)
     one = np.ones_like(c)
-    eager = {"f_d": spec.lam * np.ones_like(c) if spec.family == "affine"
+    eager = {"f_d": spec.lam * one if spec.family == "affine"
              else spec.lam / (1.0 + c) ** 2,
              "kb_d": spec.b_rate * one, "kd_d": -spec.d_rate * one,
              "kp_d": spec.p_rate * one, "kq_d": -spec.q_rate * one}

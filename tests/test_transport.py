@@ -8,7 +8,7 @@ from tumorlab.experiments import (PICARD_RATE, RunConfig, initial_state,
                                   stationary_for)
 from tumorlab.grid import RadialField, RadialGrid
 from tumorlab.errors import SolverError
-from tumorlab.kinetics import RateValues, KineticsSpec
+from tumorlab.kinetics import KineticsSpec, RateValues
 from tumorlab.linearized import (build_operators, decay_ensemble,
                                  solve_linearized)
 from tumorlab.transport import (TumorState, deviation, norm_X, norm_X0,
