@@ -182,14 +182,16 @@ class LinearPropagator:
 
     def records(self, phi0, zeta0, t_end, output_every=0.1):
         """Integrate a batch of initial data (rows of phi0) and yield
-        (j, phi, zeta) at the j-th recorded step, phi resampled onto the
-        reference grid; the times are record_times(t_end, output_every).
+        (j, positions, phi, zeta) at the j-th recorded step: phi holds the
+        particle values at the positions, which a caller resamples onto the
+        reference grid with transport.on_grid where it needs them; the times
+        are record_times(t_end, output_every).
         """
         dt = self.dt
         n_steps, recorded = output_steps(t_end, dt, output_every)
         phi = np.atleast_2d(np.asarray(phi0, dtype=float)).copy()
         zeta = np.atleast_1d(np.asarray(zeta0, dtype=float)).copy()
-        yield 0, phi, zeta
+        yield 0, self.nodes, phi, zeta
         j = 1
         k_cycle = 0
 
@@ -205,7 +207,7 @@ class LinearPropagator:
                 k_cycle = 0
                 end_pos = self.nodes
             if k == recorded[j]:
-                yield j, on_grid(end_pos, phi, self.nodes), zeta
+                yield j, end_pos, phi, zeta
                 j += 1
 
     def run(self, phi0, zeta0, t_end, output_every=0.1):
@@ -220,8 +222,8 @@ class LinearPropagator:
         # snapshots go straight into arrays sized up front
         phis = np.empty((times.size,) + phi0.shape)
         zetas = np.empty((times.size,) + zeta0.shape)
-        for j, phi, zeta in self.records(phi0, zeta0, t_end, output_every):
-            phis[j], zetas[j] = phi, zeta
+        for j, pos, phi, zeta in self.records(phi0, zeta0, t_end, output_every):
+            phis[j], zetas[j] = on_grid(pos, phi, self.nodes), zeta
         return times, phis, zetas
 
 
@@ -257,18 +259,24 @@ class DecayReport:
     note: str = ""
 
 
+def fit_window(times):
+    """The default fit window of a run recorded at times: its last
+    FIT_WINDOW_FRACTION (the early transient is excluded)."""
+    t0 = times[0] + (1.0 - FIT_WINDOW_FRACTION) * (times[-1] - times[0])
+    return float(t0), float(times[-1])
+
+
 def fit_decay(traj, norm_kind="X", window=None):
     """Fit K e^{-mu t} to a trajectory's norm series.
 
-    The fit uses the last 70% of the run by default (the early transient is
-    excluded).  The report is flagged invalid when the smoothed log-norm is
+    The fit uses fit_window(traj.times) by default.  Samples whose norm is
+    not above 1e-300 (NaN included) are left out.  The report is flagged invalid when the smoothed log-norm is
     not decreasing over the window or the fit quality drops below r2 = 0.98.
     """
     series = traj.norm_x if norm_kind == "X" else traj.norm_x0
     times = traj.times
     if window is None:
-        t0 = times[0] + (1.0 - FIT_WINDOW_FRACTION) * (times[-1] - times[0])
-        window = (float(t0), float(times[-1]))
+        window = fit_window(times)
     mask = (times >= window[0]) & (times <= window[1]) & (series > 1e-300)
     t = times[mask]
     y = np.log(series[mask])
@@ -318,8 +326,10 @@ def decay_ensemble(ops, n_runs=20, t_end=100.0, dt=1e-2, seed=0):
     Each member starts from a random smooth phi and a uniform zeta, both of
     sup-norm at most ENSEMBLE_AMPLITUDE, and is recorded every 0.1 time
     units.  The members are advanced together and streamed: each recorded
-    state is reduced to its deviation terms as it is produced, so only the
-    (n_times, n_runs) series are held, never the states.  Returns a list of
+    state inside fit_window is resampled onto the grid and reduced to its
+    deviation terms as it is produced, so only the (n_times, n_runs) series
+    are held, never the states; the terms of the states before the window,
+    which no fit reads, are left NaN.  Returns a list of
     (DecayReport_X, DecayReport_X0) pairs, one per run; the empirical rate
     estimate is the ensemble minimum of the fitted rates.
     """
@@ -331,11 +341,14 @@ def decay_ensemble(ops, n_runs=20, t_end=100.0, dt=1e-2, seed=0):
     ])
     zeta0 = ENSEMBLE_AMPLITUDE * rng.uniform(-1.0, 1.0, size=n_runs)
     times = prop.record_times(t_end)
-    p_dev, dp_dev, z_dev = (np.empty((times.size, n_runs)) for _ in range(3))
-    for j, phi, zeta in prop.records(phi0, zeta0, t_end):
+    fitted = times >= fit_window(times)[0]
+    p_dev, dp_dev, z_dev = (np.full((times.size, n_runs), np.nan) for _ in range(3))
+    for j, pos, phi, zeta in prop.records(phi0, zeta0, t_end):
         if not np.all(np.isfinite(phi)):
             raise ValueError("field values must be finite")
-        p_dev[j], dp_dev[j], z_dev[j] = deviation(ops.grid, phi, zeta, 0.0, 0.0)
+        if fitted[j]:
+            p_dev[j], dp_dev[j], z_dev[j] = deviation(
+                ops.grid, on_grid(pos, phi, prop.nodes), zeta, 0.0, 0.0)
     no_mass = np.full(times.size, np.nan)
     out = []
     for m in range(n_runs):

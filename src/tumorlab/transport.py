@@ -22,8 +22,8 @@ resampled onto the reference grid with a monotone cubic whenever spacing
 degrades.  Every run records the same way: output_steps picks the recorded
 steps and trajectory builds the Trajectory.  Norms: deviation turns a
 state, or a batch of them, into (sup|p - p_*|, sup r(1-r)|d(p - p_*)/dr|,
-|z - z_*|); normX = sup|p - p_*| + |z - z_*| and normX0 adds the weighted
-derivative.
+|z - z_*|); a Trajectory's norm_x = sup|p - p_*| + |z - z_*| and norm_x0
+adds the weighted derivative.
 """
 
 from dataclasses import dataclass
@@ -49,11 +49,6 @@ class TumorState:
     t: float
     p: RadialField
     z: float
-
-    @property
-    def q(self):
-        """Quiescent fraction, derived: q = 1 - p identically."""
-        return self.p.with_values(1.0 - self.p.values)
 
 
 @dataclass
@@ -237,23 +232,6 @@ def step(state, dt, spec):
     cache = NutrientCache(spec, grid)
     r, p, z = _rk4(spec, cache, grid.nodes, state.p.values, state.z, dt)
     return TumorState(t=state.t + dt, p=RadialField(grid, regrid(r, p, grid.nodes)), z=z)
-
-
-def _deviation_from(state, ref):
-    grid = require_same_grid(state.p, ref.p_star)
-    return deviation(grid, state.p.values, state.z, ref.p_star.values, ref.z_star)
-
-
-def norm_X(state, ref):
-    """sup |p - p_*| + |z - z_*|."""
-    p_dev, _, z_dev = _deviation_from(state, ref)
-    return p_dev + z_dev
-
-
-def norm_X0(state, ref):
-    """normX plus the weighted derivative term sup r(1-r)|d(p - p_*)/dr|."""
-    p_dev, dp_dev, z_dev = _deviation_from(state, ref)
-    return p_dev + z_dev + dp_dev
 
 
 def _mass_residual(spec, cache, grid, p, z):

@@ -7,11 +7,12 @@ from scipy.integrate import cumulative_simpson
 
 import tumorlab.linearized as linearized
 from tumorlab.grid import RadialField
-from tumorlab.linearized import (LinearPropagator, apply_B, apply_F,
-                                 build_operators, decay_ensemble, fit_decay,
+from tumorlab.linearized import (ENSEMBLE_AMPLITUDE, LinearPropagator,
+                                 apply_B, apply_F, build_operators,
+                                 decay_ensemble, fit_decay, fit_window,
                                  laplace_consistency, random_smooth_field,
                                  resolvent_apply, solve_linearized)
-from tumorlab.transport import output_steps
+from tumorlab.transport import output_steps, trajectory
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +111,35 @@ def test_ensemble_memory_does_not_grow_with_horizon(operators201):
     n_out = {t: len(output_steps(t, 1e-2, 0.1)[1]) for t in (10.0, 40.0)}
     snapshot_bytes = (n_out[40.0] - n_out[10.0]) * 3 * operators201.grid.size * 8
     assert peak(40.0) - peak(10.0) < 0.1 * snapshot_bytes
+
+
+def test_ensemble_resamples_only_the_fit_window(operators201, monkeypatch):
+    # decay_ensemble resamples and reduces only the records fit_decay reads,
+    # and its fits equal those of the same runs resampled at every record
+    n_runs, t_end, seed = 3, 10.0, 4
+    resample = linearized.on_grid
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return resample(*args)
+
+    monkeypatch.setattr(linearized, "on_grid", counted)
+    ens = decay_ensemble(operators201, n_runs=n_runs, t_end=t_end, seed=seed)
+    monkeypatch.undo()
+    prop = LinearPropagator(operators201, 1e-2)
+    times = prop.record_times(t_end)
+    assert len(calls) == np.count_nonzero(times >= fit_window(times)[0]) < times.size
+
+    grid = operators201.grid
+    rng = np.random.default_rng(seed)
+    phi0 = np.stack([random_smooth_field(grid, rng, ENSEMBLE_AMPLITUDE).values
+                     for _ in range(n_runs)])
+    zeta0 = ENSEMBLE_AMPLITUDE * rng.uniform(-1.0, 1.0, size=n_runs)
+    times, phis, zetas = prop.run(phi0, zeta0, t_end)
+    for m, pair in enumerate(ens):
+        traj = trajectory(grid, times, phis[:, m], zetas[:, m])
+        assert pair == (fit_decay(traj, "X"), fit_decay(traj, "X0"))
 
 
 def test_perturbations_decay(operators801, rng):
