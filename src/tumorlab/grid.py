@@ -10,7 +10,8 @@ Every radial moment integral_0^r v rho^2 drho, in the velocity u and in
 the linearized operators B and F alike, is taken by one operator,
 RadialMoments, built once per set of positions and applied to rows of
 values; radial_average and third_moment are thin functions over it.  Each
-transport stage builds one, in closed form (no SVD; r^-3 only on demand).
+transport stage builds one, in closed form (no SVD; r^-3 only on demand);
+each linearized stage folds one into its operator (linearized._FoldedStage).
 """
 
 from dataclasses import dataclass, field

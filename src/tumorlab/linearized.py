@@ -9,8 +9,9 @@ where a is the p-derivative of the reaction term at the stationary profile,
 b collects the nutrient sensitivity c_z, B is the nonlocal velocity-feedback
 operator and F / kappa drive the log-radius.  This module assembles those
 coefficients from a stationary solution, integrates the linear system along
-the frozen stationary characteristics, fits exponential decay rates to norm
-series, and implements the explicit resolvent of the scalar transport
+the frozen stationary characteristics (each Runge-Kutta stage one folded
+operator on the state's even/odd node layout), fits exponential decay rates
+to norm series, and implements the explicit resolvent of the scalar transport
 operator q -> -w q' + a q in the travel-time coordinate of w, together with
 a Laplace-transform consistency check against the matching semigroup.
 """
@@ -107,30 +108,46 @@ def apply_F(ops, q):
     return float(radial_average(ops.g_p.values * q.values, ops.grid.nodes)[-1])
 
 
-class _StageOps:
-    """Frozen per-stage data, shared across steps and runs: the coefficient
-    values at the particle positions and the radial-moment operator built
-    on them."""
+class _FoldedStage:
+    """One stage of the cycle as one operator on the even/odd layout (even
+    nodes first, then odd ones), shared across steps and runs.
 
-    def __init__(self, x, interp):
-        self.a = interp["a"](x)
-        self.b = interp["b"](x)
-        self.gp = interp["gp"](x)
-        self.rp = interp["rp"](x)
-        self.radial = RadialMoments(x)
+    M(g_p phi) takes the stage's grid.RadialMoments with g_p folded in: on
+    the even nodes it is one cumulative sum of Simpson pair totals (pair m
+    reads nodes 2m..2m+2), and each odd node adds the integral over its
+    pair's first interval (or an odd last interval) to the even node before
+    it; the cubic start gives nodes 0..4.  Then dphi = a phi + rp M(1)
+    + b zeta - rp r^-3 M: apply_B and apply_F in one pass.
+    """
+
+    def __init__(self, x, coef, layout):
+        a, b, gp, rp = (f(x) for f in coef)
+        radial = RadialMoments(x)
+        m = radial.pairs.shape[-1]
+        pairs = radial.pairs * np.array([gp[j:2 * m + j:2] for j in range(3)])[:, None]
+        # weights[j] weighs node 2m+j: row 0 in pair m's total, row 1 in
+        # the pair's first interval
+        self.weights = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0]), axis=1)
+        self.last = None if radial.last is None else radial.last * gp[-3:]
+        # the moments at nodes 0, 2, 4, 1, 3 from the values at nodes 0..4
+        self.start = (radial.start * gp[:5])[[0, 2, 4, 1, 3]].T.copy()
+        rp[0] = 0.0  # B vanishes at the origin
+        self.a = a[layout]
+        self.rp_b = np.array((rp, b))[:, layout]
+        self.rp_inv_x3 = (rp * radial.inv_x3)[layout]
 
 
 class LinearPropagator:
     """Characteristics integrator for the linearized system at fixed dt.
 
     The advecting field u_* is frozen, so the particle positions repeat the
-    same cycle between regrids; the cycle of stage coefficient values
-    (a, b, g_p, r p_*') and radial-moment operators (grid.RadialMoments,
-    the quadrature of the nonlinear velocity too) is precomputed once and
-    reused across steps and ensemble members, which are advanced
-    together as rows of a matrix.  records streams the recorded states, so
-    a caller that reduces each one (decay_ensemble) never holds the whole
-    run; run collects them into arrays.
+    same cycle between regrids; its stages (_FoldedStage) are built once and
+    shared by steps and ensemble members, advanced together as rows of a
+    matrix.  Between regrids the state is held on the even/odd layout, so a
+    stage reads whole half rows; it returns to node order to regrid and to
+    be recorded.  records streams the recorded states, so a caller that
+    reduces each one (decay_ensemble) never holds the whole run; run
+    collects them into arrays.
     """
 
     def __init__(self, ops, dt):
@@ -138,20 +155,20 @@ class LinearPropagator:
         self.dt = dt
         grid = ops.grid
         self.nodes = grid.nodes
+        n = self.nodes.size
+        # the node at each layout slot, and the slot of each node
+        self.layout = np.concatenate((np.arange(0, n, 2), np.arange(1, n, 2)))
+        self.slots = np.argsort(self.layout)
+        self.n_even = (n + 1) // 2
         h_ref = grid.spacing
         velocity = _pinned_velocity(ops.u_star)
-        interp = {
-            "a": ops.a.interpolator(),
-            "b": ops.b.interpolator(),
-            "gp": ops.g_p.interpolator(),
-            "rp": ops.rp_prime.interpolator(),
-        }
+        coef = [f.interpolator() for f in (ops.a, ops.b, ops.g_p, ops.rp_prime)]
 
         def rates(i, y):
-            stages.append(_StageOps(y[0], interp))
+            stages.append(_FoldedStage(y[0], coef, self.layout))
             return velocity(i, y)
 
-        # one (stage ops, end positions) pair per step of the cycle
+        # one (folded stages, end positions) pair per step of the cycle
         self.steps = []
         pos = self.nodes
         while True:
@@ -162,18 +179,42 @@ class LinearPropagator:
                 break
         self.cycle_len = len(self.steps)
 
+    def _workspace(self, rows):
+        """One records call's buffers per RK stage: moments, pair integrals,
+        their scratch and (M(1), zeta), shared, and the stage's own dphi."""
+        n = self.nodes.size
+        m = (n - 1) // 2
+        shared = (np.empty((rows, n)), np.empty((rows, 2, m)),
+                  np.empty((rows, 2, m)), np.empty((rows, 2)))
+        return [shared + (np.empty((rows, n)),) for _ in range(4)]
+
     def _stage_rate(self, st, phi, zeta):
-        gp_phi = st.gp * phi
-        full, b_op = st.radial.full_and_third(gp_phi)
-        # b_op = rp * (full - third), then dphi = a phi + b_op + b zeta
-        np.subtract(full[:, None], b_op, out=b_op)
-        b_op *= st.rp
-        b_op[:, 0] = 0.0
-        dphi = np.multiply(st.a, phi, out=gp_phi)
-        dphi += b_op
-        dphi += np.multiply(st.b, zeta[:, None], out=b_op)
-        dzeta = full + self.ops.kappa * zeta
-        return dphi, dzeta
+        """(dphi, dzeta) of a state on the even/odd layout; st pairs a
+        _FoldedStage with a buffer tuple of _workspace."""
+        op, (moment, pair, tmp, fz, dphi) = st
+        ne, m = self.n_even, pair.shape[-1]
+        even, odd = phi[:, None, :ne], phi[:, None, ne:ne + m]
+        np.multiply(even[..., :m], op.weights[0], out=pair)
+        pair += np.multiply(odd, op.weights[1], out=tmp)
+        pair += np.multiply(even[..., 1:], op.weights[2], out=tmp)
+        start = phi[:, self.slots[:5]] @ op.start
+        # even slots: M(0), M(x_2), then the cumulative pair totals from M(x_4)
+        moment[:, :2] = start[:, :2]
+        pair[:, 0, 1] = start[:, 2]
+        np.cumsum(pair[:, 0, 1:], axis=1, out=moment[:, 2:ne])
+        # odd slots: M(x_1), M(x_3), then the even moment before plus the
+        # first interval
+        moment[:, ne:ne + 2] = start[:, 3:]
+        np.add(moment[:, 2:m], pair[:, 1, 2:], out=moment[:, ne + 2:ne + m])
+        if op.last is not None:
+            moment[:, -1] = moment[:, ne - 1] + phi[:, self.slots[-3:]] @ op.last
+        fz[:, 0] = moment[:, self.slots[-1]]
+        fz[:, 1] = zeta
+        np.matmul(fz, op.rp_b, out=dphi)
+        moment *= op.rp_inv_x3
+        dphi -= moment
+        dphi += np.multiply(op.a, phi, out=moment)
+        return dphi, fz[:, 0] + self.ops.kappa * zeta
 
     def record_times(self, t_end, output_every=0.1):
         """The times of the states records yields, from t = 0."""
@@ -183,31 +224,34 @@ class LinearPropagator:
     def records(self, phi0, zeta0, t_end, output_every=0.1):
         """Integrate a batch of initial data (rows of phi0) and yield
         (j, positions, phi, zeta) at the j-th recorded step: phi holds the
-        particle values at the positions, which a caller resamples onto the
-        reference grid with transport.on_grid where it needs them; the times
-        are record_times(t_end, output_every).
+        particle values at the positions, in node order, which a caller
+        resamples onto the reference grid with transport.on_grid where it
+        needs them; the times are record_times(t_end, output_every).
         """
         dt = self.dt
         n_steps, recorded = output_steps(t_end, dt, output_every)
-        phi = np.atleast_2d(np.asarray(phi0, dtype=float)).copy()
+        phi = np.atleast_2d(np.asarray(phi0, dtype=float))
         zeta = np.atleast_1d(np.asarray(zeta0, dtype=float)).copy()
-        yield 0, self.nodes, phi, zeta
+        yield 0, self.nodes, phi.copy(), zeta
+        phi = phi[:, self.layout]
+        work = self._workspace(phi.shape[0])
         j = 1
         k_cycle = 0
 
         def rates(i, y):
-            return self._stage_rate(stages[i], *y)
+            return self._stage_rate((stages[i], work[i]), *y)
 
         for k in range(1, n_steps + 1):
             stages, end_pos = self.steps[k_cycle]
             phi, zeta = rk4(rates, (phi, zeta), dt)
             k_cycle += 1
             if k_cycle == self.cycle_len:
-                phi = PchipInterpolator(end_pos, phi, axis=1)(self.nodes)
+                phi = PchipInterpolator(end_pos, phi[:, self.slots], axis=1)(self.nodes)
+                phi = phi[:, self.layout]
                 k_cycle = 0
                 end_pos = self.nodes
             if k == recorded[j]:
-                yield j, end_pos, phi, zeta
+                yield j, end_pos, phi[:, self.slots], zeta
                 j += 1
 
     def run(self, phi0, zeta0, t_end, output_every=0.1):

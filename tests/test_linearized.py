@@ -6,7 +6,8 @@ import pytest
 from scipy.integrate import cumulative_simpson
 
 import tumorlab.linearized as linearized
-from tumorlab.grid import RadialField
+from tumorlab.experiments import stationary_for
+from tumorlab.grid import RadialField, RadialMoments
 from tumorlab.linearized import (ENSEMBLE_AMPLITUDE, LinearPropagator,
                                  apply_B, apply_F, build_operators,
                                  decay_ensemble, fit_decay, fit_window,
@@ -62,39 +63,57 @@ def test_solver_is_linear_in_initial_data(operators801, rng):
     assert abs(t2.states[-1].z - 2 * t1.states[-1].z) <= 1e-13
 
 
-def test_stage_moments_match_simpson(operators201, monkeypatch):
+def test_stage_moments_match_simpson(operators201, default_spec, monkeypatch):
     # every stage's moment operator is composite Simpson on v rho^2 away from
-    # the origin start, and the in-place stage rate reproduces the plain
-    # formulas bit for bit at every stage of a cycle
+    # the origin start, and at every stage of a cycle the folded rate on the
+    # even/odd layout equals a phi + rp (M(1) - r^-3 M(g_p phi)) + b zeta in
+    # node order to rounding, with an even (200 nodes) and an odd (201)
+    # interval count; the folded cycle is smaller than the per-stage a, b,
+    # g_p, rp, Simpson pairs and r^-3 it replaces
     built = []
 
-    class Recorded(linearized._StageOps):
-        def __init__(self, x, interp):
-            super().__init__(x, interp)
+    class Recorded(linearized._FoldedStage):
+        def __init__(self, x, coef, layout):
+            super().__init__(x, coef, layout)
             built.append((self, x))
 
-    monkeypatch.setattr(linearized, "_StageOps", Recorded)
-    prop = LinearPropagator(operators201, 1e-2)
-    assert len(built) == 4 * prop.cycle_len
+    monkeypatch.setattr(linearized, "_FoldedStage", Recorded)
     rng = np.random.default_rng(11)
-    kappa = operators201.kappa
-    for st, x in built:
-        v = rng.standard_normal((3, x.size))
-        moment = st.radial.cumulative(v)
-        ref = cumulative_simpson(v * x * x, x=x, initial=0.0)
-        k = st.radial.k
-        inc = moment[:, k - 1:] - moment[:, k - 1:k]
-        ref_inc = ref[:, k - 1:] - ref[:, k - 1:k]
-        assert np.max(np.abs(inc - ref_inc)) <= 1e-13 * np.max(np.abs(ref_inc))
+    op200 = build_operators(stationary_for(default_spec, 200), default_spec)
+    for ops in (op200, operators201):
+        built.clear()
+        prop = LinearPropagator(ops, 1e-2)
+        assert len(built) == 4 * prop.cycle_len
+        coef = [f.interpolator() for f in (ops.a, ops.b, ops.g_p, ops.rp_prime)]
+        folded_bytes = unfolded_bytes = 0
+        for st, x in built:
+            radial = RadialMoments(x)
+            v = rng.standard_normal((3, x.size))
+            moment = radial.cumulative(v)
+            ref = cumulative_simpson(v * x * x, x=x, initial=0.0)
+            k = radial.k
+            inc = moment[:, k - 1:] - moment[:, k - 1:k]
+            ref_inc = ref[:, k - 1:] - ref[:, k - 1:k]
+            assert np.max(np.abs(inc - ref_inc)) <= 1e-13 * np.max(np.abs(ref_inc))
 
-        phi = rng.standard_normal((3, x.size))
-        zeta = rng.standard_normal(3)
-        dphi, dzeta = prop._stage_rate(st, phi, zeta)
-        f, t = st.radial.full_and_third(st.gp * phi)
-        b_op = st.rp * (f[:, None] - t)
-        b_op[:, 0] = 0.0
-        assert np.array_equal(dphi, st.a * phi + b_op + st.b * zeta[:, None])
-        assert np.array_equal(dzeta, f + kappa * zeta)
+            a, b, gp, rp = (f(x) for f in coef)
+            for rows in (1, 3, 20):
+                phi = rng.standard_normal((rows, x.size))
+                zeta = rng.standard_normal(rows)
+                full, third = radial.full_and_third(gp * phi)
+                b_op = rp * (full[:, None] - third)
+                b_op[:, 0] = 0.0
+                want = a * phi + b_op + b * zeta[:, None]
+                dphi, dzeta = prop._stage_rate((st, prop._workspace(rows)[0]),
+                                               phi[:, prop.layout], zeta)
+                assert np.max(np.abs(dphi[:, prop.slots] - want)) <= 1e-13 * np.max(np.abs(want))
+                # M(1) and kappa zeta may cancel: the bound is on their size
+                scale = np.max(np.abs(full) + abs(ops.kappa) * np.abs(zeta))
+                assert np.max(np.abs(dzeta - (full + ops.kappa * zeta))) <= 1e-13 * scale
+            folded_bytes += sum(arr.nbytes for arr in vars(st).values()
+                                if isinstance(arr, np.ndarray))
+            unfolded_bytes += 5 * x.nbytes + radial.pairs.nbytes
+        assert folded_bytes < unfolded_bytes
 
 
 def test_ensemble_memory_does_not_grow_with_horizon(operators201):
@@ -108,6 +127,9 @@ def test_ensemble_memory_does_not_grow_with_horizon(operators201):
         finally:
             tracemalloc.stop()
 
+    # a first run makes the one-time allocations (cached interpolators,
+    # numpy's and scipy's first-call set-up) outside the measured runs
+    decay_ensemble(operators201, n_runs=3, t_end=10.0, seed=2)
     n_out = {t: len(output_steps(t, 1e-2, 0.1)[1]) for t in (10.0, 40.0)}
     snapshot_bytes = (n_out[40.0] - n_out[10.0]) * 3 * operators201.grid.size * 8
     assert peak(40.0) - peak(10.0) < 0.1 * snapshot_bytes

@@ -226,7 +226,9 @@ def _integrator_outputs(sol, spec):
 # linearized stage moments; picard_solve's was recorded again when Picard
 # came to freeze the previous iterate's velocity on the nodes, and simulate,
 # picard_solve and solve_linearized when the cubic start of RadialMoments
-# came to be built in closed form.
+# came to be built in closed form, and solve_linearized and decay_ensemble
+# when each linear-propagator stage was folded into one operator on the
+# even/odd node layout (summation order only).
 INTEGRATOR_DIGESTS = {
     "step":
         "84afe25a0ddae86755fa9aa647a42de5432a129a0455fc922e33a6a9ad0d5cf3",
@@ -237,9 +239,9 @@ INTEGRATOR_DIGESTS = {
     "pure_transport":
         "1a469bd05d749c60864608d35acfe36b51a254b86bab2067e3612c3137e26aaf",
     "solve_linearized":
-        "c0f30427a3d4e7c12d1afdd0a1238d0436ece738dd208589c625cc75ad15d7ee",
+        "82f06c8f912f051787a89d9989b5f466e0e82d619102113ff8b8efda7e559f69",
     "decay_ensemble":
-        "b1a1446df2876ff14aa88f6dc3e00fa8397e2e7f7970993964b998add1efc326",
+        "ffa0e0e902580a5148f8187c757e55cea127c7e7cb3eaad616d254fe8569a046",
 }
 
 
