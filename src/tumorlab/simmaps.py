@@ -247,10 +247,11 @@ class DiffeoMaps:
     """Flow maps of a time-dependent velocity w(r,t) close to u_*.
 
     w is a vectorized callable (r_array, t) -> values, t a scalar or an
-    array that broadcasts against r, and w_dr gives its radial derivative
-    the same way.  epsilon and mu record the perturbation amplitude and
-    decay rate of w - u_* for reporting; they do not enter the map
-    evaluation itself.
+    array that broadcasts against r, that carries its relative gap
+    w.gap(r, t) = w/u_* - 1 the same way (make_perturbed_velocity builds
+    one), and w_dr gives its radial derivative the same way.  epsilon and
+    mu record the perturbation amplitude and decay rate of w - u_* for
+    reporting; they do not enter the map evaluation itself.
     """
 
     table: FStarTable
@@ -261,38 +262,39 @@ class DiffeoMaps:
     mu: float = 0.0
 
     def relative_gap(self, r, t):
-        """w(r,t)/u_*(r) - 1, the relative perturbation along the flow."""
+        """w(r,t)/u_*(r) - 1, the relative perturbation along the flow, from
+        w.gap; 0 at the endpoints.  A gap of -1 or below is w >= 0 (u_* < 0
+        inside) and raises SolverError."""
         r = np.asarray(r, dtype=float)
-        uv = self.u_star(r)
-        wv = self.w(r, t)
+        gap = self.w.gap(r, t)
         inner = (r > 0.0) & (r < 1.0)
-        if np.any(wv[inner] >= 0.0):
+        if np.any(gap[inner] <= -1.0):
             raise SolverError("perturbed velocity lost negativity on the interior")
-        out = np.zeros_like(uv)
-        out[inner] = wv[inner] / uv[inner] - 1.0
-        return out
+        return np.where(inner, gap, 0.0)
 
 
 def make_perturbed_velocity(u_star, epsilon, mu):
     """Velocity family w(r,t) = u_*(r) [1 + eps e^{-mu t} cos(pi r)].
 
     The shape cos(pi r) changes sign and |cos(pi r)| <= 1.  Returns (w, w_dr)
-    callables; w_dr uses the interpolated u_*' so it is consistent with w to
-    interpolation accuracy.
+    callables; w.gap(r, t) = eps e^{-mu t} cos(pi r) is its relative gap
+    w/u_* - 1, and w_dr uses the interpolated u_*' so it is consistent with
+    w to interpolation accuracy.
     """
-    def sh(r):
-        return np.cos(np.pi * r)
+    def gap(r, t):
+        return epsilon * np.exp(-mu * t) * np.cos(np.pi * r)
 
     uf = u_star.interpolator()
     ud = uf.derivative()
 
     def w(r, t):
-        return uf(r) * (1.0 + epsilon * np.exp(-mu * t) * sh(r))
+        return uf(r) * (1.0 + gap(r, t))
 
     def w_dr(r, t):
         amp = epsilon * np.exp(-mu * t)
-        return ud(r) * (1.0 + amp * sh(r)) + uf(r) * amp * (-np.pi * np.sin(np.pi * r))
+        return ud(r) * (1.0 + gap(r, t)) + uf(r) * amp * (-np.pi * np.sin(np.pi * r))
 
+    w.gap = gap
     return w, w_dr
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tumorlab.simmaps as simmaps
-from tumorlab.errors import ExperimentFailure
+from tumorlab.errors import ExperimentFailure, SolverError
 from tumorlab.grid import RadialField, RadialGrid
 from tumorlab.simmaps import (SamplePlan, build_fstar, build_maps,
                               check_map_bounds, dT_dr, make_perturbed_velocity,
@@ -67,6 +67,28 @@ def perturbed_maps(logistic_table):
     _, u = logistic_table
     w, w_dr = make_perturbed_velocity(u, 1e-2, 0.08)
     return build_maps(u, w, w_dr, epsilon=1e-2, mu=0.08)
+
+
+def test_relative_gap_is_the_family_gap(perturbed_maps):
+    # the flow reads w's own gap: w/u_* - 1 to rounding inside, 0 at the ends
+    maps = perturbed_maps
+    r = np.linspace(0.0, 1.0, 101)
+    for t in (0.0, 2.5):
+        gap = maps.relative_gap(r, t)
+        quotient = maps.w(r[1:-1], t) / maps.u_star(r[1:-1]) - 1.0
+        assert np.max(np.abs(gap[1:-1] - quotient)) <= 1e-15
+        assert gap[0] == gap[-1] == 0.0
+
+
+def test_relative_gap_rejects_lost_negativity(logistic_table):
+    # amplitude 2: 1 + 2 cos(pi r) <= 0 near r = 1, so w >= 0 there
+    _, u = logistic_table
+    w, w_dr = make_perturbed_velocity(u, 2.0, 0.0)
+    maps = build_maps(u, w, w_dr, epsilon=2.0)
+    r = np.linspace(0.0, 1.0, 101)
+    assert np.any(w(r[1:-1], 0.0) >= 0.0)
+    with pytest.raises(SolverError, match="negativity"):
+        maps.relative_gap(r, 0.0)
 
 
 def test_perturbed_inverse_roundtrip(perturbed_maps):
@@ -187,26 +209,28 @@ def _digest(*arrays):
 
 # SHA-256 of every map's output on the logistic table (endpoints included)
 # and of the small-plan bound constants, recorded with numpy 2.4.6 and
-# scipy 1.17.1 on x86-64.
+# scipy 1.17.1 on x86-64; every entry but phi_star and psi_star was
+# recorded again when the flow came to read the relative gap that the
+# velocity family carries (w.gap) in place of w / u_* - 1.
 MAP_DIGESTS = {
     "phi_star":
         "1f3bf6c0da1ec7ba2580f8b48ae6fa67bf7db5a343a1acfb90f4cead4acfde1c",
     "psi_star":
         "574856bfe718227d9f567870a4d99a8fb0b19d9d7191bf99188acfedce6a8d9a",
     "phi":
-        "1dfc9978c2c18b9858d4989522914412094c3363f930a0589a26aaf288307979",
+        "15960e413efd8f48602a1749c854d3d894b3bb0c8c4f4ad257c9107dc0981cd1",
     "psi":
-        "efcf18c760936275eb327c0eaf95e3a19894c65e9d36b31aa069e11b7725a300",
+        "ebe90dcf768e6197ba2e9c14632709d8b8f890f6b7438f59e22fcd2da3fa8954",
     "map_T_compose":
-        "7c4d55023114aac4017756590dded94e00dbf4e5df86988f5e70810a7f071fa7",
+        "187de773f51d38fd8302330d51a63e68f253d724c4c7884241be0d5a543739d8",
     "map_T_integral":
-        "fe95759e260e49b64e6a5f9bbb841867de4251d80d4e5f47c2a95fdc38f638ab",
+        "80ec3be3be88a90a381293ac68383a552576a162c1408674004f5fff9ee2958e",
     "map_S":
-        "87f64998c61dbca89b96a865947ad777fd047f4ed447bef78053891fc5a5b9dc",
+        "6f3d2e92309fbd4aab541a33b265aecde701f09ed9f233fc0d17651dd53436ea",
     "dT_dr":
-        "5401652978e596791453640500574ccaaafd6b2ed02a8ea2dd137611143a2c61",
+        "e02240b9c98653f7f76a74da9992732407144cbe6e78c92e609db40cb18eab88",
     "bound_constants":
-        "7730822c1d83540dec38444439d1a1b5d49f8ffb81274136c5ba58d378f6957d",
+        "588302a39f2f06c797938dfa4701bfbba41b39ddd3b3cb52c7f1bbdcd375d3f2",
 }
 
 
