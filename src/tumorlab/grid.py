@@ -153,14 +153,6 @@ def _interval_integrals(v, pairs, last, out):
     return out
 
 
-def cumulative_integral(values, nodes):
-    """Cumulative integral of node values from nodes[0], composite Simpson."""
-    values = np.asarray(values, dtype=float)
-    out = _interval_integrals(values, *_simpson_weights(nodes), np.empty_like(values))
-    out[..., 0] = 0.0
-    return np.cumsum(out, axis=-1, out=out)
-
-
 class RadialMoments:
     """M(x_i) = integral_0^{x_i} v(rho) rho^2 drho for rows of node values v
     (last axis) at the positions x, x[0] = 0.

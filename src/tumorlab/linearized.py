@@ -19,12 +19,12 @@ a Laplace-transform consistency check against the matching semigroup.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
+from scipy.integrate import cumulative_simpson, simpson
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg import solve_banded
 
-from .grid import (RadialField, RadialMoments, cumulative_integral,
-                   derivative_values, radial_average, require_same_grid)
+from .grid import (RadialField, RadialMoments, derivative_values,
+                   radial_average, require_same_grid)
 from .kinetics import eval_rates
 from .simmaps import _random_smooth, build_fstar
 from .transport import (Trajectory, _needs_regrid, _pinned_velocity,
@@ -508,7 +508,7 @@ def laplace_consistency(w, a, lam, q0):
     table = build_fstar(w)
     s_nodes, s_fine, r_fine = _coordinate_grid(table, w.grid.nodes, 1e-3,
                                                horizon, 1.0)
-    a_big = cumulative_integral(a(r_fine), s_fine)
+    a_big = cumulative_simpson(a(r_fine), x=s_fine, initial=0.0)
 
     n_t = 2 * int(np.ceil(horizon / (2.0 * LAPLACE_DT))) + 1
     t_grid = np.linspace(0.0, horizon, n_t)

@@ -6,8 +6,8 @@ from scipy.integrate import cumulative_simpson
 
 from tumorlab.errors import GridMismatchError
 from tumorlab.grid import (RadialField, RadialGrid, RadialMoments,
-                           cumulative_integral, derivative_values,
-                           radial_average, require_same_grid, third_moment)
+                           derivative_values, radial_average,
+                           require_same_grid, third_moment)
 
 
 def test_grid_requires_endpoints():
@@ -40,12 +40,6 @@ def test_require_same_grid():
     f2 = RadialField(g2, np.zeros(12))
     with pytest.raises(GridMismatchError):
         require_same_grid(f1, f2)
-
-
-def test_cumulative_integral_linear_exact():
-    x = np.linspace(0.0, 1.0, 51)
-    out = cumulative_integral(2.0 * x, x)
-    np.testing.assert_allclose(out, x * x, atol=1e-14)
 
 
 def test_radial_average_constant():
