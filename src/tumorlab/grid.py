@@ -153,6 +153,32 @@ def _interval_integrals(v, pairs, last, out):
     return out
 
 
+def pair_moments(v, weights, last, start, out, pair, tmp):
+    """The cumulative moments of the rows of v (last axis, node order) into
+    out, with pair and tmp (..., 2, m) scratch; returns out.
+
+    weights[j, 0, m] weighs node 2m+j in the Simpson total of pair m
+    (intervals 2m and 2m+1), weights[j, 1, m] in its first interval; last
+    weighs the last three nodes in an odd last interval, or is None; start
+    gives the first k moments from the first k values.  Past x_4 each even
+    node is a cumulative sum of pair totals, and each odd node adds its
+    pair's first interval to the even node before it.
+    """
+    k = start.shape[0]
+    n2 = 2 * weights.shape[-1]
+    np.multiply(v[..., None, 0:n2:2], weights[0], out=pair)
+    pair += np.multiply(v[..., None, 1:n2:2], weights[1], out=tmp)
+    pair += np.multiply(v[..., None, 2:n2 + 1:2], weights[2], out=tmp)
+    out[..., :k] = v[..., :k] @ start.T
+    if out.shape[-1] > k:  # then k = 5, and the sums continue from x_4
+        pair[..., 0, 1] = out[..., 4]
+        np.cumsum(pair[..., 0, 1:], axis=-1, out=out[..., 4:n2 + 1:2])
+        np.add(out[..., 4:n2 - 1:2], pair[..., 1, 2:], out=out[..., 5:n2:2])
+        if last is not None:
+            out[..., -1] = out[..., -2] + v[..., -3:] @ last
+    return out
+
+
 class RadialMoments:
     """M(x_i) = integral_0^{x_i} v(rho) rho^2 drho for rows of node values v
     (last axis) at the positions x, x[0] = 0.

@@ -10,7 +10,7 @@ b collects the nutrient sensitivity c_z, B is the nonlocal velocity-feedback
 operator and F / kappa drive the log-radius.  This module assembles those
 coefficients from a stationary solution, integrates the linear system along
 the frozen stationary characteristics (each Runge-Kutta stage one folded
-operator on the state's even/odd node layout), fits exponential decay rates
+operator over grid.pair_moments), fits exponential decay rates
 to norm series, and implements the explicit resolvent of the scalar transport
 operator q -> -w q' + a q in the travel-time coordinate of w, together with
 a Laplace-transform consistency check against the matching semigroup.
@@ -24,7 +24,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.linalg import solve_banded
 
 from .grid import (RadialField, RadialMoments, derivative_values,
-                   radial_average, require_same_grid)
+                   pair_moments, radial_average, require_same_grid)
 from .kinetics import eval_rates
 from .simmaps import _random_smooth, build_fstar
 from .transport import (Trajectory, _needs_regrid, _pinned_velocity,
@@ -109,32 +109,26 @@ def apply_F(ops, q):
 
 
 class _FoldedStage:
-    """One stage of the cycle as one operator on the even/odd layout (even
-    nodes first, then odd ones), shared across steps and runs.
+    """One stage of the cycle as one operator, shared across steps and runs.
 
-    M(g_p phi) takes the stage's grid.RadialMoments with g_p folded in: on
-    the even nodes it is one cumulative sum of Simpson pair totals (pair m
-    reads nodes 2m..2m+2), and each odd node adds the integral over its
-    pair's first interval (or an odd last interval) to the even node before
-    it; the cubic start gives nodes 0..4.  Then dphi = a phi + rp M(1)
-    + b zeta - rp r^-3 M: apply_B and apply_F in one pass.
+    M(g_p phi) takes the stage's grid.RadialMoments with g_p folded into its
+    pair totals, first-interval weights, odd last interval and cubic start,
+    through grid.pair_moments.  Then dphi = a phi + rp M(1) + b zeta
+    - rp r^-3 M: apply_B and apply_F in one pass.
     """
 
-    def __init__(self, x, coef, layout):
+    def __init__(self, x, coef):
         a, b, gp, rp = (f(x) for f in coef)
         radial = RadialMoments(x)
         m = radial.pairs.shape[-1]
         pairs = radial.pairs * np.array([gp[j:2 * m + j:2] for j in range(3)])[:, None]
-        # weights[j] weighs node 2m+j: row 0 in pair m's total, row 1 in
-        # the pair's first interval
         self.weights = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0]), axis=1)
         self.last = None if radial.last is None else radial.last * gp[-3:]
-        # the moments at nodes 0, 2, 4, 1, 3 from the values at nodes 0..4
-        self.start = (radial.start * gp[:5])[[0, 2, 4, 1, 3]].T.copy()
+        self.start = radial.start * gp[:radial.k]
         rp[0] = 0.0  # B vanishes at the origin
-        self.a = a[layout]
-        self.rp_b = np.array((rp, b))[:, layout]
-        self.rp_inv_x3 = (rp * radial.inv_x3)[layout]
+        self.a = a
+        self.rp_b = np.array((rp, b))
+        self.rp_inv_x3 = rp * radial.inv_x3
 
 
 class LinearPropagator:
@@ -143,11 +137,9 @@ class LinearPropagator:
     The advecting field u_* is frozen, so the particle positions repeat the
     same cycle between regrids; its stages (_FoldedStage) are built once and
     shared by steps and ensemble members, advanced together as rows of a
-    matrix.  Between regrids the state is held on the even/odd layout, so a
-    stage reads whole half rows; it returns to node order to regrid and to
-    be recorded.  records streams the recorded states, so a caller that
-    reduces each one (decay_ensemble) never holds the whole run; run
-    collects them into arrays.
+    matrix.  records streams the recorded states, so a caller that reduces
+    each one (decay_ensemble) never holds the whole run; run collects them
+    into arrays.
     """
 
     def __init__(self, ops, dt):
@@ -155,17 +147,12 @@ class LinearPropagator:
         self.dt = dt
         grid = ops.grid
         self.nodes = grid.nodes
-        n = self.nodes.size
-        # the node at each layout slot, and the slot of each node
-        self.layout = np.concatenate((np.arange(0, n, 2), np.arange(1, n, 2)))
-        self.slots = np.argsort(self.layout)
-        self.n_even = (n + 1) // 2
         h_ref = grid.spacing
         velocity = _pinned_velocity(ops.u_star)
         coef = [f.interpolator() for f in (ops.a, ops.b, ops.g_p, ops.rp_prime)]
 
         def rates(i, y):
-            stages.append(_FoldedStage(y[0], coef, self.layout))
+            stages.append(_FoldedStage(y[0], coef))
             return velocity(i, y)
 
         # one (folded stages, end positions) pair per step of the cycle
@@ -189,26 +176,11 @@ class LinearPropagator:
         return [shared + (np.empty((rows, n)),) for _ in range(4)]
 
     def _stage_rate(self, st, phi, zeta):
-        """(dphi, dzeta) of a state on the even/odd layout; st pairs a
-        _FoldedStage with a buffer tuple of _workspace."""
+        """(dphi, dzeta) of a state; st pairs a _FoldedStage with a buffer
+        tuple of _workspace."""
         op, (moment, pair, tmp, fz, dphi) = st
-        ne, m = self.n_even, pair.shape[-1]
-        even, odd = phi[:, None, :ne], phi[:, None, ne:ne + m]
-        np.multiply(even[..., :m], op.weights[0], out=pair)
-        pair += np.multiply(odd, op.weights[1], out=tmp)
-        pair += np.multiply(even[..., 1:], op.weights[2], out=tmp)
-        start = phi[:, self.slots[:5]] @ op.start
-        # even slots: M(0), M(x_2), then the cumulative pair totals from M(x_4)
-        moment[:, :2] = start[:, :2]
-        pair[:, 0, 1] = start[:, 2]
-        np.cumsum(pair[:, 0, 1:], axis=1, out=moment[:, 2:ne])
-        # odd slots: M(x_1), M(x_3), then the even moment before plus the
-        # first interval
-        moment[:, ne:ne + 2] = start[:, 3:]
-        np.add(moment[:, 2:m], pair[:, 1, 2:], out=moment[:, ne + 2:ne + m])
-        if op.last is not None:
-            moment[:, -1] = moment[:, ne - 1] + phi[:, self.slots[-3:]] @ op.last
-        fz[:, 0] = moment[:, self.slots[-1]]
+        pair_moments(phi, op.weights, op.last, op.start, moment, pair, tmp)
+        fz[:, 0] = moment[:, -1]
         fz[:, 1] = zeta
         np.matmul(fz, op.rp_b, out=dphi)
         moment *= op.rp_inv_x3
@@ -233,7 +205,6 @@ class LinearPropagator:
         phi = np.atleast_2d(np.asarray(phi0, dtype=float))
         zeta = np.atleast_1d(np.asarray(zeta0, dtype=float)).copy()
         yield 0, self.nodes, phi.copy(), zeta
-        phi = phi[:, self.layout]
         work = self._workspace(phi.shape[0])
         j = 1
         k_cycle = 0
@@ -246,12 +217,11 @@ class LinearPropagator:
             phi, zeta = rk4(rates, (phi, zeta), dt)
             k_cycle += 1
             if k_cycle == self.cycle_len:
-                phi = PchipInterpolator(end_pos, phi[:, self.slots], axis=1)(self.nodes)
-                phi = phi[:, self.layout]
+                phi = PchipInterpolator(end_pos, phi, axis=1)(self.nodes)
                 k_cycle = 0
                 end_pos = self.nodes
             if k == recorded[j]:
-                yield j, end_pos, phi[:, self.slots], zeta
+                yield j, end_pos, phi, zeta
                 j += 1
 
     def run(self, phi0, zeta0, t_end, output_every=0.1):

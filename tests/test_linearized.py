@@ -65,16 +65,16 @@ def test_solver_is_linear_in_initial_data(operators801, rng):
 
 def test_stage_moments_match_simpson(operators201, default_spec, monkeypatch):
     # every stage's moment operator is composite Simpson on v rho^2 away from
-    # the origin start, and at every stage of a cycle the folded rate on the
-    # even/odd layout equals a phi + rp (M(1) - r^-3 M(g_p phi)) + b zeta in
-    # node order to rounding, with an even (200 nodes) and an odd (201)
-    # interval count; the folded cycle is smaller than the per-stage a, b,
-    # g_p, rp, Simpson pairs and r^-3 it replaces
+    # the origin start, and at every stage of a cycle the folded rate equals
+    # a phi + rp (M(1) - r^-3 M(g_p phi)) + b zeta to rounding, with an even
+    # (200 nodes) and an odd (201) interval count; the folded cycle is
+    # smaller than the per-stage a, b, g_p, rp, Simpson weights and r^-3 it
+    # replaces
     built = []
 
     class Recorded(linearized._FoldedStage):
-        def __init__(self, x, coef, layout):
-            super().__init__(x, coef, layout)
+        def __init__(self, x, coef):
+            super().__init__(x, coef)
             built.append((self, x))
 
     monkeypatch.setattr(linearized, "_FoldedStage", Recorded)
@@ -104,9 +104,8 @@ def test_stage_moments_match_simpson(operators201, default_spec, monkeypatch):
                 b_op = rp * (full[:, None] - third)
                 b_op[:, 0] = 0.0
                 want = a * phi + b_op + b * zeta[:, None]
-                dphi, dzeta = prop._stage_rate((st, prop._workspace(rows)[0]),
-                                               phi[:, prop.layout], zeta)
-                assert np.max(np.abs(dphi[:, prop.slots] - want)) <= 1e-13 * np.max(np.abs(want))
+                dphi, dzeta = prop._stage_rate((st, prop._workspace(rows)[0]), phi, zeta)
+                assert np.max(np.abs(dphi - want)) <= 1e-13 * np.max(np.abs(want))
                 # M(1) and kappa zeta may cancel: the bound is on their size
                 scale = np.max(np.abs(full) + abs(ops.kappa) * np.abs(zeta))
                 assert np.max(np.abs(dzeta - (full + ops.kappa * zeta))) <= 1e-13 * scale

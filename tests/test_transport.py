@@ -228,7 +228,8 @@ def _integrator_outputs(sol, spec):
 # picard_solve and solve_linearized when the cubic start of RadialMoments
 # came to be built in closed form, and solve_linearized and decay_ensemble
 # when each linear-propagator stage was folded into one operator on the
-# even/odd node layout (summation order only).
+# even/odd node layout (summation order only), and solve_linearized when
+# that stage went back to node order on grid.pair_moments.
 INTEGRATOR_DIGESTS = {
     "step":
         "84afe25a0ddae86755fa9aa647a42de5432a129a0455fc922e33a6a9ad0d5cf3",
@@ -239,7 +240,7 @@ INTEGRATOR_DIGESTS = {
     "pure_transport":
         "1a469bd05d749c60864608d35acfe36b51a254b86bab2067e3612c3137e26aaf",
     "solve_linearized":
-        "82f06c8f912f051787a89d9989b5f466e0e82d619102113ff8b8efda7e559f69",
+        "40ac9e7bbde0f3288fb14e21f1be7e6f664ea9ebafad0b44ac4dc5084b91182f",
     "decay_ensemble":
         "ffa0e0e902580a5148f8187c757e55cea127c7e7cb3eaad616d254fe8569a046",
 }
