@@ -7,11 +7,12 @@ particle regridding.  A RadialGrid is uniform by construction: the Numerov
 nutrient solver and the fourth-order derivative stencils need equal spacing.
 
 Every radial moment integral_0^r v rho^2 drho, in the velocity u and in
-the linearized operators B and F alike, is taken by one operator,
-RadialMoments, built once per set of positions and applied to rows of
-values; radial_average and third_moment are thin functions over it.  Each
-transport stage builds one, in closed form (no SVD; r^-3 only on demand);
-each linearized stage folds one into its operator (linearized._FoldedStage).
+the linearized operators B and F alike, is taken by one kernel,
+pair_moments: Simpson pair totals summed along the rows in node order after
+an exact cubic start.  RadialMoments holds its weights for one set of
+positions, built in closed form (no SVD; r^-3 only on demand); radial_average
+is a thin function over it, and each linearized stage folds g_p into a copy
+of them (linearized._FoldedStage).
 """
 
 from dataclasses import dataclass, field
@@ -116,41 +117,24 @@ def _interval_weights(a, b):
 
 
 def _simpson_weights(x):
-    """Composite-Simpson interval weights, paired as scipy's cumulative
-    Simpson rule pairs them: intervals 2m and 2m+1 both integrate the
-    quadratic through nodes 2m, 2m+1 and 2m+2, and an odd last interval
-    reads the last three nodes.
+    """Composite-Simpson weights, paired as scipy's cumulative Simpson rule
+    pairs them: intervals 2m and 2m+1 both integrate the quadratic through
+    nodes 2m, 2m+1 and 2m+2, and an odd last interval reads the last three
+    nodes.
 
-    Returns (pairs, last): pairs[j, s, m] weighs node 2m+j in interval 2m+s;
-    last weighs the last three nodes in an odd last interval, else None.
+    Returns (weights, last): weights[j, 0, m] weighs node 2m+j in the
+    integral over pair m, weights[j, 1, m] in the one over its first
+    interval; last weighs the last three nodes in an odd last interval,
+    else None.
     """
     h = x[1:] - x[:-1]
     m = h.size // 2
     widths = np.array((h[0:2 * m:2], h[1:2 * m:2]))  # first and second intervals
     near, middle, far = _interval_weights(widths, widths[::-1])
-    pairs = np.array((near, middle, far))
-    pairs[0, 1], pairs[2, 1] = far[1], near[1]  # interval 2m+1's near node is 2m+2
+    first = np.array((near[0], middle[0], far[0]))
+    second = np.array((far[1], middle[1], near[1]))  # its near node is 2m+2
     last = np.array(_interval_weights(h[-1], h[-2])[::-1]) if h.size % 2 else None
-    return pairs, last
-
-
-def _interval_integrals(v, pairs, last, out):
-    """The integral of v (last axis) over interval i into out[..., i + 1].
-
-    Both intervals of a pair read the same three strided column slices of
-    v, so the stencil needs no index gathers."""
-    n2 = 2 * pairs.shape[-1]
-    # pair[..., s, m]: the integral over interval 2m+s
-    pair = np.multiply(v[..., None, 0:n2:2], pairs[0])
-    tmp = np.multiply(v[..., None, 1:n2:2], pairs[1])
-    pair += tmp
-    pair += np.multiply(v[..., None, 2:n2 + 1:2], pairs[2], out=tmp)
-    d = out[..., 1:]
-    d[..., 0:n2:2] = pair[..., 0, :]
-    d[..., 1:n2:2] = pair[..., 1, :]
-    if last is not None:
-        d[..., -1] = v[..., -3:] @ last
-    return out
+    return np.stack((first + second, first), axis=1), last
 
 
 def pair_moments(v, weights, last, start, out, pair, tmp):
@@ -183,7 +167,8 @@ class RadialMoments:
     """M(x_i) = integral_0^{x_i} v(rho) rho^2 drho for rows of node values v
     (last axis) at the positions x, x[0] = 0.
 
-    Composite Simpson with rho^2 folded into the interval weights.  The r^-2
+    Composite Simpson with rho^2 folded into the weights, applied by
+    pair_moments (the fields weights, last and start).  The r^-2
     and r^-3 prefactors of the velocity and of the linearized operators
     amplify the Simpson error near the origin, so the first five moments
     are exact for the least-squares cubic through the first five values and
@@ -194,12 +179,10 @@ class RadialMoments:
 
     def __init__(self, x):
         x = np.asarray(x, dtype=float)
-        pairs, last = _simpson_weights(x)
-        n2 = 2 * pairs.shape[-1]
+        weights, last = _simpson_weights(x)
+        n2 = 2 * weights.shape[-1]
         x2 = x * x
-        for j in range(3):
-            pairs[j] *= x2[j:n2 + j:2]
-        self.pairs = pairs
+        self.weights = weights * np.array([x2[j:n2 + j:2] for j in range(3)])[:, None]
         self.last = None if last is None else last * x2[-3:]
         self.k = k = min(5, x.size)
         # fit: the refined cubic in t = x / x[k-1]; its moments x_i^3 t_i^j / (j+3)
@@ -221,12 +204,9 @@ class RadialMoments:
     def cumulative(self, v):
         """M at every position, a new array shaped like v."""
         v = np.asarray(v, dtype=float)
-        k = self.k
-        moment = _interval_integrals(v, self.pairs, self.last, np.empty_like(v))
-        # the exact start up to x[k-1], then the Simpson sums from there
-        moment[..., :k] = v[..., :k] @ self.start.T
-        np.cumsum(moment[..., k - 1:], axis=-1, out=moment[..., k - 1:])
-        return moment
+        pair = np.empty(v.shape[:-1] + self.weights.shape[1:])
+        return pair_moments(v, self.weights, self.last, self.start,
+                            np.empty_like(v), pair, np.empty_like(pair))
 
     def full_and_third(self, v):
         """(M(1), r^-3 M) from one pass, r^-3 M with its origin limit v(0)/3."""

@@ -120,9 +120,8 @@ class _FoldedStage:
     def __init__(self, x, coef):
         a, b, gp, rp = (f(x) for f in coef)
         radial = RadialMoments(x)
-        m = radial.pairs.shape[-1]
-        pairs = radial.pairs * np.array([gp[j:2 * m + j:2] for j in range(3)])[:, None]
-        self.weights = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0]), axis=1)
+        n2 = 2 * radial.weights.shape[-1]
+        self.weights = radial.weights * np.array([gp[j:n2 + j:2] for j in range(3)])[:, None]
         self.last = None if radial.last is None else radial.last * gp[-3:]
         self.start = radial.start * gp[:radial.k]
         rp[0] = 0.0  # B vanishes at the origin

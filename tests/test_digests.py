@@ -43,16 +43,17 @@ def _solver_outputs(spec, grid, sol):
 
 # SHA-256 of each output's arrays (float64 bytes), recorded with numpy 2.4.6
 # and scipy 1.17.1 on x86-64, again when the cubic start of
-# grid.RadialMoments came to be built in closed form.
+# grid.RadialMoments came to be built in closed form, and again when its
+# cumulative moment came to sum Simpson pair totals (grid.pair_moments).
 SOLVER_DIGESTS = {
     "stationary_saturating":
-        "08f5d12da06770ba14ac8681f28d952c59ef9afef17b603df3eb11361cf43d00",
+        "cc24807e78670246a1fef93d57c4772a87090ab0588ff09e823db8424632feca",
     "build_fstar":
-        "db37a176454b42a94a901f2bce87bc4f968a837f68ac53453ffd7d561403700b",
+        "c56babfd3154f356753bc69fcb14a40c6585278b0c3d9be0e9e4f088a7402eb2",
     "resolvent_apply":
-        "3c790149ae72f60d736852128aa1278a7319efc9bf7392c3038cd2d35db538f7",
+        "58a1fa1ead1bebb5d9900135b0fddbd7f8e3be711e85e0e7cd722d2c7315a085",
     "laplace_consistency":
-        "e6d43a0da4afe1dfae6cd49171f8f252a7d38365b6db5a1d451ecfe462ea49d1",
+        "40b2c40ef745e6241577f49b5368a8a823f65d8dc8b9658c7e2c4aa0767a5a02",
 }
 
 

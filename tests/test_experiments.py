@@ -101,23 +101,24 @@ def test_determinism_bit_identical(tmp_path, stationary201):
 # radial moment quadratures into grid.RadialMoments (the picard files again
 # when Picard came to freeze the previous iterate's velocity on the nodes,
 # both manifests when the q = 1 - p copies of the p checks went, and again
-# when the closed-form cubic start moved stationary.u_weight_lower); the
-# manifest also holds the package versions, so a version change moves
-# its digest.
+# when the closed-form cubic start moved stationary.u_weight_lower, and the
+# manifests and trajectories when grid.RadialMoments came to sum Simpson
+# pair totals); the manifest also holds the package versions, so a version
+# change moves its digest.
 REPORT_DIGESTS = {
     "direct": {
         "manifest.txt":
-            "428dc6c66396a4065109f9017b0fb0c5bd7284ff28689231da56aa5dfd4f87e0",
+            "d96c55a45fb6ef344e9e838b42e4c8b8c60ea9b8fdb912a0e5002d8f5bec7e1f",
         "trajectory.csv":
-            "a7cbb08835f4edc375deb5ae2d9d8eafe6562d2659b3767d4d052f0fed5dd9bd",
+            "db5bb2a653ad2aa9f2e515da5edf6ca6a71dc493e8aaee614ed980edd96d38a8",
         "decay.csv":
             "13710769fd4bb4c275cf3481fe7477dbf542af72f04cfb35c1c086144f00616b",
     },
     "picard": {
         "manifest.txt":
-            "fc154b100afec197f9375803cb08948acfb0ff68ada91d2100311c51bf4b8c4f",
+            "5bbd3f92a5058d992b4138f00c584a2fa474afef88e502a200bd5725ef377928",
         "trajectory.csv":
-            "eb23bd13788f58b1dbaa0cadd4f20f9c8cd21c7ef796ac69b7ef97d2c8783fa2",
+            "91f31f46ba8ea4b977fa340448e3b0f6d7adbc6f892162994531a5c3081765f3",
         "decay.csv":
             "98c1d42d623fbbfe3b791c79a3e3a1537b1bf86c64c1e24541376248ac243d70",
     },

@@ -72,11 +72,16 @@ def _node_sets():
             "odd_intervals": odd}
 
 
-def _operator_weights(op, i, n):
-    """The operator's weights of the three nodes interval i reads."""
-    if op.last is not None and i == n - 2:
-        return op.last
-    return op.pairs[:, i % 2, i // 2]
+def _stored_and_exact(op, x, i):
+    """The operator's stored weights that interval i enters, each with its
+    exact values: the odd last interval's, or its pair's totals and
+    first-interval weights."""
+    if op.last is not None and i == x.size - 2:
+        return [(op.last, _exact_weights(x, i))]
+    m = i // 2
+    first, second = _exact_weights(x, 2 * m), _exact_weights(x, 2 * m + 1)
+    return [(op.weights[:, 0, m], [a + b for a, b in zip(first, second)]),
+            (op.weights[:, 1, m], first)]
 
 
 def _exact_weights(x, i):
@@ -99,14 +104,15 @@ def _exact_weights(x, i):
 @pytest.mark.parametrize("name,intervals", [("uniform", (1, 400, 799)),
                                             ("odd_intervals", (1, 100, 198))])
 def test_moment_weights_match_exact_arithmetic(name, intervals):
-    # each weight is formed without cancellation, so it keeps full relative
-    # precision at every interval, the odd last one included
+    # each weight is formed without cancellation, so the pair totals, the
+    # first-interval weights and the odd last interval's keep full relative
+    # precision
     x = _node_sets()[name]
     op = RadialMoments(x)
     for i in intervals:
-        got = _operator_weights(op, i, x.size)
-        for w, exact in zip(got, _exact_weights(x, i)):
-            assert abs(Fraction(float(w)) - exact) <= 1e-13 * abs(exact)
+        for got, exact in _stored_and_exact(op, x, i):
+            for w, e in zip(got, exact):
+                assert abs(Fraction(float(w)) - e) <= 1e-13 * abs(e)
 
 
 @pytest.mark.parametrize("name", ["uniform", "jittered", "odd_intervals"])
@@ -136,6 +142,27 @@ def test_moment_start_exact_for_cubics():
     exact = x ** 3 / 3 - 2.0 * x ** 4 / 4 + 3.0 * x ** 5 / 5 - 4.0 * x ** 6 / 6
     got = RadialMoments(x).cumulative(v)
     np.testing.assert_allclose(got[:5], exact[:5], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("n", range(3, 10))
+def test_moments_on_small_grids(n, rows):
+    # up to 5 nodes the start gives every moment; from 6 the pair totals
+    # take over at x_4, with an odd last interval at 6 and 8 nodes
+    x = np.linspace(0.0, 1.0, n)
+    x[1:-1] += np.random.default_rng(n).uniform(-0.2, 0.2, n - 2) / (n - 1)
+    op = RadialMoments(x)
+    k = op.k
+    coef = np.random.default_rng(rows).standard_normal((rows, min(4, k)))
+    v = coef @ x[None, :] ** np.arange(coef.shape[1])[:, None]
+    exact = coef @ (x[None, :] ** np.arange(3, 3 + coef.shape[1])[:, None]
+                    / np.arange(3, 3 + coef.shape[1])[:, None])
+    got = op.cumulative(v)
+    np.testing.assert_allclose(got[:, :k], exact[:, :k], rtol=1e-12, atol=1e-15)
+    ref = cumulative_simpson(v * x * x, x=x, initial=0.0)
+    got_inc = got[:, k - 1:] - got[:, k - 1:k]
+    ref_inc = ref[:, k - 1:] - ref[:, k - 1:k]
+    assert np.max(np.abs(got_inc - ref_inc), initial=0.0) <= 1e-13 * np.max(np.abs(ref_inc))
 
 
 def _exact_start(x):

@@ -111,7 +111,7 @@ def test_stage_moments_match_simpson(operators201, default_spec, monkeypatch):
                 assert np.max(np.abs(dzeta - (full + ops.kappa * zeta))) <= 1e-13 * scale
             folded_bytes += sum(arr.nbytes for arr in vars(st).values()
                                 if isinstance(arr, np.ndarray))
-            unfolded_bytes += 5 * x.nbytes + radial.pairs.nbytes
+            unfolded_bytes += 5 * x.nbytes + radial.weights.nbytes
         assert folded_bytes < unfolded_bytes
 
 

@@ -211,7 +211,8 @@ def _digest(*arrays):
 # and of the small-plan bound constants, recorded with numpy 2.4.6 and
 # scipy 1.17.1 on x86-64; every entry but phi_star and psi_star was
 # recorded again when the flow came to read the relative gap that the
-# velocity family carries (w.gap) in place of w / u_* - 1.
+# velocity family carries (w.gap) in place of w / u_* - 1, and
+# bound_constants when grid.RadialMoments came to sum Simpson pair totals.
 MAP_DIGESTS = {
     "phi_star":
         "1f3bf6c0da1ec7ba2580f8b48ae6fa67bf7db5a343a1acfb90f4cead4acfde1c",
@@ -230,7 +231,7 @@ MAP_DIGESTS = {
     "dT_dr":
         "e02240b9c98653f7f76a74da9992732407144cbe6e78c92e609db40cb18eab88",
     "bound_constants":
-        "588302a39f2f06c797938dfa4701bfbba41b39ddd3b3cb52c7f1bbdcd375d3f2",
+        "4b6228f226e36e74497a13f03d6495a9277ad3f46e3495ac41fdc5ed4066c1e1",
 }
 
 

@@ -228,21 +228,23 @@ def _integrator_outputs(sol, spec):
 # picard_solve and solve_linearized when the cubic start of RadialMoments
 # came to be built in closed form, and solve_linearized and decay_ensemble
 # when each linear-propagator stage was folded into one operator on the
-# even/odd node layout (summation order only), and solve_linearized when
-# that stage went back to node order on grid.pair_moments.
+# even/odd node layout (summation order only); solve_linearized when that
+# stage went back to node order on grid.pair_moments, and all but step when
+# RadialMoments came to sum Simpson pair totals there too (summation order
+# only).
 INTEGRATOR_DIGESTS = {
     "step":
         "84afe25a0ddae86755fa9aa647a42de5432a129a0455fc922e33a6a9ad0d5cf3",
     "simulate":
-        "d91201757c59b3ef81aff0bff8b74ecd2f35907908f3740e305fe922867a3eb2",
+        "f50fe599b2063200cc28bf69b8c39dab4bff4f1308cea81ccfa6ac501c7b080e",
     "picard_solve":
-        "b1ca57c20d22ed371b3920be7c664282716ddcc993159cc2fce6c8c009ce2993",
+        "ffdf184982b11e3dba9fcef3ef5b5a48ed356233c3dec3cf5fbb8018af5763af",
     "pure_transport":
-        "1a469bd05d749c60864608d35acfe36b51a254b86bab2067e3612c3137e26aaf",
+        "af053d42c3b24a366a2048e6830b8e8ade3ccb09478b6c69d6bfd5cbb8863d09",
     "solve_linearized":
-        "40ac9e7bbde0f3288fb14e21f1be7e6f664ea9ebafad0b44ac4dc5084b91182f",
+        "fcecac0d60985650a6cc63ebfd50b07de2a18be064007747af5c2cfc34914111",
     "decay_ensemble":
-        "ffa0e0e902580a5148f8187c757e55cea127c7e7cb3eaad616d254fe8569a046",
+        "5b25fa27073860adccbcb332a3209ca55b80a3e1d8d7d535ca70484deec17bd0",
 }
 
 
