@@ -227,11 +227,6 @@ def radial_average(integrand, nodes):
     return u
 
 
-def third_moment(values, nodes):
-    """r^-3 * integral_0^r values(rho) rho^2 drho with exact origin limit v(0)/3."""
-    return RadialMoments(nodes).full_and_third(values)[1]
-
-
 def derivative_values(values, grid):
     """Node derivatives on a RadialGrid along the last axis: 4th-order
     central stencils (one-sided 5-point at the edges).

@@ -38,7 +38,7 @@ from scipy.integrate import simpson, solve_ivp
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import ExperimentFailure, SolverError
-from .grid import derivative_values, third_moment
+from .grid import RadialMoments, derivative_values
 
 FLOW_RTOL = 1e-10
 FLOW_ATOL = 1e-12
@@ -499,10 +499,11 @@ def check_map_bounds(make_maps, plan, raise_on_fail=True):
     # test functions q on rg: their interpolants, base moments and sup norms
     rg = np.linspace(0.0, 1.0, 201)
     a_rg = a_fun(rg)
+    moments = RadialMoments(rg)
     test_funcs = []
     for _ in range(plan.n_test_funcs):
         q = _random_smooth(rng, rg)
-        test_funcs.append((PchipInterpolator(rg, q), third_moment(a_rg * q, rg),
+        test_funcs.append((PchipInterpolator(rg, q), moments.full_and_third(a_rg * q)[1],
                            max(np.max(np.abs(q)), 1e-300)))
 
     weight = r_samples * (1.0 - r_samples)
@@ -574,7 +575,7 @@ def check_map_bounds(make_maps, plan, raise_on_fail=True):
             s_g = map_S(maps, rg, tp, sp)
             worst = 0.0
             for q_interp, base, q_sup in test_funcs:
-                tilde_base = third_moment(a_rg * q_interp(t_g), rg)
+                tilde_base = moments.full_and_third(a_rg * q_interp(t_g))[1]
                 tilde = PchipInterpolator(rg, tilde_base)(s_g)
                 worst = max(worst, np.max(np.abs(tilde - base)) / q_sup)
             acc["cumulative_op_distance"].append(worst / envelope)

@@ -7,7 +7,7 @@ from scipy.integrate import cumulative_simpson
 from tumorlab.errors import GridMismatchError
 from tumorlab.grid import (RadialField, RadialGrid, RadialMoments,
                            derivative_values, radial_average,
-                           require_same_grid, third_moment)
+                           require_same_grid)
 
 
 def test_grid_requires_endpoints():
@@ -50,7 +50,7 @@ def test_radial_average_constant():
 
 def test_third_moment_constant_limit():
     g = RadialGrid.uniform(201)
-    out = third_moment(np.full(g.size, 6.0), g.nodes)
+    out = RadialMoments(g.nodes).full_and_third(np.full(g.size, 6.0))[1]
     np.testing.assert_allclose(out, 2.0, atol=1e-13)
     assert out[0] == pytest.approx(2.0)
 
