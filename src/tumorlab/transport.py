@@ -90,8 +90,8 @@ def trajectory(grid, times, ps, zs, p_ref=0.0, z_ref=0.0, mass_residual=None):
     times = np.asarray(times, dtype=float)
     states = [TumorState(t=float(t), p=RadialField(grid, p), z=float(z))
               for t, p, z in zip(times, ps, zs)]
-    p_dev, dp_dev, z_dev = map(np.array, zip(*(
-        deviation(grid, st.p.values, st.z, p_ref, z_ref) for st in states)))
+    p_dev, dp_dev, z_dev = deviation(grid, np.asarray(ps, dtype=float),
+                                     np.asarray(zs, dtype=float), p_ref, z_ref)
     if mass_residual is None:
         mass_residual = np.full(len(times), np.nan)
     return Trajectory(times=times, states=states, p_dev=p_dev, dp_dev=dp_dev,
@@ -112,15 +112,14 @@ class NutrientCache:
     def __init__(self, spec, grid):
         self.spec = spec
         self.grid = grid
-        self._c_last = None
         self._z_last = None
         self._sol = None
 
     def solve(self, z):
         if self._sol is not None and z == self._z_last:
             return self._sol
-        sol = solve_nutrient(self.spec, z, self.grid, c_init=self._c_last)
-        self._c_last = sol.c.values
+        c_init = None if self._sol is None else self._sol.c.values
+        sol = solve_nutrient(self.spec, z, self.grid, c_init=c_init)
         self._z_last = z
         self._sol = sol
         return sol
