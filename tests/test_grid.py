@@ -153,10 +153,10 @@ def test_moments_on_small_grids(n, rows):
     x[1:-1] += np.random.default_rng(n).uniform(-0.2, 0.2, n - 2) / (n - 1)
     op = RadialMoments(x)
     k = op.k
-    coef = np.random.default_rng(rows).standard_normal((rows, min(4, k)))
-    v = coef @ x[None, :] ** np.arange(coef.shape[1])[:, None]
-    exact = coef @ (x[None, :] ** np.arange(3, 3 + coef.shape[1])[:, None]
-                    / np.arange(3, 3 + coef.shape[1])[:, None])
+    powers = np.arange(min(4, k))[:, None]  # a quadratic fit at 3 nodes
+    coef = np.random.default_rng(rows).standard_normal((rows, powers.size))
+    v = coef @ x ** powers
+    exact = coef @ (x ** (powers + 3) / (powers + 3))
     got = op.cumulative(v)
     np.testing.assert_allclose(got[:, :k], exact[:, :k], rtol=1e-12, atol=1e-15)
     ref = cumulative_simpson(v * x * x, x=x, initial=0.0)
