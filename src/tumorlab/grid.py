@@ -3,16 +3,19 @@
 Everything downstream (nutrient, velocity, transport, linearization) stores
 functions of r as node values on a shared RadialGrid and interpolates with a
 monotone piecewise cubic (PCHIP), which preserves monotone profiles during
-particle regridding.  A RadialGrid is uniform by construction: the Numerov
-nutrient solver and the fourth-order derivative stencils need equal spacing.
+particle regridding.  pchip_coefficients builds scipy's PCHIP for many
+rows at once, bit for bit.  A RadialGrid is uniform by construction: the
+Numerov nutrient solver and the fourth-order derivative stencils need equal
+spacing.
 
 Every radial moment integral_0^r v rho^2 drho, in the velocity u and in
 the linearized operators B and F alike, is taken by one kernel,
 pair_moments: Simpson pair totals summed along the rows in node order after
 an exact cubic start.  RadialMoments holds its weights for one set of
-positions, built in closed form (no SVD; r^-3 only on demand); radial_average
-is a thin function over it, and each linearized stage folds g_p into a copy
-of them (linearized._FoldedStage).
+positions, built in closed form (no SVD; r^-3 only on demand), or for
+stacked rows of positions in one call, each row with the bits of its own
+build; radial_average is a thin function over it, and each linearized stage
+folds g_p into a copy of them (linearized._FoldedStage).
 """
 
 from dataclasses import dataclass, field
@@ -97,6 +100,53 @@ class RadialField:
         return RadialField(self.grid, values)
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """scipy's shape-preserving one-sided three-point end slope."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    keep = np.sign(d) == np.sign(m0)
+    steep = keep & (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(keep, np.where(steep, 3.0 * m0, d), 0.0)
+
+
+def pchip_coefficients(x, y):
+    """The monotone cubic through rows of node values y (last axis) at the
+    strictly increasing points x (one row for all, or one per row), as the
+    power-basis coefficients c[..., j, i] of interval i, highest power
+    first.
+
+    The operations are those of scipy's PchipInterpolator, in its order, so
+    PPoly.construct_fast(c[row], x[row]) reproduces its values bit for bit;
+    one call builds every row.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("pchip points and values must be finite")
+    h = x[..., 1:] - x[..., :-1]
+    if np.any(h <= 0):
+        raise ValueError("pchip points must be strictly increasing")
+    m = (y[..., 1:] - y[..., :-1]) / h
+    s = np.sign(m)
+    flat = (s[..., 1:] != s[..., :-1]) | (m[..., 1:] == 0) | (m[..., :-1] == 0)
+    w1 = 2 * h[..., 1:] + h[..., :-1]
+    w2 = h[..., 1:] + 2 * h[..., :-1]
+    d = np.empty(y.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the weighted harmonic mean of the two slopes, 0 where flat
+        whmean = (w1 / m[..., :-1] + w2 / m[..., 1:]) / (w1 + w2)
+        np.divide(1.0, whmean, out=d[..., 1:-1])
+    d[..., 1:-1][flat] = 0.0
+    d[..., 0] = _pchip_end_slope(h[..., 0], h[..., 1], m[..., 0], m[..., 1])
+    d[..., -1] = _pchip_end_slope(h[..., -1], h[..., -2], m[..., -1], m[..., -2])
+    t = (d[..., :-1] + d[..., 1:] - 2 * m) / h
+    c = np.empty(y.shape[:-1] + (4, h.shape[-1]))
+    np.divide(t, h, out=c[..., 0, :])
+    np.subtract((m - d[..., :-1]) / h, t, out=c[..., 1, :])
+    c[..., 2, :] = d[..., :-1]
+    c[..., 3, :] = y[..., :-1]
+    return c
+
+
 def require_same_grid(*fields):
     g0 = fields[0].grid
     for f in fields[1:]:
@@ -117,55 +167,68 @@ def _interval_weights(a, b):
 
 
 def _simpson_weights(x):
-    """Composite-Simpson weights, paired as scipy's cumulative Simpson rule
-    pairs them: intervals 2m and 2m+1 both integrate the quadratic through
-    nodes 2m, 2m+1 and 2m+2, and an odd last interval reads the last three
-    nodes.
+    """Composite-Simpson weights for rows of positions x (last axis),
+    paired as scipy's cumulative Simpson rule pairs them: intervals 2m and
+    2m+1 both integrate the quadratic through nodes 2m, 2m+1 and 2m+2, and
+    an odd last interval reads the last three nodes.
 
-    Returns (weights, last): weights[j, 0, m] weighs node 2m+j in the
-    integral over pair m, weights[j, 1, m] in the one over its first
-    interval; last weighs the last three nodes in an odd last interval,
-    else None.
+    Returns (weights, last): weights[..., j, 0, m] weighs node 2m+j in the
+    integral over pair m, weights[..., j, 1, m] in the one over its first
+    interval; last[..., :] weighs the last three nodes in an odd last
+    interval, else None.
     """
-    h = x[1:] - x[:-1]
-    m = h.size // 2
-    widths = np.array((h[0:2 * m:2], h[1:2 * m:2]))  # first and second intervals
-    near, middle, far = _interval_weights(widths, widths[::-1])
-    first = np.array((near[0], middle[0], far[0]))
-    second = np.array((far[1], middle[1], near[1]))  # its near node is 2m+2
-    last = np.array(_interval_weights(h[-1], h[-2])[::-1]) if h.size % 2 else None
-    return np.stack((first + second, first), axis=1), last
+    h = x[..., 1:] - x[..., :-1]
+    m = h.shape[-1] // 2
+    a, b = h[..., 0:2 * m:2], h[..., 1:2 * m:2]  # first and second intervals
+    first = _interval_weights(a, b)
+    second = _interval_weights(b, a)[::-1]  # its near node is 2m+2
+    weights = np.empty(x.shape[:-1] + (3, 2, m))
+    for j in range(3):
+        weights[..., j, 1, :] = first[j]
+        np.add(first[j], second[j], out=weights[..., j, 0, :])
+    if h.shape[-1] % 2 == 0:
+        return weights, None
+    return weights, np.stack(_interval_weights(h[..., -1], h[..., -2])[::-1], axis=-1)
 
 
 def pair_moments(v, weights, last, start, out, pair, tmp):
     """The cumulative moments of the rows of v (last axis, node order) into
     out, with pair and tmp (..., 2, m) scratch; returns out.
 
-    weights[j, 0, m] weighs node 2m+j in the Simpson total of pair m
-    (intervals 2m and 2m+1), weights[j, 1, m] in its first interval; last
-    weighs the last three nodes in an odd last interval, or is None; start
-    gives the first k moments from the first k values.  Past x_4 each even
-    node is a cumulative sum of pair totals, and each odd node adds its
-    pair's first interval to the even node before it.
+    weights[..., j, 0, m] weighs node 2m+j in the Simpson total of pair m
+    (intervals 2m and 2m+1), weights[..., j, 1, m] in its first interval;
+    last weighs the last three nodes in an odd last interval, or is None;
+    start gives the first k moments from the first k values.  The operator
+    is one for every row of v, or one per row (leading axes).  Past x_4
+    each even node is a cumulative sum of pair totals, and each odd node
+    adds its pair's first interval to the even node before it.
     """
-    k = start.shape[0]
+    k = start.shape[-1]
     n2 = 2 * weights.shape[-1]
-    np.multiply(v[..., None, 0:n2:2], weights[0], out=pair)
-    pair += np.multiply(v[..., None, 1:n2:2], weights[1], out=tmp)
-    pair += np.multiply(v[..., None, 2:n2 + 1:2], weights[2], out=tmp)
-    out[..., :k] = v[..., :k] @ start.T
+    np.multiply(v[..., None, 0:n2:2], weights[..., 0, :, :], out=pair)
+    pair += np.multiply(v[..., None, 1:n2:2], weights[..., 1, :, :], out=tmp)
+    pair += np.multiply(v[..., None, 2:n2 + 1:2], weights[..., 2, :, :], out=tmp)
+    per_row = start.ndim > 2  # then a vector-matrix product per row
+    if per_row:
+        out[..., :k] = (v[..., None, :k] @ start.swapaxes(-1, -2))[..., 0, :]
+    else:
+        out[..., :k] = v[..., :k] @ start.T
     if out.shape[-1] > k:  # then k = 5, and the sums continue from x_4
         pair[..., 0, 1] = out[..., 4]
         np.cumsum(pair[..., 0, 1:], axis=-1, out=out[..., 4:n2 + 1:2])
         np.add(out[..., 4:n2 - 1:2], pair[..., 1, 2:], out=out[..., 5:n2:2])
         if last is not None:
-            out[..., -1] = out[..., -2] + v[..., -3:] @ last
+            if per_row:
+                tail = (v[..., None, -3:] @ last[..., None])[..., 0, 0]
+            else:
+                tail = v[..., -3:] @ last
+            out[..., -1] = out[..., -2] + tail
     return out
 
 
 class RadialMoments:
     """M(x_i) = integral_0^{x_i} v(rho) rho^2 drho for rows of node values v
-    (last axis) at the positions x, x[0] = 0.
+    (last axis) at the positions x, x[..., 0] = 0.
 
     Composite Simpson with rho^2 folded into the weights, applied by
     pair_moments (the fields weights, last and start).  The r^-2
@@ -175,36 +238,44 @@ class RadialMoments:
     the Simpson sums continue from the fifth.  The cubic comes from its
     normal equations in x / x[4], refined once against the residual (each
     start row within 2e-13 of exact arithmetic, relative to its largest).
+
+    x may stack several rows of positions (leading axes): the operator then
+    holds one set of fields per row, each bit for bit the one built from
+    that row alone, and applies row i of the fields to row i of v.
     """
 
     def __init__(self, x):
         x = np.asarray(x, dtype=float)
-        weights, last = _simpson_weights(x)
-        n2 = 2 * weights.shape[-1]
+        self.weights, last = _simpson_weights(x)
+        n2 = 2 * self.weights.shape[-1]
         x2 = x * x
-        self.weights = weights * np.array([x2[j:n2 + j:2] for j in range(3)])[:, None]
-        self.last = None if last is None else last * x2[-3:]
-        self.k = k = min(5, x.size)
+        for j in range(3):
+            self.weights[..., j, :, :] *= x2[..., None, j:n2 + j:2]
+        self.last = None if last is None else last * x2[..., -3:]
+        self.k = k = min(5, x.shape[-1])
         # fit: the refined cubic in t = x / x[k-1]; its moments x_i^3 t_i^j / (j+3)
         powers = np.arange(min(4, k))
-        t = x[:k] / x[k - 1]
-        v = t[:, None] ** powers
-        inv = np.linalg.inv(v.T @ v)
-        fit = inv @ v.T
-        fit += inv @ (v.T @ (np.eye(k) - v @ fit))
-        self.start = (v * x[:k, None] ** 3 / (powers + 3)) @ fit
+        t = x[..., :k] / x[..., k - 1:k]
+        v = t[..., None] ** powers
+        vt = v.swapaxes(-1, -2)
+        inv = np.linalg.inv(vt @ v)
+        fit = inv @ vt
+        fit += inv @ (vt @ (np.eye(k) - v @ fit))
+        self.start = (v * x[..., :k, None] ** 3 / (powers + 3)) @ fit
         self._x = x
 
     @cached_property
     def inv_x3(self):
         """r^-3 at the positions, 0 at the origin; built on first use, it replaces them."""
         x = vars(self).pop("_x")
-        return np.concatenate(([0.0], 1.0 / x[1:] ** 3))
+        inv = np.zeros_like(x)
+        np.divide(1.0, x[..., 1:] ** 3, out=inv[..., 1:])
+        return inv
 
     def cumulative(self, v):
         """M at every position, a new array shaped like v."""
         v = np.asarray(v, dtype=float)
-        pair = np.empty(v.shape[:-1] + self.weights.shape[1:])
+        pair = np.empty(v.shape[:-1] + self.weights.shape[-2:])
         return pair_moments(v, self.weights, self.last, self.start,
                             np.empty_like(v), pair, np.empty_like(pair))
 
@@ -218,10 +289,11 @@ class RadialMoments:
         return full, moment
 
 
-def radial_average(integrand, nodes):
+def radial_average(integrand, nodes, moments=None):
     """u(r) = r^-2 * integral_0^r integrand(rho) rho^2 drho on the nodes,
-    with u(0) = 0 (the series u(r) = g(0) r / 3 + O(r^3))."""
-    u = RadialMoments(nodes).cumulative(integrand)
+    with u(0) = 0 (the series u(r) = g(0) r / 3 + O(r^3)); moments is the
+    nodes' RadialMoments, when the caller keeps one."""
+    u = (RadialMoments(nodes) if moments is None else moments).cumulative(integrand)
     u[..., 1:] /= nodes[1:] * nodes[1:]
     u[..., 0] = 0.0
     return u

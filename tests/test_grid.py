@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
+from scipy.interpolate import PchipInterpolator, PPoly
 
 from tumorlab.errors import GridMismatchError
 from tumorlab.grid import (RadialField, RadialGrid, RadialMoments,
-                           derivative_values, radial_average,
-                           require_same_grid)
+                           derivative_values, pchip_coefficients,
+                           radial_average, require_same_grid)
 
 
 def test_grid_requires_endpoints():
@@ -216,3 +219,67 @@ def test_moment_start_matches_exact_least_squares(monkeypatch):
             scale = max(abs(e) for e in exact)
             err = max(abs(Fraction(float(g)) - e) for g, e in zip(got, exact))
             assert err <= 2e-13 * scale, (x[:5], float(err / scale) if scale else err)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _jittered_rows(n, rows, seed):
+    """rows rows of n positions on [0,1], each node moved by up to 0.3 h."""
+    x = np.tile(np.linspace(0.0, 1.0, n), (rows, 1))
+    x[:, 1:-1] += np.random.default_rng(seed).uniform(-0.3, 0.3, (rows, n - 2)) / (n - 1)
+    return x
+
+
+@pytest.mark.parametrize("rows", [1, 3, 40])
+@pytest.mark.parametrize("n", [200, 201])
+def test_stacked_moments_match_row_builds(n, rows):
+    # one build over stacked rows of positions gives each row the bits of
+    # its own build, so the rows a batch holds cannot change a row's moments
+    x = _jittered_rows(n, rows, n + rows)
+    v = np.random.default_rng(rows).standard_normal((rows, n))
+    op = RadialMoments(x)
+    moments = op.cumulative(v)
+    for i in range(rows):
+        one = RadialMoments(x[i])
+        assert _same_bits(op.weights[i], one.weights)
+        assert _same_bits(op.start[i], one.start)
+        assert (op.last is None) == (one.last is None) == (n % 2 == 1)
+        assert one.last is None or _same_bits(op.last[i], one.last)
+        assert _same_bits(moments[i], one.cumulative(v[i]))
+
+
+def _pchip_values(kind, shape, rng):
+    if kind == "normal":
+        return rng.standard_normal(shape)
+    if kind == "steps":  # repeated values: zero slopes
+        return np.round(rng.standard_normal(shape), 1)
+    if kind == "monotone":
+        return np.cumsum(rng.uniform(0.0, 1.0, shape), axis=-1)
+    if kind == "clipped":  # flat runs between sign changes
+        return np.clip(rng.standard_normal(shape), -0.5, 0.5)
+    return rng.choice([0.0, -0.0, 1.0, -1.0], shape)  # signed zeros
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(3, 60), rows=st.sampled_from([None, 1, 4]),
+       shared=st.booleans(),
+       kind=st.sampled_from(["normal", "steps", "monotone", "clipped", "zeros"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pchip_coefficients_match_scipy(n, rows, shared, kind, seed):
+    # the batched monotone cubic has scipy's bits in every row: its
+    # coefficients, and its values anywhere, the ends and beyond included
+    rng = np.random.default_rng(seed)
+    shape = (n,) if rows is None else (rows, n)
+    y = _pchip_values(kind, shape, rng)
+    x = _jittered_rows(n, 1 if shared else int(np.prod(shape[:-1])), seed)
+    x = x.reshape((n,) if shared else shape)
+    c = pchip_coefficients(x, y)
+    xq = np.concatenate([[-0.05, 0.0], rng.uniform(0.0, 1.0, 30), x.ravel(), [1.0, 1.05]])
+    for i in np.ndindex(shape[:-1]):
+        row_x = x if shared else x[i]
+        ref = PchipInterpolator(row_x, y[i])
+        assert _same_bits(c[i], ref.c)
+        assert _same_bits(PPoly.construct_fast(c[i], row_x)(xq), ref(xq))
