@@ -48,14 +48,13 @@ class KineticsSpec:
 class RateValues:
     """All rate laws at one nutrient level c and their c-derivatives.
 
-    km = kb + kd and kn = kp + kq hold by construction; the derivatives (f_d,
-    kb_d ... kn_d) are built on first read.  Fields may be scalars or arrays
-    depending on the input c.
+    km = kb + kd and kn = kp + kq hold by construction; the consumption F
+    (f_val) and the derivatives (f_d, kb_d ... kn_d) are built on first
+    read.  Fields may be scalars or arrays depending on the input c.
     """
 
     spec: KineticsSpec
     c: object
-    f_val: object
     kb: object
     kd: object
     kp: object
@@ -66,6 +65,12 @@ class RateValues:
     def __post_init__(self):
         object.__setattr__(self, "km", self.kb + self.kd)
         object.__setattr__(self, "kn", self.kp + self.kq)
+
+    @cached_property
+    def f_val(self):
+        if self.spec.family == "affine":
+            return self.spec.lam * self.c
+        return self.spec.lam * self.c / (1.0 + self.c)
 
     @cached_property
     def f_d(self):
@@ -119,18 +124,14 @@ def _check_domain(c):
 
 
 def eval_rates(spec, c):
-    """Evaluate every rate law at nutrient level c; RateValues computes the
-    derivatives when they are first read.
+    """Evaluate every rate law at nutrient level c; RateValues computes F and
+    the derivatives when they are first read.
 
     c may be a scalar or an array; values are broadcast elementwise.
     Raises ValueError if c leaves [0,1] by more than 1e-12 or is NaN.
     """
     c = _check_domain(c)
-    if spec.family == "affine":
-        f_val = spec.lam * c
-    else:  # saturating
-        f_val = spec.lam * c / (1.0 + c)
-    return RateValues(spec, c, f_val=f_val, kb=spec.b_rate * c,
+    return RateValues(spec, c, kb=spec.b_rate * c,
                       kd=spec.d_rate * (1.0 - c), kp=spec.p_rate * c,
                       kq=spec.q_rate * (1.0 - c))
 

@@ -147,7 +147,7 @@ class LinearPropagator:
         grid = ops.grid
         self.nodes = grid.nodes
         h_ref = grid.spacing
-        velocity = _pinned_velocity(ops.u_star)
+        velocity = _pinned_velocity(ops.u_star.interpolator())
         coef = [f.interpolator() for f in (ops.a, ops.b, ops.g_p, ops.rp_prime)]
 
         def rates(i, y):

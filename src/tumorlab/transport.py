@@ -7,15 +7,18 @@ characteristic lines and stay pinned.
 
 Every characteristics integrator takes the same classical 4-stage
 Runge-Kutta step, rk4(rates, y, dt), with its own state tuple y and stage
-rates.  The direct step _rk4 (step, simulate) and picard_solve advance
-(positions, p, z) and re-evaluate the nutrient profile and the velocity
-quadrature at every stage (exact for the affine law, otherwise a
-warm-started solve, z moves slowly).  Picard takes only f and u(1) from
-these stages: it advects with the previous iterate's frame velocity,
-computed once per iteration on the nodes.  pure_transport and
-linearized.LinearPropagator advance (positions,) in a fixed velocity field,
-and the propagator then steps (phi, zeta) along the stage positions it
-recorded.
+rates.  The direct step _rk4 (step, simulate) advances (positions, p, z)
+and re-evaluates the nutrient profile and the velocity quadrature at every
+stage (exact for the affine law, otherwise a warm-started solve, z moves
+slowly).  picard_solve advects with the previous iterate's frame velocity,
+computed once per iteration on the nodes, so its particle positions do not
+depend on the unknown (p, z): per block of steps (up to a regrid, at most
+PICARD_BLOCK_STEPS) it advances (positions,) first, builds the moment
+operators of all their stage positions in one grid.RadialMoments call, and
+then steps (p, z) reading only f and u(1) at those positions.
+pure_transport and linearized.LinearPropagator advance (positions,) in a
+fixed velocity field, and the propagator then steps (phi, zeta) along the
+stage positions it recorded.
 
 Particles drift toward the origin (w < 0 in the interior), so the bundle is
 resampled onto the reference grid with a monotone cubic whenever spacing
@@ -29,10 +32,11 @@ adds the weighted derivative.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PPoly, PchipInterpolator
 
 from .errors import SolverError
-from .grid import RadialField, derivative_values, radial_average, require_same_grid
+from .grid import (RadialField, RadialMoments, derivative_values, pair_moments,
+                   pchip_coefficients, radial_average, require_same_grid)
 from .kinetics import eval_rates
 from .nutrient import affine_c, solve_nutrient
 from .velocity import frame_velocity, radial_velocity
@@ -42,6 +46,8 @@ PICARD_MAX_ITERS = 12
 REGRID_MIN_FACTOR = 0.2
 REGRID_MAX_FACTOR = 2.5
 P_ESCAPE_TOL = 1e-9
+#: most steps in one block of picard_solve; bounds the block's stacked arrays
+PICARD_BLOCK_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -125,8 +131,8 @@ class NutrientCache:
         return sol
 
 
-def _stage_rates(spec, cache, positions, values, z):
-    """w, f and u(1) at the particle positions for the current state.
+def _stage_kinetics(spec, cache, positions, z):
+    """The rate laws at the particle positions for log radius z.
 
     The affine law reads the exact c at the positions; the others
     interpolate the cached nutrient solve.
@@ -135,10 +141,23 @@ def _stage_rates(spec, cache, positions, values, z):
         c = affine_c(spec, z, positions)
     else:
         c = cache.solve(z).c(positions)
-    c = np.clip(c, 0.0, 1.0)
-    rv = eval_rates(spec, c)
-    u = radial_average(rv.g(values), positions)
+    return eval_rates(spec, np.clip(c, 0.0, 1.0))
+
+
+def _stage_rates(spec, cache, positions, values, z, moments=None):
+    """w, f and u(1) at the particle positions for the current state;
+    moments is the positions' RadialMoments when the caller keeps one."""
+    rv = _stage_kinetics(spec, cache, positions, z)
+    u = radial_average(rv.g(values), positions, moments)
     return frame_velocity(u, positions), rv.f(values), u[-1]
+
+
+def _source_rates(spec, cache, positions, moments, values, z, work):
+    """f and u(1) of the state (values, z) at stage positions whose moment
+    operator is moments, a (weights, last, start) row of a RadialMoments;
+    work holds pair_moments' out, pair and tmp buffers."""
+    rv = _stage_kinetics(spec, cache, positions, z)
+    return rv.f(values), pair_moments(rv.g(values), *moments, *work)[-1]
 
 
 def rk4(rates, y, dt):
@@ -156,23 +175,38 @@ def rk4(rates, y, dt):
                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
 
 
-def _guarded(positions, values, z):
-    """Reject non-finite entries, pin the endpoints, reject crossing
-    characteristics and p escaping [0,1], then clip p (all in place)."""
-    for name, a in (("position", positions), ("p", values), ("z", np.atleast_1d(z))):
-        finite = np.isfinite(a)
-        if not finite.all():
-            raise SolverError(f"non-finite {name} at index {finite.argmin()} during step")
+def _require_finite(name, a):
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise SolverError(f"non-finite {name} at index {finite.argmin()} during step")
+
+
+def _guarded_positions(positions):
+    """Reject non-finite positions, pin the endpoints and reject crossing
+    characteristics (in place)."""
+    _require_finite("position", positions)
     positions[0] = 0.0
     positions[-1] = 1.0
     if np.any(np.diff(positions) < -1e-12):
         raise SolverError("characteristic crossing during step")
+    return positions
+
+
+def _guarded_values(values, z):
+    """Reject non-finite entries and p escaping [0,1], then clip p (in place)."""
+    _require_finite("p", values)
+    _require_finite("z", np.atleast_1d(z))
     if np.any(values < -P_ESCAPE_TOL) or np.any(values > 1.0 + P_ESCAPE_TOL):
         raise SolverError(
             f"p escaped [0,1]: range [{values.min():.3e}, {values.max():.3e}]"
         )
     np.clip(values, 0.0, 1.0, out=values)
-    return positions, values, z
+    return values, z
+
+
+def _guarded(positions, values, z):
+    """The post-step guard of positions, p and z."""
+    return (_guarded_positions(positions), *_guarded_values(values, z))
 
 
 def _rk4(spec, cache, positions, values, z, dt):
@@ -183,13 +217,14 @@ def _rk4(spec, cache, positions, values, z, dt):
     return _guarded(*rk4(rates, (positions, values, z), dt))
 
 
-def _pinned_velocity(w_field):
-    """Stage rates of particles (positions,) in the frozen velocity field
-    w_field; the rate is zero at both endpoints, so they stay in place."""
-    wf = w_field.interpolator()
+def _pinned_velocity(*fields):
+    """Stage rates of particles (positions,) in frozen velocity fields,
+    callables of r: stage i reads fields[i], or the one field given reads
+    every stage.  The rate is zero at both endpoints, so they stay in place."""
+    stage_fields = fields * (4 // len(fields))
 
     def rates(i, y):
-        v = wf(y[0])
+        v = stage_fields[i](y[0])
         v[0] = 0.0
         v[-1] = 0.0
         return (v,)
@@ -206,10 +241,21 @@ def regrid(positions, values, nodes):
 
 def on_grid(positions, values, nodes):
     """Particle values (along the last axis) at the nodes: as they are when
-    the particles sit on the nodes, otherwise by the monotone cubic."""
-    if np.array_equal(positions, nodes):
-        return values
-    return PchipInterpolator(positions, values, axis=-1)(nodes)
+    the particles sit on the nodes, otherwise by the monotone cubic.
+
+    positions is one row for every row of values, or one row each; then
+    one batched build (grid.pchip_coefficients) serves every moved row.
+    """
+    if positions.ndim == 1:
+        if np.array_equal(positions, nodes):
+            return values
+        return PchipInterpolator(positions, values, axis=-1)(nodes)
+    out = values.copy()
+    moved = np.flatnonzero(np.any(positions != nodes, axis=-1))
+    coefs = pchip_coefficients(positions[moved], values[moved])
+    for i, c in zip(moved, coefs):
+        out[i] = PPoly.construct_fast(c, positions[i])(nodes)
+    return out
 
 
 def _needs_regrid(positions, h_ref):
@@ -294,7 +340,7 @@ def pure_transport(w_field, q0_field, t_end, dt):
     positions = nodes
     values = q0_field.values
     n_steps = int(round(t_end / dt))
-    rates = _pinned_velocity(w_field)
+    rates = _pinned_velocity(w_field.interpolator())
     sup_series, weighted_series = [], []
 
     def record(positions, values):
@@ -313,6 +359,106 @@ def pure_transport(w_field, q0_field, t_end, dt):
     return np.array(sup_series), np.array(weighted_series)
 
 
+class _FrozenPath:
+    """Pinned stage rates of the steps of picard_solve's frozen path velocity.
+
+    Step k reads the path's velocity w_k at its start (stage 0), the mean
+    0.5 (w_k + w_{k+1}) at stages 1 and 2 and w_{k+1} at stage 3, each
+    through the monotone cubic on the nodes.  The cubics of
+    PICARD_BLOCK_STEPS steps at a time come from two batched builds, of the
+    path states and of the step means.
+    """
+
+    def __init__(self, nodes, path_w):
+        self.nodes = nodes
+        self.path_w = path_w
+        self.first = 0
+        self.ends = self.means = path_w[:0]
+
+    def rates(self, k):
+        j = k - self.first
+        if not 0 <= j < len(self.means):
+            w = self.path_w[k:k + PICARD_BLOCK_STEPS + 1]
+            self.first, j = k, 0
+            self.ends = pchip_coefficients(self.nodes, w)
+            self.means = pchip_coefficients(self.nodes, 0.5 * (w[:-1] + w[1:]))
+        start, mid, end = (PPoly.construct_fast(c, self.nodes)
+                           for c in (self.ends[j], self.means[j], self.ends[j + 1]))
+        return _pinned_velocity(start, mid, mid, end)
+
+
+def _block_positions(frozen, positions, k, n_steps, dt, h_ref):
+    """Advance the particles alone from step k, to their first regrid or
+    for at most PICARD_BLOCK_STEPS steps (or to step n_steps).
+
+    Returns each step's four stage positions (steps, 4, n), its guarded end
+    positions (steps, n) and whether the last step ends in a regrid.
+    """
+    steps = min(PICARD_BLOCK_STEPS, n_steps - k)
+    stage_x = np.empty((steps, 4, positions.size))
+    ends = np.empty((steps, positions.size))
+    for j in range(steps):
+        velocity = frozen.rates(k + j)
+
+        def rates(i, y):
+            stage_x[j, i] = y[0]
+            return velocity(i, y)
+
+        (positions,) = rk4(rates, (positions,), dt)
+        ends[j] = _guarded_positions(positions)
+        if _needs_regrid(positions, h_ref):
+            return stage_x[:j + 1], ends[:j + 1], True
+    return stage_x, ends, False
+
+
+def _picard_sweep(spec, cache, nodes, h_ref, path_w, values, z, dt):
+    """One Picard iterate from (values, z) on the nodes: its p on the nodes
+    and its z at every step, advected by the frozen path velocity path_w.
+
+    The positions depend on path_w alone, so each block of steps takes
+    three passes: the particles move first (_block_positions), one
+    RadialMoments call builds the moment operators of all their stage
+    positions, and then (p, z) steps through the block reading only f and
+    u(1) at those positions.  The block's states go onto the nodes in one
+    batched on_grid.
+    """
+    n_steps = len(path_w) - 1
+    n = nodes.size
+    frozen = _FrozenPath(nodes, path_w)
+    new_p = np.empty((n_steps + 1, n))
+    new_z = np.empty(n_steps + 1)
+    new_p[0], new_z[0] = values, z
+    m = (n - 1) // 2
+    work = (np.empty(n), np.empty((2, m)), np.empty((2, m)))
+    positions = nodes
+    k = 0
+    while k < n_steps:
+        stage_x, ends, regridded = _block_positions(frozen, positions, k,
+                                                    n_steps, dt, h_ref)
+        steps = len(ends)
+        moments = RadialMoments(stage_x.reshape(4 * steps, n))
+        weights, last, start = moments.weights, moments.last, moments.start
+        block_p = new_p[k + 1:k + 1 + steps]
+        for j in range(steps):
+
+            def rates(i, y):
+                r = 4 * j + i
+                op = (weights[r], None if last is None else last[r], start[r])
+                return _source_rates(spec, cache, stage_x[j, i], op, *y, work)
+
+            values, z = _guarded_values(*rk4(rates, (values, z), dt))
+            block_p[j] = values
+            new_z[k + 1 + j] = z
+        positions = ends[-1]
+        if regridded:
+            values = np.clip(regrid(positions, values, nodes), 0.0, 1.0)
+            block_p[-1] = values
+            ends[-1] = positions = nodes
+        block_p[:] = np.clip(on_grid(ends, block_p, nodes), 0.0, 1.0)
+        k += steps
+    return new_p, new_z
+
+
 def picard_solve(initial, t_end, dt, spec, reference, mu, tol=1e-10,
                  output_every=0.1):
     """Iterated frozen-velocity solves converging to the nonlinear solution.
@@ -322,7 +468,10 @@ def picard_solve(initial, t_end, dt, spec, reference, mu, tol=1e-10,
     is computed once per iteration, on the nodes, for every state of V^n;
     stage 0 of a step reads it at the step's start, stages 1 and 2 at the
     mean of the step's two ends and stage 3 at its end, each through a
-    monotone cubic pinned to zero at both endpoints.  V^0 is the initial
+    monotone cubic pinned to zero at both endpoints.  The positions thus
+    depend on V^n alone: each block of steps moves its particles first, then
+    builds their stage moment operators in one batch, then steps (p, z)
+    (_picard_sweep).  V^0 is the initial
     perturbation decayed at rate mu.  Stops when a distance falls below tol,
     or after PICARD_MAX_ITERS iterates.  Returns the final trajectory and the
     weighted sup distances d(V^{n+1}, V^n) = sup_t e^{mu t} ||difference||_X.
@@ -333,7 +482,7 @@ def picard_solve(initial, t_end, dt, spec, reference, mu, tol=1e-10,
     grid = require_same_grid(initial.p, reference.p_star)
     nodes = grid.nodes
     cache = NutrientCache(spec, grid)
-    h_ref = grid.spacing
+    node_moments = RadialMoments(nodes)
     n_steps, recorded = output_steps(t_end, dt, output_every)
     path_times = initial.t + dt * np.arange(n_steps + 1)
 
@@ -344,37 +493,14 @@ def picard_solve(initial, t_end, dt, spec, reference, mu, tol=1e-10,
     path_p = reference.p_star.values + decay[:, None] * dp0
     path_z = reference.z_star + decay * dz0
 
-    def frozen(w):
-        return _pinned_velocity(RadialField(grid, w))
-
-    def rates(i, y):
-        # w from V^n at stage i's point of the step (stage_w), f and u(1)
-        # from the current unknown
-        _, f, u1 = _stage_rates(spec, cache, *y)
-        return stage_w[i](i, y)[0], f, u1
-
     distances = []
     increases = 0
     for _ in range(PICARD_MAX_ITERS):
-        path_w = [_stage_rates(spec, cache, nodes, p, z)[0]
-                  for p, z in zip(path_p, path_z)]
-        positions = nodes
-        values = initial.p.values
-        z = initial.z
-        new_p = np.empty_like(path_p)
-        new_z = np.empty_like(path_z)
-        new_p[0], new_z[0] = values, z
-        end = frozen(path_w[0])
-        for k in range(n_steps):
-            mid = frozen(0.5 * (path_w[k] + path_w[k + 1]))
-            start, end = end, frozen(path_w[k + 1])
-            stage_w = (start, mid, mid, end)
-            positions, values, z = _guarded(*rk4(rates, (positions, values, z), dt))
-            if _needs_regrid(positions, h_ref):
-                values = np.clip(regrid(positions, values, nodes), 0.0, 1.0)
-                positions = nodes
-            new_p[k + 1] = np.clip(on_grid(positions, values, nodes), 0.0, 1.0)
-            new_z[k + 1] = z
+        path_w = np.empty_like(path_p)
+        for k, (p, z) in enumerate(zip(path_p, path_z)):
+            path_w[k] = _stage_rates(spec, cache, nodes, p, z, node_moments)[0]
+        new_p, new_z = _picard_sweep(spec, cache, nodes, grid.spacing, path_w,
+                                     initial.p.values, initial.z, dt)
         p_dev, _, z_dev = deviation(grid, new_p, new_z, path_p, path_z)
         d = float(np.max(np.exp(mu * (path_times - initial.t)) * (p_dev + z_dev)))
         distances.append(d)

@@ -6,7 +6,7 @@ import pytest
 import tumorlab.transport as transport
 from tumorlab.experiments import (PICARD_RATE, RunConfig, initial_state,
                                   stationary_for)
-from tumorlab.grid import RadialField, RadialGrid
+from tumorlab.grid import RadialField, RadialGrid, RadialMoments
 from tumorlab.errors import SolverError
 from tumorlab.kinetics import KineticsSpec, RateValues
 from tumorlab.linearized import (build_operators, decay_ensemble,
@@ -70,6 +70,19 @@ def test_deviation_batch_matches_rows(rng):
         assert one == tuple(term[m] for term in batch)
 
 
+def test_on_grid_rows_match_one_row_each(rng):
+    # one row of positions per row of values gives each row what on_grid
+    # gives it alone; a row whose particles sit on the nodes stays as it is
+    nodes = np.linspace(0.0, 1.0, 101)
+    positions = np.tile(nodes, (4, 1))
+    positions[:3, 1:-1] += rng.uniform(-0.3, 0.3, (3, 99)) / 100
+    values = rng.standard_normal((4, 101))
+    batch = transport.on_grid(positions, values, nodes)
+    for row_x, row_v, got in zip(positions, values, batch):
+        assert np.array_equal(got, transport.on_grid(row_x, row_v, nodes))
+    assert np.array_equal(batch[3], values[3])
+
+
 def test_simulate_records_expected_rows(stationary201, default_spec):
     r = stationary201.grid.nodes
     p0 = np.clip(stationary201.p_star.values + 1e-3 * r * (1 - r), 0, 1)
@@ -101,18 +114,26 @@ def test_picard_rejects_large_dt(stationary201, default_spec):
         simulate(init, 0.04, 0.02, default_spec, stationary201)
 
 
-def test_picard_stage_budget(monkeypatch, stationary201, default_spec):
-    # one stage-rate call per Runge-Kutta stage, plus one per state of the
-    # frozen path for its velocity, in every iteration
-    calls = 0
-    stage_rates = transport._stage_rates
+def _counting(monkeypatch, name, counts, size=lambda *args: 1):
+    # replace transport.<name> by a wrapper that appends size(*args) per call
+    original = getattr(transport, name)
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
-        return stage_rates(*args)
+        counts.append(size(*args))
+        return original(*args)
 
-    monkeypatch.setattr(transport, "_stage_rates", counted)
+    monkeypatch.setattr(transport, name, counted)
+
+
+def test_picard_stage_budget(monkeypatch, stationary201, default_spec):
+    # per iteration: the frame velocity of every state of the frozen path on
+    # the nodes, f and u(1) at each Runge-Kutta stage, and one batched
+    # moment build per block of steps, besides the nodes' one per solve
+    node_velocity, stages, regrids, builds = [], [], [], []
+    _counting(monkeypatch, "_stage_rates", node_velocity)
+    _counting(monkeypatch, "_source_rates", stages)
+    _counting(monkeypatch, "regrid", regrids)
+    _counting(monkeypatch, "RadialMoments", builds, np.shape)
     r = stationary201.grid.nodes
     p0 = np.clip(stationary201.p_star.values + 1e-2 * np.sin(np.pi * r), 0, 1)
     init = TumorState(t=0.0, p=RadialField(stationary201.grid, p0),
@@ -120,27 +141,43 @@ def test_picard_stage_budget(monkeypatch, stationary201, default_spec):
     n_steps = 10
     _, distances = picard_solve(init, n_steps * 1e-2, 1e-2, default_spec,
                                 stationary201, mu=0.07)
-    assert calls == len(distances) * (5 * n_steps + 1)
+    iterations = len(distances)
+    assert len(node_velocity) == iterations * (n_steps + 1)
+    assert len(stages) == iterations * 4 * n_steps
+    # no regrid this early, so the blocks split only at PICARD_BLOCK_STEPS
+    assert not regrids
+    blocks = -(-n_steps // transport.PICARD_BLOCK_STEPS)
+    assert builds[0] == r.shape
+    assert len(builds) == 1 + iterations * blocks
+    assert sum(rows for rows, _ in builds[1:]) == iterations * 4 * n_steps
 
 
 @pytest.mark.parametrize("family", ["affine", "saturating"])
 def test_stage_reads_no_rate_derivative(monkeypatch, family):
-    # a stage reads f and g of the rates only, so none of the lazily built
-    # c-derivatives may be computed on its behalf
+    # a stage reads f and g of the rates only, so neither the consumption F
+    # nor any of the c-derivatives, all built lazily, may be computed on
+    # its behalf
     spec = KineticsSpec(family=family)
     ref = stationary_for(spec, 201)
     cache = transport.NutrientCache(spec, ref.grid)
     cache.solve(ref.z_star)  # the Newton solve itself reads F'(c)
 
     def unread(self):
-        raise AssertionError("a stage read a rate derivative")
+        raise AssertionError("a stage read F or a rate derivative")
 
-    for name in ("f_d", "kb_d", "kd_d", "kp_d", "kq_d", "km_d", "kn_d"):
+    for name in ("f_val", "f_d", "kb_d", "kd_d", "kp_d", "kq_d", "km_d", "kn_d"):
         monkeypatch.setattr(RateValues, name, property(unread))
     x = ref.grid.nodes + 0.1 * ref.grid.spacing * np.sin(np.arange(201))
     x[0], x[-1] = 0.0, 1.0
-    w, f, u1 = transport._stage_rates(spec, cache, x, ref.p_star.values, ref.z_star)
+    p = ref.p_star.values
+    w, f, u1 = transport._stage_rates(spec, cache, x, p, ref.z_star)
     assert w.shape == f.shape == x.shape and np.isfinite(u1)
+    # Picard's stage, on the same positions' moment operator
+    op = RadialMoments(x)
+    work = (np.empty(201), np.empty((2, 100)), np.empty((2, 100)))
+    f_picard, u1_picard = transport._source_rates(
+        spec, cache, x, (op.weights, op.last, op.start), p, ref.z_star, work)
+    assert np.array_equal(f_picard, f) and u1_picard == u1
 
 
 @pytest.mark.parametrize("entry,bad,fill", [("position", [7], np.nan),
@@ -192,10 +229,12 @@ def _trajectory_arrays(traj):
 
 def _integrator_outputs(sol, spec):
     """Short runs of the six characteristics integrators on a 201-node
-    stationary state, each reduced to the list of its output arrays.
+    stationary state, each reduced to the list of its output arrays, and
+    the number of regrids in picard_solve.
 
     The horizons are chosen so that simulate, pure_transport and
-    LinearPropagator each regrid at least once.
+    LinearPropagator each regrid at least once, and picard_solve in every
+    iteration.
     """
     grid = sol.grid
     r = grid.nodes
@@ -203,7 +242,10 @@ def _integrator_outputs(sol, spec):
     init = TumorState(t=0.0, p=RadialField(grid, p0), z=sol.z_star + 1e-3)
     ops = build_operators(sol, spec)
     after = step(init, 1e-2, spec)
-    traj, distances = picard_solve(init, 1.0, 1e-2, spec, sol, mu=0.07)
+    picard_regrids = []
+    with pytest.MonkeyPatch.context() as mp:
+        _counting(mp, "regrid", picard_regrids)
+        traj, distances = picard_solve(init, 1.0, 1e-2, spec, sol, mu=0.07)
     sup, weighted = pure_transport(
         sol.u_star, RadialField(grid, np.sin(3 * r) + 0.2), 3.0, 1e-2)
     linear = solve_linearized(
@@ -217,7 +259,7 @@ def _integrator_outputs(sol, spec):
         "solve_linearized": _trajectory_arrays(linear),
         "decay_ensemble": [[(f.mu_fit, f.K_fit, f.r2, f.decades)
                             for pair in fits for f in pair]],
-    }
+    }, len(picard_regrids)
 
 
 # SHA-256 of each integrator's output arrays (float64 bytes), recorded with
@@ -258,6 +300,8 @@ def test_integrators_bit_identical(stationary201, default_spec):
     CHANGES.md.  Another numpy or scipy build may round differently and
     change them too.
     """
-    outputs = _integrator_outputs(stationary201, default_spec)
+    outputs, picard_regrids = _integrator_outputs(stationary201, default_spec)
     got = {name: _digest(*arrays) for name, arrays in outputs.items()}
     assert got == INTEGRATOR_DIGESTS
+    # Picard's blocks end at a regrid at least once in every iteration
+    assert picard_regrids >= len(outputs["picard_solve"][-1])
