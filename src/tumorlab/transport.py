@@ -373,7 +373,7 @@ class _FrozenPath:
         self.nodes = nodes
         self.path_w = path_w
         self.first = 0
-        self.ends = self.means = path_w[:0]
+        self.ends = self.means = ()  # built on the first call
 
     def rates(self, k):
         j = k - self.first
