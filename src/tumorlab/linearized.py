@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PchipInterpolator  # noqa: F401 (bench/spans.py patches it)
 from scipy.linalg import solve_banded
 
 from .grid import (RadialField, RadialMoments, derivative_values,
@@ -28,7 +28,8 @@ from .grid import (RadialField, RadialMoments, derivative_values,
 from .kinetics import eval_rates
 from .simmaps import _random_smooth, build_fstar
 from .transport import (Trajectory, _needs_regrid, _pinned_velocity,
-                        deviation, on_grid, output_steps, rk4, trajectory)
+                        deviation, on_grid, output_steps, regrid, rk4,
+                        trajectory)
 
 RESOLVENT_DS = 5e-4
 LAPLACE_DT = 5e-3  # time step of the Laplace-transform quadrature
@@ -216,7 +217,7 @@ class LinearPropagator:
             phi, zeta = rk4(rates, (phi, zeta), dt)
             k_cycle += 1
             if k_cycle == self.cycle_len:
-                phi = PchipInterpolator(end_pos, phi, axis=1)(self.nodes)
+                phi = regrid(end_pos, phi, self.nodes)
                 k_cycle = 0
                 end_pos = self.nodes
             if k == recorded[j]:

@@ -32,7 +32,8 @@ adds the weighted derivative.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PPoly, PchipInterpolator
+from scipy.interpolate import PPoly
+from scipy.interpolate import PchipInterpolator  # noqa: F401 (bench/spans.py patches it)
 
 from .errors import SolverError
 from .grid import (RadialField, RadialMoments, derivative_values, pair_moments,
@@ -232,11 +233,20 @@ def _pinned_velocity(*fields):
     return rates
 
 
+def _pchip_at(positions, values, nodes):
+    """The monotone cubic through values (last axis, one row or many) at one
+    row of positions, evaluated at the nodes: one grid.pchip_coefficients
+    build, bit for bit PchipInterpolator(positions, values, axis=-1)(nodes)."""
+    c = pchip_coefficients(positions, values)
+    cubic = PPoly.construct_fast(np.moveaxis(c, (-2, -1), (0, 1)), positions)
+    return np.moveaxis(cubic(nodes), 0, -1)
+
+
 def regrid(positions, values, nodes):
     """Resample particle values onto the nodes (monotone cubic)."""
     if np.any(np.diff(positions) <= 0):
         raise SolverError("non-monotone particle positions in regrid")
-    return PchipInterpolator(positions, values)(nodes)
+    return _pchip_at(positions, values, nodes)
 
 
 def on_grid(positions, values, nodes):
@@ -249,7 +259,7 @@ def on_grid(positions, values, nodes):
     if positions.ndim == 1:
         if np.array_equal(positions, nodes):
             return values
-        return PchipInterpolator(positions, values, axis=-1)(nodes)
+        return _pchip_at(positions, values, nodes)
     out = values.copy()
     moved = np.flatnonzero(np.any(positions != nodes, axis=-1))
     coefs = pchip_coefficients(positions[moved], values[moved])

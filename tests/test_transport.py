@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 import tumorlab.transport as transport
 from tumorlab.experiments import (PICARD_RATE, RunConfig, initial_state,
@@ -81,6 +82,19 @@ def test_on_grid_rows_match_one_row_each(rng):
     for row_x, row_v, got in zip(positions, values, batch):
         assert np.array_equal(got, transport.on_grid(row_x, row_v, nodes))
     assert np.array_equal(batch[3], values[3])
+
+
+def test_one_row_resamples_match_scipy(rng):
+    # on_grid and regrid over one row of positions give scipy's monotone
+    # cubic bit for bit, for one row of values and for a batch
+    nodes = np.linspace(0.0, 1.0, 101)
+    positions = nodes.copy()
+    positions[1:-1] += rng.uniform(-0.3, 0.3, 99) / 100
+    values = rng.standard_normal((4, 101))
+    for v in (values, values[0]):
+        want = PchipInterpolator(positions, v, axis=-1)(nodes)
+        assert np.array_equal(transport.on_grid(positions, v, nodes), want)
+        assert np.array_equal(transport.regrid(positions, v, nodes), want)
 
 
 def test_simulate_records_expected_rows(stationary201, default_spec):
