@@ -9,7 +9,8 @@ where a is the p-derivative of the reaction term at the stationary profile,
 b collects the nutrient sensitivity c_z, B is the nonlocal velocity-feedback
 operator and F / kappa drive the log-radius.  This module assembles those
 coefficients from a stationary solution, integrates the linear system along
-the frozen stationary characteristics (each Runge-Kutta stage one folded
+the frozen stationary characteristics (four-step Adams-Bashforth after three
+Runge-Kutta steps that restart each regrid cycle, every rate one folded
 operator over grid.pair_moments), fits exponential decay rates
 to norm series, and implements the explicit resolvent of the scalar transport
 operator q -> -w q' + a q in the travel-time coordinate of w, together with
@@ -36,6 +37,9 @@ LAPLACE_DT = 5e-3  # time step of the Laplace-transform quadrature
 ENSEMBLE_AMPLITUDE = 1e-2
 FIT_WINDOW_FRACTION = 0.7
 FIT_R2_MIN = 0.98
+#: RK4 steps that open each regrid cycle of LinearPropagator, filling the
+#: history of its four-step Adams-Bashforth steps
+STARTUP_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -135,9 +139,18 @@ class LinearPropagator:
     """Characteristics integrator for the linearized system at fixed dt.
 
     The advecting field u_* is frozen, so the particle positions repeat the
-    same cycle between regrids; its stages (_FoldedStage) are built once and
+    same cycle between regrids, and the rate of (phi, zeta) at a stage of
+    the cycle is one fixed linear operator (_FoldedStage), built once and
     shared by steps and ensemble members, advanced together as rows of a
-    matrix.  records streams the recorded states, so a caller that reduces
+    matrix.  The first STARTUP_STEPS steps of a cycle are classical
+    Runge-Kutta steps; every later one is four-step Adams-Bashforth,
+
+        y += dt/24 (55 f_n - 59 f_{n-1} + 37 f_{n-2} - 9 f_{n-3}),
+
+    with f_k the rate at the start of step k (the first stage of an RK4
+    step), so it applies one operator where RK4 applies four.  The history
+    starts empty at t = 0 and at every regrid, so one cycle is one fixed
+    map.  records streams the recorded states, so a caller that reduces
     each one (decay_ensemble) never holds the whole run; run collects them
     into arrays.
     """
@@ -152,7 +165,9 @@ class LinearPropagator:
         coef = [f.interpolator() for f in (ops.a, ops.b, ops.g_p, ops.rp_prime)]
 
         def rates(i, y):
-            stages.append(_FoldedStage(y[0], coef))
+            # every stage of an RK4 step, the start alone of an AB4 step
+            if i == 0 or len(self.steps) < STARTUP_STEPS:
+                stages.append(_FoldedStage(y[0], coef))
             return velocity(i, y)
 
         # one (folded stages, end positions) pair per step of the cycle
@@ -167,17 +182,19 @@ class LinearPropagator:
         self.cycle_len = len(self.steps)
 
     def _workspace(self, rows):
-        """One records call's buffers per RK stage: moments, pair integrals,
-        their scratch and (M(1), zeta), shared, and the stage's own dphi."""
+        """One records call's buffers: the moments, pair integrals, their
+        scratch and (M(1), zeta), shared by the stages, and one dphi per
+        stage, stacked: four for the rates of the Adams-Bashforth history,
+        then one for each of an RK4 step's last three stages."""
         n = self.nodes.size
         m = (n - 1) // 2
         shared = (np.empty((rows, n)), np.empty((rows, 2, m)),
                   np.empty((rows, 2, m)), np.empty((rows, 2)))
-        return [shared + (np.empty((rows, n)),) for _ in range(4)]
+        return shared, np.empty((7, rows, n))
 
     def _stage_rate(self, st, phi, zeta):
-        """(dphi, dzeta) of a state; st pairs a _FoldedStage with a buffer
-        tuple of _workspace."""
+        """(dphi, dzeta) of a state; st pairs a _FoldedStage with the
+        shared buffers of _workspace plus one dphi buffer."""
         op, (moment, pair, tmp, fz, dphi) = st
         pair_moments(phi, op.weights, op.last, op.start, moment, pair, tmp)
         fz[:, 0] = moment[:, -1]
@@ -205,18 +222,34 @@ class LinearPropagator:
         phi = np.atleast_2d(np.asarray(phi0, dtype=float))
         zeta = np.atleast_1d(np.asarray(zeta0, dtype=float)).copy()
         yield 0, self.nodes, phi.copy(), zeta
-        work = self._workspace(phi.shape[0])
+        shared, dphi = self._workspace(phi.shape[0])
+        # the rates at the last four step starts, step k's in slot k % 4
+        ring = dphi[:4].reshape(4, -1)
+        dzeta = np.empty((4, phi.shape[0]))
+        # weights of the slots at step k: 55, -59, 37, -9 from slot k % 4 back
+        ab4 = [dt / 24.0 * np.roll((55.0, -9.0, 37.0, -59.0), s) for s in range(4)]
         j = 1
         k_cycle = 0
 
         def rates(i, y):
-            return self._stage_rate((stages[i], work[i]), *y)
+            slot = k % 4 if i == 0 else 3 + i
+            f = self._stage_rate((stages[i], shared + (dphi[slot],)), *y)
+            if i == 0:
+                dzeta[slot] = f[1]
+            return f
 
         for k in range(1, n_steps + 1):
             stages, end_pos = self.steps[k_cycle]
-            phi, zeta = rk4(rates, (phi, zeta), dt)
+            if k_cycle < STARTUP_STEPS:
+                phi, zeta = rk4(rates, (phi, zeta), dt)
+            else:
+                rates(0, (phi, zeta))
+                w = ab4[k % 4]
+                phi = phi + (w @ ring).reshape(phi.shape)
+                zeta = zeta + w @ dzeta
             k_cycle += 1
             if k_cycle == self.cycle_len:
+                # the next cycle starts its history afresh
                 phi = regrid(end_pos, phi, self.nodes)
                 k_cycle = 0
                 end_pos = self.nodes

@@ -18,7 +18,8 @@ operators of all their stage positions in one grid.RadialMoments call, and
 then steps (p, z) reading only f and u(1) at those positions.
 pure_transport and linearized.LinearPropagator advance (positions,) in a
 fixed velocity field, and the propagator then steps (phi, zeta) along the
-stage positions it recorded.
+positions it recorded: rk4 for the first steps of each regrid cycle, then
+four-step Adams-Bashforth.
 
 Particles drift toward the origin (w < 0 in the interior), so the bundle is
 resampled onto the reference grid with a monotone cubic whenever spacing

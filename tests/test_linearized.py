@@ -3,11 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_simpson
+from scipy.integrate import cumulative_simpson, simpson
 
 import tumorlab.linearized as linearized
 from tumorlab.experiments import stationary_for
 from tumorlab.grid import RadialField, RadialMoments
+from tumorlab.simmaps import build_fstar
 from tumorlab.linearized import (ENSEMBLE_AMPLITUDE, LinearPropagator,
                                  apply_B, apply_F, build_operators,
                                  decay_ensemble, fit_decay, fit_window,
@@ -65,7 +66,7 @@ def test_solver_is_linear_in_initial_data(operators801, rng):
 
 def test_stage_moments_match_simpson(operators201, default_spec, monkeypatch):
     # every stage's moment operator is composite Simpson on v rho^2 away from
-    # the origin start, and at every stage of a cycle the folded rate equals
+    # the origin start, and at every stage the cycle builds the folded rate equals
     # a phi + rp (M(1) - r^-3 M(g_p phi)) + b zeta to rounding, with an even
     # (200 nodes) and an odd (201) interval count; the folded cycle is
     # smaller than the per-stage a, b, g_p, rp, Simpson weights and r^-3 it
@@ -83,7 +84,9 @@ def test_stage_moments_match_simpson(operators201, default_spec, monkeypatch):
     for ops in (op200, operators201):
         built.clear()
         prop = LinearPropagator(ops, 1e-2)
-        assert len(built) == 4 * prop.cycle_len
+        # four stages for each of the three RK4 start-up steps, the step
+        # start alone for every Adams-Bashforth step
+        assert len(built) == prop.cycle_len + 9
         coef = [f.interpolator() for f in (ops.a, ops.b, ops.g_p, ops.rp_prime)]
         folded_bytes = unfolded_bytes = 0
         for st, x in built:
@@ -104,7 +107,8 @@ def test_stage_moments_match_simpson(operators201, default_spec, monkeypatch):
                 b_op = rp * (full[:, None] - third)
                 b_op[:, 0] = 0.0
                 want = a * phi + b_op + b * zeta[:, None]
-                dphi, dzeta = prop._stage_rate((st, prop._workspace(rows)[0]), phi, zeta)
+                shared, buffers = prop._workspace(rows)
+                dphi, dzeta = prop._stage_rate((st, shared + (buffers[0],)), phi, zeta)
                 assert np.max(np.abs(dphi - want)) <= 1e-13 * np.max(np.abs(want))
                 # M(1) and kappa zeta may cancel: the bound is on their size
                 scale = np.max(np.abs(full) + abs(ops.kappa) * np.abs(zeta))
@@ -113,6 +117,51 @@ def test_stage_moments_match_simpson(operators201, default_spec, monkeypatch):
                                 if isinstance(arr, np.ndarray))
             unfolded_bytes += 5 * x.nbytes + radial.weights.nbytes
         assert folded_bytes < unfolded_bytes
+
+
+def test_propagator_matches_decoupled_semigroup(operators201):
+    # with b = rp' = 0 a particle's value obeys phi' = a(X) phi alone, so in
+    # a regrid cycle it is its node value at the cycle's start times
+    # exp(int_0^tau a(X(s)) ds), X(s) = finv(fstar(node) - s) in the
+    # travel-time coordinate of u_*.  Checked 50 steps into the first
+    # cycle (t = 0.5) and into the second, where a history carried over the
+    # regrid is 2e-4 off and an Adams-Bashforth weight of 36 for 37 is
+    # 4e-3 off; the error left is the fields' interpolation, as large
+    # with RK4 steps.
+    grid = operators201.grid
+    zero = RadialField(grid, np.zeros(grid.size))
+    ops = dataclasses.replace(operators201, b=zero, rp_prime=zero)
+    table = build_fstar(ops.u_star)
+    dt = 1e-2
+    prop = LinearPropagator(ops, dt)
+    cycle = prop.cycle_len
+    f_nodes = table.fstar(grid.nodes[1:-1])
+    s = 50 * dt * np.linspace(0.0, 1.0, 501)
+    growth = np.exp(simpson(ops.a(table.finv(f_nodes[:, None] - s)), x=s, axis=1))
+    errors = []
+    for j, _, phi, _ in prop.records(np.cos(3 * grid.nodes), 0.0,
+                                     (cycle + 50) * dt, output_every=dt):
+        if j % cycle == 0:
+            start = phi[0, 1:-1]
+        elif j % cycle == 50:
+            errors.append(np.max(np.abs(phi[0, 1:-1] - start * growth)))
+    assert len(errors) == 2
+    assert errors[0] <= 2e-7
+    assert errors[1] <= 1e-7
+
+
+def test_records_never_mutate_a_yielded_state(operators201, rng):
+    # records hands out its arrays: every state it yielded stays as it was
+    # through the RK4 start-ups, the Adams-Bashforth steps and a regrid
+    prop = LinearPropagator(operators201, 1e-2)
+    phi0 = rng.standard_normal((3, operators201.grid.size))
+    held = []
+    for _, *state in prop.records(phi0, rng.standard_normal(3),
+                                  (prop.cycle_len + 10) * 1e-2, output_every=1e-2):
+        held.append((state, [a.copy() for a in state]))
+    assert len(held) == prop.cycle_len + 11
+    for state, copies in held:
+        assert all(np.array_equal(a, c) for a, c in zip(state, copies))
 
 
 def test_ensemble_memory_does_not_grow_with_horizon(operators201):
