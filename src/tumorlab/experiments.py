@@ -23,7 +23,7 @@ from .grid import RadialGrid, RadialField
 from .kinetics import KineticsSpec
 from .linearized import DecayReport, fit_decay
 from .stationary import solve_stationary
-from .transport import TumorState, picard_solve, simulate
+from .transport import TumorState, _check_dt, picard_solve, simulate
 
 SHAPE_IDS = ("poly", "sine", "bump")
 SOLVERS = ("direct", "picard")
@@ -75,6 +75,10 @@ class RunConfig:
         for name in ("dt", "t_end", "output_every"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        try:
+            _check_dt(self.dt)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not 0.0 <= self.epsilon <= 0.1:
             raise ConfigError("epsilon must lie in [0, 0.1]")
         if self.shape not in SHAPE_IDS:

@@ -28,9 +28,9 @@ from .grid import (RadialField, RadialMoments, derivative_values,
                    pair_moments, radial_average, require_same_grid)
 from .kinetics import eval_rates
 from .simmaps import _random_smooth, build_fstar
-from .transport import (Trajectory, _needs_regrid, _pinned_velocity,
-                        deviation, on_grid, output_steps, regrid, rk4,
-                        trajectory)
+from .transport import (Trajectory, _check_dt, _needs_regrid,
+                        _pinned_velocity, deviation, on_grid, output_steps,
+                        regrid, rk4, trajectory)
 
 RESOLVENT_DS = 5e-4
 LAPLACE_DT = 5e-3  # time step of the Laplace-transform quadrature
@@ -156,6 +156,7 @@ class LinearPropagator:
     """
 
     def __init__(self, ops, dt):
+        _check_dt(dt)
         self.ops = ops
         self.dt = dt
         grid = ops.grid

@@ -44,6 +44,14 @@ def test_malformed_config_exits_3(tmp_path):
     assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG_ERROR
 
 
+def test_config_step_above_bound_exits_3(tmp_path, capsys):
+    # a step above transport.DT_MAX is a config error, not a traceback
+    path = tmp_path / "coarse.cfg"
+    path.write_text("dt = 0.05\n")
+    assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert "DT_MAX" in capsys.readouterr().err
+
+
 def test_stationary_and_simulate(tmp_path, small_config_file, stationary201,
                                  capsys):
     assert main(["stationary", "--config", small_config_file,

@@ -37,6 +37,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(t_end=-1.0)
     with pytest.raises(ConfigError):
+        RunConfig(dt=0.05)  # above transport.DT_MAX
+    with pytest.raises(ConfigError):
         config_from_text("epsilon 0.1\n")
 
 

@@ -164,6 +164,11 @@ def test_records_never_mutate_a_yielded_state(operators201, rng):
         assert all(np.array_equal(a, c) for a, c in zip(state, copies))
 
 
+def test_propagator_rejects_steps_above_bound(operators201):
+    with pytest.raises(ValueError, match="DT_MAX"):
+        decay_ensemble(operators201, n_runs=1, t_end=1.0, dt=2e-2)
+
+
 def test_ensemble_memory_does_not_grow_with_horizon(operators201):
     # the ensemble streams its states: a four times longer run holds only
     # a few more series samples, not one more snapshot per recorded step
