@@ -234,33 +234,28 @@ def _pinned_velocity(*fields):
     return rates
 
 
-def _pchip_at(positions, values, nodes):
-    """The monotone cubic through values (last axis, one row or many) at one
-    row of positions, evaluated at the nodes: one grid.pchip_coefficients
-    build, bit for bit PchipInterpolator(positions, values, axis=-1)(nodes)."""
-    c = pchip_coefficients(positions, values)
-    cubic = PPoly.construct_fast(np.moveaxis(c, (-2, -1), (0, 1)), positions)
-    return np.moveaxis(cubic(nodes), 0, -1)
-
-
 def regrid(positions, values, nodes):
-    """Resample particle values onto the nodes (monotone cubic)."""
+    """Resample particle values (along the last axis) onto the nodes
+    (monotone cubic)."""
     if np.any(np.diff(positions) <= 0):
         raise SolverError("non-monotone particle positions in regrid")
-    return _pchip_at(positions, values, nodes)
+    return on_grid(positions, values, nodes)
 
 
 def on_grid(positions, values, nodes):
     """Particle values (along the last axis) at the nodes: as they are when
     the particles sit on the nodes, otherwise by the monotone cubic.
 
-    positions is one row for every row of values, or one row each; then
-    one batched build (grid.pchip_coefficients) serves every moved row.
+    positions is one row for every row of values, or one row each; either
+    way one grid.pchip_coefficients build serves every moved row, bit for
+    bit scipy's PchipInterpolator.
     """
     if positions.ndim == 1:
         if np.array_equal(positions, nodes):
             return values
-        return _pchip_at(positions, values, nodes)
+        c = pchip_coefficients(positions, values)
+        cubic = PPoly.construct_fast(np.moveaxis(c, (-2, -1), (0, 1)), positions)
+        return np.moveaxis(cubic(nodes), 0, -1)
     out = values.copy()
     moved = np.flatnonzero(np.any(positions != nodes, axis=-1))
     coefs = pchip_coefficients(positions[moved], values[moved])
