@@ -8,12 +8,12 @@ from scipy.integrate import cumulative_simpson, simpson
 import tumorlab.linearized as linearized
 from tumorlab.experiments import stationary_for
 from tumorlab.grid import RadialField, RadialMoments
-from tumorlab.simmaps import build_fstar
 from tumorlab.linearized import (ENSEMBLE_AMPLITUDE, LinearPropagator,
                                  apply_B, apply_F, build_operators,
                                  decay_ensemble, fit_decay, fit_window,
                                  laplace_consistency, random_smooth_field,
                                  resolvent_apply, solve_linearized)
+from tumorlab.simmaps import build_fstar
 from tumorlab.transport import output_steps, trajectory
 
 
@@ -124,10 +124,10 @@ def test_propagator_matches_decoupled_semigroup(operators201):
     # a regrid cycle it is its node value at the cycle's start times
     # exp(int_0^tau a(X(s)) ds), X(s) = finv(fstar(node) - s) in the
     # travel-time coordinate of u_*.  Checked 50 steps into the first
-    # cycle (t = 0.5) and into the second, where a history carried over the
-    # regrid is 2e-4 off and an Adams-Bashforth weight of 36 for 37 is
-    # 4e-3 off; the error left is the fields' interpolation, as large
-    # with RK4 steps.
+    # cycle (t = 0.5), where an Adams-Bashforth weight of 36 for 37 is 1e-2
+    # off, and into the second, where a history carried over the regrid is
+    # 2e-4 off; the error left is the fields' interpolation, as large with
+    # RK4 steps.
     grid = operators201.grid
     zero = RadialField(grid, np.zeros(grid.size))
     ops = dataclasses.replace(operators201, b=zero, rp_prime=zero)
