@@ -15,7 +15,9 @@ an exact cubic start.  RadialMoments holds its weights for one set of
 positions, built in closed form (no SVD; r^-3 only on demand), or for
 stacked rows of positions in one call, each row with the bits of its own
 build; radial_average is a thin function over it, and each linearized stage
-folds g_p into a copy of them (linearized._FoldedStage).
+folds g_p into a copy of them (linearized._FoldedStage).  pair_moments is
+batch-invariant: a row of v gets the same bits alone as in any batch, with
+one shared operator or one per row, so a caller may stack rows freely.
 """
 
 from dataclasses import dataclass, field
@@ -202,27 +204,25 @@ def pair_moments(v, weights, last, start, out, pair, tmp):
     is one for every row of v, or one per row (leading axes).  Past x_4
     each even node is a cumulative sum of pair totals, and each odd node
     adds its pair's first interval to the even node before it.
+
+    Every operation is elementwise or a sum along one row, so a row has the
+    same bits alone as in any batch.  The start and the odd last interval
+    are einsum sums over the columns for that reason: a matmul's bits
+    depend on how many rows share the call and on how its operands are
+    stored.
     """
     k = start.shape[-1]
     n2 = 2 * weights.shape[-1]
     np.multiply(v[..., None, 0:n2:2], weights[..., 0, :, :], out=pair)
     pair += np.multiply(v[..., None, 1:n2:2], weights[..., 1, :, :], out=tmp)
     pair += np.multiply(v[..., None, 2:n2 + 1:2], weights[..., 2, :, :], out=tmp)
-    per_row = start.ndim > 2  # then a vector-matrix product per row
-    if per_row:
-        out[..., :k] = (v[..., None, :k] @ start.swapaxes(-1, -2))[..., 0, :]
-    else:
-        out[..., :k] = v[..., :k] @ start.T
+    out[..., :k] = np.einsum("...j,...ij->...i", v[..., :k], start)
     if out.shape[-1] > k:  # then k = 5, and the sums continue from x_4
         pair[..., 0, 1] = out[..., 4]
         np.cumsum(pair[..., 0, 1:], axis=-1, out=out[..., 4:n2 + 1:2])
         np.add(out[..., 4:n2 - 1:2], pair[..., 1, 2:], out=out[..., 5:n2:2])
         if last is not None:
-            if per_row:
-                tail = (v[..., None, -3:] @ last[..., None])[..., 0, 0]
-            else:
-                tail = v[..., -3:] @ last
-            out[..., -1] = out[..., -2] + tail
+            out[..., -1] = out[..., -2] + np.einsum("...j,...j->...", v[..., -3:], last)
     return out
 
 

@@ -43,17 +43,19 @@ def _solver_outputs(spec, grid, sol):
 
 # SHA-256 of each output's arrays (float64 bytes), recorded with numpy 2.4.6
 # and scipy 1.17.1 on x86-64, again when the cubic start of
-# grid.RadialMoments came to be built in closed form, and again when its
-# cumulative moment came to sum Simpson pair totals (grid.pair_moments).
+# grid.RadialMoments came to be built in closed form, again when its
+# cumulative moment came to sum Simpson pair totals (grid.pair_moments), and
+# again when pair_moments came to take its cubic start and odd last interval
+# as einsum sums, not matmuls.
 SOLVER_DIGESTS = {
     "stationary_saturating":
-        "cc24807e78670246a1fef93d57c4772a87090ab0588ff09e823db8424632feca",
+        "f4d78e983a610b1b5085eb1da2e2c94eaf7fe890cf409bba32fa62a8107032f5",
     "build_fstar":
-        "c56babfd3154f356753bc69fcb14a40c6585278b0c3d9be0e9e4f088a7402eb2",
+        "58ea03f18bacb9acd4b6e3ae09f4c1b9a47f4a466f7d6b31e39f163d03a195a1",
     "resolvent_apply":
-        "58a1fa1ead1bebb5d9900135b0fddbd7f8e3be711e85e0e7cd722d2c7315a085",
+        "16e8093641fbc5872ee715a8ba1954b3f229544304ecee71bb81f148d1c4288f",
     "laplace_consistency":
-        "40b2c40ef745e6241577f49b5368a8a823f65d8dc8b9658c7e2c4aa0767a5a02",
+        "ec58caf394841be77088ee366ccda46bc5d8b340302e4a4001b87e2dad4a75e1",
 }
 
 

@@ -234,7 +234,7 @@ def _jittered_rows(n, rows, seed):
 
 
 @pytest.mark.parametrize("rows", [1, 3, 40])
-@pytest.mark.parametrize("n", [200, 201])
+@pytest.mark.parametrize("n", [200, 201, 801])
 def test_stacked_moments_match_row_builds(n, rows):
     # one build over stacked rows of positions gives each row the bits of
     # its own build, so the rows a batch holds cannot change a row's moments
@@ -249,6 +249,15 @@ def test_stacked_moments_match_row_builds(n, rows):
         assert (op.last is None) == (one.last is None) == (n % 2 == 1)
         assert one.last is None or _same_bits(op.last[i], one.last)
         assert _same_bits(moments[i], one.cumulative(v[i]))
+    # and one shared operator gives a row the bits it has alone, in a batch
+    # of 20 rows and of 2
+    shared = RadialMoments(x[0])
+    w = np.random.default_rng(n + rows).standard_normal((20, n))
+    batch, pair = shared.cumulative(w), shared.cumulative(w[:2])
+    for i in range(20):
+        alone = shared.cumulative(w[i])
+        assert _same_bits(batch[i], alone)
+        assert i >= 2 or _same_bits(pair[i], alone)
 
 
 def _pchip_values(kind, shape, rng):
