@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import ExperimentFailure, SolverError
-from .grid import RadialMoments, derivative_values
+from .grid import RadialMoments, derivative_values, pchip_coefficients
 
 FLOW_RTOL = 1e-10
 FLOW_ATOL = 1e-12
@@ -52,6 +52,12 @@ S_MAX = 4.0
 N_MODES = 6
 #: hypothesis threshold for sup |dw/dr - u_*'| / (eps e^{-mu t})
 GRADIENT_HYPOTHESIS_CAP = 100.0
+
+
+def _pchip(x, y):
+    """The monotone cubic through the rows of y (last axis) at x, one
+    grid.pchip_coefficients build; its values put y's rows last."""
+    return PPoly.construct_fast(np.moveaxis(pchip_coefficients(x, y), (-2, -1), (0, 1)), x)
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +147,8 @@ def build_fstar(u_star):
         raise ValueError("velocity must have a negative slope at 0 and a positive slope at 1")
 
     # smooth quotients m = u/r and n = u/(r-1), exact limits at the zeros
-    m_vals = np.empty_like(vals)
-    m_vals[0] = u_prime0
-    m_vals[1:] = vals[1:] / nodes[1:]
-    n_vals = np.empty_like(vals)
-    n_vals[-1] = u_prime1
-    n_vals[:-1] = vals[:-1] / (nodes[:-1] - 1.0)
-    m_interp = PchipInterpolator(nodes, m_vals)
-    n_interp = PchipInterpolator(nodes, n_vals)
+    m_interp = _pchip(nodes, np.concatenate(([u_prime0], vals[1:] / nodes[1:])))
+    n_interp = _pchip(nodes, np.concatenate((vals[:-1] / (nodes[:-1] - 1.0), [u_prime1])))
 
     def g_reg(eta):
         """1/u minus both pole terms, evaluated cancellation-free."""
@@ -459,12 +459,14 @@ class BoundsReport:
         return "\n".join(lines)
 
 
-def _random_smooth(rng, nodes):
-    """Random smooth test function on [0,1] with decaying Fourier content."""
-    out = np.zeros_like(nodes)
+def _random_smooth(rng, nodes, rows=()):
+    """Random smooth test functions on [0,1] with decaying Fourier content,
+    shaped rows + nodes.shape and drawn one function after another."""
+    coef = rng.normal(size=rows + (N_MODES, 2))
+    out = np.zeros(rows + nodes.shape)
     for k in range(1, N_MODES + 1):
-        out += rng.normal() / k ** 2 * np.sin(np.pi * k * nodes)
-        out += rng.normal() / k ** 2 * np.cos(np.pi * k * nodes)
+        out += coef[..., k - 1, 0, None] / k ** 2 * np.sin(np.pi * k * nodes)
+        out += coef[..., k - 1, 1, None] / k ** 2 * np.cos(np.pi * k * nodes)
     return out
 
 
@@ -496,15 +498,14 @@ def check_map_bounds(make_maps, plan, raise_on_fail=True):
     a_d = lambda r: -2.0 * np.sin(2.0 * r) + r
     a_dd = lambda r: -4.0 * np.cos(2.0 * r) + 1.0
 
-    # test functions q on rg: their interpolants, base moments and sup norms
+    # test functions q on rg, one per row: interpolants, base moments, sup norms
     rg = np.linspace(0.0, 1.0, 201)
     a_rg = a_fun(rg)
     moments = RadialMoments(rg)
-    test_funcs = []
-    for _ in range(plan.n_test_funcs):
-        q = _random_smooth(rng, rg)
-        test_funcs.append((PchipInterpolator(rg, q), moments.full_and_third(a_rg * q)[1],
-                           max(np.max(np.abs(q)), 1e-300)))
+    q = _random_smooth(rng, rg, (plan.n_test_funcs,))
+    q_interp = _pchip(rg, q)
+    base = moments.full_and_third(a_rg * q)[1]
+    q_sup = np.maximum(np.max(np.abs(q), axis=-1), 1e-300)
 
     weight = r_samples * (1.0 - r_samples)
     rfine = np.linspace(1e-4, 1.0 - 1e-4, 400)
@@ -515,9 +516,7 @@ def check_map_bounds(make_maps, plan, raise_on_fail=True):
                    for side in ("lo", "hi")]
     constants = {n: {} for n in names_ratio + names_equiv + ["w_gradient_hypothesis"]}
 
-    all_eps = []
-    for eps in plan.epsilons:
-        all_eps.extend([eps, 0.5 * eps])
+    all_eps = [e for eps in plan.epsilons for e in (eps, 0.5 * eps)]
 
     for eps in all_eps:
         maps = make_maps(eps)
@@ -573,11 +572,9 @@ def check_map_bounds(make_maps, plan, raise_on_fail=True):
             # cumulative-moment operator distance on the test functions
             t_g = map_T(maps, rg, tp, sp)
             s_g = map_S(maps, rg, tp, sp)
-            worst = 0.0
-            for q_interp, base, q_sup in test_funcs:
-                tilde_base = moments.full_and_third(a_rg * q_interp(t_g))[1]
-                tilde = PchipInterpolator(rg, tilde_base)(s_g)
-                worst = max(worst, np.max(np.abs(tilde - base)) / q_sup)
+            tilde_base = moments.full_and_third(a_rg * q_interp(t_g).T)[1]
+            tilde = _pchip(rg, tilde_base)(s_g).T
+            worst = np.max(np.max(np.abs(tilde - base), axis=-1) / q_sup)
             acc["cumulative_op_distance"].append(worst / envelope)
 
         for n, vals in acc.items():
