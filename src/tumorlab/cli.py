@@ -101,6 +101,8 @@ def cmd_simulate(args):
 
 
 def cmd_linearize(args):
+    if args.ensemble < 1:
+        raise ConfigError("--ensemble must be at least 1")
     cfg = _load_config(args)
     sol = stationary_for(cfg.spec, cfg.grid_size)
     ops = build_operators(sol, cfg.spec)
@@ -155,8 +157,11 @@ def cmd_stability(args):
 
 
 def cmd_sweep(args):
+    try:
+        epsilons = [float(e) for e in args.epsilons.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--epsilons: {exc}") from None
     cfg = _load_config(args)
-    epsilons = [float(e) for e in args.epsilons.split(",")]
     shapes = args.shapes.split(",") if args.shapes else [cfg.shape]
     configs = [replace(cfg, epsilon=e, shape=s, out_dir="")
                for e in epsilons for s in shapes]

@@ -70,8 +70,8 @@ class RunConfig:
     out_dir: str = ""
 
     def __post_init__(self):
-        if self.grid_size < 3:
-            raise ConfigError("grid_size must be at least 3")
+        if self.grid_size < 6:  # 5-point stencils; the stationary report reads nodes 1-5
+            raise ConfigError("grid_size must be at least 6")
         for name in ("dt", "t_end", "output_every"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -119,10 +119,11 @@ def config_from_text(text):
         else:
             run_kwargs[key] = value
     try:
-        spec = KineticsSpec(**spec_kwargs) if spec_kwargs else KineticsSpec()
-        return RunConfig(spec=spec, **run_kwargs)
+        return RunConfig(spec=KineticsSpec(**spec_kwargs), **run_kwargs)
     except TypeError as exc:
         raise ConfigError(f"unknown config key: {exc}") from exc
+    except ValueError as exc:  # KineticsSpec's unknown family
+        raise ConfigError(str(exc)) from exc
 
 
 def config_hash(config):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tumorlab import cli
 from tumorlab.cli import (EXIT_CONFIG_ERROR, EXIT_EXPERIMENT_FAIL, EXIT_PASS,
                           main)
 from tumorlab.experiments import RunConfig, config_to_text
@@ -50,6 +51,29 @@ def test_config_step_above_bound_exits_3(tmp_path, capsys):
     path.write_text("dt = 0.05\n")
     assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG_ERROR
     assert "DT_MAX" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("grid_size = 5\n", "grid_size"),  # too few nodes for the 5-point stencils
+    ('spec.family = "cubic"\n', "unknown rate family"),
+])
+def test_bad_config_value_exits_3(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["stationary", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["linearize", "--ensemble", "0"],
+                                  ["sweep", "--epsilons", "abc"]])
+def test_bad_argument_exits_3_before_any_solve(monkeypatch, capsys, argv):
+    def banned(*args, **kwargs):
+        raise AssertionError("a bad argument must stop the run before any solve")
+
+    monkeypatch.setattr(cli, "stationary_for", banned)
+    monkeypatch.setattr(cli, "sweep", banned)
+    assert main(argv) == EXIT_CONFIG_ERROR
+    assert argv[1] in capsys.readouterr().err
 
 
 def test_stationary_and_simulate(tmp_path, small_config_file, stationary201,
