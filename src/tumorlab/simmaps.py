@@ -591,11 +591,9 @@ def check_map_bounds(make_maps, plan, raise_on_fail=True):
 
     for n in names_equiv:
         cv = constants[n]
-        finite = all(np.isfinite(v) for v in cv.values())
-        positive = all(v > 0 for v in cv.values())
         entries.append(BoundEntry(
             name=n, n_samples=n_per_eps * len(all_eps), constants=cv,
-            passed=finite and positive))
+            passed=all(np.isfinite(v) and v > 0 for v in cv.values())))
 
     for n in names_ratio:
         if n in ("dT_bound", "dS_bound") and not grad_all_ok:
@@ -604,16 +602,12 @@ def check_map_bounds(make_maps, plan, raise_on_fail=True):
                 note="skipped: velocity gradient hypothesis not satisfied"))
             continue
         cv = constants[n]
-        ratios = []
-        for eps in plan.epsilons:
-            denom = cv[0.5 * eps]
-            ratios.append(cv[eps] / denom if denom > 0 else np.inf)
-        worst_ratio = float(max(ratios, key=abs))
-        finite = all(np.isfinite(v) for v in cv.values())
-        ok = finite and all(0.3 <= rr <= 3.0 for rr in ratios)
+        ratios = [cv[eps] / cv[0.5 * eps] if cv[0.5 * eps] > 0 else np.inf
+                  for eps in plan.epsilons]
+        ok = all(np.isfinite(v) for v in cv.values()) and all(0.3 <= rr <= 3.0 for rr in ratios)
         entries.append(BoundEntry(
             name=n, n_samples=n_per_eps * len(all_eps), constants=cv,
-            ratio=worst_ratio, passed=ok))
+            ratio=float(max(ratios, key=abs)), passed=ok))
 
     report = BoundsReport(entries=tuple(entries), plan=plan)
     if raise_on_fail and not report.all_passed:
