@@ -4,7 +4,7 @@ Everything downstream (nutrient, velocity, transport, linearization) stores
 functions of r as node values on a shared RadialGrid and interpolates with a
 monotone piecewise cubic (PCHIP), which preserves monotone profiles during
 particle regridding.  pchip_coefficients builds scipy's PCHIP for many
-rows at once, bit for bit.  A RadialGrid is uniform by construction: the
+rows at once, bit for bit, and pchip reads it as one PPoly.  A RadialGrid is uniform by construction: the
 Numerov nutrient solver and the fourth-order derivative stencils need equal
 spacing.
 
@@ -15,16 +15,15 @@ an exact cubic start.  RadialMoments holds its weights for one set of
 positions, built in closed form (no SVD; r^-3 only on demand), or for
 stacked rows of positions in one call, each row with the bits of its own
 build; radial_average is a thin function over it, and each linearized stage
-folds g_p into a copy of them (linearized._FoldedStage).  pair_moments is
-batch-invariant: a row of v gets the same bits alone as in any batch, with
-one shared operator or one per row, so a caller may stack rows freely.
+folds g_p into a copy of them (linearized._FoldedStage).  The kernel is
+batch-invariant: a row has the same moments alone as in any batch.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PchipInterpolator, PPoly
 
 from .errors import GridMismatchError
 
@@ -149,6 +148,13 @@ def pchip_coefficients(x, y):
     return c
 
 
+def pchip(x, y):
+    """The monotone cubic through the rows of y (last axis) at one row of
+    points x, from one pchip_coefficients build, as a PPoly whose values
+    put y's rows last."""
+    return PPoly.construct_fast(np.moveaxis(pchip_coefficients(x, y), (-2, -1), (0, 1)), x)
+
+
 def require_same_grid(*fields):
     g0 = fields[0].grid
     for f in fields[1:]:
@@ -203,13 +209,10 @@ def pair_moments(v, weights, last, start, out, pair, tmp):
     start gives the first k moments from the first k values.  The operator
     is one for every row of v, or one per row (leading axes).  Past x_4
     each even node is a cumulative sum of pair totals, and each odd node
-    adds its pair's first interval to the even node before it.
-
-    Every operation is elementwise or a sum along one row, so a row has the
-    same bits alone as in any batch.  The start and the odd last interval
-    are einsum sums over the columns for that reason: a matmul's bits
-    depend on how many rows share the call and on how its operands are
-    stored.
+    adds its pair's first interval to the even node before it.  Each step
+    is elementwise or a sum along a row, so a row has the same bits alone
+    as in any batch: the start and the odd last interval are einsum sums,
+    as a matmul's bits depend on how many rows share the call.
     """
     k = start.shape[-1]
     n2 = 2 * weights.shape[-1]

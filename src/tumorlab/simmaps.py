@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
-from scipy.interpolate import CubicSpline, PPoly
+from scipy.interpolate import CubicSpline
 
 from .errors import ExperimentFailure, SolverError
-from .grid import RadialMoments, derivative_values, pchip_coefficients
+from .grid import RadialMoments, derivative_values, pchip
 
 FLOW_RTOL = 1e-10
 FLOW_ATOL = 1e-12
@@ -52,12 +52,6 @@ S_MAX = 4.0
 N_MODES = 6
 #: hypothesis threshold for sup |dw/dr - u_*'| / (eps e^{-mu t})
 GRADIENT_HYPOTHESIS_CAP = 100.0
-
-
-def _pchip(x, y):
-    """The monotone cubic through the rows of y (last axis) at x, one
-    grid.pchip_coefficients build; its values put y's rows last."""
-    return PPoly.construct_fast(np.moveaxis(pchip_coefficients(x, y), (-2, -1), (0, 1)), x)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +141,8 @@ def build_fstar(u_star):
         raise ValueError("velocity must have a negative slope at 0 and a positive slope at 1")
 
     # smooth quotients m = u/r and n = u/(r-1), exact limits at the zeros
-    m_interp = _pchip(nodes, np.concatenate(([u_prime0], vals[1:] / nodes[1:])))
-    n_interp = _pchip(nodes, np.concatenate((vals[:-1] / (nodes[:-1] - 1.0), [u_prime1])))
+    m_interp = pchip(nodes, np.concatenate(([u_prime0], vals[1:] / nodes[1:])))
+    n_interp = pchip(nodes, np.concatenate((vals[:-1] / (nodes[:-1] - 1.0), [u_prime1])))
 
     def g_reg(eta):
         """1/u minus both pole terms, evaluated cancellation-free."""
@@ -503,7 +497,7 @@ def check_map_bounds(make_maps, plan, raise_on_fail=True):
     a_rg = a_fun(rg)
     moments = RadialMoments(rg)
     q = _random_smooth(rng, rg, (plan.n_test_funcs,))
-    q_interp = _pchip(rg, q)
+    q_interp = pchip(rg, q)
     base = moments.full_and_third(a_rg * q)[1]
     q_sup = np.maximum(np.max(np.abs(q), axis=-1), 1e-300)
 
@@ -573,7 +567,7 @@ def check_map_bounds(make_maps, plan, raise_on_fail=True):
             t_g = map_T(maps, rg, tp, sp)
             s_g = map_S(maps, rg, tp, sp)
             tilde_base = moments.full_and_third(a_rg * q_interp(t_g).T)[1]
-            tilde = _pchip(rg, tilde_base)(s_g).T
+            tilde = pchip(rg, tilde_base)(s_g).T
             worst = np.max(np.max(np.abs(tilde - base), axis=-1) / q_sup)
             acc["cumulative_op_distance"].append(worst / envelope)
 

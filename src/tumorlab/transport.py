@@ -38,7 +38,7 @@ from scipy.interpolate import PchipInterpolator  # noqa: F401 (bench/spans.py pa
 
 from .errors import SolverError
 from .grid import (RadialField, RadialMoments, derivative_values, pair_moments,
-                   pchip_coefficients, radial_average, require_same_grid)
+                   pchip, pchip_coefficients, radial_average, require_same_grid)
 from .kinetics import eval_rates
 from .nutrient import affine_c, solve_nutrient
 from .velocity import frame_velocity, radial_velocity
@@ -253,9 +253,7 @@ def on_grid(positions, values, nodes):
     if positions.ndim == 1:
         if np.array_equal(positions, nodes):
             return values
-        c = pchip_coefficients(positions, values)
-        cubic = PPoly.construct_fast(np.moveaxis(c, (-2, -1), (0, 1)), positions)
-        return np.moveaxis(cubic(nodes), 0, -1)
+        return np.moveaxis(pchip(positions, values)(nodes), 0, -1)
     out = values.copy()
     moved = np.flatnonzero(np.any(positions != nodes, axis=-1))
     coefs = pchip_coefficients(positions[moved], values[moved])
