@@ -4,9 +4,9 @@ Everything downstream (nutrient, velocity, transport, linearization) stores
 functions of r as node values on a shared RadialGrid and interpolates with a
 monotone piecewise cubic (PCHIP), which preserves monotone profiles during
 particle regridding.  pchip_coefficients builds scipy's PCHIP for many
-rows at once, bit for bit, and pchip reads it as one PPoly.  A RadialGrid is uniform by construction: the
-Numerov nutrient solver and the fourth-order derivative stencils need equal
-spacing.
+rows at once, bit for bit, and pchip reads it as one PPoly.  A RadialGrid
+is uniform by construction: the Numerov nutrient solver and the
+fourth-order derivative stencils need equal spacing.
 
 Every radial moment integral_0^r v rho^2 drho, in the velocity u and in
 the linearized operators B and F alike, is taken by one kernel,

@@ -195,7 +195,10 @@ class LinearPropagator:
 
     def _stage_rate(self, st, phi, zeta):
         """(dphi, dzeta) of a state; st pairs a _FoldedStage with the
-        shared buffers of _workspace plus one dphi buffer."""
+        shared buffers of _workspace plus one dphi buffer.  Its matmul for
+        rp M(1) + b zeta is the one product whose bits depend on the batch;
+        explicit products cost 30 us against its 5 us (10 rows of 801 nodes,
+        one x86-64 thread)."""
         op, (moment, pair, tmp, fz, dphi) = st
         pair_moments(phi, op.weights, op.last, op.start, moment, pair, tmp)
         fz[:, 0] = moment[:, -1]
