@@ -115,15 +115,25 @@ def config_from_text(text):
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad value on config line {raw!r}: {exc}") from exc
         if key.startswith("spec."):
-            spec_kwargs[key[5:]] = value
+            spec_kwargs[key[5:]] = _typed_value(KineticsSpec, key, key[5:], value)
         else:
-            run_kwargs[key] = value
+            run_kwargs[key] = _typed_value(RunConfig, key, key, value)
     try:
         return RunConfig(spec=KineticsSpec(**spec_kwargs), **run_kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"unknown config key: {exc}") from exc
     except ValueError as exc:  # KineticsSpec's unknown family
         raise ConfigError(str(exc)) from exc
+
+
+def _typed_value(cls, key, name, value):
+    """The value of the config key for the field name of cls, checked
+    against the field's type: a float field also takes an int, as a float."""
+    kinds = {f.name: type(f.default) for f in fields(cls) if f.name != "spec"}
+    if name not in kinds:
+        raise ConfigError(f"unknown config key {key!r}")
+    kind = kinds[name]
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def config_hash(config):

@@ -28,9 +28,8 @@ from .grid import (RadialField, RadialMoments, derivative_values,
                    pair_moments, radial_average, require_same_grid)
 from .kinetics import eval_rates
 from .simmaps import _random_smooth, build_fstar
-from .transport import (Trajectory, _check_dt, _needs_regrid,
-                        _pinned_velocity, deviation, on_grid, output_steps,
-                        regrid, rk4, trajectory)
+from .transport import (Trajectory, _check_dt, deviation, frozen_path,
+                        on_grid, output_steps, regrid, rk4, trajectory)
 
 RESOLVENT_DS = 5e-4
 LAPLACE_DT = 5e-3  # time step of the Laplace-transform quadrature
@@ -161,25 +160,15 @@ class LinearPropagator:
         self.dt = dt
         grid = ops.grid
         self.nodes = grid.nodes
-        h_ref = grid.spacing
-        velocity = _pinned_velocity(ops.u_star.interpolator())
+        fields = (ops.u_star.interpolator(),) * 4
         coef = [f.interpolator() for f in (ops.a, ops.b, ops.g_p, ops.rp_prime)]
-
-        def rates(i, y):
-            # every stage of an RK4 step, the start alone of an AB4 step
-            if i == 0 or len(self.steps) < STARTUP_STEPS:
-                stages.append(_FoldedStage(y[0], coef))
-            return velocity(i, y)
-
-        # one (folded stages, end positions) pair per step of the cycle
+        # one (folded stages, end positions) pair per step of the cycle:
+        # every stage of an RK4 step, the start alone of an AB4 step
         self.steps = []
-        pos = self.nodes
-        while True:
-            stages = []
-            (pos,) = rk4(rates, (pos,), dt)
-            self.steps.append((stages, pos))
-            if _needs_regrid(pos, h_ref):
-                break
+        for stages, end, _ in frozen_path(lambda j: fields, self.nodes, dt, grid.spacing):
+            if len(self.steps) >= STARTUP_STEPS:
+                stages = stages[:1]
+            self.steps.append(([_FoldedStage(x, coef) for x in stages], end))
         self.cycle_len = len(self.steps)
 
     def _workspace(self, rows):

@@ -10,16 +10,16 @@ Runge-Kutta step, rk4(rates, y, dt), with its own state tuple y and stage
 rates.  The direct step _rk4 (step, simulate) advances (positions, p, z)
 and re-evaluates the nutrient profile and the velocity quadrature at every
 stage (exact for the affine law, otherwise a warm-started solve, z moves
-slowly).  picard_solve advects with the previous iterate's frame velocity,
-computed once per iteration on the nodes, so its particle positions do not
-depend on the unknown (p, z): per block of steps (up to a regrid, at most
-PICARD_BLOCK_STEPS) it advances (positions,) first, builds the moment
-operators of all their stage positions in one grid.RadialMoments call, and
-then steps (p, z) reading only f and u(1) at those positions.
-pure_transport and linearized.LinearPropagator advance (positions,) in a
-fixed velocity field, and the propagator then steps (phi, zeta) along the
-positions it recorded: rk4 for the first steps of each regrid cycle, then
-four-step Adams-Bashforth.
+slowly).  frozen_path moves particles alone, (positions,), through frozen
+velocity fields up to their first regrid.  picard_solve freezes the
+previous iterate's frame velocity on the nodes once per iteration, so per
+block of steps (up to a regrid, at most PICARD_BLOCK_STEPS) it takes the
+particles' steps from frozen_path, builds the moment operators of all their
+stage positions in one grid.RadialMoments call, then steps (p, z) reading
+only f and u(1) there.  In the fixed field of pure_transport and
+linearized.LinearPropagator every regrid cycle repeats the first, which
+frozen_path gives once; the propagator steps (phi, zeta) along it: rk4 for
+the first steps of each cycle, then four-step Adams-Bashforth.
 
 Particles drift toward the origin (w < 0 in the interior), so the bundle is
 resampled onto the reference grid with a monotone cubic whenever spacing
@@ -30,6 +30,7 @@ state, or a batch of them, into (sup|p - p_*|, sup r(1-r)|d(p - p_*)/dr|,
 adds the weighted derivative.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,21 +220,6 @@ def _rk4(spec, cache, positions, values, z, dt):
     return _guarded(*rk4(rates, (positions, values, z), dt))
 
 
-def _pinned_velocity(*fields):
-    """Stage rates of particles (positions,) in frozen velocity fields,
-    callables of r: stage i reads fields[i], or the one field given reads
-    every stage.  The rate is zero at both endpoints, so they stay in place."""
-    stage_fields = fields * (4 // len(fields))
-
-    def rates(i, y):
-        v = stage_fields[i](y[0])
-        v[0] = 0.0
-        v[-1] = 0.0
-        return (v,)
-
-    return rates
-
-
 def regrid(positions, values, nodes):
     """Resample particle values (along the last axis) onto the nodes
     (monotone cubic)."""
@@ -268,9 +254,36 @@ def _needs_regrid(positions, h_ref):
 
 
 def _check_dt(dt):
-    """The one step bound of step, simulate and picard_solve."""
+    """The one step bound of every integrator (the linear propagator too)."""
     if dt > DT_MAX * (1 + 1e-12):
         raise ValueError(f"dt={dt} exceeds DT_MAX={DT_MAX}")
+
+
+def frozen_path(stage_fields, positions, dt, h_ref):
+    """Particles (positions,) moved through frozen velocity fields.
+
+    stage_fields(j) gives step j's four fields, callables of r, one per
+    Runge-Kutta stage; each stage rate is pinned to zero at both endpoints,
+    so they stay in place.  Yields (stage positions, end positions, needs
+    regrid) per step, the end positions guarded, and stops after the first
+    step that needs a regrid.
+    """
+    for j in itertools.count():
+        fields = stage_fields(j)
+        stages = []
+
+        def rates(i, y):
+            stages.append(y[0])
+            v = fields[i](y[0])
+            v[0] = 0.0
+            v[-1] = 0.0
+            return (v,)
+
+        (positions,) = rk4(rates, (positions,), dt)
+        again = _needs_regrid(_guarded_positions(positions), h_ref)
+        yield stages, positions, again
+        if again:
+            return
 
 
 def step(state, dt, spec):
@@ -336,15 +349,17 @@ def pure_transport(w_field, q0_field, t_end, dt):
 
     Used to observe the contraction property of the transport semigroup: the
     sup norm may never increase, and the weighted derivative grows at most
-    exponentially.
+    exponentially.  The field is frozen, so every regrid cycle repeats the
+    positions of the first one, which alone is integrated (dt <= DT_MAX).
     """
+    _check_dt(dt)
     grid = q0_field.grid
     nodes = grid.nodes
-    h_ref = grid.spacing
-    positions = nodes
     values = q0_field.values
     n_steps = int(round(t_end / dt))
-    rates = _pinned_velocity(w_field.interpolator())
+    fields = (w_field.interpolator(),) * 4
+    cycle = [(end, again) for _, end, again in itertools.islice(
+        frozen_path(lambda j: fields, nodes, dt, grid.spacing), n_steps)]
     sup_series, weighted_series = [], []
 
     def record(positions, values):
@@ -353,66 +368,14 @@ def pure_transport(w_field, q0_field, t_end, dt):
         weighted_series.append(
             deviation(grid, on_grid(positions, values, nodes), 0.0, 0.0, 0.0)[1])
 
-    record(positions, values)
-    for _ in range(n_steps):
-        (positions,) = rk4(rates, (positions,), dt)
-        if _needs_regrid(positions, h_ref):
+    record(nodes, values)
+    for k in range(n_steps):
+        positions, again = cycle[k % len(cycle)]
+        if again:
             values = regrid(positions, values, nodes)
             positions = nodes
         record(positions, values)
     return np.array(sup_series), np.array(weighted_series)
-
-
-class _FrozenPath:
-    """Pinned stage rates of the steps of picard_solve's frozen path velocity.
-
-    Step k reads the path's velocity w_k at its start (stage 0), the mean
-    0.5 (w_k + w_{k+1}) at stages 1 and 2 and w_{k+1} at stage 3, each
-    through the monotone cubic on the nodes.  The cubics of
-    PICARD_BLOCK_STEPS steps at a time come from two batched builds, of the
-    path states and of the step means.
-    """
-
-    def __init__(self, nodes, path_w):
-        self.nodes = nodes
-        self.path_w = path_w
-        self.first = 0
-        self.ends = self.means = ()  # built on the first call
-
-    def rates(self, k):
-        j = k - self.first
-        if not 0 <= j < len(self.means):
-            w = self.path_w[k:k + PICARD_BLOCK_STEPS + 1]
-            self.first, j = k, 0
-            self.ends = pchip_coefficients(self.nodes, w)
-            self.means = pchip_coefficients(self.nodes, 0.5 * (w[:-1] + w[1:]))
-        start, mid, end = (PPoly.construct_fast(c, self.nodes)
-                           for c in (self.ends[j], self.means[j], self.ends[j + 1]))
-        return _pinned_velocity(start, mid, mid, end)
-
-
-def _block_positions(frozen, positions, k, n_steps, dt, h_ref):
-    """Advance the particles alone from step k, to their first regrid or
-    for at most PICARD_BLOCK_STEPS steps (or to step n_steps).
-
-    Returns each step's four stage positions (steps, 4, n), its guarded end
-    positions (steps, n) and whether the last step ends in a regrid.
-    """
-    steps = min(PICARD_BLOCK_STEPS, n_steps - k)
-    stage_x = np.empty((steps, 4, positions.size))
-    ends = np.empty((steps, positions.size))
-    for j in range(steps):
-        velocity = frozen.rates(k + j)
-
-        def rates(i, y):
-            stage_x[j, i] = y[0]
-            return velocity(i, y)
-
-        (positions,) = rk4(rates, (positions,), dt)
-        ends[j] = _guarded_positions(positions)
-        if _needs_regrid(positions, h_ref):
-            return stage_x[:j + 1], ends[:j + 1], True
-    return stage_x, ends, False
 
 
 def _picard_sweep(spec, cache, nodes, h_ref, path_w, values, z, dt):
@@ -420,7 +383,8 @@ def _picard_sweep(spec, cache, nodes, h_ref, path_w, values, z, dt):
     and its z at every step, advected by the frozen path velocity path_w.
 
     The positions depend on path_w alone, so each block of steps takes
-    three passes: the particles move first (_block_positions), one
+    three passes: the particles move first (frozen_path, through the cubics
+    of the block's path states and step means, built in two batches), one
     RadialMoments call builds the moment operators of all their stage
     positions, and then (p, z) steps through the block reading only f and
     u(1) at those positions.  The block's states go onto the nodes in one
@@ -428,7 +392,6 @@ def _picard_sweep(spec, cache, nodes, h_ref, path_w, values, z, dt):
     """
     n_steps = len(path_w) - 1
     n = nodes.size
-    frozen = _FrozenPath(nodes, path_w)
     new_p = np.empty((n_steps + 1, n))
     new_z = np.empty(n_steps + 1)
     new_p[0], new_z[0] = values, z
@@ -437,10 +400,19 @@ def _picard_sweep(spec, cache, nodes, h_ref, path_w, values, z, dt):
     positions = nodes
     k = 0
     while k < n_steps:
-        stage_x, ends, regridded = _block_positions(frozen, positions, k,
-                                                    n_steps, dt, h_ref)
-        steps = len(ends)
-        moments = RadialMoments(stage_x.reshape(4 * steps, n))
+        w = path_w[k:k + PICARD_BLOCK_STEPS + 1]
+        ends, means = (pchip_coefficients(nodes, v) for v in (w, 0.5 * (w[:-1] + w[1:])))
+
+        def stage_fields(j):
+            start, mid, end = (PPoly.construct_fast(c, nodes)
+                               for c in (ends[j], means[j], ends[j + 1]))
+            return start, mid, mid, end
+
+        block = list(itertools.islice(
+            frozen_path(stage_fields, positions, dt, h_ref), len(means)))
+        steps = len(block)
+        stage_x = [x for stages, _, _ in block for x in stages]
+        moments = RadialMoments(np.array(stage_x))
         weights, last, start = moments.weights, moments.last, moments.start
         block_p = new_p[k + 1:k + 1 + steps]
         for j in range(steps):
@@ -448,17 +420,18 @@ def _picard_sweep(spec, cache, nodes, h_ref, path_w, values, z, dt):
             def rates(i, y):
                 r = 4 * j + i
                 op = (weights[r], None if last is None else last[r], start[r])
-                return _source_rates(spec, cache, stage_x[j, i], op, *y, work)
+                return _source_rates(spec, cache, stage_x[r], op, *y, work)
 
             values, z = _guarded_values(*rk4(rates, (values, z), dt))
             block_p[j] = values
             new_z[k + 1 + j] = z
-        positions = ends[-1]
-        if regridded:
+        end_x = np.array([end for _, end, _ in block])
+        positions = end_x[-1]
+        if block[-1][2]:
             values = np.clip(regrid(positions, values, nodes), 0.0, 1.0)
             block_p[-1] = values
-            ends[-1] = positions = nodes
-        block_p[:] = np.clip(on_grid(ends, block_p, nodes), 0.0, 1.0)
+            end_x[-1] = positions = nodes
+        block_p[:] = np.clip(on_grid(end_x, block_p, nodes), 0.0, 1.0)
         k += steps
     return new_p, new_z
 
@@ -473,9 +446,9 @@ def picard_solve(initial, t_end, dt, spec, reference, mu, tol=1e-10,
     stage 0 of a step reads it at the step's start, stages 1 and 2 at the
     mean of the step's two ends and stage 3 at its end, each through a
     monotone cubic pinned to zero at both endpoints.  The positions thus
-    depend on V^n alone: each block of steps moves its particles first, then
-    builds their stage moment operators in one batch, then steps (p, z)
-    (_picard_sweep).  V^0 is the initial
+    depend on V^n alone: each block of steps takes its particles' steps
+    from frozen_path first, then builds their stage moment operators in one
+    batch, then steps (p, z) (_picard_sweep).  V^0 is the initial
     perturbation decayed at rate mu.  Stops when a distance falls below tol,
     or after PICARD_MAX_ITERS iterates.  Returns the final trajectory and the
     weighted sup distances d(V^{n+1}, V^n) = sup_t e^{mu t} ||difference||_X.

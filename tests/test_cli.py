@@ -56,6 +56,13 @@ def test_config_step_above_bound_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ("grid_size = 5\n", "grid_size"),  # too few nodes for the 5-point stencils
     ('spec.family = "cubic"\n', "unknown rate family"),
+    # a value of the wrong type names its key, not a traceback
+    ("grid_size = 6.5\n", "config key 'grid_size' must be int"),
+    ('spec.lam = "x"\n', "config key 'spec.lam' must be float"),
+    ('grid_size = "abc"\n', "config key 'grid_size' must be int"),
+    ('dt = "0.01"\n', "config key 'dt' must be float"),
+    ("grid_size = true\n", "config key 'grid_size' must be int"),
+    ("spec.bar = 1\n", "unknown config key 'spec.bar'"),
 ])
 def test_bad_config_value_exits_3(tmp_path, capsys, text, message):
     path = tmp_path / "bad.cfg"

@@ -31,6 +31,13 @@ def test_config_hash_changes_with_content():
     assert config_hash(RunConfig()) != config_hash(RunConfig(epsilon=1e-3))
 
 
+def test_config_int_for_float_key_hashes_as_float():
+    # the same run written with 1 or 1.0 has one config hash
+    ints = config_from_text("spec.lam = 2\nt_end = 10\n")
+    floats = config_from_text("spec.lam = 2.0\nt_end = 10.0\n")
+    assert config_hash(ints) == config_hash(floats)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(epsilon=0.5)

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from tumorlab.experiments import (PICARD_RATE, RunConfig, initial_state,
 from tumorlab.grid import RadialField, RadialGrid, RadialMoments
 from tumorlab.errors import SolverError
 from tumorlab.kinetics import KineticsSpec, RateValues
-from tumorlab.linearized import (build_operators, decay_ensemble,
-                                 solve_linearized)
+from tumorlab.linearized import (LinearPropagator, build_operators,
+                                 decay_ensemble, solve_linearized)
 from tumorlab.transport import (TumorState, deviation, picard_solve,
                                 pure_transport, simulate, step)
 
@@ -29,6 +30,70 @@ def test_pure_transport_sup_contraction(grid201, rng):
     w = make_negative_velocity(grid201, rng)
     sup, _ = pure_transport(w, q0, t_end=2.0, dt=1e-2)
     assert np.all(np.diff(sup) <= 1e-10)
+
+
+def test_pure_transport_rejects_large_dt(grid201, rng):
+    q0 = RadialField(grid201, np.sin(3 * grid201.nodes) + 0.2)
+    w = make_negative_velocity(grid201, rng)
+    with pytest.raises(ValueError, match="DT_MAX"):
+        pure_transport(w, q0, t_end=0.04, dt=0.02)
+
+
+def _frozen(field):
+    return lambda j: (field.interpolator(),) * 4
+
+
+def test_frozen_path_stops_at_first_regrid(stationary201):
+    grid = stationary201.grid
+    path = list(transport.frozen_path(_frozen(stationary201.u_star),
+                                      grid.nodes, 1e-2, grid.spacing))
+    assert len(path) > 1
+    assert [again for _, _, again in path] == [False] * (len(path) - 1) + [True]
+    for stages, end, again in path:
+        assert again == transport._needs_regrid(end, grid.spacing)
+        # the rates are pinned at both endpoints, so no stage moves them
+        for x in stages + [end]:
+            assert x[0] == 0.0 and x[-1] == 1.0
+    # each step starts where the one before it ended
+    for (_, end, _), (stages, _, _) in zip(path, path[1:]):
+        assert stages[0] is end
+
+
+def _crossing_field(grid):
+    # steep enough that one step at DT_MAX carries particles past each other
+    r = grid.nodes
+    return RadialField(grid, -100.0 * r * (1.0 - r) * (1.0 + np.sin(20 * np.pi * r)))
+
+
+def test_crossing_characteristics_raise(stationary201, default_spec):
+    grid = stationary201.grid
+    w = _crossing_field(grid)
+    crossing = pytest.raises(SolverError, match="characteristic crossing")
+    with crossing:
+        list(transport.frozen_path(_frozen(w), grid.nodes, 1e-2, grid.spacing))
+    with crossing:
+        pure_transport(w, RadialField(grid, np.ones(grid.size)), 1.0, 1e-2)
+    ops = replace(build_operators(stationary201, default_spec), u_star=w)
+    with crossing:
+        LinearPropagator(ops, 1e-2)
+
+
+@pytest.mark.parametrize("t_end", [0.2, 3.0])
+def test_pure_transport_integrates_one_cycle(monkeypatch, stationary201, t_end):
+    # u_* is frozen, so every regrid cycle repeats the positions of the
+    # first: min(n_steps, cycle length) Runge-Kutta steps serve the run
+    grid = stationary201.grid
+    cycle = len(list(transport.frozen_path(_frozen(stationary201.u_star),
+                                           grid.nodes, 1e-2, grid.spacing)))
+    n_steps = int(round(t_end / 1e-2))
+    steps = []
+    _counting(monkeypatch, "rk4", steps)
+    sup, _ = pure_transport(stationary201.u_star,
+                            RadialField(grid, np.sin(3 * grid.nodes) + 0.2), t_end, 1e-2)
+    assert len(sup) == n_steps + 1
+    assert len(steps) == min(n_steps, cycle)
+    # the short run ends inside the first cycle, the long one runs past it
+    assert (n_steps > cycle) == (t_end == 3.0)
 
 
 def _deviation_from(state, sol):
@@ -288,7 +353,10 @@ def _integrator_outputs(sol, spec):
 # stage went back to node order on grid.pair_moments, and all but step when
 # RadialMoments came to sum Simpson pair totals there too (summation order
 # only); solve_linearized and decay_ensemble when the linear propagator
-# came to step by four-step Adams-Bashforth after an RK4 start-up.
+# came to step by four-step Adams-Bashforth after an RK4 start-up.  None
+# moved when Picard, pure_transport and the linear propagator came to move
+# their particles through one frozen-velocity path (transport.frozen_path),
+# and pure_transport to replay its first regrid cycle.
 INTEGRATOR_DIGESTS = {
     "step":
         "84afe25a0ddae86755fa9aa647a42de5432a129a0455fc922e33a6a9ad0d5cf3",
