@@ -43,6 +43,13 @@ def _load_config(args):
     return cfg
 
 
+def _check_finite(name, value, positive=True):
+    """Reject NaN, infinity and, if positive, values <= 0 (before any solve)."""
+    if not np.isfinite(value) or (positive and value <= 0):
+        kind = "finite and positive" if positive else "finite"
+        raise ConfigError(f"{name} must be {kind}, got {value}")
+
+
 def _write_or_print(args, name, text):
     if args.out:
         out = Path(args.out)
@@ -63,6 +70,7 @@ def cmd_check_kinetics(args):
 
 
 def cmd_nutrient(args):
+    _check_finite("--z", args.z, positive=False)
     cfg = _load_config(args)
     grid = RadialGrid.uniform(cfg.grid_size)
     ns = solve_nutrient(cfg.spec, args.z, grid)
@@ -103,6 +111,7 @@ def cmd_simulate(args):
 def cmd_linearize(args):
     if args.ensemble < 1:
         raise ConfigError("--ensemble must be at least 1")
+    _check_finite("--t-end", args.t_end)
     cfg = _load_config(args)
     sol = stationary_for(cfg.spec, cfg.grid_size)
     ops = build_operators(sol, cfg.spec)
@@ -124,6 +133,8 @@ def cmd_linearize(args):
 
 
 def cmd_maps(args):
+    _check_finite("--epsilon", args.epsilon)
+    _check_finite("--mu", args.mu)
     cfg = _load_config(args)
     sol = stationary_for(cfg.spec, cfg.grid_size)
     table = build_fstar(sol.u_star)

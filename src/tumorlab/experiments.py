@@ -13,6 +13,7 @@ manifest, the trajectory table and a plot-ready decay table.
 import functools
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -126,13 +127,16 @@ def config_from_text(text):
 
 def _typed_value(cls, key, name, value):
     """The value of the config key for the field name of cls, checked
-    against the field's type: a float field also takes an int, as a float."""
+    against the field's type: a float field also takes an int, as a float,
+    and no NaN or infinity."""
     kinds = {f.name: type(f.default) for f in fields(cls) if f.name != "spec"}
     if name not in kinds:
         raise ConfigError(f"unknown config key {key!r}")
     kind = kinds[name]
     if type(value) is not kind and not (kind is float and type(value) is int):
         raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:  # NaN, inf, huge ints
+        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
     return kind(value)
 
 

@@ -37,8 +37,8 @@ class RadialGrid:
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
-        if nodes.ndim != 1 or nodes.size < 3:
-            raise ValueError("grid needs at least 3 one-dimensional nodes")
+        if nodes.ndim != 1 or nodes.size < 5:  # the 5-point derivative stencils
+            raise ValueError("grid needs at least 5 one-dimensional nodes")
         if nodes[0] != 0.0 or nodes[-1] != 1.0:
             raise ValueError("grid must include both endpoints 0 and 1")
         h = np.diff(nodes)
@@ -292,11 +292,12 @@ class RadialMoments:
         return full, moment
 
 
-def radial_average(integrand, nodes, moments=None):
-    """u(r) = r^-2 * integral_0^r integrand(rho) rho^2 drho on the nodes,
-    with u(0) = 0 (the series u(r) = g(0) r / 3 + O(r^3)); moments is the
-    nodes' RadialMoments, when the caller keeps one."""
-    u = (RadialMoments(nodes) if moments is None else moments).cumulative(integrand)
+def radial_average(integrand, nodes):
+    """u(r) = r^-2 * integral_0^r integrand(rho) rho^2 drho on the nodes, for
+    each row of integrand (last axis), with u(0) = 0 (the series
+    u(r) = g(0) r / 3 + O(r^3)); a row has the same bits alone as in any
+    batch."""
+    u = RadialMoments(nodes).cumulative(integrand)
     u[..., 1:] /= nodes[1:] * nodes[1:]
     u[..., 0] = 0.0
     return u

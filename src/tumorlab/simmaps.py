@@ -292,14 +292,10 @@ def make_perturbed_velocity(u_star, epsilon, mu):
     return w, w_dr
 
 
-def build_maps(u_star, w=None, w_dr=None, epsilon=0.0, mu=0.0, table=None):
-    """Assemble DiffeoMaps for a velocity path w; w=None means w = u_*."""
+def build_maps(u_star, w, w_dr, epsilon=0.0, mu=0.0, table=None):
+    """Assemble DiffeoMaps for a velocity path w with r-derivative w_dr."""
     if table is None:
         table = build_fstar(u_star)
-    if w is None:
-        # the factor 1 + 0 e^{-mu t} cos(pi r) is exactly 1, so w = u_*
-        w, w_dr = make_perturbed_velocity(u_star, 0.0, mu)
-        epsilon = 0.0
     return DiffeoMaps(table=table, u_star=u_star.interpolator(), w=w, w_dr=w_dr,
                       epsilon=epsilon, mu=mu)
 

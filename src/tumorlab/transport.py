@@ -12,14 +12,15 @@ and re-evaluates the nutrient profile and the velocity quadrature at every
 stage (exact for the affine law, otherwise a warm-started solve, z moves
 slowly).  frozen_path moves particles alone, (positions,), through frozen
 velocity fields up to their first regrid.  picard_solve freezes the
-previous iterate's frame velocity on the nodes once per iteration, so per
-block of steps (up to a regrid, at most PICARD_BLOCK_STEPS) it takes the
-particles' steps from frozen_path, builds the moment operators of all their
-stage positions in one grid.RadialMoments call, then steps (p, z) reading
-only f and u(1) there.  In the fixed field of pure_transport and
-linearized.LinearPropagator every regrid cycle repeats the first, which
-frozen_path gives once; the propagator steps (phi, zeta) along it: rk4 for
-the first steps of each cycle, then four-step Adams-Bashforth.
+previous iterate's path, so per block of steps (up to a regrid, at most
+PICARD_BLOCK_STEPS) it takes the frame velocities of the block's path
+states on the nodes in one radial_average, the particles' steps from
+frozen_path, and the moment operators of all their stage positions in one
+grid.RadialMoments call, then steps (p, z) reading only f and u(1) there.
+In the fixed field of pure_transport and linearized.LinearPropagator
+every regrid cycle repeats the first, which frozen_path gives once; the
+propagator steps (phi, zeta) along it: rk4 for the first steps of each
+cycle, then four-step Adams-Bashforth.
 
 Particles drift toward the origin (w < 0 in the interior), so the bundle is
 resampled onto the reference grid with a monotone cubic whenever spacing
@@ -147,11 +148,10 @@ def _stage_kinetics(spec, cache, positions, z):
     return eval_rates(spec, np.clip(c, 0.0, 1.0))
 
 
-def _stage_rates(spec, cache, positions, values, z, moments=None):
-    """w, f and u(1) at the particle positions for the current state;
-    moments is the positions' RadialMoments when the caller keeps one."""
+def _stage_rates(spec, cache, positions, values, z):
+    """w, f and u(1) at the particle positions for the current state."""
     rv = _stage_kinetics(spec, cache, positions, z)
-    u = radial_average(rv.g(values), positions, moments)
+    u = radial_average(rv.g(values), positions)
     return frame_velocity(u, positions), rv.f(values), u[-1]
 
 
@@ -378,19 +378,21 @@ def pure_transport(w_field, q0_field, t_end, dt):
     return np.array(sup_series), np.array(weighted_series)
 
 
-def _picard_sweep(spec, cache, nodes, h_ref, path_w, values, z, dt):
+def _picard_sweep(spec, cache, nodes, h_ref, path_p, path_z, values, z, dt):
     """One Picard iterate from (values, z) on the nodes: its p on the nodes
-    and its z at every step, advected by the frozen path velocity path_w.
+    and its z at every step, advected by the frame velocity of the frozen
+    path (path_p, path_z).
 
-    The positions depend on path_w alone, so each block of steps takes
-    three passes: the particles move first (frozen_path, through the cubics
-    of the block's path states and step means, built in two batches), one
-    RadialMoments call builds the moment operators of all their stage
-    positions, and then (p, z) steps through the block reading only f and
-    u(1) at those positions.  The block's states go onto the nodes in one
-    batched on_grid.
+    The positions depend on the frozen path alone, so each block of steps
+    takes four passes: one radial_average gives the frame velocities of the
+    block's path states (its end state included) on the nodes, the
+    particles move (frozen_path, through the cubics of those velocities and
+    their step means, built in two batches), one RadialMoments call builds
+    the moment operators of all their stage positions, and then (p, z)
+    steps through the block reading only f and u(1) at those positions.
+    The block's states go onto the nodes in one batched on_grid.
     """
-    n_steps = len(path_w) - 1
+    n_steps = len(path_z) - 1
     n = nodes.size
     new_p = np.empty((n_steps + 1, n))
     new_z = np.empty(n_steps + 1)
@@ -400,7 +402,10 @@ def _picard_sweep(spec, cache, nodes, h_ref, path_w, values, z, dt):
     positions = nodes
     k = 0
     while k < n_steps:
-        w = path_w[k:k + PICARD_BLOCK_STEPS + 1]
+        window = slice(k, k + PICARD_BLOCK_STEPS + 1)
+        g = [_stage_kinetics(spec, cache, nodes, zk).g(pk)
+             for pk, zk in zip(path_p[window], path_z[window])]
+        w = frame_velocity(radial_average(np.array(g), nodes), nodes)
         ends, means = (pchip_coefficients(nodes, v) for v in (w, 0.5 * (w[:-1] + w[1:])))
 
         def stage_fields(j):
@@ -442,12 +447,12 @@ def picard_solve(initial, t_end, dt, spec, reference, mu, tol=1e-10,
 
     Iterate n+1 is advected by the frame velocity w of the previous iterate's
     path V^n, while the reaction term and dz/dt use the current unknown.  w
-    is computed once per iteration, on the nodes, for every state of V^n;
-    stage 0 of a step reads it at the step's start, stages 1 and 2 at the
-    mean of the step's two ends and stage 3 at its end, each through a
-    monotone cubic pinned to zero at both endpoints.  The positions thus
-    depend on V^n alone: each block of steps takes its particles' steps
-    from frozen_path first, then builds their stage moment operators in one
+    is computed on the nodes for the states of V^n, one batch per block of
+    steps; stage 0 of a step reads it at the step's start, stages 1 and 2
+    at the mean of the step's two ends and stage 3 at its end, each through
+    a monotone cubic pinned to zero at both endpoints.  The positions thus
+    depend on V^n alone: each block of steps takes its velocities and its
+    particles' steps first, then builds their stage moment operators in one
     batch, then steps (p, z) (_picard_sweep).  V^0 is the initial
     perturbation decayed at rate mu.  Stops when a distance falls below tol,
     or after PICARD_MAX_ITERS iterates.  Returns the final trajectory and the
@@ -459,7 +464,6 @@ def picard_solve(initial, t_end, dt, spec, reference, mu, tol=1e-10,
     grid = require_same_grid(initial.p, reference.p_star)
     nodes = grid.nodes
     cache = NutrientCache(spec, grid)
-    node_moments = RadialMoments(nodes)
     n_steps, recorded = output_steps(t_end, dt, output_every)
     path_times = initial.t + dt * np.arange(n_steps + 1)
 
@@ -473,11 +477,8 @@ def picard_solve(initial, t_end, dt, spec, reference, mu, tol=1e-10,
     distances = []
     increases = 0
     for _ in range(PICARD_MAX_ITERS):
-        path_w = np.empty_like(path_p)
-        for k, (p, z) in enumerate(zip(path_p, path_z)):
-            path_w[k] = _stage_rates(spec, cache, nodes, p, z, node_moments)[0]
-        new_p, new_z = _picard_sweep(spec, cache, nodes, grid.spacing, path_w,
-                                     initial.p.values, initial.z, dt)
+        new_p, new_z = _picard_sweep(spec, cache, nodes, grid.spacing, path_p,
+                                     path_z, initial.p.values, initial.z, dt)
         p_dev, _, z_dev = deviation(grid, new_p, new_z, path_p, path_z)
         d = float(np.max(np.exp(mu * (path_times - initial.t)) * (p_dev + z_dev)))
         distances.append(d)

@@ -26,11 +26,12 @@ class VelocityField:
 
 
 def frame_velocity(u, r):
-    """w = u - r u(1) at the points r (r[0] = 0, r[-1] = 1)."""
-    w = u - r * u[-1]
+    """w = u - r u(1) at the points r (r[0] = 0, r[-1] = 1), for each row
+    of u (last axis)."""
+    w = u - r * u[..., -1:]
     # w(0)=w(1)=0 are algebraic identities; enforce against rounding
-    w[0] = 0.0
-    w[-1] = 0.0
+    w[..., 0] = 0.0
+    w[..., -1] = 0.0
     return w
 
 

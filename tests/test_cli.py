@@ -63,6 +63,14 @@ def test_config_step_above_bound_exits_3(tmp_path, capsys):
     ('dt = "0.01"\n', "config key 'dt' must be float"),
     ("grid_size = true\n", "config key 'grid_size' must be int"),
     ("spec.bar = 1\n", "unknown config key 'spec.bar'"),
+    ("dt = NaN\n", "config key 'dt' must be finite"),
+    ("output_every = NaN\n", "config key 'output_every' must be finite"),
+    ("t_end = Infinity\n", "config key 't_end' must be finite"),
+    ("spec.lam = NaN\n", "config key 'spec.lam' must be finite"),
+    ("z_offset = NaN\n", "config key 'z_offset' must be finite"),
+    ("epsilon = -Infinity\n", "config key 'epsilon' must be finite"),
+    pytest.param(f"spec.lam = 1{'0' * 400}\n", "config key 'spec.lam' must be finite",
+                 id="int-beyond-float"),
 ])
 def test_bad_config_value_exits_3(tmp_path, capsys, text, message):
     path = tmp_path / "bad.cfg"
@@ -71,14 +79,27 @@ def test_bad_config_value_exits_3(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["linearize", "--ensemble", "0"],
-                                  ["sweep", "--epsilons", "abc"]])
+@pytest.mark.parametrize("argv", [
+    ["linearize", "--ensemble", "0"],
+    ["sweep", "--epsilons", "abc"],
+    ["linearize", "--t-end", "0"],
+    ["linearize", "--t-end", "-1"],
+    ["linearize", "--t-end", "nan"],
+    ["maps", "--epsilon", "0"],
+    ["maps", "--epsilon", "-0.01"],
+    ["maps", "--epsilon", "nan"],
+    ["maps", "--mu", "0"],
+    ["maps", "--mu", "-1"],
+    ["maps", "--mu", "inf"],
+    ["nutrient", "--z", "nan"],
+    ["nutrient", "--z", "inf"],
+])
 def test_bad_argument_exits_3_before_any_solve(monkeypatch, capsys, argv):
     def banned(*args, **kwargs):
         raise AssertionError("a bad argument must stop the run before any solve")
 
-    monkeypatch.setattr(cli, "stationary_for", banned)
-    monkeypatch.setattr(cli, "sweep", banned)
+    for name in ("stationary_for", "sweep", "solve_nutrient"):
+        monkeypatch.setattr(cli, name, banned)
     assert main(argv) == EXIT_CONFIG_ERROR
     assert argv[1] in capsys.readouterr().err
 

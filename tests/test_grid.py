@@ -17,7 +17,16 @@ def test_grid_requires_endpoints():
     with pytest.raises(ValueError):
         RadialGrid(np.linspace(0.1, 1.0, 10))
     with pytest.raises(ValueError):
-        RadialGrid(np.array([0.0, 0.5, 0.2, 1.0]))
+        RadialGrid(np.array([0.0, 0.25, 0.5, 0.2, 1.0]))
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_grid_needs_five_nodes(size):
+    # the 5-point derivative stencils read node 4
+    with pytest.raises(ValueError, match="at least 5"):
+        RadialGrid.uniform(size)
+    g = RadialGrid.uniform(5)
+    assert np.allclose(derivative_values(g.nodes ** 2, g), 2 * g.nodes)
 
 
 def test_uniform_spacing():

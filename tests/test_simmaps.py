@@ -121,7 +121,9 @@ def test_flow_cocycle(perturbed_maps):
 
 def test_unperturbed_maps_reduce_to_identity(logistic_table):
     table, u = logistic_table
-    maps = build_maps(u, table=table)
+    # the factor 1 + 0 e^{-mu t} cos(pi r) is exactly 1, so w = u_*
+    w, w_dr = make_perturbed_velocity(u, 0.0, 0.0)
+    maps = build_maps(u, w, w_dr, table=table)
     r = np.linspace(0.05, 0.95, 21)
     assert np.max(np.abs(map_T(maps, r, 3.0, 0.5) - r)) <= 1e-8
 

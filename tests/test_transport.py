@@ -205,14 +205,16 @@ def _counting(monkeypatch, name, counts, size=lambda *args: 1):
 
 
 def test_picard_stage_budget(monkeypatch, stationary201, default_spec):
-    # per iteration: the frame velocity of every state of the frozen path on
-    # the nodes, f and u(1) at each Runge-Kutta stage, and one batched
-    # moment build per block of steps, besides the nodes' one per solve
-    node_velocity, stages, regrids, builds = [], [], [], []
-    _counting(monkeypatch, "_stage_rates", node_velocity)
+    # per iteration: f and u(1) at each Runge-Kutta stage and, per block of
+    # steps, one frame-velocity batch of the block's path states on the
+    # nodes and one batched moment build of its stage positions; no
+    # direct stage at all
+    direct, stages, regrids, builds, velocities = [], [], [], [], []
+    _counting(monkeypatch, "_stage_rates", direct)
     _counting(monkeypatch, "_source_rates", stages)
     _counting(monkeypatch, "regrid", regrids)
     _counting(monkeypatch, "RadialMoments", builds, np.shape)
+    _counting(monkeypatch, "radial_average", velocities, lambda g, x: g.shape)
     r = stationary201.grid.nodes
     p0 = np.clip(stationary201.p_star.values + 1e-2 * np.sin(np.pi * r), 0, 1)
     init = TumorState(t=0.0, p=RadialField(stationary201.grid, p0),
@@ -221,14 +223,16 @@ def test_picard_stage_budget(monkeypatch, stationary201, default_spec):
     _, distances = picard_solve(init, n_steps * 1e-2, 1e-2, default_spec,
                                 stationary201, mu=0.07)
     iterations = len(distances)
-    assert len(node_velocity) == iterations * (n_steps + 1)
+    assert not direct
     assert len(stages) == iterations * 4 * n_steps
     # no regrid this early, so the blocks split only at PICARD_BLOCK_STEPS
     assert not regrids
-    blocks = -(-n_steps // transport.PICARD_BLOCK_STEPS)
-    assert builds[0] == r.shape
-    assert len(builds) == 1 + iterations * blocks
-    assert sum(rows for rows, _ in builds[1:]) == iterations * 4 * n_steps
+    blocks = [min(transport.PICARD_BLOCK_STEPS, n_steps - k)
+              for k in range(0, n_steps, transport.PICARD_BLOCK_STEPS)]
+    assert len(builds) == iterations * len(blocks)
+    assert sum(rows for rows, _ in builds) == iterations * 4 * n_steps
+    # each block's velocity window holds its path states, its end included
+    assert velocities == iterations * [(steps + 1, r.size) for steps in blocks]
 
 
 @pytest.mark.parametrize("family", ["affine", "saturating"])

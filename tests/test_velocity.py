@@ -30,6 +30,19 @@ def test_frame_adjusted_velocity_vanishes_at_endpoints(grid801):
     np.testing.assert_array_equal(w[1:-1], u[1:-1] - r[1:-1] * u[-1])
 
 
+@pytest.mark.parametrize("size", [201, 801])
+@pytest.mark.parametrize("rows", [1, 2, 9])
+def test_frame_velocity_rows_match_one_row_each(rng, size, rows):
+    # Picard takes the frame velocities of a block's path states in one
+    # batch; each row must keep the bits it has alone
+    r = np.linspace(0.0, 1.0, size)
+    g = rng.standard_normal((rows, size)) + np.cos(np.arange(1, rows + 1)[:, None] * r)
+    w = frame_velocity(radial_average(g, r), r)
+    assert w.shape == g.shape
+    for one, row in zip(g, w):
+        assert np.array_equal(frame_velocity(radial_average(one, r), r), row)
+
+
 def test_velocity_from_state_negative_near_boundary(grid801, default_spec):
     # a depleted interior with p below the death/growth balance pulls inward
     ns = solve_nutrient(default_spec, 2.0, grid801)
