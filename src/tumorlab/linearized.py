@@ -9,12 +9,13 @@ where a is the p-derivative of the reaction term at the stationary profile,
 b collects the nutrient sensitivity c_z, B is the nonlocal velocity-feedback
 operator and F / kappa drive the log-radius.  This module assembles those
 coefficients from a stationary solution, integrates the linear system along
-the frozen stationary characteristics (four-step Adams-Bashforth after three
-Runge-Kutta steps that restart each regrid cycle, every rate one folded
-operator over grid.pair_moments), fits exponential decay rates
-to norm series, and implements the explicit resolvent of the scalar transport
-operator q -> -w q' + a q in the travel-time coordinate of w, together with
-a Laplace-transform consistency check against the matching semigroup.
+the frozen stationary characteristics (transport.AdamsBashforth: four-step
+Adams-Bashforth after three Runge-Kutta steps that restart each regrid
+cycle, every rate one folded operator over grid.pair_moments), fits
+exponential decay rates to norm series, and implements the explicit
+resolvent of the scalar transport operator q -> -w q' + a q in the
+travel-time coordinate of w, together with a Laplace-transform consistency
+check against the matching semigroup.
 """
 
 from dataclasses import dataclass
@@ -28,17 +29,15 @@ from .grid import (RadialField, RadialMoments, derivative_values,
                    pair_moments, radial_average, require_same_grid)
 from .kinetics import eval_rates
 from .simmaps import _random_smooth, build_fstar
-from .transport import (Trajectory, _check_dt, deviation, frozen_path,
-                        on_grid, output_steps, regrid, rk4, trajectory)
+from .transport import (STARTUP_STEPS, AdamsBashforth, Trajectory, _check_dt,
+                        deviation, frozen_path, on_grid, output_steps, regrid,
+                        trajectory)
 
 RESOLVENT_DS = 5e-4
 LAPLACE_DT = 5e-3  # time step of the Laplace-transform quadrature
 ENSEMBLE_AMPLITUDE = 1e-2
 FIT_WINDOW_FRACTION = 0.7
 FIT_R2_MIN = 0.98
-#: RK4 steps that open each regrid cycle of LinearPropagator, filling the
-#: history of its four-step Adams-Bashforth steps
-STARTUP_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -141,17 +140,13 @@ class LinearPropagator:
     same cycle between regrids, and the rate of (phi, zeta) at a stage of
     the cycle is one fixed linear operator (_FoldedStage), built once and
     shared by steps and ensemble members, advanced together as rows of a
-    matrix.  The first STARTUP_STEPS steps of a cycle are classical
-    Runge-Kutta steps; every later one is four-step Adams-Bashforth,
-
-        y += dt/24 (55 f_n - 59 f_{n-1} + 37 f_{n-2} - 9 f_{n-3}),
-
-    with f_k the rate at the start of step k (the first stage of an RK4
-    step), so it applies one operator where RK4 applies four.  The history
-    starts empty at t = 0 and at every regrid, so one cycle is one fixed
-    map.  records streams the recorded states, so a caller that reduces
-    each one (decay_ensemble) never holds the whole run; run collects them
-    into arrays.
+    matrix.  They step by transport.AdamsBashforth: classical Runge-Kutta
+    for the first STARTUP_STEPS steps of a cycle, then four-step
+    Adams-Bashforth, which applies one operator (the step start's) where
+    RK4 applies four.  The history starts empty at t = 0 and at every
+    regrid, so one cycle is one fixed map.  records streams the recorded
+    states, so a caller that reduces each one (decay_ensemble) never holds
+    the whole run; run collects them into arrays.
     """
 
     def __init__(self, ops, dt):
@@ -174,13 +169,12 @@ class LinearPropagator:
     def _workspace(self, rows):
         """One records call's buffers: the moments, pair integrals, their
         scratch and (M(1), zeta), shared by the stages, and one dphi per
-        stage, stacked: four for the rates of the Adams-Bashforth history,
-        then one for each of an RK4 step's last three stages."""
+        stage of an RK4 step, stacked."""
         n = self.nodes.size
         m = (n - 1) // 2
         shared = (np.empty((rows, n)), np.empty((rows, 2, m)),
                   np.empty((rows, 2, m)), np.empty((rows, 2)))
-        return shared, np.empty((7, rows, n))
+        return shared, np.empty((4, rows, n))
 
     def _stage_rate(self, st, phi, zeta):
         """(dphi, dzeta) of a state; st pairs a _FoldedStage with the
@@ -210,40 +204,26 @@ class LinearPropagator:
         resamples onto the reference grid with transport.on_grid where it
         needs them; the times are record_times(t_end, output_every).
         """
-        dt = self.dt
-        n_steps, recorded = output_steps(t_end, dt, output_every)
+        n_steps, recorded = output_steps(t_end, self.dt, output_every)
         phi = np.atleast_2d(np.asarray(phi0, dtype=float))
         zeta = np.atleast_1d(np.asarray(zeta0, dtype=float)).copy()
         yield 0, self.nodes, phi.copy(), zeta
         shared, dphi = self._workspace(phi.shape[0])
-        # the rates at the last four step starts, step k's in slot k % 4
-        ring = dphi[:4].reshape(4, -1)
-        dzeta = np.empty((4, phi.shape[0]))
-        # weights of the slots at step k: 55, -59, 37, -9 from slot k % 4 back
-        ab4 = [dt / 24.0 * np.roll((55.0, -9.0, 37.0, -59.0), s) for s in range(4)]
+        multistep = AdamsBashforth(self.dt, (phi, zeta))
         j = 1
         k_cycle = 0
 
         def rates(i, y):
-            slot = k % 4 if i == 0 else 3 + i
-            f = self._stage_rate((stages[i], shared + (dphi[slot],)), *y)
-            if i == 0:
-                dzeta[slot] = f[1]
-            return f
+            return self._stage_rate((stages[i], shared + (dphi[i],)), *y)
 
         for k in range(1, n_steps + 1):
             stages, end_pos = self.steps[k_cycle]
-            if k_cycle < STARTUP_STEPS:
-                phi, zeta = rk4(rates, (phi, zeta), dt)
-            else:
-                rates(0, (phi, zeta))
-                w = ab4[k % 4]
-                phi = phi + (w @ ring).reshape(phi.shape)
-                zeta = zeta + w @ dzeta
+            phi, zeta = multistep.step(rates, (phi, zeta))
             k_cycle += 1
             if k_cycle == self.cycle_len:
                 # the next cycle starts its history afresh
                 phi = regrid(end_pos, phi, self.nodes)
+                multistep.restart()
                 k_cycle = 0
                 end_pos = self.nodes
             if k == recorded[j]:

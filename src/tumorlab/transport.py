@@ -52,6 +52,8 @@ REGRID_MAX_FACTOR = 2.5
 P_ESCAPE_TOL = 1e-9
 #: most steps in one block of picard_solve; bounds the block's stacked arrays
 PICARD_BLOCK_STEPS = 8
+#: rk4 steps that open each regrid cycle of an AdamsBashforth history
+STARTUP_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -176,6 +178,52 @@ def rk4(rates, y, dt):
     k4 = rates(3, tuple(a + dt * k for a, k in zip(y, k3)))
     return tuple(a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+
+
+class AdamsBashforth:
+    """Four-step Adams-Bashforth steps of a state tuple, opened by rk4 steps.
+
+        y += dt/24 (55 f_n - 59 f_{n-1} + 37 f_{n-2} - 9 f_{n-3}),
+
+    with f_k the rate at the start of step k (the first stage of an rk4
+    step), so a step evaluates the rates once where rk4 does four times.
+    The four-slot history holds step n's rates in slot n % 4, sized once
+    from the state tuple like; it starts empty, and restart() empties it
+    again (at a regrid): the first STARTUP_STEPS steps after either are rk4
+    steps.
+    """
+
+    def __init__(self, dt, like):
+        self.dt = dt
+        self.history = tuple(np.empty((4,) + np.shape(a)) for a in like)
+        # weights of the slots at step n: 55, -59, 37, -9 from slot n % 4 back
+        self.weights = [dt / 24.0 * np.roll((55.0, -9.0, 37.0, -59.0), s) for s in range(4)]
+        self.n = 0
+        self.filled = 0
+
+    def restart(self):
+        self.filled = 0
+
+    def step(self, rates, y):
+        """One step of y' = rates(i, y), rates as for rk4; returns the new
+        tuple and leaves y unchanged."""
+        self.n += 1
+        slot = self.n % 4
+
+        def first(i, y):
+            f = rates(i, y)
+            if i == 0:
+                for h, a in zip(self.history, f):
+                    h[slot] = a
+            return f
+
+        if self.filled < STARTUP_STEPS:
+            self.filled += 1
+            return rk4(first, y, self.dt)
+        first(0, y)
+        w = self.weights[slot]
+        return tuple(a + (w @ h.reshape(4, -1)).reshape(np.shape(a))
+                     for a, h in zip(y, self.history))
 
 
 def _require_finite(name, a):
