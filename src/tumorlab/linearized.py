@@ -209,22 +209,19 @@ class LinearPropagator:
         zeta = np.atleast_1d(np.asarray(zeta0, dtype=float)).copy()
         yield 0, self.nodes, phi.copy(), zeta
         shared, dphi = self._workspace(phi.shape[0])
-        multistep = AdamsBashforth(self.dt, (phi, zeta))
+        multistep = AdamsBashforth((phi, zeta))
         j = 1
-        k_cycle = 0
 
         def rates(i, y):
             return self._stage_rate((stages[i], shared + (dphi[i],)), *y)
 
         for k in range(1, n_steps + 1):
-            stages, end_pos = self.steps[k_cycle]
-            phi, zeta = multistep.step(rates, (phi, zeta))
-            k_cycle += 1
-            if k_cycle == self.cycle_len:
+            stages, end_pos = self.steps[(k - 1) % self.cycle_len]
+            phi, zeta = multistep.step(rates, (phi, zeta), self.dt)
+            if k % self.cycle_len == 0:
                 # the next cycle starts its history afresh
                 phi = regrid(end_pos, phi, self.nodes)
                 multistep.restart()
-                k_cycle = 0
                 end_pos = self.nodes
             if k == recorded[j]:
                 yield j, end_pos, phi, zeta

@@ -5,22 +5,23 @@ tumor radius.  Along characteristics dr/dt = w(r,t) the p-equation becomes
 dp/dt = f(r, p, z), and dz/dt = u(1, t).  The endpoints r=0 and r=1 are
 characteristic lines and stay pinned.
 
-Every characteristics integrator takes the same classical 4-stage
+Every characteristics integrator steps by the classical 4-stage
 Runge-Kutta step, rk4(rates, y, dt), with its own state tuple y and stage
-rates.  The direct step _rk4 (step, simulate) advances (positions, p, z)
-and re-evaluates the nutrient profile and the velocity quadrature at every
-stage (exact for the affine law, otherwise a warm-started solve, z moves
-slowly).  frozen_path moves particles alone, (positions,), through frozen
+rates, or by the one multistep kernel AdamsBashforth: four-step
+Adams-Bashforth on one rate per step, after STARTUP_STEPS rk4 steps that
+open each regrid cycle.  step (by _rk4) and simulate (by AdamsBashforth)
+advance (positions, p, z), re-evaluating the nutrient profile and the
+velocity quadrature at every stage (exact for the affine law, otherwise a
+warm-started solve).  frozen_path moves particles alone through frozen
 velocity fields up to their first regrid.  picard_solve freezes the
-previous iterate's path, so per block of steps (up to a regrid, at most
-PICARD_BLOCK_STEPS) it takes the frame velocities of the block's path
-states on the nodes in one radial_average, the particles' steps from
-frozen_path, and the moment operators of all their stage positions in one
-grid.RadialMoments call, then steps (p, z) reading only f and u(1) there.
-In the fixed field of pure_transport and linearized.LinearPropagator
-every regrid cycle repeats the first, which frozen_path gives once; the
-propagator steps (phi, zeta) along it: rk4 for the first steps of each
-cycle, then four-step Adams-Bashforth.
+previous iterate's path and steps as simulate does, per block of steps (up
+to a regrid, at most PICARD_BLOCK_STEPS): the frame velocities of the
+block's path states on the nodes in one radial_average, the particles'
+steps from frozen_path, the moment operators of all their stage positions
+in one grid.RadialMoments call, then (p, z) reading only f and u(1) there.
+In the fixed field of pure_transport and linearized.LinearPropagator every
+regrid cycle repeats the first, which frozen_path gives once by rk4; the
+propagator steps (phi, zeta) along it by AdamsBashforth.
 
 Particles drift toward the origin (w < 0 in the interior), so the bundle is
 resampled onto the reference grid with a monotone cubic whenever spacing
@@ -54,6 +55,8 @@ P_ESCAPE_TOL = 1e-9
 PICARD_BLOCK_STEPS = 8
 #: rk4 steps that open each regrid cycle of an AdamsBashforth history
 STARTUP_STEPS = 3
+#: AdamsBashforth weights of the slots at step n: 55, -59, 37, -9 from slot n % 4 back
+_AB4_SLOTS = [np.roll((55.0, -9.0, 37.0, -59.0), s) for s in range(4)]
 
 
 @dataclass(frozen=True)
@@ -181,47 +184,39 @@ def rk4(rates, y, dt):
 
 
 class AdamsBashforth:
-    """Four-step Adams-Bashforth steps of a state tuple, opened by rk4 steps.
+    """Four-step Adams-Bashforth steps of a state tuple shaped like like,
 
         y += dt/24 (55 f_n - 59 f_{n-1} + 37 f_{n-2} - 9 f_{n-3}),
 
-    with f_k the rate at the start of step k (the first stage of an rk4
-    step), so a step evaluates the rates once where rk4 does four times.
-    The four-slot history holds step n's rates in slot n % 4, sized once
-    from the state tuple like; it starts empty, and restart() empties it
-    again (at a regrid): the first STARTUP_STEPS steps after either are rk4
-    steps.
+    f_k the rates at the start of step k: one evaluation per step where rk4
+    takes four.  The four-slot history (step n's rates in slot n % 4)
+    starts empty and restart() empties it again (at a regrid); the first
+    STARTUP_STEPS steps after either are rk4 steps, whose first stage fills
+    it.  step has rk4's signature and, like it, leaves y unchanged.
     """
 
-    def __init__(self, dt, like):
-        self.dt = dt
+    def __init__(self, like):
         self.history = tuple(np.empty((4,) + np.shape(a)) for a in like)
-        # weights of the slots at step n: 55, -59, 37, -9 from slot n % 4 back
-        self.weights = [dt / 24.0 * np.roll((55.0, -9.0, 37.0, -59.0), s) for s in range(4)]
-        self.n = 0
-        self.filled = 0
+        self.n = self.filled = 0
 
     def restart(self):
         self.filled = 0
 
-    def step(self, rates, y):
-        """One step of y' = rates(i, y), rates as for rk4; returns the new
-        tuple and leaves y unchanged."""
+    def step(self, rates, y, dt):
         self.n += 1
         slot = self.n % 4
 
         def first(i, y):
             f = rates(i, y)
-            if i == 0:
-                for h, a in zip(self.history, f):
-                    h[slot] = a
+            for h, a in zip(self.history if i == 0 else (), f):
+                h[slot] = a
             return f
 
         if self.filled < STARTUP_STEPS:
             self.filled += 1
-            return rk4(first, y, self.dt)
+            return rk4(first, y, dt)
         first(0, y)
-        w = self.weights[slot]
+        w = dt / 24.0 * _AB4_SLOTS[slot]
         return tuple(a + (w @ h.reshape(4, -1)).reshape(np.shape(a))
                      for a, h in zip(y, self.history))
 
@@ -307,14 +302,15 @@ def _check_dt(dt):
         raise ValueError(f"dt={dt} exceeds DT_MAX={DT_MAX}")
 
 
-def frozen_path(stage_fields, positions, dt, h_ref):
+def frozen_path(stage_fields, positions, dt, h_ref, method=None):
     """Particles (positions,) moved through frozen velocity fields.
 
-    stage_fields(j) gives step j's four fields, callables of r, one per
-    Runge-Kutta stage; each stage rate is pinned to zero at both endpoints,
-    so they stay in place.  Yields (stage positions, end positions, needs
-    regrid) per step, the end positions guarded, and stops after the first
-    step that needs a regrid.
+    stage_fields(j) gives step j's fields, callables of r, one per stage of
+    method (rk4 by default, or an AdamsBashforth's step, which reads the
+    first alone after its start-up); each stage rate is pinned to zero at
+    both endpoints, so they stay in place.  Yields (stage positions, end
+    positions, needs regrid) per step, the end positions guarded, and stops
+    after the first step that needs a regrid.
     """
     for j in itertools.count():
         fields = stage_fields(j)
@@ -327,7 +323,7 @@ def frozen_path(stage_fields, positions, dt, h_ref):
             v[-1] = 0.0
             return (v,)
 
-        (positions,) = rk4(rates, (positions,), dt)
+        (positions,) = (method or rk4)(rates, (positions,), dt)
         again = _needs_regrid(_guarded_positions(positions), h_ref)
         yield stages, positions, again
         if again:
@@ -360,7 +356,9 @@ def simulate(initial, t_end, dt, spec, reference, output_every=0.1):
     """Integrate the nonlinear system and record norm series against reference.
 
     The trajectory is sampled every output_every time units (plus t=0 and
-    t_end); between regrids the particle bundle evolves freely.
+    t_end); between regrids the particle bundle evolves freely, stepped by
+    AdamsBashforth on one _stage_rates call per step (four in each of a
+    cycle's STARTUP_STEPS rk4 steps).
     """
     _check_dt(dt)
     grid = require_same_grid(initial.p, reference.p_star)
@@ -372,20 +370,22 @@ def simulate(initial, t_end, dt, spec, reference, output_every=0.1):
     positions = nodes
     values = initial.p.values
     z = initial.z
-    ps, zs, mres = [], [], []
+    ps, zs, mres = np.empty((len(recorded), nodes.size)), [], []
+    multistep = AdamsBashforth((positions, values, z))
 
     def record(positions, values, z):
-        p = np.clip(on_grid(positions, values, nodes), 0.0, 1.0)
-        ps.append(p)
+        p = np.clip(on_grid(positions, values, nodes), 0.0, 1.0, out=ps[len(zs)])
         zs.append(z)
         mres.append(_mass_residual(spec, cache, grid, p, z))
 
     record(positions, values, z)
     for k in range(1, n_steps + 1):
-        positions, values, z = _rk4(spec, cache, positions, values, z, dt)
+        positions, values, z = _guarded(*multistep.step(
+            lambda i, y: _stage_rates(spec, cache, *y), (positions, values, z), dt))
         if _needs_regrid(positions, h_ref):
             values = np.clip(regrid(positions, values, nodes), 0.0, 1.0)
             positions = nodes
+            multistep.restart()
         if k == recorded[len(zs)]:  # the next step to record
             record(positions, values, z)
     return trajectory(grid, initial.t + dt * np.array(recorded), ps, zs,
@@ -435,10 +435,12 @@ def _picard_sweep(spec, cache, nodes, h_ref, path_p, path_z, values, z, dt):
     takes four passes: one radial_average gives the frame velocities of the
     block's path states (its end state included) on the nodes, the
     particles move (frozen_path, through the cubics of those velocities and
-    their step means, built in two batches), one RadialMoments call builds
-    the moment operators of all their stage positions, and then (p, z)
-    steps through the block reading only f and u(1) at those positions.
-    The block's states go onto the nodes in one batched on_grid.
+    of their step means for the rk4 start-up steps alone), one
+    RadialMoments call builds the moment operators of all their stage
+    positions, and then (p, z) steps through the block reading only f and
+    u(1) there.  The particles and (p, z) each keep an AdamsBashforth
+    history, both restarted at a regrid.  The block's states go onto the
+    nodes in one batched on_grid.
     """
     n_steps = len(path_z) - 1
     n = nodes.size
@@ -448,34 +450,40 @@ def _picard_sweep(spec, cache, nodes, h_ref, path_p, path_z, values, z, dt):
     m = (n - 1) // 2
     work = (np.empty(n), np.empty((2, m)), np.empty((2, m)))
     positions = nodes
+    moves, sources = AdamsBashforth((nodes,)), AdamsBashforth((values, z))
     k = 0
     while k < n_steps:
         window = slice(k, k + PICARD_BLOCK_STEPS + 1)
         g = [_stage_kinetics(spec, cache, nodes, zk).g(pk)
              for pk, zk in zip(path_p[window], path_z[window])]
         w = frame_velocity(radial_average(np.array(g), nodes), nodes)
-        ends, means = (pchip_coefficients(nodes, v) for v in (w, 0.5 * (w[:-1] + w[1:])))
+        ends = pchip_coefficients(nodes, w)
+        starting = min(STARTUP_STEPS - moves.filled, len(w) - 1)
+        means = starting and pchip_coefficients(nodes, 0.5 * (w[:starting] + w[1:starting + 1]))
 
         def stage_fields(j):
-            start, mid, end = (PPoly.construct_fast(c, nodes)
-                               for c in (ends[j], means[j], ends[j + 1]))
+            start = PPoly.construct_fast(ends[j], nodes)
+            if j >= starting:
+                return (start,)
+            mid, end = (PPoly.construct_fast(c, nodes) for c in (means[j], ends[j + 1]))
             return start, mid, mid, end
 
         block = list(itertools.islice(
-            frozen_path(stage_fields, positions, dt, h_ref), len(means)))
+            frozen_path(stage_fields, positions, dt, h_ref, moves.step), len(w) - 1))
         steps = len(block)
         stage_x = [x for stages, _, _ in block for x in stages]
         moments = RadialMoments(np.array(stage_x))
         weights, last, start = moments.weights, moments.last, moments.start
+        rows = itertools.count()
+
+        def rates(i, y):
+            r = next(rows)
+            op = (weights[r], None if last is None else last[r], start[r])
+            return _source_rates(spec, cache, stage_x[r], op, *y, work)
+
         block_p = new_p[k + 1:k + 1 + steps]
         for j in range(steps):
-
-            def rates(i, y):
-                r = 4 * j + i
-                op = (weights[r], None if last is None else last[r], start[r])
-                return _source_rates(spec, cache, stage_x[r], op, *y, work)
-
-            values, z = _guarded_values(*rk4(rates, (values, z), dt))
+            values, z = _guarded_values(*sources.step(rates, (values, z), dt))
             block_p[j] = values
             new_z[k + 1 + j] = z
         end_x = np.array([end for _, end, _ in block])
@@ -484,6 +492,8 @@ def _picard_sweep(spec, cache, nodes, h_ref, path_p, path_z, values, z, dt):
             values = np.clip(regrid(positions, values, nodes), 0.0, 1.0)
             block_p[-1] = values
             end_x[-1] = positions = nodes
+            moves.restart()
+            sources.restart()
         block_p[:] = np.clip(on_grid(end_x, block_p, nodes), 0.0, 1.0)
         k += steps
     return new_p, new_z
@@ -496,15 +506,16 @@ def picard_solve(initial, t_end, dt, spec, reference, mu, tol=1e-10,
     Iterate n+1 is advected by the frame velocity w of the previous iterate's
     path V^n, while the reaction term and dz/dt use the current unknown.  w
     is computed on the nodes for the states of V^n, one batch per block of
-    steps; stage 0 of a step reads it at the step's start, stages 1 and 2
-    at the mean of the step's two ends and stage 3 at its end, each through
-    a monotone cubic pinned to zero at both endpoints.  The positions thus
-    depend on V^n alone: each block of steps takes its velocities and its
-    particles' steps first, then builds their stage moment operators in one
-    batch, then steps (p, z) (_picard_sweep).  V^0 is the initial
-    perturbation decayed at rate mu.  Stops when a distance falls below tol,
-    or after PICARD_MAX_ITERS iterates.  Returns the final trajectory and the
-    weighted sup distances d(V^{n+1}, V^n) = sup_t e^{mu t} ||difference||_X.
+    steps, and read through a monotone cubic pinned to zero at both
+    endpoints: at the start of an Adams-Bashforth step, and at the start,
+    the mean of the two ends and the end of an rk4 start-up step (simulate's
+    steps).  The positions thus depend on V^n alone: each block of steps
+    takes its velocities and its particles' steps first, then builds their
+    stage moment operators in one batch, then steps (p, z) (_picard_sweep).
+    V^0 is the initial perturbation decayed at rate mu.  Stops when a
+    distance falls below tol, or after PICARD_MAX_ITERS iterates.  Returns
+    the final trajectory and the weighted sup distances
+    d(V^{n+1}, V^n) = sup_t e^{mu t} ||difference||_X.
 
     Raises SolverError if the distances increase twice in a row.
     """

@@ -112,24 +112,25 @@ def test_determinism_bit_identical(tmp_path, stationary201):
 # both manifests when the q = 1 - p copies of the p checks went, and again
 # when the closed-form cubic start moved stationary.u_weight_lower, and the
 # manifests and trajectories when grid.RadialMoments came to sum Simpson
-# pair totals); the manifest also holds the package versions, so a version
-# change moves its digest.
+# pair totals, and every file when simulate and picard_solve came to step
+# by transport.AdamsBashforth); the manifest also holds the package
+# versions, so a version change moves its digest.
 REPORT_DIGESTS = {
     "direct": {
         "manifest.txt":
-            "d96c55a45fb6ef344e9e838b42e4c8b8c60ea9b8fdb912a0e5002d8f5bec7e1f",
+            "1ad345ea5bfb20fd67f8e63fce4600ac63ee3f14e792a74d7c56b08eccac8740",
         "trajectory.csv":
-            "db5bb2a653ad2aa9f2e515da5edf6ca6a71dc493e8aaee614ed980edd96d38a8",
+            "407e1ef752e1e054aa05cf6bd816c1f9164ef8dbfb9e65993e41eb0030e55cd3",
         "decay.csv":
-            "13710769fd4bb4c275cf3481fe7477dbf542af72f04cfb35c1c086144f00616b",
+            "0abf8320eb8ee8642d2a120808be17c0e15f91cfe09b241bb8c2c6453aa401f7",
     },
     "picard": {
         "manifest.txt":
-            "5bbd3f92a5058d992b4138f00c584a2fa474afef88e502a200bd5725ef377928",
+            "af4b242e994e3cf4bf2d4fbf2172ea0f4a4a905fded6c6e8b04fe952003acf8a",
         "trajectory.csv":
-            "91f31f46ba8ea4b977fa340448e3b0f6d7adbc6f892162994531a5c3081765f3",
+            "86d2d2d39521c4c44eb7ba1d89530fe561006340b5a285145191155c39d9222f",
         "decay.csv":
-            "98c1d42d623fbbfe3b791c79a3e3a1537b1bf86c64c1e24541376248ac243d70",
+            "6f062bafea4fd890b30b96ab8b6b192f6bbe661a8a4d7ad250113fb31aec815d",
     },
 }
 

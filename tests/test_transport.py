@@ -1,13 +1,15 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
+import tumorlab.linearized as linearized
 import tumorlab.transport as transport
 from tumorlab.experiments import (PICARD_RATE, RunConfig, initial_state,
-                                  stationary_for)
+                                  perturbation_shape, stationary_for)
 from tumorlab.grid import RadialField, RadialGrid, RadialMoments
 from tumorlab.errors import SolverError
 from tumorlab.kinetics import KineticsSpec, RateValues
@@ -193,28 +195,33 @@ def test_picard_rejects_large_dt(stationary201, default_spec):
         simulate(init, 0.04, 0.02, default_spec, stationary201)
 
 
-def _counting(monkeypatch, name, counts, size=lambda *args: 1):
-    # replace transport.<name> by a wrapper that appends size(*args) per call
-    original = getattr(transport, name)
-
+def _counted(original, counts, size=lambda *args: 1):
+    # a wrapper of original that appends size(*args) per call
     def counted(*args):
         counts.append(size(*args))
         return original(*args)
 
-    monkeypatch.setattr(transport, name, counted)
+    return counted
+
+
+def _counting(monkeypatch, name, counts, size=lambda *args: 1):
+    # replace transport.<name> by a wrapper that appends size(*args) per call
+    monkeypatch.setattr(transport, name, _counted(getattr(transport, name), counts, size))
 
 
 def test_picard_stage_budget(monkeypatch, stationary201, default_spec):
-    # per iteration: f and u(1) at each Runge-Kutta stage and, per block of
-    # steps, one frame-velocity batch of the block's path states on the
-    # nodes and one batched moment build of its stage positions; no
-    # direct stage at all
-    direct, stages, regrids, builds, velocities = [], [], [], [], []
+    # per iteration: f and u(1) at each stage, four in each of the
+    # STARTUP_STEPS rk4 steps and one in every Adams-Bashforth step, and,
+    # per block of steps, one frame-velocity batch of the block's path
+    # states on the nodes, one batched moment build of its stage positions
+    # and step means for the start-up steps alone; no direct stage at all
+    direct, stages, regrids, builds, velocities, cubics = [], [], [], [], [], []
     _counting(monkeypatch, "_stage_rates", direct)
     _counting(monkeypatch, "_source_rates", stages)
     _counting(monkeypatch, "regrid", regrids)
     _counting(monkeypatch, "RadialMoments", builds, np.shape)
     _counting(monkeypatch, "radial_average", velocities, lambda g, x: g.shape)
+    _counting(monkeypatch, "pchip_coefficients", cubics, lambda x, v: v.shape)
     r = stationary201.grid.nodes
     p0 = np.clip(stationary201.p_star.values + 1e-2 * np.sin(np.pi * r), 0, 1)
     init = TumorState(t=0.0, p=RadialField(stationary201.grid, p0),
@@ -223,16 +230,155 @@ def test_picard_stage_budget(monkeypatch, stationary201, default_spec):
     _, distances = picard_solve(init, n_steps * 1e-2, 1e-2, default_spec,
                                 stationary201, mu=0.07)
     iterations = len(distances)
+    per_iteration = n_steps + 3 * transport.STARTUP_STEPS
     assert not direct
-    assert len(stages) == iterations * 4 * n_steps
+    assert len(stages) == iterations * per_iteration
     # no regrid this early, so the blocks split only at PICARD_BLOCK_STEPS
     assert not regrids
     blocks = [min(transport.PICARD_BLOCK_STEPS, n_steps - k)
               for k in range(0, n_steps, transport.PICARD_BLOCK_STEPS)]
     assert len(builds) == iterations * len(blocks)
-    assert sum(rows for rows, _ in builds) == iterations * 4 * n_steps
+    assert sum(rows for rows, _ in builds) == iterations * per_iteration
     # each block's velocity window holds its path states, its end included
     assert velocities == iterations * [(steps + 1, r.size) for steps in blocks]
+    # per block the cubics of its velocities, then of the start-up steps'
+    # means (the first block alone), then the batched on_grid of its states
+    first, second = ((steps + 1, r.size) for steps in blocks)
+    startup = (transport.STARTUP_STEPS, r.size)
+    assert cubics == iterations * [first, startup, (blocks[0], r.size), second,
+                                   (blocks[1], r.size)]
+
+
+def test_simulate_multistep_is_fourth_order(monkeypatch, stationary201, default_spec):
+    # step-halving on simulate's Adams-Bashforth path, well inside the first
+    # regrid cycle: the differences fall 16-fold per halving and stay far
+    # above rounding (they are 1e-10 and 1e-11 here)
+    grid = stationary201.grid
+    p0 = np.clip(stationary201.p_star.values
+                 + 0.1 * perturbation_shape("poly", grid.nodes), 0.0, 1.0)
+    init = TumorState(t=0.0, p=RadialField(grid, p0), z=stationary201.z_star + 1.0)
+    regrids, stages = [], []
+    _counting(monkeypatch, "regrid", regrids)
+    _counting(monkeypatch, "_stage_rates", stages)
+    ends = []
+    for dt in (1e-2, 5e-3, 2.5e-3):
+        end = simulate(init, 0.6, dt, default_spec, stationary201, output_every=0.6).states[-1]
+        ends.append(end)
+    assert not regrids
+    # one stage per step after the rk4 start-up of each run
+    assert len(stages) == 60 + 120 + 240 + 3 * 3 * transport.STARTUP_STEPS
+    e1, e2 = (np.max(np.abs(a.p.values - b.p.values)) + abs(a.z - b.z)
+              for a, b in zip(ends, ends[1:]))
+    assert e2 >= 1e-12
+    assert 12.0 <= e1 / e2 <= 20.0
+
+
+def _kernel_log(monkeypatch):
+    """Record each AdamsBashforth's steps, "R" for an rk4 step and "A" for
+    an Adams-Bashforth step, and its restarts, "|"."""
+    log = {}
+    cls, rk4 = transport.AdamsBashforth, transport.rk4
+    step, restart = cls.step, cls.restart
+    took = []
+
+    def logged_rk4(*args):
+        took.append(1)
+        return rk4(*args)
+
+    def logged_step(self, *args):
+        took.clear()
+        out = step(self, *args)
+        log.setdefault(self, []).append("R" if took else "A")
+        return out
+
+    def logged_restart(self):
+        log.setdefault(self, []).append("|")
+        restart(self)
+
+    monkeypatch.setattr(transport, "rk4", logged_rk4)
+    monkeypatch.setattr(cls, "step", logged_step)
+    monkeypatch.setattr(cls, "restart", logged_restart)
+    return log
+
+
+def _assert_rk4_opens_every_cycle(log, regrids):
+    # each history restarts once per regrid, and every cycle between its
+    # restarts opens with STARTUP_STEPS rk4 steps, then steps by
+    # Adams-Bashforth alone
+    startup = transport.STARTUP_STEPS
+    assert sum(events.count("|") for events in log.values()) == regrids
+    for events in log.values():
+        for cycle in "".join(events).split("|"):
+            assert len(cycle) > startup
+            assert cycle == "R" * startup + "A" * (len(cycle) - startup)
+
+
+def test_rk4_opens_every_regrid_cycle(monkeypatch, stationary201, default_spec):
+    grid = stationary201.grid
+    r = grid.nodes
+    p0 = np.clip(stationary201.p_star.values + 1e-2 * np.sin(np.pi * r), 0, 1)
+    init = TumorState(t=0.0, p=RadialField(grid, p0), z=stationary201.z_star + 1e-3)
+    prop = LinearPropagator(build_operators(stationary201, default_spec), 1e-2)
+    runs = [
+        (transport, lambda: simulate(init, 3.0, 1e-2, default_spec, stationary201)),
+        (transport, lambda: picard_solve(init, 2.0, 1e-2, default_spec, stationary201,
+                                         mu=0.07, tol=1e-6)),
+        (linearized, lambda: list(prop.records(np.sin(np.pi * r), 1e-3,
+                                               (2 * prop.cycle_len + 5) * 1e-2))),
+    ]
+    for module, run in runs:
+        with pytest.MonkeyPatch.context() as mp:
+            log, regrids = _kernel_log(mp), []
+            _counting(mp, "regrid", regrids) if module is transport else None
+            if module is linearized:
+                mp.setattr(linearized, "regrid", _counted(linearized.regrid, regrids))
+            run()
+        # simulate and the propagator keep one history each; Picard one for
+        # the particles and one for (p, z) in each iteration, both restarted
+        # at each of its regrids
+        kernels = 1 if len(log) == 1 else 2
+        assert len(regrids) >= 2
+        _assert_rk4_opens_every_cycle(log, kernels * len(regrids))
+
+
+def test_step_and_rk4_stay_runge_kutta(monkeypatch, stationary201, default_spec):
+    # step and the _rk4 of test_09's Richardson study keep no history: each
+    # call is one classical Runge-Kutta step of four stages (the "step"
+    # digest of INTEGRATOR_DIGESTS pins its bits)
+    stages = []
+    _counting(monkeypatch, "_stage_rates", stages)
+    grid = stationary201.grid
+    cache = transport.NutrientCache(default_spec, grid)
+    y = (grid.nodes, stationary201.p_star.values, stationary201.z_star + 1e-3)
+    for _ in range(transport.STARTUP_STEPS + 2):
+        y = transport._rk4(default_spec, cache, *y, 1e-2)
+    assert len(stages) == 4 * (transport.STARTUP_STEPS + 2)
+    step(TumorState(t=0.0, p=stationary201.p_star, z=stationary201.z_star), 1e-2,
+         default_spec)
+    assert len(stages) == 4 * (transport.STARTUP_STEPS + 3)
+
+
+def test_simulate_memory_does_not_grow_with_horizon(stationary201, default_spec):
+    # the Adams-Bashforth history is four slots sized once: a four times
+    # longer run, recorded at its two ends alone, peaks within a few rows
+    # of the grid of the shorter one.  The peak is taken above what the run
+    # leaves allocated, which the first traced runs inflate with one-time
+    # set-up (cached interpolators, numpy's and scipy's first calls)
+    grid = stationary201.grid
+    p0 = np.clip(stationary201.p_star.values
+                 + 1e-2 * perturbation_shape("poly", grid.nodes), 0.0, 1.0)
+    init = TumorState(t=0.0, p=RadialField(grid, p0), z=stationary201.z_star + 3e-3)
+
+    def peak(t_end):
+        tracemalloc.start()
+        try:
+            simulate(init, t_end, 1e-2, default_spec, stationary201, output_every=t_end)
+            left, top = tracemalloc.get_traced_memory()
+            return top - left
+        finally:
+            tracemalloc.stop()
+
+    assert abs(peak(8.0) - peak(2.0)) < 4 * grid.size * 8
 
 
 @pytest.mark.parametrize("family", ["affine", "saturating"])
@@ -360,14 +506,16 @@ def _integrator_outputs(sol, spec):
 # came to step by four-step Adams-Bashforth after an RK4 start-up.  None
 # moved when Picard, pure_transport and the linear propagator came to move
 # their particles through one frozen-velocity path (transport.frozen_path),
-# and pure_transport to replay its first regrid cycle.
+# and pure_transport to replay its first regrid cycle, nor when the linear
+# propagator came to step through transport.AdamsBashforth; simulate and
+# picard_solve moved when they came to step by it too.
 INTEGRATOR_DIGESTS = {
     "step":
         "84afe25a0ddae86755fa9aa647a42de5432a129a0455fc922e33a6a9ad0d5cf3",
     "simulate":
-        "f50fe599b2063200cc28bf69b8c39dab4bff4f1308cea81ccfa6ac501c7b080e",
+        "1e7e369f2bcf4b689a7e7853c22105ea32d949b4078dbb42226eff5386aebeb1",
     "picard_solve":
-        "ffdf184982b11e3dba9fcef3ef5b5a48ed356233c3dec3cf5fbb8018af5763af",
+        "2ad191870742830a04f02a1afa46d8f7ecae64884057778e1c7a5287b6536034",
     "pure_transport":
         "af053d42c3b24a366a2048e6830b8e8ade3ccb09478b6c69d6bfd5cbb8863d09",
     "solve_linearized":
@@ -380,10 +528,10 @@ INTEGRATOR_DIGESTS = {
 def test_integrators_bit_identical(stationary201, default_spec):
     """Every characteristics integrator reproduces its recorded output bytes.
 
-    All six share one Runge-Kutta step (the linear propagator as its
-    Adams-Bashforth start-up), so a change to that step, to the stage
-    rates, to the post-step guard or to regridding shows here as a changed
-    digest.  Refactoring must leave every digest as it is.  A
+    All six share one Runge-Kutta step, and all but step and
+    pure_transport one Adams-Bashforth kernel that starts with it, so a
+    change to either, to the stage rates, to the post-step guard or to
+    regridding shows here as a changed digest.  Refactoring must leave every digest as it is.  A
     deliberate numerical change must re-record the digests and say so in
     CHANGES.md.  Another numpy or scipy build may round differently and
     change them too.
