@@ -4,7 +4,7 @@ Subcommands cover the individual solver stages (check-kinetics, nutrient,
 stationary), the dynamics (simulate, linearize), the flow-map inequality
 checks (maps) and the orchestrated experiments (stability, sweep).
 Exit codes: 0 pass, 1 experiment inequality violated, 2 solver error,
-3 configuration error.
+3 configuration error (a malformed command line included).
 """
 
 import argparse
@@ -20,7 +20,7 @@ from .experiments import (RunConfig, config_from_text, config_hash,
                           stationary_for, sweep)
 from .grid import RadialGrid
 from .kinetics import validate_hypotheses
-from .linearized import build_operators, decay_ensemble
+from .linearized import build_operators, decay_ensemble, shortest_fit_horizon
 from .nutrient import solve_nutrient
 from .simmaps import (SamplePlan, build_fstar, build_maps, check_map_bounds,
                       make_perturbed_velocity)
@@ -113,6 +113,9 @@ def cmd_linearize(args):
         raise ConfigError("--ensemble must be at least 1")
     _check_finite("--t-end", args.t_end)
     cfg = _load_config(args)
+    if args.t_end < (shortest := shortest_fit_horizon(cfg.dt)):
+        raise ConfigError(f"--t-end must be at least {shortest:.6g}, "
+                          "or the fit window holds too few records")
     sol = stationary_for(cfg.spec, cfg.grid_size)
     ops = build_operators(sol, cfg.spec)
     ens = decay_ensemble(ops, n_runs=args.ensemble, t_end=args.t_end,
@@ -230,8 +233,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_CONFIG_ERROR if exc.code else EXIT_PASS
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -18,6 +18,7 @@ travel-time coordinate of w, together with a Laplace-transform consistency
 check against the matching semigroup.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ LAPLACE_DT = 5e-3  # time step of the Laplace-transform quadrature
 ENSEMBLE_AMPLITUDE = 1e-2
 FIT_WINDOW_FRACTION = 0.7
 FIT_R2_MIN = 0.98
+FIT_MIN_SAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -283,6 +285,17 @@ def fit_window(times):
     return float(t0), float(times[-1])
 
 
+def shortest_fit_horizon(dt, output_every=0.1):
+    """The shortest run in steps of dt whose fit window holds
+    FIT_MIN_SAMPLES records: k record intervals and one step, the fewest k
+    that do (a longer run with k intervals starts its window later)."""
+    every = max(1, int(round(output_every / dt)))
+    for k in itertools.count(1):
+        times = dt * np.array(output_steps((k * every + 1) * dt, dt, output_every)[1])
+        if np.count_nonzero(times >= fit_window(times)[0]) >= FIT_MIN_SAMPLES:
+            return (k * every + 1) * dt
+
+
 def fit_decay(traj, norm_kind="X", window=None):
     """Fit K e^{-mu t} to a trajectory's norm series.
 
@@ -297,9 +310,9 @@ def fit_decay(traj, norm_kind="X", window=None):
     mask = (times >= window[0]) & (times <= window[1]) & (series > 1e-300)
     t = times[mask]
     y = np.log(series[mask])
-    if t.size < 5:
+    if t.size < FIT_MIN_SAMPLES:
         return DecayReport(np.nan, np.nan, window, norm_kind, 0.0, 0.0, False,
-                           "window holds fewer than 5 usable samples")
+                           f"window holds fewer than {FIT_MIN_SAMPLES} usable samples")
     slope, intercept = np.polyfit(t, y, 1)
     fitted = slope * t + intercept
     ss_res = float(np.sum((y - fitted) ** 2))

@@ -7,6 +7,7 @@ from tumorlab.cli import (EXIT_CONFIG_ERROR, EXIT_EXPERIMENT_FAIL, EXIT_PASS,
                           main)
 from tumorlab.experiments import RunConfig, config_to_text
 from tumorlab.kinetics import KineticsSpec
+from tumorlab.linearized import shortest_fit_horizon
 
 
 @pytest.fixture()
@@ -93,6 +94,13 @@ def test_bad_config_value_exits_3(tmp_path, capsys, text, message):
     ["maps", "--mu", "inf"],
     ["nutrient", "--z", "nan"],
     ["nutrient", "--z", "inf"],
+    # usage errors argparse finds: a value that is no float, and -inf,
+    # which it reads as an option
+    ["linearize", "--t-end", "abc"],
+    ["nutrient", "--z", "-inf"],
+    # a horizon whose fit window holds fewer than FIT_MIN_SAMPLES records
+    ["linearize", "--t-end", "1e-6", "--ensemble", "2"],
+    ["linearize", "--t-end", "0.5"],
 ])
 def test_bad_argument_exits_3_before_any_solve(monkeypatch, capsys, argv):
     def banned(*args, **kwargs):
@@ -102,6 +110,20 @@ def test_bad_argument_exits_3_before_any_solve(monkeypatch, capsys, argv):
         monkeypatch.setattr(cli, name, banned)
     assert main(argv) == EXIT_CONFIG_ERROR
     assert argv[1] in capsys.readouterr().err
+
+
+def test_short_horizon_names_the_shortest_usable(capsys):
+    # with the default dt (1e-2) the window of a 0.51 run holds the records
+    # at 0.2, 0.3, 0.4, 0.5 and 0.51, that of a 0.5 run one fewer
+    assert main(["linearize", "--t-end", "0.5"]) == EXIT_CONFIG_ERROR
+    assert "--t-end must be at least 0.51," in capsys.readouterr().err
+    assert shortest_fit_horizon(1e-2) == 0.51
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == EXIT_PASS
+    assert main(["linearize", "--help"]) == EXIT_PASS
+    assert "--t-end" in capsys.readouterr().out
 
 
 def test_stationary_and_simulate(tmp_path, small_config_file, stationary201,
