@@ -170,13 +170,14 @@ class LinearPropagator:
 
     def _workspace(self, rows):
         """One records call's buffers: the moments, pair integrals, their
-        scratch and (M(1), zeta), shared by the stages, and one dphi per
-        stage of an RK4 step, stacked."""
+        scratch and (M(1), zeta), shared by the stages, and one dphi for
+        each of an RK4 step's last three stages, stacked (a step's first
+        stage writes into the Adams-Bashforth history)."""
         n = self.nodes.size
         m = (n - 1) // 2
         shared = (np.empty((rows, n)), np.empty((rows, 2, m)),
                   np.empty((rows, 2, m)), np.empty((rows, 2)))
-        return shared, np.empty((4, rows, n))
+        return shared, np.empty((3, rows, n))
 
     def _stage_rate(self, st, phi, zeta):
         """(dphi, dzeta) of a state; st pairs a _FoldedStage with the
@@ -215,7 +216,9 @@ class LinearPropagator:
         j = 1
 
         def rates(i, y):
-            return self._stage_rate((stages[i], shared + (dphi[i],)), *y)
+            # a first stage writes into the history slot that keeps it
+            out = multistep.history[0][multistep.n % 4] if i == 0 else dphi[i - 1]
+            return self._stage_rate((stages[i], shared + (out,)), *y)
 
         for k in range(1, n_steps + 1):
             stages, end_pos = self.steps[(k - 1) % self.cycle_len]
@@ -287,8 +290,10 @@ def fit_window(times):
 
 def shortest_fit_horizon(dt, output_every=0.1):
     """The shortest run in steps of dt whose fit window holds
-    FIT_MIN_SAMPLES records: k record intervals and one step, the fewest k
-    that do (a longer run with k intervals starts its window later)."""
+    FIT_MIN_SAMPLES records output_every apart.  Of the runs that end
+    within one record interval past the k-th record, the shortest (k
+    intervals and one step) starts its window earliest and so holds the
+    most records; the fewest k whose shortest run suffices gives it."""
     every = max(1, int(round(output_every / dt)))
     for k in itertools.count(1):
         times = dt * np.array(output_steps((k * every + 1) * dt, dt, output_every)[1])

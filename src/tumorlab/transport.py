@@ -32,6 +32,7 @@ state, or a batch of them, into (sup|p - p_*|, sup r(1-r)|d(p - p_*)/dr|,
 adds the weighted derivative.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -55,8 +56,6 @@ P_ESCAPE_TOL = 1e-9
 PICARD_BLOCK_STEPS = 8
 #: rk4 steps that open each regrid cycle of an AdamsBashforth history
 STARTUP_STEPS = 3
-#: AdamsBashforth weights of the slots at step n: 55, -59, 37, -9 from slot n % 4 back
-_AB4_SLOTS = [np.roll((55.0, -9.0, 37.0, -59.0), s) for s in range(4)]
 
 
 @dataclass(frozen=True)
@@ -184,41 +183,47 @@ def rk4(rates, y, dt):
 
 
 class AdamsBashforth:
-    """Four-step Adams-Bashforth steps of a state tuple shaped like like,
+    """Four-step Adams-Bashforth steps of a state tuple,
 
         y += dt/24 (55 f_n - 59 f_{n-1} + 37 f_{n-2} - 9 f_{n-3}),
 
     f_k the rates at the start of step k: one evaluation per step where rk4
-    takes four.  The four-slot history (step n's rates in slot n % 4)
-    starts empty and restart() empties it again (at a regrid); the first
-    STARTUP_STEPS steps after either are rk4 steps, whose first stage fills
-    it.  step has rk4's signature and, like it, leaves y unchanged.
+    takes four.  The four-slot history, sized once from the tuple like,
+    holds the n-th step's rates in slot n % 4; it starts empty and
+    restart() empties it again (at a regrid); the first STARTUP_STEPS steps
+    after either are rk4 steps, whose first stage fills it.  step has rk4's
+    signature and, like it, leaves y unchanged.
     """
 
     def __init__(self, like):
         self.history = tuple(np.empty((4,) + np.shape(a)) for a in like)
+        # each entry's history as (4, size) rows, with the entry's shape
+        self._rows = [(h.reshape(4, -1), np.shape(a)) for h, a in zip(self.history, like)]
         self.n = self.filled = 0
 
     def restart(self):
         self.filled = 0
 
+    def _keep(self, f):
+        for h, a in zip(self.history, f):
+            h[self.n % 4] = a
+        return f
+
     def step(self, rates, y, dt):
         self.n += 1
-        slot = self.n % 4
-
-        def first(i, y):
-            f = rates(i, y)
-            for h, a in zip(self.history if i == 0 else (), f):
-                h[slot] = a
-            return f
-
         if self.filled < STARTUP_STEPS:
             self.filled += 1
-            return rk4(first, y, dt)
-        first(0, y)
-        w = dt / 24.0 * _AB4_SLOTS[slot]
-        return tuple(a + (w @ h.reshape(4, -1)).reshape(np.shape(a))
-                     for a, h in zip(y, self.history))
+            return rk4(lambda i, y: self._keep(rates(i, y)) if i == 0 else rates(i, y), y, dt)
+        self._keep(rates(0, y))
+        w = _ab4_weights(dt)[self.n % 4]
+        return tuple(a + (w @ h).reshape(shape) for a, (h, shape) in zip(y, self._rows))
+
+
+@functools.lru_cache(maxsize=8)
+def _ab4_weights(dt):
+    """AdamsBashforth's weights of the slots at step n: dt/24 times 55,
+    -59, 37 and -9 from slot n % 4 back."""
+    return [dt / 24.0 * np.roll((55.0, -9.0, 37.0, -59.0), s) for s in range(4)]
 
 
 def _require_finite(name, a):
