@@ -260,10 +260,8 @@ def test_simulate_multistep_is_fourth_order(monkeypatch, stationary201, default_
     regrids, stages = [], []
     _counting(monkeypatch, "regrid", regrids)
     _counting(monkeypatch, "_stage_rates", stages)
-    ends = []
-    for dt in (1e-2, 5e-3, 2.5e-3):
-        end = simulate(init, 0.6, dt, default_spec, stationary201, output_every=0.6).states[-1]
-        ends.append(end)
+    ends = [simulate(init, 0.6, dt, default_spec, stationary201, output_every=0.6).states[-1]
+            for dt in (1e-2, 5e-3, 2.5e-3)]
     assert not regrids
     # one stage per step after the rk4 start-up of each run
     assert len(stages) == 60 + 120 + 240 + 3 * 3 * transport.STARTUP_STEPS
@@ -319,26 +317,23 @@ def test_rk4_opens_every_regrid_cycle(monkeypatch, stationary201, default_spec):
     p0 = np.clip(stationary201.p_star.values + 1e-2 * np.sin(np.pi * r), 0, 1)
     init = TumorState(t=0.0, p=RadialField(grid, p0), z=stationary201.z_star + 1e-3)
     prop = LinearPropagator(build_operators(stationary201, default_spec), 1e-2)
+    # (module whose regrid the run calls, run, histories restarted per
+    # regrid): simulate and the propagator keep one history, Picard one for
+    # the particles and one for (p, z) in each iteration
     runs = [
-        (transport, lambda: simulate(init, 3.0, 1e-2, default_spec, stationary201)),
+        (transport, lambda: simulate(init, 3.0, 1e-2, default_spec, stationary201), 1),
         (transport, lambda: picard_solve(init, 2.0, 1e-2, default_spec, stationary201,
-                                         mu=0.07, tol=1e-6)),
+                                         mu=0.07, tol=1e-6), 2),
         (linearized, lambda: list(prop.records(np.sin(np.pi * r), 1e-3,
-                                               (2 * prop.cycle_len + 5) * 1e-2))),
+                                               (2 * prop.cycle_len + 5) * 1e-2)), 1),
     ]
-    for module, run in runs:
+    for module, run, histories in runs:
         with pytest.MonkeyPatch.context() as mp:
             log, regrids = _kernel_log(mp), []
-            _counting(mp, "regrid", regrids) if module is transport else None
-            if module is linearized:
-                mp.setattr(linearized, "regrid", _counted(linearized.regrid, regrids))
+            mp.setattr(module, "regrid", _counted(module.regrid, regrids))
             run()
-        # simulate and the propagator keep one history each; Picard one for
-        # the particles and one for (p, z) in each iteration, both restarted
-        # at each of its regrids
-        kernels = 1 if len(log) == 1 else 2
         assert len(regrids) >= 2
-        _assert_rk4_opens_every_cycle(log, kernels * len(regrids))
+        _assert_rk4_opens_every_cycle(log, histories * len(regrids))
 
 
 def test_step_and_rk4_stay_runge_kutta(monkeypatch, stationary201, default_spec):
