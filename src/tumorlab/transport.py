@@ -463,8 +463,10 @@ def _picard_sweep(spec, cache, nodes, h_ref, path_p, path_z, values, z, dt):
              for pk, zk in zip(path_p[window], path_z[window])]
         w = frame_velocity(radial_average(np.array(g), nodes), nodes)
         ends = pchip_coefficients(nodes, w)
+        # the step means serve the block's rk4 start-up steps alone
         starting = min(STARTUP_STEPS - moves.filled, len(w) - 1)
-        means = starting and pchip_coefficients(nodes, 0.5 * (w[:starting] + w[1:starting + 1]))
+        means = (pchip_coefficients(nodes, 0.5 * (w[:starting] + w[1:starting + 1]))
+                 if starting else None)
 
         def stage_fields(j):
             start = PPoly.construct_fast(ends[j], nodes)
