@@ -12,7 +12,8 @@ from tumorlab.linearized import (ENSEMBLE_AMPLITUDE, LinearPropagator,
                                  apply_B, apply_F, build_operators,
                                  decay_ensemble, fit_decay, fit_window,
                                  laplace_consistency, random_smooth_field,
-                                 resolvent_apply, solve_linearized)
+                                 resolvent_apply, shortest_fit_horizon,
+                                 solve_linearized)
 from tumorlab.simmaps import build_fstar
 from tumorlab.transport import output_steps, trajectory
 
@@ -240,6 +241,16 @@ def test_fit_decay_recovers_synthetic_rate(operators801):
     assert rep.K_fit == pytest.approx(3.0, rel=1e-8)
     assert rep.r2 >= 0.999
     assert rep.valid
+
+
+@pytest.mark.parametrize("dt", [1e-2, 3e-3])
+def test_shortest_fit_horizon_is_the_shortest_that_fits(operators201, dt):
+    # at the shortest horizon every fit window holds FIT_MIN_SAMPLES
+    # records; one step less leaves it too few, and no fit
+    t_end = shortest_fit_horizon(dt)
+    for horizon, fitted in ((t_end, True), (t_end - dt, False)):
+        [(fit_x, fit_x0)] = decay_ensemble(operators201, n_runs=1, t_end=horizon, dt=dt)
+        assert np.isfinite(fit_x.mu_fit) == np.isfinite(fit_x0.mu_fit) == fitted
 
 
 def test_fit_decay_flags_short_windows(operators801):
