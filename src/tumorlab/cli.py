@@ -20,7 +20,7 @@ from .experiments import (RunConfig, config_from_text, config_hash,
                           stationary_for, sweep)
 from .grid import RadialGrid
 from .kinetics import validate_hypotheses
-from .linearized import build_operators, decay_ensemble, shortest_fit_horizon
+from .linearized import build_operators, decay_ensemble, shortest_fit_steps
 from .nutrient import solve_nutrient
 from .simmaps import (SamplePlan, build_fstar, build_maps, check_map_bounds,
                       make_perturbed_velocity)
@@ -113,8 +113,9 @@ def cmd_linearize(args):
         raise ConfigError("--ensemble must be at least 1")
     _check_finite("--t-end", args.t_end)
     cfg = _load_config(args)
-    if args.t_end < (shortest := shortest_fit_horizon(cfg.dt)):
-        raise ConfigError(f"--t-end must be at least {shortest:.6g}, "
+    # the run takes round(t_end / dt) steps, as transport.output_steps counts
+    if round(args.t_end / cfg.dt) < (shortest := shortest_fit_steps(cfg.dt)):
+        raise ConfigError(f"--t-end must be at least {shortest * cfg.dt:.12g}, "
                           "or the fit window holds too few records")
     sol = stationary_for(cfg.spec, cfg.grid_size)
     ops = build_operators(sol, cfg.spec)

@@ -40,6 +40,7 @@ ENSEMBLE_AMPLITUDE = 1e-2
 FIT_WINDOW_FRACTION = 0.7
 FIT_R2_MIN = 0.98
 FIT_MIN_SAMPLES = 5
+RECORD_EVERY = 0.1  # the record interval of propagator runs by default, decay_ensemble's
 
 
 @dataclass(frozen=True)
@@ -195,12 +196,12 @@ class LinearPropagator:
         dphi += np.multiply(op.a, phi, out=moment)
         return dphi, fz[:, 0] + self.ops.kappa * zeta
 
-    def record_times(self, t_end, output_every=0.1):
+    def record_times(self, t_end, output_every=RECORD_EVERY):
         """The times of the states records yields, from t = 0."""
         recorded = output_steps(t_end, self.dt, output_every)[1]
         return self.dt * np.array(recorded)
 
-    def records(self, phi0, zeta0, t_end, output_every=0.1):
+    def records(self, phi0, zeta0, t_end, output_every=RECORD_EVERY):
         """Integrate a batch of initial data (rows of phi0) and yield
         (j, positions, phi, zeta) at the j-th recorded step: phi holds the
         particle values at the positions, in node order, which a caller
@@ -217,7 +218,7 @@ class LinearPropagator:
 
         def rates(i, y):
             # a first stage writes into the history slot that keeps it
-            out = multistep.history[0][multistep.n % 4] if i == 0 else dphi[i - 1]
+            out = multistep.slot()[0] if i == 0 else dphi[i - 1]
             return self._stage_rate((stages[i], shared + (out,)), *y)
 
         for k in range(1, n_steps + 1):
@@ -232,7 +233,7 @@ class LinearPropagator:
                 yield j, end_pos, phi, zeta
                 j += 1
 
-    def run(self, phi0, zeta0, t_end, output_every=0.1):
+    def run(self, phi0, zeta0, t_end, output_every=RECORD_EVERY):
         """The recorded states of records collected into arrays.
 
         Returns (times, phis, zetas) with phis of shape (n_times, n_runs,
@@ -249,7 +250,7 @@ class LinearPropagator:
         return times, phis, zetas
 
 
-def solve_linearized(ops, init, t_end, dt, output_every=0.1):
+def solve_linearized(ops, init, t_end, dt, output_every=RECORD_EVERY):
     """Integrate the linearized system; returns a Trajectory of deviations.
 
     init is the pair (phi0: RadialField, zeta0: float).  The recorded states
@@ -288,17 +289,19 @@ def fit_window(times):
     return float(t0), float(times[-1])
 
 
-def shortest_fit_horizon(dt, output_every=0.1):
-    """The shortest run in steps of dt whose fit window holds
-    FIT_MIN_SAMPLES records output_every apart.  Of the runs that end
-    within one record interval past the k-th record, the shortest (k
-    intervals and one step) starts its window earliest and so holds the
-    most records; the fewest k whose shortest run suffices gives it."""
-    every = max(1, int(round(output_every / dt)))
+def shortest_fit_steps(dt):
+    """The fewest steps of dt in a run recorded every RECORD_EVERY (a
+    decay_ensemble run) whose fit window holds FIT_MIN_SAMPLES records.  Of
+    the runs that end within one record interval past the k-th record, the
+    shortest (k intervals and one step) starts its window earliest and so
+    holds the most records; the fewest k whose shortest run suffices gives
+    it."""
+    every = max(1, int(round(RECORD_EVERY / dt)))
     for k in itertools.count(1):
-        times = dt * np.array(output_steps((k * every + 1) * dt, dt, output_every)[1])
+        steps = k * every + 1
+        times = dt * np.array(output_steps(steps * dt, dt, RECORD_EVERY)[1])
         if np.count_nonzero(times >= fit_window(times)[0]) >= FIT_MIN_SAMPLES:
-            return (k * every + 1) * dt
+            return steps
 
 
 def fit_decay(traj, norm_kind="X", window=None):
@@ -359,11 +362,11 @@ def decay_ensemble(ops, n_runs=20, t_end=100.0, dt=1e-2, seed=0):
     """Fitted decay rates for an ensemble of random initial perturbations.
 
     Each member starts from a random smooth phi and a uniform zeta, both of
-    sup-norm at most ENSEMBLE_AMPLITUDE, and is recorded every 0.1 time
-    units.  The members are advanced together and streamed: each recorded
-    state inside fit_window is resampled onto the grid and reduced to its
-    deviation terms as it is produced, so only the (n_times, n_runs) series
-    are held, never the states; the terms of the states before the window,
+    sup-norm at most ENSEMBLE_AMPLITUDE, and is recorded every RECORD_EVERY
+    time units.  The members are advanced together and streamed: each
+    recorded state inside fit_window is resampled onto the grid and reduced
+    to its deviation terms as it is produced, so only the (n_times, n_runs)
+    series are held, never the states; the terms of the states before the window,
     which no fit reads, are left NaN.  Returns a list of
     (DecayReport_X, DecayReport_X0) pairs, one per run; the empirical rate
     estimate is the ensemble minimum of the fitted rates.

@@ -92,10 +92,15 @@ def deviation(grid, p, z, p_ref, z_ref):
     nodes = grid.nodes
     diff = p - p_ref
     d = derivative_values(diff, grid)
-    terms = (np.max(np.abs(diff), axis=-1),
-             np.max(nodes * (1.0 - nodes) * np.abs(d), axis=-1),
-             np.abs(z - z_ref))
+    p_term, z_term = _x_terms(diff, z - z_ref)
+    terms = (p_term, np.max(nodes * (1.0 - nodes) * np.abs(d), axis=-1), z_term)
     return tuple(map(float, terms)) if np.ndim(diff) == 1 else terms
+
+
+def _x_terms(dp, dz):
+    """The terms of the X norm of a difference (dp, dz) of states, or of
+    each row of dp: (sup|dp|, |dz|)."""
+    return np.max(np.abs(dp), axis=-1), np.abs(dz)
 
 
 def trajectory(grid, times, ps, zs, p_ref=0.0, z_ref=0.0, mass_residual=None):
@@ -189,9 +194,9 @@ class AdamsBashforth:
 
     f_k the rates at the start of step k: one evaluation per step where rk4
     takes four.  The four-slot history, sized once from the tuple like,
-    holds the n-th step's rates in slot n % 4; it starts empty and
-    restart() empties it again (at a regrid); the first STARTUP_STEPS steps
-    after either are rk4 steps, whose first stage fills it.  step has rk4's
+    keeps each step's first-stage rates; it starts empty and restart()
+    empties it again (at a regrid); the first STARTUP_STEPS steps after
+    either are rk4 steps, whose first stage fills it.  step has rk4's
     signature and, like it, leaves y unchanged.
     """
 
@@ -204,9 +209,15 @@ class AdamsBashforth:
     def restart(self):
         self.filled = 0
 
+    def slot(self):
+        """The history buffers, one per entry of the state tuple, that keep
+        the current step's first-stage rates: within step, rates(0, y) may
+        write its rates into them in place of new arrays."""
+        return tuple(h[self.n % 4, ...] for h in self.history)
+
     def _keep(self, f):
-        for h, a in zip(self.history, f):
-            h[self.n % 4] = a
+        for h, a in zip(self.slot(), f):
+            h[...] = a
         return f
 
     def step(self, rates, y, dt):
@@ -545,9 +556,8 @@ def picard_solve(initial, t_end, dt, spec, reference, mu, tol=1e-10,
     for _ in range(PICARD_MAX_ITERS):
         new_p, new_z = _picard_sweep(spec, cache, nodes, grid.spacing, path_p,
                                      path_z, initial.p.values, initial.z, dt)
-        # the X terms of deviation, sup|p - p'| + |z - z'|, at every step
-        x_dev = np.max(np.abs(new_p - path_p), axis=-1) + np.abs(new_z - path_z)
-        d = float(np.max(np.exp(mu * (path_times - initial.t)) * x_dev))
+        p_term, z_term = _x_terms(new_p - path_p, new_z - path_z)
+        d = float(np.max(np.exp(mu * (path_times - initial.t)) * (p_term + z_term)))
         distances.append(d)
         path_p, path_z = new_p, new_z
         if len(distances) >= 2 and distances[-1] > distances[-2]:

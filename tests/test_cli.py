@@ -7,7 +7,7 @@ from tumorlab.cli import (EXIT_CONFIG_ERROR, EXIT_EXPERIMENT_FAIL, EXIT_PASS,
                           main)
 from tumorlab.experiments import RunConfig, config_to_text
 from tumorlab.kinetics import KineticsSpec
-from tumorlab.linearized import shortest_fit_horizon
+from tumorlab.linearized import shortest_fit_steps
 
 
 @pytest.fixture()
@@ -113,11 +113,36 @@ def test_bad_argument_exits_3_before_any_solve(monkeypatch, capsys, argv):
 
 
 def test_short_horizon_names_the_shortest_usable(capsys):
-    # with the default dt (1e-2) the window of a 0.51 run holds the records
-    # at 0.2, 0.3, 0.4, 0.5 and 0.51, that of a 0.5 run one fewer
+    # with the default dt (1e-2) the window of a 51-step run holds the
+    # records at 0.2, 0.3, 0.4, 0.5 and 0.51, that of a 50-step run one fewer
     assert main(["linearize", "--t-end", "0.5"]) == EXIT_CONFIG_ERROR
     assert "--t-end must be at least 0.51," in capsys.readouterr().err
-    assert shortest_fit_horizon(1e-2) == 0.51
+    assert shortest_fit_steps(1e-2) == 51
+
+
+class _PastTheCheck(Exception):
+    pass
+
+
+@pytest.mark.parametrize("dt", [1e-2, 7e-3, 3e-3])
+def test_short_horizon_check_counts_steps(tmp_path, monkeypatch, capsys, dt):
+    # the run takes round(t_end / dt) steps: a t_end below the shortest
+    # that rounds to its step count passes the check, and so does the
+    # shortest as the error prints it; one that rounds a step lower fails
+    def reached(*args, **kwargs):
+        raise _PastTheCheck
+
+    monkeypatch.setattr(cli, "stationary_for", reached)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"dt = {dt!r}\n")
+    argv = ["linearize", "--config", str(path), "--t-end"]
+    assert main(argv + ["0.1"]) == EXIT_CONFIG_ERROR
+    printed = capsys.readouterr().err.split("at least ")[1].split(",")[0]
+    steps = shortest_fit_steps(dt)
+    for t_end in (printed, repr((steps - 0.4) * dt)):
+        with pytest.raises(_PastTheCheck):
+            main(argv + [t_end])
+    assert main(argv + [repr((steps - 0.6) * dt)]) == EXIT_CONFIG_ERROR
 
 
 def test_help_exits_0(capsys):

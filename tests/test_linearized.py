@@ -12,7 +12,7 @@ from tumorlab.linearized import (ENSEMBLE_AMPLITUDE, LinearPropagator,
                                  apply_B, apply_F, build_operators,
                                  decay_ensemble, fit_decay, fit_window,
                                  laplace_consistency, random_smooth_field,
-                                 resolvent_apply, shortest_fit_horizon,
+                                 resolvent_apply, shortest_fit_steps,
                                  solve_linearized)
 from tumorlab.simmaps import build_fstar
 from tumorlab.transport import output_steps, trajectory
@@ -247,9 +247,9 @@ def test_fit_decay_recovers_synthetic_rate(operators801):
 def test_shortest_fit_horizon_is_the_shortest_that_fits(operators201, dt):
     # at the shortest horizon every fit window holds FIT_MIN_SAMPLES
     # records; one step less leaves it too few, and no fit
-    t_end = shortest_fit_horizon(dt)
-    for horizon, fitted in ((t_end, True), (t_end - dt, False)):
-        [(fit_x, fit_x0)] = decay_ensemble(operators201, n_runs=1, t_end=horizon, dt=dt)
+    steps = shortest_fit_steps(dt)
+    for horizon, fitted in ((steps, True), (steps - 1, False)):
+        [(fit_x, fit_x0)] = decay_ensemble(operators201, n_runs=1, t_end=horizon * dt, dt=dt)
         assert np.isfinite(fit_x.mu_fit) == np.isfinite(fit_x0.mu_fit) == fitted
 
 
