@@ -196,8 +196,8 @@ class AdamsBashforth:
     takes four.  The four-slot history, sized once from the tuple like,
     keeps each step's first-stage rates; it starts empty and restart()
     empties it again (at a regrid); the first STARTUP_STEPS steps after
-    either are rk4 steps, whose first stage fills it.  step has rk4's
-    signature and, like it, leaves y unchanged.
+    either are rk4 steps, whose first stage fills it (filled counts them).
+    step has rk4's signature and, like it, leaves y unchanged.
     """
 
     def __init__(self, like):
