@@ -89,33 +89,24 @@ class FStarTable:
         """-d F_* / d log(1-r) near 1 (= 1/u'(1))."""
         return 1.0 / self.u_prime1
 
+    def _pieces(self, z, table, lo, hi, mid):
+        """mid(z) on [table[0], table[-1]], lo(z) below, hi(z) above it."""
+        z = np.asarray(z, dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = np.where(z < table[0], lo(z), np.where(z > table[-1], hi(z), mid(z)))
+        return out if out.ndim else float(out)
+
     def fstar(self, r):
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r_arr)
-        r0, r1 = self.r_table[0], self.r_table[-1]
-        f0, f1 = self.f_table[0], self.f_table[-1]
-        lo = r_arr < r0
-        hi = r_arr > r1
-        mid = ~(lo | hi)
-        out[mid] = self._fwd(r_arr[mid])
-        with np.errstate(divide="ignore"):
-            out[lo] = f0 + self.slope0 * np.log(r_arr[lo] / r0)
-            out[hi] = f1 - self.slope1 * np.log((1.0 - r_arr[hi]) / (1.0 - r1))
-        return out if np.ndim(r) else float(out[0])
+        (r0, r1), (f0, f1) = self.r_table[[0, -1]], self.f_table[[0, -1]]
+        return self._pieces(r, self.r_table, lambda r: f0 + self.slope0 * np.log(r / r0),
+                            lambda r: f1 - self.slope1 * np.log((1.0 - r) / (1.0 - r1)),
+                            self._fwd)
 
     def finv(self, x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x_arr)
-        r0, r1 = self.r_table[0], self.r_table[-1]
-        f0, f1 = self.f_table[0], self.f_table[-1]
-        lo = x_arr < f0
-        hi = x_arr > f1
-        mid = ~(lo | hi)
-        out[mid] = self._inv(x_arr[mid])
-        out[lo] = r0 * np.exp((x_arr[lo] - f0) / self.slope0)
-        out[hi] = 1.0 - (1.0 - r1) * np.exp(-(x_arr[hi] - f1) / self.slope1)
-        return out if np.ndim(x) else float(out[0])
-
+        (r0, r1), (f0, f1) = self.r_table[[0, -1]], self.f_table[[0, -1]]
+        return self._pieces(x, self.f_table, lambda x: r0 * np.exp((x - f0) / self.slope0),
+                            lambda x: 1.0 - (1.0 - r1) * np.exp(-(x - f1) / self.slope1),
+                            self._inv)
 
 def build_fstar(u_star):
     """Tabulate the travel-time coordinate of a negative interior velocity.
@@ -217,19 +208,14 @@ def _on_interior(fn, x, t, s, endpoint=None):
     return out if np.ndim(x) else float(out[0])
 
 
-def _shift(table, r, d):
-    """Translate r by d in the travel-time coordinate."""
-    return table.finv(table.fstar(r) + d)
-
-
 def phi_star(table, xi, t, s):
     """Stationary flow map: position at time t of a particle at xi at time s."""
-    return _on_interior(lambda x: _shift(table, x, -(t - s)), xi, t, s)
+    return _on_interior(lambda x: table.finv(table.fstar(x) - (t - s)), xi, t, s)
 
 
 def psi_star(table, r, t, s):
     """Inverse stationary flow map: label at time s of the position r at t."""
-    return _on_interior(lambda x: _shift(table, x, t - s), r, t, s)
+    return _on_interior(lambda x: table.finv(table.fstar(x) + (t - s)), r, t, s)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +343,7 @@ def map_T(maps, r, t, s, method="compose"):
         taus, path = _flow(maps, table.fstar(x), t, s, sampled=True)
         gaps = maps.relative_gap(table.finv(path), taus[:, None])
         # the path runs from t back to s, so simpson gives minus the integral
-        return _shift(table, x, -simpson(gaps, x=taus, axis=0))
+        return table.finv(table.fstar(x) - simpson(gaps, x=taus, axis=0))
 
     return _on_interior(conjugate, r, t, s)
 

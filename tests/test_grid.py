@@ -29,6 +29,15 @@ def test_grid_needs_five_nodes(size):
     assert np.allclose(derivative_values(g.nodes ** 2, g), 2 * g.nodes)
 
 
+def test_equal_grids_hash_equal():
+    # equal nodes give equal grids with equal hashes, so one keys a dict
+    # entry that the other finds
+    a, b = RadialGrid.uniform(101), RadialGrid(np.linspace(0.0, 1.0, 101))
+    assert a == b and hash(a) == hash(b)
+    assert {a: "uniform"}[b] == "uniform"
+    assert RadialGrid.uniform(51) not in {a: "uniform"}
+
+
 def test_uniform_spacing():
     g = RadialGrid.uniform(101)
     assert g.spacing == pytest.approx(0.01)
