@@ -1,8 +1,11 @@
+import dataclasses
+import gc
 import hashlib
 from functools import partial
 
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolver
 
 import tumorlab.simmaps as simmaps
 from tumorlab.errors import ExperimentFailure, SolverError
@@ -128,13 +131,60 @@ def test_unperturbed_maps_reduce_to_identity(logistic_table):
     assert np.max(np.abs(map_T(maps, r, 3.0, 0.5) - r)) <= 1e-8
 
 
-def test_flow_derivative_matches_difference_quotient(perturbed_maps):
+def _derivative_error(maps):
     r = np.array([0.3, 0.5, 0.7])
     h = 1e-5
-    d = dT_dr(perturbed_maps, r, 2.0, 0.5)
-    fd = (map_T(perturbed_maps, r + h, 2.0, 0.5)
-          - map_T(perturbed_maps, r - h, 2.0, 0.5)) / (2 * h)
-    assert np.max(np.abs(d - fd)) <= 1e-4
+    d = dT_dr(maps, r, 2.0, 0.5)
+    fd = (map_T(maps, r + h, 2.0, 0.5) - map_T(maps, r - h, 2.0, 0.5)) / (2 * h)
+    return np.max(np.abs(d - fd))
+
+
+def test_flow_derivative_matches_difference_quotient(perturbed_maps):
+    assert _derivative_error(perturbed_maps) <= 1e-6
+
+
+def test_flow_derivative_needs_the_gap_rate(perturbed_maps):
+    # the log-derivative integrates -gap_dt / (1 + gap); read with a zero
+    # gap_dt it drops a term of order mu eps (t - s) and misses the quotient
+    w = perturbed_maps.w
+
+    def w_frozen(r, t):
+        return w(r, t)
+
+    w_frozen.gap = w.gap
+    w_frozen.gap_dt = lambda r, t: np.zeros(np.broadcast(r, t).shape)
+    assert _derivative_error(dataclasses.replace(perturbed_maps, w=w_frozen)) > 1e-4
+
+
+def test_batched_flow_matches_each_flow_alone(monkeypatch, perturbed_maps):
+    # one solve of groups with mixed spans, directions and shapes: every
+    # component, coordinate and log-derivative, within 1e-9 of its group
+    # solved alone at rtol 1e-13 / atol 1e-14
+    maps = perturbed_maps
+    x = maps.table.fstar(np.linspace(0.02, 0.98, 25))
+    groups = [(x, 3.0, 1.0), (x[::2], 1.0, 3.0),
+              (x, np.array([[8.5], [0.2]]), np.array([[0.5], [4.7]])), (x[5:9], 0.0, 6.0)]
+    ends, logs, _ = simmaps._flow(maps, groups, logged=3)
+    assert [e.shape for e in ends] == [(25,), (13,), (2, 25), (4,)] and len(logs) == 3
+    monkeypatch.setattr(simmaps, "FLOW_RTOL", 1e-13)
+    monkeypatch.setattr(simmaps, "FLOW_ATOL", 1e-14)
+    for i, group in enumerate(groups):
+        (alone,), (log_alone,), _ = simmaps._flow(maps, [group], logged=1)
+        assert np.max(np.abs(ends[i] - alone)) <= 1e-9, i
+        if i < len(logs):
+            assert np.max(np.abs(logs[i] - log_alone)) <= 1e-9, i
+
+
+def test_flow_leaves_no_solver_behind(perturbed_maps):
+    # scipy's solver refers to itself, so only a collection frees its stage
+    # arrays; with automatic collection off, _flow must make that collection
+    gc.collect()
+    gc.disable()
+    try:
+        phi(perturbed_maps, np.linspace(0.05, 0.95, 31), 3.0, 1.0)
+        assert not [o for o in gc.get_objects() if isinstance(o, OdeSolver)]
+    finally:
+        gc.enable()
 
 
 SMALL_PLAN = SamplePlan(epsilons=(1e-2,), n_pairs=3, n_r=40, n_test_funcs=5)
@@ -162,28 +212,36 @@ def test_bounds_report_small_plan(small_plan_report):
             assert 0.3 <= entry.ratio <= 3.0
 
 
-def test_flow_solve_budget(monkeypatch, logistic_table, perturbed_maps):
-    # one flow solve per map call on an array of interior points, and five
-    # per (pair, epsilon) in check_map_bounds: Psi and dT from one backward
-    # solve, S and dS from one forward solve, Phi, and one each in T and S
-    # on the test-function grid
+def test_flow_solve_budget(monkeypatch, logistic_table, perturbed_maps,
+                           small_plan_report):
+    # one flow solve per map call on an array of interior points, and one
+    # per amplitude in check_map_bounds: Psi, T and dT backward from r, S and
+    # dS forward from Psi_*(r), and Phi, on the samples and the test-function
+    # grid, share it; the report counts the solves and their evaluations
     solve = simmaps.solve_ivp
-    calls = []
+    nfevs = []
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
-        return solve(*args, **kwargs)
+        sol = solve(*args, **kwargs)
+        nfevs.append(sol.nfev)
+        return sol
 
     monkeypatch.setattr(simmaps, "solve_ivp", counted)
     r = np.linspace(0.05, 0.95, 31)
-    for fn, span in ((phi, (1.0, 3.0)), (psi, (3.0, 1.0)), (dT_dr, (3.0, 1.0))):
-        calls.clear()
+    for fn in (phi, psi, map_T, partial(map_T, method="integral"), map_S, dT_dr):
+        nfevs.clear()
         fn(perturbed_maps, r, 3.0, 1.0)
-        assert calls == [span], fn.__name__
-    calls.clear()
+        assert len(nfevs) == 1, fn
+    nfevs.clear()
     _, u = logistic_table
-    check_map_bounds(_perturbed_family(u, SMALL_PLAN.mu), SMALL_PLAN)
-    assert len(calls) == 5 * SMALL_PLAN.n_pairs * 2 * len(SMALL_PLAN.epsilons)
+    report = check_map_bounds(_perturbed_family(u, SMALL_PLAN.mu), SMALL_PLAN)
+    assert len(nfevs) == report.flow_solves == 2 * len(SMALL_PLAN.epsilons)
+    assert report.flow_rhs_evals == sum(nfevs) > 0
+    assert (report.flow_solves, report.flow_rhs_evals) == (
+        small_plan_report.flow_solves, small_plan_report.flow_rhs_evals)
+    assert str(report).endswith(
+        f"# {report.flow_solves} flow solves, "
+        f"{report.flow_rhs_evals} right-hand-side evaluations")
 
 
 def test_bounds_failure_raises(logistic_table):
@@ -213,27 +271,30 @@ def _digest(*arrays):
 # and of the small-plan bound constants, recorded with numpy 2.4.6 and
 # scipy 1.17.1 on x86-64; every entry but phi_star and psi_star was
 # recorded again when the flow came to read the relative gap that the
-# velocity family carries (w.gap) in place of w / u_* - 1, and
-# bound_constants when grid.RadialMoments came to sum Simpson pair totals.
+# velocity family carries (w.gap) in place of w / u_* - 1, and again when
+# all flows came to run in normalised time through one batched solve that
+# carries their log-derivatives (dT_dr from those, in place of a Simpson
+# quadrature along a sampled path); bound_constants also when
+# grid.RadialMoments came to sum Simpson pair totals.
 MAP_DIGESTS = {
     "phi_star":
         "1f3bf6c0da1ec7ba2580f8b48ae6fa67bf7db5a343a1acfb90f4cead4acfde1c",
     "psi_star":
         "574856bfe718227d9f567870a4d99a8fb0b19d9d7191bf99188acfedce6a8d9a",
     "phi":
-        "15960e413efd8f48602a1749c854d3d894b3bb0c8c4f4ad257c9107dc0981cd1",
+        "f317f341054ce7db60fd10147984e186ccaac323b9fbdc43c99f48c0cd71b0cf",
     "psi":
-        "ebe90dcf768e6197ba2e9c14632709d8b8f890f6b7438f59e22fcd2da3fa8954",
+        "922be0ef6fe0a3f679549189167f844bdb70f9a72d1480a419f15530d11c448e",
     "map_T_compose":
-        "187de773f51d38fd8302330d51a63e68f253d724c4c7884241be0d5a543739d8",
+        "6e37b44515f58d5fa66ca56657b3c14493f1dbd1e44a2099e7e253af7d787f8c",
     "map_T_integral":
-        "80ec3be3be88a90a381293ac68383a552576a162c1408674004f5fff9ee2958e",
+        "e8ba8a18f91d5dd9499e36a7308213f364dc3622f1500c80556b7612d2c03526",
     "map_S":
-        "6f3d2e92309fbd4aab541a33b265aecde701f09ed9f233fc0d17651dd53436ea",
+        "659169c8d85da946db9672a98d517edf88857051ef59518628605f174178df4c",
     "dT_dr":
-        "e02240b9c98653f7f76a74da9992732407144cbe6e78c92e609db40cb18eab88",
+        "b05b63420e3b73dbd88bde3ce97140156b560f75b0ea3c0892685150ecbe09f5",
     "bound_constants":
-        "4b6228f226e36e74497a13f03d6495a9277ad3f46e3495ac41fdc5ed4066c1e1",
+        "ebcefe0a2f5fca6de9e8db0addac8926e591ff738f60acebd3cb9eda7e2d29a9",
 }
 
 
