@@ -444,7 +444,7 @@ class BoundsReport:
     def __str__(self):
         lines = ["inequality,samples,constant,halving_ratio,status"]
         for e in self.entries:
-            worst = max(e.constants.values()) if e.constants else float("nan")
+            worst = (min if e.name.endswith("_lo") else max)(e.constants.values(), default=np.nan)
             ratio = e.ratio if e.ratio is not None else float("nan")
             status = "skip" if e.skipped else ("pass" if e.passed else "FAIL")
             lines.append(f"{e.name},{e.n_samples},{worst:.6e},{ratio:.3f},{status}")

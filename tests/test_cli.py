@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -187,3 +188,18 @@ def test_stability_emits_report(tmp_path, small_config_file, stationary201,
     assert f"stationary.shoot_fallbacks = {rep['shoot_fallbacks']}" in manifest
     assert (tmp_path / "st" / "trajectory.csv").exists()
     assert (tmp_path / "st" / "decay.csv").exists()
+
+
+def test_maps_writes_one_row_per_inequality(tmp_path, small_config_file,
+                                            stationary201, capsys):
+    # 40 samples over 2 amplitudes and 10 time pairs: 2 points per pair
+    code = main(["maps", "--config", small_config_file, "--samples", "40",
+                 "--out", str(tmp_path / "m")])
+    assert code == EXIT_PASS
+    rows = (tmp_path / "m" / "maps.csv").read_text().splitlines()
+    assert rows[0] == "inequality,samples,constant,halving_ratio,status"
+    # the gradient hypothesis, 8 weight equivalences, 9 amplitude-linear bounds
+    body = [row.split(",") for row in rows[1:-1]]
+    assert len(body) == 18 == len({fields[0] for fields in body})
+    assert all(len(fields) == 5 and fields[-1] == "pass" for fields in body)
+    assert re.fullmatch(r"# 2 flow solves, [1-9]\d* right-hand-side evaluations", rows[-1])

@@ -212,6 +212,16 @@ def test_bounds_report_small_plan(small_plan_report):
             assert 0.3 <= entry.ratio <= 3.0
 
 
+def test_report_prints_each_weakest_constant(small_plan_report):
+    # a lower bound is weakest at its smallest constant, an upper bound at
+    # its largest
+    rows = str(small_plan_report).splitlines()[1:-1]
+    for entry, row in zip(small_plan_report.entries, rows, strict=True):
+        fit = min if entry.name.endswith("_lo") else max
+        assert row.split(",")[:3] == [entry.name, str(entry.n_samples),
+                                      f"{fit(entry.constants.values()):.6e}"]
+
+
 def test_flow_solve_budget(monkeypatch, logistic_table, perturbed_maps,
                            small_plan_report):
     # one flow solve per map call on an array of interior points, and one
