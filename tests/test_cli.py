@@ -191,7 +191,7 @@ def test_stability_emits_report(tmp_path, small_config_file, stationary201,
 
 
 def test_maps_writes_one_row_per_inequality(tmp_path, small_config_file,
-                                            stationary201, capsys):
+                                            stationary201):
     # 40 samples over 2 amplitudes and 10 time pairs: 2 points per pair
     code = main(["maps", "--config", small_config_file, "--samples", "40",
                  "--out", str(tmp_path / "m")])
