@@ -14,7 +14,8 @@ pair_moments: Simpson pair totals summed along the rows in node order after
 an exact cubic start.  RadialMoments holds its weights for one set of
 positions, built in closed form (no SVD; r^-3 only on demand), or for
 stacked rows of positions in one call, each row with the bits of its own
-build; radial_average is a thin function over it, and each linearized stage
+build; radial_average is a thin function over it (moment_average turns
+any row of moments into u = r^-2 M), and each linearized stage
 folds g_p into a copy of them (linearized._FoldedStage).  The kernel is
 batch-invariant: a row has the same moments alone as in any batch.
 """
@@ -297,10 +298,16 @@ def radial_average(integrand, nodes):
     each row of integrand (last axis), with u(0) = 0 (the series
     u(r) = g(0) r / 3 + O(r^3)); a row has the same bits alone as in any
     batch."""
-    u = RadialMoments(nodes).cumulative(integrand)
-    u[..., 1:] /= nodes[1:] * nodes[1:]
-    u[..., 0] = 0.0
-    return u
+    return moment_average(RadialMoments(nodes).cumulative(integrand), nodes)
+
+
+def moment_average(moment, x):
+    """u = r^-2 M at the positions x (x[..., 0] = 0) from the moments M
+    there, in place, with u(0) = 0: radial_average's last step, so a
+    moment taken elsewhere gives its bits."""
+    moment[..., 1:] /= x[..., 1:] * x[..., 1:]
+    moment[..., 0] = 0.0
+    return moment
 
 
 def derivative_values(values, grid):

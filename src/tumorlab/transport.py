@@ -14,11 +14,13 @@ advance (positions, p, z), re-evaluating the nutrient profile and the
 velocity quadrature at every stage (exact for the affine law, otherwise a
 warm-started solve).  frozen_path moves particles alone through frozen
 velocity fields up to their first regrid.  picard_solve freezes the
-previous iterate's path and steps as simulate does, per block of steps (up
-to a regrid, at most PICARD_BLOCK_STEPS): the frame velocities of the
-block's path states on the nodes in one radial_average, the particles'
-steps from frozen_path, the moment operators of all their stage positions
-in one grid.RadialMoments call, then (p, z) reading only f and u(1) there.
+previous iterate's frame velocity at its particles' step-start positions
+and steps as simulate does, per block of steps (up to a regrid, at most
+PICARD_BLOCK_STEPS): the particles' steps from frozen_path through the
+cubics of those velocities, the moment operators of all their stage
+positions in one grid.RadialMoments call, then (p, z) reading f and the
+moment M there, whose M(1) is dz/dt and whose step-start rows give the
+new iterate's velocity; both integrators take w from the stage moment.
 In the fixed field of pure_transport and linearized.LinearPropagator every
 regrid cycle repeats the first, which frozen_path gives once by rk4; the
 propagator steps (phi, zeta) along it by AdamsBashforth.
@@ -41,8 +43,9 @@ from scipy.interpolate import PPoly
 from scipy.interpolate import PchipInterpolator  # noqa: F401 (bench/spans.py patches it)
 
 from .errors import SolverError
-from .grid import (RadialField, RadialMoments, derivative_values, pair_moments,
-                   pchip, pchip_coefficients, radial_average, require_same_grid)
+from .grid import (RadialField, RadialMoments, derivative_values, moment_average,
+                   pair_moments, pchip, pchip_coefficients, radial_average,
+                   require_same_grid)
 from .kinetics import eval_rates
 from .nutrient import affine_c, solve_nutrient
 from .velocity import frame_velocity, radial_velocity
@@ -165,11 +168,12 @@ def _stage_rates(spec, cache, positions, values, z):
 
 
 def _source_rates(spec, cache, positions, moments, values, z, work):
-    """f and u(1) of the state (values, z) at stage positions whose moment
-    operator is moments, a (weights, last, start) row of a RadialMoments;
-    work holds pair_moments' out, pair and tmp buffers."""
+    """f and the moment M of g (u = r^-2 M, so M(1) = u(1)) of the state
+    (values, z) at stage positions whose moment operator is moments, a
+    (weights, last, start) row of a RadialMoments; work holds
+    pair_moments' out, pair and tmp buffers, and M is the first of them."""
     rv = _stage_kinetics(spec, cache, positions, z)
-    return rv.f(values), pair_moments(rv.g(values), *moments, *work)[-1]
+    return rv.f(values), pair_moments(rv.g(values), *moments, *work)
 
 
 def rk4(rates, y, dt):
@@ -442,62 +446,62 @@ def pure_transport(w_field, q0_field, t_end, dt):
     return np.array(sup_series), np.array(weighted_series)
 
 
-def _picard_sweep(spec, cache, nodes, h_ref, path_p, path_z, values, z, dt):
+def _picard_sweep(spec, cache, nodes, h_ref, x, w, values, z, dt):
     """One Picard iterate from (values, z) on the nodes: its p on the nodes
     and its z at every step, advected by the frame velocity of the frozen
-    path (path_p, path_z).
+    path given as rows (x, w), each step's start positions (its end state's
+    last) and the path's frame velocity w there.  The new iterate's rows
+    replace them in place.
 
     The positions depend on the frozen path alone, so each block of steps
-    takes four passes: one radial_average gives the frame velocities of the
-    block's path states (its end state included) on the nodes, the
-    particles move (frozen_path, through the cubics of those velocities and
-    of their step means for the rk4 start-up steps alone), one
-    RadialMoments call builds the moment operators of all their stage
-    positions, and then (p, z) steps through the block reading only f and
-    u(1) there.  The particles and (p, z) each keep an AdamsBashforth
-    history, both restarted at a regrid.  The block's states go onto the
-    nodes in one batched on_grid.
+    takes three passes: the particles move (frozen_path, through the
+    cubics of the window's rows, built in one pchip_coefficients call: a
+    step's start cubic at an Adams-Bashforth step; start, the mean of start
+    and end twice, and end in an rk4 start-up step), one RadialMoments call
+    builds the moment operators of all their stage positions, and then
+    (p, z) steps through the block reading f and the moment M there.  M(1)
+    is dz/dt, and at a step's first stage M gives the new row of w, bit for
+    bit _stage_rates' w.  A window's rows are cubics before the block's
+    steps overwrite them.  The particles and (p, z) each keep an
+    AdamsBashforth history, both restarted at a regrid.  The block's states
+    go onto the nodes in one batched on_grid, and one _stage_rates row
+    gives the end state's w.
     """
-    n_steps = len(path_z) - 1
+    n_steps = len(x) - 1
     n = nodes.size
     new_p = np.empty((n_steps + 1, n))
     new_z = np.empty(n_steps + 1)
     new_p[0], new_z[0] = values, z
-    m = (n - 1) // 2
-    work = (np.empty(n), np.empty((2, m)), np.empty((2, m)))
+    work = (np.empty(n), *np.empty((2, 2, (n - 1) // 2)))
     positions = nodes
     moves, sources = AdamsBashforth((nodes,)), AdamsBashforth((values, z))
     k = 0
     while k < n_steps:
         window = slice(k, k + PICARD_BLOCK_STEPS + 1)
-        g = [_stage_kinetics(spec, cache, nodes, zk).g(pk)
-             for pk, zk in zip(path_p[window], path_z[window])]
-        w = frame_velocity(radial_average(np.array(g), nodes), nodes)
-        ends = pchip_coefficients(nodes, w)
-        # the step means serve the block's rk4 start-up steps alone
-        starting = min(STARTUP_STEPS - moves.filled, len(w) - 1)
-        means = (pchip_coefficients(nodes, 0.5 * (w[:starting] + w[1:starting + 1]))
-                 if starting else None)
+        cubics = [PPoly.construct_fast(c, xk) for c, xk in
+                  zip(pchip_coefficients(x[window], w[window]), x[window])]
 
         def stage_fields(j):
-            start = PPoly.construct_fast(ends[j], nodes)
-            if j >= starting:
-                return (start,)
-            mid, end = (PPoly.construct_fast(c, nodes) for c in (means[j], ends[j + 1]))
-            return start, mid, mid, end
+            begin, end = cubics[j:j + 2]
+            return begin, *2 * [lambda r: 0.5 * (begin(r) + end(r))], end
 
         block = list(itertools.islice(
-            frozen_path(stage_fields, positions, dt, h_ref, moves.step), len(w) - 1))
+            frozen_path(stage_fields, positions, dt, h_ref, moves.step), len(cubics) - 1))
         steps = len(block)
-        stage_x = [x for stages, _, _ in block for x in stages]
+        stage_x = [s for stages, _, _ in block for s in stages]
         moments = RadialMoments(np.array(stage_x))
         weights, last, start = moments.weights, moments.last, moments.start
-        rows = itertools.count()
+        rows, step_rows = itertools.count(), itertools.count(k)
 
         def rates(i, y):
             r = next(rows)
             op = (weights[r], None if last is None else last[r], start[r])
-            return _source_rates(spec, cache, stage_x[r], op, *y, work)
+            f, moment = _source_rates(spec, cache, stage_x[r], op, *y, work)
+            if i == 0:  # a step's start: its row of the new path (u(1) = M(1) as x = 1)
+                s = next(step_rows)
+                x[s] = stage_x[r]
+                w[s] = frame_velocity(moment_average(moment, x[s]), x[s])
+            return f, moment[-1]
 
         block_p = new_p[k + 1:k + 1 + steps]
         for j in range(steps):
@@ -514,6 +518,7 @@ def _picard_sweep(spec, cache, nodes, h_ref, path_p, path_z, values, z, dt):
             sources.restart()
         block_p[:] = np.clip(on_grid(end_x, block_p, nodes), 0.0, 1.0)
         k += steps
+    x[-1], w[-1] = positions, _stage_rates(spec, cache, positions, values, z)[0]
     return new_p, new_z
 
 
@@ -523,16 +528,18 @@ def picard_solve(initial, t_end, dt, spec, reference, mu, tol=1e-10,
 
     Iterate n+1 is advected by the frame velocity w of the previous iterate's
     path V^n, while the reaction term and dz/dt use the current unknown.  w
-    is computed on the nodes for the states of V^n, one batch per block of
-    steps, and read through a monotone cubic pinned to zero at both
-    endpoints: at the start of an Adams-Bashforth step, and at the start,
-    the mean of the two ends and the end of an rk4 start-up step (simulate's
+    is kept where simulate takes it, at each step's start positions, from
+    the moment each sweep already takes there, and read through a monotone
+    cubic over those positions pinned to zero at both endpoints: at the
+    start of an Adams-Bashforth step, and at the start, the mean of the
+    start and end cubics and the end of an rk4 start-up step (simulate's
     steps).  The positions thus depend on V^n alone: each block of steps
-    takes its velocities and its particles' steps first, then builds their
-    stage moment operators in one batch, then steps (p, z) (_picard_sweep).
-    V^0 is the initial perturbation decayed at rate mu.  Stops when a
-    distance falls below tol, or after PICARD_MAX_ITERS iterates.  Returns
-    the final trajectory and the weighted sup distances
+    takes its particles' steps first, then builds their stage moment
+    operators in one batch, then steps (p, z) (_picard_sweep).  V^0 is the
+    initial perturbation decayed at rate mu on the nodes, with the velocity
+    w_* + e^{-mu t} (w(V(0)) - w_*), first order in it as V^0 is.  Stops
+    when a distance falls below tol, or after PICARD_MAX_ITERS iterates.
+    Returns the final trajectory and the weighted sup distances
     d(V^{n+1}, V^n) = sup_t e^{mu t} ||difference||_X.
 
     Raises SolverError if the distances increase twice in a row.
@@ -544,18 +551,19 @@ def picard_solve(initial, t_end, dt, spec, reference, mu, tol=1e-10,
     n_steps, recorded = output_steps(t_end, dt, output_every)
     path_times = initial.t + dt * np.arange(n_steps + 1)
 
-    # V^0: frozen initial perturbation decayed at rate mu
-    dp0 = initial.p.values - reference.p_star.values
-    dz0 = initial.z - reference.z_star
+    # V^0: frozen initial perturbation decayed at rate mu, on the nodes
     decay = np.exp(-mu * (path_times - initial.t))
-    path_p = reference.p_star.values + decay[:, None] * dp0
-    path_z = reference.z_star + decay * dz0
+    path_p = reference.p_star.values + decay[:, None] * (initial.p.values - reference.p_star.values)
+    path_z = reference.z_star + decay * (initial.z - reference.z_star)
+    w_star = frame_velocity(reference.u_star.values, nodes)
+    w0 = _stage_rates(spec, cache, nodes, initial.p.values, initial.z)[0]
+    x, w = np.tile(nodes, (n_steps + 1, 1)), w_star + decay[:, None] * (w0 - w_star)
 
     distances = []
     increases = 0
     for _ in range(PICARD_MAX_ITERS):
-        new_p, new_z = _picard_sweep(spec, cache, nodes, grid.spacing, path_p,
-                                     path_z, initial.p.values, initial.z, dt)
+        new_p, new_z = _picard_sweep(spec, cache, nodes, grid.spacing, x, w,
+                                     initial.p.values, initial.z, dt)
         p_term, z_term = _x_terms(new_p - path_p, new_z - path_z)
         d = float(np.max(np.exp(mu * (path_times - initial.t)) * (p_term + z_term)))
         distances.append(d)

@@ -113,7 +113,9 @@ def test_determinism_bit_identical(tmp_path, stationary201):
 # when the closed-form cubic start moved stationary.u_weight_lower, and the
 # manifests and trajectories when grid.RadialMoments came to sum Simpson
 # pair totals, and every file when simulate and picard_solve came to step
-# by transport.AdamsBashforth); the manifest also holds the package
+# by transport.AdamsBashforth, and the picard files when Picard came to
+# freeze the velocity at the particles' step-start positions); the
+# manifest also holds the package
 # versions, so a version change moves its digest.
 REPORT_DIGESTS = {
     "direct": {
@@ -126,11 +128,11 @@ REPORT_DIGESTS = {
     },
     "picard": {
         "manifest.txt":
-            "af4b242e994e3cf4bf2d4fbf2172ea0f4a4a905fded6c6e8b04fe952003acf8a",
+            "30a80445c8e92e20f5e0801594645eb4c865350f8a812ffe4f75852b29f55185",
         "trajectory.csv":
-            "86d2d2d39521c4c44eb7ba1d89530fe561006340b5a285145191155c39d9222f",
+            "17c75f1a793f03e91b3d90c51d815bd2a59a8ec5ced3437addc56672c0aee23f",
         "decay.csv":
-            "6f062bafea4fd890b30b96ab8b6b192f6bbe661a8a4d7ad250113fb31aec815d",
+            "7b110ca95b06dee3571e95533a9dd07a9604cb45c195cda7a408fc2e597e4aa2",
     },
 }
 

@@ -210,13 +210,14 @@ def _counting(monkeypatch, name, counts, size=lambda *args: 1):
 
 
 def test_picard_stage_budget(monkeypatch, stationary201, default_spec):
-    # per iteration: f and u(1) at each stage, four in each of the
+    # per iteration: f and the moment at each stage, four in each of the
     # STARTUP_STEPS rk4 steps and one in every Adams-Bashforth step, and,
-    # per block of steps, one frame-velocity batch of the block's path
-    # states on the nodes, one batched moment build of its stage positions
-    # and step means for the start-up steps alone; no direct stage at all
+    # per block of steps, one batched moment build of its stage positions
+    # and one cubic build of its window's velocity rows; one direct stage
+    # row per sweep (its end state's velocity) and one for V^0, and no
+    # radial_average besides theirs: no path state is taken on the nodes
     direct, stages, regrids, builds, velocities, cubics = [], [], [], [], [], []
-    _counting(monkeypatch, "_stage_rates", direct)
+    _counting(monkeypatch, "_stage_rates", direct, lambda spec, cache, x, p, z: x.shape)
     _counting(monkeypatch, "_source_rates", stages)
     _counting(monkeypatch, "regrid", regrids)
     _counting(monkeypatch, "RadialMoments", builds, np.shape)
@@ -231,7 +232,7 @@ def test_picard_stage_budget(monkeypatch, stationary201, default_spec):
                                 stationary201, mu=0.07)
     iterations = len(distances)
     per_iteration = n_steps + 3 * transport.STARTUP_STEPS
-    assert not direct
+    assert direct == velocities == (iterations + 1) * [r.shape]
     assert len(stages) == iterations * per_iteration
     # no regrid this early, so the blocks split only at PICARD_BLOCK_STEPS
     assert not regrids
@@ -239,14 +240,10 @@ def test_picard_stage_budget(monkeypatch, stationary201, default_spec):
               for k in range(0, n_steps, transport.PICARD_BLOCK_STEPS)]
     assert len(builds) == iterations * len(blocks)
     assert sum(rows for rows, _ in builds) == iterations * per_iteration
-    # each block's velocity window holds its path states, its end included
-    assert velocities == iterations * [(steps + 1, r.size) for steps in blocks]
-    # per block the cubics of its velocities, then of the start-up steps'
-    # means (the first block alone), then the batched on_grid of its states
-    first, second = ((steps + 1, r.size) for steps in blocks)
-    startup = (transport.STARTUP_STEPS, r.size)
-    assert cubics == iterations * [first, startup, (blocks[0], r.size), second,
-                                   (blocks[1], r.size)]
+    # per block the cubics of its window's rows, its end state's included,
+    # then the batched on_grid of its states; no step-mean build
+    assert cubics == iterations * [shape for steps in blocks
+                                   for shape in ((steps + 1, r.size), (steps, r.size))]
 
 
 def test_simulate_multistep_is_fourth_order(monkeypatch, stationary201, default_spec):
@@ -380,10 +377,32 @@ def test_simulate_memory_does_not_grow_with_horizon(stationary201, default_spec)
 def test_stage_reads_no_rate_derivative(monkeypatch, family):
     # a stage reads f and g of the rates only, so neither the consumption F
     # nor any of the c-derivatives, all built lazily, may be computed on
-    # its behalf
+    # its behalf; and the velocity a Picard sweep keeps at each step's
+    # start is _stage_rates' w there, bit for bit, through the rk4 start-up
+    # steps and past them
     spec = KineticsSpec(family=family)
     ref = stationary_for(spec, 201)
     cache = transport.NutrientCache(spec, ref.grid)
+    nodes = ref.grid.nodes
+    source_rates, starts = transport._source_rates, []
+
+    def recorded(spec, cache, x, op, values, z, work):
+        # _stage_rates first, so that both read one nutrient solve
+        starts.append((x.copy(), transport._stage_rates(spec, cache, x, values, z)[0]))
+        return source_rates(spec, cache, x, op, values, z, work)
+
+    n_steps, startup = 6, transport.STARTUP_STEPS
+    x_rows = np.tile(nodes, (n_steps + 1, 1))
+    w_rows = np.tile(transport.frame_velocity(ref.u_star.values, nodes), (n_steps + 1, 1))
+    p0 = np.clip(ref.p_star.values + 1e-2 * np.sin(np.pi * nodes), 0.0, 1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "_source_rates", recorded)
+        transport._picard_sweep(spec, cache, nodes, ref.grid.spacing, x_rows, w_rows,
+                                p0, ref.z_star + 1e-3, 1e-2)
+    for s in range(n_steps):
+        start_x, w = starts[4 * min(s, startup) + max(0, s - startup)]
+        assert np.array_equal(start_x, x_rows[s]) and np.array_equal(w, w_rows[s])
+
     cache.solve(ref.z_star)  # the Newton solve itself reads F'(c)
 
     def unread(self):
@@ -391,7 +410,7 @@ def test_stage_reads_no_rate_derivative(monkeypatch, family):
 
     for name in ("f_val", "f_d", "kb_d", "kd_d", "kp_d", "kq_d", "km_d", "kn_d"):
         monkeypatch.setattr(RateValues, name, property(unread))
-    x = ref.grid.nodes + 0.1 * ref.grid.spacing * np.sin(np.arange(201))
+    x = nodes + 0.1 * ref.grid.spacing * np.sin(np.arange(201))
     x[0], x[-1] = 0.0, 1.0
     p = ref.p_star.values
     w, f, u1 = transport._stage_rates(spec, cache, x, p, ref.z_star)
@@ -399,9 +418,9 @@ def test_stage_reads_no_rate_derivative(monkeypatch, family):
     # Picard's stage, on the same positions' moment operator
     op = RadialMoments(x)
     work = (np.empty(201), np.empty((2, 100)), np.empty((2, 100)))
-    f_picard, u1_picard = transport._source_rates(
+    f_picard, moment = transport._source_rates(
         spec, cache, x, (op.weights, op.last, op.start), p, ref.z_star, work)
-    assert np.array_equal(f_picard, f) and u1_picard == u1
+    assert np.array_equal(f_picard, f) and moment[-1] == u1
 
 
 @pytest.mark.parametrize("entry,bad,fill", [("position", [7], np.nan),
@@ -419,24 +438,66 @@ def test_guard_names_first_non_finite_entry(stationary201, entry, bad, fill):
         transport._guarded(positions, values, z)
 
 
-@pytest.mark.parametrize("family", ["affine", "saturating"])
-def test_picard_matches_direct(family):
-    # test_08's tolerances on a short 201-node run of each rate family
+def _picard_against_direct(family, epsilon, t_end):
+    """The distances of a 201-node picard_solve (tol 1e-8) of family and
+    the largest sup|p - p_direct| + |z - z_direct| over its recorded
+    states against simulate's."""
     spec = KineticsSpec(family=family)
     ref = stationary_for(spec, 201)
-    cfg = RunConfig(grid_size=201, epsilon=1e-3, t_end=1.0, spec=spec)
+    cfg = RunConfig(grid_size=201, epsilon=epsilon, t_end=t_end, spec=spec)
     init = initial_state(cfg, ref)
     traj, dists = picard_solve(init, cfg.t_end, cfg.dt, spec, ref,
                                mu=PICARD_RATE, tol=1e-8)
     direct = simulate(init, cfg.t_end, cfg.dt, spec, ref,
                       output_every=cfg.output_every)
+    assert len(traj.states) == len(direct.states)
+    return dists, max(float(np.max(np.abs(a.p.values - b.p.values))) + abs(a.z - b.z)
+                      for a, b in zip(traj.states, direct.states))
+
+
+@pytest.mark.parametrize("family", ["affine", "saturating"])
+def test_picard_matches_direct(family):
+    # test_08's tolerances on a short 201-node run of each rate family
+    dists, gap = _picard_against_direct(family, 1e-3, 1.0)
     ratios = [dists[i + 1] / dists[i] for i in range(len(dists) - 1)
               if dists[i] > 1e-8]
-    gap = max(float(np.max(np.abs(a.p.values - b.p.values))) + abs(a.z - b.z)
-              for a, b in zip(traj.states, direct.states))
-    assert len(traj.states) == len(direct.states)
     assert gap <= 1e-4
     assert max(ratios) <= 0.75
+
+
+@pytest.mark.parametrize("family", ["affine", "saturating"])
+def test_picard_fixed_point_is_the_direct_solution(family):
+    # Picard freezes the velocity where simulate takes it, at the particles'
+    # step-start positions, so its fixed point is simulate's solution up to
+    # the cubics read inside the rk4 start-up steps: the gap is 1.25e-9 for
+    # either family, where a velocity frozen on the nodes left 2.0e-6
+    # (affine) and 9.0e-7 (saturating)
+    _, gap = _picard_against_direct(family, 1e-2, 1.5)
+    assert gap <= 1e-8
+
+
+def test_picard_divergence_raises(monkeypatch, stationary201, default_spec):
+    # each returned p path is pushed away from the last by a growing offset
+    # (0.1, 0.4, 0.9): the distances grow from the second iterate on, and
+    # the second increase in a row stops the iteration, naming them
+    sweep, calls = transport._picard_sweep, []
+
+    def pushed(*args):
+        p, z = sweep(*args)
+        calls.append(args)
+        return p + 0.1 * len(calls) ** 2, z
+
+    monkeypatch.setattr(transport, "_picard_sweep", pushed)
+    r = stationary201.grid.nodes
+    p0 = np.clip(stationary201.p_star.values + 1e-2 * np.sin(np.pi * r), 0, 1)
+    init = TumorState(t=0.0, p=RadialField(stationary201.grid, p0),
+                      z=stationary201.z_star + 1e-3)
+    with pytest.raises(SolverError, match=r"^Picard iteration diverging: distances \[") as err:
+        picard_solve(init, 0.2, 1e-2, default_spec, stationary201, mu=0.07)
+    listed = str(err.value).split("[")[1].rstrip("]").split(", ")
+    distances = [float(d) for d in listed]
+    assert len(calls) == len(distances) == 3
+    assert 0.1 < distances[0] < distances[1] < distances[2]
 
 
 def _digest(*arrays):
@@ -503,14 +564,16 @@ def _integrator_outputs(sol, spec):
 # their particles through one frozen-velocity path (transport.frozen_path),
 # and pure_transport to replay its first regrid cycle, nor when the linear
 # propagator came to step through transport.AdamsBashforth; simulate and
-# picard_solve moved when they came to step by it too.
+# picard_solve moved when they came to step by it too, and picard_solve
+# again when it came to freeze the velocity at the particles' step-start
+# positions, from the moment of each step's first stage.
 INTEGRATOR_DIGESTS = {
     "step":
         "84afe25a0ddae86755fa9aa647a42de5432a129a0455fc922e33a6a9ad0d5cf3",
     "simulate":
         "1e7e369f2bcf4b689a7e7853c22105ea32d949b4078dbb42226eff5386aebeb1",
     "picard_solve":
-        "2ad191870742830a04f02a1afa46d8f7ecae64884057778e1c7a5287b6536034",
+        "4566ebc18ece5feee1defdd8ee7b00a22dbd3bc70eb1b6455ba6dbb6b114f8f1",
     "pure_transport":
         "af053d42c3b24a366a2048e6830b8e8ade3ccb09478b6c69d6bfd5cbb8863d09",
     "solve_linearized":
