@@ -1,12 +1,16 @@
 import json
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from tumorlab import cli
+from tumorlab import cli, experiments
 from tumorlab.cli import (EXIT_CONFIG_ERROR, EXIT_EXPERIMENT_FAIL, EXIT_PASS,
-                          main)
-from tumorlab.experiments import RunConfig, config_to_text
+                          EXIT_SOLVER_ERROR, main)
+from tumorlab.errors import SolverError
+from tumorlab.experiments import (RunConfig, config_from_text, config_hash,
+                                  config_to_text)
 from tumorlab.kinetics import KineticsSpec
 from tumorlab.linearized import shortest_fit_steps
 
@@ -203,3 +207,44 @@ def test_maps_writes_one_row_per_inequality(tmp_path, small_config_file,
     assert len(body) == 18 == len({fields[0] for fields in body})
     assert all(len(fields) == 5 and fields[-1] == "pass" for fields in body)
     assert re.fullmatch(r"# 2 flow solves, [1-9]\d* right-hand-side evaluations", rows[-1])
+
+
+def test_sweep_writes_one_row_per_epsilon(tmp_path, small_config_file, capsys):
+    code = main(["sweep", "--config", small_config_file, "--epsilons", "1e-3,1e-2",
+                 "--out", str(tmp_path / "sw")])
+    assert code == EXIT_PASS
+    rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+    assert rows[0].startswith("epsilon,") and len(rows) == 3
+    assert "basin edge: 0.01" in capsys.readouterr().out.splitlines()
+
+
+def test_seed_option_overrides_the_config(tmp_path, small_config_file):
+    # --seed 5 on a seed-0 config draws the ensemble a seed-5 config draws
+    seeded = tmp_path / "seeded.cfg"
+    seeded.write_text(config_to_text(RunConfig(grid_size=201, t_end=5.0, epsilon=1e-2,
+                                               seed=5)))
+    tables = []
+    for config, seed in ((small_config_file, ["--seed", "5"]), (str(seeded), []),
+                         (small_config_file, [])):
+        out = tmp_path / f"run{len(tables)}"
+        assert main(["linearize", "--config", config, "--ensemble", "2", "--t-end", "1",
+                     "--out", str(out)] + seed) == EXIT_PASS
+        tables.append((out / "linearize.csv").read_bytes())
+    assert tables[0] == tables[1] != tables[2]
+
+
+def test_solver_error_exits_2_and_leaves_a_manifest(tmp_path, monkeypatch,
+                                                    small_config_file, capsys):
+    def failing(*args, **kwargs):
+        raise SolverError("boom")
+
+    monkeypatch.setattr(experiments, "simulate", failing)
+    out = tmp_path / "failed"
+    assert main(["stability", "--config", small_config_file,
+                 "--out", str(out)]) == EXIT_SOLVER_ERROR
+    assert "solver error: boom" in capsys.readouterr().err
+    # the config lines, its hash and the status, out_dir set by --out
+    cfg = replace(config_from_text(Path(small_config_file).read_text()), out_dir=str(out))
+    assert (out / "manifest.txt").read_text() == (
+        config_to_text(cfg) + f'config_hash = "{config_hash(cfg)}"\n'
+        + 'status = "solver-error"\n')

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tumorlab import nutrient
+from tumorlab.errors import SolverError
 from tumorlab.grid import RadialGrid
 from tumorlab.kinetics import KineticsSpec
 from tumorlab.nutrient import (affine_c, affine_profile, solve_nutrient,
@@ -69,6 +70,20 @@ def test_non_uniform_grid_rejected():
     # the Numerov solvers need equal spacing, which RadialGrid enforces
     with pytest.raises(ValueError, match="uniformly spaced"):
         RadialGrid(np.array([0.0, 0.1, 0.25, 0.45, 0.7, 1.0]))
+
+
+def test_stalled_solve_recovers_by_continuation(grid201):
+    # at z = 2.9 a cold saturating Newton iteration is still at residual
+    # 0.969 after MAX_NEWTON_ITERS steps; solve_nutrient then walks z up
+    # from z - 2 and lands on the profile a solve warm-started at z = 2.5
+    # finds
+    spec = KineticsSpec(family="saturating")
+    with pytest.raises(SolverError, match="stalled at residual 9.690e-01"):
+        nutrient._solve_at(spec, 2.9, grid201)
+    sol = solve_nutrient(spec, 2.9, grid201)
+    assert sol.residual <= nutrient.RESIDUAL_TOL
+    warm = nutrient._solve_at(spec, 2.9, grid201, solve_nutrient(spec, 2.5, grid201).c.values)
+    assert np.max(np.abs(sol.c.values - warm.c.values)) <= 1e-8
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
