@@ -78,7 +78,8 @@ def cmd_nutrient(args):
     for r, c, cp in zip(grid.nodes, ns.c.values, ns.c_prime.values):
         rows.append(f"{r:.17g},{c:.17g},{cp:.17g}")
     _write_or_print(args, "nutrient.csv", "\n".join(rows) + "\n")
-    print(f"z = {args.z}  residual = {ns.residual:.3e}")
+    print(f"z = {args.z}  residual = {ns.residual:.3e}  "
+          f"newton_iterations = {ns.newton_iterations}")
     return EXIT_PASS
 
 

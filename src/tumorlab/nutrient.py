@@ -16,7 +16,7 @@ spacing, which every RadialGrid has by construction.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -34,6 +34,8 @@ class NutrientSolution:
     """Converged nutrient profile at one log-radius z.
 
     c_z is filled in by solve_sensitivity and is None until then.
+    newton_iterations counts the Newton steps of a numerical solve (0 for
+    the exact affine profile).
     """
 
     z: float
@@ -41,13 +43,14 @@ class NutrientSolution:
     c_prime: RadialField
     c_z: RadialField = None
     residual: float = 0.0
+    newton_iterations: int = 0
 
     @property
     def grid(self):
         return self.c.grid
 
     def with_sensitivity(self, c_z):
-        return NutrientSolution(self.z, self.c, self.c_prime, c_z, self.residual)
+        return replace(self, c_z=c_z)
 
 
 def _affine_k(spec, z):
@@ -129,7 +132,8 @@ def _solve_numerov(source, source_jac, nodes, v_left, v_right, v_init):
     """Damped Newton on the Numerov discretization of v'' = g(r, v).
 
     source(v) and source_jac(v) give g and dg/dv at all nodes.  Returns the
-    solution and the scheme residual scaled to ODE units (divided by h^2).
+    solution, the scheme residual scaled to ODE units (divided by h^2) and
+    the number of Newton steps taken.
     """
     h = nodes[1] - nodes[0]
     v = v_init.copy()
@@ -145,11 +149,11 @@ def _solve_numerov(source, source_jac, nodes, v_left, v_right, v_init):
         return res
 
     last = np.inf
-    for _ in range(MAX_NEWTON_ITERS):
+    for steps in range(MAX_NEWTON_ITERS):
         res = scheme_residual(v)
         rmax = np.max(np.abs(res)) / (h * h)
         if rmax <= tol:
-            return v, rmax
+            return v, rmax, steps
         ab = _numerov_matrix(source_jac(v), c12)
         delta = solve_banded((1, 1), ab, -res)
         # damping: halve the step until the residual stops growing
@@ -170,7 +174,7 @@ def _solve_numerov(source, source_jac, nodes, v_left, v_right, v_init):
         raise SolverError(
             f"nutrient Newton iteration stalled at residual {rmax:.3e}", residual=rmax
         )
-    return v, rmax
+    return v, rmax, steps + 1
 
 
 def solve_nutrient(spec, z, grid, c_init=None):
@@ -218,10 +222,13 @@ def _solve_at(spec, z, grid, c_init=None):
         c = np.ones_like(v)
         c[1:] = v[1:] / nodes[1:]
         gj = e2z * eval_rates(spec, np.clip(c, 0.0, 1.0)).f_d
+        # the clipped source is flat where c leaves [0, 1]; a nonzero slope
+        # there sends Newton from c = 1 into a crawl of about 5% per step
+        gj[(c < 0.0) | (c > 1.0)] = 0.0
         gj[0] = e2z * eval_rates(spec, 1.0).f_d  # unused row, keep finite
         return gj
 
-    v, rmax = _solve_numerov(source, source_jac, nodes, 0.0, 1.0, c_init * nodes)
+    v, rmax, steps = _solve_numerov(source, source_jac, nodes, 0.0, 1.0, c_init * nodes)
     c = np.empty_like(v)
     c[1:] = v[1:] / nodes[1:]
     c[0] = _extrapolate_center(nodes, c)
@@ -232,6 +239,7 @@ def _solve_at(spec, z, grid, c_init=None):
         c=RadialField(grid, c),
         c_prime=RadialField(grid, cp),
         residual=float(rmax),
+        newton_iterations=steps,
     )
 
 

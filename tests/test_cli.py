@@ -36,13 +36,24 @@ def test_check_kinetics_flags_bad_rates(tmp_path, capsys):
     assert main(["check-kinetics", "--config", str(path)]) == EXIT_EXPERIMENT_FAIL
 
 
-def test_nutrient_writes_table(tmp_path, small_config_file):
+def test_nutrient_writes_table(tmp_path, small_config_file, capsys):
     code = main(["nutrient", "--config", small_config_file, "--z", "0.5",
                  "--out", str(tmp_path / "n")])
     assert code == EXIT_PASS
     rows = (tmp_path / "n" / "nutrient.csv").read_text().splitlines()
     assert rows[0] == "r,c,c_prime"
     assert len(rows) == 202
+    # the affine profile is exact: no Newton step
+    assert "residual = 0.000e+00  newton_iterations = 0" in capsys.readouterr().out
+
+
+def test_nutrient_prints_newton_steps(tmp_path, capsys):
+    path = tmp_path / "sat.cfg"
+    path.write_text(config_to_text(RunConfig(spec=KineticsSpec(family="saturating"),
+                                             grid_size=201)))
+    assert main(["nutrient", "--config", str(path), "--z", "2.9"]) == EXIT_PASS
+    steps = re.search(r"newton_iterations = (\d+)", capsys.readouterr().out)
+    assert 0 < int(steps.group(1)) <= 12
 
 
 def test_malformed_config_exits_3(tmp_path):

@@ -46,10 +46,11 @@ def _solver_outputs(spec, grid, sol):
 # grid.RadialMoments came to be built in closed form, again when its
 # cumulative moment came to sum Simpson pair totals (grid.pair_moments), and
 # again when pair_moments came to take its cubic start and odd last interval
-# as einsum sums, not matmuls.
+# as einsum sums, not matmuls; "stationary_saturating" again when the
+# nutrient Newton Jacobian came to be zero where the clipped source is flat.
 SOLVER_DIGESTS = {
     "stationary_saturating":
-        "f4d78e983a610b1b5085eb1da2e2c94eaf7fe890cf409bba32fa62a8107032f5",
+        "8badcfeb17ba0b7cd9467b7242a21b037a3aa0b0b61248e4f3dae48e1575cfe1",
     "build_fstar":
         "58ea03f18bacb9acd4b6e3ae09f4c1b9a47f4a466f7d6b31e39f163d03a195a1",
     "resolvent_apply":
