@@ -11,8 +11,11 @@ in affine_profile, and the plain-float affine_value for one radius at a
 time).  Every other law is solved numerically: the substitution v = r c
 turns the operator into a plain second derivative, v'' = r e^{2z} F(v/r),
 v(0)=0, v(1)=1, which a Numerov discretization solves to fourth order; a
-damped Newton iteration handles the nonlinearity.  Numerov needs equal
-spacing, which every RadialGrid has by construction.
+damped Newton iteration handles the nonlinearity.  F is read at c clipped to
+[0, 1], and the Jacobian is zero wherever the iterate leaves that interval,
+so a cold start from c = 1 converges in a dozen steps at any radius; there
+is no continuation in z.  Numerov needs equal spacing, which every
+RadialGrid has by construction.
 """
 
 import math
@@ -183,24 +186,13 @@ def solve_nutrient(spec, z, grid, c_init=None):
     Returns a NutrientSolution with c and c' fields (c_z left unset).  The
     affine law takes the exact profile (residual 0.0, c_init unused).  For
     the others c_init optionally warm-starts the Newton iteration with node
-    values of c; if the Newton iteration stalls (steep depletion layers at
-    large radius), the solve is retried by continuation in z from a milder
-    radius.
+    values of c (c = 1 otherwise); a stalled iteration raises SolverError.
     """
     if spec.family == "affine":
         c, cp = affine_profile(spec, z, grid.nodes)
         return NutrientSolution(z=z, c=RadialField(grid, c),
                                 c_prime=RadialField(grid, cp))
-    try:
-        return _solve_at(spec, z, grid, c_init)
-    except SolverError:
-        pass
-    # continuation: walk z up from a mild radius, warm-starting each step
-    sol = None
-    for zz in np.linspace(z - 2.0, z, 9):
-        sol = _solve_at(spec, zz, grid,
-                        sol.c.values if sol is not None else None)
-    return sol
+    return _solve_at(spec, z, grid, c_init)
 
 
 def _solve_at(spec, z, grid, c_init=None):

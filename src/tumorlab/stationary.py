@@ -232,10 +232,11 @@ def _shoot_residual(spec, z, grid):
     -|u'(0)| r_e^3, the leftover J ~ u'(0) r^3 the integration would have
     carried to the origin: r_e shrinks to 0 as z decreases to z_*, so the
     continuation meets the completed defect there without a jump.  A
-    SolverError (p leaving [0,1], no attracting center root, a stalled
-    nutrient solve: all on the large-z side) leaves no defect and returns
-    its sign, -1.0; a magnitude above any defect near z_* keeps Brent from
-    taking that point for its best iterate.
+    SolverError (p leaving [0,1], no attracting center root, or a cold
+    nutrient solve held above its tolerance by rounding, as at z = 9.5 for
+    the saturating law with lam = 2 on 201 nodes: all on the large-z side)
+    leaves no defect and returns its sign, -1.0; a magnitude above any
+    defect near z_* keeps Brent from taking that point for its best iterate.
     """
     try:
         nutrient = solve_nutrient(spec, z, grid)

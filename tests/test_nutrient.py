@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tumorlab import nutrient
+from tumorlab import nutrient, stationary
 from tumorlab.errors import SolverError
 from tumorlab.grid import RadialGrid
 from tumorlab.kinetics import KineticsSpec
@@ -83,6 +83,43 @@ def test_cold_solve_converges_in_few_newton_steps(grid201):
     assert cold.residual <= nutrient.RESIDUAL_TOL
     warm = solve_nutrient(spec, 2.9, grid201, solve_nutrient(spec, 2.5, grid201).c.values)
     assert np.max(np.abs(cold.c.values - warm.c.values)) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [201, 801])
+def test_cold_saturating_solves_converge_on_grid(n):
+    # the 38 of these 96 cases that raised before the Jacobian matched the
+    # clip included every z >= 3 for lam >= 1
+    grid = RadialGrid.uniform(n)
+    for lam in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
+        for b_rate in (1.0, 3.0):
+            spec = KineticsSpec(family="saturating", lam=lam, b_rate=b_rate)
+            for z in (-3.0, 0.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0):
+                assert solve_nutrient(spec, z, grid).newton_iterations <= 12, (lam, z)
+
+
+rate = st.floats(1e-3, 10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(0.1, 10.0), b_rate=rate, d_rate=rate, p_rate=rate,
+       q_rate=rate, z=st.floats(-3.0, 8.0))
+def test_cold_saturating_solve_converges(grid201, lam, b_rate, d_rate, p_rate,
+                                         q_rate, z):
+    spec = KineticsSpec(lam=lam, b_rate=b_rate, d_rate=d_rate, p_rate=p_rate,
+                        q_rate=q_rate, family="saturating")
+    assert solve_nutrient(spec, z, grid201).residual <= nutrient.RESIDUAL_TOL
+
+
+def test_solve_on_the_rounding_floor_raises(grid201):
+    # at z = 9.5 the source reaches e^19 and rounding holds the Numerov
+    # residual just above the tolerance: Newton stops when a step no longer
+    # lowers it, and the shooting defect takes the error as its sign
+    spec = KineticsSpec(family="saturating", lam=2.0)
+    with pytest.raises(SolverError) as err:
+        solve_nutrient(spec, 9.5, grid201)
+    assert err.value.residual > nutrient.RESIDUAL_TOL
+    assert f"stalled at residual {err.value.residual:.3e}" in str(err.value)
+    assert stationary._shoot_residual(spec, 9.5, grid201) == (-1.0, None)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
