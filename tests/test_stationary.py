@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from tumorlab import stationary
+from tumorlab import nutrient, stationary
 from tumorlab.kinetics import FAMILIES, KineticsSpec, eval_rates
 from tumorlab.nutrient import affine_profile, affine_value, solve_nutrient
 from tumorlab.stationary import (BOUNDARY_OFFSET, R_START,
@@ -76,6 +76,9 @@ def test_saturating_stationary_state_at_801_nodes(grid801):
     sol = solve_stationary(KineticsSpec(family="saturating"), grid801)
     assert abs(sol.u_star.values[-1]) <= 1e-10
     assert sol.residual_report["lemma_checks_pass"]
+    # Brent's xtol of 1e-13 found this z_*; the spline defect resolves z to
+    # about 2.3e-11
+    assert abs(sol.z_star - 2.9693061984053144) <= 5e-11
 
 
 def test_shooting_defect_is_continuous_at_z_star(default_spec, grid201,
@@ -106,6 +109,31 @@ def test_affine_solve_integration_budget(monkeypatch, default_spec, grid201):
     # the final (dense) integration is at z_* and completed
     assert calls[-1] == sol.z_star
     assert 0 < sol.residual_report["shoot_fallbacks"] < len(calls)
+
+
+def test_saturating_solve_budget(monkeypatch, grid801):
+    # each cold nutrient solve takes a dozen Newton steps at most, and Brent
+    # stops at the resolution of the spline defect; both counts are
+    # deterministic
+    banded, steps = [], []
+    solve_banded, solve = nutrient.solve_banded, stationary.solve_nutrient
+
+    def counted_banded(*args, **kwargs):
+        banded.append(1)
+        return solve_banded(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        before = len(banded)
+        sol = solve(*args, **kwargs)
+        steps.append(len(banded) - before)
+        assert sol.newton_iterations == steps[-1]
+        return sol
+
+    monkeypatch.setattr(nutrient, "solve_banded", counted_banded)
+    monkeypatch.setattr(stationary, "solve_nutrient", counted_solve)
+    sol = solve_stationary(KineticsSpec(family="saturating"), grid801)
+    assert sol.residual_report["shoot_integrations"] <= 14
+    assert max(steps) <= 12
 
 
 @pytest.mark.parametrize("family", FAMILIES)
