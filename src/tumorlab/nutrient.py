@@ -12,10 +12,10 @@ time).  Every other law is solved numerically: the substitution v = r c
 turns the operator into a plain second derivative, v'' = r e^{2z} F(v/r),
 v(0)=0, v(1)=1, which a Numerov discretization solves to fourth order; a
 damped Newton iteration handles the nonlinearity.  F is read at c clipped to
-[0, 1], and the Jacobian is zero wherever the iterate leaves that interval,
-so a cold start from c = 1 converges in a dozen steps at any radius; there
-is no continuation in z.  Numerov needs equal spacing, which every
-RadialGrid has by construction.
+[0, 1] and the Jacobian is zero wherever the iterate leaves that interval, so
+a cold start from c = 1 converges in about a dozen steps, with no
+continuation in z.  Numerov needs equal spacing, which every RadialGrid has
+by construction.
 """
 
 import math
@@ -149,35 +149,28 @@ def _solve_numerov(source, source_jac, nodes, v_left, v_right, v_init):
     def scheme_residual(v):
         g = source(v)
         res = (v[2:] - 2 * v[1:-1] + v[:-2]) - c12 * (g[2:] + 10 * g[1:-1] + g[:-2])
-        return res
+        return res, np.max(np.abs(res)) / (h * h)
 
-    last = np.inf
-    for steps in range(MAX_NEWTON_ITERS):
-        res = scheme_residual(v)
-        rmax = np.max(np.abs(res)) / (h * h)
+    res, rmax = scheme_residual(v)
+    for steps in range(MAX_NEWTON_ITERS + 1):
         if rmax <= tol:
             return v, rmax, steps
-        ab = _numerov_matrix(source_jac(v), c12)
-        delta = solve_banded((1, 1), ab, -res)
-        # damping: halve the step until the residual stops growing
-        step = 1.0
-        for _ in range(8):
-            trial = v.copy()
-            trial[1:-1] += step * delta
-            tmax = np.max(np.abs(scheme_residual(trial))) / (h * h)
-            if tmax < rmax or tmax < tol:
-                break
-            step *= 0.5
-        v = trial
-        if tmax >= last and tmax > tol:
+        if steps == MAX_NEWTON_ITERS:
             break
-        last = tmax
-    rmax = np.max(np.abs(scheme_residual(v))) / (h * h)
-    if rmax > tol:
-        raise SolverError(
-            f"nutrient Newton iteration stalled at residual {rmax:.3e}", residual=rmax
-        )
-    return v, rmax, steps + 1
+        delta = solve_banded((1, 1), _numerov_matrix(source_jac(v), c12), -res)
+        # damping: halve the step until the residual falls; a step that no
+        # halving lowers it by is a stall
+        for k in range(8):
+            trial = v.copy()
+            trial[1:-1] += 0.5**k * delta
+            trial_res, trial_max = scheme_residual(trial)
+            if trial_max < rmax:
+                break
+        else:
+            break
+        v, res, rmax = trial, trial_res, trial_max
+    raise SolverError(f"nutrient Newton iteration stalled at residual {rmax:.3e}",
+                      residual=rmax)
 
 
 def solve_nutrient(spec, z, grid, c_init=None):
@@ -214,9 +207,7 @@ def _solve_at(spec, z, grid, c_init=None):
         c = np.ones_like(v)
         c[1:] = v[1:] / nodes[1:]
         gj = e2z * eval_rates(spec, np.clip(c, 0.0, 1.0)).f_d
-        # the clipped source is flat where c leaves [0, 1]; a nonzero slope
-        # there sends Newton from c = 1 into a crawl of about 5% per step
-        gj[(c < 0.0) | (c > 1.0)] = 0.0
+        gj[(c < 0.0) | (c > 1.0)] = 0.0  # where the clipped source is flat
         gj[0] = e2z * eval_rates(spec, 1.0).f_d  # unused row, keep finite
         return gj
 

@@ -232,9 +232,8 @@ def _shoot_residual(spec, z, grid):
     -|u'(0)| r_e^3, the leftover J ~ u'(0) r^3 the integration would have
     carried to the origin: r_e shrinks to 0 as z decreases to z_*, so the
     continuation meets the completed defect there without a jump.  A
-    SolverError (p leaving [0,1], no attracting center root, or a cold
-    nutrient solve held above its tolerance by rounding, as at z = 9.5 for
-    the saturating law with lam = 2 on 201 nodes: all on the large-z side)
+    SolverError (p leaving [0,1], no attracting center root, a nutrient
+    solve held above its tolerance by rounding: all on the large-z side)
     leaves no defect and returns its sign, -1.0; a magnitude above any
     defect near z_* keeps Brent from taking that point for its best iterate.
     """
@@ -272,9 +271,9 @@ def solve_stationary(spec, grid):
     if np.sign(f_lo) * np.sign(f_hi) > 0:
         raise SolverError("no sign change of the shooting defect on bracket: "
                           f"u1({z_lo:.2f})={f_lo:.3e}, u1({z_hi:.2f})={f_hi:.3e}")
-    # the exact affine c leaves a defect that scatters by about 1e-16; the
-    # Numerov spline's scatters by about 2.3e-12 at 801 nodes, which does not
-    # resolve z finer than about 1e-11
+    # the defect scatters by about 1e-16 with the exact affine c, and by
+    # about 2.3e-12 at 801 nodes with the Numerov spline, which resolves z
+    # to about 1e-11
     xtol = 1e-13 if spec.family == "affine" else 1e-11
     z_star = brentq(residual, z_lo, z_hi, xtol=xtol, rtol=8.9e-16)
     if evals[z_star][1] is None:
