@@ -272,8 +272,8 @@ def solve_stationary(spec, grid):
         raise SolverError("no sign change of the shooting defect on bracket: "
                           f"u1({z_lo:.2f})={f_lo:.3e}, u1({z_hi:.2f})={f_hi:.3e}")
     # the defect scatters by about 1e-16 with the exact affine c, and by
-    # about 2.3e-12 at 801 nodes with the Numerov spline, which resolves z
-    # to about 1e-11
+    # about 3e-12 at 801 nodes with the Numerov spline, which at its slope
+    # of about -0.1 resolves z to a few times 1e-11
     xtol = 1e-13 if spec.family == "affine" else 1e-11
     z_star = brentq(residual, z_lo, z_hi, xtol=xtol, rtol=8.9e-16)
     if evals[z_star][1] is None:
