@@ -3,8 +3,9 @@
 Everything downstream (nutrient, velocity, transport, linearization) stores
 functions of r as node values on a shared RadialGrid and interpolates with a
 monotone piecewise cubic (PCHIP), which preserves monotone profiles during
-particle regridding.  pchip_coefficients builds scipy's PCHIP for many
-rows at once, bit for bit, and pchip reads it as one PPoly.  A RadialGrid
+particle regridding.  Every monotone cubic, a RadialField's interpolator
+included, comes from pchip_coefficients, which builds scipy's PCHIP for
+many rows at once, bit for bit; pchip reads it as one PPoly.  A RadialGrid
 is uniform by construction: the Numerov nutrient solver and the
 fourth-order derivative stencils need equal spacing.
 
@@ -24,7 +25,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator, PPoly
+from scipy.interpolate import PchipInterpolator  # noqa: F401 (bench/spans.py patches it)
+from scipy.interpolate import PPoly
 
 from .errors import GridMismatchError
 
@@ -90,9 +92,7 @@ class RadialField:
 
     def interpolator(self):
         if self._interp is None:
-            object.__setattr__(
-                self, "_interp", PchipInterpolator(self.grid.nodes, self.values)
-            )
+            object.__setattr__(self, "_interp", pchip(self.grid.nodes, self.values))
         return self._interp
 
     def __call__(self, r):

@@ -297,7 +297,9 @@ def _pchip_values(kind, shape, rng):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_pchip_coefficients_match_scipy(n, rows, shared, kind, seed):
     # the batched monotone cubic has scipy's bits in every row: its
-    # coefficients, and its values anywhere, the ends and beyond included
+    # coefficients, and its values anywhere, the ends and beyond included;
+    # so has a RadialField's interpolator on the uniform grid, with its
+    # derivative
     rng = np.random.default_rng(seed)
     shape = (n,) if rows is None else (rows, n)
     y = _pchip_values(kind, shape, rng)
@@ -310,3 +312,11 @@ def test_pchip_coefficients_match_scipy(n, rows, shared, kind, seed):
         ref = PchipInterpolator(row_x, y[i])
         assert _same_bits(c[i], ref.c)
         assert _same_bits(PPoly.construct_fast(c[i], row_x)(xq), ref(xq))
+        if n >= 5:  # a RadialGrid's fewest nodes
+            grid = RadialGrid.uniform(n)
+            field = RadialField(grid, y[i]).interpolator()
+            ref = PchipInterpolator(grid.nodes, y[i])
+            at = np.concatenate([xq, grid.nodes])
+            assert _same_bits(field.c, ref.c)
+            assert _same_bits(field(at), ref(at))
+            assert _same_bits(field.derivative()(at), ref.derivative()(at))
