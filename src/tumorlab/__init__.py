@@ -12,15 +12,14 @@ from .grid import RadialField, RadialGrid
 from .kinetics import KineticsSpec, eval_rates, validate_hypotheses
 from .linearized import (DecayReport, LinearizedOperators, apply_B, apply_F,
                          build_operators, decay_ensemble, fit_decay,
-                         laplace_consistency, resolvent_apply,
-                         solve_linearized)
+                         laplace_consistency, pure_transport,
+                         resolvent_apply, solve_linearized)
 from .nutrient import NutrientSolution, solve_nutrient
 from .simmaps import (BoundsReport, DiffeoMaps, FStarTable, build_fstar,
                       build_maps, check_map_bounds, make_perturbed_velocity,
                       map_S, map_T, phi, phi_star, psi, psi_star)
 from .stationary import StationarySolution, solve_stationary
-from .transport import (TumorState, Trajectory, picard_solve, pure_transport,
-                        simulate)
+from .transport import TumorState, Trajectory, picard_solve, simulate
 from .velocity import VelocityField, radial_velocity
 
 __all__ = [
@@ -31,13 +30,13 @@ __all__ = [
     "KineticsSpec", "eval_rates", "validate_hypotheses",
     "DecayReport", "LinearizedOperators", "apply_B", "apply_F",
     "build_operators", "decay_ensemble", "fit_decay", "laplace_consistency",
-    "resolvent_apply", "solve_linearized",
+    "pure_transport", "resolvent_apply", "solve_linearized",
     "NutrientSolution", "solve_nutrient",
     "BoundsReport", "DiffeoMaps", "FStarTable", "build_fstar", "build_maps",
     "check_map_bounds", "make_perturbed_velocity", "map_S", "map_T", "phi",
     "phi_star", "psi", "psi_star",
     "StationarySolution", "solve_stationary",
-    "TumorState", "Trajectory", "picard_solve", "pure_transport", "simulate",
+    "TumorState", "Trajectory", "picard_solve", "simulate",
     "VelocityField", "radial_velocity",
     "__version__",
 ]

@@ -11,11 +11,11 @@ operator and F / kappa drive the log-radius.  This module assembles those
 coefficients from a stationary solution, integrates the linear system along
 the frozen stationary characteristics (transport.AdamsBashforth: four-step
 Adams-Bashforth after three Runge-Kutta steps that restart each regrid
-cycle, every rate one folded operator over grid.pair_moments), fits
-exponential decay rates to norm series, and implements the explicit
-resolvent of the scalar transport operator q -> -w q' + a q in the
-travel-time coordinate of w, together with a Laplace-transform consistency
-check against the matching semigroup.
+cycle, every rate one folded operator over grid.pair_moments; with every
+coefficient zero it is pure_transport), fits exponential decay rates to
+norm series, and implements the explicit resolvent of the scalar transport
+operator q -> -w q' + a q in the travel-time coordinate of w, together
+with a Laplace-transform consistency check against the matching semigroup.
 """
 
 import itertools
@@ -147,9 +147,10 @@ class LinearPropagator:
     for the first STARTUP_STEPS steps of a cycle, then four-step
     Adams-Bashforth, which applies one operator (the step start's) where
     RK4 applies four.  The history starts empty at t = 0 and at every
-    regrid, so one cycle is one fixed map.  records streams the recorded
-    states, so a caller that reduces each one (decay_ensemble) never holds
-    the whole run; run collects them into arrays.
+    regrid, so one cycle is one fixed map; a step that moves no particle
+    (w = 0) repeats forever, so it ends the cycle.  records streams the
+    recorded states, so a caller that reduces each one (decay_ensemble)
+    never holds the whole run; run collects them into arrays.
     """
 
     def __init__(self, ops, dt):
@@ -167,6 +168,8 @@ class LinearPropagator:
             if len(self.steps) >= STARTUP_STEPS:
                 stages = stages[:1]
             self.steps.append(([_FoldedStage(x, coef) for x in stages], end))
+            if np.array_equal(end, stages[0]):
+                break
         self.cycle_len = len(self.steps)
 
     def _workspace(self, rows):
@@ -262,6 +265,24 @@ def solve_linearized(ops, init, t_end, dt, output_every=RECORD_EVERY):
     times, phis, zetas = LinearPropagator(ops, dt).run(
         phi0.values[None, :], [zeta0], t_end, output_every=output_every)
     return trajectory(ops.grid, times, phis[:, 0, :], zetas[:, 0])
+
+
+def pure_transport(w_field, q0_field, t_end, dt):
+    """Advect q with a fixed velocity w and zero source; returns norm series.
+
+    Used to observe the contraction property of the transport semigroup: the
+    sup norm may never increase, and the weighted derivative grows at most
+    exponentially.  q is phi of a LinearPropagator over w with every
+    coefficient zero, recorded at every step: each stage adds exact zeros.
+    """
+    grid = q0_field.grid
+    zero = RadialField(grid, np.zeros(grid.size))
+    prop = LinearPropagator(LinearizedOperators(zero, zero, zero, 0.0, zero, w_field), dt)
+    sup, weighted = [], []
+    for _, pos, q, _ in prop.records(q0_field.values, 0.0, t_end, output_every=dt):
+        sup.append(np.max(np.abs(q)))
+        weighted.append(deviation(grid, on_grid(pos, q, prop.nodes), 0.0, 0.0, 0.0)[1][0])
+    return np.array(sup), np.array(weighted)
 
 
 # ---------------------------------------------------------------------------

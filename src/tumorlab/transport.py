@@ -21,9 +21,9 @@ cubics of those velocities, the moment operators of all their stage
 positions in one grid.RadialMoments call, then (p, z) reading f and the
 moment M there, whose M(1) is dz/dt and whose step-start rows give the
 new iterate's velocity; both integrators take w from the stage moment.
-In the fixed field of pure_transport and linearized.LinearPropagator every
-regrid cycle repeats the first, which frozen_path gives once by rk4; the
-propagator steps (phi, zeta) along it by AdamsBashforth.
+In the fixed field of linearized.LinearPropagator (pure transport with
+zero coefficients) every regrid cycle repeats the first, which frozen_path
+gives once by rk4; the propagator steps (phi, zeta) along it by AdamsBashforth.
 
 Particles drift toward the origin (w < 0 in the interior), so the bundle is
 resampled onto the reference grid with a monotone cubic whenever spacing
@@ -410,40 +410,6 @@ def simulate(initial, t_end, dt, spec, reference, output_every=0.1):
             record(positions, values, z)
     return trajectory(grid, initial.t + dt * np.array(recorded), ps, zs,
                       reference.p_star.values, reference.z_star, mres)
-
-
-def pure_transport(w_field, q0_field, t_end, dt):
-    """Advect q with a fixed velocity w and zero source; returns norm series.
-
-    Used to observe the contraction property of the transport semigroup: the
-    sup norm may never increase, and the weighted derivative grows at most
-    exponentially.  The field is frozen, so every regrid cycle repeats the
-    positions of the first one, which alone is integrated (dt <= DT_MAX).
-    """
-    _check_dt(dt)
-    grid = q0_field.grid
-    nodes = grid.nodes
-    values = q0_field.values
-    n_steps = int(round(t_end / dt))
-    fields = (w_field.interpolator(),) * 4
-    cycle = [(end, again) for _, end, again in itertools.islice(
-        frozen_path(lambda j: fields, nodes, dt, grid.spacing), n_steps)]
-    sup_series, weighted_series = [], []
-
-    def record(positions, values):
-        # the sup of the particle values, the weighted derivative on the nodes
-        sup_series.append(float(np.max(np.abs(values))))
-        weighted_series.append(
-            deviation(grid, on_grid(positions, values, nodes), 0.0, 0.0, 0.0)[1])
-
-    record(nodes, values)
-    for k in range(n_steps):
-        positions, again = cycle[k % len(cycle)]
-        if again:
-            values = regrid(positions, values, nodes)
-            positions = nodes
-        record(positions, values)
-    return np.array(sup_series), np.array(weighted_series)
 
 
 def _picard_sweep(spec, cache, nodes, h_ref, x, w, values, z, dt):

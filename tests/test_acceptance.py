@@ -15,14 +15,14 @@ from tumorlab.experiments import (PICARD_RATE, RunConfig, emit_report,
 from tumorlab.grid import RadialField, derivative_values
 from tumorlab.kinetics import KineticsSpec
 from tumorlab.linearized import (decay_ensemble, laplace_consistency,
-                                 random_smooth_field, resolvent_apply,
-                                 solve_linearized)
+                                 pure_transport, random_smooth_field,
+                                 resolvent_apply, solve_linearized)
 from tumorlab.nutrient import solve_nutrient
 from tumorlab.simmaps import (SamplePlan, build_fstar, build_maps,
                               check_map_bounds, make_perturbed_velocity,
                               map_S, map_T, phi, psi)
 from tumorlab.transport import (NutrientCache, TumorState, _rk4, deviation,
-                                picard_solve, pure_transport, simulate, step)
+                                picard_solve, simulate, step)
 
 
 def verdict(label, ok, detail):

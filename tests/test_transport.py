@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -14,9 +15,10 @@ from tumorlab.grid import RadialField, RadialGrid, RadialMoments
 from tumorlab.errors import SolverError
 from tumorlab.kinetics import KineticsSpec, RateValues
 from tumorlab.linearized import (LinearPropagator, build_operators,
-                                 decay_ensemble, solve_linearized)
-from tumorlab.transport import (TumorState, deviation, picard_solve,
-                                pure_transport, simulate, step)
+                                 decay_ensemble, pure_transport,
+                                 solve_linearized)
+from tumorlab.transport import (STARTUP_STEPS, TumorState, deviation,
+                                picard_solve, simulate, step)
 
 
 def make_negative_velocity(grid, rng):
@@ -83,7 +85,8 @@ def test_crossing_characteristics_raise(stationary201, default_spec):
 @pytest.mark.parametrize("t_end", [0.2, 3.0])
 def test_pure_transport_integrates_one_cycle(monkeypatch, stationary201, t_end):
     # u_* is frozen, so every regrid cycle repeats the positions of the
-    # first: min(n_steps, cycle length) Runge-Kutta steps serve the run
+    # first: the propagator moves the particles through one whole cycle by
+    # Runge-Kutta steps, and q takes STARTUP_STEPS of them in each cycle begun
     grid = stationary201.grid
     cycle = len(list(transport.frozen_path(_frozen(stationary201.u_star),
                                            grid.nodes, 1e-2, grid.spacing)))
@@ -93,9 +96,25 @@ def test_pure_transport_integrates_one_cycle(monkeypatch, stationary201, t_end):
     sup, _ = pure_transport(stationary201.u_star,
                             RadialField(grid, np.sin(3 * grid.nodes) + 0.2), t_end, 1e-2)
     assert len(sup) == n_steps + 1
-    assert len(steps) == min(n_steps, cycle)
+    assert len(steps) == cycle + STARTUP_STEPS * -(-n_steps // cycle)
     # the short run ends inside the first cycle, the long one runs past it
     assert (n_steps > cycle) == (t_end == 3.0)
+
+
+def test_pure_transport_of_a_zero_field(monkeypatch, grid201):
+    # no particle moves, so no regrid is ever needed: the cycle is the first
+    # step, which every later one repeats, and q stays as it is (the path
+    # is cut at 10 steps, so a cycle that waits for a regrid fails here)
+    path = linearized.frozen_path
+    monkeypatch.setattr(linearized, "frozen_path",
+                        lambda *args: itertools.islice(path(*args), 10))
+    zero = RadialField(grid201, np.zeros(grid201.size))
+    q0 = RadialField(grid201, np.sin(3 * grid201.nodes))
+    ops = linearized.LinearizedOperators(zero, zero, zero, 0.0, zero, zero)
+    assert LinearPropagator(ops, 1e-2).cycle_len == 1
+    sup, weighted = pure_transport(zero, q0, 0.5, 1e-2)
+    assert np.all(sup == np.max(np.abs(q0.values)))
+    assert np.all(weighted == weighted[0])
 
 
 def _deviation_from(state, sol):
