@@ -40,6 +40,8 @@ from .nutrient import affine_value, solve_nutrient, solve_sensitivity
 from .velocity import radial_velocity
 
 Z_BRACKET = (-2.0, 3.5)
+Z_MAX = 10.0
+DEFECT_TOL = 1e-8
 SHOOT_RTOL = 1e-12
 SHOOT_ATOL = 1e-14
 R_START = 1e-4  # the inner end of the shooting integration
@@ -251,11 +253,13 @@ def solve_stationary(spec, grid):
     """Find z_* by Brent on the shooting defect and assemble all fields.
 
     Brent starts on the ends of Z_BRACKET (the defect is positive below z_* and
-    negative above; SolverError if both ends have the same sign) and
-    evaluates no z twice.  It ends on a z whose integration completed: if
-    its best z is an early exit, the completed evaluation with the smallest
-    |defect| is taken instead, so the final dense integration cannot fail;
-    it reuses that evaluation's nutrient solution.  The residual report
+    negative above; the upper end grows by 1 up to Z_MAX while both are
+    positive, then SolverError if both keep one sign) and evaluates no z
+    twice.  It ends on a z whose integration completed: if its best z is an
+    early exit, the completed evaluation with the smallest |defect| is taken
+    instead, so the final dense integration cannot fail; it reuses that
+    evaluation's nutrient solution.  A |defect| there above DEFECT_TOL is a
+    jump (to a raising evaluation's -1.0): SolverError.  The residual report
     counts the integrations (shoot_integrations, the final one included)
     and the evaluations that exited early or raised (shoot_fallbacks).
     """
@@ -268,6 +272,9 @@ def solve_stationary(spec, grid):
 
     z_lo, z_hi = Z_BRACKET
     f_lo, f_hi = residual(z_lo), residual(z_hi)
+    while f_lo > 0 and f_hi > 0 and z_hi + 1.0 <= Z_MAX:
+        z_hi += 1.0
+        f_hi = residual(z_hi)
     if np.sign(f_lo) * np.sign(f_hi) > 0:
         raise SolverError("no sign change of the shooting defect on bracket: "
                           f"u1({z_lo:.2f})={f_lo:.3e}, u1({z_hi:.2f})={f_hi:.3e}")
@@ -279,7 +286,10 @@ def solve_stationary(spec, grid):
     if evals[z_star][1] is None:
         z_star = min((z for z, (_, nut) in evals.items() if nut is not None),
                      key=lambda z: abs(evals[z][0]))
-    nutrient = evals[z_star][1]
+    defect, nutrient = evals[z_star]
+    if abs(defect) > DEFECT_TOL:
+        raise SolverError(f"the shooting defect jumps at z={z_star:.6f}: it is "
+                          f"{defect:.3e} there, above {DEFECT_TOL:.0e}")
     sol, diag = integrate_profile(spec, nutrient, dense=True)
     if sol is None:
         raise SolverError(f"converged z={z_star} fails to integrate (unexpected)")

@@ -3,7 +3,9 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from tumorlab import nutrient, stationary
-from tumorlab.kinetics import FAMILIES, KineticsSpec, eval_rates
+from tumorlab.errors import SolverError
+from tumorlab.kinetics import (FAMILIES, KineticsSpec, eval_rates,
+                               validate_hypotheses)
 from tumorlab.nutrient import affine_profile, affine_value, solve_nutrient
 from tumorlab.stationary import (BOUNDARY_OFFSET, R_START,
                                  _scalar_ppoly, _shoot_residual, _shooting_rhs,
@@ -79,6 +81,29 @@ def test_saturating_stationary_state_at_801_nodes(grid801):
     # Brent's xtol of 1e-13 found this z_*; the spline defect resolves z to
     # a few times 1e-11
     assert abs(sol.z_star - 2.9693061984053144) <= 5e-11
+
+
+def test_bracket_grows_until_the_defect_changes_sign(grid801):
+    # the defect at the bracket's upper end 3.5 is still positive for this
+    # spec, so that end grows until it changes sign
+    spec = KineticsSpec(family="saturating", lam=0.1)
+    assert validate_hypotheses(spec).all_passed
+    sol = solve_stationary(spec, grid801)
+    assert sol.z_star == pytest.approx(4.1206, abs=1e-4)
+    assert sol.residual_report["lemma_checks_pass"]
+    assert abs(sol.residual_report["u1_quadrature"]) <= 1e-10
+
+
+@pytest.mark.parametrize("family, lam, z", [("saturating", 2.0, "3.4538"),
+                                             ("affine", 1.0, "3.7932")])
+def test_a_jump_in_the_defect_is_no_root(grid201, family, lam, z):
+    # Brent closes on the jump from a positive defect (about 4e-2) to the
+    # sentinel -1.0 of the evaluations that raise just above; the state
+    # there fails its own checks, so the solve raises instead of returning it
+    spec = KineticsSpec(family=family, lam=lam, b_rate=3.0, d_rate=0.2)
+    assert validate_hypotheses(spec).all_passed
+    with pytest.raises(SolverError, match=f"defect jumps at z={z}"):
+        solve_stationary(spec, grid201)
 
 
 def test_shooting_defect_is_continuous_at_z_star(default_spec, grid201,
