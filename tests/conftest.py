@@ -1,10 +1,17 @@
-import numpy as np
-import pytest
+import os
 
-from tumorlab.experiments import stationary_for
-from tumorlab.grid import RadialGrid
-from tumorlab.kinetics import KineticsSpec
-from tumorlab.linearized import build_operators
+# one BLAS thread, as bench/run.py sets it, so tier-1 checks its digests in
+# the configuration the benchmark runs; set before numpy loads the library
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from tumorlab.experiments import stationary_for  # noqa: E402
+from tumorlab.grid import RadialGrid  # noqa: E402
+from tumorlab.kinetics import KineticsSpec  # noqa: E402
+from tumorlab.linearized import build_operators  # noqa: E402
 
 
 @pytest.fixture(scope="session")
