@@ -585,7 +585,8 @@ def _integrator_outputs(sol, spec):
 # propagator came to step through transport.AdamsBashforth; simulate and
 # picard_solve moved when they came to step by it too, and picard_solve
 # again when it came to freeze the velocity at the particles' step-start
-# positions, from the moment of each step's first stage.
+# positions, from the moment of each step's first stage.  pure_transport's
+# held when it came to run as the linear propagator with zero coefficients.
 INTEGRATOR_DIGESTS = {
     "step":
         "84afe25a0ddae86755fa9aa647a42de5432a129a0455fc922e33a6a9ad0d5cf3",
@@ -605,8 +606,8 @@ INTEGRATOR_DIGESTS = {
 def test_integrators_bit_identical(stationary201, default_spec):
     """Every characteristics integrator reproduces its recorded output bytes.
 
-    All six share one Runge-Kutta step, and all but step and
-    pure_transport one Adams-Bashforth kernel that starts with it, so a
+    All six share one Runge-Kutta step, and all but step one
+    Adams-Bashforth kernel that starts with it, so a
     change to either, to the stage rates, to the post-step guard or to
     regridding shows here as a changed digest.  Refactoring must leave every digest as it is.  A
     deliberate numerical change must re-record the digests and say so in
