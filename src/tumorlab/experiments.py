@@ -22,9 +22,10 @@ import numpy as np
 from .errors import ConfigError, SolverError
 from .grid import RadialGrid, RadialField
 from .kinetics import KineticsSpec
-from .linearized import DecayReport, fit_decay
+from .linearized import FIT_R2_MIN, DecayReport, fit_decay
 from .stationary import solve_stationary
-from .transport import TumorState, _check_dt, picard_solve, simulate
+from .transport import (RECORD_EVERY, TumorState, _check_dt, picard_solve,
+                        simulate)
 
 SHAPE_IDS = ("poly", "sine", "bump")
 SOLVERS = ("direct", "picard")
@@ -67,7 +68,7 @@ class RunConfig:
     z_offset: float = 0.3
     solver: str = "direct"
     seed: int = 0
-    output_every: float = 0.1
+    output_every: float = RECORD_EVERY
     out_dir: str = ""
 
     def __post_init__(self):
@@ -207,8 +208,9 @@ def run_stability_experiment(config, reference=None, linear_response=True):
     q = 1 - p has none of its own, as q - q_* = -(p - p_*).  Each is
     required to stay below its fitted envelope K eps e^{-mu t} with 5%
     slack after the transient window (the first 20% of the horizon), with
-    mu > 0 and r2 >= 0.98 on the norm fits.  Solver failures are re-raised
-    after persisting the manifest when an output directory is configured.
+    mu > 0 and r2 >= FIT_R2_MIN on the norm fits.  Solver failures are
+    re-raised after persisting the manifest when an output directory is
+    configured.
     """
     if reference is None:
         reference = stationary_for(config.spec, config.grid_size)
@@ -240,7 +242,7 @@ def run_stability_experiment(config, reference=None, linear_response=True):
     kx0 = fit_x0.K_fit
 
     fits_ok = (fit_x.mu_fit > 0 and fit_x0.mu_fit > 0
-               and fit_x.r2 >= 0.98 and fit_x0.r2 >= 0.98)
+               and fit_x.r2 >= FIT_R2_MIN and fit_x0.r2 >= FIT_R2_MIN)
     p_sup_ok = fits_ok and _envelope_ok(times, traj.p_dev, fit_x.mu_fit, kx, window)
     wder_ok = fits_ok and _envelope_ok(times, traj.dp_dev, fit_x0.mu_fit, kx0, window)
     # R = e^z is monotone, so the radius envelope is checked on |z - z_*|

@@ -6,8 +6,10 @@ monotone piecewise cubic (PCHIP), which preserves monotone profiles during
 particle regridding.  Every monotone cubic, a RadialField's interpolator
 included, comes from pchip_coefficients, which builds scipy's PCHIP for
 many rows at once, bit for bit; pchip reads it as one PPoly.  A RadialGrid
-is uniform by construction: the Numerov nutrient solver and the
-fourth-order derivative stencils need equal spacing.
+is its node count: its nodes are linspace(0, 1, size), built once, so the
+equal spacing that the Numerov nutrient solver and the fourth-order
+derivative stencils need holds by construction, and two grids are equal
+when their sizes are.
 
 Every radial moment integral_0^r v rho^2 drho, in the velocity u and in
 the linearized operators B and F alike, is taken by one kernel,
@@ -33,42 +35,27 @@ from .errors import GridMismatchError
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Equally spaced nodes spanning [0,1], both endpoints included."""
+    """size equally spaced nodes spanning [0,1], both endpoints included."""
 
-    nodes: np.ndarray
+    size: int
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        if nodes.ndim != 1 or nodes.size < 5:  # the 5-point derivative stencils
-            raise ValueError("grid needs at least 5 one-dimensional nodes")
-        if nodes[0] != 0.0 or nodes[-1] != 1.0:
-            raise ValueError("grid must include both endpoints 0 and 1")
-        h = np.diff(nodes)
-        if np.any(h <= 0):
-            raise ValueError("grid nodes must be strictly increasing")
-        if not np.allclose(h, h[0], rtol=1e-12, atol=1e-15):
-            raise ValueError("grid nodes must be uniformly spaced")
+        # the 5-point derivative stencils read node 4
+        if not isinstance(self.size, (int, np.integer)) or self.size < 5:
+            raise ValueError(f"grid needs an integer size of at least 5, got {self.size!r}")
+        nodes = np.linspace(0.0, 1.0, self.size)
         nodes.setflags(write=False)
+        object.__setattr__(self, "nodes", nodes)
 
     @classmethod
-    def uniform(cls, size=801):
-        return cls(np.linspace(0.0, 1.0, size))
-
-    @property
-    def size(self):
-        return self.nodes.size
+    def uniform(cls, size):
+        return cls(size)
 
     @property
     def spacing(self):
         """The node spacing h."""
-        return (self.nodes[-1] - self.nodes[0]) / (self.nodes.size - 1)
-
-    def __eq__(self, other):
-        return isinstance(other, RadialGrid) and np.array_equal(self.nodes, other.nodes)
-
-    def __hash__(self):
-        return hash((self.nodes.size, float(self.nodes[1])))
+        return 1.0 / (self.size - 1)
 
 
 @dataclass(frozen=True)

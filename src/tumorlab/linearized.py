@@ -30,9 +30,9 @@ from .grid import (RadialField, RadialMoments, derivative_values,
                    pair_moments, radial_average, require_same_grid)
 from .kinetics import eval_rates
 from .simmaps import _random_smooth, build_fstar
-from .transport import (STARTUP_STEPS, AdamsBashforth, Trajectory, _check_dt,
-                        deviation, frozen_path, on_grid, output_steps, regrid,
-                        trajectory)
+from .transport import (RECORD_EVERY, STARTUP_STEPS, AdamsBashforth, Trajectory,
+                        _check_dt, deviation, frozen_path, on_grid,
+                        output_steps, regrid, trajectory)
 
 RESOLVENT_DS = 5e-4
 LAPLACE_DT = 5e-3  # time step of the Laplace-transform quadrature
@@ -40,7 +40,6 @@ ENSEMBLE_AMPLITUDE = 1e-2
 FIT_WINDOW_FRACTION = 0.7
 FIT_R2_MIN = 0.98
 FIT_MIN_SAMPLES = 5
-RECORD_EVERY = 0.1  # the record interval of propagator runs by default, decay_ensemble's
 
 
 @dataclass(frozen=True)
@@ -329,8 +328,9 @@ def fit_decay(traj, norm_kind="X", window=None):
     """Fit K e^{-mu t} to a trajectory's norm series.
 
     The fit uses fit_window(traj.times) by default.  Samples whose norm is
-    not above 1e-300 (NaN included) are left out.  The report is flagged invalid when the smoothed log-norm is
-    not decreasing over the window or the fit quality drops below r2 = 0.98.
+    not above 1e-300 (NaN included) are left out.  The report is flagged
+    invalid when the smoothed log-norm is not decreasing over the window or
+    the fit quality r2 drops below FIT_R2_MIN.
     """
     series = traj.norm_x if norm_kind == "X" else traj.norm_x0
     times = traj.times

@@ -55,6 +55,7 @@ PICARD_MAX_ITERS = 12
 REGRID_MIN_FACTOR = 0.2
 REGRID_MAX_FACTOR = 2.5
 P_ESCAPE_TOL = 1e-9
+RECORD_EVERY = 0.1  # the record interval of runs by default
 #: most steps in one block of picard_solve; bounds the block's stacked arrays
 PICARD_BLOCK_STEPS = 8
 #: rk4 steps that open each regrid cycle of an AdamsBashforth history
@@ -372,7 +373,7 @@ def _mass_residual(spec, cache, grid, p, z):
     return float(np.max(np.abs(res)))
 
 
-def simulate(initial, t_end, dt, spec, reference, output_every=0.1):
+def simulate(initial, t_end, dt, spec, reference, output_every=RECORD_EVERY):
     """Integrate the nonlinear system and record norm series against reference.
 
     The trajectory is sampled every output_every time units (plus t=0 and
@@ -489,7 +490,7 @@ def _picard_sweep(spec, cache, nodes, h_ref, x, w, values, z, dt):
 
 
 def picard_solve(initial, t_end, dt, spec, reference, mu, tol=1e-10,
-                 output_every=0.1):
+                 output_every=RECORD_EVERY):
     """Iterated frozen-velocity solves converging to the nonlinear solution.
 
     Iterate n+1 is advected by the frame velocity w of the previous iterate's

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tumorlab import experiments
-from tumorlab.errors import ConfigError
+from tumorlab.errors import ConfigError, SolverError
 from tumorlab.experiments import (RunConfig, config_from_text, config_hash,
                                   config_to_text, emit_report,
                                   perturbation_shape,
@@ -178,6 +178,25 @@ def test_sweep_aggregates_and_flags_failures(stationary201):
     assert summary.basin_edge == pytest.approx(1e-2)
     table = summary.to_table()
     assert table.splitlines()[0].startswith("epsilon,")
+
+
+def test_sweep_records_a_failed_run_and_goes_on(monkeypatch, stationary201):
+    simulate = experiments.simulate
+    calls = []
+
+    def fail_first(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) == 1:
+            raise SolverError("p escaped [0,1]")
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "simulate", fail_first)
+    summary = sweep([small_config(t_end=5.0, epsilon=e) for e in (1e-2, 1e-3)])
+    failed, ran = summary.rows
+    assert failed["error"].startswith("SolverError: p escaped")
+    assert not failed["passed"] and np.isnan(failed["mu_fit_x"])
+    assert calls == [5.0, 5.0] and ran["error"] == "" and ran["passed"]
+    assert summary.basin_edge == 1e-3
 
 
 def test_sweep_needs_configs():

@@ -14,10 +14,19 @@ from tumorlab.grid import (RadialField, RadialGrid, RadialMoments,
 
 
 def test_grid_requires_endpoints():
+    # the nodes are linspace(0, 1, size): read-only, with exact endpoints
+    # and the spacing the stencils use
+    g = RadialGrid.uniform(101)
+    assert np.array_equal(g.nodes, np.linspace(0.0, 1.0, 101))
+    assert g.nodes[0] == 0.0 and g.nodes[-1] == 1.0 and g.nodes[1] == g.spacing
     with pytest.raises(ValueError):
-        RadialGrid(np.linspace(0.1, 1.0, 10))
-    with pytest.raises(ValueError):
-        RadialGrid(np.array([0.0, 0.25, 0.5, 0.2, 1.0]))
+        g.nodes[3] = 0.5
+
+
+@pytest.mark.parametrize("size", [101.0, "101", None])
+def test_grid_size_must_be_an_integer(size):
+    with pytest.raises(ValueError, match="integer size"):
+        RadialGrid(size)
 
 
 @pytest.mark.parametrize("size", [2, 3, 4])
@@ -30,9 +39,10 @@ def test_grid_needs_five_nodes(size):
 
 
 def test_equal_grids_hash_equal():
-    # equal nodes give equal grids with equal hashes, so one keys a dict
-    # entry that the other finds
-    a, b = RadialGrid.uniform(101), RadialGrid(np.linspace(0.0, 1.0, 101))
+    # grids of one size are equal with equal hashes, so one keys a dict
+    # entry that the other finds, a numpy integer size included
+    size = np.int64(101)
+    a, b = RadialGrid.uniform(101), RadialGrid(size)
     assert a == b and hash(a) == hash(b)
     assert {a: "uniform"}[b] == "uniform"
     assert RadialGrid.uniform(51) not in {a: "uniform"}
@@ -53,6 +63,24 @@ def test_field_interpolation_hits_nodes():
     g = RadialGrid.uniform(21)
     f = RadialField(g, np.sin(g.nodes))
     np.testing.assert_allclose(f(g.nodes), f.values, atol=1e-15)
+
+
+def test_field_values_must_be_finite():
+    values = np.zeros(11)
+    values[4] = np.nan
+    with pytest.raises(ValueError, match="field values must be finite"):
+        RadialField(RadialGrid.uniform(11), values)
+
+
+@pytest.mark.parametrize("x, y, message", [
+    ([0.0, 0.5, 1.0], [0.0, np.inf, 1.0], "pchip points and values must be finite"),
+    ([0.0, np.nan, 1.0], [0.0, 0.5, 1.0], "pchip points and values must be finite"),
+    ([0.0, 0.5, 0.5, 1.0], [0.0, 0.5, 0.6, 1.0], "pchip points must be strictly increasing"),
+    ([0.0, 0.6, 0.5, 1.0], [0.0, 0.5, 0.6, 1.0], "pchip points must be strictly increasing"),
+], ids=["inf-value", "nan-point", "touching", "decreasing"])
+def test_pchip_rejects_bad_points(x, y, message):
+    with pytest.raises(ValueError, match=message):
+        pchip_coefficients(np.array(x), np.array(y))
 
 
 def test_require_same_grid():

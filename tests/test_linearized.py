@@ -339,6 +339,13 @@ def test_resolvent_complex_argument(operators801, stationary801, rng):
     assert np.max(np.abs(qi.values)) > 0
 
 
+def test_laplace_check_needs_lambda_right_of_max_a(operators201, stationary201, rng):
+    q0 = random_smooth_field(operators201.grid, rng)
+    with pytest.raises(ValueError, match=r"laplace check needs Re\(lambda\) > max a"):
+        laplace_consistency(stationary201.u_star, operators201.a,
+                            operators201.omega0 + 0.5j, q0)
+
+
 def test_laplace_transform_consistency(operators801, stationary801, rng):
     q0 = random_smooth_field(operators801.grid, rng)
     lam = operators801.omega0 + 1.0

@@ -66,12 +66,6 @@ def test_larger_radius_depletes_center(grid801):
     assert large.c.values[0] < small.c.values[0]
 
 
-def test_non_uniform_grid_rejected():
-    # the Numerov solvers need equal spacing, which RadialGrid enforces
-    with pytest.raises(ValueError, match="uniformly spaced"):
-        RadialGrid(np.array([0.0, 0.1, 0.25, 0.45, 0.7, 1.0]))
-
-
 def test_cold_solve_converges_in_few_newton_steps(grid201):
     # from c = 1 the profile at z = 2.9 dips below 0 on the way; the
     # Jacobian is zero there, as the slope of the clipped source is, so

@@ -94,6 +94,15 @@ def test_bracket_grows_until_the_defect_changes_sign(grid801):
     assert abs(sol.residual_report["u1_quadrature"]) <= 1e-10
 
 
+def test_bracket_above_z_star_raises(monkeypatch, default_spec, grid201):
+    # the defect is negative above z_* (2.82 at 201 nodes), so a bracket
+    # there has no sign change and no end to grow
+    monkeypatch.setattr(stationary, "Z_BRACKET", (3.0, 3.5))
+    with pytest.raises(SolverError, match=r"no sign change of the shooting defect on "
+                       r"bracket: u1\(3\.00\)=-1\.609e-02, u1\(3\.50\)=-4\.828e-02$"):
+        solve_stationary(default_spec, grid201)
+
+
 @pytest.mark.parametrize("family, lam, z", [("saturating", 2.0, "3.4538"),
                                              ("affine", 1.0, "3.7932")])
 def test_a_jump_in_the_defect_is_no_root(grid201, family, lam, z):

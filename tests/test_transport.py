@@ -457,6 +457,18 @@ def test_guard_names_first_non_finite_entry(stationary201, entry, bad, fill):
         transport._guarded(positions, values, z)
 
 
+def test_guard_rejects_finite_p_outside_the_unit_interval():
+    with pytest.raises(SolverError,
+                       match=r"p escaped \[0,1\]: range \[2\.000e-01, 1\.500e\+00\]$"):
+        transport._guarded_values(np.array([0.2, 1.5]), 0.0)
+
+
+def test_regrid_rejects_touching_particles():
+    positions = np.array([0.0, 0.5, 0.5, 1.0])
+    with pytest.raises(SolverError, match="non-monotone particle positions in regrid"):
+        transport.regrid(positions, positions, np.linspace(0.0, 1.0, 5))
+
+
 def _picard_against_direct(family, epsilon, t_end):
     """The distances of a 201-node picard_solve (tol 1e-8) of family and
     the largest sup|p - p_direct| + |z - z_direct| over its recorded
