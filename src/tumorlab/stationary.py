@@ -200,7 +200,9 @@ def integrate_profile(spec, nutrient, dense=False):
         dense_output=dense,
         events=[u_zero, p_exit],
     )
-    c0 = float(nutrient.c(0.0))
+    # clamped as the right-hand side clamps c: a fine Numerov solve can
+    # leave c(0) a rounding below 0
+    c0 = min(max(float(nutrient.c(0.0)), 0.0), 1.0)
     p0 = boundary_root(spec, c0)
     rv0 = eval_rates(spec, c0)
     g0 = float(rv0.g(p0))

@@ -4,10 +4,11 @@ from scipy.interpolate import CubicSpline
 
 from tumorlab import nutrient, stationary
 from tumorlab.errors import SolverError
+from tumorlab.grid import RadialGrid
 from tumorlab.kinetics import (FAMILIES, KineticsSpec, eval_rates,
                                validate_hypotheses)
 from tumorlab.nutrient import affine_profile, affine_value, solve_nutrient
-from tumorlab.stationary import (BOUNDARY_OFFSET, R_START,
+from tumorlab.stationary import (BOUNDARY_OFFSET, R_START, Z_BRACKET,
                                  _scalar_ppoly, _shoot_residual, _shooting_rhs,
                                  boundary_root, solve_stationary)
 
@@ -81,6 +82,20 @@ def test_saturating_stationary_state_at_801_nodes(grid801):
     # Brent's xtol of 1e-13 found this z_*; the spline defect resolves z to
     # a few times 1e-11
     assert abs(sol.z_star - 2.9693061984053144) <= 5e-11
+
+
+def test_saturating_stationary_state_at_1201_nodes():
+    # at the bracket end z = 3.5 the Numerov c(0) lies about 2e-11 below 0;
+    # the center root reads it clamped to [0, 1], as the shooting
+    # right-hand side reads c, instead of raising an uncaught ValueError
+    grid = RadialGrid.uniform(1201)
+    spec = KineticsSpec(family="saturating")
+    c0 = float(solve_nutrient(spec, Z_BRACKET[1], grid).c(0.0))
+    assert -1e-10 < c0 < 0.0
+    sol = solve_stationary(spec, grid)
+    assert sol.residual_report["lemma_checks_pass"]
+    assert abs(sol.u_star.values[-1]) <= 1e-10
+    assert abs(sol.z_star - 2.969306198251546) <= 5e-11
 
 
 def test_bracket_grows_until_the_defect_changes_sign(grid801):
