@@ -42,7 +42,7 @@ from .velocity import radial_velocity
 Z_BRACKET = (-2.0, 3.5)
 Z_MAX = 10.0
 DEFECT_TOL = 1e-8
-SHOOT_RTOL = 1e-12
+SHOOT_RTOL = 1e-10
 SHOOT_ATOL = 1e-14
 R_START = 1e-4  # the inner end of the shooting integration
 BOUNDARY_OFFSET = 1e-6  # series start distance from r=1

@@ -47,16 +47,17 @@ def _solver_outputs(spec, grid, sol):
 # cumulative moment came to sum Simpson pair totals (grid.pair_moments), and
 # again when pair_moments came to take its cubic start and odd last interval
 # as einsum sums, not matmuls; "stationary_saturating" again when the
-# nutrient Newton Jacobian came to be zero where the clipped source is flat.
+# nutrient Newton Jacobian came to be zero where the clipped source is flat;
+# all of them when the shooting integration came to run at rtol 1e-10.
 SOLVER_DIGESTS = {
     "stationary_saturating":
-        "8badcfeb17ba0b7cd9467b7242a21b037a3aa0b0b61248e4f3dae48e1575cfe1",
+        "ffefe54d92c200c9f6881fafc4c72410ec574c4c267c94476efafc7e8a107ad2",
     "build_fstar":
-        "58ea03f18bacb9acd4b6e3ae09f4c1b9a47f4a466f7d6b31e39f163d03a195a1",
+        "78cddbd87e36dc262e9f12cde86802610e9e1ce14d17c0b6c468b05f5e4a944b",
     "resolvent_apply":
-        "16e8093641fbc5872ee715a8ba1954b3f229544304ecee71bb81f148d1c4288f",
+        "f7c79ad359f4d19e7bc9d70073368dd991b93c469cec1d10c2c83f0f66c37616",
     "laplace_consistency":
-        "ec58caf394841be77088ee366ccda46bc5d8b340302e4a4001b87e2dad4a75e1",
+        "bbc2f724d8d02fb2cad284e770e7e3b14d393cbb13db6e3855718da771fa4b27",
 }
 
 

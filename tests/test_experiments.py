@@ -114,25 +114,26 @@ def test_determinism_bit_identical(tmp_path, stationary201):
 # manifests and trajectories when grid.RadialMoments came to sum Simpson
 # pair totals, and every file when simulate and picard_solve came to step
 # by transport.AdamsBashforth, and the picard files when Picard came to
-# freeze the velocity at the particles' step-start positions); the
+# freeze the velocity at the particles' step-start positions, and every
+# file when the shooting integration came to run at rtol 1e-10); the
 # manifest also holds the package
 # versions, so a version change moves its digest.
 REPORT_DIGESTS = {
     "direct": {
         "manifest.txt":
-            "1ad345ea5bfb20fd67f8e63fce4600ac63ee3f14e792a74d7c56b08eccac8740",
+            "36544f90cccdcc3fc91e75fb72a5e114983114b9210b6f35b0695567c30c6f21",
         "trajectory.csv":
-            "407e1ef752e1e054aa05cf6bd816c1f9164ef8dbfb9e65993e41eb0030e55cd3",
+            "5c2cf2efec96c702f9b4b3ea8a9df3ecfcafedb08ba53ac4ae6f71707600abe8",
         "decay.csv":
-            "0abf8320eb8ee8642d2a120808be17c0e15f91cfe09b241bb8c2c6453aa401f7",
+            "b1aa2eab7a9ac0e4b1021dbcbd21ba4d672863309e4def3c504c66c9c4f912a6",
     },
     "picard": {
         "manifest.txt":
-            "30a80445c8e92e20f5e0801594645eb4c865350f8a812ffe4f75852b29f55185",
+            "16a0227c89ee4d82597f5c09e85b452a623ad4536133949569456e66450516fe",
         "trajectory.csv":
-            "17c75f1a793f03e91b3d90c51d815bd2a59a8ec5ced3437addc56672c0aee23f",
+            "9ea5d539e4f4ae7b2399d7e997b3ad3389e7f408f428764688e57fec72ec47cf",
         "decay.csv":
-            "7b110ca95b06dee3571e95533a9dd07a9604cb45c195cda7a408fc2e597e4aa2",
+            "dfe7f5f4415e8c5900d163aacd82a6ade15010da65c8ff97dca0eaedff73d02b",
     },
 }
 
