@@ -44,6 +44,7 @@ Z_MAX = 10.0
 DEFECT_TOL = 1e-8
 SHOOT_RTOL = 1e-10
 SHOOT_ATOL = 1e-14
+SHOOT_XTOL = 1e-11  # Brent's tolerance on z
 R_START = 1e-4  # the inner end of the shooting integration
 BOUNDARY_OFFSET = 1e-6  # series start distance from r=1
 
@@ -280,11 +281,11 @@ def solve_stationary(spec, grid):
     if np.sign(f_lo) * np.sign(f_hi) > 0:
         raise SolverError("no sign change of the shooting defect on bracket: "
                           f"u1({z_lo:.2f})={f_lo:.3e}, u1({z_hi:.2f})={f_hi:.3e}")
-    # the defect scatters by about 1e-16 with the exact affine c, and by
-    # about 3e-12 at 801 nodes with the Numerov spline, which at its slope
-    # of about -0.1 resolves z to a few times 1e-11
-    xtol = 1e-13 if spec.family == "affine" else 1e-11
-    z_star = brentq(residual, z_lo, z_hi, xtol=xtol, rtol=8.9e-16)
+    # at SHOOT_RTOL the defect scatters about a line of slope -0.1 by about
+    # 1e-16 with the exact affine c and by about 5e-13 at 801 nodes (2e-12
+    # at 201) with the Numerov spline, so SHOOT_XTOL is above the rounding
+    # for both laws and below the assembled state's own error
+    z_star = brentq(residual, z_lo, z_hi, xtol=SHOOT_XTOL, rtol=8.9e-16)
     if evals[z_star][1] is None:
         z_star = min((z for z, (_, nut) in evals.items() if nut is not None),
                      key=lambda z: abs(evals[z][0]))

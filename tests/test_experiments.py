@@ -115,25 +115,26 @@ def test_determinism_bit_identical(tmp_path, stationary201):
 # pair totals, and every file when simulate and picard_solve came to step
 # by transport.AdamsBashforth, and the picard files when Picard came to
 # freeze the velocity at the particles' step-start positions, and every
-# file when the shooting integration came to run at rtol 1e-10); the
+# file when the shooting integration came to run at rtol 1e-10, and again
+# when Brent came to stop at xtol 1e-11 for the affine law too); the
 # manifest also holds the package
 # versions, so a version change moves its digest.
 REPORT_DIGESTS = {
     "direct": {
         "manifest.txt":
-            "36544f90cccdcc3fc91e75fb72a5e114983114b9210b6f35b0695567c30c6f21",
+            "cb01140f1cf5ab0c20855117cd08393733c92199724078d8d32ba5d7f7a47f33",
         "trajectory.csv":
-            "5c2cf2efec96c702f9b4b3ea8a9df3ecfcafedb08ba53ac4ae6f71707600abe8",
+            "1ad22b34ec56a2dc2cdfd66fa07776efc946e1d362a6739bc76f3b5670d1fd91",
         "decay.csv":
-            "b1aa2eab7a9ac0e4b1021dbcbd21ba4d672863309e4def3c504c66c9c4f912a6",
+            "d29539c1c18cc1d1496e63f8e33c9ba4bf285416f79c0ff6beb649f229a316d8",
     },
     "picard": {
         "manifest.txt":
-            "16a0227c89ee4d82597f5c09e85b452a623ad4536133949569456e66450516fe",
+            "e4c1456166a707c7443fa9edcbebcd093f71d57b864a336840443f130083bbd6",
         "trajectory.csv":
-            "9ea5d539e4f4ae7b2399d7e997b3ad3389e7f408f428764688e57fec72ec47cf",
+            "8dfff72a44a5feb202084258a65d8c80a17f913053e4a961664b1ee93b5e9f37",
         "decay.csv":
-            "dfe7f5f4415e8c5900d163aacd82a6ade15010da65c8ff97dca0eaedff73d02b",
+            "988b0b34b5a1c7b5ed9817114c7743209fecc2fffc2655464a090e087ae9ad7c",
     },
 }
 
