@@ -13,7 +13,7 @@ and the leftover mass-balance defect (equivalently u(1) of the forward form)
 drives a Brent root-find.  Above z_* u reaches 0 before the origin, at a
 radius r_e that shrinks to 0 as z falls to z_*; the defect is continued
 there by -|u'(0)| r_e^3, so it is continuous across z_* and Brent converges
-in a handful of integrations (10 for the default affine spec).  The
+in a handful of integrations (9 for the default affine spec).  The
 shooting reads the exact c for the affine law and a C2 cubic spline of the
 numerical nutrient solve for the other laws.
 

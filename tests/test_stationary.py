@@ -79,8 +79,8 @@ def test_saturating_stationary_state_at_801_nodes(grid801):
     sol = solve_stationary(KineticsSpec(family="saturating"), grid801)
     assert abs(sol.u_star.values[-1]) <= 1e-10
     assert sol.residual_report["lemma_checks_pass"]
-    # Brent's xtol of 1e-13 found this z_*; the spline defect resolves z to
-    # a few times 1e-11
+    # z_* as the shooting found it at rtol 1e-12 with Brent's xtol 1e-13;
+    # the spline defect resolves z to a few times 1e-11
     assert abs(sol.z_star - 2.9693061984053144) <= 5e-11
 
 
@@ -95,6 +95,7 @@ def test_saturating_stationary_state_at_1201_nodes():
     sol = solve_stationary(spec, grid)
     assert sol.residual_report["lemma_checks_pass"]
     assert abs(sol.u_star.values[-1]) <= 1e-10
+    # z_* as the shooting found it at rtol 1e-12
     assert abs(sol.z_star - 2.969306198251546) <= 5e-11
 
 
@@ -153,7 +154,7 @@ def test_affine_solve_integration_budget(monkeypatch, default_spec, grid201):
 
     monkeypatch.setattr(stationary, "integrate_profile", counted)
     sol = solve_stationary(default_spec, grid201)
-    assert len(calls) <= 12
+    assert len(calls) <= 9
     assert sol.residual_report["shoot_integrations"] == len(calls)
     # the final (dense) integration is at z_* and completed
     assert calls[-1] == sol.z_star
@@ -181,8 +182,42 @@ def test_saturating_solve_budget(monkeypatch, grid801):
     monkeypatch.setattr(nutrient, "solve_banded", counted_banded)
     monkeypatch.setattr(stationary, "solve_nutrient", counted_solve)
     sol = solve_stationary(KineticsSpec(family="saturating"), grid801)
-    assert sol.residual_report["shoot_integrations"] <= 14
+    assert sol.residual_report["shoot_integrations"] <= 10
     assert max(steps) <= 12
+
+
+@pytest.mark.parametrize("family, integrations, rhs_evals",
+                         [("affine", 9, 8109), ("saturating", 11, 9805)])
+def test_shooting_rhs_budget(monkeypatch, grid201, family, integrations,
+                             rhs_evals):
+    # the right-hand-side evaluations of every shooting integration, the
+    # final dense one included; both counts are deterministic
+    nfev = []
+    solve_ivp = stationary.solve_ivp
+
+    def counted(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(stationary, "solve_ivp", counted)
+    sol = solve_stationary(KineticsSpec(family=family), grid201)
+    assert len(nfev) == sol.residual_report["shoot_integrations"] <= integrations
+    assert sum(nfev) <= rhs_evals
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_shooting_tolerance_error_budget(monkeypatch, family, grid801):
+    # the 801-node state at SHOOT_RTOL against the state at a hundred times
+    # finer rtol: u_* moves by 1.4e-12 (affine) and 2.5e-12 (saturating), z_*
+    # by 2.1e-12 and 1.6e-11, within the few times 1e-11 to which the spline
+    # defect resolves z; at rtol 1e-9 u_* moves by 8.1e-12 and 3.4e-11
+    spec = KineticsSpec(family=family)
+    coarse = solve_stationary(spec, grid801)
+    monkeypatch.setattr(stationary, "SHOOT_RTOL", stationary.SHOOT_RTOL / 100)
+    fine = solve_stationary(spec, grid801)
+    assert np.max(np.abs(coarse.u_star.values - fine.u_star.values)) <= 5e-12
+    assert abs(coarse.z_star - fine.z_star) <= 3e-11
 
 
 @pytest.mark.parametrize("family", FAMILIES)
