@@ -43,7 +43,7 @@ Z_BRACKET = (-2.0, 3.5)
 Z_MAX = 10.0
 DEFECT_TOL = 1e-8
 SHOOT_RTOL = 1e-10
-SHOOT_ATOL = 1e-14
+SHOOT_ATOL = 1e-14  # below J(R_START), about 1e-13, which the defect reads
 SHOOT_XTOL = 1e-11  # Brent's tolerance on z
 R_START = 1e-4  # the inner end of the shooting integration
 BOUNDARY_OFFSET = 1e-6  # series start distance from r=1
