@@ -9,7 +9,8 @@ many rows at once, bit for bit; pchip reads it as one PPoly.  A RadialGrid
 is its node count: its nodes are linspace(0, 1, size), built once, so the
 equal spacing that the Numerov nutrient solver and the fourth-order
 derivative stencils need holds by construction, and two grids are equal
-when their sizes are.
+when their sizes are.  scalar_ppoly reads any PPoly at one point on plain
+floats, with its floats and without its per-call overhead.
 
 Every radial moment integral_0^r v rho^2 drho, in the velocity u and in
 the linearized operators B and F alike, is taken by one kernel,
@@ -23,6 +24,8 @@ folds g_p into a copy of them (linearized._FoldedStage).  The kernel is
 batch-invariant: a row has the same moments alone as in any batch.
 """
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -141,6 +144,34 @@ def pchip(x, y):
     points x, from one pchip_coefficients build, as a PPoly whose values
     put y's rows last."""
     return PPoly.construct_fast(np.moveaxis(pchip_coefficients(x, y), (-2, -1), (0, 1)), x)
+
+
+def scalar_ppoly(ppoly):
+    """Plain-float evaluator of a one-dimensional scipy PPoly at one point.
+
+    Gives the same floats as float(ppoly(r)): the interval is the one PPoly
+    picks (half-open on the right, the last one closed, the end intervals
+    extended outside the breakpoints) and the polynomial is summed in
+    PPoly's order, constant term first with the powers of s built up by
+    repeated multiplication.  The coefficient tables are array('d') rather
+    than lists: a closure handed to solve_ivp lives in a reference cycle
+    with the solver until the garbage collector runs.
+    """
+    xs = array("d", ppoly.x)
+    rows = [array("d", row) for row in ppoly.c[::-1]]  # constant term first
+    last = len(xs) - 2
+
+    def value(r):
+        i = min(max(bisect_right(xs, r) - 1, 0), last)
+        s = r - xs[i]
+        total = 0.0
+        power = 1.0
+        for row in rows:
+            total = total + row[i] * power
+            power *= s
+        return total
+
+    return value
 
 
 def require_same_grid(*fields):

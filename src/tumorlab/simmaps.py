@@ -7,10 +7,11 @@ endpoints, so its travel-time coordinate
 
 maps (0,1) monotonically onto the whole real line and turns the stationary
 flow dr/dt = u_*(r) into unit-speed translation x -> x - t.  This module
-builds a numerically accurate F_* table (log singularities at the endpoints
-split off analytically), the stationary flow maps Phi_*/Psi_*, the perturbed
-flow maps Phi/Psi for a time-dependent velocity w(r,t) close to u_*, and the
-conjugating diffeomorphisms
+builds a numerically accurate F_* table (log singularities split off
+analytically, nodes marched along u_* read by grid.scalar_ppoly), the
+stationary flow maps Phi_*/Psi_*, the perturbed flow maps Phi/Psi for a
+time-dependent velocity w(r,t) close to u_*, and the conjugating
+diffeomorphisms
 
     T = Phi_* o Psi,    S = Phi o Psi_*,
 
@@ -38,7 +39,7 @@ from scipy.integrate import simpson, solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .errors import ExperimentFailure, SolverError
-from .grid import RadialMoments, derivative_values, pchip
+from .grid import RadialMoments, derivative_values, pchip, scalar_ppoly
 
 FLOW_RTOL = 1e-10
 FLOW_ATOL = 1e-12
@@ -156,13 +157,13 @@ def build_fstar(u_star):
         out[~left] = (u_prime1 - n) / ((er - 1.0) * n * u_prime1) - 1.0 / (u_prime0 * er)
         return out
 
-    uf = u_star.interpolator()
+    u_at = scalar_ppoly(u_star.interpolator())
     delta = 1.0 / POINTS_PER_UNIT
 
     def march(a, b):
         pts, r = [a], a
         while True:
-            step = delta * max(abs(float(uf(r))), 1e-12 * r * (1.0 - r) + 1e-300)
+            step = delta * max(abs(u_at(r)), 1e-12 * r * (1.0 - r) + 1e-300)
             if r + step >= b:
                 break
             r += step

@@ -14,8 +14,8 @@ drives a Brent root-find.  Above z_* u reaches 0 before the origin, at a
 radius r_e that shrinks to 0 as z falls to z_*; the defect is continued
 there by -|u'(0)| r_e^3, so it is continuous across z_* and Brent converges
 in a handful of integrations (9 for the default affine spec).  The
-shooting reads the exact c for the affine law and a C2 cubic spline of the
-numerical nutrient solve for the other laws.
+shooting reads the exact c for the affine law and, for the other laws, a C2
+cubic spline of the numerical nutrient solve through grid.scalar_ppoly.
 
 Integration runs from r=1 inward because the p=1 endpoint is the attracting
 one in that direction; integrating outward from r=0 the deviation modes grow
@@ -24,8 +24,6 @@ endpoint data (the quadratic root p_0 of f(0, p, z)=0 and the Frobenius
 exponent of p - p_0) are kept as diagnostics.
 """
 
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +32,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .errors import SolverError
-from .grid import RadialField, derivative_values
+from .grid import RadialField, derivative_values, scalar_ppoly
 from .kinetics import eval_rates, scalar_reaction
 from .nutrient import affine_value, solve_nutrient, solve_sensitivity
 from .velocity import radial_velocity
@@ -57,7 +55,6 @@ class StationarySolution:
     p_star: RadialField
     u_star: RadialField
     p0: float
-    alpha_hat: float = np.nan
     residual_report: dict = field(default_factory=dict)
 
     @property
@@ -107,40 +104,12 @@ def _boundary_series(spec, nutrient):
     return p_init, J_init, p1_prime
 
 
-def _scalar_ppoly(ppoly):
-    """Plain-float evaluator of a scipy PPoly at one radius.
-
-    Gives the same floats as ppoly(r): the interval is the one PPoly picks
-    (half-open on the right, the last one closed, the end intervals
-    extended outside the breakpoints) and the polynomial is summed in
-    PPoly's order, constant term first with the powers of s built up by
-    repeated multiplication.  The coefficient tables are array('d') rather
-    than lists: a closure handed to solve_ivp lives in a reference cycle
-    with the solver until the garbage collector runs.
-    """
-    xs = array("d", ppoly.x)
-    rows = [array("d", row) for row in ppoly.c[::-1]]  # constant term first
-    last = len(xs) - 2
-
-    def value(r):
-        i = min(max(bisect_right(xs, r) - 1, 0), last)
-        s = r - xs[i]
-        total = 0.0
-        power = 1.0
-        for row in rows:
-            total = total + row[i] * power
-            power *= s
-        return total
-
-    return value
-
-
 def _shooting_rhs(spec, nutrient):
     """Right-hand side (p, J)' of the shooting ODE on plain floats.
 
     c is the exact profile for the affine law (affine_value).  Other laws
     read a C2 cubic spline of the nutrient node values through
-    _scalar_ppoly (the same floats as the spline): the PCHIP of nutrient.c
+    grid.scalar_ppoly (the same floats as the spline): the PCHIP of nutrient.c
     is only C1, and DOP853 at SHOOT_RTOL resolves every one of its kinks,
     while the spline's jumps sit in the third derivative.  The spline is
     clamped with the symmetry condition c'(0) = 0 and takes the not-a-knot
@@ -152,8 +121,8 @@ def _shooting_rhs(spec, nutrient):
     if spec.family == "affine":
         c_at = affine_value(spec, nutrient.z)
     else:
-        c_at = _scalar_ppoly(CubicSpline(nutrient.grid.nodes, nutrient.c.values,
-                                         bc_type=((1, 0.0), "not-a-knot")))
+        c_at = scalar_ppoly(CubicSpline(nutrient.grid.nodes, nutrient.c.values,
+                                        bc_type=((1, 0.0), "not-a-knot")))
 
     def rhs(r, y):
         p, J = y.tolist()
@@ -203,7 +172,7 @@ def integrate_profile(spec, nutrient, dense=False):
     )
     # clamped as the right-hand side clamps c: a fine Numerov solve can
     # leave c(0) a rounding below 0
-    c0 = min(max(float(nutrient.c(0.0)), 0.0), 1.0)
+    c0 = min(max(float(nutrient.c.values[0]), 0.0), 1.0)
     p0 = boundary_root(spec, c0)
     rv0 = eval_rates(spec, c0)
     g0 = float(rv0.g(p0))
@@ -338,7 +307,6 @@ def solve_stationary(spec, grid):
         p_star=p_field,
         u_star=vel.u,
         p0=diag["p0"],
-        alpha_hat=report["alpha_hat"],
         residual_report=report,
     )
 
@@ -363,7 +331,7 @@ def _consistency_report(spec, p_field, vel, nutrient, diag):
     report = {
         "z_star": diag["z"],
         "u1_defect": diag["u1_defect"],
-        "u1_quadrature": vel.u_boundary,
+        "u1_quadrature": float(vel.u.values[-1]),
         "transport_residual": transport_residual,
         "p0_gap": float(p[0] - diag["p0"]),
         "p_monotone": bool(np.all(np.diff(p) > -1e-12)),

@@ -18,11 +18,10 @@ from .kinetics import eval_rates
 
 @dataclass(frozen=True)
 class VelocityField:
-    """The density g, its radial velocity u and u(1)."""
+    """The density g and its radial velocity u."""
 
     g: RadialField
     u: RadialField
-    u_boundary: float
 
 
 def frame_velocity(u, r):
@@ -40,5 +39,4 @@ def radial_velocity(p, nutrient, spec):
     grid = require_same_grid(p, nutrient.c)
     g = eval_rates(spec, np.clip(nutrient.c.values, 0.0, 1.0)).g(p.values)
     u = radial_average(g, grid.nodes)
-    return VelocityField(g=RadialField(grid, g), u=RadialField(grid, u),
-                         u_boundary=float(u[-1]))
+    return VelocityField(g=RadialField(grid, g), u=RadialField(grid, u))

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
-from scipy.interpolate import PchipInterpolator, PPoly
+from scipy.interpolate import CubicSpline, PchipInterpolator, PPoly
 
 from tumorlab.errors import GridMismatchError
 from tumorlab.grid import (RadialField, RadialGrid, RadialMoments,
-                           derivative_values, pchip_coefficients,
-                           radial_average, require_same_grid)
+                           derivative_values, pchip, pchip_coefficients,
+                           radial_average, require_same_grid, scalar_ppoly)
 
 
 def test_grid_requires_endpoints():
@@ -348,3 +348,18 @@ def test_pchip_coefficients_match_scipy(n, rows, shared, kind, seed):
             assert _same_bits(field.c, ref.c)
             assert _same_bits(field(at), ref(at))
             assert _same_bits(field.derivative()(at), ref.derivative()(at))
+
+
+@pytest.mark.parametrize("build", ["pchip", "spline"])
+@pytest.mark.parametrize("n", [5, 201, 801])
+def test_scalar_ppoly_matches_ppoly(build, n):
+    # the plain-float reader has PPoly's bits at every breakpoint (where
+    # PPoly's interval is half-open on the right, the last one closed), at
+    # the midpoints and beyond both ends
+    x = _jittered_rows(n, 1, n)[0]
+    y = np.sin(3.0 * x) + np.random.default_rng(n).uniform(0.0, 0.1, n)
+    ppoly = (pchip(x, y) if build == "pchip"
+             else CubicSpline(x, y, bc_type=((1, 0.0), "not-a-knot")))
+    at = np.concatenate([x, 0.5 * (x[1:] + x[:-1]), [-0.1, -1e-300, np.nextafter(1.0, 2.0), 1.2]])
+    read = scalar_ppoly(ppoly)
+    assert _same_bits([read(r) for r in at.tolist()], [float(ppoly(r)) for r in at])

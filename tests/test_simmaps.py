@@ -6,6 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 from scipy.integrate import OdeSolver
+from scipy.interpolate import PPoly
 
 import tumorlab.simmaps as simmaps
 from tumorlab.errors import ExperimentFailure, SolverError
@@ -56,6 +57,22 @@ def test_flow_rejects_reversed_times(logistic_table):
     table, _ = logistic_table
     with pytest.raises(ValueError):
         phi_star(table, 0.5, 0.0, 1.0)
+
+
+def test_table_reads_no_scalar_through_ppoly(monkeypatch, stationary201):
+    # the march along u_* reads it through grid.scalar_ppoly: PPoly is
+    # called only on arrays, and the table keeps its recorded bits
+    # (SOLVER_DIGESTS["build_fstar"])
+    scalar_calls = []
+    call = PPoly.__call__
+
+    def counted(self, x, *args, **kwargs):
+        scalar_calls.append(np.ndim(x) == 0)
+        return call(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(PPoly, "__call__", counted)
+    build_fstar(stationary201.u_star)
+    assert scalar_calls and not any(scalar_calls)
 
 
 def test_positive_velocity_rejected():
