@@ -91,17 +91,18 @@ class FStarTable:
         return 1.0 / self.u_prime1
 
     def _pieces(self, z, table, lo, hi, mid):
-        """mid(z) on [table[0], table[-1]], lo(z) below, hi(z) above it."""
+        """mid(z) on [table[0], table[-1]], lo(z) below, hi(z) above it, each
+        piece evaluated on its own points only."""
         z = np.asarray(z, dtype=float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = np.where(z < table[0], lo(z), np.where(z > table[-1], hi(z), mid(z)))
+        out = np.piecewise(z, [z < table[0], z > table[-1]], [lo, hi, mid])
         return out if out.ndim else float(out)
 
     def fstar(self, r):
         (r0, r1), (f0, f1) = self.r_table[[0, -1]], self.f_table[[0, -1]]
-        return self._pieces(r, self.r_table, lambda r: f0 + self.slope0 * np.log(r / r0),
-                            lambda r: f1 - self.slope1 * np.log((1.0 - r) / (1.0 - r1)),
-                            self._fwd)
+        with np.errstate(divide="ignore"):  # fstar(0) = -inf, fstar(1) = +inf
+            return self._pieces(r, self.r_table, lambda r: f0 + self.slope0 * np.log(r / r0),
+                                lambda r: f1 - self.slope1 * np.log((1.0 - r) / (1.0 - r1)),
+                                self._fwd)
 
     def finv(self, x):
         (r0, r1), (f0, f1) = self.r_table[[0, -1]], self.f_table[[0, -1]]
@@ -112,9 +113,9 @@ class FStarTable:
     def dfinv(self, x):
         """d finv / dx: the table spline's derivative inside the table, the
         slopes of finv's logarithmic tails beyond it."""
-        r = self.finv(x)
-        return self._pieces(x, self.f_table, lambda x: r / self.slope0,
-                            lambda x: (1.0 - r) / self.slope1, lambda x: self._inv(x, 1))
+        return self._pieces(x, self.f_table, lambda x: self.finv(x) / self.slope0,
+                            lambda x: (1.0 - self.finv(x)) / self.slope1,
+                            lambda x: self._inv(x, 1))
 
 
 def build_fstar(u_star):

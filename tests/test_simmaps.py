@@ -31,6 +31,20 @@ def test_travel_time_closed_form(logistic_table):
     assert np.max(np.abs(table.fstar(r) - exact)) <= 1e-8
 
 
+def test_table_pieces_read_only_their_points(logistic_table):
+    # each piece maps only its own points: the splines see none of the tail
+    # points, and the tails raise no overflow for the points inside
+    table, _ = logistic_table
+    table = simmaps.FStarTable(table.r_table, table.f_table, table.u_prime0, table.u_prime1)
+    read, inv = [], table._inv
+    object.__setattr__(table, "_inv", lambda x, *nu: read.append(x.size) or inv(x, *nu))
+    x = np.array([-2000.0, -20.0, 0.0, 1.0, 20.0, 2000.0])
+    with np.errstate(over="raise", invalid="raise"):
+        r, slope = table.finv(x), table.dfinv(x)
+    assert read == [2, 2]  # the two points inside, by finv and by dfinv
+    assert r.tolist()[::5] == [0.0, 1.0] and np.all(np.diff(r) > 0) and np.all(slope >= 0)
+
+
 def test_inverse_roundtrip(logistic_table):
     table, _ = logistic_table
     r = np.linspace(1e-4, 1.0 - 1e-4, 333)
