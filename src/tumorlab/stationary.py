@@ -345,7 +345,6 @@ def _consistency_report(spec, p_field, vel, nutrient, diag):
         "frobenius_beta": diag["frobenius_beta"],
         "alpha_hat": alpha_hat,
         "alpha_fit_residual": alpha_fit_residual,
-        "p_boundary_value": float(p[-1]),
         "p1_prime": diag["p1_prime"],
         "nutrient_residual": nutrient.residual,
     }

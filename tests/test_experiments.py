@@ -116,13 +116,14 @@ def test_determinism_bit_identical(tmp_path, stationary201):
 # by transport.AdamsBashforth, and the picard files when Picard came to
 # freeze the velocity at the particles' step-start positions, and every
 # file when the shooting integration came to run at rtol 1e-10, and again
-# when Brent came to stop at xtol 1e-11 for the affine law too); the
+# when Brent came to stop at xtol 1e-11 for the affine law too, and both
+# manifests when the by-construction stationary.p_boundary_value went); the
 # manifest also holds the package
 # versions, so a version change moves its digest.
 REPORT_DIGESTS = {
     "direct": {
         "manifest.txt":
-            "cb01140f1cf5ab0c20855117cd08393733c92199724078d8d32ba5d7f7a47f33",
+            "91af9f338cb49d02ed377d85b24a1eb44ff77174c83fb3722e0085600d332ae5",
         "trajectory.csv":
             "1ad22b34ec56a2dc2cdfd66fa07776efc946e1d362a6739bc76f3b5670d1fd91",
         "decay.csv":
@@ -130,7 +131,7 @@ REPORT_DIGESTS = {
     },
     "picard": {
         "manifest.txt":
-            "e4c1456166a707c7443fa9edcbebcd093f71d57b864a336840443f130083bbd6",
+            "42c29817d5970d7de8cc3eecb04938961d0f6b25eccc5b5cdbad4f57b3609fc6",
         "trajectory.csv":
             "8dfff72a44a5feb202084258a65d8c80a17f913053e4a961664b1ee93b5e9f37",
         "decay.csv":
