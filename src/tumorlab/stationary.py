@@ -44,6 +44,7 @@ SHOOT_RTOL = 1e-10
 SHOOT_ATOL = 1e-14  # below J(R_START), about 1e-13, which the defect reads
 SHOOT_XTOL = 1e-11  # Brent's tolerance on z
 R_START = 1e-4  # the inner end of the shooting integration
+EXIT_MARGIN = 1e-4  # an early exit stops about EXIT_MARGIN * r above J's root
 BOUNDARY_OFFSET = 1e-6  # series start distance from r=1
 
 
@@ -145,7 +146,10 @@ def integrate_profile(spec, nutrient, dense=False):
 
     Returns (solution, diagnostics).  When u reaches 0 in the interior (z
     above z_*) the solution is None and the diagnostics give that radius as
-    u_zero_radius.  Raises SolverError if p leaves [0,1].
+    u_zero_radius.  There p' = f r^2 / J blows up, so the integration stops
+    where J - EXIT_MARGIN r J' changes sign, about EXIT_MARGIN r short of the
+    root, which one Newton step r - J / J' then finds.  Raises SolverError if
+    p leaves [0,1].
     """
     p_init, J_init, p1_prime = _boundary_series(spec, nutrient)
     rhs = _shooting_rhs(spec, nutrient)
@@ -160,15 +164,21 @@ def integrate_profile(spec, nutrient, dense=False):
 
     p_exit.terminal = True
 
+    def near_zero(r, y):
+        return y[1] - EXIT_MARGIN * r * rhs(r, y)[1]
+
+    near_zero.terminal = True
+    near_zero.direction = 1
+
     sol = solve_ivp(
         rhs,
         (1.0 - BOUNDARY_OFFSET, R_START),
-        [p_init, J_init],
+        np.array([p_init, J_init]),
         method="DOP853",
         rtol=SHOOT_RTOL,
         atol=SHOOT_ATOL,
         dense_output=dense,
-        events=[u_zero, p_exit],
+        events=[u_zero, p_exit, near_zero],
     )
     # clamped as the right-hand side clamps c: a fine Numerov solve can
     # leave c(0) a rounding below 0
@@ -190,7 +200,9 @@ def integrate_profile(spec, nutrient, dense=False):
             raise SolverError(
                 f"p left [0,1] at r={sol.t_events[1][0]:.4f} (z={nutrient.z})"
             )
-        diagnostics["u_zero_radius"] = float(sol.t[-1]) if sol.t.size else 1.0
+        r, y = sol.t[-1], sol.y[:, -1]
+        diagnostics["u_zero_radius"] = (float(r - y[1] / rhs(r, y)[1])
+                                        if sol.t_events[2].size else float(r))
         return None, diagnostics
     J_end = float(sol.y[1, -1])
     diagnostics["u1_defect"] = -(J_end - g0 * R_START**3 / 3.0)

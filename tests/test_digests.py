@@ -50,16 +50,17 @@ def _solver_outputs(spec, grid, sol):
 # nutrient Newton Jacobian came to be zero where the clipped source is flat;
 # all of them when the shooting integration came to run at rtol 1e-10, and
 # all but "stationary_saturating" when Brent came to stop at xtol 1e-11 for
-# the affine law too.
+# the affine law too; all of them when an early exit of the shooting came to
+# stop short of J's root and find it by one Newton step.
 SOLVER_DIGESTS = {
     "stationary_saturating":
-        "ffefe54d92c200c9f6881fafc4c72410ec574c4c267c94476efafc7e8a107ad2",
+        "00478a70e7be02d4348cd5b6d586d70e1b12f85aba3c7e42627c6ba8f66e6277",
     "build_fstar":
-        "682c975694e8a32be9eedd4c84506bed114860b21468cf7ba27bfee971ca952b",
+        "5ac8a25fdcf4a253925e686e0e9c3a46bc787c81796cac947c1221034120c4f1",
     "resolvent_apply":
-        "8ce538f424054d11e1c96f9c5d0f7e85dd701e61e5c21a2fb1ffcf2db380dfb8",
+        "4a3684effefa5e30aa1f1adad5f96dec9264e60fa84e301daffe87c5a351d703",
     "laplace_consistency":
-        "e67fa5e2cb2c8a98d45eeb401e68a27c7acd230374aa25ad4ee4152fe4137166",
+        "eb4561e6dd1205ee1d5538d46e308e4b446b1101cbc395ec24893862f45ddb34",
 }
 
 

@@ -117,25 +117,27 @@ def test_determinism_bit_identical(tmp_path, stationary201):
 # freeze the velocity at the particles' step-start positions, and every
 # file when the shooting integration came to run at rtol 1e-10, and again
 # when Brent came to stop at xtol 1e-11 for the affine law too, and both
-# manifests when the by-construction stationary.p_boundary_value went); the
+# manifests when the by-construction stationary.p_boundary_value went, and
+# every file when the shooting's early exits came to stop short of J's
+# root); the
 # manifest also holds the package
 # versions, so a version change moves its digest.
 REPORT_DIGESTS = {
     "direct": {
         "manifest.txt":
-            "91af9f338cb49d02ed377d85b24a1eb44ff77174c83fb3722e0085600d332ae5",
+            "ec0364ae12a605d2080d76e575d8fc4bd8cc6973c105625494e9d4ee12b9e0f1",
         "trajectory.csv":
-            "1ad22b34ec56a2dc2cdfd66fa07776efc946e1d362a6739bc76f3b5670d1fd91",
+            "3619cff2363533b2f613017483ea28c4be6c83b4000e392a57c02f9e70cc2aa0",
         "decay.csv":
-            "d29539c1c18cc1d1496e63f8e33c9ba4bf285416f79c0ff6beb649f229a316d8",
+            "aa2ead97658c21c79629fb56efd448368d7614162cdc08c5ffeacf0420143a89",
     },
     "picard": {
         "manifest.txt":
-            "42c29817d5970d7de8cc3eecb04938961d0f6b25eccc5b5cdbad4f57b3609fc6",
+            "60781c0119380edeb9349b16ee56d3fc5df1002e43353c4c8f0080792c12d86e",
         "trajectory.csv":
-            "8dfff72a44a5feb202084258a65d8c80a17f913053e4a961664b1ee93b5e9f37",
+            "fb9043b982c7c01f4b2ec4a17d35057d50646134be2008971f87483c909f3b99",
         "decay.csv":
-            "988b0b34b5a1c7b5ed9817114c7743209fecc2fffc2655464a090e087ae9ad7c",
+            "20245aa76b9d75982e82eac4369ca9a529ead941f61f542df0cec8a3043a5355",
     },
 }
 

@@ -600,20 +600,21 @@ def _integrator_outputs(sol, spec):
 # positions, from the moment of each step's first stage.  pure_transport's
 # held when it came to run as the linear propagator with zero coefficients.
 # All six moved when the stationary shooting came to integrate at rtol 1e-10,
-# and again when its Brent came to stop at xtol 1e-11 for the affine law.
+# again when its Brent came to stop at xtol 1e-11 for the affine law, and
+# again when its early exits came to stop short of J's root.
 INTEGRATOR_DIGESTS = {
     "step":
-        "34ae8286631c74cdd1dd22793d0de799a403434ef838fc2bec0d2a31239e6f9c",
+        "85bc48cf574b24748f76d7e1592531e103008a50ee2035920f0aa567e7cbe2e9",
     "simulate":
-        "494c37b9f63986de44cd1ade2f9ec1de918fba4c2b19f19ec04bb02fcac62888",
+        "1a4ea6cef41bdf576ca30f21346ee75cebf8eed39dc86f26be242b678e61253f",
     "picard_solve":
-        "5f73d19fbb953a07757d9415ff0ca27e46d4f283a285acd6d2a4321b9045ab88",
+        "d4e1dc27aa35ea04181df59a9f150492f64853df48030271cdc0cd65130d1ce9",
     "pure_transport":
-        "ec3cd07206c0a9c223f1303a58c0362873b1083c996dcaf33ed48972c0f9c88b",
+        "ab3722e1620551ca6dbd634242084dffa85e03082c0bbc4de260b240b04717d6",
     "solve_linearized":
-        "57a01d0b878bfb66107acda742540a3d20c128b36b4c21828728c94185e3df16",
+        "362ea3a5c33b2edb6bcc1aa911bc1e2afc69caedb65d49acf6b90375dcd7c724",
     "decay_ensemble":
-        "403ac75e4cc31c3b415b22470ff77d423a064be35e3551964e56f83f209cb770",
+        "8f5529cbf38f42bcc82fa0cfe3223a535afdfdd1615d4504778224d3d9ddd1cd",
 }
 
 
