@@ -6,8 +6,8 @@ import pytest
 
 from tumorlab import experiments
 from tumorlab.errors import ConfigError, SolverError
-from tumorlab.experiments import (RunConfig, config_from_text, config_hash,
-                                  config_to_text, emit_report,
+from tumorlab.experiments import (RunConfig, StabilityReport, config_from_text,
+                                  config_hash, config_to_text, emit_report,
                                   perturbation_shape,
                                   run_stability_experiment, sweep)
 from tumorlab.grid import RadialGrid
@@ -47,6 +47,25 @@ def test_config_validation():
         RunConfig(dt=0.05)  # above transport.DT_MAX
     with pytest.raises(ConfigError):
         config_from_text("epsilon 0.1\n")
+    with pytest.raises(ConfigError, match="shape must be one of"):
+        RunConfig(shape="x")
+    with pytest.raises(ConfigError, match="solver must be one of"):
+        RunConfig(solver="x")
+    with pytest.raises(ConfigError, match="bad value on config line"):
+        config_from_text("epsilon = 0.1.2\n")
+    with pytest.raises(ConfigError, match="unknown shape id 'x'"):
+        perturbation_shape("x", np.linspace(0.0, 1.0, 11))
+
+
+def test_emit_report_needs_a_directory_and_a_run(tmp_path):
+    # a report of a run that kept no trajectory or reference has nothing
+    # to write, and one without a directory has nowhere to write it
+    report = StabilityReport(config=RunConfig(), epsilon=0.0, fit_x=None, fit_x0=None,
+                             checks={}, linear_response_ratio=np.nan)
+    with pytest.raises(ConfigError, match="needs an output directory"):
+        emit_report(report)
+    with pytest.raises(ConfigError, match="no trajectory or reference"):
+        emit_report(report, out_dir=tmp_path)
 
 
 def test_shapes_vanish_at_endpoints():

@@ -346,6 +346,24 @@ def test_laplace_check_needs_lambda_right_of_max_a(operators201, stationary201, 
                             operators201.omega0 + 0.5j, q0)
 
 
+def test_laplace_check_needs_a_short_truncation_tail(operators201, stationary201):
+    # a start of sup 1e4 leaves e^{-16} 1e4 / (Re lambda - max a) = 1.1e-3
+    # of the transform beyond the horizon, above its 5e-5 share
+    q0 = RadialField(operators201.grid, np.full(operators201.grid.size, 1e4))
+    with pytest.raises(ValueError, match="leaves truncation tail 1.13e-03"):
+        laplace_consistency(stationary201.u_star, operators201.a,
+                            operators201.omega0 + 1.0, q0)
+
+
+def test_ensemble_rejects_a_run_that_overflows(operators201):
+    # a multiplier of 1e300 overflows the first recorded state
+    ops = dataclasses.replace(operators201, a=operators201.a.with_values(
+        np.full(operators201.grid.size, 1e300)))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="field values must be finite"):
+        decay_ensemble(ops, n_runs=1, t_end=0.2)
+
+
 def test_laplace_transform_consistency(operators801, stationary801, rng):
     q0 = random_smooth_field(operators801.grid, rng)
     lam = operators801.omega0 + 1.0

@@ -94,6 +94,19 @@ def test_positive_velocity_rejected():
     u = RadialField(g, g.nodes * (1.0 - g.nodes))
     with pytest.raises(ValueError):
         build_fstar(u)
+    # negative inside, but without a zero at r = 1: u'(1) = -2
+    with pytest.raises(ValueError, match="positive slope at 1"):
+        build_fstar(RadialField(g, -g.nodes ** 2))
+
+
+def test_failed_flow_raises(logistic_table):
+    # a gap that reads NaN leaves DOP853 no step it can accept
+    _, u = logistic_table
+    w, w_dr = make_perturbed_velocity(u, 1e-2, 0.08)
+    w.gap = lambda r, t: np.full(np.shape(r), np.nan)
+    maps = build_maps(u, w, w_dr, epsilon=1e-2, mu=0.08)
+    with pytest.raises(SolverError, match="characteristic flow integration failed"):
+        phi(maps, 0.5, 1.0, 0.0)
 
 
 @pytest.fixture(scope="module")

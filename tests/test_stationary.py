@@ -23,6 +23,25 @@ def test_center_root_balances_reaction(default_spec):
         assert 0.0 < p0 <= 1.0
 
 
+def test_center_root_needs_consistent_rates():
+    # p_rate < 0 is outside the admitted specs: at c = 0.5 the center
+    # quadratic's discriminant is 0.25 - 0.9 + 0.36 < 0
+    spec = KineticsSpec(p_rate=-1.0)
+    assert not validate_hypotheses(spec).all_passed
+    with pytest.raises(SolverError, match="no real root of the center quadratic"):
+        boundary_root(spec, 0.5)
+
+
+def test_profile_leaving_the_unit_interval_raises():
+    # with p_rate < 0 (outside the admitted specs) f(0, c) < 0, so p can
+    # cross 0 on the way in
+    spec = KineticsSpec(lam=4.0, b_rate=0.2, d_rate=2.2, p_rate=-0.3, q_rate=0.8)
+    assert not validate_hypotheses(spec).all_passed
+    nutrient = solve_nutrient(spec, 2.25, RadialGrid.uniform(101))
+    with pytest.raises(SolverError, match=r"p left \[0,1\] at r="):
+        stationary.integrate_profile(spec, nutrient)
+
+
 def test_boundary_velocity_vanishes(stationary801):
     assert abs(stationary801.u_star.values[-1]) <= 1e-10
 
