@@ -146,25 +146,19 @@ def integrate_profile(spec, nutrient, dense=False):
 
     Returns (solution, diagnostics).  When u reaches 0 in the interior (z
     above z_*) the solution is None and the diagnostics give that radius as
-    u_zero_radius.  There p' = f r^2 / J blows up, so the integration stops
-    where J - EXIT_MARGIN r J' changes sign, about EXIT_MARGIN r short of the
-    root, which one Newton step r - J / J' then finds.  Raises SolverError if
-    p leaves [0,1].
+    u_zero_radius: p' = f r^2 / J blows up there, so the integration stops
+    where J - EXIT_MARGIN r J' turns positive, short of the root of J, and
+    one Newton step r - J / J' finds it.  Raises SolverError if p leaves [0,1].
     """
     p_init, J_init, p1_prime = _boundary_series(spec, nutrient)
     rhs = _shooting_rhs(spec, nutrient)
-
-    def u_zero(r, y):
-        return y[1]  # J crossing 0 means u >= 0 in the interior
-
-    u_zero.terminal = True
 
     def p_exit(r, y):
         return min(y[0] + 1e-9, 1.0 + 1e-9 - y[0])
 
     p_exit.terminal = True
 
-    def near_zero(r, y):
+    def near_zero(r, y):  # turns positive before J reaches 0 (u >= 0 inside)
         return y[1] - EXIT_MARGIN * r * rhs(r, y)[1]
 
     near_zero.terminal = True
@@ -178,7 +172,7 @@ def integrate_profile(spec, nutrient, dense=False):
         rtol=SHOOT_RTOL,
         atol=SHOOT_ATOL,
         dense_output=dense,
-        events=[u_zero, p_exit, near_zero],
+        events=[p_exit, near_zero],
     )
     # clamped as the right-hand side clamps c: a fine Numerov solve can
     # leave c(0) a rounding below 0
@@ -196,13 +190,13 @@ def integrate_profile(spec, nutrient, dense=False):
         "p1_prime": p1_prime,
     }
     if not (sol.success and sol.t[-1] <= R_START * (1 + 1e-9)):
-        if sol.t_events[1].size:
+        if sol.t_events[0].size:
             raise SolverError(
-                f"p left [0,1] at r={sol.t_events[1][0]:.4f} (z={nutrient.z})"
+                f"p left [0,1] at r={sol.t_events[0][0]:.4f} (z={nutrient.z})"
             )
         r, y = sol.t[-1], sol.y[:, -1]
         diagnostics["u_zero_radius"] = (float(r - y[1] / rhs(r, y)[1])
-                                        if sol.t_events[2].size else float(r))
+                                        if sol.t_events[1].size else float(r))
         return None, diagnostics
     J_end = float(sol.y[1, -1])
     diagnostics["u1_defect"] = -(J_end - g0 * R_START**3 / 3.0)
