@@ -167,7 +167,7 @@ def integrate_profile(spec, nutrient, dense=False):
     sol = solve_ivp(
         rhs,
         (1.0 - BOUNDARY_OFFSET, R_START),
-        np.array([p_init, J_init]),
+        np.array([p_init, J_init]),  # the events see y0 as given, near_zero via rhs
         method="DOP853",
         rtol=SHOOT_RTOL,
         atol=SHOOT_ATOL,
