@@ -23,7 +23,8 @@ moment M there, whose M(1) is dz/dt and whose step-start rows give the
 new iterate's velocity; both integrators take w from the stage moment.
 In the fixed field of linearized.LinearPropagator (pure transport with
 zero coefficients) every regrid cycle repeats the first, which frozen_path
-gives once by rk4; the propagator steps (phi, zeta) along it by AdamsBashforth.
+gives once by AdamsBashforth; the propagator steps (phi, zeta) along it by
+the same schedule.
 
 Particles drift toward the origin (w < 0 in the interior), so the bundle is
 resampled onto the reference grid with a monotone cubic whenever spacing
@@ -323,13 +324,13 @@ def _check_dt(dt):
         raise ValueError(f"dt={dt} exceeds DT_MAX={DT_MAX}")
 
 
-def frozen_path(stage_fields, positions, dt, h_ref, method=None):
+def frozen_path(stage_fields, positions, dt, h_ref, method):
     """Particles (positions,) moved through frozen velocity fields.
 
     stage_fields(j) gives step j's fields, callables of r, one per stage of
-    method (rk4 by default, or an AdamsBashforth's step, which reads the
-    first alone after its start-up); each stage rate is pinned to zero at
-    both endpoints, so they stay in place.  Yields (stage positions, end
+    method, the step of the caller's AdamsBashforth (which reads the first
+    alone after its start-up); each stage rate is pinned to zero at both
+    endpoints, so they stay in place.  Yields (stage positions, end
     positions, needs regrid) per step, the end positions guarded, and stops
     after the first step that needs a regrid.
     """
@@ -344,7 +345,7 @@ def frozen_path(stage_fields, positions, dt, h_ref, method=None):
             v[-1] = 0.0
             return (v,)
 
-        (positions,) = (method or rk4)(rates, (positions,), dt)
+        (positions,) = method(rates, (positions,), dt)
         again = _needs_regrid(_guarded_positions(positions), h_ref)
         yield stages, positions, again
         if again:

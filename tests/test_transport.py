@@ -43,14 +43,17 @@ def test_pure_transport_rejects_large_dt(grid201, rng):
         pure_transport(w, q0, t_end=0.04, dt=0.02)
 
 
-def _frozen(field):
-    return lambda j: (field.interpolator(),) * 4
+def _kernel_path(field, grid):
+    # the particles' path through a frozen field, stepped by a fresh
+    # multistep kernel (as the linear propagator steps them)
+    return transport.frozen_path(lambda j: (field.interpolator(),) * 4, grid.nodes,
+                                 1e-2, grid.spacing,
+                                 transport.AdamsBashforth((grid.nodes,)).step)
 
 
 def test_frozen_path_stops_at_first_regrid(stationary201):
     grid = stationary201.grid
-    path = list(transport.frozen_path(_frozen(stationary201.u_star),
-                                      grid.nodes, 1e-2, grid.spacing))
+    path = list(_kernel_path(stationary201.u_star, grid))
     assert len(path) > 1
     assert [again for _, _, again in path] == [False] * (len(path) - 1) + [True]
     for stages, end, again in path:
@@ -74,7 +77,7 @@ def test_crossing_characteristics_raise(stationary201, default_spec):
     w = _crossing_field(grid)
     crossing = pytest.raises(SolverError, match="characteristic crossing")
     with crossing:
-        list(transport.frozen_path(_frozen(w), grid.nodes, 1e-2, grid.spacing))
+        list(_kernel_path(w, grid))
     with crossing:
         pure_transport(w, RadialField(grid, np.ones(grid.size)), 1.0, 1e-2)
     ops = replace(build_operators(stationary201, default_spec), u_star=w)
@@ -86,19 +89,44 @@ def test_crossing_characteristics_raise(stationary201, default_spec):
 def test_pure_transport_integrates_one_cycle(monkeypatch, stationary201, t_end):
     # u_* is frozen, so every regrid cycle repeats the positions of the
     # first: the propagator moves the particles through one whole cycle by
-    # Runge-Kutta steps, and q takes STARTUP_STEPS of them in each cycle begun
+    # the multistep kernel, which takes STARTUP_STEPS Runge-Kutta steps
+    # there, and q takes STARTUP_STEPS of them in each cycle begun
     grid = stationary201.grid
-    cycle = len(list(transport.frozen_path(_frozen(stationary201.u_star),
-                                           grid.nodes, 1e-2, grid.spacing)))
+    cycle = len(list(_kernel_path(stationary201.u_star, grid)))
     n_steps = int(round(t_end / 1e-2))
     steps = []
     _counting(monkeypatch, "rk4", steps)
     sup, _ = pure_transport(stationary201.u_star,
                             RadialField(grid, np.sin(3 * grid.nodes) + 0.2), t_end, 1e-2)
     assert len(sup) == n_steps + 1
-    assert len(steps) == cycle + STARTUP_STEPS * -(-n_steps // cycle)
+    assert len(steps) == STARTUP_STEPS * (1 + -(-n_steps // cycle))
     # the short run ends inside the first cycle, the long one runs past it
     assert (n_steps > cycle) == (t_end == 3.0)
+
+
+def test_propagator_cycle_is_the_kernel_path(monkeypatch, stationary201, default_spec):
+    # the propagator's cycle holds one folded operator for each stage that
+    # the multistep kernel evaluates, built at the kernel's own stage
+    # positions: four in each start-up step, the step start alone in each
+    # Adams-Bashforth step
+    built = []
+
+    class Recorded(linearized._FoldedStage):
+        def __init__(self, x, coef):
+            super().__init__(x, coef)
+            built.append(x)
+
+    monkeypatch.setattr(linearized, "_FoldedStage", Recorded)
+    prop = LinearPropagator(build_operators(stationary201, default_spec), 1e-2)
+    path = list(_kernel_path(stationary201.u_star, stationary201.grid))
+    assert [len(s) for s, _ in prop.steps] == (
+        [4] * STARTUP_STEPS + [1] * (prop.cycle_len - STARTUP_STEPS))
+    assert prop.cycle_len == len(path)
+    stages = [x for step_stages, _, _ in path for x in step_stages]
+    assert len(built) == len(stages)
+    assert all(np.array_equal(x, y) for x, y in zip(built, stages))
+    assert all(np.array_equal(end, path_end)
+               for (_, end), (_, path_end, _) in zip(prop.steps, path))
 
 
 def test_pure_transport_of_a_zero_field(monkeypatch, grid201):
@@ -602,6 +630,9 @@ def _integrator_outputs(sol, spec):
 # All six moved when the stationary shooting came to integrate at rtol 1e-10,
 # again when its Brent came to stop at xtol 1e-11 for the affine law, and
 # again when its early exits came to stop short of J's root.
+# pure_transport, solve_linearized and decay_ensemble moved when the linear
+# propagator's particles came to step by the kernel's schedule, Adams-
+# Bashforth after the start-up, in place of RK4 through the whole cycle.
 INTEGRATOR_DIGESTS = {
     "step":
         "85bc48cf574b24748f76d7e1592531e103008a50ee2035920f0aa567e7cbe2e9",
@@ -610,11 +641,11 @@ INTEGRATOR_DIGESTS = {
     "picard_solve":
         "d4e1dc27aa35ea04181df59a9f150492f64853df48030271cdc0cd65130d1ce9",
     "pure_transport":
-        "ab3722e1620551ca6dbd634242084dffa85e03082c0bbc4de260b240b04717d6",
+        "06dae8142d44dd003eca66898c52b585c10111c55400842e14afcf38bc89f372",
     "solve_linearized":
-        "362ea3a5c33b2edb6bcc1aa911bc1e2afc69caedb65d49acf6b90375dcd7c724",
+        "bdb8d56916bf27d603a17e876d855505f8117ae48595062104c35d475c4d89f5",
     "decay_ensemble":
-        "8f5529cbf38f42bcc82fa0cfe3223a535afdfdd1615d4504778224d3d9ddd1cd",
+        "8fe2a98d5ac044bbd5a79dba2549513726d12763705313221a76e2eaedfbc0ea",
 }
 
 
