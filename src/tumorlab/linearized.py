@@ -30,9 +30,8 @@ from .grid import (RadialField, RadialMoments, derivative_values,
                    pair_moments, radial_average, require_same_grid)
 from .kinetics import eval_rates
 from .simmaps import _random_smooth, build_fstar
-from .transport import (RECORD_EVERY, AdamsBashforth, Trajectory, _check_dt,
-                        deviation, frozen_path, on_grid, output_steps, regrid,
-                        trajectory)
+from .transport import (RECORD_EVERY, AdamsBashforth, Trajectory, _check_dt, deviation,
+                        frozen_path, on_grid, output_steps, regrid, trajectory)
 
 RESOLVENT_DS = 5e-4
 LAPLACE_DT = 5e-3  # time step of the Laplace-transform quadrature
@@ -142,14 +141,12 @@ class LinearPropagator:
     same cycle between regrids, and the rate of (phi, zeta) at a stage of
     the cycle is one fixed linear operator (_FoldedStage), built once and
     shared by steps and ensemble members, advanced together as rows of a
-    matrix.  The particles and (phi, zeta) step by one
-    transport.AdamsBashforth schedule, so each step of the cycle holds the
-    operators of the stages the kernel evaluates: four in a Runge-Kutta
-    start-up step, the step start's in an Adams-Bashforth step.  The history
-    starts empty at t = 0 and at every regrid, so one cycle is one fixed
-    map; a step that moves no particle (w = 0) repeats forever, so it ends
-    the cycle.  records streams the
-    recorded states, so a caller that reduces each one (decay_ensemble)
+    matrix.  Particles and (phi, zeta) step by one transport.AdamsBashforth
+    schedule: a cycle step holds an operator per stage the kernel evaluates
+    (four in a start-up step, one after).  The history starts empty at t = 0
+    and at every regrid, so one cycle is one fixed map; a step that moves no
+    particle (w = 0) repeats forever, so it ends the cycle.  records streams
+    the recorded states, so a caller that reduces each one (decay_ensemble)
     never holds the whole run; run collects them into arrays.
     """
 
@@ -161,8 +158,7 @@ class LinearPropagator:
         self.nodes = grid.nodes
         fields = (ops.u_star.interpolator(),) * 4
         coef = [f.interpolator() for f in (ops.a, ops.b, ops.g_p, ops.rp_prime)]
-        # one (folded stages, end positions) pair per step of the cycle,
-        # the particles moved by the kernel that steps (phi, zeta)
+        # one (folded stages, end positions) pair per step of the cycle
         self.steps = []
         for stages, end, _ in frozen_path(lambda j: fields, self.nodes, dt, grid.spacing,
                                           AdamsBashforth((self.nodes,)).step):

@@ -43,9 +43,10 @@ from .grid import RadialMoments, derivative_values, pchip, scalar_ppoly
 
 FLOW_RTOL = 1e-10
 FLOW_ATOL = 1e-12
-#: travel-time table: nodes per unit of F_*, and its distance from the ends
+#: travel-time table: nodes per unit of F_*, distance from the ends, node budget
 POINTS_PER_UNIT = 50
 R_MIN = 1e-6
+TABLE_MAX_NODES = 100_000  # ~0.3 s of marching; u = -s r (1 - r) takes ~1,400/s
 #: sample plan: the range of t - s and the largest s
 T_GAP_RANGE = (0.5, 8.0)
 S_MAX = 4.0
@@ -127,7 +128,7 @@ def build_fstar(u_star):
     endpoint poles (integrated in closed form as logarithms) plus a bounded
     remainder integrated by composite 8-point Gauss-Legendre on a grid
     graded so that consecutive nodes are ~1/POINTS_PER_UNIT apart in the
-    F_* coordinate.
+    F_* coordinate (beyond TABLE_MAX_NODES nodes it raises SolverError).
     The remainder is evaluated through the smooth quotients u/r and u/(r-1),
     which avoids the catastrophic cancellation of subtracting two poles.
     """
@@ -160,19 +161,21 @@ def build_fstar(u_star):
 
     u_at = scalar_ppoly(u_star.interpolator())
     delta = 1.0 / POINTS_PER_UNIT
-
-    def march(a, b):
-        pts, r = [a], a
+    pts = [R_MIN]
+    for b in (0.5, 1.0 - R_MIN):  # march along u_* to 1/2, then to the end
+        r = pts[-1]
         while True:
             step = delta * max(abs(u_at(r)), 1e-12 * r * (1.0 - r) + 1e-300)
             if r + step >= b:
                 break
             r += step
             pts.append(r)
+            if len(pts) > TABLE_MAX_NODES:
+                raise SolverError(f"travel-time table passes {TABLE_MAX_NODES} nodes at "
+                                  f"r = {r:.6g}: the velocity is too slow (u'(0) = "
+                                  f"{u_prime0:.3g}, u'(1) = {u_prime1:.3g})")
         pts.append(b)
-        return pts
-
-    r_nodes = np.array(march(R_MIN, 0.5) + march(0.5, 1.0 - R_MIN)[1:])
+    r_nodes = np.array(pts)
     i_half = int(np.searchsorted(r_nodes, 0.5))
 
     # composite Gauss-Legendre for the bounded remainder

@@ -23,8 +23,7 @@ moment M there, whose M(1) is dz/dt and whose step-start rows give the
 new iterate's velocity; both integrators take w from the stage moment.
 In the fixed field of linearized.LinearPropagator (pure transport with
 zero coefficients) every regrid cycle repeats the first, which frozen_path
-gives once by AdamsBashforth; the propagator steps (phi, zeta) along it by
-the same schedule.
+gives once; the particles and (phi, zeta) step by one AdamsBashforth schedule.
 
 Particles drift toward the origin (w < 0 in the interior), so the bundle is
 resampled onto the reference grid with a monotone cubic whenever spacing

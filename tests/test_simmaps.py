@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import time
 from functools import partial
 
 import numpy as np
@@ -97,6 +98,21 @@ def test_positive_velocity_rejected():
     # negative inside, but without a zero at r = 1: u'(1) = -2
     with pytest.raises(ValueError, match="positive slope at 1"):
         build_fstar(RadialField(g, -g.nodes ** 2))
+
+
+def test_slow_velocity_stops_the_table():
+    # the table holds about 1,400/s nodes for u = -s r (1 - r), so s = 1e-6
+    # would need about 1.4e9: the march stops at TABLE_MAX_NODES and names
+    # the endpoint slopes, also for a velocity slow only near r = 1/2
+    g = RadialGrid.uniform(201)
+    r = g.nodes
+    start = time.process_time()
+    budget = rf"passes {simmaps.TABLE_MAX_NODES} nodes at r = "
+    with pytest.raises(SolverError, match=budget + r".*u'\(0\) = -1e-06, u'\(1\) = 1e-06"):
+        build_fstar(RadialField(g, -1e-6 * r * (1.0 - r)))
+    assert time.process_time() - start < 1.0
+    with pytest.raises(SolverError, match=budget + r"0\.49.*u'\(0\) = -1, u'\(1\) = 1\)"):
+        build_fstar(RadialField(g, -r * (1.0 - r) * (1e-6 + (2.0 * r - 1.0) ** 2)))
 
 
 def test_failed_flow_raises(logistic_table):
