@@ -128,7 +128,7 @@ def cmd_linearize(args):
     for i, pair in enumerate(ens):
         rep = pair[pick]
         mus.append(rep.mu_fit)
-        rows.append(f"{i},{rep.norm_kind},{rep.mu_fit:.17g},"
+        rows.append(f"{i},{args.norm},{rep.mu_fit:.17g},"
                     f"{rep.K_fit:.17g},{rep.r2:.17g},{rep.decades:.17g},"
                     f"{rep.valid}")
     _write_or_print(args, "linearize.csv", "\n".join(rows) + "\n")

@@ -229,15 +229,15 @@ def run_stability_experiment(config, reference=None, linear_response=True):
         quiet = bool(np.max(traj.norm_x0) <= ZERO_EPS_TOL)
         checks = {name: quiet for name in
                   ("p_sup", "p_weighted_derivative", "radius")}
-        nanfit = DecayReport(np.nan, np.nan, window, "X", 0.0, 0.0, False,
+        nanfit = DecayReport(np.nan, np.nan, 0.0, 0.0, False,
                              "unperturbed run, nothing to fit")
         return StabilityReport(config=config, epsilon=0.0, fit_x=nanfit,
                                fit_x0=nanfit, checks=checks,
                                linear_response_ratio=np.nan, trajectory=traj,
                                reference=reference)
 
-    fit_x = fit_decay(traj, "X", window=window)
-    fit_x0 = fit_decay(traj, "X0", window=window)
+    fit_x = fit_decay(times, traj.norm_x, window)
+    fit_x0 = fit_decay(times, traj.norm_x0, window)
     kx = fit_x.K_fit
     kx0 = fit_x0.K_fit
 

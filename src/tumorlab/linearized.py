@@ -30,8 +30,8 @@ from .grid import (RadialField, RadialMoments, derivative_values,
                    pair_moments, radial_average, require_same_grid)
 from .kinetics import eval_rates
 from .simmaps import _random_smooth, build_fstar
-from .transport import (RECORD_EVERY, AdamsBashforth, Trajectory, _check_dt, deviation,
-                        frozen_path, on_grid, output_steps, regrid, trajectory)
+from .transport import (RECORD_EVERY, AdamsBashforth, _check_dt, deviation, frozen_path,
+                        on_grid, output_steps, regrid, trajectory)
 
 RESOLVENT_DS = 5e-4
 LAPLACE_DT = 5e-3  # time step of the Laplace-transform quadrature
@@ -290,8 +290,6 @@ class DecayReport:
 
     mu_fit: float
     K_fit: float
-    window: tuple
-    norm_kind: str
     r2: float
     decades: float
     valid: bool
@@ -320,23 +318,21 @@ def shortest_fit_steps(dt):
             return steps
 
 
-def fit_decay(traj, norm_kind="X", window=None):
-    """Fit K e^{-mu t} to a trajectory's norm series.
+def fit_decay(times, series, window=None):
+    """Fit K e^{-mu t} to a norm series sampled at times.
 
-    The fit uses fit_window(traj.times) by default.  Samples whose norm is
-    not above 1e-300 (NaN included) are left out.  The report is flagged
+    The fit uses fit_window(times) by default.  Samples whose norm is not
+    above 1e-300 (NaN included) are left out.  The report is flagged
     invalid when the smoothed log-norm is not decreasing over the window or
     the fit quality r2 drops below FIT_R2_MIN.
     """
-    series = traj.norm_x if norm_kind == "X" else traj.norm_x0
-    times = traj.times
     if window is None:
         window = fit_window(times)
     mask = (times >= window[0]) & (times <= window[1]) & (series > 1e-300)
     t = times[mask]
     y = np.log(series[mask])
     if t.size < FIT_MIN_SAMPLES:
-        return DecayReport(np.nan, np.nan, window, norm_kind, 0.0, 0.0, False,
+        return DecayReport(np.nan, np.nan, 0.0, 0.0, False,
                            f"window holds fewer than {FIT_MIN_SAMPLES} usable samples")
     slope, intercept = np.polyfit(t, y, 1)
     fitted = slope * t + intercept
@@ -357,8 +353,6 @@ def fit_decay(traj, norm_kind="X", window=None):
     return DecayReport(
         mu_fit=float(-slope),
         K_fit=float(np.exp(intercept)),
-        window=window,
-        norm_kind=norm_kind,
         r2=float(r2),
         decades=decades,
         valid=monotone and r2 >= FIT_R2_MIN,
@@ -384,9 +378,9 @@ def decay_ensemble(ops, n_runs=20, t_end=100.0, dt=1e-2, seed=0):
     recorded state inside fit_window is resampled onto the grid and reduced
     to its deviation terms as it is produced, so only the (n_times, n_runs)
     series are held, never the states; the terms of the states before the window,
-    which no fit reads, are left NaN.  Returns a list of
-    (DecayReport_X, DecayReport_X0) pairs, one per run; the empirical rate
-    estimate is the ensemble minimum of the fitted rates.
+    which no fit reads, are left NaN.  Returns a list of (fit of norm_x, fit of
+    norm_x0) pairs, one per run, each norm the sum transport.Trajectory forms;
+    the empirical rate estimate is the ensemble minimum of the fitted rates.
     """
     rng = np.random.default_rng(seed)
     prop = LinearPropagator(ops, dt)
@@ -404,14 +398,10 @@ def decay_ensemble(ops, n_runs=20, t_end=100.0, dt=1e-2, seed=0):
         if fitted[j]:
             p_dev[j], dp_dev[j], z_dev[j] = deviation(
                 ops.grid, on_grid(pos, phi, prop.nodes), zeta, 0.0, 0.0)
-    no_mass = np.full(times.size, np.nan)
-    out = []
-    for m in range(n_runs):
-        traj = Trajectory(times=times, states=[], p_dev=p_dev[:, m],
-                          dp_dev=dp_dev[:, m], z_dev=z_dev[:, m],
-                          mass_residual=no_mass)
-        out.append((fit_decay(traj, "X"), fit_decay(traj, "X0")))
-    return out
+    norm_x = p_dev + z_dev
+    norm_x0 = norm_x + dp_dev
+    return [(fit_decay(times, norm_x[:, m]), fit_decay(times, norm_x0[:, m]))
+            for m in range(n_runs)]
 
 
 # ---------------------------------------------------------------------------

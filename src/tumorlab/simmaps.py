@@ -438,7 +438,6 @@ class BoundEntry:
 @dataclass(frozen=True)
 class BoundsReport:
     entries: tuple
-    plan: SamplePlan
     flow_solves: int = 0  # DOP853 solves of the report's flows
     flow_rhs_evals: int = 0  # their right-hand-side evaluations
 
@@ -603,7 +602,7 @@ def check_map_bounds(make_maps, plan, raise_on_fail=True):
         entries.append(BoundEntry(name=n, n_samples=n_samples, constants=cv,
                                   ratio=float(max(ratios, key=abs)), passed=ok))
 
-    report = BoundsReport(entries=tuple(entries), plan=plan, flow_solves=flow_solves,
+    report = BoundsReport(entries=tuple(entries), flow_solves=flow_solves,
                           flow_rhs_evals=flow_rhs_evals)
     if raise_on_fail and not report.all_passed:
         bad = [e.name for e in report.entries if not (e.passed or e.skipped)]

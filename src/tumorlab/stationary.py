@@ -288,10 +288,11 @@ def solve_stationary(spec, grid):
     A = np.array([[1, r1, r1 * r1], [1, r2, r2 * r2], [1, r3, r3 * r3]])
     p_vals[0] = float(np.linalg.solve(A, p_vals[1:4])[0])
     J_vals[0] = 0.0
-    # u from the same cumulative quadrature the velocity module applies, so
-    # the assembled pair is an exact fixed point of the discrete evolution;
-    # the ODE's J carries the shooting leftover, which 1/r^2 would amplify
-    # near the origin.  The J-based values are kept for a consistency check.
+    # u from the quadrature the evolution applies; the discrete equilibrium
+    # differs from this pair by the drift of an epsilon = 0 run, norm_x 1.66e-5
+    # at 201 nodes and 1.34e-7 at 801 by t = 100.  The ODE's J carries the
+    # shooting leftover, which 1/r^2 would amplify near the origin; it is kept
+    # for a consistency check.
     p_field = RadialField(grid, p_vals)
     u_ode = np.zeros_like(nodes)
     u_ode[1:] = J_vals[1:] / nodes[1:] ** 2

@@ -12,7 +12,7 @@ from tumorlab.errors import SolverError
 from tumorlab.experiments import (RunConfig, config_from_text, config_hash,
                                   config_to_text)
 from tumorlab.kinetics import KineticsSpec
-from tumorlab.linearized import shortest_fit_steps
+from tumorlab.linearized import build_operators, decay_ensemble, shortest_fit_steps
 
 
 @pytest.fixture()
@@ -187,6 +187,22 @@ def test_linearize_reports_positive_rate(small_config_file, capsys,
                  "--ensemble", "2", "--t-end", "60"])
     assert code == EXIT_PASS
     assert "ensemble rate estimate" in capsys.readouterr().out
+
+
+def test_linearize_writes_the_chosen_norm(tmp_path, small_config_file, default_spec,
+                                          stationary201):
+    # every row names the --norm it fits, and its rates are decay_ensemble's
+    # fits of that norm at the config's seed
+    out = tmp_path / "lin"
+    assert main(["linearize", "--config", small_config_file, "--norm", "X0",
+                 "--ensemble", "2", "--t-end", "60", "--out", str(out)]) == EXIT_PASS
+    rows = [row.split(",") for row in (out / "linearize.csv").read_text().splitlines()]
+    assert rows[0][:3] == ["run", "norm", "mu_fit"]
+    assert [row[1] for row in rows[1:]] == ["X0", "X0"]
+    cfg = config_from_text(Path(small_config_file).read_text())
+    ens = decay_ensemble(build_operators(stationary201, default_spec), n_runs=2,
+                         t_end=60.0, dt=cfg.dt, seed=cfg.seed)
+    assert [float(row[2]) for row in rows[1:]] == [fit_x0.mu_fit for _, fit_x0 in ens]
 
 
 def test_stability_emits_report(tmp_path, small_config_file, stationary201,
