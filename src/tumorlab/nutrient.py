@@ -19,6 +19,7 @@ by construction.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,13 +53,19 @@ class NutrientSolution:
     def grid(self):
         return self.c.grid
 
-    def with_sensitivity(self, c_z):
-        return replace(self, c_z=c_z)
-
 
 def _affine_k(spec, z):
-    """k = sqrt(lam) e^z of the affine law at log-radius z."""
-    return math.sqrt(spec.lam) * math.exp(z)
+    """k = sqrt(lam) e^z of the affine law at log-radius z; SolverError
+    unless k is a positive normal float and 2k is finite (a subnormal k
+    overflows 1 / k in c', an infinite 2k makes -2k r NaN at r = 0)."""
+    try:
+        k = math.sqrt(spec.lam) * math.exp(z)
+    except (ValueError, OverflowError):  # lam < 0, or e^z past the float range
+        k = math.nan
+    if not (sys.float_info.min <= k and 2.0 * k < math.inf):
+        raise SolverError("the affine nutrient scale k = sqrt(lam) e^z is no positive "
+                          f"normal float with 2k finite at lam={spec.lam}, z={z}")
+    return k
 
 
 def affine_c(spec, z, r):
@@ -105,19 +112,16 @@ def affine_value(spec, z):
     return value
 
 
-def _extrapolate_center(nodes, vals):
-    """Value at r=0 of an even function sampled at the first three interior
-    nodes, via the quartic even model a0 + a2 r^2 + a4 r^4."""
+def _divide_by_r(v, nodes):
+    """v / r at the nodes, for v = r c with c even; the r = 0 value is that
+    of the even quartic a0 + a2 r^2 + a4 r^4 through the first three
+    interior nodes."""
+    c = np.empty_like(v)
+    c[1:] = v[1:] / nodes[1:]
     r1, r2, r3 = nodes[1:4]
-    A = np.array(
-        [
-            [1.0, r1**2, r1**4],
-            [1.0, r2**2, r2**4],
-            [1.0, r3**2, r3**4],
-        ]
-    )
-    coeff = np.linalg.solve(A, vals[1:4])
-    return coeff[0]
+    A = np.array([[1.0, r1**2, r1**4], [1.0, r2**2, r2**4], [1.0, r3**2, r3**4]])
+    c[0] = np.linalg.solve(A, c[1:4])[0]
+    return c
 
 
 def _numerov_matrix(gj, c12):
@@ -190,7 +194,10 @@ def solve_nutrient(spec, z, grid, c_init=None):
 
 def _solve_at(spec, z, grid, c_init=None):
     nodes = grid.nodes
-    e2z = np.exp(2.0 * z)
+    with np.errstate(over="ignore"):
+        e2z = np.exp(2.0 * z)
+    if not np.isfinite(e2z):
+        raise SolverError(f"the nutrient source scale e^(2z) overflows at z={z}")
     if c_init is None:
         c_init = np.ones_like(nodes)
 
@@ -212,9 +219,7 @@ def _solve_at(spec, z, grid, c_init=None):
         return gj
 
     v, rmax, steps = _solve_numerov(source, source_jac, nodes, 0.0, 1.0, c_init * nodes)
-    c = np.empty_like(v)
-    c[1:] = v[1:] / nodes[1:]
-    c[0] = _extrapolate_center(nodes, c)
+    c = _divide_by_r(v, nodes)
     cp = derivative_values(c, grid)
     cp[0] = 0.0  # symmetry boundary condition, exact
     return NutrientSolution(
@@ -241,32 +246,22 @@ def solve_sensitivity(spec, sol):
         cz = nodes * cp - cp[-1] * c
     else:
         cz = _numerov_sensitivity(spec, sol)
-    return sol.with_sensitivity(RadialField(grid, cz))
+    return replace(sol, c_z=RadialField(grid, cz))
 
 
 def _numerov_sensitivity(spec, sol):
     """Node values of c_z from the z-derivative of the nutrient problem.
 
-    The equation is linear in c_z, so a single banded Numerov solve
-    suffices.
+    Numerov on s = r c_z: s'' = e^{2z} (F'(c) s + 2 r F(c)), s(0) = s(1) = 0.
+    The equation is linear in s, so the first Newton step of _solve_numerov
+    from s = 0 is the banded solve, and its residual check then stops.
     """
     nodes = sol.grid.nodes
     e2z = np.exp(2.0 * sol.z)
-    c = sol.c.values
-    rv = eval_rates(spec, np.clip(c, 0.0, 1.0))
-    # Numerov on s = r * c_z: s'' = e^{2z} (F'(c) s + 2 r F(c)),
-    # s(0) = 0, s(1) = 0.
-    m = nodes.size
-    h = nodes[1] - nodes[0]
-    c12 = h * h / 12.0
-    ab = _numerov_matrix(e2z * rv.f_d, c12)  # e^{2z} F'(c), the coefficient of s
-    rhs_part = 2.0 * e2z * nodes * rv.f_val  # s-independent part
-    rhs_part[0] = 0.0
-    rhs = c12 * (rhs_part[2:] + 10.0 * rhs_part[1:-1] + rhs_part[:-2])
-    s = np.zeros(m)
-    s[1:-1] = solve_banded((1, 1), ab, rhs)
-    cz = np.empty(m)
-    cz[1:] = s[1:] / nodes[1:]
-    cz[0] = _extrapolate_center(nodes, cz)
-    cz[-1] = 0.0
-    return cz
+    rv = eval_rates(spec, np.clip(sol.c.values, 0.0, 1.0))
+    coef = e2z * rv.f_d  # e^{2z} F'(c), the coefficient of s
+    fixed = 2.0 * e2z * nodes * rv.f_val  # the s-independent part
+    fixed[0] = 0.0
+    s, _, _ = _solve_numerov(lambda s: coef * s + fixed, lambda s: coef, nodes,
+                             0.0, 0.0, np.zeros_like(nodes))
+    return _divide_by_r(s, nodes)

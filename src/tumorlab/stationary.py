@@ -140,15 +140,18 @@ def integrate_profile(spec, nutrient, dense=False):
 
     Integration goes from r = 1 (series start, p(1)=1) down to R_START with
     state (p, J), J(r) = -int_r^1 [-K_D + K_M p] rho^2 drho and u = J/r^2
-    under the boundary condition u(1)=0.  The returned diagnostics carry the
-    shooting defect: u1_defect = -(J(R_START) - g(0) R_START^3 / 3), which is
-    the u(1) value the forward form would report and vanishes at z_*.
+    under the boundary condition u(1)=0.
 
-    Returns (solution, diagnostics).  When u reaches 0 in the interior (z
-    above z_*) the solution is None and the diagnostics give that radius as
-    u_zero_radius: p' = f r^2 / J blows up there, so the integration stops
-    where J - EXIT_MARGIN r J' turns positive, short of the root of J, and
-    one Newton step r - J / J' finds it.  Raises SolverError if p leaves [0,1].
+    Returns (solution, diagnostics); diagnostics["u1_defect"] is the signed
+    shooting defect, positive for z below z_* and negative above.  A completed
+    integration gives -(J(R_START) - g(0) R_START^3 / 3), the u(1) the forward
+    form would report.  When u reaches 0 in the interior (z above z_*) the
+    solution is None: p' = f r^2 / J blows up there, so the integration stops
+    where J - EXIT_MARGIN r J' turns positive, short of the root r_e of J,
+    which one Newton step r - J / J' finds.  The defect is then -|u'(0)| r_e^3,
+    the leftover J ~ u'(0) r^3 the integration would have carried to the
+    origin; r_e shrinks to 0 as z falls to z_*, so it meets the completed
+    defect there without a jump.  Raises SolverError if p leaves [0,1].
     """
     p_init, J_init, p1_prime = _boundary_series(spec, nutrient)
     rhs = _shooting_rhs(spec, nutrient)
@@ -185,7 +188,6 @@ def integrate_profile(spec, nutrient, dense=False):
     diagnostics = {
         "z": nutrient.z,
         "p0": p0,
-        "u_prime0": u_prime0,
         "frobenius_beta": fp0 / u_prime0 if u_prime0 != 0.0 else np.inf,
         "p1_prime": p1_prime,
     }
@@ -195,8 +197,8 @@ def integrate_profile(spec, nutrient, dense=False):
                 f"p left [0,1] at r={sol.t_events[0][0]:.4f} (z={nutrient.z})"
             )
         r, y = sol.t[-1], sol.y[:, -1]
-        diagnostics["u_zero_radius"] = (float(r - y[1] / rhs(r, y)[1])
-                                        if sol.t_events[1].size else float(r))
+        r_e = float(r - y[1] / rhs(r, y)[1]) if sol.t_events[1].size else float(r)
+        diagnostics["u1_defect"] = -abs(u_prime0) * r_e**3
         return None, diagnostics
     J_end = float(sol.y[1, -1])
     diagnostics["u1_defect"] = -(J_end - g0 * R_START**3 / 3.0)
@@ -204,15 +206,11 @@ def integrate_profile(spec, nutrient, dense=False):
 
 
 def _shoot_residual(spec, z, grid):
-    """Signed shooting defect for the Brent iteration, and the nutrient
-    solution at z if the integration completed (None if it did not).
+    """Signed shooting defect for the Brent iteration (integrate_profile's
+    u1_defect), and the nutrient solution at z if the integration completed
+    (None if it did not).
 
-    Positive for z below the equilibrium, negative above.  When u reaches 0
-    at a radius r_e in the interior, the defect is continued by
-    -|u'(0)| r_e^3, the leftover J ~ u'(0) r^3 the integration would have
-    carried to the origin: r_e shrinks to 0 as z decreases to z_*, so the
-    continuation meets the completed defect there without a jump.  A
-    SolverError (p leaving [0,1], no attracting center root, a nutrient
+    A SolverError (p leaving [0,1], no attracting center root, a nutrient
     solve held above its tolerance by rounding: all on the large-z side)
     leaves no defect and returns its sign, -1.0; a magnitude above any
     defect near z_* keeps Brent from taking that point for its best iterate.
@@ -222,9 +220,7 @@ def _shoot_residual(spec, z, grid):
         sol, diag = integrate_profile(spec, nutrient)
     except SolverError:
         return -1.0, None
-    if sol is None:
-        return -abs(diag["u_prime0"]) * diag["u_zero_radius"] ** 3, None
-    return diag["u1_defect"], nutrient
+    return diag["u1_defect"], None if sol is None else nutrient
 
 
 def solve_stationary(spec, grid):
@@ -287,7 +283,6 @@ def solve_stationary(spec, grid):
     r1, r2, r3 = nodes[1:4]
     A = np.array([[1, r1, r1 * r1], [1, r2, r2 * r2], [1, r3, r3 * r3]])
     p_vals[0] = float(np.linalg.solve(A, p_vals[1:4])[0])
-    J_vals[0] = 0.0
     # u from the quadrature the evolution applies; the discrete equilibrium
     # differs from this pair by the drift of an epsilon = 0 run, norm_x 1.66e-5
     # at 201 nodes and 1.34e-7 at 801 by t = 100.  The ODE's J carries the
@@ -296,7 +291,6 @@ def solve_stationary(spec, grid):
     p_field = RadialField(grid, p_vals)
     u_ode = np.zeros_like(nodes)
     u_ode[1:] = J_vals[1:] / nodes[1:] ** 2
-    u_ode[-1] = 0.0
     vel = radial_velocity(p_field, nutrient, spec)
     report = _consistency_report(spec, p_field, vel, nutrient, diag)
     # ODE-integrated u against the quadrature u, away from the origin where
@@ -361,7 +355,6 @@ def _consistency_report(spec, p_field, vel, nutrient, diag):
         and report["c_monotone"]
         and report["c_in_bounds"]
         and report["u_negative_interior"]
-        and report["u_weight_lower"] > 0
     )
     return report
 

@@ -275,3 +275,22 @@ def test_solver_error_exits_2_and_leaves_a_manifest(tmp_path, monkeypatch,
     assert (out / "manifest.txt").read_text() == (
         config_to_text(cfg) + f'config_hash = "{config_hash(cfg)}"\n'
         + 'status = "solver-error"\n')
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["nutrient", "--z", "710"], ""),  # e^z overflows
+    (["nutrient", "--z", "-800"], ""),  # k = sqrt(lam) e^z underflows to 0
+    (["nutrient", "--z", "-720"], ""),  # k is subnormal: 1 / k overflows in c'
+    (["nutrient", "--z", "709.5"], ""),  # k is finite, 2k is not
+    (["nutrient", "--z", "400"], 'spec.family = "saturating"\n'),  # e^{2z} is inf
+    (["stationary"], "spec.lam = 0.0\n"),
+    (["stationary"], "spec.lam = -1.0\n"),
+    (["simulate"], "grid_size = 101\nz_offset = 1000000.0\nt_end = 1.0\n"),
+], ids=["z710", "z-800", "z-720", "z709.5", "saturating-z400", "lam0", "lam-1", "simulate-z-offset"])
+def test_unrepresentable_nutrient_scale_exits_2(tmp_path, capsys, argv, text):
+    # a nutrient scale outside the floats is a solver error, not a traceback
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(argv + ["--config", str(path)]) == EXIT_SOLVER_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and "Traceback" not in err

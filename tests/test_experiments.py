@@ -112,18 +112,6 @@ def test_emit_report_roundtrip(tmp_path, stationary201):
     assert len(paths) == 3
 
 
-def test_determinism_bit_identical(tmp_path, stationary201):
-    cfg = small_config(t_end=3.0)
-    outs = []
-    for sub in ("a", "b"):
-        rep = run_stability_experiment(cfg, linear_response=False)
-        emit_report(rep, out_dir=tmp_path / sub)
-        outs.append({name: (tmp_path / sub / name).read_bytes()
-                     for name in ("manifest.txt", "trajectory.csv",
-                                  "decay.csv")})
-    assert outs[0] == outs[1]
-
-
 # SHA-256 of the report files of a short 201-node run per solver, recorded
 # with numpy 2.4.6 and scipy 1.17.1 on x86-64 after the merge of the two
 # radial moment quadratures into grid.RadialMoments (the picard files again

@@ -116,6 +116,17 @@ def test_solve_on_the_rounding_floor_raises(grid201):
     assert stationary._shoot_residual(spec, 9.5, grid201) == (-1.0, None)
 
 
+def test_nutrient_scale_just_inside_the_floats(grid201):
+    # just inside the ends of the affine guard (k a normal float, 2k finite)
+    # the profile is finite; a saturating source scale e^{2z} that
+    # underflows to 0 leaves c = 1
+    for z in (-708.3, 709.08):
+        c, cp = affine_profile(KineticsSpec(), z, grid201.nodes)
+        assert np.all(np.isfinite(cp)) and c[-1] == 1.0
+    sat = solve_nutrient(KineticsSpec(family="saturating"), -800.0, grid201)
+    assert np.all(sat.c.values == 1.0)
+
+
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("z", [-1.0, 0.0, 1.0, 2.8159])
 def test_numerov_matches_affine_closed_form(lam, z, grid801):

@@ -1,16 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
 from tumorlab import nutrient, stationary
 from tumorlab.errors import SolverError
-from tumorlab.grid import RadialGrid
+from tumorlab.grid import RadialField, RadialGrid
 from tumorlab.kinetics import (FAMILIES, KineticsSpec, eval_rates,
                                validate_hypotheses)
-from tumorlab.nutrient import affine_profile, affine_value, solve_nutrient
+from tumorlab.nutrient import (affine_profile, affine_value, solve_nutrient,
+                               solve_sensitivity)
 from tumorlab.stationary import (BOUNDARY_OFFSET, R_START, Z_BRACKET,
                                  _shoot_residual, _shooting_rhs, boundary_root,
                                  solve_stationary)
+from tumorlab.velocity import radial_velocity
 
 
 def test_center_root_balances_reaction(default_spec):
@@ -70,6 +74,57 @@ def test_consistency_report_flags(stationary801):
     assert rep["lemma_checks_pass"]
     assert rep["transport_residual"] <= 1e-6
     assert rep["nutrient_residual"] <= 1e-8
+
+
+LEMMA_FLAGS = ("p_monotone", "p_in_unit_interval", "c_monotone", "c_in_bounds",
+               "u_negative_interior")
+
+
+def _set(i, value):
+    def change(values):
+        out = values.copy()
+        out[i] = value
+        return out
+
+    return change
+
+
+def _swap_middle(values):
+    out = values.copy()
+    i = values.size // 2
+    out[[i, i + 1]] = out[[i + 1, i]]
+    return out
+
+
+@pytest.mark.parametrize("name, change, flag", [
+    ("p", None, None),
+    ("p", _set(0, -1e-3), "p_in_unit_interval"),
+    ("p", _swap_middle, "p_monotone"),
+    ("c", _set(0, 0.0), "c_in_bounds"),
+    ("c", _swap_middle, "c_monotone"),
+    ("u", _set(100, 1e-9), "u_negative_interior"),
+])
+def test_each_lemma_check_can_fail(default_spec, stationary201, name, change, flag):
+    # the consistency report's inputs at the 201-node default state, with
+    # one of p, c and u perturbed so that exactly its lemma flag flips
+    sol, rep = stationary201, stationary201.residual_report
+    grid = sol.grid
+    nut = solve_sensitivity(default_spec, solve_nutrient(default_spec, sol.z_star, grid))
+    vel = radial_velocity(sol.p_star, nut, default_spec)
+    values = {"p": sol.p_star.values, "c": nut.c.values, "u": vel.u.values}
+    if change is not None:
+        values[name] = change(values[name])
+    diag = {"z": sol.z_star, "p0": sol.p0,
+            **{key: rep[key] for key in ("u1_defect", "frobenius_beta", "p1_prime")}}
+    report = stationary._consistency_report(
+        default_spec, RadialField(grid, values["p"]),
+        replace(vel, u=RadialField(grid, values["u"])),
+        replace(nut, c=RadialField(grid, values["c"])), diag)
+    assert {key: report[key] for key in LEMMA_FLAGS} == {
+        key: key != flag for key in LEMMA_FLAGS}
+    assert report["lemma_checks_pass"] is (flag is None)
+    if flag is None:  # the inputs are the solve's own
+        assert report.items() <= rep.items()
 
 
 def test_singular_exponent_near_origin(stationary801):
