@@ -20,7 +20,7 @@ positions, built in closed form (no SVD; r^-3 only on demand), or for
 stacked rows of positions in one call, each row with the bits of its own
 build; radial_average is a thin function over it (moment_average turns
 any row of moments into u = r^-2 M), and each linearized stage
-folds g_p into a copy of them (linearized._FoldedStage).  The kernel is
+folds g_p into its own (linearized._FoldedStage).  The kernel is
 batch-invariant: a row has the same moments alone as in any batch.
 """
 
@@ -218,9 +218,9 @@ def _simpson_weights(x):
     return weights, np.stack(_interval_weights(h[..., -1], h[..., -2])[::-1], axis=-1)
 
 
-def pair_moments(v, weights, last, start, out, pair, tmp):
-    """The cumulative moments of the rows of v (last axis, node order) into
-    out, with pair and tmp (..., 2, m) scratch; returns out.
+def pair_moments(v, weights, last, start):
+    """A new array of the cumulative moments of the rows of v (last axis,
+    node order).
 
     weights[..., j, 0, m] weighs node 2m+j in the Simpson total of pair m
     (intervals 2m and 2m+1), weights[..., j, 1, m] in its first interval;
@@ -235,9 +235,11 @@ def pair_moments(v, weights, last, start, out, pair, tmp):
     """
     k = start.shape[-1]
     n2 = 2 * weights.shape[-1]
-    np.multiply(v[..., None, 0:n2:2], weights[..., 0, :, :], out=pair)
-    pair += np.multiply(v[..., None, 1:n2:2], weights[..., 1, :, :], out=tmp)
+    pair = v[..., None, 0:n2:2] * weights[..., 0, :, :]
+    tmp = v[..., None, 1:n2:2] * weights[..., 1, :, :]
+    pair += tmp
     pair += np.multiply(v[..., None, 2:n2 + 1:2], weights[..., 2, :, :], out=tmp)
+    out = np.empty_like(v)
     out[..., :k] = np.einsum("...j,...ij->...i", v[..., :k], start)
     if out.shape[-1] > k:  # then k = 5, and the sums continue from x_4
         pair[..., 0, 1] = out[..., 4]
@@ -296,10 +298,7 @@ class RadialMoments:
 
     def cumulative(self, v):
         """M at every position, a new array shaped like v."""
-        v = np.asarray(v, dtype=float)
-        pair = np.empty(v.shape[:-1] + self.weights.shape[-2:])
-        return pair_moments(v, self.weights, self.last, self.start,
-                            np.empty_like(v), pair, np.empty_like(pair))
+        return pair_moments(np.asarray(v, dtype=float), self.weights, self.last, self.start)
 
     def full_and_third(self, v):
         """(M(1), r^-3 M) from one pass, r^-3 M with its origin limit v(0)/3."""

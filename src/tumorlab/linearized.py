@@ -11,7 +11,7 @@ operator and F / kappa drive the log-radius.  This module assembles those
 coefficients from a stationary solution, integrates the linear system along
 the frozen stationary characteristics (transport.AdamsBashforth: four-step
 Adams-Bashforth after three Runge-Kutta steps that restart each regrid
-cycle, every rate one folded operator over grid.pair_moments; with every
+cycle, every rate one folded grid.RadialMoments operator; with every
 coefficient zero it is pure_transport), fits exponential decay rates to
 norm series, and implements the explicit resolvent of the scalar transport
 operator q -> -w q' + a q in the travel-time coordinate of w, together
@@ -26,8 +26,8 @@ from scipy.integrate import cumulative_simpson, simpson
 from scipy.interpolate import PchipInterpolator  # noqa: F401 (bench/spans.py patches it)
 from scipy.linalg import solve_banded
 
-from .grid import (RadialField, RadialMoments, derivative_values,
-                   pair_moments, radial_average, require_same_grid)
+from .grid import (RadialField, RadialMoments, derivative_values, radial_average,
+                   require_same_grid)
 from .kinetics import eval_rates
 from .simmaps import _random_smooth, build_fstar
 from .transport import (RECORD_EVERY, AdamsBashforth, _check_dt, deviation, frozen_path,
@@ -115,23 +115,24 @@ def apply_F(ops, q):
 class _FoldedStage:
     """One stage of the cycle as one operator, shared across steps and runs.
 
-    M(g_p phi) takes the stage's grid.RadialMoments with g_p folded into its
-    pair totals, first-interval weights, odd last interval and cubic start,
-    through grid.pair_moments.  Then dphi = a phi + rp M(1) + b zeta
+    M(g_p phi) is moments.cumulative(phi), the stage's grid.RadialMoments
+    with g_p folded into its pair totals, first-interval weights, odd last
+    interval and cubic start.  Then dphi = a phi + rp M(1) + b zeta
     - rp r^-3 M: apply_B and apply_F in one pass.
     """
 
     def __init__(self, x, coef):
         a, b, gp, rp = (f(x) for f in coef)
-        radial = RadialMoments(x)
+        self.moments = radial = RadialMoments(x)
         n2 = 2 * radial.weights.shape[-1]
-        self.weights = radial.weights * np.array([gp[j:n2 + j:2] for j in range(3)])[:, None]
-        self.last = None if radial.last is None else radial.last * gp[-3:]
-        self.start = radial.start * gp[:radial.k]
+        radial.weights *= np.array([gp[j:n2 + j:2] for j in range(3)])[:, None]
+        radial.last = None if radial.last is None else radial.last * gp[-3:]
+        radial.start *= gp[:radial.k]
         rp[0] = 0.0  # B vanishes at the origin
         self.a = a
         self.rp_b = np.array((rp, b))
         self.rp_inv_x3 = rp * radial.inv_x3
+        del radial.inv_x3  # the stage keeps rp r^-3 alone
 
 
 class LinearPropagator:
@@ -167,31 +168,19 @@ class LinearPropagator:
                 break
         self.cycle_len = len(self.steps)
 
-    def _workspace(self, rows):
-        """One records call's buffers: the moments, pair integrals, their
-        scratch and (M(1), zeta), shared by the stages, and one dphi for
-        each of an RK4 step's last three stages, stacked (a step's first
-        stage writes into the Adams-Bashforth history)."""
-        n = self.nodes.size
-        m = (n - 1) // 2
-        shared = (np.empty((rows, n)), np.empty((rows, 2, m)),
-                  np.empty((rows, 2, m)), np.empty((rows, 2)))
-        return shared, np.empty((3, rows, n))
-
-    def _stage_rate(self, st, phi, zeta):
-        """(dphi, dzeta) of a state; st pairs a _FoldedStage with the
-        shared buffers of _workspace plus one dphi buffer.  Its matmul for
+    def _stage_rate(self, op, phi, zeta):
+        """(dphi, dzeta) of a state at the _FoldedStage op.  Its matmul for
         rp M(1) + b zeta is the one product whose bits depend on the batch;
         explicit products cost 30 us against its 5 us (10 rows of 801 nodes,
         one x86-64 thread)."""
-        op, (moment, pair, tmp, fz, dphi) = st
-        pair_moments(phi, op.weights, op.last, op.start, moment, pair, tmp)
+        moment = op.moments.cumulative(phi)
+        fz = np.empty((phi.shape[0], 2))
         fz[:, 0] = moment[:, -1]
         fz[:, 1] = zeta
-        np.matmul(fz, op.rp_b, out=dphi)
+        dphi = fz @ op.rp_b
         moment *= op.rp_inv_x3
         dphi -= moment
-        dphi += np.multiply(op.a, phi, out=moment)
+        dphi += op.a * phi
         return dphi, fz[:, 0] + self.ops.kappa * zeta
 
     def record_times(self, t_end, output_every=RECORD_EVERY):
@@ -210,18 +199,12 @@ class LinearPropagator:
         phi = np.atleast_2d(np.asarray(phi0, dtype=float))
         zeta = np.atleast_1d(np.asarray(zeta0, dtype=float)).copy()
         yield 0, self.nodes, phi.copy(), zeta
-        shared, dphi = self._workspace(phi.shape[0])
         multistep = AdamsBashforth((phi, zeta))
         j = 1
-
-        def rates(i, y):
-            # a first stage writes into the history slot that keeps it
-            out = multistep.slot()[0] if i == 0 else dphi[i - 1]
-            return self._stage_rate((stages[i], shared + (out,)), *y)
-
         for k in range(1, n_steps + 1):
             stages, end_pos = self.steps[(k - 1) % self.cycle_len]
-            phi, zeta = multistep.step(rates, (phi, zeta), self.dt)
+            phi, zeta = multistep.step(lambda i, y: self._stage_rate(stages[i], *y),
+                                       (phi, zeta), self.dt)
             if k % self.cycle_len == 0:
                 # the next cycle starts its history afresh
                 phi = regrid(end_pos, phi, self.nodes)

@@ -152,14 +152,15 @@ def _solve_numerov(source, source_jac, nodes, v_left, v_right, v_init):
 
     def scheme_residual(v):
         g = source(v)
-        res = (v[2:] - 2 * v[1:-1] + v[:-2]) - c12 * (g[2:] + 10 * g[1:-1] + g[:-2])
+        with np.errstate(over="ignore", invalid="ignore"):  # the stencil sum may overflow
+            res = (v[2:] - 2 * v[1:-1] + v[:-2]) - c12 * (g[2:] + 10 * g[1:-1] + g[:-2])
         return res, np.max(np.abs(res)) / (h * h)
 
     res, rmax = scheme_residual(v)
     for steps in range(MAX_NEWTON_ITERS + 1):
         if rmax <= tol:
             return v, rmax, steps
-        if steps == MAX_NEWTON_ITERS:
+        if steps == MAX_NEWTON_ITERS or not np.isfinite(rmax):  # no Newton step from inf or NaN
             break
         delta = solve_banded((1, 1), _numerov_matrix(source_jac(v), c12), -res)
         # damping: halve the step until the residual falls; a step that no

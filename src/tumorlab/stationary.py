@@ -206,9 +206,9 @@ def integrate_profile(spec, nutrient, dense=False):
 
 
 def _shoot_residual(spec, z, grid):
-    """Signed shooting defect for the Brent iteration (integrate_profile's
-    u1_defect), and the nutrient solution at z if the integration completed
-    (None if it did not).
+    """(defect, nutrient, error) for the Brent iteration: integrate_profile's
+    signed u1_defect, the nutrient solution at z if the integration
+    completed, and the SolverError that left no defect (both else None).
 
     A SolverError (p leaving [0,1], no attracting center root, a nutrient
     solve held above its tolerance by rounding: all on the large-z side)
@@ -218,9 +218,9 @@ def _shoot_residual(spec, z, grid):
     try:
         nutrient = solve_nutrient(spec, z, grid)
         sol, diag = integrate_profile(spec, nutrient)
-    except SolverError:
-        return -1.0, None
-    return diag["u1_defect"], None if sol is None else nutrient
+    except SolverError as err:
+        return -1.0, None, err
+    return diag["u1_defect"], None if sol is None else nutrient, None
 
 
 def solve_stationary(spec, grid):
@@ -228,9 +228,10 @@ def solve_stationary(spec, grid):
 
     Brent starts on the ends of Z_BRACKET (the defect is positive below z_* and
     negative above; the upper end grows by 1 up to Z_MAX while both are
-    positive, then SolverError if both keep one sign) and evaluates no z
-    twice.  It ends on a z whose integration completed: if its best z is an
-    early exit, the completed evaluation with the smallest |defect| is taken
+    positive, then SolverError if both keep one sign, chained to the first
+    evaluation's error if none gave a defect) and evaluates no z twice.  It
+    ends on a z whose integration completed: if its best z is an early exit,
+    the completed evaluation with the smallest |defect| is taken
     instead, so the final dense integration cannot fail; it reuses that
     evaluation's nutrient solution.  A |defect| there above DEFECT_TOL is a
     jump (to a raising evaluation's -1.0): SolverError.  The residual report
@@ -250,6 +251,9 @@ def solve_stationary(spec, grid):
         z_hi += 1.0
         f_hi = residual(z_hi)
     if np.sign(f_lo) * np.sign(f_hi) > 0:
+        first = evals[z_lo][2]
+        if all(err is not None for _, _, err in evals.values()):
+            raise SolverError(f"no shooting evaluation gave a defect: {first}") from first
         raise SolverError("no sign change of the shooting defect on bracket: "
                           f"u1({z_lo:.2f})={f_lo:.3e}, u1({z_hi:.2f})={f_hi:.3e}")
     # at SHOOT_RTOL the defect scatters about a line of slope -0.1 by about
@@ -258,9 +262,9 @@ def solve_stationary(spec, grid):
     # for both laws and below the assembled state's own error
     z_star = brentq(residual, z_lo, z_hi, xtol=SHOOT_XTOL, rtol=8.9e-16)
     if evals[z_star][1] is None:
-        z_star = min((z for z, (_, nut) in evals.items() if nut is not None),
+        z_star = min((z for z, (_, nut, _) in evals.items() if nut is not None),
                      key=lambda z: abs(evals[z][0]))
-    defect, nutrient = evals[z_star]
+    defect, nutrient, _ = evals[z_star]
     if abs(defect) > DEFECT_TOL:
         raise SolverError(f"the shooting defect jumps at z={z_star:.6f}: it is "
                           f"{defect:.3e} there, above {DEFECT_TOL:.0e}")
@@ -300,7 +304,7 @@ def solve_stationary(spec, grid):
         np.max(np.abs(u_ode[off_origin] - vel.u.values[off_origin]))
     )
     report["shoot_integrations"] = len(evals) + 1
-    report["shoot_fallbacks"] = sum(nut is None for _, nut in evals.values())
+    report["shoot_fallbacks"] = sum(nut is None for _, nut, _ in evals.values())
     return StationarySolution(
         z_star=z_star,
         c_star=nutrient.c,

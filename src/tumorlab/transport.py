@@ -168,13 +168,12 @@ def _stage_rates(spec, cache, positions, values, z):
     return frame_velocity(u, positions), rv.f(values), u[-1]
 
 
-def _source_rates(spec, cache, positions, moments, values, z, work):
+def _source_rates(spec, cache, positions, moments, values, z):
     """f and the moment M of g (u = r^-2 M, so M(1) = u(1)) of the state
     (values, z) at stage positions whose moment operator is moments, a
-    (weights, last, start) row of a RadialMoments; work holds
-    pair_moments' out, pair and tmp buffers, and M is the first of them."""
+    (weights, last, start) row of a RadialMoments."""
     rv = _stage_kinetics(spec, cache, positions, z)
-    return rv.f(values), pair_moments(rv.g(values), *moments, *work)
+    return rv.f(values), pair_moments(rv.g(values), *moments)
 
 
 def rk4(rates, y, dt):
@@ -199,30 +198,23 @@ class AdamsBashforth:
 
     f_k the rates at the start of step k: one evaluation per step where rk4
     takes four.  The four-slot history, sized once from the tuple like,
-    keeps each step's first-stage rates; it starts empty and restart()
-    empties it again (at a regrid); the first STARTUP_STEPS steps after
-    either are rk4 steps, whose first stage fills it (filled counts them).
-    step has rk4's signature and, like it, leaves y unchanged.
+    keeps a copy of each step's first-stage rates; it starts empty and
+    restart() empties it again (at a regrid); the first STARTUP_STEPS steps
+    after either are rk4 steps, whose first stage fills it (filled counts
+    them).  step has rk4's signature and, like it, leaves y unchanged.
     """
 
     def __init__(self, like):
-        self.history = tuple(np.empty((4,) + np.shape(a)) for a in like)
-        # each entry's history as (4, size) rows, with the entry's shape
-        self._rows = [(h.reshape(4, -1), np.shape(a)) for h, a in zip(self.history, like)]
+        # each entry's four slots as (4, size) rows, with the entry's shape
+        self.history = [(np.empty((4, np.size(a))), np.shape(a)) for a in like]
         self.n = self.filled = 0
 
     def restart(self):
         self.filled = 0
 
-    def slot(self):
-        """The history buffers, one per entry of the state tuple, that keep
-        the current step's first-stage rates: within step, rates(0, y) may
-        write its rates into them in place of new arrays."""
-        return tuple(h[self.n % 4, ...] for h in self.history)
-
     def _keep(self, f):
-        for h, a in zip(self.slot(), f):
-            h[...] = a
+        for (h, _), a in zip(self.history, f):
+            h[self.n % 4] = np.ravel(a)
         return f
 
     def step(self, rates, y, dt):
@@ -232,7 +224,7 @@ class AdamsBashforth:
             return rk4(lambda i, y: self._keep(rates(i, y)) if i == 0 else rates(i, y), y, dt)
         self._keep(rates(0, y))
         w = _ab4_weights(dt)[self.n % 4]
-        return tuple(a + (w @ h).reshape(shape) for a, (h, shape) in zip(y, self._rows))
+        return tuple(a + (w @ h).reshape(shape) for a, (h, shape) in zip(y, self.history))
 
 
 @functools.lru_cache(maxsize=8)
@@ -435,11 +427,9 @@ def _picard_sweep(spec, cache, nodes, h_ref, x, w, values, z, dt):
     gives the end state's w.
     """
     n_steps = len(x) - 1
-    n = nodes.size
-    new_p = np.empty((n_steps + 1, n))
+    new_p = np.empty((n_steps + 1, nodes.size))
     new_z = np.empty(n_steps + 1)
     new_p[0], new_z[0] = values, z
-    work = (np.empty(n), *np.empty((2, 2, (n - 1) // 2)))
     positions = nodes
     moves, sources = AdamsBashforth((nodes,)), AdamsBashforth((values, z))
     k = 0
@@ -463,7 +453,7 @@ def _picard_sweep(spec, cache, nodes, h_ref, x, w, values, z, dt):
         def rates(i, y):
             r = next(rows)
             op = (weights[r], None if last is None else last[r], start[r])
-            f, moment = _source_rates(spec, cache, stage_x[r], op, *y, work)
+            f, moment = _source_rates(spec, cache, stage_x[r], op, *y)
             if i == 0:  # a step's start: its row of the new path (u(1) = M(1) as x = 1)
                 s = next(step_rows)
                 x[s] = stage_x[r]

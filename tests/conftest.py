@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 # one BLAS thread, as bench/run.py sets it, so tier-1 checks its digests in
@@ -48,3 +49,17 @@ def operators801(stationary801, default_spec):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+def _digest(*arrays):
+    """SHA-256 of the arrays' float64 bytes, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="session")
+def digest():
+    """The one digest of the recorded-output tables."""
+    return _digest

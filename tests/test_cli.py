@@ -277,20 +277,27 @@ def test_solver_error_exits_2_and_leaves_a_manifest(tmp_path, monkeypatch,
         + 'status = "solver-error"\n')
 
 
-@pytest.mark.parametrize("argv, text", [
-    (["nutrient", "--z", "710"], ""),  # e^z overflows
-    (["nutrient", "--z", "-800"], ""),  # k = sqrt(lam) e^z underflows to 0
-    (["nutrient", "--z", "-720"], ""),  # k is subnormal: 1 / k overflows in c'
-    (["nutrient", "--z", "709.5"], ""),  # k is finite, 2k is not
-    (["nutrient", "--z", "400"], 'spec.family = "saturating"\n'),  # e^{2z} is inf
-    (["stationary"], "spec.lam = 0.0\n"),
-    (["stationary"], "spec.lam = -1.0\n"),
-    (["simulate"], "grid_size = 101\nz_offset = 1000000.0\nt_end = 1.0\n"),
-], ids=["z710", "z-800", "z-720", "z709.5", "saturating-z400", "lam0", "lam-1", "simulate-z-offset"])
-def test_unrepresentable_nutrient_scale_exits_2(tmp_path, capsys, argv, text):
-    # a nutrient scale outside the floats is a solver error, not a traceback
+@pytest.mark.parametrize("argv, text, says", [
+    (["nutrient", "--z", "710"], "", "nutrient scale"),  # e^z overflows
+    (["nutrient", "--z", "-800"], "", "nutrient scale"),  # k = sqrt(lam) e^z underflows to 0
+    (["nutrient", "--z", "-720"], "", "nutrient scale"),  # k is subnormal: 1 / k overflows in c'
+    (["nutrient", "--z", "709.5"], "", "nutrient scale"),  # k is finite, 2k is not
+    # e^{2z} is inf
+    (["nutrient", "--z", "400"], 'spec.family = "saturating"\n', "nutrient source scale"),
+    # e^{2z} is finite, the Numerov stencil sum of the source is not
+    (["nutrient", "--z", "354"], 'spec.family = "saturating"\n', "stalled at residual inf"),
+    # every shooting evaluation fails, so the first one's error says why
+    (["stationary"], "spec.lam = 0.0\n", "nutrient scale"),
+    (["stationary"], "spec.lam = -1.0\n", "nutrient scale"),
+    (["simulate"], "grid_size = 101\nz_offset = 1000000.0\nt_end = 1.0\n", "nutrient scale"),
+], ids=["z710", "z-800", "z-720", "z709.5", "saturating-z400", "saturating-z354", "lam0",
+        "lam-1", "simulate-z-offset"])
+def test_unrepresentable_nutrient_scale_exits_2(tmp_path, capsys, argv, text, says):
+    # a nutrient scale outside the floats is a solver error that names it,
+    # not a traceback
     path = tmp_path / "run.cfg"
     path.write_text(text)
     assert main(argv + ["--config", str(path)]) == EXIT_SOLVER_ERROR
     err = capsys.readouterr().err
     assert err.startswith("solver error:") and "Traceback" not in err
+    assert says in err

@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 
 from tumorlab.kinetics import KineticsSpec
@@ -7,13 +5,6 @@ from tumorlab.linearized import (build_operators, laplace_consistency,
                                  random_smooth_field, resolvent_apply)
 from tumorlab.simmaps import build_fstar
 from tumorlab.stationary import solve_stationary
-
-
-def _digest(*arrays):
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
-    return h.hexdigest()
 
 
 def _solver_outputs(spec, grid, sol):
@@ -42,16 +33,11 @@ def _solver_outputs(spec, grid, sol):
 
 
 # SHA-256 of each output's arrays (float64 bytes), recorded with numpy 2.4.6
-# and scipy 1.17.1 on x86-64, again when the cubic start of
-# grid.RadialMoments came to be built in closed form, again when its
-# cumulative moment came to sum Simpson pair totals (grid.pair_moments), and
-# again when pair_moments came to take its cubic start and odd last interval
-# as einsum sums, not matmuls; "stationary_saturating" again when the
-# nutrient Newton Jacobian came to be zero where the clipped source is flat;
-# all of them when the shooting integration came to run at rtol 1e-10, and
-# all but "stationary_saturating" when Brent came to stop at xtol 1e-11 for
-# the affine law too; all of them when an early exit of the shooting came to
-# stop short of J's root and find it by one Newton step.
+# and scipy 1.17.1 on x86-64.
+# A refactoring leaves every digest as it is.  A change that moves numbers
+# on purpose re-records the digests that move and lists old -> new in
+# CHANGES.md, which keeps their history; another numpy or scipy build may
+# round differently and move them too.
 SOLVER_DIGESTS = {
     "stationary_saturating":
         "00478a70e7be02d4348cd5b6d586d70e1b12f85aba3c7e42627c6ba8f66e6277",
@@ -64,11 +50,11 @@ SOLVER_DIGESTS = {
 }
 
 
-def test_solver_outputs_bit_identical(default_spec, grid201, stationary201):
+def test_solver_outputs_bit_identical(default_spec, grid201, stationary201, digest):
     """The saturating stationary solve, the travel-time table and the
     resolvent with its Laplace check reproduce their recorded bytes.  A
     refactoring must leave every digest as it is; a deliberate numerical
     change re-records them and says so in CHANGES.md."""
     outputs = _solver_outputs(default_spec, grid201, stationary201)
-    got = {name: _digest(*arrays) for name, arrays in outputs.items()}
+    got = {name: digest(*arrays) for name, arrays in outputs.items()}
     assert got == SOLVER_DIGESTS

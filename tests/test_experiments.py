@@ -113,22 +113,12 @@ def test_emit_report_roundtrip(tmp_path, stationary201):
 
 
 # SHA-256 of the report files of a short 201-node run per solver, recorded
-# with numpy 2.4.6 and scipy 1.17.1 on x86-64 after the merge of the two
-# radial moment quadratures into grid.RadialMoments (the picard files again
-# when Picard came to freeze the previous iterate's velocity on the nodes,
-# both manifests when the q = 1 - p copies of the p checks went, and again
-# when the closed-form cubic start moved stationary.u_weight_lower, and the
-# manifests and trajectories when grid.RadialMoments came to sum Simpson
-# pair totals, and every file when simulate and picard_solve came to step
-# by transport.AdamsBashforth, and the picard files when Picard came to
-# freeze the velocity at the particles' step-start positions, and every
-# file when the shooting integration came to run at rtol 1e-10, and again
-# when Brent came to stop at xtol 1e-11 for the affine law too, and both
-# manifests when the by-construction stationary.p_boundary_value went, and
-# every file when the shooting's early exits came to stop short of J's
-# root); the
-# manifest also holds the package
-# versions, so a version change moves its digest.
+# with numpy 2.4.6 and scipy 1.17.1 on x86-64; the manifest also holds the
+# package versions, so a version change moves its digest.
+# A refactoring leaves every digest as it is.  A change that moves numbers
+# on purpose re-records the digests that move and lists old -> new in
+# CHANGES.md, which keeps their history; another numpy or scipy build may
+# round differently and move them too.
 REPORT_DIGESTS = {
     "direct": {
         "manifest.txt":

@@ -111,14 +111,14 @@ def test_stage_moments_match_simpson(operators201, default_spec, monkeypatch):
                 b_op = rp * (full[:, None] - third)
                 b_op[:, 0] = 0.0
                 want = a * phi + b_op + b * zeta[:, None]
-                shared, buffers = prop._workspace(rows)
-                dphi, dzeta = prop._stage_rate((st, shared + (buffers[0],)), phi, zeta)
+                dphi, dzeta = prop._stage_rate(st, phi, zeta)
                 assert np.max(np.abs(dphi - want)) <= 1e-13 * np.max(np.abs(want))
                 # M(1) and kappa zeta may cancel: the bound is on their size
                 scale = np.max(np.abs(full) + abs(ops.kappa) * np.abs(zeta))
                 assert np.max(np.abs(dzeta - (full + ops.kappa * zeta))) <= 1e-13 * scale
-            folded_bytes += sum(arr.nbytes for arr in vars(st).values()
-                                if isinstance(arr, np.ndarray))
+            # the stage's arrays and those of the moment operator it keeps
+            arrays = [*vars(st).values(), *vars(st.moments).values()]
+            folded_bytes += sum(arr.nbytes for arr in arrays if isinstance(arr, np.ndarray))
             unfolded_bytes += 5 * x.nbytes + radial.weights.nbytes
         assert folded_bytes < unfolded_bytes
 

@@ -113,7 +113,8 @@ def test_solve_on_the_rounding_floor_raises(grid201):
         solve_nutrient(spec, 9.5, grid201)
     assert err.value.residual > nutrient.RESIDUAL_TOL
     assert f"stalled at residual {err.value.residual:.3e}" in str(err.value)
-    assert stationary._shoot_residual(spec, 9.5, grid201) == (-1.0, None)
+    defect, done, error = stationary._shoot_residual(spec, 9.5, grid201)
+    assert (defect, done) == (-1.0, None) and isinstance(error, SolverError)
 
 
 def test_nutrient_scale_just_inside_the_floats(grid201):
@@ -125,6 +126,14 @@ def test_nutrient_scale_just_inside_the_floats(grid201):
         assert np.all(np.isfinite(cp)) and c[-1] == 1.0
     sat = solve_nutrient(KineticsSpec(family="saturating"), -800.0, grid201)
     assert np.all(sat.c.values == 1.0)
+
+
+def test_overflowing_numerov_residual_raises(grid201):
+    # at z = 354 the saturating source scale e^{2z} (about 3e307) is finite
+    # but the Numerov stencil sum of the source is not: a SolverError,
+    # raised without a warning (tier-1 turns warnings into errors)
+    with pytest.raises(SolverError, match="stalled at residual inf"):
+        solve_nutrient(KineticsSpec(family="saturating"), 354.0, grid201)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])

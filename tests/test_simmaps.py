@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import hashlib
 import time
 from functools import partial
 
@@ -330,22 +329,13 @@ def test_bounds_failure_raises(logistic_table):
         check_map_bounds(make_maps, plan)
 
 
-def _digest(*arrays):
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
-    return h.hexdigest()
-
-
 # SHA-256 of every map's output on the logistic table (endpoints included)
 # and of the small-plan bound constants, recorded with numpy 2.4.6 and
-# scipy 1.17.1 on x86-64; every entry but phi_star and psi_star was
-# recorded again when the flow came to read the relative gap that the
-# velocity family carries (w.gap) in place of w / u_* - 1, and again when
-# all flows came to run in normalised time through one batched solve that
-# carries their log-derivatives (dT_dr from those, in place of a Simpson
-# quadrature along a sampled path); bound_constants also when
-# grid.RadialMoments came to sum Simpson pair totals.
+# scipy 1.17.1 on x86-64.
+# A refactoring leaves every digest as it is.  A change that moves numbers
+# on purpose re-records the digests that move and lists old -> new in
+# CHANGES.md, which keeps their history; another numpy or scipy build may
+# round differently and move them too.
 MAP_DIGESTS = {
     "phi_star":
         "1f3bf6c0da1ec7ba2580f8b48ae6fa67bf7db5a343a1acfb90f4cead4acfde1c",
@@ -369,7 +359,7 @@ MAP_DIGESTS = {
 
 
 def test_map_outputs_bit_identical(logistic_table, perturbed_maps,
-                                   small_plan_report):
+                                   small_plan_report, digest):
     """Every flow map and the bound constants reproduce their recorded bytes.
 
     A refactoring must leave every digest as it is; a deliberate numerical
@@ -390,9 +380,9 @@ def test_map_outputs_bit_identical(logistic_table, perturbed_maps,
         "map_S": map_S(maps, r, t, s),
         "dT_dr": dT_dr(maps, r, t, s),
     }
-    got = {name: _digest(out) for name, out in outputs.items()}
-    got["bound_constants"] = _digest(*(list(e.constants.items())
-                                       for e in small_plan_report.entries))
+    got = {name: digest(out) for name, out in outputs.items()}
+    got["bound_constants"] = digest(*(list(e.constants.items())
+                                      for e in small_plan_report.entries))
     assert got == MAP_DIGESTS
 
 

@@ -210,10 +210,10 @@ def test_shooting_defect_is_continuous_at_z_star(default_spec, grid201,
                                                  stationary201):
     # below z_* the integration completes, above it u reaches 0 early and
     # the defect is continued by -|u'(0)| r_e^3: no jump across z_*
-    below, done_below = _shoot_residual(default_spec, stationary201.z_star - 1e-3,
-                                        grid201)
-    above, done_above = _shoot_residual(default_spec, stationary201.z_star + 1e-3,
-                                        grid201)
+    below, done_below, _ = _shoot_residual(default_spec, stationary201.z_star - 1e-3,
+                                           grid201)
+    above, done_above, _ = _shoot_residual(default_spec, stationary201.z_star + 1e-3,
+                                           grid201)
     assert done_below and not done_above
     assert below > 0 > above
     assert max(below, -above) <= 1.5 * min(below, -above)

@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import tracemalloc
 from dataclasses import replace
@@ -433,10 +432,10 @@ def test_stage_reads_no_rate_derivative(monkeypatch, family):
     nodes = ref.grid.nodes
     source_rates, starts = transport._source_rates, []
 
-    def recorded(spec, cache, x, op, values, z, work):
+    def recorded(spec, cache, x, op, values, z):
         # _stage_rates first, so that both read one nutrient solve
         starts.append((x.copy(), transport._stage_rates(spec, cache, x, values, z)[0]))
-        return source_rates(spec, cache, x, op, values, z, work)
+        return source_rates(spec, cache, x, op, values, z)
 
     n_steps, startup = 6, transport.STARTUP_STEPS
     x_rows = np.tile(nodes, (n_steps + 1, 1))
@@ -464,9 +463,8 @@ def test_stage_reads_no_rate_derivative(monkeypatch, family):
     assert w.shape == f.shape == x.shape and np.isfinite(u1)
     # Picard's stage, on the same positions' moment operator
     op = RadialMoments(x)
-    work = (np.empty(201), np.empty((2, 100)), np.empty((2, 100)))
     f_picard, moment = transport._source_rates(
-        spec, cache, x, (op.weights, op.last, op.start), p, ref.z_star, work)
+        spec, cache, x, (op.weights, op.last, op.start), p, ref.z_star)
     assert np.array_equal(f_picard, f) and moment[-1] == u1
 
 
@@ -559,13 +557,6 @@ def test_picard_divergence_raises(monkeypatch, stationary201, default_spec):
     assert 0.1 < distances[0] < distances[1] < distances[2]
 
 
-def _digest(*arrays):
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
-    return h.hexdigest()
-
-
 def _trajectory_arrays(traj):
     return [traj.times, traj.norm_x, traj.norm_x0, traj.mass_residual,
             [s.z for s in traj.states]] + [s.p.values for s in traj.states]
@@ -607,32 +598,11 @@ def _integrator_outputs(sol, spec):
 
 
 # SHA-256 of each integrator's output arrays (float64 bytes), recorded with
-# numpy 2.4.6 and scipy 1.17.1 on x86-64 after the merge of the two radial
-# moment quadratures into grid.RadialMoments, which moved u_* and the
-# linearized stage moments; picard_solve's was recorded again when Picard
-# came to freeze the previous iterate's velocity on the nodes, and simulate,
-# picard_solve and solve_linearized when the cubic start of RadialMoments
-# came to be built in closed form, and solve_linearized and decay_ensemble
-# when each linear-propagator stage was folded into one operator on the
-# even/odd node layout (summation order only); solve_linearized when that
-# stage went back to node order on grid.pair_moments, and all but step when
-# RadialMoments came to sum Simpson pair totals there too (summation order
-# only); solve_linearized and decay_ensemble when the linear propagator
-# came to step by four-step Adams-Bashforth after an RK4 start-up.  None
-# moved when Picard, pure_transport and the linear propagator came to move
-# their particles through one frozen-velocity path (transport.frozen_path),
-# and pure_transport to replay its first regrid cycle, nor when the linear
-# propagator came to step through transport.AdamsBashforth; simulate and
-# picard_solve moved when they came to step by it too, and picard_solve
-# again when it came to freeze the velocity at the particles' step-start
-# positions, from the moment of each step's first stage.  pure_transport's
-# held when it came to run as the linear propagator with zero coefficients.
-# All six moved when the stationary shooting came to integrate at rtol 1e-10,
-# again when its Brent came to stop at xtol 1e-11 for the affine law, and
-# again when its early exits came to stop short of J's root.
-# pure_transport, solve_linearized and decay_ensemble moved when the linear
-# propagator's particles came to step by the kernel's schedule, Adams-
-# Bashforth after the start-up, in place of RK4 through the whole cycle.
+# numpy 2.4.6 and scipy 1.17.1 on x86-64.
+# A refactoring leaves every digest as it is.  A change that moves numbers
+# on purpose re-records the digests that move and lists old -> new in
+# CHANGES.md, which keeps their history; another numpy or scipy build may
+# round differently and move them too.
 INTEGRATOR_DIGESTS = {
     "step":
         "85bc48cf574b24748f76d7e1592531e103008a50ee2035920f0aa567e7cbe2e9",
@@ -649,7 +619,7 @@ INTEGRATOR_DIGESTS = {
 }
 
 
-def test_integrators_bit_identical(stationary201, default_spec):
+def test_integrators_bit_identical(stationary201, default_spec, digest):
     """Every characteristics integrator reproduces its recorded output bytes.
 
     All six share one Runge-Kutta step, and all but step one
@@ -661,7 +631,7 @@ def test_integrators_bit_identical(stationary201, default_spec):
     change them too.
     """
     outputs, picard_regrids = _integrator_outputs(stationary201, default_spec)
-    got = {name: _digest(*arrays) for name, arrays in outputs.items()}
+    got = {name: digest(*arrays) for name, arrays in outputs.items()}
     assert got == INTEGRATOR_DIGESTS
     # Picard's blocks end at a regrid at least once in every iteration
     assert picard_regrids >= len(outputs["picard_solve"][-1])
