@@ -20,7 +20,8 @@ from .experiments import (RunConfig, config_from_text, config_hash,
                           stationary_for, sweep)
 from .grid import RadialGrid
 from .kinetics import validate_hypotheses
-from .linearized import build_operators, decay_ensemble, shortest_fit_steps
+from .linearized import (ENSEMBLE_RECORD_EVERY, build_operators, decay_ensemble,
+                         shortest_fit_steps, step_bound)
 from .nutrient import solve_nutrient
 from .simmaps import (SamplePlan, build_fstar, build_maps, check_map_bounds,
                       make_perturbed_velocity)
@@ -132,6 +133,8 @@ def cmd_linearize(args):
                     f"{rep.K_fit:.17g},{rep.r2:.17g},{rep.decades:.17g},"
                     f"{rep.valid}")
     _write_or_print(args, "linearize.csv", "\n".join(rows) + "\n")
+    print(f"dt = {cfg.dt:.12g}  propagator step bound = {step_bound(ops):.6g}  "
+          f"record interval = {ENSEMBLE_RECORD_EVERY:g}")
     print(f"ensemble rate estimate (minimum over {len(mus)} runs): "
           f"{min(mus):.6f}  spread: [{min(mus):.6f}, {max(mus):.6f}]")
     return EXIT_PASS if all(m > 0 for m in mus) else EXIT_EXPERIMENT_FAIL

@@ -19,6 +19,7 @@ with a Laplace-transform consistency check against the matching semigroup.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,13 @@ from .transport import (RECORD_EVERY, AdamsBashforth, _check_dt, deviation, froz
 RESOLVENT_DS = 5e-4
 LAPLACE_DT = 5e-3  # time step of the Laplace-transform quadrature
 ENSEMBLE_AMPLITUDE = 1e-2
+#: decay_ensemble's record interval: a two-parameter fit of a decay rate
+#: near 0.08 needs no finer series
+ENSEMBLE_RECORD_EVERY = 1.0
+#: AB4 is stable for a real rate lambda while lambda dt > -AB4_REAL_LIMIT
+AB4_REAL_LIMIT = 0.3
+#: the share of AB4_REAL_LIMIT that step_bound admits
+STEP_MARGIN = 0.5
 FIT_WINDOW_FRACTION = 0.7
 FIT_R2_MIN = 0.98
 FIT_MIN_SAMPLES = 5
@@ -112,6 +120,17 @@ def apply_F(ops, q):
     return float(radial_average(ops.g_p.values * q.values, ops.grid.nodes)[-1])
 
 
+def step_bound(ops):
+    """The largest step LinearPropagator takes on ops: STEP_MARGIN of AB4's
+    real-axis limit over the fastest decay the cycle carries, that of phi
+    (-min a), of zeta (|kappa|) or of the particle gaps (the steepest
+    contraction of the frozen path, -min u_*'); infinite when none decays.
+    A growth rate does not bound it: AB4 follows a growing mode."""
+    contraction = -np.min(derivative_values(ops.u_star.values, ops.grid))
+    stiffness = max(-np.min(ops.a.values), abs(ops.kappa), contraction)
+    return STEP_MARGIN * AB4_REAL_LIMIT / stiffness if stiffness > 0 else np.inf
+
+
 class _FoldedStage:
     """One stage of the cycle as one operator, shared across steps and runs.
 
@@ -148,11 +167,12 @@ class LinearPropagator:
     and at every regrid, so one cycle is one fixed map; a step that moves no
     particle (w = 0) repeats forever, so it ends the cycle.  records streams
     the recorded states, so a caller that reduces each one (decay_ensemble)
-    never holds the whole run; run collects them into arrays.
+    never holds the whole run; run collects them into arrays.  dt may not
+    exceed step_bound(ops), checked once the cycle is built, so that
+    characteristics that cross raise the path's SolverError first.
     """
 
     def __init__(self, ops, dt):
-        _check_dt(dt)
         self.ops = ops
         self.dt = dt
         grid = ops.grid
@@ -167,6 +187,8 @@ class LinearPropagator:
             if np.array_equal(end, stages[0]):
                 break
         self.cycle_len = len(self.steps)
+        if dt > (bound := step_bound(ops)) * (1 + 1e-12):
+            raise ValueError(f"dt={dt} exceeds the propagator's step bound {bound:.6g}")
 
     def _stage_rate(self, op, phi, zeta):
         """(dphi, dzeta) of a state at the _FoldedStage op.  Its matmul for
@@ -252,7 +274,9 @@ def pure_transport(w_field, q0_field, t_end, dt):
     sup norm may never increase, and the weighted derivative grows at most
     exponentially.  q is phi of a LinearPropagator over w with every
     coefficient zero, recorded at every step: each stage adds exact zeros.
+    dt is bounded by DT_MAX, as the nonlinear transport it observes.
     """
+    _check_dt(dt)
     grid = q0_field.grid
     zero = RadialField(grid, np.zeros(grid.size))
     prop = LinearPropagator(LinearizedOperators(zero, zero, zero, 0.0, zero, w_field), dt)
@@ -287,16 +311,16 @@ def fit_window(times):
 
 
 def shortest_fit_steps(dt):
-    """The fewest steps of dt in a run recorded every RECORD_EVERY (a
-    decay_ensemble run) whose fit window holds FIT_MIN_SAMPLES records.  Of
+    """The fewest steps of dt in a run recorded every ENSEMBLE_RECORD_EVERY
+    (a decay_ensemble run) whose fit window holds FIT_MIN_SAMPLES records.  Of
     the runs that end within one record interval past the k-th record, the
     shortest (k intervals and one step) starts its window earliest and so
     holds the most records; the fewest k whose shortest run suffices gives
     it."""
-    every = max(1, int(round(RECORD_EVERY / dt)))
+    every = max(1, int(round(ENSEMBLE_RECORD_EVERY / dt)))
     for k in itertools.count(1):
         steps = k * every + 1
-        times = dt * np.array(output_steps(steps * dt, dt, RECORD_EVERY)[1])
+        times = dt * np.array(output_steps(steps * dt, dt, ENSEMBLE_RECORD_EVERY)[1])
         if np.count_nonzero(times >= fit_window(times)[0]) >= FIT_MIN_SAMPLES:
             return steps
 
@@ -352,12 +376,13 @@ def random_smooth_field(grid, rng, amplitude=1.0):
     return RadialField(grid, vals)
 
 
-def decay_ensemble(ops, n_runs=20, t_end=100.0, dt=1e-2, seed=0):
+def decay_ensemble(ops, n_runs=20, t_end=100.0, dt=None, seed=0):
     """Fitted decay rates for an ensemble of random initial perturbations.
 
     Each member starts from a random smooth phi and a uniform zeta, both of
-    sup-norm at most ENSEMBLE_AMPLITUDE, and is recorded every RECORD_EVERY
-    time units.  The members are advanced together and streamed: each
+    sup-norm at most ENSEMBLE_AMPLITUDE, and is recorded every
+    ENSEMBLE_RECORD_EVERY time units.  dt defaults to the largest step
+    within step_bound(ops) that divides that interval.  The members are advanced together and streamed: each
     recorded state inside fit_window is resampled onto the grid and reduced
     to its deviation terms as it is produced, so only the (n_times, n_runs)
     series are held, never the states; the terms of the states before the window,
@@ -365,6 +390,8 @@ def decay_ensemble(ops, n_runs=20, t_end=100.0, dt=1e-2, seed=0):
     norm_x0) pairs, one per run, each norm the sum transport.Trajectory forms;
     the empirical rate estimate is the ensemble minimum of the fitted rates.
     """
+    if dt is None:
+        dt = ENSEMBLE_RECORD_EVERY / max(1, math.ceil(ENSEMBLE_RECORD_EVERY / step_bound(ops)))
     rng = np.random.default_rng(seed)
     prop = LinearPropagator(ops, dt)
     phi0 = np.stack([
@@ -372,10 +399,10 @@ def decay_ensemble(ops, n_runs=20, t_end=100.0, dt=1e-2, seed=0):
         for _ in range(n_runs)
     ])
     zeta0 = ENSEMBLE_AMPLITUDE * rng.uniform(-1.0, 1.0, size=n_runs)
-    times = prop.record_times(t_end)
+    times = prop.record_times(t_end, ENSEMBLE_RECORD_EVERY)
     fitted = times >= fit_window(times)[0]
     p_dev, dp_dev, z_dev = (np.full((times.size, n_runs), np.nan) for _ in range(3))
-    for j, pos, phi, zeta in prop.records(phi0, zeta0, t_end):
+    for j, pos, phi, zeta in prop.records(phi0, zeta0, t_end, ENSEMBLE_RECORD_EVERY):
         if not np.all(np.isfinite(phi)):
             raise ValueError("field values must be finite")
         if fitted[j]:

@@ -12,7 +12,8 @@ from tumorlab.errors import SolverError
 from tumorlab.experiments import (RunConfig, config_from_text, config_hash,
                                   config_to_text)
 from tumorlab.kinetics import KineticsSpec
-from tumorlab.linearized import build_operators, decay_ensemble, shortest_fit_steps
+from tumorlab.linearized import (build_operators, decay_ensemble, shortest_fit_steps,
+                                 step_bound)
 
 
 @pytest.fixture()
@@ -129,11 +130,12 @@ def test_bad_argument_exits_3_before_any_solve(monkeypatch, capsys, argv):
 
 
 def test_short_horizon_names_the_shortest_usable(capsys):
-    # with the default dt (1e-2) the window of a 51-step run holds the
-    # records at 0.2, 0.3, 0.4, 0.5 and 0.51, that of a 50-step run one fewer
-    assert main(["linearize", "--t-end", "0.5"]) == EXIT_CONFIG_ERROR
-    assert "--t-end must be at least 0.51," in capsys.readouterr().err
-    assert shortest_fit_steps(1e-2) == 51
+    # the ensemble records every 1.0: with the default dt (1e-2) the window
+    # of a 501-step run holds the records at 2, 3, 4, 5 and 5.01, that of a
+    # 500-step run one fewer
+    assert main(["linearize", "--t-end", "5"]) == EXIT_CONFIG_ERROR
+    assert "--t-end must be at least 5.01," in capsys.readouterr().err
+    assert shortest_fit_steps(1e-2) == 501
 
 
 class _PastTheCheck(Exception):
@@ -187,6 +189,18 @@ def test_linearize_reports_positive_rate(small_config_file, capsys,
                  "--ensemble", "2", "--t-end", "60"])
     assert code == EXIT_PASS
     assert "ensemble rate estimate" in capsys.readouterr().out
+
+
+def test_linearize_prints_its_step_bound_and_record_interval(small_config_file, capsys,
+                                                              default_spec, stationary201):
+    # the step it took (the config's dt), the propagator's own bound on it
+    # and the ensemble's record interval
+    assert main(["linearize", "--config", small_config_file,
+                 "--ensemble", "1", "--t-end", "6"]) == EXIT_PASS
+    bound = step_bound(build_operators(stationary201, default_spec))
+    assert (f"dt = 0.01  propagator step bound = {bound:.6g}  record interval = 1"
+            in capsys.readouterr().out.splitlines())
+    assert f"{bound:.6g}" == "0.107143"
 
 
 def test_linearize_writes_the_chosen_norm(tmp_path, small_config_file, default_spec,
@@ -254,7 +268,7 @@ def test_seed_option_overrides_the_config(tmp_path, small_config_file):
     for config, seed in ((small_config_file, ["--seed", "5"]), (str(seeded), []),
                          (small_config_file, [])):
         out = tmp_path / f"run{len(tables)}"
-        assert main(["linearize", "--config", config, "--ensemble", "2", "--t-end", "1",
+        assert main(["linearize", "--config", config, "--ensemble", "2", "--t-end", "6",
                      "--out", str(out)] + seed) == EXIT_PASS
         tables.append((out / "linearize.csv").read_bytes())
     assert tables[0] == tables[1] != tables[2]

@@ -11,12 +11,13 @@ import tumorlab.linearized as linearized
 from tumorlab.experiments import (RunConfig, initial_state, perturbation_shape,
                                   stationary_for)
 from tumorlab.grid import RadialField, RadialMoments
-from tumorlab.linearized import (ENSEMBLE_AMPLITUDE, LinearPropagator,
-                                 apply_B, apply_F, build_operators,
-                                 decay_ensemble, fit_decay, fit_window,
-                                 laplace_consistency, random_smooth_field,
-                                 resolvent_apply, shortest_fit_steps,
-                                 solve_linearized)
+from tumorlab.linearized import (AB4_REAL_LIMIT, ENSEMBLE_AMPLITUDE,
+                                 ENSEMBLE_RECORD_EVERY, FIT_R2_MIN, STEP_MARGIN,
+                                 LinearPropagator, apply_B, apply_F,
+                                 build_operators, decay_ensemble, fit_decay,
+                                 fit_window, laplace_consistency,
+                                 random_smooth_field, resolvent_apply,
+                                 shortest_fit_steps, solve_linearized, step_bound)
 from tumorlab.simmaps import build_fstar
 from tumorlab.transport import output_steps, simulate, trajectory
 
@@ -169,27 +170,67 @@ def test_records_never_mutate_a_yielded_state(operators201, rng):
 
 
 def test_propagator_rejects_steps_above_bound(operators201):
-    with pytest.raises(ValueError, match="DT_MAX"):
-        decay_ensemble(operators201, n_runs=1, t_end=1.0, dt=2e-2)
+    # the bound is STEP_MARGIN of AB4's real-axis limit over -min a, the
+    # fastest decay at the default spec (a in [-1.4, -0.2], kappa -0.048,
+    # u_*' >= -0.1); a steeper a lowers it in proportion, and a step above
+    # DT_MAX within it is taken
+    bound = step_bound(operators201)
+    assert bound == STEP_MARGIN * AB4_REAL_LIMIT / -np.min(operators201.a.values)
+    steeper = dataclasses.replace(operators201, a=operators201.a.with_values(
+        2.0 * operators201.a.values))
+    assert step_bound(steeper) == bound / 2.0
+    assert LinearPropagator(operators201, bound).dt == bound > 2e-2
+    for ops, dt in ((operators201, 1.01 * bound), (steeper, bound)):
+        with pytest.raises(ValueError, match="exceeds the propagator's step bound"):
+            LinearPropagator(ops, dt)
+        with pytest.raises(ValueError, match="exceeds the propagator's step bound"):
+            decay_ensemble(ops, n_runs=1, t_end=1.0, dt=dt)
+
+
+def test_ensemble_takes_the_largest_step_within_the_bound(operators201, monkeypatch):
+    # by default the ensemble steps by the largest divisor of its record
+    # interval within the bound: 0.1 under 0.107 at the default spec, 1/23
+    # under 0.044 with a as steep as at b_rate 3 (min a -3.4)
+    steps = []
+
+    class Recorded(LinearPropagator):
+        def __init__(self, ops, dt):
+            super().__init__(ops, dt)
+            steps.append(dt)
+
+    monkeypatch.setattr(linearized, "LinearPropagator", Recorded)
+    steep = dataclasses.replace(operators201, a=operators201.a.with_values(
+        operators201.a.values * 3.4 / 1.4))
+    for ops, n in ((operators201, 10), (steep, 23)):
+        decay_ensemble(ops, n_runs=1, t_end=1.0)
+        assert steps[-1] == ENSEMBLE_RECORD_EVERY / n
+        assert ENSEMBLE_RECORD_EVERY / n <= step_bound(ops) < ENSEMBLE_RECORD_EVERY / (n - 1)
 
 
 def test_ensemble_memory_does_not_grow_with_horizon(operators201):
     # the ensemble streams its states: a four times longer run holds only
     # a few more series samples, not one more snapshot per recorded step
     def peak(t_end):
-        tracemalloc.start()
-        try:
-            decay_ensemble(operators201, n_runs=3, t_end=t_end, seed=2)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        decay_ensemble(operators201, n_runs=3, t_end=t_end, seed=2)
+        return tracemalloc.get_traced_memory()[1] - base
 
-    # a first run makes the one-time allocations (cached interpolators,
-    # numpy's and scipy's first-call set-up) outside the measured runs
-    decay_ensemble(operators201, n_runs=3, t_end=10.0, seed=2)
-    n_out = {t: len(output_steps(t, 1e-2, 0.1)[1]) for t in (10.0, 40.0)}
+    # the first runs make the one-time allocations (cached interpolators,
+    # numpy's and scipy's first-call set-up, Python's free lists) outside
+    # the measured runs: the first two traced runs of a process peak up to
+    # 70 KB higher than later ones
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            peak(40.0)
+        growth = peak(40.0) - peak(10.0)
+    finally:
+        tracemalloc.stop()
+    # records of the ensemble's step at the default spec (0.1)
+    n_out = {t: len(output_steps(t, 0.1, ENSEMBLE_RECORD_EVERY)[1]) for t in (10.0, 40.0)}
     snapshot_bytes = (n_out[40.0] - n_out[10.0]) * 3 * operators201.grid.size * 8
-    assert peak(40.0) - peak(10.0) < 0.1 * snapshot_bytes
+    assert growth < 0.1 * snapshot_bytes
 
 
 def test_ensemble_resamples_only_the_fit_window(operators201, monkeypatch):
@@ -206,8 +247,9 @@ def test_ensemble_resamples_only_the_fit_window(operators201, monkeypatch):
     monkeypatch.setattr(linearized, "on_grid", counted)
     ens = decay_ensemble(operators201, n_runs=n_runs, t_end=t_end, seed=seed)
     monkeypatch.undo()
-    prop = LinearPropagator(operators201, 1e-2)
-    times = prop.record_times(t_end)
+    # the ensemble's own step at the default spec, and its record interval
+    prop = LinearPropagator(operators201, 0.1)
+    times = prop.record_times(t_end, ENSEMBLE_RECORD_EVERY)
     assert len(calls) == np.count_nonzero(times >= fit_window(times)[0]) < times.size
 
     grid = operators201.grid
@@ -215,7 +257,7 @@ def test_ensemble_resamples_only_the_fit_window(operators201, monkeypatch):
     phi0 = np.stack([random_smooth_field(grid, rng, ENSEMBLE_AMPLITUDE).values
                      for _ in range(n_runs)])
     zeta0 = ENSEMBLE_AMPLITUDE * rng.uniform(-1.0, 1.0, size=n_runs)
-    times, phis, zetas = prop.run(phi0, zeta0, t_end)
+    times, phis, zetas = prop.run(phi0, zeta0, t_end, ENSEMBLE_RECORD_EVERY)
     for m, pair in enumerate(ens):
         traj = trajectory(grid, times, phis[:, m], zetas[:, m])
         assert pair == (fit_decay(times, traj.norm_x), fit_decay(times, traj.norm_x0))
@@ -345,12 +387,13 @@ def test_laplace_check_needs_a_short_truncation_tail(operators201, stationary201
 
 
 def test_ensemble_rejects_a_run_that_overflows(operators201):
-    # a multiplier of 1e300 overflows the first recorded state
+    # a multiplier of 1e300 overflows the first recorded state; a growth
+    # rate does not bound the step, so the run takes 20 of 1e-2 explicitly
     ops = dataclasses.replace(operators201, a=operators201.a.with_values(
         np.full(operators201.grid.size, 1e300)))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="field values must be finite"):
-        decay_ensemble(ops, n_runs=1, t_end=0.2)
+        decay_ensemble(ops, n_runs=1, t_end=0.2, dt=1e-2)
 
 
 def test_laplace_transform_consistency(operators801, stationary801, rng):

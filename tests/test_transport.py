@@ -585,7 +585,7 @@ def _integrator_outputs(sol, spec):
         sol.u_star, RadialField(grid, np.sin(3 * r) + 0.2), 3.0, 1e-2)
     linear = solve_linearized(
         ops, (RadialField(grid, 1e-2 * np.sin(np.pi * r)), 1e-3), 2.0, 1e-2)
-    fits = decay_ensemble(ops, n_runs=3, t_end=5.0, seed=0)
+    fits = decay_ensemble(ops, n_runs=3, t_end=10.0, seed=0)
     return {
         "step": [after.p.values, [after.z]],
         "simulate": _trajectory_arrays(simulate(init, 1.0, 1e-2, spec, sol)),
@@ -615,7 +615,7 @@ INTEGRATOR_DIGESTS = {
     "solve_linearized":
         "bdb8d56916bf27d603a17e876d855505f8117ae48595062104c35d475c4d89f5",
     "decay_ensemble":
-        "8fe2a98d5ac044bbd5a79dba2549513726d12763705313221a76e2eaedfbc0ea",
+        "87796283907e85f6f766b794e33ea29f7b7082f5193586012088e6a4b20474a9",
 }
 
 
