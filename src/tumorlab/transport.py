@@ -310,7 +310,9 @@ def _needs_regrid(positions, h_ref):
 
 
 def _check_dt(dt):
-    """The one step bound of every integrator (the linear propagator too)."""
+    """The step bound of the nonlinear integrators, RunConfig and
+    pure_transport; the linear propagator takes its own
+    (linearized.step_bound)."""
     if dt > DT_MAX * (1 + 1e-12):
         raise ValueError(f"dt={dt} exceeds DT_MAX={DT_MAX}")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 
@@ -12,7 +13,9 @@ from tumorlab.experiments import (RunConfig, StabilityReport, config_from_text,
                                   run_stability_experiment, sweep)
 from tumorlab.grid import RadialGrid
 from tumorlab.kinetics import KineticsSpec
+from tumorlab.linearized import fit_decay
 from tumorlab.stationary import solve_stationary
+from tumorlab.transport import Trajectory
 
 
 def small_config(**overrides):
@@ -85,6 +88,54 @@ def test_zero_perturbation_trivially_passes(stationary801):
         linear_response=False)
     assert rep.passed
     assert np.max(rep.trajectory.norm_x0) <= 1e-6
+
+
+def test_zero_perturbation_is_loud_against_a_moved_reference(stationary201):
+    # at 201 nodes a run that starts on the stationary state stays within
+    # ZERO_EPS_TOL up to t = 0.1 (5.4e-7), and one that starts on a
+    # reference with z_* moved by 1e-4 leaves it (3.3e-6): the quiet check
+    # reads False on every stability check
+    cfg = RunConfig(grid_size=201, t_end=0.1, epsilon=0.0)
+    still = run_stability_experiment(cfg, reference=stationary201, linear_response=False)
+    moved = run_stability_experiment(
+        cfg, reference=dataclasses.replace(stationary201, z_star=stationary201.z_star + 1e-4),
+        linear_response=False)
+    assert still.passed
+    assert not any(moved.checks.values())
+    assert np.max(moved.trajectory.norm_x0) > 3e-6 > 5 * np.max(still.trajectory.norm_x0)
+
+
+def test_envelope_check_rejects_a_series_above_its_slack():
+    # a series 10% above K e^{-mu t} breaks the envelope; one 4% above is
+    # inside its 5% slack
+    times = np.linspace(0.0, 40.0, 401)
+    mu, K, window = 0.08, 2.0, (8.0, 40.0)
+    exact = K * np.exp(-mu * times)
+    assert experiments._envelope_ok(times, 1.04 * exact, mu, K, window)
+    assert not experiments._envelope_ok(times, 1.10 * exact, mu, K, window)
+
+
+def test_fit_gate_rejects_a_noisy_series(monkeypatch, stationary201):
+    # a decaying series with period-5 log noise of zero sum: the 5-sample
+    # smoothing leaves it monotone, so only r2 (0.90) fails it.  In the
+    # report the noise sits in |z - z_*|, and p and its derivative are
+    # clean and far below the fit, so their checks read False only through
+    # the fit gate
+    times = np.linspace(0.0, 40.0, 401)
+    clean = np.exp(-0.05 * times)
+    noisy = clean * np.exp(np.resize([0.2, -0.2, 0.1, -0.05, -0.05], times.size))
+    fit = fit_decay(times, noisy)
+    assert not fit.valid
+    assert "monotone" not in fit.note and fit.r2 < 0.9
+
+    traj = Trajectory(times=times, states=[], p_dev=1e-3 * clean, dp_dev=1e-3 * clean,
+                      z_dev=noisy, mass_residual=np.full(times.size, np.nan))
+    monkeypatch.setattr(experiments, "_run_trajectory", lambda config, reference: traj)
+    rep = run_stability_experiment(small_config(t_end=40.0), reference=stationary201,
+                                   linear_response=False)
+    assert rep.checks == {"p_sup": False, "p_weighted_derivative": False, "radius": False}
+    assert rep.fit_x.mu_fit > 0 and rep.fit_x0.mu_fit > 0
+    assert max(rep.fit_x.r2, rep.fit_x0.r2) < 0.92
 
 
 def test_small_perturbation_passes_all_checks(stationary201):

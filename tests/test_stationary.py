@@ -354,3 +354,25 @@ def test_shooting_rhs_bit_identical(family, grid801):
         assert np.all(np.abs(scalar - exact) <= 4 * np.spacing(exact))
     for r, y in zip(radii.tolist(), states):
         assert rhs(r, y) == reference(r, y), (r, y)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_lam_is_a_gauge(family, grid201):
+    # both laws are lam times a function of c, so the model reads lam only
+    # through lam e^{2z}: the state at lam is the state at 1 with z_* moved
+    # by -log(lam) / 2 and the same profiles.  The tolerances round up the
+    # largest spread, lam 0.5 and 2 against 1 at 201 nodes, over the 7 of
+    # 18 models (b_rate 1-3, d_rate 0.2-0.8) that pass their lemma checks
+    # at all three: 1.3e-8 in z_*, 5.3e-9 in c and c_z, 8.7e-10 in u and
+    # 3.7e-7 in p (saturating b_rate 2, d_rate 0.5); at the default rates
+    # they read 1.5e-11, 6.7e-12, 5.9e-12 and 7.7e-10
+    tol = {"c_star": 1e-8, "c_z": 1e-8, "p_star": 5e-7, "u_star": 2e-9}
+    ref = solve_stationary(KineticsSpec(family=family), grid201)
+    for lam in (0.5, 2.0):
+        sol = solve_stationary(KineticsSpec(family=family, lam=lam), grid201)
+        assert sol.residual_report["lemma_checks_pass"]
+        assert abs(sol.z_star + np.log(lam) / 2 - ref.z_star) <= 2e-8
+        assert abs(sol.p0 - ref.p0) <= tol["p_star"]
+        for name, bound in tol.items():
+            gap = np.max(np.abs(getattr(sol, name).values - getattr(ref, name).values))
+            assert gap <= bound, name
