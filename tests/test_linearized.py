@@ -12,7 +12,7 @@ from tumorlab.experiments import (RunConfig, initial_state, perturbation_shape,
                                   stationary_for)
 from tumorlab.grid import RadialField, RadialMoments
 from tumorlab.linearized import (AB4_REAL_LIMIT, ENSEMBLE_AMPLITUDE,
-                                 ENSEMBLE_RECORD_EVERY, FIT_R2_MIN, STEP_MARGIN,
+                                 ENSEMBLE_RECORD_EVERY, STEP_MARGIN,
                                  LinearPropagator, apply_B, apply_F,
                                  build_operators, decay_ensemble, fit_decay,
                                  fit_window, laplace_consistency,
