@@ -272,21 +272,19 @@ def test_bounds_report_small_plan(small_plan_report):
 
 
 def test_report_prints_each_weakest_constant(small_plan_report):
-    # a lower bound is weakest at its smallest constant, an upper bound at
-    # its largest
+    # every entry is an upper bound, weakest at its largest constant
     rows = str(small_plan_report).splitlines()[1:-1]
     for entry, row in zip(small_plan_report.entries, rows, strict=True):
-        fit = min if entry.name.endswith("_lo") else max
         assert row.split(",")[:3] == [entry.name, str(entry.n_samples),
-                                      f"{fit(entry.constants.values()):.6e}"]
+                                      f"{max(entry.constants.values()):.6e}"]
 
 
 def test_flow_solve_budget(monkeypatch, logistic_table, perturbed_maps,
                            small_plan_report):
     # one flow solve per map call on an array of interior points, and one
-    # per amplitude in check_map_bounds: Psi, T and dT backward from r, S and
-    # dS forward from Psi_*(r), and Phi, on the samples and the test-function
-    # grid, share it; the report counts the solves and their evaluations
+    # per amplitude in check_map_bounds: T and dT backward from r, and S and
+    # dS forward from Psi_*(r), on the samples and the test-function grid,
+    # share it; the report counts the solves and their evaluations
     solve = simmaps.solve_ivp
     nfevs = []
 
