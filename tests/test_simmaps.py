@@ -352,7 +352,7 @@ MAP_DIGESTS = {
     "dT_dr":
         "b05b63420e3b73dbd88bde3ce97140156b560f75b0ea3c0892685150ecbe09f5",
     "bound_constants":
-        "ebcefe0a2f5fca6de9e8db0addac8926e591ff738f60acebd3cb9eda7e2d29a9",
+        "92d403af50af783a97b46a2cf2ac40bc7a5ade7dba437cec21e44f33edd62cc4",
 }
 
 
