@@ -237,10 +237,11 @@ class DiffeoMaps:
 
     w is a vectorized callable (r_array, t) -> values, t a scalar or an
     array that broadcasts against r; the flows read only the relative gap
-    w.gap(r, t) = w/u_* - 1 and its time derivative w.gap_dt(r, t) that it
-    carries the same way (make_perturbed_velocity builds one).  w_dr gives
-    its radial derivative the same way.  epsilon and mu record the
-    perturbation amplitude and decay rate of w - u_* for reporting only.
+    w.gap(r, t) = w/u_* - 1, on all of [0,1] (its limit at the endpoints),
+    and its time derivative w.gap_dt(r, t) that it carries the same way
+    (make_perturbed_velocity builds one).  w_dr gives its radial derivative
+    the same way.  epsilon and mu record the perturbation amplitude and
+    decay rate of w - u_* for reporting only.
     """
 
     table: FStarTable
@@ -251,15 +252,15 @@ class DiffeoMaps:
     mu: float = 0.0
 
     def relative_gap(self, r, t):
-        """w(r,t)/u_*(r) - 1, the relative perturbation along the flow, from
-        w.gap; 0 at the endpoints.  A gap of -1 or below is w >= 0 (u_* < 0
-        inside) and raises SolverError."""
+        """w(r,t)/u_*(r) - 1, the relative perturbation along the flow: w.gap
+        at every point, the endpoints too, so the flow's right-hand side does
+        not jump where finv rounds to 0 or 1.  A gap of -1 or below inside is
+        w >= 0 (u_* < 0 there) and raises SolverError."""
         r = np.asarray(r, dtype=float)
         gap = self.w.gap(r, t)
-        inner = (r > 0.0) & (r < 1.0)
-        if np.any(gap[inner] <= -1.0):
+        if np.any(gap[(r > 0.0) & (r < 1.0)] <= -1.0):
             raise SolverError("perturbed velocity lost negativity on the interior")
-        return np.where(inner, gap, 0.0)
+        return gap
 
 
 def make_perturbed_velocity(u_star, epsilon, mu):

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -252,6 +253,26 @@ def test_maps_writes_one_row_per_inequality(tmp_path, small_config_file,
     assert [fields[0] for fields in body] == MAP_INEQUALITIES
     assert all(len(fields) == 5 and fields[-1] == "pass" for fields in body)
     assert re.fullmatch(r"# 2 flow solves, [1-9]\d* right-hand-side evaluations", rows[-1])
+
+
+def test_maps_passes_at_a_steep_spec(tmp_path):
+    # at b_rate 3.5 the backward flows push Psi_*(r) to within rounding of
+    # r = 1, where finv rounds to 1.0: the report holds no quotient that
+    # reads 0/0 there, and the flow's gap stays continuous, so DOP853 takes
+    # 244 right-hand-side evaluations (5,224 with the gap zeroed at the ends)
+    path = tmp_path / "steep.cfg"
+    path.write_text(config_to_text(RunConfig(spec=KineticsSpec(b_rate=3.5), grid_size=201,
+                                             seed=2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["maps", "--config", str(path), "--out", str(tmp_path / "m")])
+    assert code == EXIT_PASS
+    rows = (tmp_path / "m" / "maps.csv").read_text().splitlines()
+    body = [row.split(",") for row in rows[1:-1]]
+    assert [fields[0] for fields in body] == MAP_INEQUALITIES
+    assert all(fields[-1] == "pass" for fields in body)
+    evals = re.fullmatch(r"# 2 flow solves, (\d+) right-hand-side evaluations", rows[-1])
+    assert int(evals.group(1)) <= 500
 
 
 def test_sweep_writes_one_row_per_epsilon(tmp_path, small_config_file, capsys):

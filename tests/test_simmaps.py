@@ -132,14 +132,16 @@ def perturbed_maps(logistic_table):
 
 
 def test_relative_gap_is_the_family_gap(perturbed_maps):
-    # the flow reads w's own gap: w/u_* - 1 to rounding inside, 0 at the ends
+    # the flow reads w's own gap: w/u_* - 1 to rounding inside, and the
+    # family's eps e^{-mu t} cos(pi r) at the ends, where w/u_* is 0/0
     maps = perturbed_maps
     r = np.linspace(0.0, 1.0, 101)
     for t in (0.0, 2.5):
         gap = maps.relative_gap(r, t)
         quotient = maps.w(r[1:-1], t) / maps.u_star(r[1:-1]) - 1.0
         assert np.max(np.abs(gap[1:-1] - quotient)) <= 1e-15
-        assert gap[0] == gap[-1] == 0.0
+        amp = 1e-2 * np.exp(-0.08 * t)
+        assert gap[[0, -1]].tolist() == [amp, -amp]
 
 
 def test_relative_gap_rejects_lost_negativity(logistic_table):
