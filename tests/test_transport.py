@@ -557,6 +557,26 @@ def test_picard_divergence_raises(monkeypatch, stationary201, default_spec):
     assert 0.1 < distances[0] < distances[1] < distances[2]
 
 
+def test_picard_first_distance_is_weighted_from_v0(monkeypatch, stationary201, default_spec):
+    # one sweep with every step recorded returns V^1, and its distance is
+    # max_t e^{mu t} (sup|p1 - p0| + |z1 - z0|) from V^0, the initial
+    # perturbation decayed at rate mu; without e^{mu t} it reads 6.8% lower
+    monkeypatch.setattr(transport, "PICARD_MAX_ITERS", 1)
+    cfg = RunConfig(grid_size=201, epsilon=1e-2, t_end=1.0, spec=default_spec)
+    init = initial_state(cfg, stationary201)
+    traj, dists = picard_solve(init, cfg.t_end, cfg.dt, default_spec, stationary201,
+                               mu=PICARD_RATE, output_every=cfg.dt)
+    assert len(dists) == 1 and len(traj.times) == 101
+    since = traj.times - init.t
+    p_star, z_star = stationary201.p_star.values, stationary201.z_star
+    p0 = p_star + np.exp(-PICARD_RATE * since)[:, None] * (init.p.values - p_star)
+    z0 = z_star + np.exp(-PICARD_RATE * since) * (init.z - z_star)
+    p1 = np.array([state.p.values for state in traj.states])
+    z1 = np.array([state.z for state in traj.states])
+    gaps = np.max(np.abs(p1 - p0), axis=1) + np.abs(z1 - z0)
+    assert np.max(np.exp(PICARD_RATE * since) * gaps) == dists[0]
+
+
 def _trajectory_arrays(traj):
     return [traj.times, traj.norm_x, traj.norm_x0, traj.mass_residual,
             [s.z for s in traj.states]] + [s.p.values for s in traj.states]
