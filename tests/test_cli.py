@@ -259,7 +259,7 @@ def test_maps_passes_at_a_steep_spec(tmp_path):
     # at b_rate 3.5 the backward flows push Psi_*(r) to within rounding of
     # r = 1, where finv rounds to 1.0: the report holds no quotient that
     # reads 0/0 there, and the flow's gap stays continuous, so DOP853 takes
-    # 244 right-hand-side evaluations (5,224 with the gap zeroed at the ends)
+    # 244 right-hand-side evaluations (5,320 with the gap zeroed at the ends)
     path = tmp_path / "steep.cfg"
     path.write_text(config_to_text(RunConfig(spec=KineticsSpec(b_rate=3.5), grid_size=201,
                                              seed=2)))
