@@ -7,28 +7,24 @@ endpoints, so its travel-time coordinate
 
 maps (0,1) monotonically onto the whole real line and turns the stationary
 flow dr/dt = u_*(r) into unit-speed translation x -> x - t.  This module
-builds a numerically accurate F_* table (log singularities split off
-analytically, nodes marched along u_* read by grid.scalar_ppoly), the
-stationary flow maps Phi_*/Psi_*, the perturbed flow maps Phi/Psi for a
-time-dependent velocity w(r,t) close to u_*, and the conjugating
-diffeomorphisms
+builds an F_* table, the stationary flow maps Phi_*/Psi_*, the perturbed
+flow maps Phi/Psi for a time-dependent velocity w(r,t) close to u_*, and
+the conjugating diffeomorphisms
 
     T = Phi_* o Psi,    S = Phi o Psi_*,
 
 which transport the perturbed characteristics onto the stationary ones.
 In the travel-time coordinate, forward (Phi) and backward (Psi) flows of
-any span, with their log-derivatives for dT/dr and dS/dr, share one DOP853
-solve, _flow.  check_map_bounds measures, in one solve per amplitude and
-each once, the comparison inequalities these maps satisfy (the shifts of T
-and S and of their spatial derivatives, linear in the perturbation size, a
-coefficient's composition shift, and the induced distance between
-cumulative-moment operators) on a randomized sample plan.
+any span, with their log-derivatives, share one DOP853 solve, _flow, and
+_conjugates reads every map off them: for the map functions and for
+check_map_bounds, which measures the maps' comparison inequalities on a
+randomized sample plan in one solve per amplitude.
 
 Every map takes points of [0,1] and times t >= s (a point outside [0,1] or
 t < s raises ValueError).  The maps act on the interior points only: each
 endpoint is a zero of the velocity and maps to itself (dT_dr is 1.0 there),
-and at t == s every point does.
-A scalar point gives a float, an array an array.
+and at t == s every point does.  A scalar point gives a float, an array an
+array.
 """
 
 import gc
@@ -198,13 +194,10 @@ def build_fstar(u_star):
     return FStarTable(r_table=r_nodes, f_table=f_table, u_prime0=u_prime0, u_prime1=u_prime1)
 
 
-def _on_interior(fn, x, t, s, endpoint=None):
-    """Apply a map from time s to time t to the interior points of x.
-
-    fn takes the array of interior points and is called only for t > s.
-    Each endpoint, and every point at t == s, maps to itself, or to
-    `endpoint` when given; a scalar x gives a float.
-    """
+def _on_interior(table, fn, x, t, s, endpoint=None):
+    """Apply fn, a map from time s to time t of the travel-time coordinates,
+    to F_*(x) at the interior points of x when t > s; each endpoint, and every
+    point at t == s, maps to itself, or to `endpoint` when given."""
     if t < s - 1e-12:
         raise ValueError(f"flow maps need t >= s, got t={t}, s={s}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -213,18 +206,18 @@ def _on_interior(fn, x, t, s, endpoint=None):
     interior = (x_arr > 0.0) & (x_arr < 1.0)
     out = x_arr.copy() if endpoint is None else np.full_like(x_arr, endpoint)
     if t > s and np.any(interior):
-        out[interior] = fn(x_arr[interior])
+        out[interior] = fn(table.fstar(x_arr[interior]))
     return out if np.ndim(x) else float(out[0])
 
 
 def phi_star(table, xi, t, s):
     """Stationary flow map: position at time t of a particle at xi at time s."""
-    return _on_interior(lambda x: table.finv(table.fstar(x) - (t - s)), xi, t, s)
+    return _on_interior(table, lambda x: table.finv(x - (t - s)), xi, t, s)
 
 
 def psi_star(table, r, t, s):
     """Inverse stationary flow map: label at time s of the position r at t."""
-    return _on_interior(lambda x: table.finv(table.fstar(x) + (t - s)), r, t, s)
+    return _on_interior(table, lambda x: table.finv(x + (t - s)), r, t, s)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +231,7 @@ class DiffeoMaps:
     w is a vectorized callable (r_array, t) -> values, t a scalar or an
     array that broadcasts against r; the flows read only the relative gap
     w.gap(r, t) = w/u_* - 1, on all of [0,1] (its limit at the endpoints),
-    and its time derivative w.gap_dt(r, t) that it carries the same way
+    and its time derivative w.gap_dt(r, t, gap), given gap = w.gap(r, t)
     (make_perturbed_velocity builds one).  w_dr gives its radial derivative
     the same way.  epsilon and mu record the perturbation amplitude and
     decay rate of w - u_* for reporting only.
@@ -268,7 +261,7 @@ def make_perturbed_velocity(u_star, epsilon, mu):
 
     The shape cos(pi r) changes sign and |cos(pi r)| <= 1.  Returns (w, w_dr)
     callables; w.gap(r, t) = eps e^{-mu t} cos(pi r) is its relative gap
-    w/u_* - 1, w.gap_dt = -mu w.gap its time derivative, and w_dr uses the
+    w/u_* - 1, w.gap_dt = -mu gap its time derivative, and w_dr uses the
     interpolated u_*' so it is consistent with w to interpolation accuracy.
     """
     def gap(r, t):
@@ -285,7 +278,7 @@ def make_perturbed_velocity(u_star, epsilon, mu):
         return ud(r) * (1.0 + gap(r, t)) + uf(r) * amp * (-np.pi * np.sin(np.pi * r))
 
     w.gap = gap
-    w.gap_dt = lambda r, t: -mu * gap(r, t)
+    w.gap_dt = lambda r, t, gap: -mu * gap
     return w, w_dr
 
 
@@ -320,7 +313,7 @@ def _flow(maps, groups, logged=0, theta=None):
         r = table.finv(y[:n])
         gap = maps.relative_gap(r, tau)
         return np.concatenate((-span * (1.0 + gap),
-                               -span[:k] * w.gap_dt(r[:k], tau[:k]) / (1.0 + gap[:k])))
+                               -span[:k] * w.gap_dt(r[:k], tau[:k], gap[:k]) / (1.0 + gap[:k])))
 
     sol = solve_ivp(rhs, (0.0, 1.0), np.concatenate((x0, np.zeros(k))),
                     method="DOP853", rtol=FLOW_RTOL, atol=FLOW_ATOL, t_eval=theta)
@@ -342,17 +335,33 @@ def _flow(maps, groups, logged=0, theta=None):
     return split(end, len(groups)), split(sol.y[n:, -1] + log_g, logged), sol.nfev
 
 
+def _conjugates(table, d, x=None, back=None, fwd=None, l_back=None, l_fwd=None):
+    """Psi, Phi, T, S, T' and S' (keys psi, phi, T, S, dT, dS), formed here
+    only, from the flows given between s and t = s + d: back is x = F_*(r)
+    flowed over t -> s, fwd is x + d = F_*(Psi_*(r)) (for Phi any label's
+    coordinate) flowed over s -> t, l_back and l_fwd their log-derivatives."""
+    out = {}
+    if back is not None:
+        out["psi"], out["T"] = table.finv(back), table.finv(back - d)
+    if fwd is not None:
+        out["phi"] = out["S"] = table.finv(fwd)
+    if l_back is not None:
+        out["dT"] = np.exp(l_back) * table.dfinv(back - d) / table.dfinv(x)
+    if l_fwd is not None:
+        out["dS"] = np.exp(l_fwd) * table.dfinv(fwd) / table.dfinv(x)
+    return out
+
+
 def phi(maps, xi, t, s):
     """Perturbed flow map: position at t of the particle at xi at time s."""
-    table = maps.table
-    return _on_interior(lambda x: table.finv(_flow(maps, [(table.fstar(x), s, t)])[0][0]), xi, t, s)
+    return _on_interior(maps.table, lambda x: _conjugates(
+        maps.table, t - s, fwd=_flow(maps, [(x, s, t)])[0][0])["phi"], xi, t, s)
 
 
 def psi(maps, r, t, s):
-    """Inverse perturbed flow map: label at time s of the position r at t,
-    from the same flow run backward from t to s."""
-    table = maps.table
-    return _on_interior(lambda x: table.finv(_flow(maps, [(table.fstar(x), t, s)])[0][0]), r, t, s)
+    """Inverse perturbed flow map: label at time s of the position r at t."""
+    return _on_interior(maps.table, lambda x: _conjugates(
+        maps.table, t - s, back=_flow(maps, [(x, t, s)])[0][0])["psi"], r, t, s)
 
 
 def map_T(maps, r, t, s, method="compose"):
@@ -367,36 +376,31 @@ def map_T(maps, r, t, s, method="compose"):
     table = maps.table
 
     def conjugate(x):
-        xr = table.fstar(x)
         if method == "compose":
-            return table.finv(_flow(maps, [(xr, t, s)])[0][0] - (t - s))
+            return _conjugates(table, t - s, back=_flow(maps, [(x, t, s)])[0][0])["T"]
         theta = np.linspace(0.0, 1.0, max(41, 2 * int(np.ceil((t - s) / 0.05)) + 1))
         taus = t + theta * (s - t)
-        path, = _flow(maps, [(xr, t, s)], theta=theta)
+        path, = _flow(maps, [(x, t, s)], theta=theta)
         gaps = maps.relative_gap(table.finv(path), taus[:, None])
         # the path runs from t back to s, so simpson gives minus the integral
-        return table.finv(xr - simpson(gaps, x=taus, axis=0))
+        return table.finv(x - simpson(gaps, x=taus, axis=0))
 
-    return _on_interior(conjugate, r, t, s)
+    return _on_interior(table, conjugate, r, t, s)
 
 
 def map_S(maps, rbar, t, s):
     """Inverse conjugating map S = Phi o Psi_*."""
-    table = maps.table
-    return _on_interior(
-        lambda x: table.finv(_flow(maps, [(table.fstar(x) + (t - s), s, t)])[0][0]), rbar, t, s)
+    return _on_interior(maps.table, lambda x: _conjugates(
+        maps.table, t - s, fwd=_flow(maps, [(x + (t - s), s, t)])[0][0])["S"], rbar, t, s)
 
 
 def dT_dr(maps, r, t, s):
-    """Spatial derivative of T = Phi_* o Psi, e^l finv'(X - (t - s)) / finv'(x),
-    from the backward flow X of x = F_*(r) and its log-derivative l."""
-    table = maps.table
-
+    """Spatial derivative T' of T = Phi_* o Psi."""
     def slope(x):
-        (end,), (log_d,), _ = _flow(maps, [(table.fstar(x), t, s)], logged=1)
-        return np.exp(log_d) * table.dfinv(end - (t - s)) / table.dfinv(table.fstar(x))
+        (back,), (l_back,), _ = _flow(maps, [(x, t, s)], logged=1)
+        return _conjugates(maps.table, t - s, x, back, l_back=l_back)["dT"]
 
-    return _on_interior(slope, r, t, s, endpoint=1.0)
+    return _on_interior(maps.table, slope, r, t, s, endpoint=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +437,6 @@ class BoundEntry:
     ratio: float = None  # worst C(eps)/C(eps/2) over the halving pairs
     passed: bool = True
     skipped: bool = False
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -478,10 +481,11 @@ def check_map_bounds(make_maps, plan, raise_on_fail=True):
     GRADIENT_HYPOTHESIS_CAP; the derivative bounds are skipped when it
     fails), then the amplitude-linear bounds, each the smallest constant
     fitted on the sample, passed when finite and stable under eps-halving
-    (ratio within [0.3, 3]).  Psi's and Phi's shifts are T's and S's read at
-    Psi_*(r), and a map's weight equivalence is within K envelope of 1, K
-    its shift constant, so neither is an entry.  Raises ExperimentFailure on
-    any violated inequality unless raise_on_fail is False.
+    (ratio within [0.3, 3]): the shifts of T and S and of their spatial
+    derivatives, a coefficient's composition shift and the induced distance
+    between cumulative-moment operators.  Psi's and Phi's shifts are T's and
+    S's read at Psi_*(r), so neither is an entry.  Raises ExperimentFailure
+    on any violated inequality unless raise_on_fail is False.
     """
     rng = np.random.default_rng(plan.seed)
 
@@ -522,7 +526,6 @@ def check_map_bounds(make_maps, plan, raise_on_fail=True):
 
     for eps in all_eps:
         maps = make_maps(eps)
-        table = maps.table
         envelope = eps * (np.exp(-plan.mu * s_vals) - np.exp(-plan.mu * t_vals))[:, None]
         fit = {}
 
@@ -533,33 +536,31 @@ def check_map_bounds(make_maps, plan, raise_on_fail=True):
         # every flow of the amplitude in one solve, a row per pair: backward
         # from r (T, dT) and forward from Psi_*(r) (S, dS), on r_samples and
         # on rg's interior
-        x_s, x_g = table.fstar(r_samples), table.fstar(rg[1:-1])
+        x_s, x_g = maps.table.fstar(r_samples), maps.table.fstar(rg[1:-1])
         (back, fwd, back_g, fwd_g), (l_back, l_fwd), nfev = _flow(maps, [
             (x_s, t_col, s_col), (x_s + d, s_col, t_col), (x_g, t_col, s_col),
             (x_g + d, s_col, t_col)], logged=2)
         flow_rhs_evals += nfev
-        s_comp = table.finv(fwd)
+        at_r = _conjugates(maps.table, d, x_s, back, fwd, l_back, l_fwd)
+        at_g = _conjugates(maps.table, d, back=back_g, fwd=fwd_g)
 
-        # amplitude-linear shift bounds of T and S against the identity
-        fit["T_shift"] = np.max(np.abs(table.finv(back - d) - r_samples) / (envelope * weight))
-        fit["S_shift"] = np.max(np.abs(s_comp - r_samples) / (envelope * weight))
-
-        # spatial derivative bounds from the flows' log-derivatives
-        dT = np.exp(l_back) * table.dfinv(back - d) / table.dfinv(x_s)
-        dS = np.exp(l_fwd) * table.dfinv(fwd) / table.dfinv(x_s)
-        fit["dT_bound"] = np.max(np.abs(np.log(dT)) / envelope)
-        fit["dS_bound"] = np.max(np.abs(np.log(dS)) / envelope)
+        # amplitude-linear shift bounds of T and S against the identity, and
+        # of their spatial derivatives
+        fit["T_shift"] = np.max(np.abs(at_r["T"] - r_samples) / (envelope * weight))
+        fit["S_shift"] = np.max(np.abs(at_r["S"] - r_samples) / (envelope * weight))
+        fit["dT_bound"] = np.max(np.abs(np.log(at_r["dT"])) / envelope)
+        fit["dS_bound"] = np.max(np.abs(np.log(at_r["dS"])) / envelope)
 
         # composition-shift of a smooth coefficient
         fit["coeff_shift_sup"] = np.max(
-            np.abs(a_fun(s_comp) - a_fun(r_samples)) / (a_norm1 * envelope))
+            np.abs(a_fun(at_r["S"]) - a_fun(r_samples)) / (a_norm1 * envelope))
         fit["coeff_shift_weighted"] = np.max(
-            weight * np.abs(a_d(s_comp) * dS - a_d(r_samples)) / (a_norm2 * envelope))
+            weight * np.abs(a_d(at_r["S"]) * at_r["dS"] - a_d(r_samples)) / (a_norm2 * envelope))
 
         # cumulative-moment operator distance on the test functions, with
         # rg's endpoints fixed
         worst = []
-        for t_g, s_g in np.pad(table.finv(np.stack((back_g - d, fwd_g), axis=1)),
+        for t_g, s_g in np.pad(np.stack((at_g["T"], at_g["S"]), axis=1),
                                ((0, 0), (0, 0), (1, 1)), constant_values=(0.0, 1.0)):
             tilde_base = moments.full_and_third(a_rg * q_interp(t_g).T)[1]
             tilde = pchip(rg, tilde_base)(s_g).T
@@ -573,13 +574,11 @@ def check_map_bounds(make_maps, plan, raise_on_fail=True):
     grad_all_ok = all(np.isfinite(g) and g <= GRADIENT_HYPOTHESIS_CAP for g in gvals.values())
     entries = [BoundEntry(
         name="w_gradient_hypothesis", n_samples=plan.n_pairs * 3 * rfine.size * len(all_eps),
-        constants=gvals, passed=grad_all_ok,
-        note="" if grad_all_ok else "gradient hypothesis fails; derivative bounds skipped")]
+        constants=gvals, passed=grad_all_ok)]
 
     for n, cv in constants.items():
         if n in ("dT_bound", "dS_bound") and not grad_all_ok:
-            entries.append(BoundEntry(name=n, n_samples=0, constants={}, skipped=True,
-                                      note="skipped: velocity gradient hypothesis not satisfied"))
+            entries.append(BoundEntry(name=n, n_samples=0, constants={}, skipped=True))
             continue
         ratios = [cv[eps] / cv[0.5 * eps] if cv[0.5 * eps] > 0 else np.inf
                   for eps in plan.epsilons]

@@ -213,7 +213,7 @@ def test_flow_derivative_needs_the_gap_rate(perturbed_maps):
         return w(r, t)
 
     w_frozen.gap = w.gap
-    w_frozen.gap_dt = lambda r, t: np.zeros(np.broadcast(r, t).shape)
+    w_frozen.gap_dt = lambda r, t, gap: np.zeros_like(gap)
     assert _derivative_error(dataclasses.replace(perturbed_maps, w=w_frozen)) > 1e-4
 
 
@@ -327,6 +327,37 @@ def test_bounds_failure_raises(logistic_table):
 
     with pytest.raises(ExperimentFailure):
         check_map_bounds(make_maps, plan)
+
+
+def test_failed_gradient_hypothesis_skips_the_derivative_bounds(logistic_table):
+    # dw/dr = u_*' + 1e3 eps e^{-mu t} puts the gradient constant at 1e3, past
+    # GRADIENT_HYPOTHESIS_CAP: the hypothesis fails, the derivative bounds are
+    # skipped, and every other entry is still fitted on the gap-driven flows
+    _, u = logistic_table
+    ud = u.interpolator().derivative()
+
+    def make_maps(eps):
+        w, _ = make_perturbed_velocity(u, eps, SMALL_PLAN.mu)
+        return build_maps(u, w, lambda r, t: ud(r) + 1e3 * eps * np.exp(-SMALL_PLAN.mu * t),
+                          epsilon=eps, mu=SMALL_PLAN.mu)
+
+    report = check_map_bounds(make_maps, SMALL_PLAN, raise_on_fail=False)
+    hypothesis, *rest = report.entries
+    assert hypothesis.name == "w_gradient_hypothesis"
+    assert not hypothesis.passed and not hypothesis.skipped
+    assert all(abs(c / 1e3 - 1.0) <= 1e-9 for c in hypothesis.constants.values())
+    skipped = [e for e in rest if e.skipped]
+    assert [e.name for e in skipped] == ["dT_bound", "dS_bound"]
+    assert all(e.n_samples == 0 and not e.constants for e in skipped)
+    fitted = [e for e in rest if not e.skipped]
+    assert [e.name for e in fitted] == ["T_shift", "S_shift", "coeff_shift_sup",
+                                        "coeff_shift_weighted", "cumulative_op_distance"]
+    assert all(e.passed and e.ratio is not None and len(e.constants) == 2 for e in fitted)
+    assert not report.all_passed
+    assert [row.split(",")[-1] for row in str(report).splitlines()[1:-1]] == [
+        "FAIL", "pass", "pass", "skip", "skip", "pass", "pass", "pass"]
+    with pytest.raises(ExperimentFailure, match=r"\['w_gradient_hypothesis'\]"):
+        check_map_bounds(make_maps, SMALL_PLAN)
 
 
 # SHA-256 of every map's output on the logistic table (endpoints included)
