@@ -20,8 +20,8 @@ from .experiments import (RunConfig, config_from_text, config_hash,
                           stationary_for, sweep)
 from .grid import RadialGrid
 from .kinetics import validate_hypotheses
-from .linearized import (ENSEMBLE_RECORD_EVERY, build_operators, decay_ensemble,
-                         shortest_fit_steps, step_bound)
+from .linearized import (ENSEMBLE_RECORD_EVERY, FIT_MIN_SAMPLES, build_operators,
+                         decay_ensemble, ensemble_step, shortest_fit_steps, step_bound)
 from .nutrient import solve_nutrient
 from .simmaps import (SamplePlan, build_fstar, build_maps, check_map_bounds,
                       make_perturbed_velocity)
@@ -114,15 +114,18 @@ def cmd_linearize(args):
     if args.ensemble < 1:
         raise ConfigError("--ensemble must be at least 1")
     _check_finite("--t-end", args.t_end)
-    cfg = _load_config(args)
-    # the run takes round(t_end / dt) steps, as transport.output_steps counts
-    if round(args.t_end / cfg.dt) < (shortest := shortest_fit_steps(cfg.dt)):
-        raise ConfigError(f"--t-end must be at least {shortest * cfg.dt:.12g}, "
+    # no run of under FIT_MIN_SAMPLES - 1 record intervals holds enough records
+    if args.t_end < (shortest := (FIT_MIN_SAMPLES - 1) * ENSEMBLE_RECORD_EVERY):
+        raise ConfigError(f"--t-end must be at least {shortest:.12g}, "
                           "or the fit window holds too few records")
-    sol = stationary_for(cfg.spec, cfg.grid_size)
-    ops = build_operators(sol, cfg.spec)
-    ens = decay_ensemble(ops, n_runs=args.ensemble, t_end=args.t_end,
-                         dt=cfg.dt, seed=cfg.seed)
+    cfg = _load_config(args)
+    ops = build_operators(stationary_for(cfg.spec, cfg.grid_size), cfg.spec)
+    dt = ensemble_step(ops)
+    # the run takes round(t_end / dt) steps, as transport.output_steps counts
+    if round(args.t_end / dt) < (shortest := shortest_fit_steps(dt)):
+        raise ConfigError(f"--t-end must be at least {shortest * dt:.12g}, "
+                          "or the fit window holds too few records")
+    ens = decay_ensemble(ops, n_runs=args.ensemble, t_end=args.t_end, seed=cfg.seed)
     pick = 0 if args.norm == "X" else 1
     rows = ["run,norm,mu_fit,K_fit,r2,decades,valid"]
     mus = []
@@ -133,7 +136,7 @@ def cmd_linearize(args):
                     f"{rep.K_fit:.17g},{rep.r2:.17g},{rep.decades:.17g},"
                     f"{rep.valid}")
     _write_or_print(args, "linearize.csv", "\n".join(rows) + "\n")
-    print(f"dt = {cfg.dt:.12g}  propagator step bound = {step_bound(ops):.6g}  "
+    print(f"dt = {dt:.12g}  propagator step bound = {step_bound(ops):.6g}  "
           f"record interval = {ENSEMBLE_RECORD_EVERY:g}")
     print(f"ensemble rate estimate (minimum over {len(mus)} runs): "
           f"{min(mus):.6f}  spread: [{min(mus):.6f}, {max(mus):.6f}]")

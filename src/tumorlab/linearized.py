@@ -131,6 +131,11 @@ def step_bound(ops):
     return STEP_MARGIN * AB4_REAL_LIMIT / stiffness if stiffness > 0 else np.inf
 
 
+def ensemble_step(ops):
+    """The largest step within step_bound(ops) dividing ENSEMBLE_RECORD_EVERY."""
+    return ENSEMBLE_RECORD_EVERY / max(1, math.ceil(ENSEMBLE_RECORD_EVERY / step_bound(ops)))
+
+
 class _FoldedStage:
     """One stage of the cycle as one operator, shared across steps and runs.
 
@@ -381,21 +386,17 @@ def decay_ensemble(ops, n_runs=20, t_end=100.0, dt=None, seed=0):
 
     Each member starts from a random smooth phi and a uniform zeta, both of
     sup-norm at most ENSEMBLE_AMPLITUDE, and is recorded every
-    ENSEMBLE_RECORD_EVERY time units; dt defaults to the largest step within
-    step_bound(ops) that divides that interval.  The members are advanced
-    together and streamed: each recorded state inside fit_window is
-    resampled onto the grid and reduced to its deviation terms as it is
-    produced, so only the (n_times, n_runs) series are held, never the
-    states; the terms of the states before the window, which no fit reads,
-    are left NaN.  Returns a list of (fit of norm_x, fit of
-    norm_x0) pairs, one per run, each norm the sum transport.Trajectory forms;
-    the empirical rate estimate is the ensemble minimum of the fitted rates.
+    ENSEMBLE_RECORD_EVERY time units; dt defaults to ensemble_step(ops).  The
+    members are advanced together and streamed: each recorded state inside
+    fit_window is resampled onto the grid and reduced to its deviation terms
+    as it is produced, so only the (n_times, n_runs) series are held, never
+    the states; the terms of the states before the window, which no fit
+    reads, are left NaN.  Returns a list of (fit of norm_x, fit of norm_x0)
+    pairs, one per run, each norm the sum transport.Trajectory forms; the
+    empirical rate estimate is the ensemble minimum of the fitted rates.
     """
-    if dt is None:
-        per_record = max(1, math.ceil(ENSEMBLE_RECORD_EVERY / step_bound(ops)))
-        dt = ENSEMBLE_RECORD_EVERY / per_record
     rng = np.random.default_rng(seed)
-    prop = LinearPropagator(ops, dt)
+    prop = LinearPropagator(ops, ensemble_step(ops) if dt is None else dt)
     phi0 = np.stack([
         random_smooth_field(ops.grid, rng, amplitude=ENSEMBLE_AMPLITUDE).values
         for _ in range(n_runs)

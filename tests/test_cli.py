@@ -13,8 +13,8 @@ from tumorlab.errors import SolverError
 from tumorlab.experiments import (RunConfig, config_from_text, config_hash,
                                   config_to_text)
 from tumorlab.kinetics import KineticsSpec
-from tumorlab.linearized import (build_operators, decay_ensemble, shortest_fit_steps,
-                                 step_bound)
+from tumorlab.linearized import (build_operators, decay_ensemble, ensemble_step,
+                                 shortest_fit_steps, step_bound)
 
 
 @pytest.fixture()
@@ -130,13 +130,14 @@ def test_bad_argument_exits_3_before_any_solve(monkeypatch, capsys, argv):
     assert argv[1] in capsys.readouterr().err
 
 
-def test_short_horizon_names_the_shortest_usable(capsys):
-    # the ensemble records every 1.0: with the default dt (1e-2) the window
-    # of a 501-step run holds the records at 2, 3, 4, 5 and 5.01, that of a
-    # 500-step run one fewer
+def test_short_horizon_names_the_shortest_usable(capsys, operators801):
+    # the ensemble records every 1.0 in the propagator's step, 0.1 at the
+    # default spec: the window of a 51-step run holds the records at 2, 3, 4,
+    # 5 and 5.1, that of a 50-step run one fewer
+    assert ensemble_step(operators801) == 0.1
     assert main(["linearize", "--t-end", "5"]) == EXIT_CONFIG_ERROR
-    assert "--t-end must be at least 5.01," in capsys.readouterr().err
-    assert shortest_fit_steps(1e-2) == 501
+    assert "--t-end must be at least 5.1," in capsys.readouterr().err
+    assert shortest_fit_steps(0.1) == 51
 
 
 class _PastTheCheck(Exception):
@@ -144,18 +145,24 @@ class _PastTheCheck(Exception):
 
 
 @pytest.mark.parametrize("dt", [1e-2, 7e-3, 3e-3])
-def test_short_horizon_check_counts_steps(tmp_path, monkeypatch, capsys, dt):
-    # the run takes round(t_end / dt) steps: a t_end below the shortest
-    # that rounds to its step count passes the check, and so does the
-    # shortest as the error prints it; one that rounds a step lower fails
+def test_short_horizon_check_counts_steps(monkeypatch, capsys, dt):
+    # the run takes round(t_end / dt) steps of the ensemble's step: a t_end
+    # below the shortest that rounds to its step count passes the check, and
+    # so does the shortest as the error prints it; one that rounds a step
+    # lower fails.  Under 4 record intervals no step holds enough records,
+    # so such a horizon fails before the solve that finds the step.
     def reached(*args, **kwargs):
         raise _PastTheCheck
 
-    monkeypatch.setattr(cli, "stationary_for", reached)
-    path = tmp_path / "run.cfg"
-    path.write_text(f"dt = {dt!r}\n")
-    argv = ["linearize", "--config", str(path), "--t-end"]
-    assert main(argv + ["0.1"]) == EXIT_CONFIG_ERROR
+    solves = []
+    monkeypatch.setattr(cli, "stationary_for", lambda *args: solves.append(args))
+    monkeypatch.setattr(cli, "build_operators", lambda sol, spec: None)
+    monkeypatch.setattr(cli, "ensemble_step", lambda ops: dt)
+    monkeypatch.setattr(cli, "decay_ensemble", reached)
+    argv = ["linearize", "--t-end"]
+    assert main(argv + [repr(4.0 - 1e-9)]) == EXIT_CONFIG_ERROR and not solves
+    assert "--t-end must be at least 4," in capsys.readouterr().err
+    assert main(argv + ["4"]) == EXIT_CONFIG_ERROR and len(solves) == 1
     printed = capsys.readouterr().err.split("at least ")[1].split(",")[0]
     steps = shortest_fit_steps(dt)
     for t_end in (printed, repr((steps - 0.4) * dt)):
@@ -194,20 +201,22 @@ def test_linearize_reports_positive_rate(small_config_file, capsys,
 
 def test_linearize_prints_its_step_bound_and_record_interval(small_config_file, capsys,
                                                               default_spec, stationary201):
-    # the step it took (the config's dt), the propagator's own bound on it
-    # and the ensemble's record interval
+    # the step it took (the largest within the propagator's own bound that
+    # divides the record interval, not the config's dt), that bound and the
+    # ensemble's record interval
     assert main(["linearize", "--config", small_config_file,
                  "--ensemble", "1", "--t-end", "6"]) == EXIT_PASS
-    bound = step_bound(build_operators(stationary201, default_spec))
-    assert (f"dt = 0.01  propagator step bound = {bound:.6g}  record interval = 1"
+    ops = build_operators(stationary201, default_spec)
+    bound = step_bound(ops)
+    assert (f"dt = 0.1  propagator step bound = {bound:.6g}  record interval = 1"
             in capsys.readouterr().out.splitlines())
-    assert f"{bound:.6g}" == "0.107143"
+    assert f"{bound:.6g}" == "0.107143" and ensemble_step(ops) == 0.1
 
 
 def test_linearize_writes_the_chosen_norm(tmp_path, small_config_file, default_spec,
                                           stationary201):
     # every row names the --norm it fits, and its rates are decay_ensemble's
-    # fits of that norm at the config's seed
+    # fits of that norm at the config's seed and the ensemble's own step
     out = tmp_path / "lin"
     assert main(["linearize", "--config", small_config_file, "--norm", "X0",
                  "--ensemble", "2", "--t-end", "60", "--out", str(out)]) == EXIT_PASS
@@ -216,7 +225,7 @@ def test_linearize_writes_the_chosen_norm(tmp_path, small_config_file, default_s
     assert [row[1] for row in rows[1:]] == ["X0", "X0"]
     cfg = config_from_text(Path(small_config_file).read_text())
     ens = decay_ensemble(build_operators(stationary201, default_spec), n_runs=2,
-                         t_end=60.0, dt=cfg.dt, seed=cfg.seed)
+                         t_end=60.0, seed=cfg.seed)
     assert [float(row[2]) for row in rows[1:]] == [fit_x0.mu_fit for _, fit_x0 in ens]
 
 
@@ -284,8 +293,10 @@ def test_sweep_writes_one_row_per_epsilon(tmp_path, small_config_file, capsys):
     assert "basin edge: 0.01" in capsys.readouterr().out.splitlines()
 
 
-def test_seed_option_overrides_the_config(tmp_path, small_config_file):
-    # --seed 5 on a seed-0 config draws the ensemble a seed-5 config draws
+def test_seed_option_overrides_the_config(tmp_path, small_config_file, default_spec,
+                                          stationary201):
+    # --seed 5 on a seed-0 config draws the ensemble a seed-5 config draws,
+    # decay_ensemble's at seed 5 in its own step
     seeded = tmp_path / "seeded.cfg"
     seeded.write_text(config_to_text(RunConfig(grid_size=201, t_end=5.0, epsilon=1e-2,
                                                seed=5)))
@@ -297,6 +308,10 @@ def test_seed_option_overrides_the_config(tmp_path, small_config_file):
                      "--out", str(out)] + seed) == EXIT_PASS
         tables.append((out / "linearize.csv").read_bytes())
     assert tables[0] == tables[1] != tables[2]
+    ens = decay_ensemble(build_operators(stationary201, default_spec), n_runs=2,
+                         t_end=6.0, seed=5)
+    rows = [row.split(",") for row in tables[0].decode().splitlines()[1:]]
+    assert [float(row[2]) for row in rows] == [fit_x.mu_fit for fit_x, _ in ens]
 
 
 def test_solver_error_exits_2_and_leaves_a_manifest(tmp_path, monkeypatch,
