@@ -114,7 +114,7 @@ def cmd_linearize(args):
     if args.ensemble < 1:
         raise ConfigError("--ensemble must be at least 1")
     _check_finite("--t-end", args.t_end)
-    # no run of under FIT_MIN_SAMPLES - 1 record intervals holds enough records
+    # a run under FIT_MIN_SAMPLES - 1 record intervals holds too few at any step
     if args.t_end < (shortest := (FIT_MIN_SAMPLES - 1) * ENSEMBLE_RECORD_EVERY):
         raise ConfigError(f"--t-end must be at least {shortest:.12g}, "
                           "or the fit window holds too few records")

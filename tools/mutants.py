@@ -74,6 +74,33 @@ MUTANTS = [
     ("relative_gap zeroes the endpoints again", "simmaps.py",
      "        return gap\n", "        return np.where((r > 0.0) & (r < 1.0), gap, 0.0)\n",
      "tests/test_cli.py::test_maps_passes_at_a_steep_spec"),
+    ("T without the stationary shift (t - s)", "simmaps.py",
+     "table.finv(back), table.finv(back - d)", "table.finv(back), table.finv(back)",
+     "tests/test_simmaps.py::test_similarity_maps_are_mutually_inverse"),
+    ("derivative bounds never skipped", "simmaps.py",
+     'if n in ("dT_bound", "dS_bound") and not grad_all_ok:',
+     'if n in ("dT_bound", "dS_bound") and False:',
+     "tests/test_simmaps.py::test_failed_gradient_hypothesis_skips_the_derivative_bounds"),
+    ("r^-3 M's origin limit v(0)/3 -> v(0)/2", "grid.py",
+     "moment[..., 0] = v[..., 0] / 3.0", "moment[..., 0] = v[..., 0] / 2.0",
+     "tests/test_grid.py::test_third_moment_constant_limit"),
+    ("an edge stencil weight off by one", "grid.py",
+     "dv[0] = (-25 * v[0]", "dv[0] = (-24 * v[0]",
+     "tests/test_grid.py::test_derivative_fourth_order"),
+    ("K_D' with the wrong sign", "kinetics.py",
+     "kd_d = cached_property(lambda self: -self.spec.d_rate",
+     "kd_d = cached_property(lambda self: self.spec.d_rate",
+     "tests/test_kinetics.py::test_default_family_satisfies_all_hypotheses"),
+    ("the repelling center root", "stationary.py",
+     "root = ((km - kn) + np.sqrt(disc))", "root = ((km - kn) - np.sqrt(disc))",
+     "tests/test_stationary.py::test_center_root_balances_reaction"),
+    ("linearize steps the ensemble at the config's dt", "cli.py",
+     "t_end=args.t_end, seed=cfg.seed)", "t_end=args.t_end, dt=cfg.dt, seed=cfg.seed)",
+     "tests/test_cli.py::test_linearize_writes_the_chosen_norm"),
+    ("linearize's pre-solve horizon floor one interval lower", "cli.py",
+     "(FIT_MIN_SAMPLES - 1) * ENSEMBLE_RECORD_EVERY",
+     "(FIT_MIN_SAMPLES - 2) * ENSEMBLE_RECORD_EVERY",
+     "tests/test_cli.py::test_short_horizon_check_counts_steps"),
 ]
 
 
