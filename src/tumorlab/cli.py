@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ExperimentFailure, SolverError
+from .errors import ConfigError, SolverError
 from .experiments import (RunConfig, config_from_text, config_hash,
                           emit_report, run_stability_experiment,
                           stationary_for, sweep)
@@ -250,9 +250,6 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except ExperimentFailure as exc:
-        print(f"experiment failure: {exc}", file=sys.stderr)
-        return EXIT_EXPERIMENT_FAIL
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ERROR

@@ -13,15 +13,14 @@ when their sizes are.  scalar_ppoly reads any PPoly at one point on plain
 floats, with its floats and without its per-call overhead.
 
 Every radial moment integral_0^r v rho^2 drho, in the velocity u and in
-the linearized operators B and F alike, is taken by one kernel,
-pair_moments: Simpson pair totals summed along the rows in node order after
-an exact cubic start.  RadialMoments holds its weights for one set of
-positions, built in closed form (no SVD; r^-3 only on demand), or for
-stacked rows of positions in one call, each row with the bits of its own
-build; radial_average is a thin function over it (moment_average turns
-any row of moments into u = r^-2 M), and each linearized stage
-folds g_p into its own (linearized._FoldedStage).  The kernel is
-batch-invariant: a row has the same moments alone as in any batch.
+the linearized operators B and F alike, is taken by RadialMoments, the one
+owner of its layout: Simpson pair totals summed along the rows in node
+order after an exact cubic start.  It is built in closed form (no SVD;
+r^-3 only on demand) for one set of positions or for stacked rows of them,
+each row with its own build's bits and self[i] its operator (Picard's
+blocks); fold(g) folds g into it (each linearized._FoldedStage's g_p).
+radial_average is a thin function over it (moment_average turns any row of
+moments into u = r^-2 M).  A row has the same moments alone as in any batch.
 """
 
 from array import array
@@ -218,54 +217,24 @@ def _simpson_weights(x):
     return weights, np.stack(_interval_weights(h[..., -1], h[..., -2])[::-1], axis=-1)
 
 
-def pair_moments(v, weights, last, start):
-    """A new array of the cumulative moments of the rows of v (last axis,
-    node order).
-
-    weights[..., j, 0, m] weighs node 2m+j in the Simpson total of pair m
-    (intervals 2m and 2m+1), weights[..., j, 1, m] in its first interval;
-    last weighs the last three nodes in an odd last interval, or is None;
-    start gives the first k moments from the first k values.  The operator
-    is one for every row of v, or one per row (leading axes).  Past x_4
-    each even node is a cumulative sum of pair totals, and each odd node
-    adds its pair's first interval to the even node before it.  Each step
-    is elementwise or a sum along a row, so a row has the same bits alone
-    as in any batch: the start and the odd last interval are einsum sums,
-    as a matmul's bits depend on how many rows share the call.
-    """
-    k = start.shape[-1]
-    n2 = 2 * weights.shape[-1]
-    pair = v[..., None, 0:n2:2] * weights[..., 0, :, :]
-    tmp = v[..., None, 1:n2:2] * weights[..., 1, :, :]
-    pair += tmp
-    pair += np.multiply(v[..., None, 2:n2 + 1:2], weights[..., 2, :, :], out=tmp)
-    out = np.empty_like(v)
-    out[..., :k] = np.einsum("...j,...ij->...i", v[..., :k], start)
-    if out.shape[-1] > k:  # then k = 5, and the sums continue from x_4
-        pair[..., 0, 1] = out[..., 4]
-        np.cumsum(pair[..., 0, 1:], axis=-1, out=out[..., 4:n2 + 1:2])
-        np.add(out[..., 4:n2 - 1:2], pair[..., 1, 2:], out=out[..., 5:n2:2])
-        if last is not None:
-            out[..., -1] = out[..., -2] + np.einsum("...j,...j->...", v[..., -3:], last)
-    return out
-
-
 class RadialMoments:
     """M(x_i) = integral_0^{x_i} v(rho) rho^2 drho for rows of node values v
     (last axis) at the positions x, x[..., 0] = 0.
 
-    Composite Simpson with rho^2 folded into the weights, applied by
-    pair_moments (the fields weights, last and start).  The r^-2
-    and r^-3 prefactors of the velocity and of the linearized operators
-    amplify the Simpson error near the origin, so the first five moments
-    are exact for the least-squares cubic through the first five values and
-    the Simpson sums continue from the fifth.  The cubic comes from its
-    normal equations in x / x[4], refined once against the residual (each
-    start row within 2e-13 of exact arithmetic, relative to its largest).
+    Composite Simpson: the fields weights and last are _simpson_weights'
+    with rho^2 folded in, and start gives the first k moments from the first
+    k values.  The r^-2 and r^-3 prefactors of the velocity and of the
+    linearized operators amplify the Simpson error near the origin, so the
+    first five moments are exact for the least-squares cubic through the
+    first five values and the Simpson sums continue from the fifth.  The
+    cubic comes from its normal equations in x / x[4], refined once against
+    the residual (each start row within 2e-13 of exact arithmetic, relative
+    to its largest).
 
     x may stack several rows of positions (leading axes): the operator then
     holds one set of fields per row, each bit for bit the one built from
-    that row alone, and applies row i of the fields to row i of v.
+    that row alone, and applies row i of the fields to row i of v; self[i]
+    is row i's operator alone.
     """
 
     def __init__(self, x):
@@ -288,6 +257,20 @@ class RadialMoments:
         self.start = (v * x[..., :k, None] ** 3 / (powers + 3)) @ fit
         self._x = x
 
+    def __getitem__(self, i):
+        """The operator of row i of stacked positions, its fields views of these."""
+        row = object.__new__(RadialMoments)
+        for name, value in vars(self).items():
+            setattr(row, name, value[i] if isinstance(value, np.ndarray) else value)
+        return row
+
+    def fold(self, g):
+        """Fold node values g at one row of positions in: cumulative(v) is then M(g v)."""
+        n2 = 2 * self.weights.shape[-1]
+        self.weights *= np.array([g[j:n2 + j:2] for j in range(3)])[:, None]
+        self.last = None if self.last is None else self.last * g[-3:]
+        self.start *= g[:self.k]
+
     @cached_property
     def inv_x3(self):
         """r^-3 at the positions, 0 at the origin; built on first use, it replaces them."""
@@ -297,8 +280,30 @@ class RadialMoments:
         return inv
 
     def cumulative(self, v):
-        """M at every position, a new array shaped like v."""
-        return pair_moments(np.asarray(v, dtype=float), self.weights, self.last, self.start)
+        """M at every position, a new array shaped like v.
+
+        Past x_4 each even node is a cumulative sum of pair totals, and each
+        odd node adds its pair's first interval to the even node before it.
+        Each step is elementwise or a sum along a row, so a row has the same
+        bits alone as in any batch: the start and the odd last interval are
+        einsum sums, as a matmul's bits depend on how many rows share it.
+        """
+        v = np.asarray(v, dtype=float)
+        weights, k = self.weights, self.k
+        n2 = 2 * weights.shape[-1]
+        pair = v[..., None, 0:n2:2] * weights[..., 0, :, :]
+        tmp = v[..., None, 1:n2:2] * weights[..., 1, :, :]
+        pair += tmp
+        pair += np.multiply(v[..., None, 2:n2 + 1:2], weights[..., 2, :, :], out=tmp)
+        out = np.empty_like(v)
+        out[..., :k] = np.einsum("...j,...ij->...i", v[..., :k], self.start)
+        if out.shape[-1] > k:  # then k = 5, and the sums continue from x_4
+            pair[..., 0, 1] = out[..., 4]
+            np.cumsum(pair[..., 0, 1:], axis=-1, out=out[..., 4:n2 + 1:2])
+            np.add(out[..., 4:n2 - 1:2], pair[..., 1, 2:], out=out[..., 5:n2:2])
+            if self.last is not None:
+                out[..., -1] = out[..., -2] + np.einsum("...j,...j->...", v[..., -3:], self.last)
+        return out
 
     def full_and_third(self, v):
         """(M(1), r^-3 M) from one pass, r^-3 M with its origin limit v(0)/3."""

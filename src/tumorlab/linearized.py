@@ -140,18 +140,14 @@ class _FoldedStage:
     """One stage of the cycle as one operator, shared across steps and runs.
 
     M(g_p phi) is moments.cumulative(phi), the stage's grid.RadialMoments
-    with g_p folded into its pair totals, first-interval weights, odd last
-    interval and cubic start.  Then dphi = a phi + rp M(1) + b zeta
+    with g_p folded in by its fold.  Then dphi = a phi + rp M(1) + b zeta
     - rp r^-3 M: apply_B and apply_F in one pass.
     """
 
     def __init__(self, x, coef):
         a, b, gp, rp = (f(x) for f in coef)
         self.moments = radial = RadialMoments(x)
-        n2 = 2 * radial.weights.shape[-1]
-        radial.weights *= np.array([gp[j:n2 + j:2] for j in range(3)])[:, None]
-        radial.last = None if radial.last is None else radial.last * gp[-3:]
-        radial.start *= gp[:radial.k]
+        radial.fold(gp)
         rp[0] = 0.0  # B vanishes at the origin
         self.a = a
         self.rp_b = np.array((rp, b))

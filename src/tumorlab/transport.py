@@ -44,8 +44,7 @@ from scipy.interpolate import PchipInterpolator  # noqa: F401 (bench/spans.py pa
 
 from .errors import SolverError
 from .grid import (RadialField, RadialMoments, derivative_values, moment_average,
-                   pair_moments, pchip, pchip_coefficients, radial_average,
-                   require_same_grid)
+                   pchip, pchip_coefficients, radial_average, require_same_grid)
 from .kinetics import eval_rates
 from .nutrient import affine_c, solve_nutrient
 from .velocity import frame_velocity, radial_velocity
@@ -171,9 +170,9 @@ def _stage_rates(spec, cache, positions, values, z):
 def _source_rates(spec, cache, positions, moments, values, z):
     """f and the moment M of g (u = r^-2 M, so M(1) = u(1)) of the state
     (values, z) at stage positions whose moment operator is moments, a
-    (weights, last, start) row of a RadialMoments."""
+    RadialMoments of those positions alone."""
     rv = _stage_kinetics(spec, cache, positions, z)
-    return rv.f(values), pair_moments(rv.g(values), *moments)
+    return rv.f(values), moments.cumulative(rv.g(values))
 
 
 def rk4(rates, y, dt):
@@ -449,13 +448,11 @@ def _picard_sweep(spec, cache, nodes, h_ref, x, w, values, z, dt):
         steps = len(block)
         stage_x = [s for stages, _, _ in block for s in stages]
         moments = RadialMoments(np.array(stage_x))
-        weights, last, start = moments.weights, moments.last, moments.start
         rows, step_rows = itertools.count(), itertools.count(k)
 
         def rates(i, y):
             r = next(rows)
-            op = (weights[r], None if last is None else last[r], start[r])
-            f, moment = _source_rates(spec, cache, stage_x[r], op, *y)
+            f, moment = _source_rates(spec, cache, stage_x[r], moments[r], *y)
             if i == 0:  # a step's start: its row of the new path (u(1) = M(1) as x = 1)
                 s = next(step_rows)
                 x[s] = stage_x[r]

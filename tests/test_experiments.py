@@ -30,6 +30,12 @@ def test_config_roundtrip_exact():
     assert config_from_text(config_to_text(cfg)) == cfg
 
 
+def test_config_text_skips_comments_and_blank_lines():
+    cfg = RunConfig(spec=KineticsSpec(lam=2.0), epsilon=0.037, seed=11)
+    text = "# a hand-edited run\n\n" + config_to_text(cfg) + "\n  # seed = 12\n"
+    assert config_from_text(text) == cfg
+
+
 def test_config_hash_changes_with_content():
     assert config_hash(RunConfig()) != config_hash(RunConfig(epsilon=1e-3))
 

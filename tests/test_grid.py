@@ -283,7 +283,8 @@ def _jittered_rows(n, rows, seed):
 @pytest.mark.parametrize("n", [200, 201, 801])
 def test_stacked_moments_match_row_builds(n, rows):
     # one build over stacked rows of positions gives each row the bits of
-    # its own build, so the rows a batch holds cannot change a row's moments
+    # its own build, so the rows a batch holds cannot change a row's
+    # moments, and so does row i's operator op[i] alone
     x = _jittered_rows(n, rows, n + rows)
     v = np.random.default_rng(rows).standard_normal((rows, n))
     op = RadialMoments(x)
@@ -294,7 +295,9 @@ def test_stacked_moments_match_row_builds(n, rows):
         assert _same_bits(op.start[i], one.start)
         assert (op.last is None) == (one.last is None) == (n % 2 == 1)
         assert one.last is None or _same_bits(op.last[i], one.last)
-        assert _same_bits(moments[i], one.cumulative(v[i]))
+        alone = one.cumulative(v[i])
+        assert _same_bits(moments[i], alone)
+        assert _same_bits(op[i].cumulative(v[i]), alone)
     # and one shared operator gives a row the bits it has alone, in a batch
     # of 20 rows and of 2
     shared = RadialMoments(x[0])

@@ -331,6 +331,16 @@ def test_fit_decay_flags_short_windows():
     assert "decades" in rep.note
 
 
+def test_fit_decay_flags_a_rising_norm():
+    # two decades of decay and r2 above FIT_R2_MIN, but the norm jumps up
+    # inside the fit window
+    times = np.linspace(0.0, 50.0, 501)
+    series = np.exp(-0.15 * times) * np.where(times > 45.0, 1.5, 1.0)
+    rep = fit_decay(times, series)
+    assert not rep.valid
+    assert rep.note == "norm not monotone over the window after smoothing"
+
+
 def test_ensemble_rates_cluster(operators801):
     ens = decay_ensemble(operators801, n_runs=4, t_end=80.0, seed=5)
     mus = [pair[0].mu_fit for pair in ens]

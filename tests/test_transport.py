@@ -462,9 +462,7 @@ def test_stage_reads_no_rate_derivative(monkeypatch, family):
     w, f, u1 = transport._stage_rates(spec, cache, x, p, ref.z_star)
     assert w.shape == f.shape == x.shape and np.isfinite(u1)
     # Picard's stage, on the same positions' moment operator
-    op = RadialMoments(x)
-    f_picard, moment = transport._source_rates(
-        spec, cache, x, (op.weights, op.last, op.start), p, ref.z_star)
+    f_picard, moment = transport._source_rates(spec, cache, x, RadialMoments(x), p, ref.z_star)
     assert np.array_equal(f_picard, f) and moment[-1] == u1
 
 

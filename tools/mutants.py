@@ -84,6 +84,13 @@ MUTANTS = [
     ("r^-3 M's origin limit v(0)/3 -> v(0)/2", "grid.py",
      "moment[..., 0] = v[..., 0] / 3.0", "moment[..., 0] = v[..., 0] / 2.0",
      "tests/test_grid.py::test_third_moment_constant_limit"),
+    ("fold leaves the cubic start unscaled", "grid.py",
+     "        self.start *= g[:self.k]\n", "",
+     "tests/test_linearized.py::test_stage_moments_match_simpson"),
+    ("moments[i] gives row 0's start", "grid.py",
+     "setattr(row, name, value[i] if",
+     "setattr(row, name, value[0 if name == 'start' else i] if",
+     "tests/test_grid.py::test_stacked_moments_match_row_builds"),
     ("an edge stencil weight off by one", "grid.py",
      "dv[0] = (-25 * v[0]", "dv[0] = (-24 * v[0]",
      "tests/test_grid.py::test_derivative_fourth_order"),
