@@ -24,7 +24,7 @@ from .grid import RadialGrid, RadialField
 from .kinetics import KineticsSpec
 from .linearized import FIT_R2_MIN, DecayReport, fit_decay
 from .stationary import solve_stationary
-from .transport import (RECORD_EVERY, TumorState, _check_dt, picard_solve,
+from .transport import (DT_MAX, RECORD_EVERY, TumorState, _check_dt, picard_solve,
                         simulate)
 
 SHAPE_IDS = ("poly", "sine", "bump")
@@ -61,7 +61,7 @@ class RunConfig:
 
     spec: KineticsSpec = KineticsSpec()
     grid_size: int = 801
-    dt: float = 1e-2
+    dt: float = DT_MAX
     t_end: float = 40.0
     shape: str = "poly"
     epsilon: float = 1e-2

@@ -49,7 +49,7 @@ from .kinetics import eval_rates
 from .nutrient import affine_c, solve_nutrient
 from .velocity import frame_velocity, radial_velocity
 
-DT_MAX = 1e-2
+DT_MAX = 2e-2  # the step bound of the nonlinear run, and RunConfig's step
 PICARD_MAX_ITERS = 12
 REGRID_MIN_FACTOR = 0.2
 REGRID_MAX_FACTOR = 2.5

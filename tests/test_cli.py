@@ -15,6 +15,7 @@ from tumorlab.experiments import (RunConfig, config_from_text, config_hash,
 from tumorlab.kinetics import KineticsSpec
 from tumorlab.linearized import (build_operators, decay_ensemble, ensemble_step,
                                  shortest_fit_steps, step_bound)
+from tumorlab.transport import DT_MAX
 
 
 @pytest.fixture()
@@ -67,7 +68,7 @@ def test_malformed_config_exits_3(tmp_path):
 def test_config_step_above_bound_exits_3(tmp_path, capsys):
     # a step above transport.DT_MAX is a config error, not a traceback
     path = tmp_path / "coarse.cfg"
-    path.write_text("dt = 0.05\n")
+    path.write_text(f"dt = {2 * DT_MAX}\n")
     assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG_ERROR
     assert "DT_MAX" in capsys.readouterr().err
 

@@ -15,7 +15,7 @@ from tumorlab.grid import RadialGrid
 from tumorlab.kinetics import KineticsSpec
 from tumorlab.linearized import fit_decay
 from tumorlab.stationary import solve_stationary
-from tumorlab.transport import Trajectory
+from tumorlab.transport import DT_MAX, Trajectory
 
 
 def small_config(**overrides):
@@ -53,7 +53,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(t_end=-1.0)
     with pytest.raises(ConfigError):
-        RunConfig(dt=0.05)  # above transport.DT_MAX
+        RunConfig(dt=2 * DT_MAX)
     with pytest.raises(ConfigError):
         config_from_text("epsilon 0.1\n")
     with pytest.raises(ConfigError, match="shape must be one of"):
@@ -179,19 +179,19 @@ def test_emit_report_roundtrip(tmp_path, stationary201):
 REPORT_DIGESTS = {
     "direct": {
         "manifest.txt":
-            "ec0364ae12a605d2080d76e575d8fc4bd8cc6973c105625494e9d4ee12b9e0f1",
+            "bef0b141ec0249b772ed2f6fc480b33483aed1af58b4e447f0e5ad822e279050",
         "trajectory.csv":
-            "3619cff2363533b2f613017483ea28c4be6c83b4000e392a57c02f9e70cc2aa0",
+            "235e587288d7870497e16fd10700791a2556f6556a75610ea98ff5a1de39fc78",
         "decay.csv":
-            "aa2ead97658c21c79629fb56efd448368d7614162cdc08c5ffeacf0420143a89",
+            "41cbaa9c690e1b677ea148456ab06b80d7a89d7f47f0eb4867d99d3fd3dfdfbe",
     },
     "picard": {
         "manifest.txt":
-            "60781c0119380edeb9349b16ee56d3fc5df1002e43353c4c8f0080792c12d86e",
+            "8f94a4ff4eb6b5e4fa384b9da7d3ee0f1a8228c97a7001da593726d2c16f4371",
         "trajectory.csv":
-            "fb9043b982c7c01f4b2ec4a17d35057d50646134be2008971f87483c909f3b99",
+            "772ed2360b0c25ea28e0d09807506dbc12892bd37371e5c35838c0bea390149f",
         "decay.csv":
-            "20245aa76b9d75982e82eac4369ca9a529ead941f61f542df0cec8a3043a5355",
+            "1b65f9a7dde67b92452eb5a0408489d32c58a8a3ef391c345d1f94c1e79774b2",
     },
 }
 

@@ -38,8 +38,9 @@ def test_pure_transport_sup_contraction(grid201, rng):
 def test_pure_transport_rejects_large_dt(grid201, rng):
     q0 = RadialField(grid201, np.sin(3 * grid201.nodes) + 0.2)
     w = make_negative_velocity(grid201, rng)
+    coarse = 2 * transport.DT_MAX
     with pytest.raises(ValueError, match="DT_MAX"):
-        pure_transport(w, q0, t_end=0.04, dt=0.02)
+        pure_transport(w, q0, t_end=2 * coarse, dt=coarse)
 
 
 def _kernel_path(field, grid):
@@ -235,10 +236,28 @@ def test_perturbation_decays_toward_stationary(stationary201, default_spec):
 def test_picard_rejects_large_dt(stationary201, default_spec):
     # the direct solver and Picard share one bound on the step
     init = TumorState(t=0.0, p=stationary201.p_star, z=stationary201.z_star)
+    coarse = 2 * transport.DT_MAX
     with pytest.raises(ValueError, match="DT_MAX"):
-        picard_solve(init, 0.04, 0.02, default_spec, stationary201, mu=0.07)
+        picard_solve(init, 2 * coarse, coarse, default_spec, stationary201, mu=0.07)
     with pytest.raises(ValueError, match="DT_MAX"):
-        simulate(init, 0.04, 0.02, default_spec, stationary201)
+        simulate(init, 2 * coarse, coarse, default_spec, stationary201)
+
+
+def test_halving_the_step_leaves_norm_x(default_spec):
+    # the nonlinear run at DT_MAX resolves its norm: halving the step moves
+    # norm_x by at most 1e-4 relative at every record (8.5e-9, 1.7e-5 and
+    # 1.3e-7 at 201, 401 and 801 nodes).  At 201 nodes the step is also
+    # quartered: steps of 2.5e-2 and up drift from finer ones by 7e-4 at
+    # t = 10 while agreeing with their own halves (5e-2 against 2.5e-2:
+    # 2.5e-7), so one halving cannot see that regime
+    for n, divisors in ((201, (2, 4)), (401, (2,)), (801, (2,))):
+        ref = stationary_for(default_spec, n)
+        cfg = RunConfig(grid_size=n, epsilon=1e-3, t_end=10.0, spec=default_spec)
+        init = initial_state(cfg, ref)
+        coarse = simulate(init, cfg.t_end, transport.DT_MAX, default_spec, ref).norm_x
+        for k in divisors:
+            fine = simulate(init, cfg.t_end, transport.DT_MAX / k, default_spec, ref).norm_x
+            assert np.max(np.abs(coarse - fine) / fine) < 1e-4, (n, k)
 
 
 def _counted(original, counts, size=lambda *args: 1):
@@ -564,7 +583,7 @@ def test_picard_first_distance_is_weighted_from_v0(monkeypatch, stationary201, d
     init = initial_state(cfg, stationary201)
     traj, dists = picard_solve(init, cfg.t_end, cfg.dt, default_spec, stationary201,
                                mu=PICARD_RATE, output_every=cfg.dt)
-    assert len(dists) == 1 and len(traj.times) == 101
+    assert len(dists) == 1 and len(traj.times) == round(cfg.t_end / transport.DT_MAX) + 1
     since = traj.times - init.t
     p_star, z_star = stationary201.p_star.values, stationary201.z_star
     p0 = p_star + np.exp(-PICARD_RATE * since)[:, None] * (init.p.values - p_star)

@@ -55,6 +55,9 @@ MUTANTS = [
     ("REGRID_MAX_FACTOR 2.5 -> 25", "transport.py",
      "REGRID_MAX_FACTOR = 2.5", "REGRID_MAX_FACTOR = 25",
      "tests/test_transport.py::test_rk4_opens_every_regrid_cycle"),
+    ("DT_MAX 2e-2 -> 5e-2", "transport.py",
+     "DT_MAX = 2e-2", "DT_MAX = 5e-2",
+     "tests/test_transport.py::test_halving_the_step_leaves_norm_x"),
     ("GRADIENT_HYPOTHESIS_CAP 100 -> 0", "simmaps.py",
      "GRADIENT_HYPOTHESIS_CAP = 100.0", "GRADIENT_HYPOTHESIS_CAP = 0.0",
      "tests/test_cli.py::test_maps_writes_one_row_per_inequality"),
