@@ -54,7 +54,7 @@ PICARD_MAX_ITERS = 12
 REGRID_MIN_FACTOR = 0.2
 REGRID_MAX_FACTOR = 2.5
 P_ESCAPE_TOL = 1e-9
-RECORD_EVERY = 0.1  # the record interval of runs by default
+RECORD_EVERY = 0.5  # the record interval of runs by default
 #: most steps in one block of picard_solve; bounds the block's stacked arrays
 PICARD_BLOCK_STEPS = 8
 #: rk4 steps that open each regrid cycle of an AdamsBashforth history

@@ -15,7 +15,7 @@ from tumorlab.grid import RadialGrid
 from tumorlab.kinetics import KineticsSpec
 from tumorlab.linearized import fit_decay
 from tumorlab.stationary import solve_stationary
-from tumorlab.transport import DT_MAX, Trajectory
+from tumorlab.transport import DT_MAX, RECORD_EVERY, Trajectory
 
 
 def small_config(**overrides):
@@ -164,7 +164,7 @@ def test_emit_report_roundtrip(tmp_path, stationary201):
                                        "linear_response", "passed")))
     ) == rep.config
     rows = (tmp_path / "trajectory.csv").read_text().splitlines()
-    assert len(rows) - 1 == int(5.0 / 0.1) + 1
+    assert len(rows) - 1 == round(5.0 / RECORD_EVERY) + 1
     assert rows[0].startswith("t,")
     assert len(paths) == 3
 
@@ -179,19 +179,19 @@ def test_emit_report_roundtrip(tmp_path, stationary201):
 REPORT_DIGESTS = {
     "direct": {
         "manifest.txt":
-            "bef0b141ec0249b772ed2f6fc480b33483aed1af58b4e447f0e5ad822e279050",
+            "21a6613a84f514055b48115e035edd24f08f8b6717c4e40bfe0407f21dc00d8e",
         "trajectory.csv":
-            "235e587288d7870497e16fd10700791a2556f6556a75610ea98ff5a1de39fc78",
+            "7e88bd7340b8bb31706f2d4dae0402abc85349059706e42b1fa783809f66fd58",
         "decay.csv":
-            "41cbaa9c690e1b677ea148456ab06b80d7a89d7f47f0eb4867d99d3fd3dfdfbe",
+            "0f9f57f61413a34fc93d842fa1867ac7d787b8752f5ea4afb0202d9eded9ad3c",
     },
     "picard": {
         "manifest.txt":
-            "8f94a4ff4eb6b5e4fa384b9da7d3ee0f1a8228c97a7001da593726d2c16f4371",
+            "783a6010a24cd38dfd1b5ed4970d75db214ea2010dcb900aeb384894d7032054",
         "trajectory.csv":
-            "772ed2360b0c25ea28e0d09807506dbc12892bd37371e5c35838c0bea390149f",
+            "77ada43322607b5b662dcff1021846d48796b248ac94c0f32850a4900e88484b",
         "decay.csv":
-            "1b65f9a7dde67b92452eb5a0408489d32c58a8a3ef391c345d1f94c1e79774b2",
+            "11e06165e5de8de088a34917f5f4ddf44c8ed9d73bbad8ca169bd12746c1dcf2",
     },
 }
 

@@ -644,13 +644,13 @@ INTEGRATOR_DIGESTS = {
     "step":
         "85bc48cf574b24748f76d7e1592531e103008a50ee2035920f0aa567e7cbe2e9",
     "simulate":
-        "1a4ea6cef41bdf576ca30f21346ee75cebf8eed39dc86f26be242b678e61253f",
+        "5aabb229028354c35775c0b4a0be6437c428e9981133d22d9f4ee3d5b4595b97",
     "picard_solve":
-        "d4e1dc27aa35ea04181df59a9f150492f64853df48030271cdc0cd65130d1ce9",
+        "1afec2ecd5d7d954ee2da67e4680d5addf5ac1f2b57931108679d4a291e1eb08",
     "pure_transport":
         "06dae8142d44dd003eca66898c52b585c10111c55400842e14afcf38bc89f372",
     "solve_linearized":
-        "bdb8d56916bf27d603a17e876d855505f8117ae48595062104c35d475c4d89f5",
+        "81a06bad9560713f6dcf8620f417e07e2250dce50500c0090033a23db916f556",
     "decay_ensemble":
         "87796283907e85f6f766b794e33ea29f7b7082f5193586012088e6a4b20474a9",
 }
