@@ -543,8 +543,9 @@ def test_picard_matches_direct(family):
 def test_picard_fixed_point_is_the_direct_solution(family):
     # Picard freezes the velocity where simulate takes it, at the particles'
     # step-start positions, so its fixed point is simulate's solution up to
-    # the cubics read inside the rk4 start-up steps: the gap is 1.25e-9 for
-    # either family, where a velocity frozen on the nodes left 2.0e-6
+    # the cubics read inside the rk4 start-up steps: the gap is 8.4e-9
+    # (affine) and 5.2e-9 (saturating) at DT_MAX, 1.25e-9 for either at a
+    # step of 1e-2, where a velocity frozen on the nodes left 2.0e-6
     # (affine) and 9.0e-7 (saturating)
     _, gap = _picard_against_direct(family, 1e-2, 1.5)
     assert gap <= 1e-8
