@@ -88,9 +88,10 @@ def test_shapes_vanish_at_endpoints():
 
 def test_zero_perturbation_trivially_passes(stationary801):
     # needs the default grid: the coarse-grid fixed-point drift exceeds the
-    # 1e-6 quiet threshold at 201 nodes
+    # 1e-6 quiet threshold at 201 nodes.  Recorded every step, the drift
+    # peaks at 7.6e-7
     rep = run_stability_experiment(
-        RunConfig(grid_size=801, t_end=2.0, epsilon=0.0),
+        RunConfig(grid_size=801, t_end=2.0, epsilon=0.0, output_every=DT_MAX),
         linear_response=False)
     assert rep.passed
     assert np.max(rep.trajectory.norm_x0) <= 1e-6
@@ -99,9 +100,9 @@ def test_zero_perturbation_trivially_passes(stationary801):
 def test_zero_perturbation_is_loud_against_a_moved_reference(stationary201):
     # at 201 nodes a run that starts on the stationary state stays within
     # ZERO_EPS_TOL up to t = 0.1 (5.4e-7), and one that starts on a
-    # reference with z_* moved by 1e-4 leaves it (3.3e-6): the quiet check
-    # reads False on every stability check
-    cfg = RunConfig(grid_size=201, t_end=0.1, epsilon=0.0)
+    # reference with z_* moved by 1e-4 leaves it (3.3e-6): the quiet check,
+    # read at every step, is False on every stability check
+    cfg = RunConfig(grid_size=201, t_end=0.1, epsilon=0.0, output_every=DT_MAX)
     still = run_stability_experiment(cfg, reference=stationary201, linear_response=False)
     moved = run_stability_experiment(
         cfg, reference=dataclasses.replace(stationary201, z_star=stationary201.z_star + 1e-4),

@@ -265,10 +265,10 @@ def test_ensemble_resamples_only_the_fit_window(operators201, monkeypatch):
 
 def _linearization_gap_order(spec, sol, ops):
     """The order in eps, from eps 1e-3 to 2e-3, of test_07's linearization
-    gap up to t = 5: the sup over the records of |p - p_* - eps phi|
+    gap up to t = 5: the sup over the records every 0.1 of |p - p_* - eps phi|
     + |z - z_* - eps zeta|, the nonlinear run at eps against eps times one
     linearized run from the same perturbation."""
-    cfg = RunConfig(t_end=5.0)
+    cfg = RunConfig(t_end=5.0, output_every=0.1)
     phi0 = RadialField(sol.grid, perturbation_shape(cfg.shape, sol.grid.nodes))
     lin = solve_linearized(ops, (phi0, cfg.z_offset), cfg.t_end, cfg.dt,
                            output_every=cfg.output_every)

@@ -514,14 +514,15 @@ def test_regrid_rejects_touching_particles():
 
 def _picard_against_direct(family, epsilon, t_end):
     """The distances of a 201-node picard_solve (tol 1e-8) of family and
-    the largest sup|p - p_direct| + |z - z_direct| over its recorded
-    states against simulate's."""
+    the largest sup|p - p_direct| + |z - z_direct| over its states against
+    simulate's, both recorded every 0.1."""
     spec = KineticsSpec(family=family)
     ref = stationary_for(spec, 201)
-    cfg = RunConfig(grid_size=201, epsilon=epsilon, t_end=t_end, spec=spec)
+    cfg = RunConfig(grid_size=201, epsilon=epsilon, t_end=t_end, spec=spec,
+                    output_every=0.1)
     init = initial_state(cfg, ref)
     traj, dists = picard_solve(init, cfg.t_end, cfg.dt, spec, ref,
-                               mu=PICARD_RATE, tol=1e-8)
+                               mu=PICARD_RATE, tol=1e-8, output_every=cfg.output_every)
     direct = simulate(init, cfg.t_end, cfg.dt, spec, ref,
                       output_every=cfg.output_every)
     assert len(traj.states) == len(direct.states)
@@ -543,10 +544,8 @@ def test_picard_matches_direct(family):
 def test_picard_fixed_point_is_the_direct_solution(family):
     # Picard freezes the velocity where simulate takes it, at the particles'
     # step-start positions, so its fixed point is simulate's solution up to
-    # the cubics read inside the rk4 start-up steps: the gap is 8.4e-9
-    # (affine) and 5.2e-9 (saturating) at DT_MAX, 1.25e-9 for either at a
-    # step of 1e-2, where a velocity frozen on the nodes left 2.0e-6
-    # (affine) and 9.0e-7 (saturating)
+    # the cubics read inside the rk4 start-up steps: the gap is 8.9e-9
+    # (affine) and 7.8e-9 (saturating) at DT_MAX over the 16 records
     _, gap = _picard_against_direct(family, 1e-2, 1.5)
     assert gap <= 1e-8
 
