@@ -180,19 +180,19 @@ def test_emit_report_roundtrip(tmp_path, stationary201):
 REPORT_DIGESTS = {
     "direct": {
         "manifest.txt":
-            "094a3c202e375cee9a60d079a8431637ccbf2bfe99f427f142f80a41870caf24",
+            "2470bbf6a3ccd95a07a25a7c1c216a49272e5a9ba09b661eeece623e7c856eb2",
         "trajectory.csv":
-            "d86be80dba5773e71ec723dade9a23408086fe995260ded5ce6fc42d1c1dd055",
+            "6d66d16f5dd3d6a5cc48c77b3002e507b85a7ad0d36ec3018b007ef294d7227e",
         "decay.csv":
-            "10a77311a8cc84d0256198dd3eecb72ee702177597b19320fc42621cef9bdbbd",
+            "8fc8007352a59e63573d3bce2653b7d4bf029b837939838ee8b1d4ba51fb663c",
     },
     "picard": {
         "manifest.txt":
-            "e38509d638642270a2f696ace1d71199ffae92addfe982963d42758c24fd3031",
+            "b5c1c4da8dea599065c6dc5ab30ab38532504a171a0c6274b4958dda390afba3",
         "trajectory.csv":
-            "dd2223b113193b5f53704162cfaeec2b1823e59b6cf4fa1e36c70e6eff7889aa",
+            "066144d7b3d9b97dcf8d7587380454d2bd26a9fe746b0cd4ae393e697aaf29ff",
         "decay.csv":
-            "22da4320ebb2c6fdd0751eedc23c8a06e391b573d5af0b51a7c3367ac6d4faf7",
+            "d7ae035f4d208e1f5870724788d921f5bedbacab40076ac3f9583f8250796a3d",
     },
 }
 
@@ -200,13 +200,14 @@ REPORT_DIGESTS = {
 def test_emit_report_bytes_recorded(tmp_path, stationary201):
     """The report files of both solvers reproduce their recorded bytes: a
     change to the recorded states, their deviation series, the fits or the
-    formatting shows here.  At t_end 2.5 the fit window [0.5, 2.5] holds
-    FIT_MIN_SAMPLES records at RECORD_EVERY 0.5, so the fits are valid."""
+    formatting shows here.  At t_end 3.5 the fit window [0.7, 3.5] holds
+    six records at RECORD_EVERY 0.5, so the digests cover valid fits."""
     digests = {}
     for solver in REPORT_DIGESTS:
-        cfg = RunConfig(grid_size=201, t_end=2.5, epsilon=1e-2, solver=solver)
-        emit_report(run_stability_experiment(cfg, linear_response=False),
-                    out_dir=tmp_path / solver)
+        cfg = RunConfig(grid_size=201, t_end=3.5, epsilon=1e-2, solver=solver)
+        rep = run_stability_experiment(cfg, linear_response=False)
+        assert rep.fit_x.valid and rep.fit_x0.valid, (rep.fit_x.note, rep.fit_x0.note)
+        emit_report(rep, out_dir=tmp_path / solver)
         digests[solver] = {
             name: hashlib.sha256((tmp_path / solver / name).read_bytes()).hexdigest()
             for name in REPORT_DIGESTS[solver]}
