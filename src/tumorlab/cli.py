@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ConfigError, SolverError
 from .experiments import (RunConfig, config_from_text, config_hash,
-                          emit_report, run_stability_experiment,
-                          stationary_for, sweep)
+                          emit_report, fit_window_records,
+                          run_stability_experiment, stationary_for, sweep)
 from .grid import RadialGrid
 from .kinetics import validate_hypotheses
 from .linearized import (ENSEMBLE_RECORD_EVERY, FIT_MIN_SAMPLES, build_operators,
@@ -49,6 +49,16 @@ def _check_finite(name, value, positive=True):
     if not np.isfinite(value) or (positive and value <= 0):
         kind = "finite and positive" if positive else "finite"
         raise ConfigError(f"{name} must be {kind}, got {value}")
+
+
+def _check_fit_window(configs):
+    """Reject, before any solve, a perturbed run whose fit window holds too
+    few records for its fits and checks to mean anything."""
+    for cfg in configs:
+        if cfg.epsilon > 0 and (held := fit_window_records(cfg)) < FIT_MIN_SAMPLES:
+            raise ConfigError(f"t_end = {cfg.t_end:.12g} leaves {held} records in the "
+                              f"fit window, fewer than {FIT_MIN_SAMPLES}; raise t_end "
+                              "or lower output_every")
 
 
 def _write_or_print(args, name, text):
@@ -165,6 +175,7 @@ def cmd_maps(args):
 
 def cmd_stability(args):
     cfg = _load_config(args)
+    _check_fit_window([cfg])
     report = run_stability_experiment(cfg)
     if cfg.out_dir:
         for path in emit_report(report):
@@ -187,6 +198,7 @@ def cmd_sweep(args):
     shapes = args.shapes.split(",") if args.shapes else [cfg.shape]
     configs = [replace(cfg, epsilon=e, shape=s, out_dir="")
                for e in epsilons for s in shapes]
+    _check_fit_window(configs)
     summary = sweep(configs)
     _write_or_print(args, "sweep.csv", summary.to_table())
     print(f"basin edge: {summary.basin_edge}")

@@ -24,8 +24,8 @@ from .grid import RadialGrid, RadialField
 from .kinetics import KineticsSpec
 from .linearized import FIT_R2_MIN, DecayReport, fit_decay
 from .stationary import solve_stationary
-from .transport import (DT_MAX, RECORD_EVERY, TumorState, _check_dt, picard_solve,
-                        simulate)
+from .transport import (DT_MAX, RECORD_EVERY, TumorState, _check_dt, output_steps,
+                        picard_solve, simulate)
 
 SHAPE_IDS = ("poly", "sine", "bump")
 SOLVERS = ("direct", "picard")
@@ -200,6 +200,21 @@ def _envelope_ok(times, series, mu, K, window):
     return bool(np.all(series[mask] <= bound))
 
 
+def _fit_window(config):
+    """The fit window of a stability run: its horizon after the transient."""
+    return TRANSIENT_FRACTION * config.t_end, config.t_end
+
+
+def fit_window_records(config):
+    """The records of a run of config inside its fit window.  A perturbed
+    run whose window holds fewer than FIT_MIN_SAMPLES has NaN fits and
+    fails every check."""
+    _, recorded = output_steps(config.t_end, config.dt, config.output_every)
+    times = config.dt * np.array(recorded)
+    start, end = _fit_window(config)
+    return int(np.count_nonzero((times >= start) & (times <= end)))
+
+
 def run_stability_experiment(config, reference=None, linear_response=True):
     """Run one perturbed trajectory and evaluate the stability inequalities.
 
@@ -222,7 +237,7 @@ def run_stability_experiment(config, reference=None, linear_response=True):
         raise
 
     eps = config.epsilon
-    window = (TRANSIENT_FRACTION * config.t_end, config.t_end)
+    window = _fit_window(config)
     times = traj.times
 
     if eps == 0.0:

@@ -131,6 +131,22 @@ def test_bad_argument_exits_3_before_any_solve(monkeypatch, capsys, argv):
     assert argv[1] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["stability"], ["sweep", "--epsilons", "0,1e-2"]])
+def test_short_stability_horizon_exits_3_before_any_solve(tmp_path, monkeypatch, capsys,
+                                                          command):
+    # records every 0.5: the fit window [0.4, 2.0] of a t_end 2 run holds
+    # four records, too few for a fit, so a perturbed run is refused
+    def banned(*args, **kwargs):
+        raise AssertionError("a short horizon must stop the run before any solve")
+
+    for name in ("run_stability_experiment", "sweep", "stationary_for"):
+        monkeypatch.setattr(cli, name, banned)
+    path = tmp_path / "short.cfg"
+    path.write_text("t_end = 2.0\n")
+    assert main(command + ["--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert "t_end = 2 leaves 4 records in the fit window" in capsys.readouterr().err
+
+
 def test_short_horizon_names_the_shortest_usable(capsys, operators801):
     # the ensemble records every 1.0 in the propagator's step, 0.1 at the
     # default spec: the window of a 51-step run holds the records at 2, 3, 4,

@@ -9,11 +9,11 @@ from tumorlab import experiments
 from tumorlab.errors import ConfigError, SolverError
 from tumorlab.experiments import (RunConfig, StabilityReport, config_from_text,
                                   config_hash, config_to_text, emit_report,
-                                  perturbation_shape,
+                                  fit_window_records, perturbation_shape,
                                   run_stability_experiment, sweep)
 from tumorlab.grid import RadialGrid
 from tumorlab.kinetics import KineticsSpec
-from tumorlab.linearized import fit_decay
+from tumorlab.linearized import FIT_MIN_SAMPLES, fit_decay
 from tumorlab.stationary import solve_stationary
 from tumorlab.transport import DT_MAX, RECORD_EVERY, Trajectory
 
@@ -64,6 +64,17 @@ def test_config_validation():
         config_from_text("epsilon = 0.1.2\n")
     with pytest.raises(ConfigError, match="unknown shape id 'x'"):
         perturbation_shape("x", np.linspace(0.0, 1.0, 11))
+
+
+def test_fit_window_records_counts_what_the_fit_reads(stationary201):
+    # records every 0.5: the window [0.4, 2.0] of a t_end 2 run holds 0.5,
+    # 1.0, 1.5 and 2.0, too few, and its fits are NaN; [0.5, 2.5] holds five
+    for t_end, held in ((2.0, 4), (2.5, FIT_MIN_SAMPLES)):
+        cfg = RunConfig(grid_size=201, t_end=t_end, epsilon=1e-2)
+        rep = run_stability_experiment(cfg, linear_response=False)
+        assert fit_window_records(cfg) == held
+        assert np.isnan(rep.fit_x.mu_fit) == (held < FIT_MIN_SAMPLES)
+    assert fit_window_records(RunConfig(t_end=2.0, output_every=0.1)) == 17
 
 
 def test_emit_report_needs_a_directory_and_a_run(tmp_path):
