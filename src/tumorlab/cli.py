@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .experiments import (RunConfig, config_from_text, config_hash,
-                          emit_report, fit_window_records,
+from .experiments import (RunConfig, config_from_text, config_hash, emit_report,
                           run_stability_experiment, stationary_for, sweep)
 from .grid import RadialGrid
 from .kinetics import validate_hypotheses
@@ -38,7 +37,10 @@ def _load_config(args):
     else:
         cfg = RunConfig()
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        try:
+            cfg = replace(cfg, seed=args.seed)
+        except ConfigError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
     return cfg
@@ -51,14 +53,13 @@ def _check_finite(name, value, positive=True):
         raise ConfigError(f"{name} must be {kind}, got {value}")
 
 
-def _check_fit_window(configs):
-    """Reject, before any solve, a perturbed run whose fit window holds too
-    few records for its fits and checks to mean anything."""
-    for cfg in configs:
-        if cfg.epsilon > 0 and (held := fit_window_records(cfg)) < FIT_MIN_SAMPLES:
-            raise ConfigError(f"t_end = {cfg.t_end:.12g} leaves {held} records in the "
-                              f"fit window, fewer than {FIT_MIN_SAMPLES}; raise t_end "
-                              "or lower output_every")
+def _check_horizon(name, t_end, dt, output_every):
+    """Reject, before any solve, a horizon t_end whose fit window would hold
+    too few records for a fit: the run takes round(t_end / dt) steps of dt,
+    as transport.output_steps counts, recorded every output_every."""
+    if round(t_end / dt) < (shortest := shortest_fit_steps(dt, output_every)):
+        raise ConfigError(f"{name} must be at least {shortest * dt:.12g}, "
+                          "or the fit window holds too few records")
 
 
 def _write_or_print(args, name, text):
@@ -131,10 +132,7 @@ def cmd_linearize(args):
     cfg = _load_config(args)
     ops = build_operators(stationary_for(cfg.spec, cfg.grid_size), cfg.spec)
     dt = ensemble_step(ops)
-    # the run takes round(t_end / dt) steps, as transport.output_steps counts
-    if round(args.t_end / dt) < (shortest := shortest_fit_steps(dt)):
-        raise ConfigError(f"--t-end must be at least {shortest * dt:.12g}, "
-                          "or the fit window holds too few records")
+    _check_horizon("--t-end", args.t_end, dt, ENSEMBLE_RECORD_EVERY)
     ens = decay_ensemble(ops, n_runs=args.ensemble, t_end=args.t_end, seed=cfg.seed)
     pick = 0 if args.norm == "X" else 1
     rows = ["run,norm,mu_fit,K_fit,r2,decades,valid"]
@@ -156,11 +154,14 @@ def cmd_linearize(args):
 def cmd_maps(args):
     _check_finite("--epsilon", args.epsilon)
     _check_finite("--mu", args.mu)
+    # the one epsilon runs at full and half amplitude: 2 n_pairs samples a radius
+    if args.samples < (fewest := 2 * SamplePlan().n_pairs):
+        raise ConfigError(f"--samples must be at least {fewest}, got {args.samples}")
     cfg = _load_config(args)
     sol = stationary_for(cfg.spec, cfg.grid_size)
     table = build_fstar(sol.u_star)
     plan = SamplePlan(epsilons=(args.epsilon,), mu=args.mu,
-                      n_r=max(1, args.samples // (2 * SamplePlan().n_pairs)),
+                      n_r=args.samples // fewest,
                       seed=cfg.seed)
 
     def make_maps(eps):
@@ -175,7 +176,8 @@ def cmd_maps(args):
 
 def cmd_stability(args):
     cfg = _load_config(args)
-    _check_fit_window([cfg])
+    if cfg.epsilon > 0:
+        _check_horizon("t_end", cfg.t_end, cfg.dt, cfg.output_every)
     report = run_stability_experiment(cfg)
     if cfg.out_dir:
         for path in emit_report(report):
@@ -198,7 +200,8 @@ def cmd_sweep(args):
     shapes = args.shapes.split(",") if args.shapes else [cfg.shape]
     configs = [replace(cfg, epsilon=e, shape=s, out_dir="")
                for e in epsilons for s in shapes]
-    _check_fit_window(configs)
+    if max(epsilons) > 0:
+        _check_horizon("t_end", cfg.t_end, cfg.dt, cfg.output_every)
     summary = sweep(configs)
     _write_or_print(args, "sweep.csv", summary.to_table())
     print(f"basin edge: {summary.basin_edge}")

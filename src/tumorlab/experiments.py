@@ -22,14 +22,12 @@ import numpy as np
 from .errors import ConfigError, SolverError
 from .grid import RadialGrid, RadialField
 from .kinetics import KineticsSpec
-from .linearized import FIT_R2_MIN, DecayReport, fit_decay
+from .linearized import FIT_R2_MIN, DecayReport, fit_decay, fit_window
 from .stationary import solve_stationary
-from .transport import (DT_MAX, RECORD_EVERY, TumorState, _check_dt, output_steps,
-                        picard_solve, simulate)
+from .transport import DT_MAX, RECORD_EVERY, TumorState, _check_dt, picard_solve, simulate
 
 SHAPE_IDS = ("poly", "sine", "bump")
 SOLVERS = ("direct", "picard")
-TRANSIENT_FRACTION = 0.2
 ENVELOPE_SLACK = 1.05
 PICARD_RATE = 0.07
 ZERO_EPS_TOL = 1e-6
@@ -81,6 +79,13 @@ class RunConfig:
             _check_dt(self.dt)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        # transport.output_steps rounds the record interval to whole steps
+        steps = self.output_every / self.dt
+        if not abs(steps - round(steps)) <= 1e-9 * steps:
+            raise ConfigError(f"output_every = {self.output_every!r} is not a whole "
+                              f"number of steps of dt = {self.dt!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.epsilon <= 0.1:
             raise ConfigError("epsilon must lie in [0, 0.1]")
         if self.shape not in SHAPE_IDS:
@@ -200,21 +205,6 @@ def _envelope_ok(times, series, mu, K, window):
     return bool(np.all(series[mask] <= bound))
 
 
-def _fit_window(config):
-    """The fit window of a stability run: its horizon after the transient."""
-    return TRANSIENT_FRACTION * config.t_end, config.t_end
-
-
-def fit_window_records(config):
-    """The records of a run of config inside its fit window.  A perturbed
-    run whose window holds fewer than FIT_MIN_SAMPLES has NaN fits and
-    fails every check."""
-    _, recorded = output_steps(config.t_end, config.dt, config.output_every)
-    times = config.dt * np.array(recorded)
-    start, end = _fit_window(config)
-    return int(np.count_nonzero((times >= start) & (times <= end)))
-
-
 def run_stability_experiment(config, reference=None, linear_response=True):
     """Run one perturbed trajectory and evaluate the stability inequalities.
 
@@ -222,10 +212,10 @@ def run_stability_experiment(config, reference=None, linear_response=True):
     the proliferating fraction p and the radius deviation through R = e^z;
     q = 1 - p has none of its own, as q - q_* = -(p - p_*).  Each is
     required to stay below its fitted envelope K eps e^{-mu t} with 5%
-    slack after the transient window (the first 20% of the horizon), with
-    mu > 0 and r2 >= FIT_R2_MIN on the norm fits.  Solver failures are
-    re-raised after persisting the manifest when an output directory is
-    configured.
+    slack over linearized.fit_window, the window of the norm fits (the
+    transient, the first 30% of the horizon, is left out), with mu > 0 and
+    r2 >= FIT_R2_MIN on the norm fits.  Solver failures are re-raised after
+    persisting the manifest when an output directory is configured.
     """
     if reference is None:
         reference = stationary_for(config.spec, config.grid_size)
@@ -237,7 +227,6 @@ def run_stability_experiment(config, reference=None, linear_response=True):
         raise
 
     eps = config.epsilon
-    window = _fit_window(config)
     times = traj.times
 
     if eps == 0.0:
@@ -251,8 +240,9 @@ def run_stability_experiment(config, reference=None, linear_response=True):
                                linear_response_ratio=np.nan, trajectory=traj,
                                reference=reference)
 
-    fit_x = fit_decay(times, traj.norm_x, window)
-    fit_x0 = fit_decay(times, traj.norm_x0, window)
+    window = fit_window(times)
+    fit_x = fit_decay(times, traj.norm_x)
+    fit_x0 = fit_decay(times, traj.norm_x0)
     kx = fit_x.K_fit
     kx0 = fit_x0.K_fit
 

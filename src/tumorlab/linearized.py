@@ -305,38 +305,34 @@ class DecayReport:
 
 
 def fit_window(times):
-    """The default fit window of a run recorded at times: its last
+    """The fit window of a run recorded at times: its last
     FIT_WINDOW_FRACTION (the early transient is excluded)."""
     t0 = times[0] + (1.0 - FIT_WINDOW_FRACTION) * (times[-1] - times[0])
     return float(t0), float(times[-1])
 
 
-def shortest_fit_steps(dt):
-    """The fewest steps of dt in a run recorded every ENSEMBLE_RECORD_EVERY
-    (a decay_ensemble run) whose fit window holds FIT_MIN_SAMPLES records.  Of
-    the runs that end within one record interval past the k-th record, the
-    shortest (k intervals and one step) starts its window earliest and so
-    holds the most records; the fewest k whose shortest run suffices gives
-    it."""
-    every = max(1, int(round(ENSEMBLE_RECORD_EVERY / dt)))
+def shortest_fit_steps(dt, output_every):
+    """The fewest steps of dt in a run recorded every output_every whose fit
+    window holds FIT_MIN_SAMPLES records.  Of the runs that end within one
+    record interval past the k-th record, the shortest (k intervals and one
+    step) starts its window earliest and so holds the most records; the
+    fewest k whose shortest run suffices gives it."""
+    every = max(1, int(round(output_every / dt)))
     for k in itertools.count(1):
         steps = k * every + 1
-        times = dt * np.array(output_steps(steps * dt, dt, ENSEMBLE_RECORD_EVERY)[1])
+        times = dt * np.array(output_steps(steps * dt, dt, output_every)[1])
         if np.count_nonzero(times >= fit_window(times)[0]) >= FIT_MIN_SAMPLES:
             return steps
 
 
-def fit_decay(times, series, window=None):
-    """Fit K e^{-mu t} to a norm series sampled at times.
+def fit_decay(times, series):
+    """Fit K e^{-mu t} to a norm series sampled at times, over fit_window(times).
 
-    The fit uses fit_window(times) by default.  Samples whose norm is not
-    above 1e-300 (NaN included) are left out.  The report is flagged
-    invalid when the smoothed log-norm is not decreasing over the window or
-    the fit quality r2 drops below FIT_R2_MIN.
+    Samples whose norm is not above 1e-300 (NaN included) are left out.  The
+    report is flagged invalid when the smoothed log-norm is not decreasing
+    over the window or the fit quality r2 drops below FIT_R2_MIN.
     """
-    if window is None:
-        window = fit_window(times)
-    mask = (times >= window[0]) & (times <= window[1]) & (series > 1e-300)
+    mask = (times >= fit_window(times)[0]) & (series > 1e-300)
     t = times[mask]
     y = np.log(series[mask])
     if t.size < FIT_MIN_SAMPLES:

@@ -13,8 +13,8 @@ from tumorlab.errors import SolverError
 from tumorlab.experiments import (RunConfig, config_from_text, config_hash,
                                   config_to_text)
 from tumorlab.kinetics import KineticsSpec
-from tumorlab.linearized import (build_operators, decay_ensemble, ensemble_step,
-                                 shortest_fit_steps, step_bound)
+from tumorlab.linearized import (ENSEMBLE_RECORD_EVERY, build_operators, decay_ensemble,
+                                 ensemble_step, shortest_fit_steps, step_bound)
 from tumorlab.transport import DT_MAX
 
 
@@ -89,6 +89,8 @@ def test_config_step_above_bound_exits_3(tmp_path, capsys):
     ("spec.lam = NaN\n", "config key 'spec.lam' must be finite"),
     ("z_offset = NaN\n", "config key 'z_offset' must be finite"),
     ("epsilon = -Infinity\n", "config key 'epsilon' must be finite"),
+    ("seed = -1\n", "seed must be non-negative"),
+    ("output_every = 0.25\n", "output_every = 0.25 is not a whole number of steps"),
     pytest.param(f"spec.lam = 1{'0' * 400}\n", "config key 'spec.lam' must be finite",
                  id="int-beyond-float"),
 ])
@@ -120,6 +122,12 @@ def test_bad_config_value_exits_3(tmp_path, capsys, text, message):
     # a horizon whose fit window holds fewer than FIT_MIN_SAMPLES records
     ["linearize", "--t-end", "1e-6", "--ensemble", "2"],
     ["linearize", "--t-end", "0.5"],
+    # numpy's default_rng takes no negative seed
+    ["maps", "--seed", "-1"],
+    ["linearize", "--seed", "-1"],
+    # fewer samples than one radius of the plan takes
+    ["maps", "--samples", "19"],
+    ["maps", "--samples", "-5"],
 ])
 def test_bad_argument_exits_3_before_any_solve(monkeypatch, capsys, argv):
     def banned(*args, **kwargs):
@@ -134,8 +142,9 @@ def test_bad_argument_exits_3_before_any_solve(monkeypatch, capsys, argv):
 @pytest.mark.parametrize("command", [["stability"], ["sweep", "--epsilons", "0,1e-2"]])
 def test_short_stability_horizon_exits_3_before_any_solve(tmp_path, monkeypatch, capsys,
                                                           command):
-    # records every 0.5: the fit window [0.4, 2.0] of a t_end 2 run holds
-    # four records, too few for a fit, so a perturbed run is refused
+    # records every 0.5 in steps of 2e-2: the fit window [0.6, 2.0] of a
+    # t_end 2 run holds three records, too few for a fit, so a perturbed run
+    # is refused, naming the shortest horizon whose window holds five
     def banned(*args, **kwargs):
         raise AssertionError("a short horizon must stop the run before any solve")
 
@@ -144,7 +153,8 @@ def test_short_stability_horizon_exits_3_before_any_solve(tmp_path, monkeypatch,
     path = tmp_path / "short.cfg"
     path.write_text("t_end = 2.0\n")
     assert main(command + ["--config", str(path)]) == EXIT_CONFIG_ERROR
-    assert "t_end = 2 leaves 4 records in the fit window" in capsys.readouterr().err
+    assert ("t_end must be at least 2.52, or the fit window holds too few records"
+            in capsys.readouterr().err)
 
 
 def test_short_horizon_names_the_shortest_usable(capsys, operators801):
@@ -154,7 +164,7 @@ def test_short_horizon_names_the_shortest_usable(capsys, operators801):
     assert ensemble_step(operators801) == 0.1
     assert main(["linearize", "--t-end", "5"]) == EXIT_CONFIG_ERROR
     assert "--t-end must be at least 5.1," in capsys.readouterr().err
-    assert shortest_fit_steps(0.1) == 51
+    assert shortest_fit_steps(0.1, ENSEMBLE_RECORD_EVERY) == 51
 
 
 class _PastTheCheck(Exception):
@@ -181,7 +191,7 @@ def test_short_horizon_check_counts_steps(monkeypatch, capsys, dt):
     assert "--t-end must be at least 4," in capsys.readouterr().err
     assert main(argv + ["4"]) == EXIT_CONFIG_ERROR and len(solves) == 1
     printed = capsys.readouterr().err.split("at least ")[1].split(",")[0]
-    steps = shortest_fit_steps(dt)
+    steps = shortest_fit_steps(dt, ENSEMBLE_RECORD_EVERY)
     for t_end in (printed, repr((steps - 0.4) * dt)):
         with pytest.raises(_PastTheCheck):
             main(argv + [t_end])

@@ -9,11 +9,10 @@ from tumorlab import experiments
 from tumorlab.errors import ConfigError, SolverError
 from tumorlab.experiments import (RunConfig, StabilityReport, config_from_text,
                                   config_hash, config_to_text, emit_report,
-                                  fit_window_records, perturbation_shape,
-                                  run_stability_experiment, sweep)
+                                  perturbation_shape, run_stability_experiment, sweep)
 from tumorlab.grid import RadialGrid
 from tumorlab.kinetics import KineticsSpec
-from tumorlab.linearized import FIT_MIN_SAMPLES, fit_decay
+from tumorlab.linearized import fit_decay, shortest_fit_steps
 from tumorlab.stationary import solve_stationary
 from tumorlab.transport import DT_MAX, RECORD_EVERY, Trajectory
 
@@ -60,21 +59,36 @@ def test_config_validation():
         RunConfig(shape="x")
     with pytest.raises(ConfigError, match="solver must be one of"):
         RunConfig(solver="x")
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        RunConfig(seed=-1)
     with pytest.raises(ConfigError, match="bad value on config line"):
         config_from_text("epsilon = 0.1.2\n")
     with pytest.raises(ConfigError, match="unknown shape id 'x'"):
         perturbation_shape("x", np.linspace(0.0, 1.0, 11))
 
 
-def test_fit_window_records_counts_what_the_fit_reads(stationary201):
-    # records every 0.5: the window [0.4, 2.0] of a t_end 2 run holds 0.5,
-    # 1.0, 1.5 and 2.0, too few, and its fits are NaN; [0.5, 2.5] holds five
-    for t_end, held in ((2.0, 4), (2.5, FIT_MIN_SAMPLES)):
-        cfg = RunConfig(grid_size=201, t_end=t_end, epsilon=1e-2)
-        rep = run_stability_experiment(cfg, linear_response=False)
-        assert fit_window_records(cfg) == held
-        assert np.isnan(rep.fit_x.mu_fit) == (held < FIT_MIN_SAMPLES)
-    assert fit_window_records(RunConfig(t_end=2.0, output_every=0.1)) == 17
+def test_record_interval_is_a_whole_number_of_steps():
+    # 0.25 at dt 2e-2 would record every round(12.5) = 12 steps, 0.24, and
+    # half a step records at every step; 0.58 is 29 steps up to rounding
+    with pytest.raises(ConfigError, match="output_every = 0.25 is not a whole number "
+                                          "of steps of dt = 0.02"):
+        RunConfig(output_every=0.25)
+    with pytest.raises(ConfigError, match="not a whole number"):
+        RunConfig(output_every=DT_MAX / 2)
+    assert 0.58 / DT_MAX != 29
+    RunConfig(output_every=0.58)
+
+
+def test_shortest_stability_horizon_is_the_shortest_that_fits(stationary201):
+    # records every 0.5 in steps of 2e-2: the fit window [0.756, 2.52] of a
+    # 126-step run holds 1.0, 1.5, 2.0, 2.5 and 2.52; that of a 125-step run,
+    # [0.75, 2.5], holds four, too few, and its fits are NaN
+    steps = shortest_fit_steps(DT_MAX, RECORD_EVERY)
+    assert steps == 126
+    for horizon, fitted in ((steps, True), (steps - 1, False)):
+        rep = run_stability_experiment(small_config(t_end=horizon * DT_MAX),
+                                       linear_response=False)
+        assert np.isfinite(rep.fit_x.mu_fit) == np.isfinite(rep.fit_x0.mu_fit) == fitted
 
 
 def test_emit_report_needs_a_directory_and_a_run(tmp_path):
@@ -211,8 +225,8 @@ REPORT_DIGESTS = {
 def test_emit_report_bytes_recorded(tmp_path, stationary201):
     """The report files of both solvers reproduce their recorded bytes: a
     change to the recorded states, their deviation series, the fits or the
-    formatting shows here.  At t_end 3.5 the fit window [0.7, 3.5] holds
-    six records at RECORD_EVERY 0.5, so the digests cover valid fits."""
+    formatting shows here.  At t_end 3.5 the fit window [1.05, 3.5] holds
+    five records at RECORD_EVERY 0.5, so the digests cover valid fits."""
     digests = {}
     for solver in REPORT_DIGESTS:
         cfg = RunConfig(grid_size=201, t_end=3.5, epsilon=1e-2, solver=solver)

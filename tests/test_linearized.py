@@ -318,7 +318,7 @@ def test_fit_decay_recovers_synthetic_rate(mu, K):
 def test_shortest_fit_horizon_is_the_shortest_that_fits(operators201, dt):
     # at the shortest horizon every fit window holds FIT_MIN_SAMPLES
     # records; one step less leaves it too few, and no fit
-    steps = shortest_fit_steps(dt)
+    steps = shortest_fit_steps(dt, ENSEMBLE_RECORD_EVERY)
     for horizon, fitted in ((steps, True), (steps - 1, False)):
         [(fit_x, fit_x0)] = decay_ensemble(operators201, n_runs=1, t_end=horizon * dt, dt=dt)
         assert np.isfinite(fit_x.mu_fit) == np.isfinite(fit_x0.mu_fit) == fitted
