@@ -205,19 +205,19 @@ def test_emit_report_roundtrip(tmp_path, stationary201):
 REPORT_DIGESTS = {
     "direct": {
         "manifest.txt":
-            "2470bbf6a3ccd95a07a25a7c1c216a49272e5a9ba09b661eeece623e7c856eb2",
+            "04e3202c10caa3ef293a765f1a67d99a1aa1905cf91bafa59034a668ebf02a88",
         "trajectory.csv":
             "6d66d16f5dd3d6a5cc48c77b3002e507b85a7ad0d36ec3018b007ef294d7227e",
         "decay.csv":
-            "8fc8007352a59e63573d3bce2653b7d4bf029b837939838ee8b1d4ba51fb663c",
+            "2c51fd9eaa2800ce24584623ccfd10039f198712fc727bb138ba30077b017df6",
     },
     "picard": {
         "manifest.txt":
-            "b5c1c4da8dea599065c6dc5ab30ab38532504a171a0c6274b4958dda390afba3",
+            "f055c8990886f73c866ec0bca6676b6bdb95ab8ba76b7eadaddf77d44635a17c",
         "trajectory.csv":
             "066144d7b3d9b97dcf8d7587380454d2bd26a9fe746b0cd4ae393e697aaf29ff",
         "decay.csv":
-            "d7ae035f4d208e1f5870724788d921f5bedbacab40076ac3f9583f8250796a3d",
+            "5328efedaeb820b119529a46036c90a4c87c95cb4c044aaa40d079d71170ee15",
     },
 }
 
