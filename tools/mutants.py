@@ -111,6 +111,18 @@ MUTANTS = [
      "(FIT_MIN_SAMPLES - 1) * ENSEMBLE_RECORD_EVERY",
      "(FIT_MIN_SAMPLES - 2) * ENSEMBLE_RECORD_EVERY",
      "tests/test_cli.py::test_short_horizon_check_counts_steps"),
+    ("the horizon rule of stability and sweep at the ensemble's record interval", "cli.py",
+     "shortest_fit_steps(dt, output_every)", "shortest_fit_steps(dt, ENSEMBLE_RECORD_EVERY)",
+     "tests/test_cli.py::test_short_stability_horizon_exits_3_before_any_solve"),
+    ("a negative seed admitted", "experiments.py",
+     "if self.seed < 0:", "if self.seed < -1:",
+     "tests/test_experiments.py::test_config_validation"),
+    ("the record interval's whole-step tolerance 1e-9 -> 0.1", "experiments.py",
+     "<= 1e-9 * steps:", "<= 0.1 * steps:",
+     "tests/test_experiments.py::test_record_interval_is_a_whole_number_of_steps"),
+    ("maps takes fewer samples than one radius of its plan", "cli.py",
+     "(fewest := 2 * SamplePlan().n_pairs)", "(fewest := 1)",
+     "tests/test_cli.py::test_bad_argument_exits_3_before_any_solve"),
 ]
 
 
