@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, SolverError
 from .experiments import (RunConfig, config_from_text, config_hash, emit_report,
-                          run_stability_experiment, stationary_for, sweep)
+                          run_stability_experiment, run_trajectory, stationary_for, sweep)
 from .grid import RadialGrid
 from .kinetics import validate_hypotheses
 from .linearized import (ENSEMBLE_RECORD_EVERY, FIT_MIN_SAMPLES, build_operators,
@@ -111,8 +111,7 @@ def cmd_stationary(args):
 
 def cmd_simulate(args):
     cfg = _load_config(args)
-    report = run_stability_experiment(cfg, linear_response=False)
-    traj = report.trajectory
+    traj = run_trajectory(cfg, stationary_for(cfg.spec, cfg.grid_size))
     rows = ["t,norm_x,norm_x0"]
     for t, nx, nx0 in zip(traj.times, traj.norm_x, traj.norm_x0):
         rows.append(f"{t:.17g},{nx:.17g},{nx0:.17g}")

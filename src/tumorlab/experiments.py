@@ -24,7 +24,8 @@ from .grid import RadialGrid, RadialField
 from .kinetics import KineticsSpec
 from .linearized import FIT_R2_MIN, DecayReport, fit_decay, fit_window
 from .stationary import solve_stationary
-from .transport import DT_MAX, RECORD_EVERY, TumorState, _check_dt, picard_solve, simulate
+from .transport import (DT_MAX, RECORD_EVERY, TumorState, _check_dt, output_steps, picard_solve,
+                        simulate)
 
 SHAPE_IDS = ("poly", "sine", "bump")
 SOLVERS = ("direct", "picard")
@@ -77,13 +78,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         try:
             _check_dt(self.dt)
+            output_steps(0.0, self.dt, self.output_every)  # no steps: the interval's rule alone
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        # transport.output_steps rounds the record interval to whole steps
-        steps = self.output_every / self.dt
-        if not abs(steps - round(steps)) <= 1e-9 * steps:
-            raise ConfigError(f"output_every = {self.output_every!r} is not a whole "
-                              f"number of steps of dt = {self.dt!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.epsilon <= 0.1:
@@ -188,19 +185,24 @@ def initial_state(config, reference):
                       z=reference.z_star + config.epsilon * config.z_offset)
 
 
-def _run_trajectory(config, reference):
+def run_trajectory(config, reference):
+    """The Trajectory of config's perturbed run against reference by its solver;
+    a SolverError is re-raised after writing the failure manifest to out_dir."""
     init = initial_state(config, reference)
-    if config.solver == "picard":
-        traj, _ = picard_solve(init, config.t_end, config.dt, config.spec,
-                               reference, mu=PICARD_RATE,
-                               output_every=config.output_every)
-        return traj
-    return simulate(init, config.t_end, config.dt, config.spec, reference,
-                    output_every=config.output_every)
+    try:
+        if config.solver == "picard":
+            return picard_solve(init, config.t_end, config.dt, config.spec, reference,
+                                mu=PICARD_RATE, output_every=config.output_every)[0]
+        return simulate(init, config.t_end, config.dt, config.spec, reference,
+                        output_every=config.output_every)
+    except SolverError:
+        if config.out_dir:
+            _write_failure_manifest(config)
+        raise
 
 
-def _envelope_ok(times, series, mu, K, window):
-    mask = times >= window[0]
+def _envelope_ok(times, series, mu, K):
+    mask = fit_window(times)
     bound = ENVELOPE_SLACK * K * np.exp(-mu * times[mask])
     return bool(np.all(series[mask] <= bound))
 
@@ -214,17 +216,11 @@ def run_stability_experiment(config, reference=None, linear_response=True):
     required to stay below its fitted envelope K eps e^{-mu t} with 5%
     slack over linearized.fit_window, the window of the norm fits (the
     transient, the first 30% of the horizon, is left out), with mu > 0 and
-    r2 >= FIT_R2_MIN on the norm fits.  Solver failures are re-raised after
-    persisting the manifest when an output directory is configured.
+    r2 >= FIT_R2_MIN on the norm fits.  The run is run_trajectory's.
     """
     if reference is None:
         reference = stationary_for(config.spec, config.grid_size)
-    try:
-        traj = _run_trajectory(config, reference)
-    except SolverError:
-        if config.out_dir:
-            _write_failure_manifest(config)
-        raise
+    traj = run_trajectory(config, reference)
 
     eps = config.epsilon
     times = traj.times
@@ -240,7 +236,6 @@ def run_stability_experiment(config, reference=None, linear_response=True):
                                linear_response_ratio=np.nan, trajectory=traj,
                                reference=reference)
 
-    window = fit_window(times)
     fit_x = fit_decay(times, traj.norm_x)
     fit_x0 = fit_decay(times, traj.norm_x0)
     kx = fit_x.K_fit
@@ -248,10 +243,10 @@ def run_stability_experiment(config, reference=None, linear_response=True):
 
     fits_ok = (fit_x.mu_fit > 0 and fit_x0.mu_fit > 0
                and fit_x.r2 >= FIT_R2_MIN and fit_x0.r2 >= FIT_R2_MIN)
-    p_sup_ok = fits_ok and _envelope_ok(times, traj.p_dev, fit_x.mu_fit, kx, window)
-    wder_ok = fits_ok and _envelope_ok(times, traj.dp_dev, fit_x0.mu_fit, kx0, window)
+    p_sup_ok = fits_ok and _envelope_ok(times, traj.p_dev, fit_x.mu_fit, kx)
+    wder_ok = fits_ok and _envelope_ok(times, traj.dp_dev, fit_x0.mu_fit, kx0)
     # R = e^z is monotone, so the radius envelope is checked on |z - z_*|
-    radius_ok = fits_ok and _envelope_ok(times, traj.z_dev, fit_x.mu_fit, kx, window)
+    radius_ok = fits_ok and _envelope_ok(times, traj.z_dev, fit_x.mu_fit, kx)
     checks = {
         "p_sup": p_sup_ok,
         "p_weighted_derivative": wder_ok,
@@ -261,7 +256,7 @@ def run_stability_experiment(config, reference=None, linear_response=True):
     ratio = np.nan
     if linear_response:
         small = replace(config, epsilon=eps / 10.0, out_dir="")
-        small_traj = _run_trajectory(small, reference)
+        small_traj = run_trajectory(small, reference)
         peak_small = float(np.max(small_traj.norm_x))
         if peak_small > 0:
             ratio = float(np.max(traj.norm_x)) / peak_small

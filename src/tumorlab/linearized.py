@@ -31,8 +31,8 @@ from .grid import (RadialField, RadialMoments, derivative_values, radial_average
                    require_same_grid)
 from .kinetics import eval_rates
 from .simmaps import _random_smooth, build_fstar
-from .transport import (RECORD_EVERY, AdamsBashforth, _check_dt, deviation, frozen_path,
-                        on_grid, output_steps, regrid, trajectory)
+from .transport import (RECORD_EVERY, AdamsBashforth, Trajectory, _check_dt, deviation,
+                        frozen_path, on_grid, output_steps, regrid, trajectory)
 
 RESOLVENT_DS = 5e-4
 LAPLACE_DT = 5e-3  # time step of the Laplace-transform quadrature
@@ -305,10 +305,9 @@ class DecayReport:
 
 
 def fit_window(times):
-    """The fit window of a run recorded at times: its last
-    FIT_WINDOW_FRACTION (the early transient is excluded)."""
-    t0 = times[0] + (1.0 - FIT_WINDOW_FRACTION) * (times[-1] - times[0])
-    return float(t0), float(times[-1])
+    """The mask of the records a fit reads of a run recorded at times: its
+    last FIT_WINDOW_FRACTION (the early transient is excluded)."""
+    return times >= times[0] + (1.0 - FIT_WINDOW_FRACTION) * (times[-1] - times[0])
 
 
 def shortest_fit_steps(dt, output_every):
@@ -317,11 +316,11 @@ def shortest_fit_steps(dt, output_every):
     record interval past the k-th record, the shortest (k intervals and one
     step) starts its window earliest and so holds the most records; the
     fewest k whose shortest run suffices gives it."""
-    every = max(1, int(round(output_every / dt)))
+    every = output_steps(output_every, dt, output_every)[0]  # steps of one interval
     for k in itertools.count(1):
         steps = k * every + 1
         times = dt * np.array(output_steps(steps * dt, dt, output_every)[1])
-        if np.count_nonzero(times >= fit_window(times)[0]) >= FIT_MIN_SAMPLES:
+        if np.count_nonzero(fit_window(times)) >= FIT_MIN_SAMPLES:
             return steps
 
 
@@ -332,7 +331,7 @@ def fit_decay(times, series):
     report is flagged invalid when the smoothed log-norm is not decreasing
     over the window or the fit quality r2 drops below FIT_R2_MIN.
     """
-    mask = (times >= fit_window(times)[0]) & (series > 1e-300)
+    mask = fit_window(times) & (series > 1e-300)
     t = times[mask]
     y = np.log(series[mask])
     if t.size < FIT_MIN_SAMPLES:
@@ -395,7 +394,7 @@ def decay_ensemble(ops, n_runs=20, t_end=100.0, dt=None, seed=0):
     ])
     zeta0 = ENSEMBLE_AMPLITUDE * rng.uniform(-1.0, 1.0, size=n_runs)
     times = prop.record_times(t_end, ENSEMBLE_RECORD_EVERY)
-    fitted = times >= fit_window(times)[0]
+    fitted = fit_window(times)
     p_dev, dp_dev, z_dev = (np.full((times.size, n_runs), np.nan) for _ in range(3))
     for j, pos, phi, zeta in prop.records(phi0, zeta0, t_end, ENSEMBLE_RECORD_EVERY):
         if not np.all(np.isfinite(phi)):
@@ -403,9 +402,8 @@ def decay_ensemble(ops, n_runs=20, t_end=100.0, dt=None, seed=0):
         if fitted[j]:
             p_dev[j], dp_dev[j], z_dev[j] = deviation(
                 ops.grid, on_grid(pos, phi, prop.nodes), zeta, 0.0, 0.0)
-    norm_x = p_dev + z_dev
-    norm_x0 = norm_x + dp_dev
-    return [(fit_decay(times, norm_x[:, m]), fit_decay(times, norm_x0[:, m]))
+    norms = Trajectory(times, [], p_dev, dp_dev, z_dev, None)
+    return [(fit_decay(times, norms.norm_x[:, m]), fit_decay(times, norms.norm_x0[:, m]))
             for m in range(n_runs)]
 
 

@@ -122,10 +122,15 @@ def trajectory(grid, times, ps, zs, p_ref=0.0, z_ref=0.0, mass_residual=None):
 
 def output_steps(t_span, dt, output_every):
     """(n_steps, recorded steps) of a run of t_span in steps of dt: the
-    recorded step indices are 0, every output_every time units, and n_steps."""
+    recorded step indices are 0, every output_every time units, and n_steps.
+    Raises ValueError unless output_every is a whole number of steps of dt,
+    to a relative 1e-9."""
+    steps = output_every / dt
+    if not abs(steps - round(steps)) <= 1e-9 * steps:
+        raise ValueError(f"output_every = {output_every!r} is not a whole "
+                         f"number of steps of dt = {dt!r}")
     n_steps = int(round(t_span / dt))
-    every = max(1, int(round(output_every / dt)))
-    return n_steps, sorted(set(range(0, n_steps + 1, every)) | {n_steps})
+    return n_steps, sorted(set(range(0, n_steps + 1, int(round(steps)))) | {n_steps})
 
 
 class NutrientCache:

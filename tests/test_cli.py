@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tumorlab import cli, experiments
+from tumorlab import cli, experiments, linearized
 from tumorlab.cli import (EXIT_CONFIG_ERROR, EXIT_EXPERIMENT_FAIL, EXIT_PASS,
                           EXIT_SOLVER_ERROR, main)
 from tumorlab.errors import SolverError
@@ -171,7 +171,7 @@ class _PastTheCheck(Exception):
     pass
 
 
-@pytest.mark.parametrize("dt", [1e-2, 7e-3, 3e-3])
+@pytest.mark.parametrize("dt", [1e-2, 1 / 143, 1 / 300])
 def test_short_horizon_check_counts_steps(monkeypatch, capsys, dt):
     # the run takes round(t_end / dt) steps of the ensemble's step: a t_end
     # below the shortest that rounds to its step count passes the check, and
@@ -205,17 +205,22 @@ def test_help_exits_0(capsys):
 
 
 def test_stationary_and_simulate(tmp_path, small_config_file, stationary201,
-                                 capsys):
+                                 capsys, monkeypatch):
     assert main(["stationary", "--config", small_config_file,
                  "--out", str(tmp_path / "s")]) == EXIT_PASS
     out = capsys.readouterr().out.splitlines()
     rep = stationary201.residual_report
     assert f"shoot_integrations = {rep['shoot_integrations']}" in out
     assert f"shoot_fallbacks = {rep['shoot_fallbacks']}" in out
+    # simulate prints the norm series of the run and fits nothing
+    fits = []
+    for owner in (experiments, linearized):
+        monkeypatch.setattr(owner, "fit_decay", lambda *args: fits.append(args))
     assert main(["simulate", "--config", small_config_file,
                  "--out", str(tmp_path / "r")]) == EXIT_PASS
     rows = (tmp_path / "r" / "simulate.csv").read_text().splitlines()
     assert rows[0] == "t,norm_x,norm_x0"
+    assert not fits
 
 
 def test_linearize_reports_positive_rate(small_config_file, capsys,
@@ -341,14 +346,17 @@ def test_seed_option_overrides_the_config(tmp_path, small_config_file, default_s
     assert [float(row[2]) for row in rows] == [fit_x.mu_fit for fit_x, _ in ens]
 
 
+@pytest.mark.parametrize("command", ["simulate", "stability"])
 def test_solver_error_exits_2_and_leaves_a_manifest(tmp_path, monkeypatch,
-                                                    small_config_file, capsys):
+                                                    small_config_file, capsys, command):
+    # the manifest is experiments.run_trajectory's, so each command that
+    # runs one leaves it
     def failing(*args, **kwargs):
         raise SolverError("boom")
 
     monkeypatch.setattr(experiments, "simulate", failing)
     out = tmp_path / "failed"
-    assert main(["stability", "--config", small_config_file,
+    assert main([command, "--config", small_config_file,
                  "--out", str(out)]) == EXIT_SOLVER_ERROR
     assert "solver error: boom" in capsys.readouterr().err
     # the config lines, its hash and the status, out_dir set by --out

@@ -141,10 +141,12 @@ def test_envelope_check_rejects_a_series_above_its_slack():
     # a series 10% above K e^{-mu t} breaks the envelope; one 4% above is
     # inside its 5% slack
     times = np.linspace(0.0, 40.0, 401)
-    mu, K, window = 0.08, 2.0, (8.0, 40.0)
+    mu, K = 0.08, 2.0
     exact = K * np.exp(-mu * times)
-    assert experiments._envelope_ok(times, 1.04 * exact, mu, K, window)
-    assert not experiments._envelope_ok(times, 1.10 * exact, mu, K, window)
+    assert experiments._envelope_ok(times, 1.04 * exact, mu, K)
+    assert not experiments._envelope_ok(times, 1.10 * exact, mu, K)
+    # it reads linearized.fit_window alone: 10% above before t = 10 passes
+    assert experiments._envelope_ok(times, np.where(times < 10.0, 1.10, 1.0) * exact, mu, K)
 
 
 def test_fit_gate_rejects_a_noisy_series(monkeypatch, stationary201):
@@ -162,7 +164,7 @@ def test_fit_gate_rejects_a_noisy_series(monkeypatch, stationary201):
 
     traj = Trajectory(times=times, states=[], p_dev=1e-3 * clean, dp_dev=1e-3 * clean,
                       z_dev=noisy, mass_residual=np.full(times.size, np.nan))
-    monkeypatch.setattr(experiments, "_run_trajectory", lambda config, reference: traj)
+    monkeypatch.setattr(experiments, "run_trajectory", lambda config, reference: traj)
     rep = run_stability_experiment(small_config(t_end=40.0), reference=stationary201,
                                    linear_response=False)
     assert rep.checks == {"p_sup": False, "p_weighted_derivative": False, "radius": False}

@@ -250,7 +250,7 @@ def test_ensemble_resamples_only_the_fit_window(operators201, monkeypatch):
     # the ensemble's own step at the default spec, and its record interval
     prop = LinearPropagator(operators201, 0.1)
     times = prop.record_times(t_end, ENSEMBLE_RECORD_EVERY)
-    assert len(calls) == np.count_nonzero(times >= fit_window(times)[0]) < times.size
+    assert len(calls) == np.count_nonzero(fit_window(times)) < times.size
 
     grid = operators201.grid
     rng = np.random.default_rng(seed)
@@ -314,7 +314,7 @@ def test_fit_decay_recovers_synthetic_rate(mu, K):
     assert rep.valid
 
 
-@pytest.mark.parametrize("dt", [1e-2, 3e-3])
+@pytest.mark.parametrize("dt", [1e-2, 1 / 300])
 def test_shortest_fit_horizon_is_the_shortest_that_fits(operators201, dt):
     # at the shortest horizon every fit window holds FIT_MIN_SAMPLES
     # records; one step less leaves it too few, and no fit

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -41,6 +42,37 @@ def test_pure_transport_rejects_large_dt(grid201, rng):
     coarse = 2 * transport.DT_MAX
     with pytest.raises(ValueError, match="DT_MAX"):
         pure_transport(w, q0, t_end=2 * coarse, dt=coarse)
+
+
+@pytest.mark.parametrize("run", ["simulate", "picard_solve", "solve_linearized",
+                                 "decay_ensemble"])
+def test_record_interval_off_the_step_is_refused_before_any_step(
+        monkeypatch, default_spec, stationary201, run):
+    # output_steps owns the record stride of every run: an interval that is
+    # not a whole number of steps (0.25 at dt 2e-2, 12.5 steps; the
+    # ensemble's 1.0 at dt 3e-3, 333.3 steps) is refused, not rounded,
+    # before any state takes a step
+    def stepped(*args):
+        raise AssertionError("a state was stepped")
+
+    monkeypatch.setattr(transport, "_stage_kinetics", stepped)
+    monkeypatch.setattr(LinearPropagator, "_stage_rate", stepped)
+    init = initial_state(RunConfig(grid_size=201), stationary201)
+    ops = build_operators(stationary201, default_spec)
+    runs = {
+        "simulate": lambda: simulate(init, 1.0, 2e-2, default_spec, stationary201,
+                                     output_every=0.25),
+        "picard_solve": lambda: picard_solve(init, 1.0, 2e-2, default_spec, stationary201,
+                                             mu=PICARD_RATE, output_every=0.25),
+        "solve_linearized": lambda: solve_linearized(
+            ops, (init.p.with_values(0.0 * init.p.values), 0.0), 1.0, 2e-2,
+            output_every=0.25),
+        "decay_ensemble": lambda: decay_ensemble(ops, n_runs=1, t_end=1.0, dt=3e-3),
+    }
+    every, dt = (1.0, 3e-3) if run == "decay_ensemble" else (0.25, 2e-2)
+    with pytest.raises(ValueError, match=re.escape(
+            f"output_every = {every!r} is not a whole number of steps of dt = {dt!r}")):
+        runs[run]()
 
 
 def _kernel_path(field, grid):

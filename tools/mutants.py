@@ -68,6 +68,9 @@ MUTANTS = [
     ("ENVELOPE_SLACK 1.05 -> 1e6", "experiments.py",
      "ENVELOPE_SLACK = 1.05", "ENVELOPE_SLACK = 1e6",
      "tests/test_experiments.py::test_envelope_check_rejects_a_series_above_its_slack"),
+    ("FIT_WINDOW_FRACTION 0.7 -> 0.6", "linearized.py",
+     "FIT_WINDOW_FRACTION = 0.7", "FIT_WINDOW_FRACTION = 0.6",
+     "tests/test_experiments.py::test_shortest_stability_horizon_is_the_shortest_that_fits"),
     ("FIT_R2_MIN 0.98 -> 0", "linearized.py",
      "FIT_R2_MIN = 0.98", "FIT_R2_MIN = 0.0",
      "tests/test_experiments.py::test_fit_gate_rejects_a_noisy_series"),
@@ -117,7 +120,7 @@ MUTANTS = [
     ("a negative seed admitted", "experiments.py",
      "if self.seed < 0:", "if self.seed < -1:",
      "tests/test_experiments.py::test_config_validation"),
-    ("the record interval's whole-step tolerance 1e-9 -> 0.1", "experiments.py",
+    ("the record interval's whole-step tolerance 1e-9 -> 0.1", "transport.py",
      "<= 1e-9 * steps:", "<= 0.1 * steps:",
      "tests/test_experiments.py::test_record_interval_is_a_whole_number_of_steps"),
     ("maps takes fewer samples than one radius of its plan", "cli.py",
