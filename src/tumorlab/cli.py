@@ -133,21 +133,23 @@ def cmd_linearize(args):
     dt = ensemble_step(ops)
     _check_horizon("--t-end", args.t_end, dt, ENSEMBLE_RECORD_EVERY)
     ens = decay_ensemble(ops, n_runs=args.ensemble, t_end=args.t_end, seed=cfg.seed)
-    pick = 0 if args.norm == "X" else 1
+    fits = [pair[0 if args.norm == "X" else 1] for pair in ens]
     rows = ["run,norm,mu_fit,K_fit,r2,decades,valid"]
-    mus = []
-    for i, pair in enumerate(ens):
-        rep = pair[pick]
-        mus.append(rep.mu_fit)
+    for i, rep in enumerate(fits):
         rows.append(f"{i},{args.norm},{rep.mu_fit:.17g},"
                     f"{rep.K_fit:.17g},{rep.r2:.17g},{rep.decades:.17g},"
                     f"{rep.valid}")
     _write_or_print(args, "linearize.csv", "\n".join(rows) + "\n")
     print(f"dt = {dt:.12g}  propagator step bound = {step_bound(ops):.6g}  "
           f"record interval = {ENSEMBLE_RECORD_EVERY:g}")
+    mus = [rep.mu_fit for rep in fits]
+    run = int(np.argmin(mus))  # the fit that sets the rate estimate
     print(f"ensemble rate estimate (minimum over {len(mus)} runs): "
           f"{min(mus):.6f}  spread: [{min(mus):.6f}, {max(mus):.6f}]")
-    return EXIT_PASS if all(m > 0 for m in mus) else EXIT_EXPERIMENT_FAIL
+    if fits[run].valid:
+        return EXIT_PASS
+    print(f"rate-setting fit (run {run}) invalid: {fits[run].note}")
+    return EXIT_EXPERIMENT_FAIL
 
 
 def cmd_maps(args):
@@ -185,6 +187,9 @@ def cmd_stability(args):
     print(f"epsilon = {report.epsilon}  mu_x = {report.fit_x.mu_fit:.6f}  "
           f"mu_x0 = {report.fit_x0.mu_fit:.6f}  "
           f"linear response = {report.linear_response_ratio:.3f}")
+    for norm, fit in (("X", report.fit_x), ("X0", report.fit_x0)):
+        if not fit.valid:
+            print(f"fit of norm {norm} invalid: {fit.note}")
     for name, ok in report.checks.items():
         print(f"{name}: {'pass' if ok else 'FAIL'}")
     return EXIT_PASS if report.passed else EXIT_EXPERIMENT_FAIL

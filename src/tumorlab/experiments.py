@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, SolverError
 from .grid import RadialGrid, RadialField
 from .kinetics import KineticsSpec
-from .linearized import FIT_R2_MIN, DecayReport, fit_decay, fit_window
+from .linearized import DecayReport, fit_decay, fit_window
 from .stationary import solve_stationary
 from .transport import (DT_MAX, RECORD_EVERY, TumorState, _check_dt, output_steps, picard_solve,
                         simulate)
@@ -215,8 +215,9 @@ def run_stability_experiment(config, reference=None, linear_response=True):
     q = 1 - p has none of its own, as q - q_* = -(p - p_*).  Each is
     required to stay below its fitted envelope K eps e^{-mu t} with 5%
     slack over linearized.fit_window, the window of the norm fits (the
-    transient, the first 30% of the horizon, is left out), with mu > 0 and
-    r2 >= FIT_R2_MIN on the norm fits.  The run is run_trajectory's.
+    transient, the first 30% of the horizon, is left out), and only when
+    both norm fits are valid, by linearized.fit_decay's verdict.  The run is
+    run_trajectory's.
     """
     if reference is None:
         reference = stationary_for(config.spec, config.grid_size)
@@ -241,8 +242,7 @@ def run_stability_experiment(config, reference=None, linear_response=True):
     kx = fit_x.K_fit
     kx0 = fit_x0.K_fit
 
-    fits_ok = (fit_x.mu_fit > 0 and fit_x0.mu_fit > 0
-               and fit_x.r2 >= FIT_R2_MIN and fit_x0.r2 >= FIT_R2_MIN)
+    fits_ok = fit_x.valid and fit_x0.valid
     p_sup_ok = fits_ok and _envelope_ok(times, traj.p_dev, fit_x.mu_fit, kx)
     wder_ok = fits_ok and _envelope_ok(times, traj.dp_dev, fit_x0.mu_fit, kx0)
     # R = e^z is monotone, so the radius envelope is checked on |z - z_*|

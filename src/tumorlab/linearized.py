@@ -294,7 +294,8 @@ def pure_transport(w_field, q0_field, t_end, dt):
 
 @dataclass(frozen=True)
 class DecayReport:
-    """Log-linear fit of an exponential envelope K e^{-mu t} to a norm series."""
+    """Log-linear fit of an exponential envelope K e^{-mu t} to a norm series,
+    with fit_decay's verdict: valid, or the note that says why not."""
 
     mu_fit: float
     K_fit: float
@@ -328,8 +329,11 @@ def fit_decay(times, series):
     """Fit K e^{-mu t} to a norm series sampled at times, over fit_window(times).
 
     Samples whose norm is not above 1e-300 (NaN included) are left out.  The
-    report is flagged invalid when the smoothed log-norm is not decreasing
-    over the window or the fit quality r2 drops below FIT_R2_MIN.
+    one verdict on a decay fit, which every caller reads: the report is valid
+    when the window holds FIT_MIN_SAMPLES usable samples, mu_fit > 0, the
+    smoothed log-norm is not increasing over the window and the fit quality
+    r2 is at least FIT_R2_MIN.  note names the first of these that fails, and
+    is empty for a valid fit.
     """
     mask = fit_window(times) & (series > 1e-300)
     t = times[mask]
@@ -338,6 +342,7 @@ def fit_decay(times, series):
         return DecayReport(np.nan, np.nan, 0.0, 0.0, False,
                            f"window holds fewer than {FIT_MIN_SAMPLES} usable samples")
     slope, intercept = np.polyfit(t, y, 1)
+    mu = float(-slope)
     fitted = slope * t + intercept
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
@@ -346,19 +351,20 @@ def fit_decay(times, series):
     k = min(5, t.size)
     kernel = np.ones(k) / k
     smooth = np.convolve(y, kernel, mode="valid")
-    monotone = bool(np.all(np.diff(smooth) <= 1e-10))
-    decades = float((y[0] - y[-1]) / np.log(10.0))
-    note = ""
-    if not monotone:
+    if not mu > 0:
+        note = f"norm does not decay over the window (mu_fit = {mu:.3g})"
+    elif not np.all(np.diff(smooth) <= 1e-10):
         note = "norm not monotone over the window after smoothing"
-    elif decades < 2.0:
-        note = f"window spans only {decades:.2f} decades of decay"
+    elif not r2 >= FIT_R2_MIN:
+        note = f"fit quality r2 = {r2:.4f} below {FIT_R2_MIN}"
+    else:
+        note = ""
     return DecayReport(
-        mu_fit=float(-slope),
+        mu_fit=mu,
         K_fit=float(np.exp(intercept)),
         r2=float(r2),
-        decades=decades,
-        valid=monotone and r2 >= FIT_R2_MIN,
+        decades=float((y[0] - y[-1]) / np.log(10.0)),
+        valid=not note,
         note=note,
     )
 

@@ -4,6 +4,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tumorlab import cli, experiments, linearized
@@ -14,7 +15,7 @@ from tumorlab.experiments import (RunConfig, config_from_text, config_hash,
                                   config_to_text)
 from tumorlab.kinetics import KineticsSpec
 from tumorlab.linearized import (ENSEMBLE_RECORD_EVERY, build_operators, decay_ensemble,
-                                 ensemble_step, shortest_fit_steps, step_bound)
+                                 ensemble_step, fit_decay, shortest_fit_steps, step_bound)
 from tumorlab.transport import DT_MAX
 
 
@@ -259,6 +260,53 @@ def test_linearize_writes_the_chosen_norm(tmp_path, small_config_file, default_s
     ens = decay_ensemble(build_operators(stationary201, default_spec), n_runs=2,
                          t_end=60.0, seed=cfg.seed)
     assert [float(row[2]) for row in rows[1:]] == [fit_x0.mu_fit for _, fit_x0 in ens]
+
+
+def _linearize_on(monkeypatch, pairs):
+    """cmd_linearize over a stubbed ensemble of (fit of X, fit of X0) pairs,
+    with no solve: it reads each fit as decay_ensemble returns it."""
+    monkeypatch.setattr(cli, "stationary_for", lambda *args: None)
+    monkeypatch.setattr(cli, "build_operators", lambda sol, spec: None)
+    monkeypatch.setattr(cli, "ensemble_step", lambda ops: 0.1)
+    monkeypatch.setattr(cli, "step_bound", lambda ops: 0.1)
+    monkeypatch.setattr(cli, "decay_ensemble", lambda ops, n_runs, t_end, seed: pairs)
+    return lambda norm: main(["linearize", "--ensemble", str(len(pairs)), "--t-end", "40",
+                              "--norm", norm])
+
+
+TIMES = np.linspace(0.0, 40.0, 401)
+# period-5 log noise of zero sum: monotone after smoothing, r2 0.90 at rate 0.05
+NOISE = np.resize([0.2, -0.2, 0.1, -0.05, -0.05], TIMES.size)
+
+
+def _fit(mu, log_noise=0.0, late_jump=1.0):
+    """fit_decay of e^{-mu t + log_noise}, times late_jump from t = 36 on."""
+    jump = np.where(TIMES > 36.0, late_jump, 1.0)
+    return fit_decay(TIMES, np.exp(-mu * TIMES + log_noise) * jump)
+
+
+def test_linearize_fails_on_an_invalid_rate_setting_fit(monkeypatch, capsys):
+    # every rate is positive, but the slowest fit, which sets the estimate,
+    # is invalid: exit 1, and the fit's note on one line
+    noisy = _fit(0.05, NOISE)
+    assert noisy.mu_fit > 0 and not noisy.valid
+    run = _linearize_on(monkeypatch, [(_fit(0.08), _fit(0.08)), (noisy, _fit(0.08))])
+    assert run("X") == EXIT_EXPERIMENT_FAIL
+    assert (f"rate-setting fit (run 1) invalid: {noisy.note}"
+            in capsys.readouterr().out.splitlines())
+
+
+def test_linearize_reads_only_the_rate_setting_fit(monkeypatch, capsys):
+    # an invalid member that does not set the minimum leaves the exit at 0;
+    # the other norm's rate-setting fit, run 0's, is invalid and gives 1
+    pairs = [(_fit(0.05), _fit(0.05, NOISE)), (_fit(0.15, late_jump=1.5), _fit(0.08))]
+    assert not pairs[1][0].valid and pairs[1][0].mu_fit > 0.05
+    run = _linearize_on(monkeypatch, pairs)
+    assert run("X") == EXIT_PASS
+    assert "invalid" not in capsys.readouterr().out
+    assert run("X0") == EXIT_EXPERIMENT_FAIL
+    assert (f"rate-setting fit (run 0) invalid: {pairs[0][1].note}"
+            in capsys.readouterr().out.splitlines())
 
 
 def test_stability_emits_report(tmp_path, small_config_file, stationary201,

@@ -12,7 +12,7 @@ from tumorlab.experiments import (RunConfig, StabilityReport, config_from_text,
                                   perturbation_shape, run_stability_experiment, sweep)
 from tumorlab.grid import RadialGrid
 from tumorlab.kinetics import KineticsSpec
-from tumorlab.linearized import fit_decay, shortest_fit_steps
+from tumorlab.linearized import FIT_R2_MIN, fit_decay, shortest_fit_steps
 from tumorlab.stationary import solve_stationary
 from tumorlab.transport import DT_MAX, RECORD_EVERY, Trajectory
 
@@ -159,8 +159,8 @@ def test_fit_gate_rejects_a_noisy_series(monkeypatch, stationary201):
     clean = np.exp(-0.05 * times)
     noisy = clean * np.exp(np.resize([0.2, -0.2, 0.1, -0.05, -0.05], times.size))
     fit = fit_decay(times, noisy)
-    assert not fit.valid
-    assert "monotone" not in fit.note and fit.r2 < 0.9
+    assert not fit.valid and fit.r2 < 0.9
+    assert fit.note == f"fit quality r2 = {fit.r2:.4f} below {FIT_R2_MIN}"
 
     traj = Trajectory(times=times, states=[], p_dev=1e-3 * clean, dp_dev=1e-3 * clean,
                       z_dev=noisy, mass_residual=np.full(times.size, np.nan))
@@ -170,6 +170,31 @@ def test_fit_gate_rejects_a_noisy_series(monkeypatch, stationary201):
     assert rep.checks == {"p_sup": False, "p_weighted_derivative": False, "radius": False}
     assert rep.fit_x.mu_fit > 0 and rep.fit_x0.mu_fit > 0
     assert max(rep.fit_x.r2, rep.fit_x0.r2) < 0.92
+
+
+def test_fit_gate_rejects_a_rising_series(monkeypatch, stationary201):
+    # a decaying series with a log ripple of period 2 and amplitude 0.03:
+    # the fit decays at r2 above FIT_R2_MIN and the series stays inside its
+    # envelope's 5% slack, but the smoothed log-norm rises on each ripple, so
+    # the fit is invalid.  In the report the ripple sits in |z - z_*| and
+    # reaches both norms, and each check reads False through the fit verdict
+    times = np.linspace(0.0, 40.0, 401)
+    clean = np.exp(-0.05 * times)
+    rippled = clean * (1.0 + 0.03 * np.sin(np.pi * times))
+    fit = fit_decay(times, rippled)
+    assert fit.mu_fit > 0 and fit.r2 >= FIT_R2_MIN and not fit.valid
+    assert fit.note == "norm not monotone over the window after smoothing"
+    assert experiments._envelope_ok(times, rippled, fit.mu_fit, fit.K_fit)
+
+    traj = Trajectory(times=times, states=[], p_dev=1e-3 * clean, dp_dev=1e-3 * clean,
+                      z_dev=rippled, mass_residual=np.full(times.size, np.nan))
+    monkeypatch.setattr(experiments, "run_trajectory", lambda config, reference: traj)
+    rep = run_stability_experiment(small_config(t_end=40.0), reference=stationary201,
+                                   linear_response=False)
+    assert rep.checks == {"p_sup": False, "p_weighted_derivative": False, "radius": False}
+    for fit in (rep.fit_x, rep.fit_x0):
+        assert fit.mu_fit > 0 and fit.r2 >= FIT_R2_MIN
+        assert fit.note == "norm not monotone over the window after smoothing"
 
 
 def test_small_perturbation_passes_all_checks(stationary201):

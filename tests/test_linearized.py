@@ -325,10 +325,22 @@ def test_shortest_fit_horizon_is_the_shortest_that_fits(operators201, dt):
 
 
 def test_fit_decay_flags_short_windows():
+    # the decades a window spans are reported, not judged
     times = np.linspace(0.0, 5.0, 51)
     rep = fit_decay(times, np.exp(-0.05 * times))
     assert rep.decades < 2.0
-    assert "decades" in rep.note
+    assert rep.valid and rep.note == ""
+
+
+def test_fit_decay_rejects_a_norm_that_does_not_decay():
+    # a norm growing at 1e-11 fits a line of r2 near 1, and its smoothed
+    # log-norm rises by less than the monotonicity tolerance: the rate alone
+    # fails it
+    times = np.linspace(0.0, 40.0, 81)
+    rep = fit_decay(times, 1e-3 * np.exp(1e-11 * times))
+    assert rep.mu_fit < 0 and rep.r2 >= linearized.FIT_R2_MIN
+    assert not rep.valid
+    assert rep.note.startswith("norm does not decay over the window")
 
 
 def test_fit_decay_flags_a_rising_norm():

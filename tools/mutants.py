@@ -74,6 +74,9 @@ MUTANTS = [
     ("FIT_R2_MIN 0.98 -> 0", "linearized.py",
      "FIT_R2_MIN = 0.98", "FIT_R2_MIN = 0.0",
      "tests/test_experiments.py::test_fit_gate_rejects_a_noisy_series"),
+    ("valid ignores monotonicity", "linearized.py",
+     "    elif not np.all(np.diff(smooth) <= 1e-10):\n", "    elif False:\n",
+     "tests/test_experiments.py::test_fit_gate_rejects_a_rising_series"),
     ("ZERO_EPS_TOL 1e-6 -> 1e6", "experiments.py",
      "ZERO_EPS_TOL = 1e-6", "ZERO_EPS_TOL = 1e6",
      "tests/test_experiments.py::test_zero_perturbation_is_loud_against_a_moved_reference"),
@@ -123,6 +126,9 @@ MUTANTS = [
     ("the record interval's whole-step tolerance 1e-9 -> 0.1", "transport.py",
      "<= 1e-9 * steps:", "<= 0.1 * steps:",
      "tests/test_experiments.py::test_record_interval_is_a_whole_number_of_steps"),
+    ("linearize exits on every mu > 0", "cli.py",
+     "if fits[run].valid:", "if all(m > 0 for m in mus):",
+     "tests/test_cli.py::test_linearize_fails_on_an_invalid_rate_setting_fit"),
     ("maps takes fewer samples than one radius of its plan", "cli.py",
      "(fewest := 2 * SamplePlan().n_pairs)", "(fewest := 1)",
      "tests/test_cli.py::test_bad_argument_exits_3_before_any_solve"),
