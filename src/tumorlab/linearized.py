@@ -44,7 +44,6 @@ ENSEMBLE_RECORD_EVERY = 1.0
 AB4_REAL_LIMIT = 0.3
 #: the share of AB4_REAL_LIMIT that step_bound admits
 STEP_MARGIN = 0.5
-FIT_WINDOW_FRACTION = 0.7
 FIT_R2_MIN = 0.98
 FIT_MIN_SAMPLES = 5
 
@@ -306,9 +305,9 @@ class DecayReport:
 
 
 def fit_window(times):
-    """The mask of the records a fit reads of a run recorded at times: its
-    last FIT_WINDOW_FRACTION (the early transient is excluded)."""
-    return times >= times[0] + (1.0 - FIT_WINDOW_FRACTION) * (times[-1] - times[0])
+    """The mask of the records a fit reads of a run recorded at times: those
+    from 0.3 of its span on, its last 70% (the early transient is excluded)."""
+    return times >= times[0] + 0.3 * (times[-1] - times[0])
 
 
 def shortest_fit_steps(dt, output_every):

@@ -19,7 +19,7 @@ from tumorlab.linearized import (AB4_REAL_LIMIT, ENSEMBLE_AMPLITUDE,
                                  random_smooth_field, resolvent_apply,
                                  shortest_fit_steps, solve_linearized, step_bound)
 from tumorlab.simmaps import build_fstar
-from tumorlab.transport import output_steps, simulate, trajectory
+from tumorlab.transport import DT_MAX, RECORD_EVERY, output_steps, simulate, trajectory
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +312,16 @@ def test_fit_decay_recovers_synthetic_rate(mu, K):
     assert abs(rep.K_fit / K - 1.0) <= 1e-10
     assert rep.r2 >= 0.999
     assert rep.valid
+
+
+@pytest.mark.parametrize("t_end", [10.0, 20.0, 40.0, 100.0])
+def test_fit_window_opens_at_three_tenths_of_the_run(t_end):
+    # the record at exactly 0.3 t_end is the window's first, in a stability
+    # run (steps of DT_MAX recorded every RECORD_EVERY) and in an ensemble
+    # (steps of 0.1 recorded every ENSEMBLE_RECORD_EVERY)
+    for dt, every in ((DT_MAX, RECORD_EVERY), (0.1, ENSEMBLE_RECORD_EVERY)):
+        times = dt * np.array(output_steps(t_end, dt, every)[1])
+        assert times[fit_window(times)][0] == 0.3 * t_end
 
 
 @pytest.mark.parametrize("dt", [1e-2, 1 / 300])

@@ -684,7 +684,7 @@ INTEGRATOR_DIGESTS = {
     "solve_linearized":
         "81a06bad9560713f6dcf8620f417e07e2250dce50500c0090033a23db916f556",
     "decay_ensemble":
-        "87796283907e85f6f766b794e33ea29f7b7082f5193586012088e6a4b20474a9",
+        "20e4eb9e707b1ac1ba8103b2b7eea8fa931abf6c8698ccea1beefac42316c9e0",
 }
 
 

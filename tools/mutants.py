@@ -68,8 +68,8 @@ MUTANTS = [
     ("ENVELOPE_SLACK 1.05 -> 1e6", "experiments.py",
      "ENVELOPE_SLACK = 1.05", "ENVELOPE_SLACK = 1e6",
      "tests/test_experiments.py::test_envelope_check_rejects_a_series_above_its_slack"),
-    ("FIT_WINDOW_FRACTION 0.7 -> 0.6", "linearized.py",
-     "FIT_WINDOW_FRACTION = 0.7", "FIT_WINDOW_FRACTION = 0.6",
+    ("fit window from 0.3 -> 0.4 of the span", "linearized.py",
+     "times[0] + 0.3 * (times[-1]", "times[0] + 0.4 * (times[-1]",
      "tests/test_experiments.py::test_shortest_stability_horizon_is_the_shortest_that_fits"),
     ("FIT_R2_MIN 0.98 -> 0", "linearized.py",
      "FIT_R2_MIN = 0.98", "FIT_R2_MIN = 0.0",
