@@ -146,10 +146,9 @@ def cmd_linearize(args):
     run = int(np.argmin(mus))  # the fit that sets the rate estimate
     print(f"ensemble rate estimate (minimum over {len(mus)} runs): "
           f"{min(mus):.6f}  spread: [{min(mus):.6f}, {max(mus):.6f}]")
-    if fits[run].valid:
-        return EXIT_PASS
-    print(f"rate-setting fit (run {run}) invalid: {fits[run].note}")
-    return EXIT_EXPERIMENT_FAIL
+    if not fits[run].valid:
+        print(f"rate-setting fit (run {run}) invalid: {fits[run].note}")
+    return EXIT_PASS if fits[run].valid else EXIT_EXPERIMENT_FAIL
 
 
 def cmd_maps(args):

@@ -215,9 +215,8 @@ def run_stability_experiment(config, reference=None, linear_response=True):
     q = 1 - p has none of its own, as q - q_* = -(p - p_*).  Each is
     required to stay below its fitted envelope K eps e^{-mu t} with 5%
     slack over linearized.fit_window, the window of the norm fits (the
-    transient, the first 30% of the horizon, is left out), and only when
-    both norm fits are valid, by linearized.fit_decay's verdict.  The run is
-    run_trajectory's.
+    transient, the first 30% of the horizon, is left out), and fails when
+    either norm fit is not valid.  The run is run_trajectory's.
     """
     if reference is None:
         reference = stationary_for(config.spec, config.grid_size)

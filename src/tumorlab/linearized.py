@@ -293,8 +293,7 @@ def pure_transport(w_field, q0_field, t_end, dt):
 
 @dataclass(frozen=True)
 class DecayReport:
-    """Log-linear fit of an exponential envelope K e^{-mu t} to a norm series,
-    with fit_decay's verdict: valid, or the note that says why not."""
+    """Log-linear fit K e^{-mu t} of a norm series, and fit_decay's verdict."""
 
     mu_fit: float
     K_fit: float
@@ -328,11 +327,9 @@ def fit_decay(times, series):
     """Fit K e^{-mu t} to a norm series sampled at times, over fit_window(times).
 
     Samples whose norm is not above 1e-300 (NaN included) are left out.  The
-    one verdict on a decay fit, which every caller reads: the report is valid
-    when the window holds FIT_MIN_SAMPLES usable samples, mu_fit > 0, the
-    smoothed log-norm is not increasing over the window and the fit quality
-    r2 is at least FIT_R2_MIN.  note names the first of these that fails, and
-    is empty for a valid fit.
+    one verdict on a decay fit: valid when the window holds FIT_MIN_SAMPLES
+    usable samples, mu_fit > 0, the smoothed log-norm does not rise and r2 >=
+    FIT_R2_MIN; note names the first of these that fails ("" if none).
     """
     mask = fit_window(times) & (series > 1e-300)
     t = times[mask]
@@ -347,9 +344,7 @@ def fit_decay(times, series):
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
     # monotonicity after a 5-sample moving average
-    k = min(5, t.size)
-    kernel = np.ones(k) / k
-    smooth = np.convolve(y, kernel, mode="valid")
+    smooth = np.convolve(y, np.full(5, 0.2), mode="valid")
     if not mu > 0:
         note = f"norm does not decay over the window (mu_fit = {mu:.3g})"
     elif not np.all(np.diff(smooth) <= 1e-10):
@@ -358,14 +353,8 @@ def fit_decay(times, series):
         note = f"fit quality r2 = {r2:.4f} below {FIT_R2_MIN}"
     else:
         note = ""
-    return DecayReport(
-        mu_fit=mu,
-        K_fit=float(np.exp(intercept)),
-        r2=float(r2),
-        decades=float((y[0] - y[-1]) / np.log(10.0)),
-        valid=not note,
-        note=note,
-    )
+    return DecayReport(mu_fit=mu, K_fit=float(np.exp(intercept)), r2=float(r2),
+                       decades=float((y[0] - y[-1]) / np.log(10.0)), valid=not note, note=note)
 
 
 def random_smooth_field(grid, rng, amplitude=1.0):

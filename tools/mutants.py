@@ -127,7 +127,7 @@ MUTANTS = [
      "<= 1e-9 * steps:", "<= 0.1 * steps:",
      "tests/test_experiments.py::test_record_interval_is_a_whole_number_of_steps"),
     ("linearize exits on every mu > 0", "cli.py",
-     "if fits[run].valid:", "if all(m > 0 for m in mus):",
+     "EXIT_PASS if fits[run].valid else", "EXIT_PASS if all(m > 0 for m in mus) else",
      "tests/test_cli.py::test_linearize_fails_on_an_invalid_rate_setting_fit"),
     ("maps takes fewer samples than one radius of its plan", "cli.py",
      "(fewest := 2 * SamplePlan().n_pairs)", "(fewest := 1)",
